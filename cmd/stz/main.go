@@ -22,11 +22,9 @@ package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"image"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -37,6 +35,7 @@ import (
 	"stz/internal/grid"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/roi"
 	"stz/internal/viz"
 )
@@ -112,7 +111,7 @@ func cmdRender(args []string) error {
 	opts := viz.Options{Map: cmap, Log: *logScale}
 	var img *image.RGBA
 	if *dtype == "f32" {
-		g, err := readRaw32(*in, nz, ny, nx)
+		g, err := readRaw[float32](*in, nz, ny, nx)
 		if err != nil {
 			return err
 		}
@@ -121,7 +120,7 @@ func cmdRender(args []string) error {
 			return err
 		}
 	} else {
-		g, err := readRaw64(*in, nz, ny, nx)
+		g, err := readRaw[float64](*in, nz, ny, nx)
 		if err != nil {
 			return err
 		}
@@ -166,52 +165,25 @@ func parseBox(s string) (grid.Box, error) {
 	return codec.ParseBox(s)
 }
 
-// readRaw loads a little-endian raw float file.
-func readRaw32(path string, nz, ny, nx int) (*grid.Grid[float32], error) {
+// readRaw loads a little-endian raw float file of exactly nz*ny*nx values.
+func readRaw[T grid.Float](path string, nz, ny, nx int) (*grid.Grid[T], error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	n := nz * ny * nx
-	if len(b) != 4*n {
-		return nil, fmt.Errorf("%s: %d bytes, want %d for %dx%dx%d f32", path, len(b), 4*n, nz, ny, nx)
+	n, elem := nz*ny*nx, rawio.ElemSize[T]()
+	if len(b) != elem*n {
+		return nil, fmt.Errorf("%s: %d bytes, want %d for %dx%dx%d f%d", path, len(b), elem*n, nz, ny, nx, 8*elem)
 	}
-	data := make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
+	data := make([]T, n)
+	rawio.GetValues(data, b)
 	return grid.FromData(data, nz, ny, nx)
 }
 
-func readRaw64(path string, nz, ny, nx int) (*grid.Grid[float64], error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	n := nz * ny * nx
-	if len(b) != 8*n {
-		return nil, fmt.Errorf("%s: %d bytes, want %d for %dx%dx%d f64", path, len(b), 8*n, nz, ny, nx)
-	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return grid.FromData(data, nz, ny, nx)
-}
-
-func writeRaw32(path string, g *grid.Grid[float32]) error {
-	out := make([]byte, 4*g.Len())
-	for i, v := range g.Data {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-func writeRaw64(path string, g *grid.Grid[float64]) error {
-	out := make([]byte, 8*g.Len())
-	for i, v := range g.Data {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
+// writeRaw stores a grid as a little-endian raw float file.
+func writeRaw[T grid.Float](path string, g *grid.Grid[T]) error {
+	out := make([]byte, rawio.ElemSize[T]()*g.Len())
+	rawio.PutValues(out, g.Data)
 	return os.WriteFile(path, out, 0o644)
 }
 
@@ -239,12 +211,12 @@ func cmdGen(args []string) error {
 		}
 		if s.DType == "float32" {
 			g := s.Generate32(nz, ny, nx, sd)
-			if err := writeRaw32(*out, g); err != nil {
+			if err := writeRaw(*out, g); err != nil {
 				return err
 			}
 		} else {
 			g := s.Generate64(nz, ny, nx, sd)
-			if err := writeRaw64(*out, g); err != nil {
+			if err := writeRaw(*out, g); err != nil {
 				return err
 			}
 		}
@@ -335,7 +307,7 @@ func cmdCompress(args []string) error {
 	var enc []byte
 	var origBytes int
 	if *dtype == "f32" {
-		g, err := readRaw32(*in, nz, ny, nx)
+		g, err := readRaw[float32](*in, nz, ny, nx)
 		if err != nil {
 			return err
 		}
@@ -345,7 +317,7 @@ func cmdCompress(args []string) error {
 		}
 		origBytes = 4 * g.Len()
 	} else {
-		g, err := readRaw64(*in, nz, ny, nx)
+		g, err := readRaw[float64](*in, nz, ny, nx)
 		if err != nil {
 			return err
 		}
@@ -508,13 +480,13 @@ func cmdDecompress(args []string) error {
 		return err
 	}
 	if hdr.DType == 4 {
-		return decompressAs[float32](data, *out, *level, *boxSpec, *slice, *workers, *stats, writeRaw32)
+		return decompressAs[float32](data, *out, *level, *boxSpec, *slice, *workers, *stats)
 	}
-	return decompressAs[float64](data, *out, *level, *boxSpec, *slice, *workers, *stats, writeRaw64)
+	return decompressAs[float64](data, *out, *level, *boxSpec, *slice, *workers, *stats)
 }
 
 func decompressAs[T grid.Float](data []byte, out string, level int, boxSpec string,
-	slice, workers int, stats bool, write func(string, *grid.Grid[T]) error) error {
+	slice, workers int, stats bool) error {
 
 	r, err := core.NewReader[T](data)
 	if err != nil {
@@ -549,7 +521,7 @@ func decompressAs[T grid.Float](data []byte, out string, level int, boxSpec stri
 			return err
 		}
 	}
-	if err := write(out, g); err != nil {
+	if err := writeRaw(out, g); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %dx%dx%d\n", out, g.Nz, g.Ny, g.Nx)
@@ -594,22 +566,22 @@ func cmdExtract(args []string) error {
 			return err
 		}
 		if hdr.DType == 4 {
-			return extractEncoded[float32](data, b, *out, *workers, writeRaw32)
+			return extractEncoded[float32](data, b, *out, *workers)
 		}
-		return extractEncoded[float64](data, b, *out, *workers, writeRaw64)
+		return extractEncoded[float64](data, b, *out, *workers)
 	}
 	hdr, err := peekHeader(data)
 	if err != nil {
 		return err
 	}
 	if hdr.DType == 4 {
-		return extractCore[float32](data, b, *out, *workers, writeRaw32)
+		return extractCore[float32](data, b, *out, *workers)
 	}
-	return extractCore[float64](data, b, *out, *workers, writeRaw64)
+	return extractCore[float64](data, b, *out, *workers)
 }
 
 func extractEncoded[T grid.Float](data []byte, b grid.Box, out string,
-	workers int, write func(string, *grid.Grid[T]) error) error {
+	workers int) error {
 
 	r, err := codec.OpenReaderAt[T](data)
 	if err != nil {
@@ -620,7 +592,7 @@ func extractEncoded[T grid.Float](data []byte, b grid.Box, out string,
 	if err != nil {
 		return err
 	}
-	if err := write(out, g); err != nil {
+	if err := writeRaw(out, g); err != nil {
 		return err
 	}
 	read, payload := r.BytesRead(), r.PayloadBytes()
@@ -630,7 +602,7 @@ func extractEncoded[T grid.Float](data []byte, b grid.Box, out string,
 }
 
 func extractCore[T grid.Float](data []byte, b grid.Box, out string,
-	workers int, write func(string, *grid.Grid[T]) error) error {
+	workers int) error {
 
 	r, err := core.NewReader[T](data)
 	if err != nil {
@@ -641,7 +613,7 @@ func extractCore[T grid.Float](data []byte, b grid.Box, out string,
 	if err != nil {
 		return err
 	}
-	if err := write(out, g); err != nil {
+	if err := writeRaw(out, g); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %dx%dx%d\n", out, g.Nz, g.Ny, g.Nx)
@@ -672,7 +644,7 @@ func cmdROI(args []string) error {
 	var regions []roi.Region
 	var total int
 	if *dtype == "f32" {
-		g, err := readRaw32(*in, nz, ny, nx)
+		g, err := readRaw[float32](*in, nz, ny, nx)
 		if err != nil {
 			return err
 		}
@@ -682,7 +654,7 @@ func cmdROI(args []string) error {
 		}
 		total = g.Len()
 	} else {
-		g, err := readRaw64(*in, nz, ny, nx)
+		g, err := readRaw[float64](*in, nz, ny, nx)
 		if err != nil {
 			return err
 		}

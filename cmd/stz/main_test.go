@@ -47,10 +47,10 @@ func TestRawFileRoundTrip(t *testing.T) {
 	for i := range g32.Data {
 		g32.Data[i] = float32(i) * 1.5
 	}
-	if err := writeRaw32(p32, g32); err != nil {
+	if err := writeRaw(p32, g32); err != nil {
 		t.Fatal(err)
 	}
-	back, err := readRaw32(p32, 2, 3, 4)
+	back, err := readRaw[float32](p32, 2, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +60,17 @@ func TestRawFileRoundTrip(t *testing.T) {
 		}
 	}
 	// Size validation.
-	if _, err := readRaw32(p32, 2, 3, 5); err == nil {
+	if _, err := readRaw[float32](p32, 2, 3, 5); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 
 	p64 := filepath.Join(dir, "a.f64")
 	g64 := grid.New[float64](1, 2, 2)
 	copy(g64.Data, []float64{1.25, -2.5, 3.75, 0})
-	if err := writeRaw64(p64, g64); err != nil {
+	if err := writeRaw(p64, g64); err != nil {
 		t.Fatal(err)
 	}
-	back64, err := readRaw64(p64, 1, 2, 2)
+	back64, err := readRaw[float64](p64, 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStreamingMatchesBufferedEncode(t *testing.T) {
 	if err := cmdGen([]string{"-dataset", "Miranda", "-dims", "24x10x12", "-out", raw}); err != nil {
 		t.Fatal(err)
 	}
-	g, err := readRaw32(raw, 24, 10, 12)
+	g, err := readRaw[float32](raw, 24, 10, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestStreamingMatchesBufferedEncode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotGrid, err := readRaw32(dec, 24, 10, 12)
+			gotGrid, err := readRaw[float32](dec, 24, 10, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,13 +213,13 @@ func TestCodecFlagRoundTrip(t *testing.T) {
 		read := func(path string) *grid.Grid[float64] {
 			t.Helper()
 			if dtype == "f32" {
-				g, err := readRaw32(path, 16, 12, 14)
+				g, err := readRaw[float32](path, 16, 12, 14)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return grid.ToFloat64(g)
 			}
-			g, err := readRaw64(path, 16, 12, 14)
+			g, err := readRaw[float64](path, 16, 12, 14)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestRandomAccessExtractCommand(t *testing.T) {
 		if err := cmdExtract([]string{"-in", enc, "-box", spec, "-out", out}); err != nil {
 			t.Fatalf("%s: extract: %v", label, err)
 		}
-		got, err := readRaw32(out, b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
+		got, err := readRaw[float32](out, b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestRandomAccessExtractCommand(t *testing.T) {
 	if err := cmdDecompress([]string{"-in", encCore, "-out", decFull}); err != nil {
 		t.Fatal(err)
 	}
-	fullCore, err := readRaw32(decFull, 24, 16, 16)
+	fullCore, err := readRaw[float32](decFull, 24, 16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

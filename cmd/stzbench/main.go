@@ -29,45 +29,47 @@ var (
 	flagWorkers = flag.Int("workers", 8, "parallel workers for the OMP-equivalent modes")
 )
 
+// experiments lists every experiment in paper order.
+var experiments = []struct {
+	id  string
+	run func() error
+}{
+	{"table1", expTable1},
+	{"table2", expTable2},
+	{"fig3", expFig3},
+	{"fig5", expFig5},
+	{"fig10", expFig10},
+	{"fig11", expFig11},
+	{"fig12", expFig12},
+	{"table3", expTable3},
+	{"table4", expTable4},
+	{"fig13", expFig13},
+	// Design-choice ablations beyond the paper's figures.
+	{"ebratio", expEBRatio},
+	{"chunked", expChunked},
+	{"codecs", expCodecs},
+}
+
 func main() {
 	flag.Parse()
-	exps := map[string]func() error{
-		"table1": expTable1,
-		"table2": expTable2,
-		"fig3":   expFig3,
-		"fig5":   expFig5,
-		"fig10":  expFig10,
-		"fig11":  expFig11,
-		"fig12":  expFig12,
-		"table3": expTable3,
-		"table4": expTable4,
-		"fig13":  expFig13,
-		// Design-choice ablations beyond the paper's figures.
-		"ebratio": expEBRatio,
-		"chunked": expChunked,
-		"codecs":  expCodecs,
-	}
-	order := []string{"table1", "table2", "fig3", "fig5", "fig10", "fig11", "fig12", "table3", "table4", "fig13", "ebratio", "chunked", "codecs"}
-
 	want := strings.ToLower(*flagExp)
-	if want == "all" {
-		for _, id := range order {
-			if err := exps[id](); err != nil {
-				fmt.Fprintf(os.Stderr, "stzbench: %s: %v\n", id, err)
-				os.Exit(1)
-			}
+	var ids []string
+	ran := false
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+		if want != "all" && want != e.id {
+			continue
 		}
-		return
+		ran = true
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "stzbench: %s: %v\n", e.id, err)
+			os.Exit(1)
+		}
 	}
-	fn, ok := exps[want]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "stzbench: unknown experiment %q (want one of %s)\n",
-			want, strings.Join(order, ", "))
+			want, strings.Join(ids, ", "))
 		os.Exit(2)
-	}
-	if err := fn(); err != nil {
-		fmt.Fprintf(os.Stderr, "stzbench: %s: %v\n", want, err)
-		os.Exit(1)
 	}
 }
 

@@ -87,7 +87,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -129,22 +128,7 @@ func main() {
 		"interval between anti-entropy sweeps that diff replica manifests "+
 			"and re-replicate missing or stale archives (0 = default 30s, "+
 			"negative disables)")
-	softMemLimit := flag.Int64("soft-mem-limit", 0,
-		"soft memory limit in bytes (debug.SetMemoryLimit): the GC works "+
-			"harder as the heap approaches it instead of letting the "+
-			"resident set balloon under load (0 = runtime default)")
-	gogc := flag.Int("gogc", 0,
-		"GC target percentage (debug.SetGCPercent); lower trades CPU for "+
-			"a smaller heap — tune together with -soft-mem-limit using the "+
-			"stzload tail-latency harness (0 = runtime default)")
 	flag.Parse()
-
-	if *softMemLimit > 0 {
-		debug.SetMemoryLimit(*softMemLimit)
-	}
-	if *gogc > 0 {
-		debug.SetGCPercent(*gogc)
-	}
 
 	h := stzd.New(stzd.Options{
 		MaxBody:             *maxBody,

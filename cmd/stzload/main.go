@@ -7,11 +7,12 @@
 //
 //	go run ./cmd/stzload -duration 10s -out soak.json
 //	go run ./cmd/stzload -target http://stzd-host:8321 -rate 500 -clients 16
-//	go run ./cmd/stzload -soft-mem-limit 268435456 -gogc 50   # GC A/B runs
+//	GOMEMLIMIT=256MiB GOGC=50 go run ./cmd/stzload   # GC A/B runs
 //
 // Without -target the generator embeds an in-process stzd (the handler
-// cmd/stzd serves), which is also where -soft-mem-limit and -gogc apply:
-// run the same schedule under different GC regimes and diff the tails.
+// cmd/stzd serves), so the Go runtime's own GOMEMLIMIT and GOGC variables
+// tune the server too: run the same schedule under different GC regimes
+// and diff the tails.
 //
 // The default flags reproduce the single cell of suites/soak.toml, so an
 // emitted document is name-compatible with the committed
@@ -31,7 +32,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime/debug"
 	"strings"
 	"time"
 
@@ -60,23 +60,10 @@ func run(args []string) error {
 	clients := fs.Int("clients", 8, "worker-pool size (max in-flight requests)")
 	runs := fs.Int("runs", 1, "schedule repetitions; minimum per metric is reported")
 	target := fs.String("target", "", "external stzd base URL (default: in-process server)")
-	softMemLimit := fs.Int64("soft-mem-limit", 0,
-		"debug.SetMemoryLimit for the in-process server, bytes (0 = runtime default)")
-	gogc := fs.Int("gogc", 0, "debug.SetGCPercent for the in-process server (0 = runtime default)")
 	out := fs.String("out", "", "output BENCH JSON path (default bench/BENCH_<date>_soak.json)")
 	commit := fs.String("commit", "", "commit id to record (default: git rev-parse HEAD)")
 	repoURL := fs.String("repo", "https://github.com/stz/stz", "repository URL recorded in the document")
 	fs.Parse(args)
-
-	if *target != "" && (*softMemLimit != 0 || *gogc != 0) {
-		return fmt.Errorf("-soft-mem-limit/-gogc tune the in-process server; they have no effect with -target")
-	}
-	if *softMemLimit > 0 {
-		debug.SetMemoryLimit(*softMemLimit)
-	}
-	if *gogc > 0 {
-		debug.SetGCPercent(*gogc)
-	}
 
 	var bz, by, bx int
 	if _, err := fmt.Sscanf(*boxDims, "%dx%dx%d", &bz, &by, &bx); err != nil {

@@ -174,16 +174,8 @@ func runCellT[T grid.Float](c Cell, g *grid.Grid[T], runs int) ([]CellResult, er
 		err = runBoxCell(c, g, runs, agg)
 	case WorkloadHTTP:
 		err = runHTTPCell(c, g, runs, agg)
-	case WorkloadCluster:
-		err = runClusterCell(c, g, runs, agg)
-	case WorkloadChaos:
-		err = runChaosCell(c, g, runs, agg)
-	case WorkloadRecovery:
-		err = runRecoveryCell(c, g, runs, agg)
-	case WorkloadSoak:
-		extra, err = runSoakCell(c, g, runs, agg)
-	default:
-		err = fmt.Errorf("unknown workload %q", c.Workload)
+	default: // the service-tier rows of loadCells
+		extra, err = runLoadCell(c, g, runs, agg)
 	}
 	if err != nil {
 		return nil, err
@@ -225,18 +217,25 @@ func runCompressCell[T grid.Float](c Cell, g *grid.Grid[T], runs int, agg *cellA
 	return nil
 }
 
+// encodeCell resolves the cell's value-range-relative bound against g and
+// encodes g into the cell's chunk count with the cell's codec.
+func encodeCell[T grid.Float](c Cell, g *grid.Grid[T]) (ebAbs float64, enc []byte, err error) {
+	mn, mx := g.Range()
+	ebAbs = c.EB * (float64(mx) - float64(mn))
+	if !(ebAbs > 0) {
+		ebAbs = c.EB
+	}
+	enc, err = codec.Encode(c.Codec, g, codec.Config{EB: ebAbs, Workers: c.Workers, Chunks: c.Chunks})
+	return ebAbs, enc, err
+}
+
 // runBoxCell measures random-access box queries: the archive is encoded
 // once (untimed), then each run opens a fresh reader and decodes a
 // centered window, so the fallback path's slab cache never hides the read
 // cost of later runs. Bytes-read-per-voxel comes from the container's
 // chunk-read accounting.
 func runBoxCell[T grid.Float](c Cell, g *grid.Grid[T], runs int, agg *cellAgg) error {
-	mn, mx := g.Range()
-	ebAbs := c.EB * (float64(mx) - float64(mn))
-	if !(ebAbs > 0) {
-		ebAbs = c.EB
-	}
-	enc, err := codec.Encode(c.Codec, g, codec.Config{EB: ebAbs, Workers: c.Workers, Chunks: c.Chunks})
+	ebAbs, enc, err := encodeCell(c, g)
 	if err != nil {
 		return err
 	}
@@ -276,12 +275,8 @@ func runHTTPCell[T grid.Float](c Cell, g *grid.Grid[T], runs int, agg *cellAgg) 
 	defer ts.Close()
 	raw := make([]byte, g.Len()*rawio.ElemSize[T]())
 	rawio.PutValues(raw, g.Data)
-	dtype := "f32"
-	if rawio.ElemSize[T]() == 8 {
-		dtype = "f64"
-	}
 	compressURL := fmt.Sprintf("%s/v1/compress?codec=%s&dims=%dx%dx%d&dtype=%s&eb=%s&mode=rel&chunks=%d",
-		ts.URL, c.Codec, g.Nz, g.Ny, g.Nx, dtype,
+		ts.URL, c.Codec, g.Nz, g.Ny, g.Nx, dtypeName[T](),
 		strconv.FormatFloat(c.EB, 'g', -1, 64), c.Chunks)
 	for run := 0; run < runs; run++ {
 		t0 := time.Now()
@@ -307,6 +302,14 @@ func runHTTPCell[T grid.Float](c Cell, g *grid.Grid[T], runs int, agg *cellAgg) 
 		agg.observe("psnr_db", clampPSNR(d.PSNR))
 	}
 	return nil
+}
+
+// dtypeName is T as stzd's dtype= parameter spells it.
+func dtypeName[T grid.Float]() string {
+	if rawio.ElemSize[T]() == 8 {
+		return "f64"
+	}
+	return "f32"
 }
 
 func post(url string, body []byte) ([]byte, error) {

@@ -148,14 +148,3 @@ func fullClassBox(off grid.Offset3, fz, fy, fx int) grid.Box {
 	bz, by, bx := classDims(off, fz, fy, fx)
 	return grid.Box{Z0: 0, Y0: 0, X0: 0, Z1: bz, Y1: by, X1: bx}
 }
-
-// coarseNeededBox maps a fine-coordinate box to the conservative coarse-
-// lattice region whose reconstruction is required to predict every fine
-// point in the box: base index floor(f/2) with cubic stencil reach
-// [−1, +2], dilated by one more unit to absorb parity rounding.
-func coarseNeededBox(b grid.Box, cz, cy, cx int) grid.Box {
-	return grid.Box{
-		Z0: b.Z0/2 - 2, Y0: b.Y0/2 - 2, X0: b.X0/2 - 2,
-		Z1: (b.Z1+1)/2 + 2, Y1: (b.Y1+1)/2 + 2, X1: (b.X1+1)/2 + 2,
-	}.Clip(cz, cy, cx)
-}

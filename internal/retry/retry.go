@@ -39,6 +39,9 @@ type Policy struct {
 	Budget time.Duration
 }
 
+// withDefaults is idempotent: the sentinel values that mean "none"
+// (negative Jitter, negative Budget) are fixed points, so a policy
+// normalised once — by NewWaiter — stays the same policy.
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
@@ -54,8 +57,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.5
-	} else if p.Jitter < 0 {
-		p.Jitter = 0
 	} else if p.Jitter > 1 {
 		p.Jitter = 1
 	}
@@ -69,7 +70,11 @@ func (p Policy) withDefaults() Policy {
 // retry). rnd must be in [0, 1); it scales the jittered fraction, so a
 // fixed rnd pins the schedule exactly.
 func (p Policy) Delay(n int, rnd float64) time.Duration {
-	p = p.withDefaults()
+	return p.withDefaults().delay(n, rnd)
+}
+
+// delay is Delay on an already normalised policy.
+func (p Policy) delay(n int, rnd float64) time.Duration {
 	if n < 1 {
 		n = 1
 	}
@@ -83,7 +88,11 @@ func (p Policy) Delay(n int, rnd float64) time.Duration {
 	if d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}
-	return time.Duration(d*(1-p.Jitter) + d*p.Jitter*rnd)
+	j := p.Jitter
+	if j < 0 {
+		j = 0
+	}
+	return time.Duration(d*(1-j) + d*j*rnd)
 }
 
 // ErrBudget reports a retry loop that exhausted its attempt count or
@@ -136,7 +145,7 @@ func (w *Waiter) Wait(ctx context.Context, floor time.Duration) error {
 	if w.attempt >= w.p.MaxAttempts {
 		return ErrBudget
 	}
-	d := w.p.Delay(w.attempt, w.rnd())
+	d := w.p.delay(w.attempt, w.rnd())
 	if d < floor {
 		d = floor
 	}

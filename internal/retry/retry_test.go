@@ -5,8 +5,35 @@ import (
 	"errors"
 	"net/http"
 	"testing"
+	"testing/quick"
 	"time"
 )
+
+// TestWithDefaultsIdempotent: normalising a normalised policy changes
+// nothing. Each field is drawn from the values its defaulting branches
+// distinguish (negative, zero, in range, over range), so every sentinel
+// is covered — a "none" sentinel that normalises to the "use default"
+// value, as negative Jitter once did, fails here.
+func TestWithDefaultsIdempotent(t *testing.T) {
+	ints := []int{-1, 0, 1, 7}
+	durs := []time.Duration{-1, 0, time.Millisecond, time.Hour}
+	floats := []float64{-1, 0, 0.25, 1, 3}
+	pick := func(n uint8, k int) int { return int(n) % k }
+	prop := func(a, b, c, d, e, f uint8) bool {
+		once := Policy{
+			MaxAttempts: ints[pick(a, len(ints))],
+			BaseDelay:   durs[pick(b, len(durs))],
+			MaxDelay:    durs[pick(c, len(durs))],
+			Multiplier:  floats[pick(d, len(floats))],
+			Jitter:      floats[pick(e, len(floats))],
+			Budget:      durs[pick(f, len(durs))],
+		}.withDefaults()
+		return once.withDefaults() == once
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestDelaySchedule pins the exponential schedule with jitter forced to
 // its extremes: rnd=0 keeps the deterministic floor, rnd→1 approaches
@@ -53,7 +80,9 @@ func TestWaiterAttemptBudget(t *testing.T) {
 func TestWaiterSleepBudget(t *testing.T) {
 	p := Policy{MaxAttempts: 10, BaseDelay: 40 * time.Millisecond, MaxDelay: 40 * time.Millisecond,
 		Jitter: -1, Budget: 50 * time.Millisecond}
-	w := NewWaiter(p, nil)
+	// rnd pinned to 0: were the no-jitter policy jittered after all, both
+	// delays would halve to 20ms and fit the budget on every run.
+	w := NewWaiter(p, func() float64 { return 0 })
 	w.Next()
 	if err := w.Wait(context.Background(), 0); err != nil {
 		t.Fatalf("first wait: %v", err)

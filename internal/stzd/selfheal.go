@@ -96,33 +96,38 @@ func (s *Server) flushHints() {
 // the hint is obsolete (404 on a delete, 409 stale write) — replaying
 // again cannot change the answer, so the hint resolves either way.
 func (s *Server) replayHint(peer string, h repair.Hint) (ok, terminal bool) {
-	var rd io.Reader
-	if h.Body != nil {
-		rd = bytes.NewReader(h.Body)
-	}
-	req, err := http.NewRequestWithContext(s.baseCtx, h.Method, "http://"+peer+h.Path, rd)
-	if err != nil {
-		return false, true
-	}
-	req.Header.Set(ForwardedHeader, s.opts.Self)
-	req.Header.Set(WriteTimeHeader, strconv.FormatInt(h.WriteTime, 10))
-	if h.Body != nil {
-		req.ContentLength = int64(len(h.Body))
-	}
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		return false, false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-	switch {
-	case resp.StatusCode < 300:
+	switch status := s.peerWrite(h.Method, peer, h.Path, h.Body, h.WriteTime); {
+	case status < 300:
 		return true, false
-	case resp.StatusCode < 500:
+	case status < 500:
 		return false, true
 	default:
 		return false, false
 	}
+}
+
+// peerWrite sends one forwarded write to peer, stamped with the write's
+// original time, and returns the response status. A request that cannot
+// be built reports 400 and a transport failure 503 — the classes (never
+// going to work; try again later) every caller already sorts them into.
+func (s *Server) peerWrite(method, peer, path string, body []byte, mtime int64) int {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(s.baseCtx, method, "http://"+peer+path, rd)
+	if err != nil {
+		return http.StatusBadRequest
+	}
+	req.Header.Set(ForwardedHeader, s.opts.Self)
+	req.Header.Set(WriteTimeHeader, strconv.FormatInt(mtime, 10))
+	resp, err := s.peerClient.Do(req)
+	if err != nil {
+		return http.StatusServiceUnavailable
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
+	return resp.StatusCode
 }
 
 // spawnReadRepair asynchronously re-pushes id from the replica that
@@ -190,41 +195,15 @@ func (s *Server) pushCopy(peer, id string, raw []byte, mtime int64) bool {
 		_, _, err := s.store.put(id, raw, mtime)
 		return err == nil
 	}
-	req, err := http.NewRequestWithContext(s.baseCtx, http.MethodPut,
-		"http://"+peer+"/v1/archives/"+id, bytes.NewReader(raw))
-	if err != nil {
-		return false
-	}
-	req.Header.Set(ForwardedHeader, s.opts.Self)
-	req.Header.Set(WriteTimeHeader, strconv.FormatInt(mtime, 10))
-	req.ContentLength = int64(len(raw))
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-	return resp.StatusCode < 300
+	return s.peerWrite(http.MethodPut, peer, "/v1/archives/"+id, raw, mtime) < 300
 }
 
 // pushDelete applies a tombstone to a replica via forwarded DELETE. A
 // 404 counts as success: the replica already lacks the archive, which
 // is the state the tombstone wants (and it records its own tombstone).
 func (s *Server) pushDelete(peer, id string, mtime int64) bool {
-	req, err := http.NewRequestWithContext(s.baseCtx, http.MethodDelete,
-		"http://"+peer+"/v1/archives/"+id, nil)
-	if err != nil {
-		return false
-	}
-	req.Header.Set(ForwardedHeader, s.opts.Self)
-	req.Header.Set(WriteTimeHeader, strconv.FormatInt(mtime, 10))
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-	return resp.StatusCode < 300 || resp.StatusCode == http.StatusNotFound
+	status := s.peerWrite(http.MethodDelete, peer, "/v1/archives/"+id, nil, mtime)
+	return status < 300 || status == http.StatusNotFound
 }
 
 // antiEntropyRound diffs this node's manifest against every co-owner's
