@@ -6,7 +6,6 @@ import (
 
 	"stz/internal/container"
 	"stz/internal/grid"
-	"stz/internal/singleflight"
 )
 
 // BoxDecoder is an optional Codec extension: backends whose payload
@@ -52,19 +51,6 @@ type ReaderAt[T grid.Float] struct {
 	// Workers bounds the per-query decode parallelism (values < 1 mean
 	// serial). Set it before issuing queries.
 	Workers int
-
-	// Flight, when set, deduplicates slab decodes across ReaderAt
-	// instances through a shared single-flight group keyed
-	// "FlightKey\x00<chunk>". The per-reader sync.Once already collapses
-	// concurrent first touches of a chunk within one reader; the flight
-	// additionally collapses the cache-fill race across readers of the
-	// same archive (e.g. an archive store whose entry was replaced while
-	// queries were in flight). FlightKey must uniquely identify the
-	// archive *content* — two readers may share a key only if their
-	// bytes are identical, since followers receive the leader's decoded
-	// slab. Set both before issuing queries.
-	Flight    *singleflight.Group[string, any]
-	FlightKey string
 
 	arc    *container.Archive
 	hdr    Header
@@ -151,10 +137,7 @@ func (r *ReaderAt[T]) workers() int {
 
 // slab returns the decoded z-slab of chunk i, decoding and caching it on
 // first touch (the fallback path for backends without native sub-box
-// support). The cached grid is shared: callers must not mutate it. With
-// a Flight configured, the decode itself runs under the shared
-// single-flight group, so concurrent first touches across readers of
-// the same archive also collapse to one decode.
+// support). The cached grid is shared: callers must not mutate it.
 func (r *ReaderAt[T]) slab(i int) (*grid.Grid[T], error) {
 	r.mu.Lock()
 	e, ok := r.slabs[i]
@@ -163,25 +146,7 @@ func (r *ReaderAt[T]) slab(i int) (*grid.Grid[T], error) {
 		r.slabs[i] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() {
-		if r.Flight == nil {
-			e.g, e.err = r.decodeSlab(i)
-			return
-		}
-		v, _, err := r.Flight.Do(fmt.Sprintf("%s\x00%d", r.FlightKey, i),
-			func() (any, error) {
-				g, err := r.decodeSlab(i)
-				if err != nil {
-					return nil, err
-				}
-				return g, nil
-			})
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.g = v.(*grid.Grid[T])
-	})
+	e.once.Do(func() { e.g, e.err = r.decodeSlab(i) })
 	return e.g, e.err
 }
 

@@ -91,15 +91,22 @@ func unmarshalHeader(buf []byte) (header, error) {
 	if h.DType != 4 && h.DType != 8 {
 		return h, fmt.Errorf("core: bad dtype %d", h.DType)
 	}
-	if h.Fz < 0 || h.Fy < 0 || h.Fx < 0 ||
-		int64(h.Fz)*int64(h.Fy)*int64(h.Fx) > 1<<33 {
-		return h, fmt.Errorf("core: implausible dims %d×%d×%d", h.Fz, h.Fy, h.Fx)
+	// Everything below sizes an allocation or indexes a table at decode
+	// time, so the reader enforces what Config.validate does for the writer.
+	if _, err := codec.CheckDims(h.Fz, h.Fy, h.Fx); err != nil {
+		return h, fmt.Errorf("core: %w", err)
 	}
-	if !h.PartitionOnly && (h.Levels < 2 || h.Levels > 4) {
-		return h, fmt.Errorf("core: bad level count %d", h.Levels)
+	if h.PartitionOnly {
+		h.Levels = 2 // what the writer forces; the stored byte carries nothing
+	} else if h.Levels < 2 || h.Levels > 4 || h.Predictor > PredCubic || h.Residual > ResidSZ3 {
+		return h, fmt.Errorf("core: bad levels/predictor/residual %d/%d/%d", h.Levels, h.Predictor, h.Residual)
 	}
-	if !(h.EB > 0) || h.Radius <= 0 {
+	// Codes are uint16, so no valid stream has a radius past 32768.
+	if !(h.EB > 0) || math.IsInf(h.EB, 0) || h.Radius <= 0 || h.Radius > quant.DefaultRadius {
 		return h, fmt.Errorf("core: bad bound/radius")
+	}
+	if h.AdaptiveEB && (!(h.EBRatio > 0) || math.IsInf(h.EBRatio, 0)) {
+		return h, fmt.Errorf("core: bad level bound ratio %g", h.EBRatio)
 	}
 	return h, nil
 }
@@ -270,9 +277,14 @@ func compressClass[T grid.Float](fine, fineRecon, coarse *grid.Grid[T],
 		diffBuf := scratch.LeaseFloat[T](n)
 		defer scratch.ReleaseFloat(diffBuf)
 		diff := &grid.Grid[T]{Data: diffBuf, Nz: bz, Ny: by, Nx: bx}
-		forEachClassPred(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, func(ci, k, j, i, fi int, pred T) {
-			diff.Data[ci] = fine.Data[fi] - pred
-		})
+		preds := scratch.LeaseFloat[T](bx)
+		defer scratch.ReleaseFloat(preds)
+		classPredRows(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, preds,
+			func(k, j, ciRow, fineRow int, preds []T) {
+				for t, pred := range preds {
+					diffBuf[ciRow+t] = fine.Data[fineRow+off.X+2*t] - pred
+				}
+			})
 		blob, err := sz3.Compress(diff, sz3.Options{EB: q.EB * 0.999, Radius: q.Radius})
 		if err != nil {
 			return nil, err
@@ -284,9 +296,12 @@ func compressClass[T grid.Float](fine, fineRecon, coarse *grid.Grid[T],
 			return nil, err
 		}
 		if needRecon {
-			forEachClassPred(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, func(ci, k, j, i, fi int, pred T) {
-				fineRecon.Data[fi] = pred + diffRec.Data[ci]
-			})
+			classPredRows(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, preds,
+				func(k, j, ciRow, fineRow int, preds []T) {
+					for t, pred := range preds {
+						fineRecon.Data[fineRow+off.X+2*t] = pred + diffRec.Data[ciRow+t]
+					}
+				})
 		}
 		return blob, nil
 	}

@@ -117,34 +117,8 @@ func classDims(off grid.Offset3, fz, fy, fx int) (int, int, int) {
 	return grid.SubDim(fz, off.Z, 2), grid.SubDim(fy, off.Y, 2), grid.SubDim(fx, off.X, 2)
 }
 
-// forEachClassPoint iterates the class points whose class coordinates fall
-// inside sb (a box in class coordinates, already clipped), in row-major
-// class order, calling fn with the class linear index, the class
-// coordinates and the fine linear index.
-func forEachClassPoint(off grid.Offset3, fz, fy, fx int, sb grid.Box, fn func(ci, k, j, i, fineIdx int)) {
-	_, by, bx := classDims(off, fz, fy, fx)
-	rowZ := fy * fx
-	for k := sb.Z0; k < sb.Z1; k++ {
-		zf := 2*k + off.Z
-		for j := sb.Y0; j < sb.Y1; j++ {
-			yf := 2*j + off.Y
-			ciRow := (k*by + j) * bx
-			fineRow := zf*rowZ + yf*fx
-			for i := sb.X0; i < sb.X1; i++ {
-				fn(ciRow+i, k, j, i, fineRow+2*i+off.X)
-			}
-		}
-	}
-}
-
 // predictedClasses lists the 7 non-zero parity classes in canonical order
 // (grid.Stride2Offsets[1:]).
 func predictedClasses() []grid.Offset3 {
 	return grid.Stride2Offsets[1:]
-}
-
-// fullClassBox is the whole-class box for the given fine dims.
-func fullClassBox(off grid.Offset3, fz, fy, fx int) grid.Box {
-	bz, by, bx := classDims(off, fz, fy, fx)
-	return grid.Box{Z0: 0, Y0: 0, X0: 0, Z1: bz, Y1: by, X1: bx}
 }

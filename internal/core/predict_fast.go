@@ -2,7 +2,6 @@ package core
 
 import (
 	"stz/internal/grid"
-	"stz/internal/scratch"
 )
 
 // classPredRows is the row-based prediction generator behind every fused
@@ -210,28 +209,4 @@ func classPredRows[T grid.Float](coarse *grid.Grid[T], off grid.Offset3,
 			row(k, j, ciRow, fineRow, preds)
 		}
 	}
-}
-
-// forEachClassPred iterates the class points of off inside sb (class
-// coordinates) in row-major order, supplying each point's prediction from
-// the coarse grid. It is the per-point adapter over classPredRows, used by
-// the paths that need point granularity (the SZ3-residual ablation and
-// random-access writes); the hot encode/decode paths consume the row form
-// directly through the fused kernels.
-func forEachClassPred[T grid.Float](coarse *grid.Grid[T], off grid.Offset3,
-	fz, fy, fx int, sb grid.Box, kind Predictor,
-	fn func(ci, k, j, i, fi int, pred T)) {
-
-	if sb.Empty() {
-		return
-	}
-	preds := scratch.LeaseFloat[T](sb.X1 - sb.X0)
-	classPredRows(coarse, off, fz, fy, fx, sb, kind, preds,
-		func(k, j, ciRow, fineRow int, preds []T) {
-			for t, p := range preds {
-				i := sb.X0 + t
-				fn(ciRow+i, k, j, i, fineRow+2*i+off.X, p)
-			}
-		})
-	scratch.ReleaseFloat(preds)
 }

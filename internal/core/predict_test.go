@@ -108,32 +108,6 @@ func TestClassDims(t *testing.T) {
 	}
 }
 
-func TestForEachClassPointOrderAndIndices(t *testing.T) {
-	const fz, fy, fx = 6, 5, 7
-	off := grid.Offset3{Z: 1, X: 1}
-	bz, by, bx := classDims(off, fz, fy, fx)
-	sb := grid.Box{Z1: bz, Y1: by, X1: bx}
-	prev := -1
-	count := 0
-	forEachClassPoint(off, fz, fy, fx, sb, func(ci, k, j, i, fi int) {
-		if ci != (k*by+j)*bx+i {
-			t.Fatalf("ci=%d inconsistent with (%d,%d,%d)", ci, k, j, i)
-		}
-		if ci <= prev {
-			t.Fatalf("non-monotone ci %d after %d", ci, prev)
-		}
-		prev = ci
-		zf, yf, xf := 2*k+off.Z, 2*j+off.Y, 2*i+off.X
-		if fi != (zf*fy+yf)*fx+xf {
-			t.Fatalf("fine index %d inconsistent with (%d,%d,%d)", fi, zf, yf, xf)
-		}
-		count++
-	})
-	if count != bz*by*bx {
-		t.Fatalf("visited %d of %d", count, bz*by*bx)
-	}
-}
-
 func TestAxisNeed(t *testing.T) {
 	// Even-parity axis, no reach: fine [4,9) with o=0 covers fine {4,6,8}
 	// -> coarse {2,3,4}.

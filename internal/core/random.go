@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"stz/internal/codec"
 	"stz/internal/grid"
-	"stz/internal/parallel"
-	"stz/internal/quant"
-	"stz/internal/scratch"
 )
 
 // axisNeed computes the coarse-lattice index interval needed along one axis
@@ -69,14 +65,6 @@ func neededCoarse(b grid.Box, cz, cy, cx int) grid.Box {
 	return u
 }
 
-// ciSpan returns the half-open range of row-major class linear indices
-// touched by the class box sb (class dims by, bx along y and x).
-func ciSpan(sb grid.Box, by, bx int) (int, int) {
-	lo := (sb.Z0*by+sb.Y0)*bx + sb.X0
-	hi := ((sb.Z1-1)*by+sb.Y1-1)*bx + sb.X1
-	return lo, hi
-}
-
 // DecompressBox reconstructs only the region b — random-access
 // decompression. The box must lie entirely inside the grid (codec.CheckBox;
 // callers wanting clip semantics clip explicitly first). The result grid
@@ -100,246 +88,16 @@ func (r *Reader[T]) DecompressBox(b grid.Box) (*grid.Grid[T], *Stats, error) {
 // is bit-identical to the same region of a full decompression.
 func (r *Reader[T]) DecompressBoxes(boxes []grid.Box) ([]*grid.Grid[T], *Stats, error) {
 	st := &Stats{}
-	t0 := time.Now()
-	defer func() { st.Total = time.Since(t0) }()
-
 	if len(boxes) == 0 {
 		return nil, st, fmt.Errorf("core: no regions requested")
 	}
-	regions := make([]grid.Box, len(boxes))
 	for i, b := range boxes {
 		if err := codec.CheckBox(b, r.hdr.Fz, r.hdr.Fy, r.hdr.Fx); err != nil {
 			return nil, st, fmt.Errorf("core: region %d: %w", i, err)
 		}
-		regions[i] = b
 	}
-
-	if r.hdr.PartitionOnly {
-		full, err := r.decompressPartitionOnly()
-		if err != nil {
-			return nil, st, err
-		}
-		outs := make([]*grid.Grid[T], len(regions))
-		for i, b := range regions {
-			outs[i] = full.ExtractBox(b)
-		}
-		return outs, st, nil
-	}
-
-	dims := r.chainDims()
-	levels := r.hdr.Levels
-
-	// Per-region restriction chains; restricts[t] is the union region of
-	// chain grid t that must be reconstructed.
-	perBox := make([][]grid.Box, len(regions))
-	restricts := make([]grid.Box, levels)
-	for i, b := range regions {
-		perBox[i] = make([]grid.Box, levels)
-		perBox[i][0] = b
-		for t := 1; t < levels; t++ {
-			perBox[i][t] = neededCoarse(perBox[i][t-1], dims[t][0], dims[t][1], dims[t][2])
-		}
-		for t := 0; t < levels; t++ {
-			restricts[t] = restricts[t].Union(perBox[i][t])
-		}
-	}
-
-	t1 := time.Now()
-	cur, err := r.decodeLevel1()
-	st.L1SZ3 = time.Since(t1)
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Intermediate chain grids, restricted to the union need.
-	for t := levels - 2; t >= 1; t-- {
-		p := levels - 2 - t
-		fz, fy, fx := dims[t][0], dims[t][1], dims[t][2]
-		q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
-
-		tRec := time.Now()
-		// Intermediate chain grids never escape; lease their backing. Points
-		// outside the restricted region stay unwritten (dirty), which is
-		// safe because every later read is confined to restricts[t] by
-		// construction (the bit-identity tests against full decompression
-		// cover this).
-		fine := &grid.Grid[T]{Data: scratch.LeaseFloat[T](fz * fy * fx), Nz: fz, Ny: fy, Nx: fx}
-		fine.InsertStride(cur, grid.Offset3{}, 2)
-		st.LevelRecon[p] += time.Since(tRec)
-
-		classes := predictedClasses()
-		cboxes := make([]grid.Box, len(classes))
-		for c, off := range classes {
-			cboxes[c] = grid.SubBox(restricts[t], off, 2, fz, fy, fx)
-		}
-		dcs := make([]decodedClass[T], len(classes))
-		errs := make([]error, len(classes))
-		defer func() {
-			for i := range dcs {
-				dcs[i].release()
-			}
-		}()
-		tDec := time.Now()
-		parallel.For(len(classes), r.workers(), func(c int) {
-			if cboxes[c].Empty() {
-				return
-			}
-			bz, by, bx := classDims(classes[c], fz, fy, fx)
-			n := bz * by * bx
-			lo, hi := ciSpan(cboxes[c], by, bx)
-			dcs[c], errs[c] = r.decodeClass(p, c, q, n, lo, hi)
-		})
-		st.LevelDecode[p] += time.Since(tDec)
-		for c := range classes {
-			if cboxes[c].Empty() {
-				st.SkippedClasses[p]++
-			} else {
-				st.DecodedClasses[p]++
-				st.DecodedChunks[p] += dcs[c].decodedChunks
-				st.SkippedChunks[p] += dcs[c].totalChunks - dcs[c].decodedChunks
-			}
-			if errs[c] != nil {
-				return nil, st, errs[c]
-			}
-		}
-		tPre := time.Now()
-		parallel.For(len(classes), r.workers(), func(c int) {
-			if cboxes[c].Empty() {
-				return
-			}
-			errs[c] = r.reconstructClass(cur, classes[c], fz, fy, fx, cboxes[c], dcs[c], q, fine.Data, nil)
-		})
-		st.LevelPredict[p] += time.Since(tPre)
-		for _, e := range errs {
-			if e != nil {
-				return nil, st, e
-			}
-		}
-		// Release this level's decode buffers now so the next (larger)
-		// level re-leases them; the deferred release above is then a no-op.
-		for i := range dcs {
-			dcs[i].release()
-		}
-		// cur (the level-1 decode or the previous leased intermediate) has
-		// served its last read; recycle it.
-		scratch.ReleaseFloat(cur.Data)
-		cur = fine
-	}
-
-	// Finest level: reconstruct each region into its own output grid.
-	p := levels - 2
-	fz, fy, fx := dims[0][0], dims[0][1], dims[0][2]
-	q := quant.Quantizer{EB: r.levelEB(levels), Radius: r.hdr.Radius}
-	outs := make([]*grid.Grid[T], len(regions))
-	for i, b := range regions {
-		outs[i] = grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
-	}
-
-	classes := predictedClasses()
-	// A class stream is needed when any region intersects it.
-	needClass := make([]bool, len(classes))
-	boxClass := make([][]grid.Box, len(regions))
-	for i, b := range regions {
-		boxClass[i] = make([]grid.Box, len(classes))
-		for c, off := range classes {
-			boxClass[i][c] = grid.SubBox(b, off, 2, fz, fy, fx)
-			if !boxClass[i][c].Empty() {
-				needClass[c] = true
-			}
-		}
-	}
-	dcs := make([]decodedClass[T], len(classes))
-	errs := make([]error, len(classes))
-	defer func() {
-		for i := range dcs {
-			dcs[i].release()
-		}
-	}()
-	tDec := time.Now()
-	parallel.For(len(classes), r.workers(), func(c int) {
-		if !needClass[c] {
-			return
-		}
-		bz, by, bx := classDims(classes[c], fz, fy, fx)
-		n := bz * by * bx
-		lo, hi := n, 0
-		for i := range regions {
-			if boxClass[i][c].Empty() {
-				continue
-			}
-			l, h := ciSpan(boxClass[i][c], by, bx)
-			if l < lo {
-				lo = l
-			}
-			if h > hi {
-				hi = h
-			}
-		}
-		dcs[c], errs[c] = r.decodeClass(p, c, q, n, lo, hi)
-	})
-	st.LevelDecode[p] += time.Since(tDec)
-	for c := range classes {
-		if needClass[c] {
-			st.DecodedClasses[p]++
-			st.DecodedChunks[p] += dcs[c].decodedChunks
-			st.SkippedChunks[p] += dcs[c].totalChunks - dcs[c].decodedChunks
-		} else {
-			st.SkippedClasses[p]++
-		}
-		if errs[c] != nil {
-			return nil, st, errs[c]
-		}
-	}
-
-	tPre := time.Now()
-	parallel.For(len(classes), r.workers(), func(c int) {
-		if !needClass[c] {
-			return
-		}
-		off := classes[c]
-		for i, b := range regions {
-			if boxClass[i][c].Empty() {
-				continue
-			}
-			out := outs[i]
-			bb := b
-			errs[c] = r.reconstructClass(cur, off, fz, fy, fx, boxClass[i][c], dcs[c], q, nil,
-				func(fi, k, j, i2 int, v T) {
-					zf, yf, xf := 2*k+off.Z, 2*j+off.Y, 2*i2+off.X
-					out.Set(zf-bb.Z0, yf-bb.Y0, xf-bb.X0, v)
-				})
-			if errs[c] != nil {
-				return
-			}
-		}
-	})
-	st.LevelPredict[p] += time.Since(tPre)
-	for _, e := range errs {
-		if e != nil {
-			return nil, st, e
-		}
-	}
-
-	// Copy-through of the coarse lattice points inside each box.
-	tRec := time.Now()
-	for i, b := range regions {
-		out := outs[i]
-		z0 := b.Z0 + (b.Z0 & 1)
-		y0 := b.Y0 + (b.Y0 & 1)
-		x0 := b.X0 + (b.X0 & 1)
-		for zf := z0; zf < b.Z1; zf += 2 {
-			for yf := y0; yf < b.Y1; yf += 2 {
-				srcRow := (zf/2*cur.Ny + yf/2) * cur.Nx
-				dstRow := ((zf-b.Z0)*out.Ny + (yf - b.Y0)) * out.Nx
-				for xf := x0; xf < b.X1; xf += 2 {
-					out.Data[dstRow+xf-b.X0] = cur.Data[srcRow+xf/2]
-				}
-			}
-		}
-	}
-	st.LevelRecon[p] += time.Since(tRec)
-	scratch.ReleaseFloat(cur.Data)
-	return outs, st, nil
+	outs, err := r.reconstruct(r.hdr.Levels, boxes, st)
+	return outs, st, err
 }
 
 // DecompressSliceZ reconstructs the single z-plane at z — the paper's 2D

@@ -339,46 +339,50 @@ func (o *outlierCursor) take(ci int) int {
 	return idx
 }
 
-// reconstructClass reconstructs the class points inside sb (class coords).
-// When dst is non-nil, values are stored at dst[fineIdx] directly (the
-// full-grid fast path); otherwise each value is delivered via
-// write(fineIdx, k, j, i, value).
-func (r *Reader[T]) reconstructClass(coarse *grid.Grid[T], off grid.Offset3,
-	fz, fy, fx int, sb grid.Box, dc decodedClass[T], q quant.Quantizer,
-	dst []T, write func(fi, k, j, i int, v T)) error {
+// view is one destination of a reconstruction step: the region b of the
+// level's grid, stored in g, whose element (0,0,0) is the grid point o. The
+// leased intermediates hold the whole level (o = 0) of which only b is
+// written; a caller-owned result grid holds exactly b (o = b's origin).
+type view[T grid.Float] struct {
+	g *grid.Grid[T]
+	o grid.Offset3
+	b grid.Box
+}
 
-	kind := r.hdr.Predictor
-	if dst != nil {
-		write = nil
+// idx returns the index in v.g.Data of the level's grid point (z, y, x).
+func (v view[T]) idx(z, y, x int) int {
+	return ((z-v.o.Z)*v.g.Ny+y-v.o.Y)*v.g.Nx + x - v.o.X
+}
+
+// reconstructClass reconstructs the class points inside sb (class coords)
+// into v with the fused predict+dequantize kernel: one traversal over the
+// prediction rows, writing reconstructions straight into the destination.
+func (r *Reader[T]) reconstructClass(coarse *grid.Grid[T], off grid.Offset3,
+	fz, fy, fx int, sb grid.Box, dc decodedClass[T], q quant.Quantizer, v view[T]) error {
+
+	if sb.Empty() {
+		return nil
 	}
+	bz, by, bx := classDims(off, fz, fy, fx)
+	// Row (k, j) of sb starts at dst[d0+k*dk+j*dj]; its points are 2 apart.
+	dst, dk, dj := v.g.Data, 2*v.g.Ny*v.g.Nx, 2*v.g.Nx
+	d0 := v.idx(off.Z, off.Y, 2*sb.X0+off.X)
+	preds := scratch.LeaseFloat[T](sb.X1 - sb.X0)
+	defer scratch.ReleaseFloat(preds)
 	if r.hdr.Residual == ResidSZ3 {
-		bz, by, bx := classDims(off, fz, fy, fx)
 		if dc.diff == nil || dc.diff.Nz != bz || dc.diff.Ny != by || dc.diff.Nx != bx {
 			return fmt.Errorf("core: residual sub-block dims mismatch")
 		}
 		diff := dc.diff.Data
-		if dst != nil {
-			if sb.Empty() {
-				return nil
-			}
-			preds := scratch.LeaseFloat[T](sb.X1 - sb.X0)
-			classPredRows(coarse, off, fz, fy, fx, sb, kind,
-				preds, func(k, j, ciRow, fineRow int, preds []T) {
-					ci0 := ciRow + sb.X0
-					fi0 := fineRow + 2*sb.X0 + off.X
-					for t, pred := range preds {
-						dst[fi0+2*t] = pred + diff[ci0+t]
-					}
-				})
-			scratch.ReleaseFloat(preds)
-			return nil
-		}
-		forEachClassPred(coarse, off, fz, fy, fx, sb, kind, func(ci, k, j, i, fi int, pred T) {
-			write(fi, k, j, i, pred+diff[ci])
-		})
+		classPredRows(coarse, off, fz, fy, fx, sb, r.hdr.Predictor,
+			preds, func(k, j, ciRow, _ int, preds []T) {
+				ci0, d := ciRow+sb.X0, d0+k*dk+j*dj
+				for t, pred := range preds {
+					dst[d+2*t] = pred + diff[ci0+t]
+				}
+			})
 		return nil
 	}
-	bz, by, bx := classDims(off, fz, fy, fx)
 	if len(dc.codes) != bz*by*bx {
 		return fmt.Errorf("core: class code count %d, want %d", len(dc.codes), bz*by*bx)
 	}
@@ -386,55 +390,27 @@ func (r *Reader[T]) reconstructClass(coarse *grid.Grid[T], off grid.Offset3,
 	var ferr error
 	eb2 := 2 * q.EB
 	radius := q.Radius
-	codes := dc.codes
-	if dst != nil {
-		// Fused predict+dequantize: one traversal over the prediction rows,
-		// writing reconstructions straight into the output grid.
-		if sb.Empty() {
-			return nil
-		}
-		outs := dc.outliers
-		preds := scratch.LeaseFloat[T](sb.X1 - sb.X0)
-		classPredRows(coarse, off, fz, fy, fx, sb, kind,
-			preds, func(k, j, ciRow, fineRow int, preds []T) {
-				if ferr != nil {
-					return
-				}
-				ci0 := ciRow + sb.X0
-				fi0 := fineRow + 2*sb.X0 + off.X
-				for t, pred := range preds {
-					code := codes[ci0+t]
-					if code == 0 {
-						oi := oc.take(ci0 + t)
-						if oi >= len(outs) {
-							ferr = fmt.Errorf("core: outlier stream exhausted")
-							return
-						}
-						dst[fi0+2*t] = outs[oi]
-						continue
-					}
-					dst[fi0+2*t] = T(float64(pred) + eb2*float64(int32(code)-radius))
-				}
-			})
-		scratch.ReleaseFloat(preds)
-		return ferr
-	}
-	forEachClassPred(coarse, off, fz, fy, fx, sb, kind, func(ci, k, j, i, fi int, pred T) {
-		if ferr != nil {
-			return
-		}
-		code := codes[ci]
-		if code == 0 {
-			oi := oc.take(ci)
-			if oi >= len(dc.outliers) {
-				ferr = fmt.Errorf("core: outlier stream exhausted")
+	codes, outs := dc.codes, dc.outliers
+	classPredRows(coarse, off, fz, fy, fx, sb, r.hdr.Predictor,
+		preds, func(k, j, ciRow, _ int, preds []T) {
+			if ferr != nil {
 				return
 			}
-			write(fi, k, j, i, dc.outliers[oi])
-			return
-		}
-		write(fi, k, j, i, T(float64(pred)+eb2*float64(int32(code)-radius)))
-	})
+			ci0, d := ciRow+sb.X0, d0+k*dk+j*dj
+			for t, pred := range preds {
+				code := codes[ci0+t]
+				if code == 0 {
+					oi := oc.take(ci0 + t)
+					if oi >= len(outs) {
+						ferr = fmt.Errorf("core: outlier stream exhausted")
+						return
+					}
+					dst[d+2*t] = outs[oi]
+					continue
+				}
+				dst[d+2*t] = T(float64(pred) + eb2*float64(int32(code)-radius))
+			}
+		})
 	return ferr
 }
 
@@ -455,29 +431,33 @@ func (r *Reader[T]) decodeLevel1() (*grid.Grid[T], error) {
 	return g, nil
 }
 
-// reconstructLevel reconstructs the full fine grid of predicted level p
-// from the reconstructed coarse grid, updating stats. When final is false
-// the result is an internal intermediate (the next level's coarse input)
-// and is backed by a scratch lease that the caller releases once consumed;
-// the final level's grid escapes to the caller and is heap-allocated.
-func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, final bool, st *Stats) (*grid.Grid[T], error) {
+// reconstructLevel is the one reconstruction step: it rebuilds the regions
+// views[i].b of the predicted level p (0 = paper level 2, grid dims fdims)
+// from the reconstructed coarse grid — copy the even lattice through,
+// entropy-decode the classes (and, in chunked streams, the chunks) any
+// region touches, predict and dequantize row by row — updating stats.
+func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, views []view[T], st *Stats) error {
 	fz, fy, fx := fdims[0], fdims[1], fdims[2]
-	lv := p + 2
-	q := quant.Quantizer{EB: r.levelEB(lv), Radius: r.hdr.Radius}
+	q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
 
 	tRec := time.Now()
-	var fine *grid.Grid[T]
-	if final {
-		fine = grid.New[T](fz, fy, fx)
-	} else {
-		// Fully overwritten: class 0 by InsertStride, every other parity
-		// class by its reconstruction below.
-		fine = &grid.Grid[T]{Data: scratch.LeaseFloat[T](fz * fy * fx), Nz: fz, Ny: fy, Nx: fx}
+	for _, v := range views {
+		sb := grid.SubBox(v.b, grid.Offset3{}, 2, fz, fy, fx)
+		for k := sb.Z0; k < sb.Z1; k++ {
+			for j := sb.Y0; j < sb.Y1; j++ {
+				src := coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][sb.X0:sb.X1]
+				dst := v.g.Data[v.idx(2*k, 2*j, 2*sb.X0):]
+				for i, c := range src {
+					dst[2*i] = c
+				}
+			}
+		}
 	}
-	fine.InsertStride(coarse, grid.Offset3{}, 2)
 	st.LevelRecon[p] += time.Since(tRec)
 
 	classes := predictedClasses()
+	// sub[c][i] is view i's share of class c, in class coordinates.
+	sub := make([][]grid.Box, len(classes))
 	dcs := make([]decodedClass[T], len(classes))
 	errs := make([]error, len(classes))
 	defer func() {
@@ -489,37 +469,124 @@ func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, 
 	tDec := time.Now()
 	parallel.For(len(classes), r.workers(), func(c int) {
 		bz, by, bx := classDims(classes[c], fz, fy, fx)
+		// [lo, hi) spans the row-major class indices the views touch.
 		n := bz * by * bx
-		dcs[c], errs[c] = r.decodeClass(p, c, q, n, 0, n)
+		lo, hi := n, 0
+		sub[c] = make([]grid.Box, len(views))
+		for i, v := range views {
+			sb := grid.SubBox(v.b, classes[c], 2, fz, fy, fx)
+			sub[c][i] = sb
+			if !sb.Empty() {
+				lo = min(lo, (sb.Z0*by+sb.Y0)*bx+sb.X0)
+				hi = max(hi, ((sb.Z1-1)*by+sb.Y1-1)*bx+sb.X1)
+			}
+		}
+		if lo < hi {
+			dcs[c], errs[c] = r.decodeClass(p, c, q, n, lo, hi)
+		} else {
+			sub[c] = nil // no region has a point of this class
+		}
 	})
 	st.LevelDecode[p] += time.Since(tDec)
-	st.DecodedClasses[p] += len(classes)
 	for c := range classes {
+		if sub[c] == nil {
+			st.SkippedClasses[p]++
+			continue
+		}
+		st.DecodedClasses[p]++
 		st.DecodedChunks[p] += dcs[c].decodedChunks
+		st.SkippedChunks[p] += dcs[c].totalChunks - dcs[c].decodedChunks
 		if errs[c] != nil {
-			if !final {
-				scratch.ReleaseFloat(fine.Data)
-			}
-			return nil, errs[c]
+			return errs[c]
 		}
 	}
 
 	tPre := time.Now()
 	parallel.For(len(classes), r.workers(), func(c int) {
-		off := classes[c]
-		sb := fullClassBox(off, fz, fy, fx)
-		errs[c] = r.reconstructClass(coarse, off, fz, fy, fx, sb, dcs[c], q, fine.Data, nil)
+		for i, sb := range sub[c] {
+			errs[c] = r.reconstructClass(coarse, classes[c], fz, fy, fx, sb, dcs[c], q, views[i])
+			if errs[c] != nil {
+				return
+			}
+		}
 	})
 	st.LevelPredict[p] += time.Since(tPre)
 	for _, e := range errs {
 		if e != nil {
-			if !final {
-				scratch.ReleaseFloat(fine.Data)
-			}
-			return nil, e
+			return e
 		}
 	}
-	return fine, nil
+	return nil
+}
+
+// reconstruct is the one walker behind every decode. It rebuilds the given
+// regions of hierarchy level lv (1 = coarsest; boxes in that level's grid
+// coordinates) into one result grid per region: level 1 is decoded once,
+// then each predicted level up to lv is rebuilt only where the regions
+// depend on it. A full decode is the region that needs everything.
+func (r *Reader[T]) reconstruct(lv int, regions []grid.Box, st *Stats) ([]*grid.Grid[T], error) {
+	t0 := time.Now()
+	defer func() { st.Total = time.Since(t0) }()
+	if r.hdr.PartitionOnly {
+		return r.reconstructPartitionOnly(lv, regions)
+	}
+	levels, dims := r.hdr.Levels, r.chainDims()
+	top := levels - lv // chain index of the requested level
+	// need[t] is the part of chain grid t the regions depend on: the union
+	// over regions of each one's restriction chain.
+	need := make([]grid.Box, levels)
+	for _, b := range regions {
+		for t := top; t < levels; t++ {
+			if t > top {
+				b = neededCoarse(b, dims[t][0], dims[t][1], dims[t][2])
+			}
+			need[t] = need[t].Union(b)
+		}
+	}
+
+	t1 := time.Now()
+	cur, err := r.decodeLevel1()
+	st.L1SZ3 = time.Since(t1)
+	if err != nil {
+		return nil, err
+	}
+	// Level 1 is stored whole, and only ever requested whole.
+	outs := []*grid.Grid[T]{cur}
+	for t := levels - 2; t >= top; t-- {
+		p, d := levels-2-t, dims[t]
+		tRec := time.Now()
+		var views []view[T]
+		if t > top {
+			// An intermediate never escapes, so it is leased. Points outside
+			// need[t] stay unwritten (dirty), which is safe because every
+			// later read is confined to need[t] by construction (the
+			// bit-identity tests against full decompression cover this).
+			views = []view[T]{{b: need[t], g: &grid.Grid[T]{
+				Data: scratch.LeaseFloat[T](d[0] * d[1] * d[2]), Nz: d[0], Ny: d[1], Nx: d[2]}}}
+		} else {
+			for _, b := range regions {
+				views = append(views, view[T]{b: b, o: grid.Offset3{Z: b.Z0, Y: b.Y0, X: b.X0},
+					g: grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)})
+			}
+		}
+		st.LevelRecon[p] += time.Since(tRec)
+		err := r.reconstructLevel(p, outs[0], d, views, st)
+		// The coarse grid is internal (the level-1 decode or a leased
+		// intermediate); its backing can be recycled whether or not this
+		// level failed.
+		scratch.ReleaseFloat(outs[0].Data)
+		outs = outs[:0]
+		for _, v := range views {
+			outs = append(outs, v.g)
+		}
+		if err != nil {
+			if t > top {
+				scratch.ReleaseFloat(outs[0].Data)
+			}
+			return nil, err
+		}
+	}
+	return outs, nil
 }
 
 // Decompress reconstructs the full grid.
@@ -531,30 +598,8 @@ func (r *Reader[T]) Decompress() (*grid.Grid[T], error) {
 // DecompressStats reconstructs the full grid and reports stage timings.
 func (r *Reader[T]) DecompressStats() (*grid.Grid[T], *Stats, error) {
 	st := &Stats{}
-	t0 := time.Now()
-	defer func() { st.Total = time.Since(t0) }()
-	if r.hdr.PartitionOnly {
-		g, err := r.decompressPartitionOnly()
-		return g, st, err
-	}
-	dims := r.chainDims()
-	t1 := time.Now()
-	cur, err := r.decodeLevel1()
-	st.L1SZ3 = time.Since(t1)
-	if err != nil {
-		return nil, st, err
-	}
-	for p := 0; p <= r.hdr.Levels-2; p++ {
-		prev := cur
-		cur, err = r.reconstructLevel(p, cur, dims[r.hdr.Levels-2-p], p == r.hdr.Levels-2, st)
-		// prev is internal (the level-1 decode or a leased intermediate);
-		// its backing can be recycled whether or not this level failed.
-		scratch.ReleaseFloat(prev.Data)
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	return cur, st, nil
+	g, err := r.progressive(r.hdr.Levels, st)
+	return g, st, err
 }
 
 // Progressive reconstructs the grid at hierarchy level lv (1 = coarsest).
@@ -564,31 +609,43 @@ func (r *Reader[T]) Progressive(lv int) (*grid.Grid[T], error) {
 	if lv < 1 || lv > r.hdr.Levels {
 		return nil, fmt.Errorf("core: level %d out of range [1, %d]", lv, r.hdr.Levels)
 	}
-	if r.hdr.PartitionOnly {
-		if lv == 1 {
-			sec, err := r.arc.Section(2) // class 0 sub-block
-			if err != nil {
-				return nil, err
-			}
-			return codec.Decompress[T](r.base, sec, 1)
-		}
-		return r.decompressPartitionOnly()
-	}
-	st := &Stats{}
-	cur, err := r.decodeLevel1()
+	return r.progressive(lv, &Stats{})
+}
+
+// progressive reconstructs the whole grid of hierarchy level lv.
+func (r *Reader[T]) progressive(lv int, st *Stats) (*grid.Grid[T], error) {
+	d := r.chainDims()[r.hdr.Levels-lv]
+	outs, err := r.reconstruct(lv, []grid.Box{{Z1: d[0], Y1: d[1], X1: d[2]}}, st)
 	if err != nil {
 		return nil, err
 	}
-	dims := r.chainDims()
-	for p := 0; p <= lv-2; p++ {
-		prev := cur
-		cur, err = r.reconstructLevel(p, cur, dims[r.hdr.Levels-2-p], p == lv-2, st)
-		scratch.ReleaseFloat(prev.Data)
+	return outs[0], nil
+}
+
+// reconstructPartitionOnly is reconstruct for the Fig. 5 "Partition"
+// ablation, whose 8 parity sub-blocks are coded independently: level 1 is
+// the class-0 sub-block, level 2 the assembled grid.
+func (r *Reader[T]) reconstructPartitionOnly(lv int, regions []grid.Box) ([]*grid.Grid[T], error) {
+	if lv == 1 {
+		sec, err := r.arc.Section(1)
 		if err != nil {
 			return nil, err
 		}
+		g, err := codec.Decompress[T](r.base, sec, 1)
+		return []*grid.Grid[T]{g}, err
 	}
-	return cur, nil
+	full, err := r.decompressPartitionOnly()
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]*grid.Grid[T], len(regions))
+	for i, b := range regions {
+		outs[i] = full
+		if b != grid.FullBox(full) {
+			outs[i] = full.ExtractBox(b)
+		}
+	}
+	return outs, nil
 }
 
 func (r *Reader[T]) decompressPartitionOnly() (*grid.Grid[T], error) {

@@ -1,0 +1,339 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"stz/internal/container"
+	"stz/internal/grid"
+)
+
+// walkerCase is one stream shape the single level walker must decode the
+// same way through every entry point.
+type walkerCase struct {
+	name       string
+	f32        bool
+	nz, ny, nx int
+	cfg        Config
+}
+
+// walkerCases spans the hierarchy depths, an odd-dims grid whose parity
+// classes all differ in size, both element types, chunked and unchunked
+// code streams and the SZ3-residual ablation.
+func walkerCases() []walkerCase {
+	mk := func(levels int, mut func(*Config)) Config {
+		cfg := DefaultConfig(1e-3)
+		cfg.Levels = levels
+		if mut != nil {
+			mut(&cfg)
+		}
+		return cfg
+	}
+	return []walkerCase{
+		{"L2-f64", false, 33, 18, 21, mk(2, nil)},
+		{"L3-f32", true, 33, 18, 21, mk(3, nil)},
+		{"L4-f64", false, 33, 18, 21, mk(4, nil)},
+		{"L3-f32-chunk4096", true, 48, 40, 44, mk(3, func(c *Config) { c.CodeChunk = 4096 })},
+		{"L3-f64-chunk4096", false, 33, 18, 21, mk(3, func(c *Config) { c.CodeChunk = 4096 })},
+		{"L3-f64-sz3resid", false, 33, 18, 21, mk(3, func(c *Config) { c.Residual = ResidSZ3 })},
+		{"L2-f32-sz3resid", true, 33, 18, 21, mk(2, func(c *Config) { c.Residual = ResidSZ3 })},
+	}
+}
+
+// encode compresses the case's seeded field as element type T.
+func encodeCase[T grid.Float](tb testing.TB, wc walkerCase) []byte {
+	enc, err := Compress(testField[T](wc.nz, wc.ny, wc.nx, 77), wc.cfg)
+	if err != nil {
+		tb.Fatalf("%s: %v", wc.name, err)
+	}
+	return enc
+}
+
+func (wc walkerCase) encode(tb testing.TB) []byte {
+	if wc.f32 {
+		return encodeCase[float32](tb, wc)
+	}
+	return encodeCase[float64](tb, wc)
+}
+
+// randBoxIn draws a non-empty box inside in.
+func randBoxIn(rng *rand.Rand, in grid.Box) grid.Box {
+	span := func(lo, hi int) (int, int) {
+		a := lo + rng.Intn(hi-lo)
+		return a, a + 1 + rng.Intn(hi-a)
+	}
+	var b grid.Box
+	b.Z0, b.Z1 = span(in.Z0, in.Z1)
+	b.Y0, b.Y1 = span(in.Y0, in.Y1)
+	b.X0, b.X1 = span(in.X0, in.X1)
+	return b
+}
+
+// walkerRegionSets draws the seeded region sets of one grid: a single box,
+// 8 disjoint boxes (one per octant), boxes overlapping in a shared point, a
+// z-slice and the whole grid.
+func walkerRegionSets(rng *rand.Rand, nz, ny, nx int) map[string][]grid.Box {
+	whole := grid.Box{Z1: nz, Y1: ny, X1: nx}
+	var disjoint []grid.Box
+	for o := 0; o < 8; o++ {
+		oct := grid.Box{Z1: nz / 2, Y1: ny / 2, X1: nx / 2}
+		if o&4 != 0 {
+			oct.Z0, oct.Z1 = nz/2, nz
+		}
+		if o&2 != 0 {
+			oct.Y0, oct.Y1 = ny/2, ny
+		}
+		if o&1 != 0 {
+			oct.X0, oct.X1 = nx/2, nx
+		}
+		disjoint = append(disjoint, randBoxIn(rng, oct))
+	}
+	cz, cy, cx := rng.Intn(nz), rng.Intn(ny), rng.Intn(nx)
+	var overlap []grid.Box
+	for i := 0; i < 4; i++ {
+		lo := randBoxIn(rng, grid.Box{Z1: cz + 1, Y1: cy + 1, X1: cx + 1})
+		hi := randBoxIn(rng, grid.Box{Z0: cz, Y0: cy, X0: cx, Z1: nz, Y1: ny, X1: nx})
+		overlap = append(overlap, grid.Box{Z0: lo.Z0, Y0: lo.Y0, X0: lo.X0, Z1: hi.Z1, Y1: hi.Y1, X1: hi.X1})
+	}
+	z := rng.Intn(nz)
+	return map[string][]grid.Box{
+		"single":   {randBoxIn(rng, whole)},
+		"disjoint": disjoint,
+		"overlap":  overlap,
+		"slice":    {{Z0: z, Z1: z + 1, Y1: ny, X1: nx}},
+		"whole":    {whole},
+	}
+}
+
+func sameGrid[T grid.Float](a, b *grid.Grid[T]) bool {
+	if a.Nz != b.Nz || a.Ny != b.Ny || a.Nx != b.Nx {
+		return false
+	}
+	for i := range a.Data {
+		if a.Data[i] != b.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkWalked asserts that every level a decode up to lv walks accounts for
+// all 7 predicted classes, and that no other level was touched.
+func checkWalked(t *testing.T, what string, st *Stats, lv int) {
+	t.Helper()
+	for p := range st.DecodedClasses {
+		want := 0
+		if p <= lv-2 {
+			want = 7
+		}
+		if got := st.DecodedClasses[p] + st.SkippedClasses[p]; got != want {
+			t.Errorf("%s: level %d decoded+skipped = %d, want %d", what, p+2, got, want)
+		}
+	}
+}
+
+func runWalkerCase[T grid.Float](t *testing.T, wc walkerCase, workers int) {
+	enc := encodeCase[T](t, wc)
+	r, err := NewReader[T](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Workers = workers
+	levels := wc.cfg.Levels
+	full, st, err := r.DecompressStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWalked(t, "full", st, levels)
+
+	// Progressive(Levels) is the full decode; every coarser level is the
+	// class-0 lattice of the one above.
+	above := full
+	for lv := levels; lv >= 1; lv-- {
+		got, err := r.Progressive(lv)
+		if err != nil {
+			t.Fatalf("Progressive(%d): %v", lv, err)
+		}
+		if !sameGrid(got, above) {
+			t.Fatalf("Progressive(%d) differs from the class-0 chain of the full decode", lv)
+		}
+		above = got.ExtractStride(grid.Offset3{}, 2)
+	}
+
+	rng := rand.New(rand.NewSource(int64(len(wc.name)*10 + workers)))
+	for name, regions := range walkerRegionSets(rng, wc.nz, wc.ny, wc.nx) {
+		outs, st, err := r.DecompressBoxes(regions)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkWalked(t, name, st, levels)
+		for i, b := range regions {
+			if !sameGrid(outs[i], full.ExtractBox(b)) {
+				t.Errorf("%s: region %d %+v differs from the full decode", name, i, b)
+			}
+		}
+		if name == "slice" {
+			got, _, err := r.DecompressSliceZ(regions[0].Z0)
+			if err != nil || !sameGrid(got, outs[0]) {
+				t.Errorf("DecompressSliceZ(%d) differs from the same box (err %v)", regions[0].Z0, err)
+			}
+		}
+	}
+}
+
+// TestWalkerEquivalence: full, progressive and box decodes are one walker,
+// so on every stream shape they must agree bit for bit.
+func TestWalkerEquivalence(t *testing.T) {
+	for _, wc := range walkerCases() {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", wc.name, workers), func(t *testing.T) {
+				if wc.f32 {
+					runWalkerCase[float32](t, wc, workers)
+				} else {
+					runWalkerCase[float64](t, wc, workers)
+				}
+			})
+		}
+	}
+}
+
+// TestProgressivePartitionOnly: level 1 of a partition-only stream is its
+// class-0 sub-block (section 1), within the bound of the original's.
+func TestProgressivePartitionOnly(t *testing.T) {
+	g := grid.New[float32](16, 16, 16)
+	for i := range g.Data {
+		g.Data[i] = float32(i)
+	}
+	cfg := DefaultConfig(1e-3)
+	cfg.PartitionOnly = true
+	enc, err := Compress(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader[float32](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, err := r.Progressive(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBound(t, g.ExtractStride(grid.Offset3{}, 2), l1, cfg.EB, "partition-only level 1")
+	l2, err := r.Progressive(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBound(t, g, l2, cfg.EB, "partition-only level 2")
+}
+
+// patchHeader returns a copy of enc whose 44-byte core header was edited by
+// mut (the container checksum covers only the directory).
+func patchHeader(tb testing.TB, enc []byte, mut func(h []byte)) []byte {
+	out := append([]byte(nil), enc...)
+	arc, err := container.Open(out)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := arc.Section(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mut(h) // aliases out
+	return out
+}
+
+// TestCraftedHeaderRejected re-frames a valid stream with header fields no
+// writer produces: NewReader must refuse each one before anything is sized
+// from it, quickly and without allocating more than the input.
+func TestCraftedHeaderRejected(t *testing.T) {
+	le32 := func(off int, v uint32) func([]byte) {
+		return func(h []byte) { binary.LittleEndian.PutUint32(h[off:], v) }
+	}
+	f64 := func(off int, v float64) func([]byte) {
+		return func(h []byte) { binary.LittleEndian.PutUint64(h[off:], math.Float64bits(v)) }
+	}
+	enc := encodeCase[float32](t, walkerCase{name: "crafted", nz: 16, ny: 16, nx: 16, cfg: DefaultConfig(1e-3)})
+	for _, tc := range []struct {
+		name string
+		mut  func([]byte)
+	}{
+		{"radius 1<<30", le32(36, 1<<30)},
+		{"radius 32769", le32(36, 32769)},
+		{"predictor 9", func(h []byte) { h[4] = 9 }},
+		{"residual 7", func(h []byte) { h[5] = 7 }},
+		{"levels 5", func(h []byte) { h[3] = 5 }},
+		{"ebratio 0", f64(28, 0)},
+		{"ebratio -2.5", f64(28, -2.5)},
+		{"ebratio +Inf", f64(28, math.Inf(1))},
+		{"ebratio NaN", f64(28, math.NaN())},
+		{"eb +Inf", f64(20, math.Inf(1))},
+		{"dims wrap 2^31·2^31·4", func(h []byte) { le32(8, 1<<31)(h); le32(12, 1<<31)(h); le32(16, 4)(h) }},
+		{"dims 2^33+", func(h []byte) { le32(8, 4096)(h); le32(12, 4096)(h); le32(16, 4096)(h) }},
+		{"zero dim", le32(12, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := patchHeader(t, enc, tc.mut)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			t0 := time.Now()
+			_, err := NewReader[float32](bad)
+			took := time.Since(t0)
+			runtime.ReadMemStats(&m1)
+			if err == nil {
+				t.Fatal("crafted header accepted")
+			}
+			if took > 10*time.Millisecond {
+				t.Errorf("rejection took %v", took)
+			}
+			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(bad)) {
+				t.Errorf("rejection allocated %d bytes for a %d-byte input", alloc, len(bad))
+			}
+		})
+	}
+	// The non-adaptive ratio is never read, so it is not policed.
+	ok := patchHeader(t, enc, func(h []byte) { h[6] = 0; f64(28, 0)(h) })
+	if _, err := NewReader[float32](ok); err != nil {
+		t.Fatalf("non-adaptive stream with a zero ratio rejected: %v", err)
+	}
+}
+
+// fuzzAllocCeiling bounds what decoding one fuzz input may allocate: the
+// seeds are ≤ 48×40×44 float32 grids (0.3 MB decoded), so anything near
+// this is a header field sizing an allocation unchecked.
+const fuzzAllocCeiling = 256 << 20
+
+func fuzzDecode[T grid.Float](data []byte) {
+	r, err := NewReader[T](data)
+	if err != nil {
+		return
+	}
+	r.Decompress()
+	r.Progressive(1)
+	h := r.Header()
+	r.DecompressBox(grid.Box{Z0: h.Fz / 3, Y0: h.Fy / 3, X0: h.Fx / 3, Z1: h.Fz/3 + 1 + h.Fz/4, Y1: h.Fy/3 + 1 + h.Fy/4, X1: h.Fx/3 + 1 + h.Fx/4})
+}
+
+// FuzzReader: no byte string may panic the paper's decoder or make it
+// allocate past the ceiling, through the full, progressive and box paths.
+func FuzzReader(f *testing.F) {
+	for _, wc := range walkerCases() {
+		enc := wc.encode(f)
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fuzzDecode[float32](data)
+		fuzzDecode[float64](data)
+		runtime.ReadMemStats(&m1)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > fuzzAllocCeiling {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+	})
+}

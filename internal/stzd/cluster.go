@@ -2,6 +2,7 @@ package stzd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -172,7 +173,7 @@ func (s *Server) fanoutWrite(w http.ResponseWriter, r *http.Request, id string, 
 	for i, peer := range owners {
 		go func(i int, peer string) {
 			if peer == s.opts.Self {
-				results[i] = s.applyLocal(r, owners, i, body, h)
+				results[i] = s.applyLocal(r, i, body, h)
 			} else {
 				results[i] = s.applyRemote(r, peer, body)
 			}
@@ -274,52 +275,73 @@ func replay(w http.ResponseWriter, hdr http.Header, status int, body []byte) {
 	w.Write(body)
 }
 
-// applyLocal runs the handler against this node's own store, recording
-// the response it would have sent.
-func (s *Server) applyLocal(r *http.Request, owners []string, idx int, body []byte, h http.HandlerFunc) replicaResult {
-	rec := newRecorder()
-	rec.Header().Set(ServedByHeader, s.opts.Self)
-	rec.Header().Set(ReplicaHeader, strconv.Itoa(idx))
-	req := r.Clone(r.Context())
-	if body != nil {
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.ContentLength = int64(len(body))
-	}
-	h(rec, req)
-	res := replicaResult{
-		Peer: s.opts.Self, Status: rec.status,
-		OK:     rec.status < 300,
-		header: rec.Header(), body: rec.buf.Bytes(),
-	}
-	if !res.OK {
-		res.Err = http.StatusText(rec.status)
-	}
-	return res
-}
+// peerRequestError marks a peer request that could not be built (a
+// malformed peer address or path). Nothing was sent, so it says nothing
+// about the peer's health and retrying cannot help.
+type peerRequestError struct{ error }
 
-// applyRemote sends the write to one peer replica, marked forwarded so
-// the peer applies it locally (one hop), and records the outcome in the
-// peer's circuit breaker.
-func (s *Server) applyRemote(r *http.Request, peer string, body []byte) replicaResult {
-	s.forwarded.Add(1)
+// peerDo is the one way this node calls a peer: method on
+// http://peer+path, marked forwarded so the peer serves it from its own
+// store (one hop). hdr, nil for none, is sent as is — peerDo takes
+// ownership — and a non-nil body is sent with its length. A
+// peerRequestError reports a request that never left this node.
+func (s *Server) peerDo(ctx context.Context, method, peer, path string, hdr http.Header, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method,
-		"http://"+peer+r.URL.RequestURI(), rd)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, rd)
 	if err != nil {
-		return replicaResult{Peer: peer, OK: false, Err: err.Error()}
+		return nil, peerRequestError{err}
 	}
-	req.Header = r.Header.Clone()
+	if hdr != nil {
+		req.Header = hdr
+	}
 	req.Header.Set(ForwardedHeader, s.opts.Self)
+	return s.peerClient.Do(req)
+}
+
+// serveLocal runs h against this node's own store as replica idx of the
+// archive's owner list, re-arming the request body from its buffered
+// copy (nil when there was none to buffer).
+func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, idx int, body []byte, h http.HandlerFunc) {
+	w.Header().Set(ServedByHeader, s.opts.Self)
+	w.Header().Set(ReplicaHeader, strconv.Itoa(idx))
 	if body != nil {
-		req.ContentLength = int64(len(body))
+		r = r.Clone(r.Context())
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.ContentLength = int64(len(body))
 	}
+	h(w, r)
+}
+
+// answered records the response one replica gave to a fanned-out write.
+func answered(peer string, status int, hdr http.Header, body []byte) replicaResult {
+	res := replicaResult{Peer: peer, Status: status, OK: status < 300, header: hdr, body: body}
+	if !res.OK {
+		res.Err = http.StatusText(status)
+	}
+	return res
+}
+
+// applyLocal runs the handler against this node's own store, recording
+// the response it would have sent.
+func (s *Server) applyLocal(r *http.Request, idx int, body []byte, h http.HandlerFunc) replicaResult {
+	rec := newRecorder()
+	s.serveLocal(rec, r, idx, body, h)
+	return answered(s.opts.Self, rec.status, rec.Header(), rec.buf.Bytes())
+}
+
+// applyRemote sends the write to one peer replica and records the
+// outcome in the peer's circuit breaker.
+func (s *Server) applyRemote(r *http.Request, peer string, body []byte) replicaResult {
+	s.forwarded.Add(1)
 	br := s.health.Breaker(peer)
-	resp, err := s.peerClient.Do(req)
+	resp, err := s.peerDo(r.Context(), r.Method, peer, r.URL.RequestURI(), r.Header.Clone(), body)
 	if err != nil {
-		br.Failure()
+		if _, unsent := err.(peerRequestError); !unsent {
+			br.Failure()
+		}
 		return replicaResult{Peer: peer, OK: false, Err: err.Error()}
 	}
 	defer resp.Body.Close()
@@ -333,15 +355,7 @@ func (s *Server) applyRemote(r *http.Request, peer string, body []byte) replicaR
 	} else {
 		br.Success()
 	}
-	res := replicaResult{
-		Peer: peer, Status: resp.StatusCode,
-		OK:     resp.StatusCode < 300,
-		header: resp.Header, body: data,
-	}
-	if !res.OK {
-		res.Err = http.StatusText(resp.StatusCode)
-	}
-	return res
+	return answered(peer, resp.StatusCode, resp.Header, data)
 }
 
 // readFailover serves a read by walking the archive's owner list —
@@ -387,15 +401,7 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 			}
 			// Our own store is a replica: serve it directly. Local reads
 			// have no transport to fail, so this always commits.
-			w.Header().Set(ServedByHeader, s.opts.Self)
-			w.Header().Set(ReplicaHeader, strconv.Itoa(idx))
-			if body != nil {
-				req := r.Clone(r.Context())
-				req.Body = io.NopCloser(bytes.NewReader(body))
-				req.ContentLength = int64(len(body))
-				r = req
-			}
-			h(w, r)
+			s.serveLocal(w, r, idx, body, h)
 			s.replicaHits.Add(1)
 			if idx > 0 {
 				s.failovers.Add(1)
@@ -456,15 +462,7 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 	}
 	if indexOf(lagging, s.opts.Self) >= 0 {
 		// Only our own (empty) replica answered: serve the local 404.
-		w.Header().Set(ServedByHeader, s.opts.Self)
-		w.Header().Set(ReplicaHeader, strconv.Itoa(indexOf(owners, s.opts.Self)))
-		if body != nil {
-			req := r.Clone(r.Context())
-			req.Body = io.NopCloser(bytes.NewReader(body))
-			req.ContentLength = int64(len(body))
-			r = req
-		}
-		h(w, r)
+		s.serveLocal(w, r, indexOf(owners, s.opts.Self), body, h)
 		s.replicaHits.Add(1)
 		return
 	}
@@ -485,21 +483,7 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 // peer's Retry-After hint as the next backoff floor.
 func (s *Server) proxyRead(w http.ResponseWriter, r *http.Request, peer string, body []byte) (committed bool, notFound *replicaResult, floor time.Duration, errMsg string) {
 	s.forwarded.Add(1)
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method,
-		"http://"+peer+r.URL.RequestURI(), rd)
-	if err != nil {
-		return false, nil, 0, err.Error()
-	}
-	req.Header = r.Header.Clone()
-	req.Header.Set(ForwardedHeader, s.opts.Self)
-	if body != nil {
-		req.ContentLength = int64(len(body))
-	}
-	resp, err := s.peerClient.Do(req)
+	resp, err := s.peerDo(r.Context(), r.Method, peer, r.URL.RequestURI(), r.Header.Clone(), body)
 	if err != nil {
 		return false, nil, 0, err.Error()
 	}

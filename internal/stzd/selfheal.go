@@ -1,7 +1,6 @@
 package stzd
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -111,17 +110,11 @@ func (s *Server) replayHint(peer string, h repair.Hint) (ok, terminal bool) {
 // be built reports 400 and a transport failure 503 — the classes (never
 // going to work; try again later) every caller already sorts them into.
 func (s *Server) peerWrite(method, peer, path string, body []byte, mtime int64) int {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(s.baseCtx, method, "http://"+peer+path, rd)
-	if err != nil {
+	hdr := http.Header{WriteTimeHeader: {strconv.FormatInt(mtime, 10)}}
+	resp, err := s.peerDo(s.baseCtx, method, peer, path, hdr, body)
+	if _, unsent := err.(peerRequestError); unsent {
 		return http.StatusBadRequest
 	}
-	req.Header.Set(ForwardedHeader, s.opts.Self)
-	req.Header.Set(WriteTimeHeader, strconv.FormatInt(mtime, 10))
-	resp, err := s.peerClient.Do(req)
 	if err != nil {
 		return http.StatusServiceUnavailable
 	}
@@ -162,25 +155,11 @@ func (s *Server) fetchRaw(id, from string) ([]byte, int64, bool) {
 	if from == s.opts.Self {
 		return s.store.getRaw(id)
 	}
-	req, err := http.NewRequestWithContext(s.baseCtx, http.MethodGet,
-		"http://"+from+"/v1/archives/"+id+"/raw", nil)
-	if err != nil {
+	data, hdr, ok := s.peerGet(from, "/v1/archives/"+id+"/raw")
+	if !ok {
 		return nil, 0, false
 	}
-	resp, err := s.peerClient.Do(req)
-	if err != nil {
-		return nil, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-		return nil, 0, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxBody+1))
-	if err != nil || int64(len(data)) > s.opts.MaxBody {
-		return nil, 0, false
-	}
-	mtime, err := strconv.ParseInt(resp.Header.Get(WriteTimeHeader), 10, 64)
+	mtime, err := strconv.ParseInt(hdr.Get(WriteTimeHeader), 10, 64)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -234,24 +213,31 @@ func (s *Server) antiEntropyRound() {
 // fetchManifest pulls one peer's replication digest.
 func (s *Server) fetchManifest(peer string) (manifestJSON, bool) {
 	var m manifestJSON
-	req, err := http.NewRequestWithContext(s.baseCtx, http.MethodGet,
-		"http://"+peer+"/v1/manifest", nil)
-	if err != nil {
-		return m, false
+	data, _, ok := s.peerGet(peer, "/v1/manifest")
+	if !ok || json.Unmarshal(data, &m) != nil {
+		return manifestJSON{}, false
 	}
-	resp, err := s.peerClient.Do(req)
+	return m, true
+}
+
+// peerGet fetches path from peer for the repair paths, returning the body
+// and headers of a 200 answer. The body is untrusted: anything over
+// -max-body is refused rather than buffered.
+func (s *Server) peerGet(peer, path string) ([]byte, http.Header, bool) {
+	resp, err := s.peerDo(s.baseCtx, http.MethodGet, peer, path, nil, nil)
 	if err != nil {
-		return m, false
+		return nil, nil, false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-		return m, false
+		return nil, nil, false
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return m, false
+	data, err := io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxBody+1))
+	if err != nil || int64(len(data)) > s.opts.MaxBody {
+		return nil, nil, false
 	}
-	return m, true
+	return data, resp.Header, true
 }
 
 // diffAndPush reconciles one peer against this node's manifest snapshot

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -351,6 +353,37 @@ func TestManifestEndpoint(t *testing.T) {
 	}
 	if _, ok := m.Tombstones["gone"]; !ok {
 		t.Fatalf("manifest missing tombstone for deleted id: %+v", m.Tombstones)
+	}
+}
+
+// TestFetchManifestBounded: a peer's manifest is untrusted input, read
+// under the same -max-body cap as a raw archive fetch, and — like every
+// peer call — sent with the forwarded marker.
+func TestFetchManifestBounded(t *testing.T) {
+	const maxBody = 4 << 10
+	var body []byte
+	var forwardedBy string
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		forwardedBy = r.Header.Get(ForwardedHeader)
+		w.Write(body)
+	}))
+	defer peer.Close()
+	addr := strings.TrimPrefix(peer.URL, "http://")
+	s := New(Options{Self: "self:1", Peers: []string{addr}, MaxBody: maxBody, AntiEntropyInterval: -1})
+	defer s.Close()
+
+	body = []byte(`{"archives":{"a":{"mtime":7,"bytes":1,"sum":"00"}},"tombstones":{}}` + "\n")
+	m, ok := s.fetchManifest(addr)
+	if !ok || m.Archives["a"].MTime != 7 {
+		t.Fatalf("in-bound manifest refused: ok=%v %+v", ok, m)
+	}
+	if forwardedBy != "self:1" {
+		t.Fatalf("manifest fetch forwarded by %q, want self:1", forwardedBy)
+	}
+	body = append([]byte(`{"archives":{"a":{"mtime":7,"bytes":1,"sum":"`), bytes.Repeat([]byte("0"), maxBody)...)
+	body = append(body, `"}}}`...)
+	if _, ok := s.fetchManifest(addr); ok {
+		t.Fatalf("a %d-byte manifest was buffered past the %d-byte cap", len(body), maxBody)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"stz/internal/grid"
 	"stz/internal/rawio"
 	"stz/internal/roi"
-	"stz/internal/singleflight"
 )
 
 // errStoreBudget marks an archive whose budget charge alone exceeds a
@@ -41,17 +40,13 @@ const maxTombstones = 4096
 // approximate global bound for uncontended locking under concurrent
 // queries.
 type archiveStore struct {
-	shards   []*storeShard
-	perShard int64
-	workers  int // decode parallelism handed to each resident reader
-	// slabFlights is shared by every resident reader: slab decodes are
-	// single-flighted across readers keyed archive-generation+chunk, the
-	// layer under each reader's own sync.Once slab cache.
-	slabFlights *singleflight.Group[string, any]
-	gen         atomic.Int64 // generation source for entries
-	evictions   atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
+	shards    []*storeShard
+	perShard  int64
+	workers   int          // decode parallelism handed to each resident reader
+	gen       atomic.Int64 // generation source for entries
+	evictions atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
 }
 
 // storeShard is one LRU partition. lru front = most recently used.
@@ -94,10 +89,7 @@ func newArchiveStore(budget int64, nShards, workers int) *archiveStore {
 	if per < 1 {
 		per = 1
 	}
-	s := &archiveStore{
-		shards: make([]*storeShard, nShards), perShard: per, workers: workers,
-		slabFlights: &singleflight.Group[string, any]{},
-	}
+	s := &archiveStore{shards: make([]*storeShard, nShards), perShard: per, workers: workers}
 	for i := range s.shards {
 		s.shards[i] = &storeShard{byID: map[string]*list.Element{}, lru: list.New(),
 			tombs: map[string]int64{}}
@@ -123,14 +115,13 @@ func (s *archiveStore) put(id string, data []byte, at int64) (*archiveEntry, boo
 	if err != nil {
 		return nil, false, err
 	}
-	gen := s.gen.Add(1)
-	q, err := newQuerier(hdr, data, s.workers, s.slabFlights, fmt.Sprintf("%s#%d", id, gen))
+	q, err := newQuerier(hdr, data, s.workers)
 	if err != nil {
 		return nil, false, err
 	}
 	h := fnv.New64a()
 	h.Write(data)
-	e := &archiveEntry{id: id, gen: gen, size: int64(len(data)), cost: q.cost(),
+	e := &archiveEntry{id: id, gen: s.gen.Add(1), size: int64(len(data)), cost: q.cost(),
 		modTime: at, sum: h.Sum64(), raw: data, q: q}
 	if e.cost > s.perShard {
 		return nil, false, fmt.Errorf("%w: needs %d budget bytes, shard budget is %d",
@@ -330,28 +321,22 @@ type typedQuerier[T grid.Float] struct {
 	size int64
 }
 
-// newQuerier wraps a resident archive in a random-access reader. flight
-// and flightKey single-flight the reader's slab decodes across readers
-// (the key carries the entry generation, so only identical content ever
-// shares a decode).
-func newQuerier(hdr codec.Header, data []byte, workers int,
-	flight *singleflight.Group[string, any], flightKey string) (querier, error) {
+// newQuerier wraps a resident archive in a random-access reader of the
+// stream's element type.
+func newQuerier(hdr codec.Header, data []byte, workers int) (querier, error) {
 	if hdr.DType == 4 {
-		ra, err := codec.OpenReaderAt[float32](data)
-		if err != nil {
-			return nil, err
-		}
-		ra.Workers = workers
-		ra.Flight, ra.FlightKey = flight, flightKey
-		return &typedQuerier[float32]{ra: ra, size: int64(len(data))}, nil
+		return openQuerier[float32](data, workers)
 	}
-	ra, err := codec.OpenReaderAt[float64](data)
+	return openQuerier[float64](data, workers)
+}
+
+func openQuerier[T grid.Float](data []byte, workers int) (querier, error) {
+	ra, err := codec.OpenReaderAt[T](data)
 	if err != nil {
 		return nil, err
 	}
 	ra.Workers = workers
-	ra.Flight, ra.FlightKey = flight, flightKey
-	return &typedQuerier[float64]{ra: ra, size: int64(len(data))}, nil
+	return &typedQuerier[T]{ra: ra, size: int64(len(data))}, nil
 }
 
 func (q *typedQuerier[T]) header() codec.Header { return q.ra.Header() }

@@ -363,14 +363,24 @@ func parseSerialDims[T grid.Float](data []byte) (nz, ny, nx, version int, err er
 	nz = int(binary.LittleEndian.Uint32(data[8:]))
 	ny = int(binary.LittleEndian.Uint32(data[12:]))
 	nx = int(binary.LittleEndian.Uint32(data[16:]))
-	if nz < 0 || ny < 0 || nx < 0 {
-		return 0, 0, 0, 0, ErrFormat
-	}
-	const maxElems = 1 << 33
-	if int64(nz)*int64(ny)*int64(nx) > maxElems {
-		return 0, 0, 0, 0, fmt.Errorf("%w: implausible dims", ErrFormat)
+	if err := checkElems(nz, ny, nx, len(data)); err != nil {
+		return 0, 0, 0, 0, err
 	}
 	return nz, ny, nx, version, nil
+}
+
+// checkElems bounds the dims a header claims by what its stream can hold.
+// Every point costs at least one payload bit — an anchor its verbatim
+// value, a predicted point one Huffman bit — so a point count beyond the
+// stream's bit length is structurally impossible. Rejecting it (with an
+// overflow-safe product) before the output grid is sized keeps a few
+// corrupt header bytes from demanding gigabytes.
+func checkElems(nz, ny, nx, streamBytes int) error {
+	z, y, x, limit := int64(nz), int64(ny), int64(nx), 8*int64(streamBytes)
+	if (y > 0 && z > limit/y) || (x > 0 && z*y > limit/x) {
+		return fmt.Errorf("%w: %d×%d×%d points in a %d-byte stream", ErrFormat, nz, ny, nx, streamBytes)
+	}
+	return nil
 }
 
 // decompressSerialInto decodes a serial stream into rec, whose dimensions
@@ -391,7 +401,8 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], laneWork
 	radius := int32(binary.LittleEndian.Uint32(data[28:]))
 	nOutliers := int(binary.LittleEndian.Uint32(data[32:]))
 	hlen := int(binary.LittleEndian.Uint32(data[36:]))
-	if radius <= 0 || eb <= 0 {
+	// Codes are uint16, so a larger radius only sizes a bigger code table.
+	if radius <= 0 || radius > quant.DefaultRadius || !(eb > 0) {
 		return ErrFormat
 	}
 	q := quant.Quantizer{EB: eb, Radius: radius}
@@ -619,6 +630,9 @@ func parseChunkedDir[T grid.Float](data []byte) (nz, ny, nx int, offs, bounds []
 	nChunks := int(binary.LittleEndian.Uint32(data[20:]))
 	if nChunks <= 0 || nChunks > nz+1 {
 		return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad chunk count", ErrFormat)
+	}
+	if err := checkElems(nz, ny, nx, len(data)); err != nil {
+		return 0, 0, 0, nil, nil, err
 	}
 	pos := 24
 	if pos+4*nChunks > len(data) {

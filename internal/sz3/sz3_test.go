@@ -223,6 +223,34 @@ func TestDecompressTruncated(t *testing.T) {
 	}
 }
 
+// TestDecompressCraftedHeader: header fields that size an allocation are
+// checked against the stream first — a radius no uint16 code needs, and
+// dims (wrapping or merely huge) the payload could not hold a bit per point
+// of, in both the serial and the chunked framing.
+func TestDecompressCraftedHeader(t *testing.T) {
+	g := smoothField[float32](16, 16, 16, 12)
+	for _, workers := range []int{1, 4} {
+		enc, err := Compress(g, Options{EB: 1e-3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crafted := map[string]func(b []byte){
+			"dims 2048³":     func(b []byte) { b[9], b[13], b[17] = 8, 8, 8 },
+			"dims 2³¹·2³¹·4": func(b []byte) { b[8], b[11], b[12], b[15], b[16] = 0, 0x80, 0, 0x80, 4 },
+		}
+		if workers == 1 {
+			crafted["radius 1<<30"] = func(b []byte) { b[28], b[29], b[30], b[31] = 0, 0, 0, 0x40 }
+		}
+		for name, mut := range crafted {
+			bad := append([]byte(nil), enc...)
+			mut(bad)
+			if _, err := Decompress[float32](bad); err == nil {
+				t.Errorf("workers=%d: %s accepted", workers, name)
+			}
+		}
+	}
+}
+
 func TestChunkedRoundTrip(t *testing.T) {
 	g := smoothField[float32](32, 16, 16, 13)
 	o := DefaultOptions(1e-3)
