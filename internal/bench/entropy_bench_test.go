@@ -85,6 +85,40 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 	})
 }
 
+// BenchmarkHuffmanDecodeSmall is the fixed per-stream cost of a decode: 64
+// symbols wanted out of a short stream whose table lists ~300 symbols of
+// the 65 536-symbol quantizer alphabet, so table parsing and building
+// dominate and the symbol loop is noise. "lanes" decodes the whole stream
+// (the only way to reach the 64 symbols before DecodeLanesRange existed);
+// "range64" decodes just them.
+func BenchmarkHuffmanDecodeSmall(b *testing.B) {
+	const alphabet = 1 << 16
+	rng := rand.New(rand.NewSource(42))
+	codes := make([]uint16, 1200)
+	for i := range codes {
+		codes[i] = uint16(32768 + int(rng.NormFloat64()*60))
+	}
+	blob := huffman.EncodeLanes(codes, alphabet)
+	dst := make([]uint16, len(codes))
+
+	b.Run("lanes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := huffman.DecodeLanesInto(dst[:0], blob, alphabet, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("range64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := huffman.DecodeLanesRange(dst[:0], blob, alphabet, 0, 64); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkBitioRefill isolates the word-level reader fast path against
 // the checked ReadBits path on the same 11-bit-symbol stream, plus the
 // word-batched unary/gamma codecs rewritten over WriteBits.

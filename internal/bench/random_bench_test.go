@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"stz/internal/codec"
+	"stz/internal/core"
 	"stz/internal/datasets"
 	"stz/internal/grid"
+	"stz/internal/quant"
 )
 
 // The random-access benchmarks measure the query path the stzd archive
@@ -114,6 +116,50 @@ func BenchmarkRandomAccessFullDecode(b *testing.B) {
 				}
 				_ = full.ExtractBox(box)
 			}
+		})
+	}
+}
+
+// BenchmarkRandomAccessSTZ is the paper codec's native random access on a
+// resident archive: one core.Reader over a 128³ default-config stream
+// serving a 32³ box, an 8³ box and a z-slice. A box pays the level-1
+// decode, the lane prefixes of the class streams its index hull touches,
+// and its own prediction — sym-% reports the share of the finest level's
+// symbols that went through the entropy decoder.
+func BenchmarkRandomAccessSTZ(b *testing.B) {
+	g := datasets.Nyx(128, 128, 128, 7)
+	mn, mx := g.Range()
+	cfg := core.DefaultConfig(quant.AbsoluteBound(1e-3, float64(mn), float64(mx)))
+	enc, err := core.Compress(g, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := core.NewReader[float32](enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cube := func(o, n int) grid.Box {
+		return grid.Box{Z0: o, Y0: o, X0: o, Z1: o + n, Y1: o + n, X1: o + n}
+	}
+	for _, tc := range []struct {
+		name string
+		box  grid.Box
+	}{
+		{"box32", cube(40, 32)},
+		{"box8", cube(44, 8)},
+		{"sliceZ", grid.Box{Z0: 45, Z1: 46, Y1: 128, X1: 128}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var st *core.Stats
+			b.SetBytes(int64(4 * tc.box.Volume()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, st, err = r.DecompressBox(tc.box); err != nil {
+					b.Fatal(err)
+				}
+			}
+			top := cfg.Levels - 2
+			b.ReportMetric(100*float64(st.DecodedSymbols[top])/float64(st.TotalSymbols[top]), "sym-%")
 		})
 	}
 }

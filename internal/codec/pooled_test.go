@@ -10,6 +10,7 @@ import (
 	"stz/internal/datasets"
 	"stz/internal/grid"
 	"stz/internal/scratch"
+	"stz/internal/scratch/scratchtest"
 )
 
 // pooledRefArchives computes, with pooling disabled, the reference archive
@@ -100,41 +101,6 @@ func TestPooledMatchesUnpooledConcurrent(t *testing.T) {
 	}
 }
 
-// poisonArenas leases buffers across the size classes of every arena,
-// fills them with hostile patterns (NaN floats, all-ones integers) and
-// releases them, so subsequent leases in the encode path receive dirty
-// buffers. Any stale byte reaching an archive would break the
-// byte-identity assertion.
-func poisonArenas(maxElems int) {
-	for n := 64; n <= maxElems; n *= 4 {
-		f32 := scratch.F32.Lease(n)
-		for i := range f32 {
-			f32[i] = float32(math.NaN())
-		}
-		scratch.F32.Release(f32)
-		f64 := scratch.F64.Lease(n)
-		for i := range f64 {
-			f64[i] = math.NaN()
-		}
-		scratch.F64.Release(f64)
-		u16 := scratch.U16.Lease(n)
-		for i := range u16 {
-			u16[i] = 0xFFFF
-		}
-		scratch.U16.Release(u16)
-		u64 := scratch.U64.Lease(n)
-		for i := range u64 {
-			u64[i] = ^uint64(0)
-		}
-		scratch.U64.Release(u64)
-		bs := scratch.Bytes.Lease(n)
-		for i := range bs {
-			bs[i] = 0xAB
-		}
-		scratch.Bytes.Release(bs)
-	}
-}
-
 // TestPoisonedLeaseNeverLeaks fills the pools with poisoned buffers before
 // each round trip: if any hot path reads leased memory before writing it,
 // the poison shows up as an archive or value difference.
@@ -147,7 +113,7 @@ func TestPoisonedLeaseNeverLeaks(t *testing.T) {
 	defer scratch.SetEnabled(prev)
 	for round := 0; round < 3; round++ {
 		for _, name := range Names() {
-			poisonArenas(4 * g.Len())
+			scratchtest.Poison(4 * g.Len())
 			enc, err := Encode(name, g, cfg)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", name, err)
@@ -155,7 +121,7 @@ func TestPoisonedLeaseNeverLeaks(t *testing.T) {
 			if !bytes.Equal(enc, refArc[name]) {
 				t.Fatalf("%s: poisoned lease leaked into the archive (round %d)", name, round)
 			}
-			poisonArenas(4 * g.Len())
+			scratchtest.Poison(4 * g.Len())
 			dec, err := Decode[float32](enc, cfg.Workers)
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)

@@ -10,6 +10,7 @@ import (
 	"stz/internal/datasets"
 	"stz/internal/grid"
 	"stz/internal/scratch"
+	"stz/internal/scratch/scratchtest"
 )
 
 // stzPoolConfigs are the STZ configurations whose hot paths touch the
@@ -90,43 +91,54 @@ func TestCorePooledMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestCoreRandomAccessPooled covers the random-access decode path (leased
-// chunked-code buffers with skipped chunks) against the unpooled result.
+// TestCoreRandomAccessPooled covers the random-access decode paths that
+// leave part of a leased code buffer unwritten — skipped chunks of a
+// chunked stream, skipped lanes and lane tails of a multi-lane one —
+// against the unpooled result, with the arenas poisoned before every
+// decode (all-ones codes are an in-range symbol that dequantizes to
+// garbage): no box may read a code its decode skipped.
 func TestCoreRandomAccessPooled(t *testing.T) {
 	g := datasets.Nyx(40, 36, 44, 3)
-	cfg := DefaultConfig(1e-3)
-	cfg.CodeChunk = 512
-	enc, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
+	chunked := DefaultConfig(1e-3)
+	chunked.CodeChunk = 512
+	boxes := []grid.Box{
+		{Z0: 5, Z1: 30, Y0: 3, Y1: 20, X0: 7, X1: 33},
+		{Z0: 23, Z1: 29, Y0: 0, Y1: 36, X0: 0, X1: 44}, // third z-quarter: lanes 0 and 1 skipped
+		{Z0: 38, Z1: 39, Y0: 30, Y1: 31, X0: 40, X1: 41},
 	}
-	box := grid.Box{Z0: 5, Z1: 30, Y0: 3, Y1: 20, X0: 7, X1: 33}
-
-	prev := scratch.SetEnabled(false)
-	r1, err := NewReader[float32](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := r1.DecompressBox(box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch.SetEnabled(true)
-	defer scratch.SetEnabled(prev)
-
-	for i := 0; i < 3; i++ {
-		r2, err := NewReader[float32](enc)
+	for name, cfg := range map[string]Config{"codechunk": chunked, "lanes": DefaultConfig(1e-3)} {
+		enc, err := Compress(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := r2.DecompressBox(box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Data {
-			if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
-				t.Fatalf("pooled random-access decode differs at %d (round %d)", j, i)
+		for _, box := range boxes {
+			prev := scratch.SetEnabled(false)
+			r1, err := NewReader[float32](enc)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, _, err := r1.DecompressBox(box)
+			scratch.SetEnabled(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				scratchtest.Poison(g.Len())
+				r2, err := NewReader[float32](enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := r2.DecompressBox(box)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want.Data {
+					if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+						t.Fatalf("%s %+v: pooled random-access decode differs at %d (round %d)", name, box, j, i)
+					}
+				}
+			}
+			scratch.SetEnabled(prev)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (r *Reader[T]) DecompressBoxes(boxes []grid.Box) ([]*grid.Grid[T], *Stats, 
 // slice random-access case, where entire sub-block streams can be skipped.
 func (r *Reader[T]) DecompressSliceZ(z int) (*grid.Grid[T], *Stats, error) {
 	if z < 0 || z >= r.hdr.Fz {
-		return nil, nil, fmt.Errorf("core: slice z=%d out of range [0,%d)", z, r.hdr.Fz)
+		return nil, &Stats{}, fmt.Errorf("core: slice z=%d out of range [0,%d)", z, r.hdr.Fz)
 	}
 	return r.DecompressBox(grid.Box{Z0: z, Z1: z + 1, Y0: 0, Y1: r.hdr.Fy, X0: 0, X1: r.hdr.Fx})
 }

@@ -47,7 +47,12 @@ type Stats struct {
 	// (random-access Huffman decoding).
 	DecodedChunks [3]int
 	SkippedChunks [3]int
-	Total         time.Duration
+	// Symbol accounting: of the TotalSymbols class codes a level stores
+	// (all 7 classes, touched or not), DecodedSymbols went through the
+	// entropy decoder — the timing-free measure of what a box paid for.
+	DecodedSymbols [3]int
+	TotalSymbols   [3]int
+	Total          time.Duration
 }
 
 // Reader decodes STZ streams. The type parameter must match the stream's
@@ -144,9 +149,10 @@ func (r *Reader[T]) levelEB(lv int) float64 {
 // outliers are scratch-arena leases owned by the class; callers release
 // them (via release) once reconstruction no longer reads them.
 type decodedClass[T grid.Float] struct {
-	codes    []uint16 // ResidQuant path
-	outliers []T
-	diff     *grid.Grid[T] // ResidSZ3 path
+	codes          []uint16 // ResidQuant path
+	outliers       []T
+	diff           *grid.Grid[T] // ResidSZ3 path
+	decodedSymbols int           // class codes that went through the entropy decoder
 	// Chunked-codes (random-access Huffman) metadata.
 	chunkSize     int
 	bases         []uint32 // per-chunk outlier base
@@ -162,22 +168,26 @@ func (dc *decodedClass[T]) release() {
 	dc.codes, dc.outliers = nil, nil
 }
 
-// decodeCodes entropy-decodes one class code blob according to the
-// stream's format version: v3 streams carry multi-lane Huffman payloads,
-// v1/v2 the single-stream layout. Lane workers stay at 1 — the seven
-// parity classes already occupy the reader's worker pool, and each class
-// decodes its lanes on the register-resident single-thread interleave.
-func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet int) ([]uint16, error) {
+// decodeCodes entropy-decodes the codes [lo, hi) of one class code blob
+// according to the stream's format version and reports how many symbols it
+// decoded: v3 streams carry multi-lane Huffman payloads, whose lane
+// directory lets the decoder skip the lanes outside the range; the v1/v2
+// single-stream layout decodes whole. The lanes decode on the calling
+// goroutine — the seven parity classes already occupy the reader's worker
+// pool.
+func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet, lo, hi int) ([]uint16, int, error) {
 	if r.hdr.Version >= 3 {
-		return huffman.DecodeLanesInto(dst, blob, alphabet, 1)
+		return huffman.DecodeLanesRange(dst, blob, alphabet, lo, hi)
 	}
-	return huffman.DecodeInto(dst, blob, alphabet)
+	codes, err := huffman.DecodeInto(dst, blob, alphabet)
+	return codes, len(codes), err
 }
 
 // decodeClass entropy-decodes the class stream of predicted level p,
 // class c. n is the class size in points; only codes within [ciLo, ciHi)
-// are guaranteed decoded — with chunked streams (Config.CodeChunk), chunks
-// entirely outside the range are skipped.
+// are guaranteed decoded: a multi-lane stream decodes the lane prefixes the
+// range touches (huffman.DecodeLanesRange), and with chunked streams
+// (Config.CodeChunk) chunks entirely outside the range are skipped.
 func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) (decodedClass[T], error) {
 	sec, err := r.arc.Section(r.classSection(p, c))
 	if err != nil {
@@ -190,7 +200,7 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 		if err != nil {
 			return decodedClass[T]{}, fmt.Errorf("core: class %d residual: %w", c, err)
 		}
-		return decodedClass[T]{diff: diff}, nil
+		return decodedClass[T]{diff: diff, decodedSymbols: n}, nil
 	}
 	if len(sec) < 4 {
 		return decodedClass[T]{}, fmt.Errorf("core: class %d section truncated", c)
@@ -211,19 +221,24 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 	rest := sec[4+nOut*elem:]
 
 	if r.hdr.CodeChunk <= 0 {
+		if nOut > 0 {
+			// outlierCursor counts every escape before the region, so a
+			// class with outliers decodes from its first code.
+			ciLo = 0
+		}
 		codesBuf := scratch.U16.Lease(n)
-		codes, err := r.decodeCodes(codesBuf[:0], rest, q.Alphabet())
+		codes, decoded, err := r.decodeCodes(codesBuf[:0], rest, q.Alphabet(), ciLo, ciHi)
 		if err != nil {
 			scratch.U16.Release(codesBuf)
 			scratch.ReleaseFloat(outliers)
 			return decodedClass[T]{}, fmt.Errorf("core: class %d codes: %w", c, err)
 		}
 		if cap(codes) != cap(codesBuf) {
-			// DecodeInto outgrew the lease (corrupt count); hand the lease
+			// The decoder outgrew the lease (corrupt count); hand the lease
 			// back and keep the allocated slice.
 			scratch.U16.Release(codesBuf)
 		}
-		return decodedClass[T]{codes: codes, outliers: outliers}, nil
+		return decodedClass[T]{codes: codes, outliers: outliers, decodedSymbols: decoded}, nil
 	}
 
 	// Chunked codes: decode only the chunks intersecting [ciLo, ciHi).
@@ -267,10 +282,10 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 	if offs[nChunks] > len(payload) {
 		return fail("core: class %d chunk payload truncated", c)
 	}
-	// Skipped (out-of-range) chunks keep zero codes, so the lease must be
-	// zeroed — reconstruction never reads them, but zero keeps the buffer
-	// contents defined exactly as the previous make([]uint16, n) did.
-	dc.codes = scratch.U16.LeaseZeroed(n)
+	// Skipped (out-of-range) chunks stay unwritten: reconstruction reads only
+	// codes inside [ciLo, ciHi), and outlierCursor resynchronizes at chunk
+	// bases instead of scanning across them.
+	dc.codes = scratch.U16.Lease(n)
 	dc.bases, dc.totalChunks = bases, nChunks
 	// cs comes from the untrusted header; a chunk never holds more than n
 	// codes, so cap the staging lease to keep a crafted CodeChunk from
@@ -285,7 +300,7 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 		if hi <= ciLo || lo >= ciHi {
 			continue
 		}
-		part, err := r.decodeCodes(chunkBuf[:0], payload[offs[i]:offs[i+1]], q.Alphabet())
+		part, _, err := r.decodeCodes(chunkBuf[:0], payload[offs[i]:offs[i+1]], q.Alphabet(), 0, hi-lo)
 		if err != nil {
 			return fail("core: class %d chunk %d: %w", c, i, err)
 		}
@@ -294,6 +309,7 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 		}
 		copy(dc.codes[lo:hi], part)
 		dc.decodedChunks++
+		dc.decodedSymbols += hi - lo
 	}
 	return dc, nil
 }
@@ -489,11 +505,14 @@ func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, 
 	})
 	st.LevelDecode[p] += time.Since(tDec)
 	for c := range classes {
+		bz, by, bx := classDims(classes[c], fz, fy, fx)
+		st.TotalSymbols[p] += bz * by * bx
 		if sub[c] == nil {
 			st.SkippedClasses[p]++
 			continue
 		}
 		st.DecodedClasses[p]++
+		st.DecodedSymbols[p] += dcs[c].decodedSymbols
 		st.DecodedChunks[p] += dcs[c].decodedChunks
 		st.SkippedChunks[p] += dcs[c].totalChunks - dcs[c].decodedChunks
 		if errs[c] != nil {

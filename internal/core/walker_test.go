@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,7 +12,9 @@ import (
 	"time"
 
 	"stz/internal/container"
+	"stz/internal/datasets"
 	"stz/internal/grid"
+	"stz/internal/quant"
 )
 
 // walkerCase is one stream shape the single level walker must decode the
@@ -20,11 +24,14 @@ type walkerCase struct {
 	f32        bool
 	nz, ny, nx int
 	cfg        Config
+	spikes     bool // every fifth value or so ×1e12: escapes in every class
 }
 
 // walkerCases spans the hierarchy depths, an odd-dims grid whose parity
 // classes all differ in size, both element types, chunked and unchunked
-// code streams and the SZ3-residual ablation.
+// code streams, the SZ3-residual ablation, and an unchunked stream full of
+// outliers (the 1e12-spike field of TestOutlierRandomAccessConsistency),
+// where escape indexing forbids skipping a class's leading lanes.
 func walkerCases() []walkerCase {
 	mk := func(levels int, mut func(*Config)) Config {
 		cfg := DefaultConfig(1e-3)
@@ -35,19 +42,29 @@ func walkerCases() []walkerCase {
 		return cfg
 	}
 	return []walkerCase{
-		{"L2-f64", false, 33, 18, 21, mk(2, nil)},
-		{"L3-f32", true, 33, 18, 21, mk(3, nil)},
-		{"L4-f64", false, 33, 18, 21, mk(4, nil)},
-		{"L3-f32-chunk4096", true, 48, 40, 44, mk(3, func(c *Config) { c.CodeChunk = 4096 })},
-		{"L3-f64-chunk4096", false, 33, 18, 21, mk(3, func(c *Config) { c.CodeChunk = 4096 })},
-		{"L3-f64-sz3resid", false, 33, 18, 21, mk(3, func(c *Config) { c.Residual = ResidSZ3 })},
-		{"L2-f32-sz3resid", true, 33, 18, 21, mk(2, func(c *Config) { c.Residual = ResidSZ3 })},
+		{"L2-f64", false, 33, 18, 21, mk(2, nil), false},
+		{"L3-f32", true, 33, 18, 21, mk(3, nil), false},
+		{"L4-f64", false, 33, 18, 21, mk(4, nil), false},
+		{"L3-f32-chunk4096", true, 48, 40, 44, mk(3, func(c *Config) { c.CodeChunk = 4096 }), false},
+		{"L3-f64-chunk4096", false, 33, 18, 21, mk(3, func(c *Config) { c.CodeChunk = 4096 }), false},
+		{"L3-f64-sz3resid", false, 33, 18, 21, mk(3, func(c *Config) { c.Residual = ResidSZ3 }), false},
+		{"L2-f32-sz3resid", true, 33, 18, 21, mk(2, func(c *Config) { c.Residual = ResidSZ3 }), false},
+		{"L3-f64-outliers", false, 33, 18, 21, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
 	}
 }
 
 // encode compresses the case's seeded field as element type T.
 func encodeCase[T grid.Float](tb testing.TB, wc walkerCase) []byte {
-	enc, err := Compress(testField[T](wc.nz, wc.ny, wc.nx, 77), wc.cfg)
+	g := testField[T](wc.nz, wc.ny, wc.nx, 77)
+	if wc.spikes {
+		rng := rand.New(rand.NewSource(23))
+		for i := range g.Data {
+			if rng.Intn(5) == 0 {
+				g.Data[i] *= 1e12
+			}
+		}
+	}
+	enc, err := Compress(g, wc.cfg)
 	if err != nil {
 		tb.Fatalf("%s: %v", wc.name, err)
 	}
@@ -59,6 +76,30 @@ func (wc walkerCase) encode(tb testing.TB) []byte {
 		return encodeCase[float32](tb, wc)
 	}
 	return encodeCase[float64](tb, wc)
+}
+
+// TestPinnedWalkerArchives pins the archive bytes of every walker case at
+// Workers 1 and 4: an encoder change that is meant to keep archives
+// byte-identical (a faster table build, a new traversal) shows here first.
+func TestPinnedWalkerArchives(t *testing.T) {
+	pins := map[string]string{
+		"L2-f64": "e5b60070e8467e4f", "L3-f32": "307cfed2f1f2fe90", "L4-f64": "1813448f19f9d3e0",
+		"L3-f32-chunk4096": "333fe1e9fa1a0506", "L3-f64-chunk4096": "72a05d0b50b1e9e4",
+		"L3-f64-sz3resid": "ec5bb1fe56a0ff6d", "L2-f32-sz3resid": "01603c475ad116f2",
+	}
+	for _, wc := range walkerCases() {
+		want, ok := pins[wc.name]
+		if !ok {
+			continue // cases added after the pins were taken
+		}
+		for _, workers := range []int{1, 4} {
+			wc.cfg.Workers = workers
+			sum := sha256.Sum256(wc.encode(t))
+			if got := hex.EncodeToString(sum[:8]); got != want {
+				t.Errorf("%s/w%d: archive sha256 %s, pinned %s", wc.name, workers, got, want)
+			}
+		}
+	}
 }
 
 // randBoxIn draws a non-empty box inside in.
@@ -76,7 +117,9 @@ func randBoxIn(rng *rand.Rand, in grid.Box) grid.Box {
 
 // walkerRegionSets draws the seeded region sets of one grid: a single box,
 // 8 disjoint boxes (one per octant), boxes overlapping in a shared point, a
-// z-slice and the whole grid.
+// z-slice, the whole grid, and one thin box inside each of the last three
+// z-quarters — a class stream's Huffman lanes are quarters of its row-major
+// index space, so those boxes start in lanes 1, 2 and 3 of every class.
 func walkerRegionSets(rng *rand.Rand, nz, ny, nx int) map[string][]grid.Box {
 	whole := grid.Box{Z1: nz, Y1: ny, X1: nx}
 	var disjoint []grid.Box
@@ -101,7 +144,16 @@ func walkerRegionSets(rng *rand.Rand, nz, ny, nx int) map[string][]grid.Box {
 		overlap = append(overlap, grid.Box{Z0: lo.Z0, Y0: lo.Y0, X0: lo.X0, Z1: hi.Z1, Y1: hi.Y1, X1: hi.X1})
 	}
 	z := rng.Intn(nz)
+	lane := func(k int) []grid.Box {
+		b := randBoxIn(rng, whole)
+		b.Z0 = k*nz/4 + 2
+		b.Z1 = b.Z0 + 3
+		return []grid.Box{b}
+	}
 	return map[string][]grid.Box{
+		"lane1":    lane(1),
+		"lane2":    lane(2),
+		"lane3":    lane(3),
 		"single":   {randBoxIn(rng, whole)},
 		"disjoint": disjoint,
 		"overlap":  overlap,
@@ -199,6 +251,58 @@ func TestWalkerEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDecodedSymbolsAccounting is the timing-free form of "a box pays for
+// what it reads": on a 128³ default-config stream whose finest level has no
+// outliers, a 32³ box aligned to a lane of every class (z 32..64 is the
+// second z-quarter) decodes one lane prefix per class, a z-slice at most
+// one lane of the classes that have points in it, and a full decode
+// everything.
+func TestDecodedSymbolsAccounting(t *testing.T) {
+	g := datasets.Nyx(128, 128, 128, 1001)
+	mn, mx := g.Range()
+	enc, err := Compress(g, DefaultConfig(quant.AbsoluteBound(1e-3, float64(mn), float64(mx))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader[float32](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := r.DecompressStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A level's classes are its grid minus the coarse lattice.
+	if want := [3]int{64*64*64 - 32*32*32, 128*128*128 - 64*64*64, 0}; st.TotalSymbols != want {
+		t.Fatalf("full decode: TotalSymbols %v, want %v", st.TotalSymbols, want)
+	}
+	if st.DecodedSymbols != st.TotalSymbols {
+		t.Fatalf("full decode: decoded %v of %v symbols", st.DecodedSymbols, st.TotalSymbols)
+	}
+	finest := func(st *Stats) float64 {
+		return float64(st.DecodedSymbols[1]) / float64(st.TotalSymbols[1])
+	}
+	_, st, err = r.DecompressBox(grid.Box{Z0: 32, Y0: 40, X0: 40, Z1: 64, Y1: 72, X1: 72})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := finest(st); f <= 0 || f > 0.30 {
+		t.Errorf("lane-aligned 32³ box decoded %.1f%% of the finest level's symbols, want (0, 30]", 100*f)
+	}
+	for _, z := range []int{77, 90} {
+		_, st, err = r.DecompressSliceZ(z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := finest(st); f <= 0 || f > 0.15 {
+			t.Errorf("z-slice %d decoded %.1f%% of the finest level's symbols, want (0, 15]", z, 100*f)
+		}
+	}
+	if _, st, err = r.DecompressSliceZ(128); err == nil || st == nil {
+		t.Errorf("out-of-range slice: err %v, stats %v; want an error and non-nil stats", err, st)
 	}
 }
 

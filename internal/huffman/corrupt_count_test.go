@@ -6,7 +6,7 @@ func TestCorruptCountRejectedFast(t *testing.T) {
 	// The 12-byte input FuzzDecodeLanes found pre-fix: gamma count ~8e9
 	// with an empty table; must error in O(1), not allocate 16 GiB.
 	data := []byte("\x00\x00\x00\x00\xf7 2wnT\xd9\x00")
-	if _, err := DecodeLanes(data, 76, 1); err == nil {
+	if _, err := DecodeLanesInto(nil, data, 76, 1); err == nil {
 		t.Fatal("implausible symbol count accepted")
 	}
 	if _, err := Decode(data, 76); err == nil {
@@ -19,7 +19,7 @@ func TestCorruptDeltaOverflowRejected(t *testing.T) {
 	// wraps negative and indexed lengths[-…] before the bound was added.
 	// Input found by FuzzDecodeLanes.
 	data := []byte("A\x01\x00\x00\x00\x00\x00\x00\x008000000000000000")
-	if _, err := DecodeLanes(data, 127, 1); err == nil {
+	if _, err := DecodeLanesInto(nil, data, 127, 1); err == nil {
 		t.Fatal("overflowing table delta accepted by lanes decoder")
 	}
 	if _, err := Decode(data, 127); err == nil {

@@ -43,21 +43,32 @@ const (
 // ErrCorrupt is returned when a stream fails structural validation.
 var ErrCorrupt = errors.New("huffman: corrupt stream")
 
+// symLen is one entry of a code-length table: a present symbol and its code
+// length. Tables list their entries by ascending symbol — the order the wire
+// format stores them in — so every table pass costs the symbols present,
+// not the alphabet.
+type symLen struct {
+	sym uint16
+	len uint8
+}
+
 type treeNode struct {
 	count       uint64
 	order       int32 // tie-break for deterministic trees
-	left, right int32 // -1 for leaves
-	sym         uint16
+	left, right int32 // -1 for leaves; leaf i codes table entry i
 }
 
-// buildScratch is the reusable tree-construction state: the node arena and
-// the index heap. It avoids the per-node interface boxing of container/heap
-// and recycles the backing arrays across encodes.
+// buildScratch is the reusable encoder-side state: the present-symbol table
+// with its counts, the node arena and the index heap. It avoids the per-node
+// interface boxing of container/heap and recycles the backing arrays across
+// encodes.
 type buildScratch struct {
-	nodes []treeNode
-	heap  []int32
-	stack []int32 // iterative depth walk, node indices
-	depth []uint8 // parallel to stack
+	table  []symLen // present symbols, ascending; lengths set by codeLengths
+	counts []uint64 // parallel to table; flattened in place when depth-limiting
+	nodes  []treeNode
+	heap   []int32
+	stack  []int32 // iterative depth walk, node indices
+	depth  []uint8 // parallel to stack
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -125,64 +136,52 @@ func (bs *buildScratch) siftDown(i int) {
 	}
 }
 
-// codeLengths computes Huffman code lengths for the given symbol counts
-// (count > 0 means the symbol is present) into lengths. Lengths are
-// depth-limited to maxCodeLen by flattening the histogram and rebuilding
-// when necessary. work must be at least len(counts) long; its contents are
-// overwritten.
-func codeLengths(counts []uint64, lengths []uint8, work []uint64) {
-	work = work[:len(counts)]
-	copy(work, counts)
-	bs := buildPool.Get().(*buildScratch)
-	for {
-		maxLen := buildLengths(work, lengths, bs)
-		if maxLen <= maxCodeLen {
-			buildPool.Put(bs)
-			return
+// collect gathers the symbols hist counts at least once, in ascending
+// order, into bs.table and bs.counts. This is the encoder's one pass over
+// the alphabet; the tree build, the table serialization and the code
+// packing all run over the collected list.
+func (bs *buildScratch) collect(hist []uint64) {
+	bs.table, bs.counts = bs.table[:0], bs.counts[:0]
+	for sym, c := range hist {
+		if c > 0 {
+			bs.table = append(bs.table, symLen{sym: uint16(sym)})
+			bs.counts = append(bs.counts, c)
 		}
-		for i, c := range work {
+	}
+}
+
+// codeLengths sets the Huffman code length of every bs.table entry from
+// bs.counts. Lengths are depth-limited to maxCodeLen by flattening the
+// counts and rebuilding when necessary.
+func (bs *buildScratch) codeLengths() {
+	for bs.buildLengths() > maxCodeLen {
+		for i, c := range bs.counts {
 			if c > 1 {
-				work[i] = (c + 1) / 2
+				bs.counts[i] = (c + 1) / 2
 			}
 		}
 	}
 }
 
-func buildLengths(counts []uint64, lengths []uint8, bs *buildScratch) uint8 {
-	for i := range lengths {
-		lengths[i] = 0
-	}
-	var present int
-	for _, c := range counts {
-		if c > 0 {
-			present++
-		}
-	}
+func (bs *buildScratch) buildLengths() uint8 {
+	present := len(bs.table)
 	switch present {
 	case 0:
 		return 0
 	case 1:
-		for i, c := range counts {
-			if c > 0 {
-				lengths[i] = 1
-			}
-		}
+		bs.table[0].len = 1
 		return 1
 	}
 	nodes := bs.nodes[:0]
 	if cap(nodes) < 2*present {
 		nodes = make([]treeNode, 0, 2*present)
 	}
-	for i, c := range counts {
-		if c > 0 {
-			nodes = append(nodes, treeNode{count: c, order: int32(len(nodes)), left: -1, right: -1, sym: uint16(i)})
-		}
-	}
 	heap := bs.heap[:0]
 	if cap(heap) < present {
 		heap = make([]int32, 0, present)
 	}
-	for i := range nodes {
+	for i, c := range bs.counts {
+		nodes = append(nodes, treeNode{count: c, order: int32(i), left: -1, right: -1})
 		heap = append(heap, int32(i))
 	}
 	bs.nodes, bs.heap = nodes, heap
@@ -209,7 +208,7 @@ func buildLengths(counts []uint64, lengths []uint8, bs *buildScratch) uint8 {
 		stack, depth = stack[:len(stack)-1], depth[:len(depth)-1]
 		n := &bs.nodes[ni]
 		if n.left < 0 {
-			lengths[n.sym] = d
+			bs.table[ni].len = d
 			if d > maxLen {
 				maxLen = d
 			}
@@ -222,57 +221,23 @@ func buildLengths(counts []uint64, lengths []uint8, bs *buildScratch) uint8 {
 	return maxLen
 }
 
-// Table holds a canonical Huffman code: per-symbol lengths and codes.
-type Table struct {
-	lengths []uint8  // indexed by symbol; 0 = absent
-	codes   []uint32 // canonical code, MSB-first
-	maxLen  uint8
-}
-
-// BuildTable constructs a canonical table from symbol counts.
-func BuildTable(counts []uint64) *Table {
-	lengths := make([]uint8, len(counts))
-	work := scratch.U64.Lease(len(counts))
-	codeLengths(counts, lengths, work)
-	scratch.U64.Release(work)
-	return tableFromLengths(lengths)
-}
-
-func tableFromLengths(lengths []uint8) *Table {
-	t := tableHeaderFromLengths(lengths)
-	t.codes = make([]uint32, len(lengths))
-	var blCount [maxCodeLen + 1]uint32
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
+// firstCodes derives the canonical code assignment of a code-length table:
+// the number of codes of each length, the first (MSB-first) code of each
+// length, and the longest length. Symbols of equal length take consecutive
+// codes in table (ascending symbol) order.
+func firstCodes(table []symLen) (blCount, firstCode [maxCodeLen + 1]uint32, maxLen uint8) {
+	for _, e := range table {
+		blCount[e.len]++
+		if e.len > maxLen {
+			maxLen = e.len
 		}
 	}
-	var nextCode [maxCodeLen + 2]uint32
 	var code uint32
-	for l := uint8(1); l <= t.maxLen; l++ {
+	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + blCount[l-1]) << 1
-		nextCode[l] = code
+		firstCode[l] = code
 	}
-	for sym, l := range lengths {
-		if l > 0 {
-			t.codes[sym] = nextCode[l]
-			nextCode[l]++
-		}
-	}
-	return t
-}
-
-// tableHeaderFromLengths builds a Table without materializing per-symbol
-// codes — sufficient for decoding, where the decoder derives canonical
-// codes on the fly.
-func tableHeaderFromLengths(lengths []uint8) *Table {
-	t := &Table{lengths: lengths}
-	for _, l := range lengths {
-		if l > t.maxLen {
-			t.maxLen = l
-		}
-	}
-	return t
+	return blCount, firstCode, maxLen
 }
 
 // reverseBits reverses the low n bits of v.
@@ -282,39 +247,55 @@ func reverseBits(v uint32, n uint8) uint32 {
 
 // writeLengths serializes the code-length table as (numDistinct, then per
 // present symbol: gamma(delta-1 from previous present symbol), 5-bit length).
-func writeLengths(w *bitio.Writer, lengths []uint8) {
-	var distinct uint64
-	for _, l := range lengths {
-		if l > 0 {
-			distinct++
-		}
-	}
-	w.WriteGamma(distinct)
+func writeLengths(w *bitio.Writer, table []symLen) {
+	w.WriteGamma(uint64(len(table)))
 	prev := -1
-	for sym, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		w.WriteGamma(uint64(sym - prev - 1))
-		w.WriteBits(uint64(l), 5)
-		prev = sym
+	for _, e := range table {
+		w.WriteGamma(uint64(int(e.sym) - prev - 1))
+		w.WriteBits(uint64(e.len), 5)
+		prev = int(e.sym)
 	}
 }
 
-// readTable deserializes the code-length table into pooled decoder state;
-// the returned lengths slice is owned by the caller's decoder.
-func readLengths(r *bitio.Reader, lengths []uint8) error {
+// decoder is the canonical decoding state derived from a code-length table.
+// Decoders recycle through decoderPool; all slice fields keep their backing
+// arrays across uses.
+type decoder struct {
+	// table holds the (symbol, length) pairs exactly as readTable parses
+	// them off the wire; every derived table below is built from this list.
+	table  []symLen
+	maxLen uint8
+	// fast path: index by the next fastBits bits (transmitted-order, i.e.
+	// reversed), value packs symbol<<8 | length; length 0 = slow path.
+	fast []uint32
+	// slow path canonical walk tables.
+	firstCode  [maxCodeLen + 1]uint32
+	firstIndex [maxCodeLen + 1]uint32
+	blCount    [maxCodeLen + 1]uint32
+	symByOrder []uint16
+}
+
+var decoderPool = sync.Pool{
+	New: func() any { return &decoder{fast: make([]uint32, 1<<fastBits)} },
+}
+
+func releaseDecoder(d *decoder) { decoderPool.Put(d) }
+
+// readTable deserializes and validates the code-length table into d.table:
+// symbols strictly ascending and below alphabet, lengths in [1, maxCodeLen],
+// and a Kraft sum no corrupt table can use to make the decoder mis-walk.
+func (d *decoder) readTable(r *bitio.Reader, alphabet int) error {
 	distinct, err := r.ReadGamma()
 	if err != nil {
 		return err
 	}
-	alphabet := len(lengths)
-	if distinct > uint64(alphabet) {
+	// An entry costs at least 6 bits (1-bit gamma + 5-bit length), so a count
+	// the rest of the blob cannot hold is rejected before the table grows.
+	if distinct > uint64(alphabet) || distinct*6 > uint64(r.BitsRemaining()) {
 		return ErrCorrupt
 	}
-	for i := range lengths {
-		lengths[i] = 0
-	}
+	d.table = d.table[:0]
+	var kraft uint64
 	sym := -1
 	for i := uint64(0); i < distinct; i++ {
 		delta, err := r.ReadGamma()
@@ -326,8 +307,7 @@ func readLengths(r *bitio.Reader, lengths []uint8) error {
 			return err
 		}
 		// Bound the delta before the int conversion: a crafted gamma near
-		// 2^64 would wrap sym negative and slip past the >= alphabet check
-		// straight into a negative slice index.
+		// 2^64 would wrap sym negative and slip past the >= alphabet check.
 		if delta >= uint64(alphabet) {
 			return ErrCorrupt
 		}
@@ -335,131 +315,52 @@ func readLengths(r *bitio.Reader, lengths []uint8) error {
 		if sym >= alphabet || l == 0 || l > maxCodeLen {
 			return ErrCorrupt
 		}
-		lengths[sym] = uint8(l)
+		d.table = append(d.table, symLen{sym: uint16(sym), len: uint8(l)})
+		kraft += 1 << (maxCodeLen - uint(l))
 	}
-	return nil
-}
-
-// validate checks the Kraft sum so a corrupt table cannot cause the decoder
-// to mis-walk.
-func validateLengths(lengths []uint8) error {
-	var kraft uint64
-	var present int
-	for _, l := range lengths {
-		if l > 0 {
-			kraft += 1 << (maxCodeLen - uint(l))
-			present++
-		}
-	}
-	if present <= 1 {
-		return nil // empty or single-symbol (one bit by construction)
-	}
-	if kraft > 1<<maxCodeLen {
+	// An empty or single-symbol table (one bit by construction) is exempt.
+	if distinct > 1 && kraft > 1<<maxCodeLen {
 		return fmt.Errorf("%w: oversubscribed code", ErrCorrupt)
 	}
 	return nil
 }
 
-func (t *Table) validate() error { return validateLengths(t.lengths) }
-
-// decoder is the canonical decoding state derived from a code-length table.
-// Decoders recycle through decoderPool; all slice fields keep their backing
-// arrays across uses.
-type decoder struct {
-	lengths []uint8
-	maxLen  uint8
-	// fast path: index by the next fastBits bits (transmitted-order, i.e.
-	// reversed), value packs symbol<<8 | length; length 0 = slow path.
-	fast []uint32
-	// slow path canonical walk tables.
-	firstCode  [maxCodeLen + 1]uint32
-	firstIndex [maxCodeLen + 1]int32
-	blCount    [maxCodeLen + 1]int32
-	symByOrder []uint16
-}
-
-var decoderPool = sync.Pool{
-	New: func() any { return &decoder{fast: make([]uint32, 1<<fastBits)} },
-}
-
-// leaseDecoder returns a pooled decoder with lengths sized for alphabet and
-// the derived tables reset; the caller must fill d.lengths, then call
-// d.build().
-func leaseDecoder(alphabet int) *decoder {
-	d := decoderPool.Get().(*decoder)
-	if cap(d.lengths) < alphabet {
-		d.lengths = make([]uint8, alphabet)
-	}
-	d.lengths = d.lengths[:alphabet]
-	return d
-}
-
-func releaseDecoder(d *decoder) { decoderPool.Put(d) }
-
-// build derives the canonical walk tables and the fast table from d.lengths.
+// build derives the canonical walk tables and the fast table from d.table.
 func (d *decoder) build() {
-	d.maxLen = 0
-	for _, l := range d.lengths {
-		if l > d.maxLen {
-			d.maxLen = l
-		}
-	}
-	clear(d.blCount[:])
-	clear(d.firstCode[:])
-	clear(d.firstIndex[:])
-	blCount := d.blCount[:]
-	for _, l := range d.lengths {
-		if l > 0 {
-			blCount[l]++
-		}
-	}
-	var code uint32
-	var index int32
-	for l := uint8(1); l <= d.maxLen; l++ {
-		code = (code + uint32(blCount[l-1])) << 1
-		d.firstCode[l] = code
+	d.blCount, d.firstCode, d.maxLen = firstCodes(d.table)
+	var index uint32
+	for l := range d.firstIndex {
 		d.firstIndex[l] = index
-		index += blCount[l]
+		index += d.blCount[l]
 	}
-	if cap(d.symByOrder) < int(index) {
-		d.symByOrder = make([]uint16, index)
+	if cap(d.symByOrder) < len(d.table) {
+		d.symByOrder = make([]uint16, len(d.table))
 	}
-	d.symByOrder = d.symByOrder[:index]
-	// Symbols in canonical order: by (length, symbol).
-	var nextIdx [maxCodeLen + 1]int32
-	copy(nextIdx[:], d.firstIndex[:])
-	for sym, l := range d.lengths {
-		if l > 0 {
-			d.symByOrder[nextIdx[l]] = uint16(sym)
-			nextIdx[l]++
-		}
-	}
-	// Fast table; canonical codes are derived on the fly so decoding never
-	// needs the full per-symbol code array. Stale entries from the previous
-	// use are cleared first so they can never alias into this table.
+	d.symByOrder = d.symByOrder[:len(d.table)]
+	// Symbols in canonical order, by (length, symbol), and the fast table;
+	// canonical codes are derived on the fly so decoding never needs a
+	// per-symbol code array. Stale fast entries from the previous use are
+	// cleared first so they can never alias into this table.
 	clear(d.fast)
-	var nextCode [maxCodeLen + 1]uint32
-	copy(nextCode[:], d.firstCode[:])
-	for sym, l := range d.lengths {
-		if l == 0 {
-			continue
-		}
+	nextIdx, nextCode := d.firstIndex, d.firstCode
+	for _, e := range d.table {
+		l := e.len
+		d.symByOrder[nextIdx[l]] = e.sym
+		nextIdx[l]++
 		code := nextCode[l]
 		nextCode[l]++
 		if l > fastBits {
 			continue
 		}
-		codeRev := reverseBits(code, l)
 		step := uint32(1) << l
-		for v := codeRev; v < 1<<fastBits; v += step {
-			d.fast[v] = uint32(sym)<<8 | uint32(l)
+		for v := reverseBits(code, l); v < 1<<fastBits; v += step {
+			d.fast[v] = uint32(e.sym)<<8 | uint32(l)
 		}
 	}
 }
 
 // slowWalk canonically decodes one symbol from the peeked word v (LSB =
-// next transmitted bit) without the fast table: the per-length walk of
-// decodeSym, but over an already-loaded word instead of per-bit reads.
+// next transmitted bit) without the fast table, one code length at a time.
 // Returns ok=false when no code matches within maxLen bits.
 func (d *decoder) slowWalk(v uint64) (sym uint16, length uint, ok bool) {
 	var code uint32
@@ -467,115 +368,22 @@ func (d *decoder) slowWalk(v uint64) (sym uint16, length uint, ok bool) {
 		code = code<<1 | uint32(v&1)
 		v >>= 1
 		cnt := d.blCount[l]
-		if cnt > 0 && code >= d.firstCode[l] && code < d.firstCode[l]+uint32(cnt) {
-			return d.symByOrder[d.firstIndex[l]+int32(code-d.firstCode[l])], uint(l), true
+		if cnt > 0 && code >= d.firstCode[l] && code < d.firstCode[l]+cnt {
+			return d.symByOrder[d.firstIndex[l]+code-d.firstCode[l]], uint(l), true
 		}
 	}
 	return 0, 0, false
 }
 
-// decodeSymFast decodes one symbol with no bounds checks: the caller must
-// have established, via a Reader.Refill budget, that at least d.maxLen
-// valid bits are buffered. Returns ok=false on a pattern that matches no
-// code (corrupt stream).
-func (d *decoder) decodeSymFast(r *bitio.Reader) (uint16, bool) {
-	e := d.fast[r.PeekFast(fastBits)]
-	if l := e & 0xff; l != 0 {
-		r.SkipFast(uint(l))
-		return uint16(e >> 8), true
-	}
-	sym, l, ok := d.slowWalk(r.PeekFast(uint(d.maxLen)))
-	if !ok {
-		return 0, false
-	}
-	r.SkipFast(l)
-	return sym, true
-}
-
-// decodeStream decodes len(out) symbols from r. While the reader can top
-// its accumulator up to a full word, symbols decode on the refill-amortized
-// fast path — one up-front budget check per batch of 56/maxLen symbols,
-// then only unchecked PeekFast/SkipFast calls — and the stream tail falls
-// back to the fully checked per-symbol path.
-func decodeStream(d *decoder, r *bitio.Reader, out []uint16) error {
-	i := 0
-	if d.maxLen > 0 {
-		batch := 56 / int(d.maxLen)
-		for i+batch <= len(out) && r.Refill() >= 56 {
-			for j := 0; j < batch; j++ {
-				s, ok := d.decodeSymFast(r)
-				if !ok {
-					return ErrCorrupt
-				}
-				out[i+j] = s
-			}
-			i += batch
-		}
-	}
-	for ; i < len(out); i++ {
-		s, err := d.decodeSym(r)
-		if err != nil {
-			return err
-		}
-		out[i] = s
-	}
-	return nil
-}
-
-func (d *decoder) decodeSym(r *bitio.Reader) (uint16, error) {
-	if peek, avail := r.Peek(fastBits); avail > 0 {
-		e := d.fast[peek]
-		if l := e & 0xff; l != 0 && uint(l) <= avail {
-			if err := r.Skip(uint(l)); err != nil {
-				return 0, err
-			}
-			return uint16(e >> 8), nil
-		}
-	}
-	// Canonical bitwise walk.
-	var code uint32
-	for l := uint8(1); l <= d.maxLen; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | uint32(b)
-		cnt := d.blCount[l]
-		if cnt > 0 && code >= d.firstCode[l] && code < d.firstCode[l]+uint32(cnt) {
-			return d.symByOrder[d.firstIndex[l]+int32(code-d.firstCode[l])], nil
-		}
-	}
-	return 0, ErrCorrupt
-}
-
-// packTable derives canonical codes from lengths and packs the
-// transmitted-order (bit-reversed) code and length per symbol into
-// packed[sym] = code<<8 | len, so the encode hot loop is one table load
-// per symbol. packed must have at least len(lengths) entries.
-func packTable(lengths []uint8, packed []uint64) {
-	var maxLen uint8
-	var blCount [maxCodeLen + 1]uint32
-	for _, l := range lengths {
-		if l > 0 {
-			blCount[l]++
-			if l > maxLen {
-				maxLen = l
-			}
-		}
-	}
-	var nextCode [maxCodeLen + 1]uint32
-	var code uint32
-	for l := uint8(1); l <= maxLen; l++ {
-		code = (code + blCount[l-1]) << 1
-		nextCode[l] = code
-	}
-	for sym, l := range lengths {
-		if l > 0 {
-			packed[sym] = uint64(reverseBits(nextCode[l], l))<<8 | uint64(l)
-			nextCode[l]++
-		} else {
-			packed[sym] = 0
-		}
+// packTable derives the canonical codes of table and packs the
+// transmitted-order (bit-reversed) code and length of every present symbol
+// into packed[sym] = code<<8 | len, so the encode hot loop is one table
+// load per symbol. Entries of absent symbols are left untouched.
+func packTable(table []symLen, packed []uint64) {
+	_, nextCode, _ := firstCodes(table)
+	for _, e := range table {
+		packed[e.sym] = uint64(reverseBits(nextCode[e.len], e.len))<<8 | uint64(e.len)
+		nextCode[e.len]++
 	}
 }
 
@@ -594,28 +402,27 @@ func encodeSymbols(w *bitio.Writer, codes []uint16, packed []uint64) {
 }
 
 // encodeHeader runs the shared encoder prologue: histogram the symbols,
-// build the depth-limited code, and emit the self-describing header
-// (symbol count + code-length table) into a fresh writer. It returns the
-// writer and the leased packed (code,len) table, which the caller must
-// hand back to scratch.U64 after writing the payload.
+// collect the ones present, build the depth-limited code over that list and
+// emit the self-describing header (symbol count + code-length table) into a
+// fresh writer. It returns the writer and the leased packed (code,len)
+// table — the histogram buffer, overwritten in place at the present
+// symbols — which the caller must hand back to scratch.U64 after writing
+// the payload.
 func encodeHeader(codes []uint16, alphabet, sizeHint int) (*bitio.Writer, []uint64) {
-	counts := scratch.U64.LeaseZeroed(alphabet)
+	hist := scratch.U64.LeaseZeroed(alphabet)
 	for _, c := range codes {
-		counts[c]++
+		hist[c]++
 	}
-	lengths := scratch.Bytes.Lease(alphabet)
-	work := scratch.U64.Lease(alphabet)
-	codeLengths(counts, lengths, work)
-	scratch.U64.Release(work)
-	scratch.U64.Release(counts)
+	bs := buildPool.Get().(*buildScratch)
+	bs.collect(hist)
+	bs.codeLengths()
 
 	w := bitio.NewWriter(sizeHint)
 	w.WriteGamma(uint64(len(codes)))
-	writeLengths(w, lengths)
-	packed := scratch.U64.Lease(alphabet)
-	packTable(lengths, packed)
-	scratch.Bytes.Release(lengths)
-	return w, packed
+	writeLengths(w, bs.table)
+	packTable(bs.table, hist)
+	buildPool.Put(bs)
+	return w, hist
 }
 
 // Encode compresses codes (all values must be < alphabet) into a
@@ -683,10 +490,11 @@ func Decode(data []byte, alphabet int) ([]uint16, error) {
 }
 
 // decodeHeader runs the shared decoder prologue: read the symbol count,
-// sanity-check it, lease a decoder, and read + validate the code-length
-// table. On success the reader is positioned at the first payload bit and
-// the caller owns the leased decoder (releaseDecoder) and the returned
-// output slice (dst reused when its capacity suffices).
+// sanity-check it, lease a decoder, read + validate the code-length table
+// and build the decode tables from it. On success the reader is positioned
+// at the first payload bit and the caller owns the leased decoder
+// (releaseDecoder) and the returned output slice (dst reused when its
+// capacity suffices).
 func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]uint16, *decoder, error) {
 	r.Reset(data)
 	n, err := r.ReadGamma()
@@ -700,15 +508,12 @@ func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]u
 	if n > maxReasonable || n > uint64(len(data))*8 {
 		return nil, nil, ErrCorrupt
 	}
-	d := leaseDecoder(alphabet)
-	if err := readLengths(r, d.lengths); err != nil {
+	d := decoderPool.Get().(*decoder)
+	if err := d.readTable(r, alphabet); err != nil {
 		releaseDecoder(d)
 		return nil, nil, err
 	}
-	if err := validateLengths(d.lengths); err != nil {
-		releaseDecoder(d)
-		return nil, nil, err
-	}
+	d.build()
 	var out []uint16
 	if uint64(cap(dst)) >= n {
 		out = dst[:n]
@@ -729,20 +534,60 @@ func DecodeInto(dst []uint16, data []byte, alphabet int) ([]uint16, error) {
 		return nil, err
 	}
 	defer releaseDecoder(d)
-	if len(out) == 0 {
-		return out, nil
+	// The payload starts at the header's last bit, mid-byte: enter the lane
+	// decoder with that byte's remaining bits already loaded.
+	bit := len(data)*8 - r.BitsRemaining()
+	lr := laneReader{buf: data[bit/8:]}
+	if used := uint(bit % 8); used != 0 {
+		lr.acc, lr.navl, lr.pos = uint64(lr.buf[0])>>used, 8-used, 1
 	}
-	d.build()
-	if err := decodeStream(d, &r, out); err != nil {
+	if err := d.decodeLane(lr, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeLanes reverses EncodeLanes, decoding lanes on up to workers
-// goroutines. alphabet must match the encoder's.
-func DecodeLanes(data []byte, alphabet, workers int) ([]uint16, error) {
-	return DecodeLanesInto(nil, data, alphabet, workers)
+// decodeLanesHeader is the prologue the lane decoders share: decodeHeader,
+// then the lane directory. An empty stream (len(out) == 0) has no directory
+// and no lanes.
+func decodeLanesHeader(dst []uint16, data []byte, alphabet int) (out []uint16, d *decoder, lanes [numLanes][]byte, err error) {
+	var r bitio.Reader
+	if out, d, err = decodeHeader(&r, dst, data, alphabet); err != nil || len(out) == 0 {
+		return out, d, lanes, err
+	}
+	if d.maxLen == 0 {
+		err = ErrCorrupt // n > 0 but the table codes nothing
+	} else {
+		lanes, err = splitLanes(&r, data)
+	}
+	if err != nil {
+		releaseDecoder(d)
+		return nil, nil, lanes, err
+	}
+	return out, d, lanes, nil
+}
+
+// splitLanes reads the byte-aligned lane directory at r's position in data
+// and resolves it into the byte range of every lane.
+func splitLanes(r *bitio.Reader, data []byte) (lanes [numLanes][]byte, err error) {
+	r.AlignByte()
+	var laneLen [numLanes - 1]uint64
+	for k := range laneLen {
+		if laneLen[k], err = r.ReadBits(40); err != nil {
+			return lanes, err
+		}
+	}
+	off := int64(r.ByteOffset())
+	for k := range laneLen {
+		end := off + int64(laneLen[k])
+		if end < off || end > int64(len(data)) {
+			return lanes, ErrCorrupt
+		}
+		lanes[k] = data[off:end]
+		off = end
+	}
+	lanes[numLanes-1] = data[off:]
+	return lanes, nil
 }
 
 // DecodeLanesInto reverses EncodeLanes, decoding into dst when its
@@ -753,41 +598,15 @@ func DecodeLanes(data []byte, alphabet, workers int) ([]uint16, error) {
 // laneParallelMin symbols hand whole lanes to parallel.For when workers >
 // 1. alphabet must match the encoder's.
 func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16, error) {
-	var r bitio.Reader
-	out, d, err := decodeHeader(&r, dst, data, alphabet)
+	out, d, laneData, err := decodeLanesHeader(dst, data, alphabet)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseDecoder(d)
-	if len(out) == 0 {
+	nn := len(out)
+	if nn == 0 {
 		return out, nil
 	}
-
-	// Lane directory, then the byte-framed lane payloads.
-	r.AlignByte()
-	var laneData [numLanes][]byte
-	var laneLen [numLanes - 1]uint64
-	for k := range laneLen {
-		if laneLen[k], err = r.ReadBits(40); err != nil {
-			return nil, err
-		}
-	}
-	off := int64(r.ByteOffset())
-	for k := range laneLen {
-		end := off + int64(laneLen[k])
-		if end < off || end > int64(len(data)) {
-			return nil, ErrCorrupt
-		}
-		laneData[k] = data[off:end]
-		off = end
-	}
-	laneData[numLanes-1] = data[off:]
-
-	d.build()
-	if d.maxLen == 0 {
-		return nil, ErrCorrupt // n > 0 but the table codes nothing
-	}
-	nn := len(out)
 	// Whole-lane parallel decode pays only when the stream is large enough
 	// to amortize goroutine handoff and the runtime actually has cores to
 	// run lanes on; otherwise the register-resident interleave below is
@@ -803,9 +622,7 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 		var errs [numLanes]error
 		parallel.For(numLanes, workers, func(k int) {
 			lo, hi := laneBounds(nn, k)
-			var lr bitio.Reader
-			lr.Reset(lanes[k])
-			errs[k] = decodeStream(d, &lr, out[lo:hi])
+			errs[k] = d.decodeLane(laneReader{buf: lanes[k]}, out[lo:hi])
 		})
 		for _, e := range errs {
 			if e != nil {
@@ -819,6 +636,117 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 		return nil, err
 	}
 	return out, nil
+}
+
+// DecodeLanesRange decodes the symbols [lo, hi) of an EncodeLanes stream,
+// using the lane directory as the random-access index it is: a lane starts
+// at a known byte and a known symbol, so lanes that end before lo or start
+// at or after hi are skipped, and the last touched lane stops at hi. The
+// result has the stream's full length, like DecodeLanesInto's (dst reused
+// when its capacity suffices), but only out[lo:hi] is guaranteed decoded;
+// the rest keeps whatever dst held, except that a touched lane decodes
+// from its start. decoded reports how many symbols were actually decoded.
+// [lo, hi) is clamped to the stream; the whole stream takes the
+// interleaved path of DecodeLanesInto.
+func DecodeLanesRange(dst []uint16, data []byte, alphabet, lo, hi int) (out []uint16, decoded int, err error) {
+	out, d, lanes, err := decodeLanesHeader(dst, data, alphabet)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer releaseDecoder(d)
+	n := len(out)
+	lo, hi = max(lo, 0), min(hi, n)
+	if lo == 0 && hi == n && n > 0 {
+		if err := d.decodeLanesInterleaved(&lanes, out, n); err != nil {
+			return nil, 0, err
+		}
+		return out, n, nil
+	}
+	for k := range lanes {
+		start, end := laneBounds(n, k)
+		end = min(end, hi)
+		if end <= lo || start >= end {
+			continue
+		}
+		if err := d.decodeLane(laneReader{buf: lanes[k]}, out[start:end]); err != nil {
+			return nil, 0, err
+		}
+		decoded += end - start
+	}
+	return out, decoded, nil
+}
+
+// laneReader is the bit-reader state of one lane: LSB-first accumulator,
+// valid-bit count and byte cursor, as in bitio.Reader but held by value so
+// the decode loops keep it in registers.
+type laneReader struct {
+	buf  []byte
+	acc  uint64
+	navl uint
+	pos  int
+}
+
+// decodeLane decodes len(out) symbols from r. While the lane holds a full
+// word to refill from, symbols decode on the unchecked fast path — the
+// single-chain form of decodeLanesInterleaved's loop, except that a refill
+// (>= 56 valid bits) lasts until fewer than maxLen bits are left instead of
+// a fixed 56/maxLen symbols: a table whose rarest code is 25 bits long
+// still decodes a dozen typical 3-bit symbols per refill, not two. The
+// sub-word tail finishes on finishLane.
+func (d *decoder) decodeLane(r laneReader, out []uint16) error {
+	b, acc, navl, p, fast := r.buf, r.acc, r.navl, r.pos, d.fast
+	i, maxLen := 0, uint(d.maxLen)
+	for i < len(out) && p+8 <= len(b) && maxLen > 0 {
+		// Refill to >= 56 valid bits (see Reader.Refill).
+		acc |= binary.LittleEndian.Uint64(b[p:]) << navl
+		adv := (63 - navl) >> 3
+		p += int(adv)
+		navl += adv * 8
+		acc &= 1<<navl - 1
+		for ; navl >= maxLen && i < len(out); i++ {
+			t := fast[acc&(1<<fastBits-1)]
+			l := uint(t & 0xff)
+			if l == 0 {
+				s, sl, ok := d.slowWalk(acc)
+				if !ok {
+					return ErrCorrupt
+				}
+				t, l = uint32(s)<<8, sl
+			}
+			acc >>= l
+			navl -= l
+			out[i] = uint16(t >> 8)
+		}
+	}
+	return d.finishLane(laneReader{buf: b, acc: acc, navl: navl, pos: p}, out[i:])
+}
+
+// finishLane decodes len(out) symbols from r on the fully checked
+// per-symbol path: byte-granular refill and an explicit bit budget, so it
+// is safe up to the last bit of the lane.
+func (d *decoder) finishLane(r laneReader, out []uint16) error {
+	b, acc, navl, p := r.buf, r.acc, r.navl, r.pos
+	for c := range out {
+		for navl <= 56 && p < len(b) {
+			acc |= uint64(b[p]) << navl
+			p++
+			navl += 8
+		}
+		e := d.fast[acc&(1<<fastBits-1)]
+		l := uint(e & 0xff)
+		sym := uint16(e >> 8)
+		if l == 0 || l > navl {
+			s2, l2, ok := d.slowWalk(acc)
+			if !ok || l2 > navl {
+				return ErrCorrupt
+			}
+			sym, l = s2, l2
+		}
+		acc >>= l
+		navl -= l
+		out[c] = sym
+	}
+	return nil
 }
 
 // decodeLanesInterleaved decodes all numLanes lanes on the calling
@@ -932,46 +860,15 @@ func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, 
 		}
 	}
 	// Ragged tails: spill the lane states and finish each lane on the
-	// checked per-symbol path (byte-granular refill, explicit bit budget).
-	bufs := [numLanes][]byte{b0, b1, b2, b3}
-	accs := [numLanes]uint64{a0, a1, a2, a3}
-	navls := [numLanes]uint{n0, n1, n2, n3}
-	poss := [numLanes]int{p0, p1, p2, p3}
-	curs := [numLanes]int{c0, c1, c2, c3}
-	ends := [numLanes]int{e0, e1, e2, e3}
-	for k := 0; k < numLanes; k++ {
-		b, acc, navl, p := bufs[k], accs[k], navls[k], poss[k]
-		for c := curs[k]; c < ends[k]; c++ {
-			for navl <= 56 && p < len(b) {
-				acc |= uint64(b[p]) << navl
-				p++
-				navl += 8
-			}
-			e := fast[acc&(1<<fastBits-1)]
-			l := uint(e & 0xff)
-			sym := uint16(e >> 8)
-			if l == 0 || l > navl {
-				s2, l2, ok := d.slowWalk(acc)
-				if !ok || l2 > navl {
-					return ErrCorrupt
-				}
-				sym, l = s2, l2
-			}
-			acc >>= l
-			navl -= l
-			out[c] = sym
-		}
+	// checked per-symbol path.
+	if err := d.finishLane(laneReader{b0, a0, n0, p0}, out[c0:e0]); err != nil {
+		return err
 	}
-	return nil
-}
-
-// CompressedSizeEstimate returns the entropy-based lower bound, in bytes,
-// of Huffman-coding the given counts; used by heuristics and tests.
-func CompressedSizeEstimate(counts []uint64) int {
-	t := BuildTable(counts)
-	var totalBits uint64
-	for sym, c := range counts {
-		totalBits += c * uint64(t.lengths[sym])
+	if err := d.finishLane(laneReader{b1, a1, n1, p1}, out[c1:e1]); err != nil {
+		return err
 	}
-	return int((totalBits + 7) / 8)
+	if err := d.finishLane(laneReader{b2, a2, n2, p2}, out[c2:e2]); err != nil {
+		return err
+	}
+	return d.finishLane(laneReader{b3, a3, n3, p3}, out[c3:e3])
 }

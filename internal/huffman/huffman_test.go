@@ -2,9 +2,13 @@ package huffman
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"stz/internal/bitio"
 )
 
 func roundTrip(t *testing.T, codes []uint16, alphabet int) []byte {
@@ -170,48 +174,151 @@ func TestTruncatedStream(t *testing.T) {
 }
 
 func TestDepthLimiting(t *testing.T) {
-	// Fibonacci-like counts force maximal depth; codec must cap at 31 and
-	// still round-trip.
+	// Fibonacci-like counts force maximal depth; the length builder must cap
+	// at maxCodeLen and still produce a complete prefix code.
 	const n = 48
-	counts := make([]uint64, n)
+	var bs buildScratch
 	a, b := uint64(1), uint64(1)
 	for i := 0; i < n; i++ {
-		counts[i] = a
+		bs.table = append(bs.table, symLen{sym: uint16(i)})
+		bs.counts = append(bs.counts, a)
 		a, b = b, a+b
 	}
-	tbl := BuildTable(counts)
-	for sym, l := range tbl.lengths {
-		if counts[sym] > 0 && (l == 0 || l > maxCodeLen) {
-			t.Fatalf("sym %d length %d out of range", sym, l)
-		}
+	if got := bs.buildLengths(); got <= maxCodeLen {
+		t.Fatalf("unlimited depth %d: the counts do not exercise the limiter", got)
 	}
-	// Build a code stream matching those counts (scaled down).
+	bs.codeLengths()
+	var kraft uint64
+	for _, e := range bs.table {
+		if e.len == 0 || e.len > maxCodeLen {
+			t.Fatalf("sym %d length %d out of range", e.sym, e.len)
+		}
+		kraft += 1 << (maxCodeLen - e.len)
+	}
+	if kraft != 1<<maxCodeLen {
+		t.Fatalf("Kraft sum %d/%d: not a complete prefix code", kraft, uint64(1)<<maxCodeLen)
+	}
+	// A stream over those symbols (counts scaled down) still round-trips.
 	var codes []uint16
+	a, b = 1, 1
 	for sym := 0; sym < n; sym++ {
-		reps := int(counts[sym] % 97)
-		for r := 0; r < reps; r++ {
+		for r := 0; r < int(a%97); r++ {
 			codes = append(codes, uint16(sym))
 		}
+		a, b = b, a+b
 	}
 	roundTrip(t, codes, n)
 }
 
-func TestKraftValidation(t *testing.T) {
-	lengths := make([]uint8, 8)
-	for i := range lengths {
-		lengths[i] = 1 // oversubscribed: eight 1-bit codes
+// craftStream frames a code-length table no encoder produces: the symbol
+// count n, then the listed (symbol delta, length) entries, then — byte
+// aligned — a directory of three 1-byte lanes and four zero payload bytes.
+func craftStream(n uint64, entries [][2]uint64) []byte {
+	w := bitio.NewWriter(64)
+	w.WriteGamma(n)
+	w.WriteGamma(uint64(len(entries)))
+	for _, e := range entries {
+		w.WriteGamma(e[0])
+		w.WriteBits(e[1], 5)
 	}
-	tt := tableFromLengths(lengths)
-	if err := tt.validate(); err == nil {
-		t.Fatal("oversubscribed code accepted")
+	w.AlignByte()
+	w.WriteBytes([]byte{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	return w.Bytes()
+}
+
+// decodeAll runs data through every decode entry point; all must agree on
+// whether it is a stream.
+func decodeAll(data []byte, alphabet int) []error {
+	_, e1 := Decode(data, alphabet)
+	_, e2 := DecodeLanesInto(nil, data, alphabet, 1)
+	_, e3 := DecodeLanesInto(nil, data, alphabet, 4)
+	_, _, e4 := DecodeLanesRange(nil, data, alphabet, 1, 3)
+	return []error{e1, e2, e3, e4}
+}
+
+func TestCorruptTablesRejected(t *testing.T) {
+	ones := func(n int, l uint64) [][2]uint64 {
+		out := make([][2]uint64, n)
+		for i := range out {
+			out[i] = [2]uint64{0, l}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		alphabet int
+		entries  [][2]uint64
+	}{
+		{"oversubscribed: eight 1-bit codes", 8, ones(8, 1)},
+		{"oversubscribed: three 1-bit codes", 8, ones(3, 1)},
+		{"distinct > alphabet", 4, ones(5, 3)},
+		{"symbol >= alphabet", 8, [][2]uint64{{3, 1}, {4, 1}}},
+		{"delta >= alphabet", 8, [][2]uint64{{8, 1}}},
+		{"length 0", 8, [][2]uint64{{0, 1}, {0, 0}}},
+	} {
+		for i, err := range decodeAll(craftStream(8, tc.entries), tc.alphabet) {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: entry point %d: err = %v, want ErrCorrupt", tc.name, i, err)
+			}
+		}
+	}
+	// The same framing with a complete code is a stream.
+	for i, err := range decodeAll(craftStream(8, [][2]uint64{{0, 1}, {0, 2}, {0, 2}}), 8) {
+		if err != nil {
+			t.Errorf("valid crafted table: entry point %d: %v", i, err)
+		}
 	}
 }
 
-func TestCompressedSizeEstimate(t *testing.T) {
-	counts := []uint64{100, 100, 100, 100}
-	// 4 equiprobable symbols -> 2 bits each -> 100 bytes.
-	if got := CompressedSizeEstimate(counts); got != 100 {
-		t.Fatalf("estimate=%d want 100", got)
+// TestTableCountBeyondBlobRejected: a table that claims more entries than
+// the rest of the blob has bits for is refused before the table grows.
+func TestTableCountBeyondBlobRejected(t *testing.T) {
+	w := bitio.NewWriter(16)
+	w.WriteGamma(60000) // distinct; fits the alphabet, not the 12 bytes below
+	w.WriteBits(0xABCDEF, 24)
+	w.AlignByte()
+	w.WriteBytes(make([]byte, 8))
+	d := new(decoder)
+	if err := d.readTable(bitio.NewReader(w.Bytes()), 1<<16); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if cap(d.table) != 0 {
+		t.Fatalf("table grew to %d entries before the count was refused", cap(d.table))
+	}
+}
+
+// TestEntropyBounds pins the coded size between the source's Shannon bound
+// and Huffman's one-bit-per-symbol redundancy bound (plus the table).
+func TestEntropyBounds(t *testing.T) {
+	// 4 equiprobable symbols -> 2 bits each -> a 100-byte payload.
+	codes := make([]uint16, 400)
+	for i := range codes {
+		codes[i] = uint16(i % 4)
+	}
+	if got := len(Encode(codes, 4)); got < 100 || got > 100+8 {
+		t.Fatalf("4 equiprobable symbols x100: %d bytes, want 100 + a header of at most 8", got)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	codes = make([]uint16, 40000)
+	hist := map[uint16]int{}
+	for i := range codes {
+		codes[i] = uint16(32768 + int(rng.NormFloat64()*6))
+		hist[codes[i]]++
+	}
+	var entropyBits float64
+	for _, c := range hist {
+		entropyBits -= float64(c) * math.Log2(float64(c)/float64(len(codes)))
+	}
+	tableBits := float64(len(hist)*(5+2*16) + 64)
+	for name, enc := range map[string][]byte{"v1": Encode(codes, 65536), "lanes": EncodeLanes(codes, 65536)} {
+		got := float64(8 * len(enc))
+		if got < entropyBits {
+			t.Errorf("%s: %.0f bits, below the entropy bound %.0f", name, got, entropyBits)
+		}
+		if hi := entropyBits + float64(len(codes)) + tableBits + 8*32; got > hi {
+			t.Errorf("%s: %.0f bits, above entropy + 1 bit/symbol + table = %.0f", name, got, hi)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package huffman
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ func laneRoundTrip(t *testing.T, codes []uint16, alphabet int) []byte {
 	}
 	enc := EncodeLanes(codes, alphabet)
 	for _, workers := range []int{1, 4} {
-		dec, err := DecodeLanes(enc, alphabet, workers)
+		dec, err := DecodeLanesInto(nil, enc, alphabet, workers)
 		if err != nil {
 			t.Fatalf("lanes decode (workers=%d): %v", workers, err)
 		}
@@ -125,7 +126,7 @@ func TestLanesCorruptAndTruncated(t *testing.T) {
 	}
 	enc := EncodeLanes(codes, 100)
 	for cut := 0; cut < len(enc); cut += 5 {
-		if _, err := DecodeLanes(enc[:cut], 100, 1); err == nil && cut < len(enc)/2 {
+		if _, err := DecodeLanesInto(nil, enc[:cut], 100, 1); err == nil && cut < len(enc)/2 {
 			t.Fatalf("truncation at %d of %d not detected", cut, len(enc))
 		}
 	}
@@ -133,8 +134,8 @@ func TestLanesCorruptAndTruncated(t *testing.T) {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0xff
 		// Must not panic; error or wrong data are both acceptable.
-		_, _ = DecodeLanes(mut, 100, 1)
-		_, _ = DecodeLanes(mut, 100, 4)
+		_, _ = DecodeLanesInto(nil, mut, 100, 1)
+		_, _ = DecodeLanesInto(nil, mut, 100, 4)
 	}
 }
 
@@ -158,7 +159,7 @@ func FuzzHuffmanLanes(f *testing.F) {
 		}
 		enc := EncodeLanes(codes, alphabet)
 		for _, workers := range []int{1, 4} {
-			dec, err := DecodeLanes(enc, alphabet, workers)
+			dec, err := DecodeLanesInto(nil, enc, alphabet, workers)
 			if err != nil {
 				t.Fatalf("lanes decode (workers=%d): %v", workers, err)
 			}
@@ -175,6 +176,110 @@ func FuzzHuffmanLanes(f *testing.F) {
 	})
 }
 
+// TestLanesRange decodes every lane-boundary-straddling range of a stream
+// into a dirty buffer: the range must match the full decode, and only lane
+// prefixes the range touches may have been decoded.
+func TestLanesRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 1000, 4099} {
+		codes := make([]uint16, n)
+		for i := range codes {
+			codes[i] = uint16(rng.Intn(300))
+		}
+		enc := EncodeLanes(codes, 512)
+		cuts := []int{0, 1, n / 4, n/4 + 1, n / 2, n/2 + 1, 3 * n / 4, 3*n/4 + 1, n - 1, n}
+		for _, lo := range cuts {
+			for _, hi := range cuts {
+				if lo < 0 || hi < lo {
+					continue
+				}
+				checkRange(t, enc, codes, 512, lo, hi)
+			}
+		}
+	}
+	// Out-of-stream bounds clamp.
+	codes := []uint16{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	checkRange(t, EncodeLanes(codes, 16), codes, 16, -5, 100)
+}
+
+// checkRange asserts DecodeLanesRange(lo, hi) on enc, the lane encoding of
+// codes, against the contract: full-length result, [lo, hi) decoded, and a
+// decoded count that is the touched lanes' prefixes — nothing from a lane
+// that ends at or before lo or starts at or after hi.
+func checkRange(t *testing.T, enc []byte, codes []uint16, alphabet, lo, hi int) {
+	t.Helper()
+	n := len(codes)
+	dst := make([]uint16, n)
+	for i := range dst {
+		dst[i] = 0xFFFF
+	}
+	out, decoded, err := DecodeLanesRange(dst[:0], enc, alphabet, lo, hi)
+	if err != nil {
+		t.Fatalf("n=%d [%d,%d): %v", n, lo, hi, err)
+	}
+	if len(out) != n {
+		t.Fatalf("n=%d [%d,%d): result length %d", n, lo, hi, len(out))
+	}
+	lo, hi = max(lo, 0), min(hi, n)
+	for i := lo; i < hi; i++ {
+		if out[i] != codes[i] {
+			t.Fatalf("n=%d [%d,%d): symbol %d: got %d want %d", n, lo, hi, i, out[i], codes[i])
+		}
+	}
+	want := 0
+	for k := 0; k < numLanes; k++ {
+		if s, e := laneBounds(n, k); lo < hi && s < hi && e > lo {
+			want += min(e, hi) - s
+		}
+	}
+	if decoded != want {
+		t.Fatalf("n=%d [%d,%d): decoded %d symbols, want %d", n, lo, hi, decoded, want)
+	}
+}
+
+// FuzzDecodeLanesRange: for fuzzed codes and (lo, hi), the range decode
+// equals the same window of the full decode; and a corrupted or truncated
+// copy of the stream is rejected or decoded without a panic and without
+// allocating past what its own length can justify.
+func FuzzDecodeLanesRange(f *testing.F) {
+	f.Add([]byte{}, uint16(4), uint16(0), uint16(0), uint16(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint16(9), uint16(2), uint16(5), uint16(3))
+	f.Add(bytes.Repeat([]byte{3, 200, 7}, 300), uint16(700), uint16(500), uint16(650), uint16(40))
+	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}, uint16(255), uint16(12), uint16(4), uint16(9))
+	f.Fuzz(func(t *testing.T, raw []byte, span, a, b, hit uint16) {
+		alphabet := int(span)%2048 + 1
+		codes := make([]uint16, len(raw))
+		for i, v := range raw {
+			codes[i] = uint16(int(v) * alphabet / 256)
+		}
+		enc := EncodeLanes(codes, alphabet)
+		lo, hi := int(a)%(len(codes)+1), int(b)%(len(codes)+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		checkRange(t, enc, codes, alphabet, lo, hi)
+
+		// One flipped byte, then a truncation at the same spot.
+		at := int(hit) % len(enc)
+		mut := append([]byte(nil), enc...)
+		mut[at] ^= 0xff
+		for _, bad := range [][]byte{mut, enc[:at]} {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			out, decoded, err := DecodeLanesRange(nil, bad, alphabet, lo, hi)
+			runtime.ReadMemStats(&m1)
+			if err == nil && (decoded > len(out) || len(out) > 8*len(bad)) {
+				t.Fatalf("corrupt stream accepted with %d of %d symbols decoded from %d bytes", decoded, len(out), len(bad))
+			}
+			// A stream of b bytes holds at most 8b symbols (2 bytes each); the
+			// pooled decoder state is at most a table and a 4 KiB fast table.
+			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(16*len(bad))+1<<20 {
+				t.Fatalf("decoding %d corrupt bytes allocated %d", len(bad), alloc)
+			}
+		}
+	})
+}
+
 // FuzzDecodeLanes throws arbitrary bytes at the lane decoder: it must
 // error or succeed but never panic or read out of bounds.
 func FuzzDecodeLanes(f *testing.F) {
@@ -183,7 +288,8 @@ func FuzzDecodeLanes(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff}, uint16(4))
 	f.Fuzz(func(t *testing.T, data []byte, span uint16) {
 		alphabet := int(span)%4096 + 1
-		_, _ = DecodeLanes(data, alphabet, 1)
-		_, _ = DecodeLanes(data, alphabet, 4)
+		_, _ = DecodeLanesInto(nil, data, alphabet, 1)
+		_, _ = DecodeLanesInto(nil, data, alphabet, 4)
+		_, _, _ = DecodeLanesRange(nil, data, alphabet, len(data)/3, len(data))
 	})
 }
