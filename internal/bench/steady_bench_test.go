@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"stz/internal/codec"
 	"stz/internal/core"
@@ -79,11 +80,30 @@ func BenchmarkSteadyStateSTZ(b *testing.B) {
 		b.SetBytes(int64(4 * len(g.Data)))
 		b.ReportAllocs()
 		b.ResetTimer()
+		var sum core.EncodeStats
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Compress(g, cfg); err != nil {
+			_, st, err := core.CompressStats(g, cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			sum.Chain += st.Chain
+			sum.L1Encode += st.L1Encode + st.L1Verify
+			sum.Assemble += st.Assemble
+			sum.Total += st.Total
+			for p := range st.Quantise {
+				sum.Quantise[0] += st.Quantise[p]
+				sum.Entropy[0] += st.Entropy[p]
+			}
 		}
+		// Where the write side goes, as shares of the summed wall time.
+		share := func(name string, d time.Duration) {
+			b.ReportMetric(100*float64(d)/float64(sum.Total), name)
+		}
+		share("chain-%", sum.Chain)
+		share("l1-%", sum.L1Encode)
+		share("quantise-%", sum.Quantise[0])
+		share("entropy-%", sum.Entropy[0])
+		share("assemble-%", sum.Assemble)
 		reportPoolStats(b)
 	})
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"stz/internal/codec"
 	"stz/internal/container"
@@ -152,16 +153,42 @@ func readValues[T grid.Float](dst []T, data []byte) error {
 	return nil
 }
 
+// EncodeStats is the per-stage timing breakdown of a compression — the
+// write-side mirror of Stats. It is an output, not a knob.
+type EncodeStats struct {
+	Chain    time.Duration // coarse-chain extraction
+	L1Encode time.Duration // level 1 through the base codec
+	L1Verify time.Duration // its decode: the reconstruction level 2 is predicted from
+	// Per predicted level (index 0 = paper level 2, up to level 4): the
+	// predict+quantise sweep, then the class-parallel section builds
+	// (Huffman; under ResidSZ3 the whole per-class residual pipeline).
+	Quantise [3]time.Duration
+	Entropy  [3]time.Duration
+	Assemble time.Duration // container framing
+	Total    time.Duration
+	Outliers [3]int // escaped points per predicted level
+}
+
 // Compress encodes g as an STZ stream under cfg.
 func Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
+	enc, _, err := CompressStats(g, cfg)
+	return enc, err
+}
+
+// CompressStats is Compress reporting where the time went.
+func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeStats, error) {
+	st := &EncodeStats{}
+	t0 := time.Now()
+	defer func() { st.Total = time.Since(t0) }()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	if g.Len() == 0 {
-		return nil, fmt.Errorf("core: empty grid")
+		return nil, st, fmt.Errorf("core: empty grid")
 	}
 	if cfg.PartitionOnly {
-		return compressPartitionOnly(g, cfg)
+		enc, err := compressPartitionOnly(g, cfg)
+		return enc, st, err
 	}
 	workers := cfg.Workers
 	if workers < 1 {
@@ -193,6 +220,7 @@ func Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
 		p.ExtractStrideInto(sub, grid.Offset3{}, 2)
 		chain[t] = sub
 	}
+	st.Chain = time.Since(t0)
 
 	var b container.Builder
 	codeChunk := cfg.CodeChunk
@@ -211,199 +239,258 @@ func Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
 
 	// Level 1: the deepest coarse sub-block through the base codec (always
 	// serial so that parallel and serial STZ produce identical streams).
+	t1 := time.Now()
 	l1cfg := codec.Config{EB: cfg.levelEB(1), Radius: cfg.radius()}
 	l1blob, err := codec.Compress(base, chain[levels-1], l1cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: level-1 %s: %w", base.Name(), err)
+		return nil, st, fmt.Errorf("core: level-1 %s: %w", base.Name(), err)
 	}
 	b.Add(l1blob)
+	t2 := time.Now()
+	st.L1Encode = t2.Sub(t1)
 	coarseRecon, err := codec.Decompress[T](base, l1blob, 1)
 	if err != nil {
-		return nil, fmt.Errorf("core: level-1 verify: %w", err)
+		return nil, st, fmt.Errorf("core: level-1 verify: %w", err)
 	}
+	// Nothing else holds the verify grid, so its backing (a scratch lease
+	// for the sz3 base) goes back with the others, as in the reader.
+	leased = append(leased, coarseRecon.Data)
+	st.L1Verify = time.Since(t2)
 
 	// Predicted levels, coarsest to finest.
 	for t := levels - 1; t >= 1; t-- {
 		fine := chain[t-1]
-		lv := levels - t + 1 // paper level of the classes being coded
-		eb := cfg.levelEB(lv)
-		q := quant.Quantizer{EB: eb, Radius: cfg.radius()}
+		p := levels - 1 - t // 0 = paper level 2
+		q := quant.Quantizer{EB: cfg.levelEB(p + 2), Radius: cfg.radius()}
+		// The finest level's reconstruction has no consumer.
 		var fineRecon *grid.Grid[T]
 		if t > 1 {
 			fineRecon = leaseGrid(fine.Nz, fine.Ny, fine.Nx)
-			fineRecon.InsertStride(coarseRecon, grid.Offset3{}, 2)
 		}
+		secs, err := compressLevel(fine, fineRecon, coarseRecon, q, cfg, workers, p, st)
+		if err != nil {
+			return nil, st, err
+		}
+		for _, s := range secs {
+			b.Add(s)
+		}
+		coarseRecon = fineRecon
+	}
+	t3 := time.Now()
+	enc := b.Bytes()
+	st.Assemble = time.Since(t3)
+	return enc, st, nil
+}
 
-		needRecon := t > 1 // the finest level's reconstruction has no consumer
-		classes := predictedClasses()
-		secs := make([][]byte, len(classes))
-		errs := make([]error, len(classes))
-		parallel.For(len(classes), workers, func(c int) {
-			secs[c], errs[c] = compressClass(fine, fineRecon, coarseRecon, classes[c], q, cfg, needRecon)
+// appendEscape appends the storage form of v to buf, a z-block's escaped
+// values of one class held in a scratch.Bytes lease (nil until the first
+// escape). It re-leases as buf grows, so releasing the returned slice hands
+// back exactly the buffer that is held.
+func appendEscape[T grid.Float](buf []byte, v T) []byte {
+	if len(buf)+8 > cap(buf) {
+		grown := scratch.Bytes.Lease(max(256, 2*cap(buf)))[:len(buf)]
+		copy(grown, buf)
+		scratch.Bytes.Release(buf)
+		buf = grown
+	}
+	return appendValue(buf, v)
+}
+
+// compressLevel codes the seven predicted classes of fine against the
+// reconstructed coarse grid (predicted level p, 0 = paper level 2) and
+// returns their sections in class order. A non-nil fineRecon — a finer
+// level will be predicted from it — receives the level's reconstruction,
+// coarse lattice included.
+//
+// One sweep over the coarse rows, parallel over z-blocks, predicts and
+// quantises all seven classes: each block writes its own index range of
+// the per-class code buffers and collects its escapes per class, so the
+// blocks' escapes concatenated in block order are in class order and the
+// archive does not depend on the worker count. The section builds (entropy
+// coding) then run class-parallel.
+func compressLevel[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Quantizer,
+	cfg Config, workers, p int, st *EncodeStats) ([][]byte, error) {
+
+	t0 := time.Now()
+	lv := newLevel(coarse, fine.Nz, fine.Ny, fine.Nx, cfg.Predictor)
+	secs := make([][]byte, 7)
+	if cfg.Residual == ResidSZ3 {
+		if fineRecon != nil {
+			fineRecon.InsertStride(coarse, grid.Offset3{}, 2)
+		}
+		errs := make([]error, 7)
+		parallel.For(7, workers, func(i int) {
+			secs[i], errs[i] = compressClassSZ3(lv, i+1, fine, fineRecon, q)
 		})
+		st.Entropy[p] = time.Since(t0)
 		for _, e := range errs {
 			if e != nil {
 				return nil, e
 			}
 		}
-		for _, s := range secs {
-			b.Add(s)
-		}
-		if t > 1 {
-			coarseRecon = fineRecon
-		}
+		return secs, nil
 	}
-	return b.Bytes(), nil
+
+	var codes [8][]uint16
+	for c := 1; c < 8; c++ {
+		codes[c] = scratch.U16.Lease(lv.classLen(c))
+	}
+	bounds := parallel.Chunks(coarse.Nz, zBlocks(coarse.Nz, workers))
+	escapes := make([][8][]byte, len(bounds)-1) // [block][class]
+	defer func() {
+		for c := 1; c < 8; c++ {
+			scratch.U16.Release(codes[c])
+		}
+		for b := range escapes {
+			for _, buf := range escapes[b] {
+				scratch.Bytes.Release(buf)
+			}
+		}
+	}()
+
+	whole := lv.subBoxes(grid.FullBox(fine))
+	fq := q.Fast()
+	fdata := fine.Data
+	var rdata []T
+	if fineRecon != nil {
+		rdata = fineRecon.Data
+	}
+	parallel.For(len(escapes), workers, func(b int) {
+		preds := scratch.LeaseFloat[T](coarse.Nx)
+		defer scratch.ReleaseFloat(preds)
+		esc := &escapes[b]
+		lv.sweep(&whole, bounds[b], bounds[b+1], preds, func(c, k, j, lo, hi int, preds []T) {
+			off := grid.Stride2Offsets[c]
+			f0 := ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx + off.X
+			if c == 0 {
+				if rdata != nil {
+					spread(rdata[f0:], coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][:hi])
+				}
+				return
+			}
+			d := lv.dims[c]
+			row := codes[c][(k*d[1]+j)*d[2]:][:hi]
+			var rrow []T
+			if rdata != nil {
+				rrow = rdata[f0:]
+			}
+			if quant.QuantizeRow(fq, fdata[f0:], 2, preds, row, rrow) > 0 {
+				for t, code := range row {
+					if code == 0 {
+						esc[c] = appendEscape(esc[c], fdata[f0+2*t])
+					}
+				}
+			}
+		})
+	})
+	t1 := time.Now()
+	st.Quantise[p] = t1.Sub(t0)
+
+	elem := int(dtypeOf[T]())
+	parallel.For(7, workers, func(i int) {
+		secs[i] = classSection(codes[i+1], escapes, i+1, elem, q.Alphabet(), cfg.CodeChunk)
+	})
+	for _, s := range secs {
+		st.Outliers[p] += int(binary.LittleEndian.Uint32(s))
+	}
+	st.Entropy[p] = time.Since(t1)
+	return secs, nil
 }
 
-// compressClass encodes one parity class of the fine grid, writing the
-// per-point reconstructions into fineRecon (each class touches a disjoint
-// point set, so classes may run concurrently). The quantizing path runs the
-// fused predict+quantize kernel: one traversal of the class emitting
-// quantization codes (and reconstructions) directly from the prediction
-// rows, with all work buffers leased from the scratch arenas.
-func compressClass[T grid.Float](fine, fineRecon, coarse *grid.Grid[T],
-	off grid.Offset3, q quant.Quantizer, cfg Config, needRecon bool) ([]byte, error) {
-
-	bz, by, bx := classDims(off, fine.Nz, fine.Ny, fine.Nx)
-	n := bz * by * bx
-	sb := grid.Box{Z1: bz, Y1: by, X1: bx}
-	kind := cfg.Predictor
-
-	if cfg.Residual == ResidSZ3 {
-		// Ablation path: residual sub-block through the full SZ3 pipeline.
-		// The residual bound is tightened by 0.1% so that the float rounding
-		// of the final pred+diff recombination stays inside the user bound.
-		diffBuf := scratch.LeaseFloat[T](n)
-		defer scratch.ReleaseFloat(diffBuf)
-		diff := &grid.Grid[T]{Data: diffBuf, Nz: bz, Ny: by, Nx: bx}
-		preds := scratch.LeaseFloat[T](bx)
-		defer scratch.ReleaseFloat(preds)
-		classPredRows(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, preds,
-			func(k, j, ciRow, fineRow int, preds []T) {
-				for t, pred := range preds {
-					diffBuf[ciRow+t] = fine.Data[fineRow+off.X+2*t] - pred
-				}
-			})
-		blob, err := sz3.Compress(diff, sz3.Options{EB: q.EB * 0.999, Radius: q.Radius})
-		if err != nil {
-			return nil, err
-		}
-		// This runs inside the class-parallel pool: keep the nested sz3
-		// decode (and its v2 lane decode) serial rather than oversubscribing.
-		diffRec, err := sz3.DecompressWorkers[T](blob, 1)
-		if err != nil {
-			return nil, err
-		}
-		if needRecon {
-			classPredRows(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, preds,
-				func(k, j, ciRow, fineRow int, preds []T) {
-					for t, pred := range preds {
-						fineRecon.Data[fineRow+off.X+2*t] = pred + diffRec.Data[ciRow+t]
-					}
-				})
-		}
-		return blob, nil
+// classSection frames one quantised class: escape count, the escaped values
+// (class c's buffer of every z-block, in block order), then the entropy-coded
+// codes — one multi-lane Huffman stream, or with CodeChunk > 0 independent
+// chunks behind a directory.
+func classSection(codes []uint16, escapes [][8][]byte, c, elem, alphabet, codeChunk int) []byte {
+	outBytes := 0
+	for b := range escapes {
+		outBytes += len(escapes[b][c])
 	}
-
-	codes := scratch.U16.Lease(n)
-	defer scratch.U16.Release(codes)
-	elem := 8
-	if dtypeOf[T]() == 4 {
-		elem = 4
+	frame := func(rest int) []byte {
+		sec := make([]byte, 0, 4+outBytes+rest)
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(outBytes/elem))
+		for b := range escapes {
+			sec = append(sec, escapes[b][c]...)
+		}
+		return sec
 	}
-	// Sized for ~12% escapes so outlier-heavy bounds rarely outgrow the
-	// lease (append growth past the lease is correct, just unpooled).
-	outliers := scratch.Bytes.Lease(64 + n*elem/8)[:0]
-	defer func() { scratch.Bytes.Release(outliers) }()
-	var nOutliers uint32
-	fq := q.Fast()
-	preds := scratch.LeaseFloat[T](bx)
-	fdata := fine.Data
-	if needRecon {
-		rdata := fineRecon.Data
-		classPredRows(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, preds,
-			func(k, j, ciRow, fineRow int, preds []T) {
-				fi := fineRow + off.X
-				for t, pred := range preds {
-					v := fdata[fi+2*t]
-					code, rec, ok := quant.QuantizeFastT(fq, v, float64(pred))
-					if !ok {
-						outliers = appendValue(outliers, v)
-						nOutliers++
-						codes[ciRow+t] = 0
-						rdata[fi+2*t] = v
-						continue
-					}
-					codes[ciRow+t] = code
-					rdata[fi+2*t] = rec
-				}
-			})
-	} else {
-		classPredRows(coarse, off, fine.Nz, fine.Ny, fine.Nx, sb, kind, preds,
-			func(k, j, ciRow, fineRow int, preds []T) {
-				fi := fineRow + off.X
-				for t, pred := range preds {
-					v := fdata[fi+2*t]
-					code, _, ok := quant.QuantizeFastT(fq, v, float64(pred))
-					if !ok {
-						outliers = appendValue(outliers, v)
-						nOutliers++
-						codes[ciRow+t] = 0
-						continue
-					}
-					codes[ciRow+t] = code
-				}
-			})
-	}
-	scratch.ReleaseFloat(preds)
-
-	if cfg.CodeChunk > 0 {
+	if codeChunk > 0 {
 		// Random-access Huffman: independent chunks, each with its own code
 		// table, plus a per-chunk directory of (byte length, outlier base).
-		cs := cfg.CodeChunk
+		n, cs := len(codes), codeChunk
 		nChunks := (n + cs - 1) / cs
-		if n == 0 {
-			nChunks = 0
-		}
 		blobs := make([][]byte, nChunks)
 		bases := make([]uint32, nChunks)
 		var zeros uint32
 		blobBytes := 0
-		for c := 0; c < nChunks; c++ {
-			lo, hi := c*cs, (c+1)*cs
-			if hi > n {
-				hi = n
-			}
-			bases[c] = zeros
-			for _, code := range codes[lo:hi] {
+		for i := 0; i < nChunks; i++ {
+			chunk := codes[i*cs : min((i+1)*cs, n)]
+			bases[i] = zeros
+			for _, code := range chunk {
 				if code == 0 {
 					zeros++
 				}
 			}
-			blobs[c] = huffman.EncodeLanes(codes[lo:hi], q.Alphabet())
-			blobBytes += len(blobs[c])
+			blobs[i] = huffman.EncodeLanes(chunk, alphabet)
+			blobBytes += len(blobs[i])
 		}
-		sec := make([]byte, 0, 8+len(outliers)+8*nChunks+blobBytes)
-		sec = binary.LittleEndian.AppendUint32(sec, nOutliers)
-		sec = append(sec, outliers...)
+		sec := frame(4 + 8*nChunks + blobBytes)
 		sec = binary.LittleEndian.AppendUint32(sec, uint32(nChunks))
-		for c := 0; c < nChunks; c++ {
-			sec = binary.LittleEndian.AppendUint32(sec, uint32(len(blobs[c])))
-			sec = binary.LittleEndian.AppendUint32(sec, bases[c])
+		for i := 0; i < nChunks; i++ {
+			sec = binary.LittleEndian.AppendUint32(sec, uint32(len(blobs[i])))
+			sec = binary.LittleEndian.AppendUint32(sec, bases[i])
 		}
-		for c := 0; c < nChunks; c++ {
-			sec = append(sec, blobs[c]...)
+		for i := 0; i < nChunks; i++ {
+			sec = append(sec, blobs[i]...)
 		}
-		return sec, nil
+		return sec
 	}
+	hblob := huffman.EncodeLanes(codes, alphabet)
+	return append(frame(len(hblob)), hblob...)
+}
 
-	hblob := huffman.EncodeLanes(codes, q.Alphabet())
-	sec := make([]byte, 0, 4+len(outliers)+len(hblob))
-	sec = binary.LittleEndian.AppendUint32(sec, nOutliers)
-	sec = append(sec, outliers...)
-	sec = append(sec, hblob...)
-	return sec, nil
+// compressClassSZ3 is the ResidSZ3 ablation for class c: the residual
+// sub-block through the full SZ3 pipeline. The residual bound is tightened
+// by 0.1% so that the float rounding of the final pred+diff recombination
+// stays inside the user bound.
+func compressClassSZ3[T grid.Float](lv *level[T], c int, fine, fineRecon *grid.Grid[T], q quant.Quantizer) ([]byte, error) {
+	d, off, gen := lv.dims[c], grid.Stride2Offsets[c], &lv.gens[c]
+	diff := &grid.Grid[T]{Data: scratch.LeaseFloat[T](lv.classLen(c)), Nz: d[0], Ny: d[1], Nx: d[2]}
+	defer scratch.ReleaseFloat(diff.Data)
+	preds := scratch.LeaseFloat[T](d[2])
+	defer scratch.ReleaseFloat(preds)
+	// rows runs fn over every class row: its predictions, its first class
+	// index and its first fine index (the row's points are 2 apart).
+	rows := func(fn func(preds []T, ci, fi int)) {
+		for k := 0; k < d[0]; k++ {
+			for j := 0; j < d[1]; j++ {
+				gen.row(k, j, 0, d[2], preds)
+				fn(preds, (k*d[1]+j)*d[2], ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx+off.X)
+			}
+		}
+	}
+	rows(func(preds []T, ci, fi int) {
+		for t, pred := range preds {
+			diff.Data[ci+t] = fine.Data[fi+2*t] - pred
+		}
+	})
+	blob, err := sz3.Compress(diff, sz3.Options{EB: q.EB * 0.999, Radius: q.Radius})
+	if err != nil || fineRecon == nil {
+		return blob, err
+	}
+	// This runs inside the class-parallel pool: keep the nested sz3
+	// decode (and its v2 lane decode) serial rather than oversubscribing.
+	diffRec, err := sz3.DecompressWorkers[T](blob, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer scratch.ReleaseFloat(diffRec.Data)
+	rows(func(preds []T, ci, fi int) {
+		for t, pred := range preds {
+			fineRecon.Data[fi+2*t] = pred + diffRec.Data[ci+t]
+		}
+	})
+	return blob, nil
 }
 
 // compressPartitionOnly is the Fig. 5 "Partition" ablation: the 8 stride-2

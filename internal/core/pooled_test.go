@@ -167,3 +167,53 @@ func TestCraftedCodeChunkHeaderBounded(t *testing.T) {
 		t.Fatal("huge CodeChunk with stale chunk layout accepted")
 	}
 }
+
+// leaseBalance returns, per arena, leases minus releases so far.
+func leaseBalance() map[string]int64 {
+	out := map[string]int64{}
+	for name, s := range scratch.All() {
+		out[name] = int64(s.Hits+s.Misses) - int64(s.Releases+s.Discards)
+	}
+	return out
+}
+
+// TestCompressLeaseBalance: Compress hands back every scratch buffer it
+// leases — the level-1 verify grid and, on a field whose escapes outgrow
+// their first lease, the re-leased escape buffers included. A lease dropped
+// (or a foreign slice released) on any path shows as a per-arena imbalance
+// over 10 calls.
+func TestCompressLeaseBalance(t *testing.T) {
+	prev := scratch.SetEnabled(true)
+	defer scratch.SetEnabled(prev)
+	run := func(name string, compress func() error) {
+		t.Helper()
+		if err := compress(); err != nil { // warm: first-call growth is not steady state
+			t.Fatalf("%s: %v", name, err)
+		}
+		before := leaseBalance()
+		for i := 0; i < 10; i++ {
+			if err := compress(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for arena, b := range leaseBalance() {
+			if d := b - before[arena]; d != 0 {
+				t.Errorf("%s: arena %s leased %+d more buffers than it got back over 10 calls", name, arena, d)
+			}
+		}
+	}
+	g := datasets.Nyx(33, 31, 38, 9)
+	for name, cfg := range stzPoolConfigs() {
+		run(name, func() error { _, err := Compress(g, cfg); return err })
+	}
+	for _, wc := range walkerCases() {
+		if wc.name != "L3-f64-outliers" {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			wc.cfg.Workers = workers
+			field := caseField[float64](wc)
+			run(fmt.Sprintf("%s/w%d", wc.name, workers), func() error { _, err := Compress(field, wc.cfg); return err })
+		}
+	}
+}

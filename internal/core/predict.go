@@ -4,111 +4,225 @@ import (
 	"stz/internal/grid"
 )
 
-// predictPoint predicts the value of a parity-class point from the
-// reconstructed coarse grid (the class-0 lattice of the same fine grid).
+// rowGen predicts whole rows of one parity class from the coarse grid: the
+// one prediction generator behind the compressor, every decode and the
+// ResidSZ3 ablation. It applies predictPoint's kernel ladder a row span at a
+// time with unrolled stencils.
 //
-// The class point at class coordinates (k, j, i) with parity offset off
-// sits at fine coordinates (2k+off.Z, 2j+off.Y, 2i+off.X). Along each axis
-// with offset 1 it lies halfway between coarse lattice indices (k, k+1);
-// along offset-0 axes it coincides with coarse index k.
+// Summation order is part of the stream format — the encoder and every
+// decoder must round identically — and differs by kernel:
 //
-// Kernel selection follows the paper's ladder with boundary fallbacks:
-//
-//	cubic (Eqs. 6–8)  — needs inner corners {0,+1} and outer corners
-//	                    {−1,+2} along every offset axis;
-//	linear (Eqs. 3–5) — needs inner corners only;
-//	partial           — mean of the in-range inner corners;
-//	direct (Eq. 1)    — the base corner (always in range).
-func predictPoint[T grid.Float](c *grid.Grid[T], off grid.Offset3, k, j, i int, kind Predictor) T {
-	if kind == PredDirect {
-		return c.Data[(k*c.Ny+j)*c.Nx+i]
-	}
-	// Offset mask per axis.
-	dz, dy, dx := off.Z, off.Y, off.X
-	nOff := dz + dy + dx // number of offset axes, 1..3
-
-	// Upper inner corner availability.
-	zOK := dz == 0 || k+1 < c.Nz
-	yOK := dy == 0 || j+1 < c.Ny
-	xOK := dx == 0 || i+1 < c.Nx
-
-	base := (k*c.Ny+j)*c.Nx + i
-	rowZ := c.Ny * c.Nx
-	rowY := c.Nx
-
-	if zOK && yOK && xOK {
-		// All inner corners exist. Try cubic, else linear.
-		if kind == PredCubic {
-			zC := dz == 0 || (k-1 >= 0 && k+2 < c.Nz)
-			yC := dy == 0 || (j-1 >= 0 && j+2 < c.Ny)
-			xC := dx == 0 || (i-1 >= 0 && i+2 < c.Nx)
-			if zC && yC && xC {
-				var sumIn, sumOut T
-				for bz := 0; bz <= dz; bz++ {
-					for by := 0; by <= dy; by++ {
-						for bx := 0; bx <= dx; bx++ {
-							sumIn += c.Data[base+bz*rowZ+by*rowY+bx]
-						}
-					}
-				}
-				// Outer corners: −1/+2 along offset axes only.
-				zSteps, zn := outerSteps(dz)
-				ySteps, yn := outerSteps(dy)
-				xSteps, xn := outerSteps(dx)
-				for a := 0; a < zn; a++ {
-					for b := 0; b < yn; b++ {
-						for e := 0; e < xn; e++ {
-							sumOut += c.Data[base+zSteps[a]*rowZ+ySteps[b]*rowY+xSteps[e]]
-						}
-					}
-				}
-				// Coefficients 9/2^(n+3) and −1/2^(n+3), n = #offset axes.
-				den := T(int64(1) << uint(nOff+3))
-				return sumIn*9/den - sumOut/den
-			}
-		}
-		// Linear: mean of the 2^n inner corners (Eqs. 3–5).
-		var sum T
-		for bz := 0; bz <= dz; bz++ {
-			for by := 0; by <= dy; by++ {
-				for bx := 0; bx <= dx; bx++ {
-					sum += c.Data[base+bz*rowZ+by*rowY+bx]
-				}
-			}
-		}
-		return sum / T(int64(1)<<uint(nOff))
-	}
-
-	// Partial boundary: mean of the in-range inner corners.
-	var sum T
-	var cnt int
-	for bz := 0; bz <= dz; bz++ {
-		if bz == 1 && !zOK {
-			continue
-		}
-		for by := 0; by <= dy; by++ {
-			if by == 1 && !yOK {
-				continue
-			}
-			for bx := 0; bx <= dx; bx++ {
-				if bx == 1 && !xOK {
-					continue
-				}
-				sum += c.Data[base+bz*rowZ+by*rowY+bx]
-				cnt++
-			}
-		}
-	}
-	return sum / T(cnt)
+//   - cubicRow and linearRow (the kernel the stream asks for, where its full
+//     stencil is in range) add in the orders written there: shared column
+//     sums for cubic, (b, b+d1, b+d2, b+d1+d2) for two-axis linear;
+//   - edgeRow (every fallback: linear beside a cubic stream's lattice edge,
+//     and the mean of the in-range inner corners where one is missing) adds
+//     in predictPoint's order, x fastest: (b, b+d2, b+d1, b+d1+d2).
+type rowGen[T grid.Float] struct {
+	data       []T
+	cz, cy, cx int
+	off        grid.Offset3
+	kind       Predictor
 }
 
-// outerSteps returns the outer-corner index offsets along one axis:
-// {0} for a non-offset axis, {−1, +2} for an offset axis.
-func outerSteps(d int) ([2]int, int) {
-	if d == 0 {
-		return [2]int{0, 0}, 1
+func newRowGen[T grid.Float](coarse *grid.Grid[T], off grid.Offset3, kind Predictor) rowGen[T] {
+	return rowGen[T]{data: coarse.Data, cz: coarse.Nz, cy: coarse.Ny, cx: coarse.Nx, off: off, kind: kind}
+}
+
+// row fills out[t] with the prediction of the class point (k, j, lo+t) for
+// every class x-index in [lo, hi).
+func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
+	base := (k*g.cy+j)*g.cx + lo
+	out = out[:hi-lo]
+	if g.kind == PredDirect {
+		copy(out, g.data[base:])
+		return
 	}
-	return [2]int{-1, 2}, 2
+	// ds[:n] are the strides of the offset axes whose upper inner corner is
+	// in range, z before y before x. inner: every offset axis has it (else
+	// the row takes the partial mean); cubic: the outer corners exist too.
+	var ds [3]int
+	n := 0
+	inner, cubic := true, g.kind == PredCubic
+	axis := func(o, k, cdim, stride int) {
+		if o == 0 {
+			return
+		}
+		if k+1 >= cdim {
+			inner = false
+			return
+		}
+		ds[n] = stride
+		n++
+		cubic = cubic && k >= 1 && k+2 < cdim
+	}
+	axis(g.off.Z, k, g.cz, g.cy*g.cx)
+	axis(g.off.Y, j, g.cy, g.cx)
+
+	// Along an offset x axis the last lattice column has no inner corner:
+	// [lo, xe) is the part of the row that does.
+	xe, nx := hi, n
+	if g.off.X == 1 {
+		xe = max(lo, min(hi, g.cx-1))
+		ds[n] = 1
+		nx = n + 1
+	}
+	switch {
+	case !inner || (g.kind == PredCubic && !cubic):
+		g.edgeRow(base, ds[:nx], out[:xe-lo])
+	case g.kind == PredLinear:
+		g.linearRow(base, ds[:nx], out[:xe-lo])
+	default:
+		// Cubic where x has its outer corners, linear on either side.
+		il, ih := lo, xe
+		if g.off.X == 1 {
+			il, ih = min(max(lo, 1), xe), max(min(xe, g.cx-2), lo)
+		}
+		if il >= ih {
+			g.edgeRow(base, ds[:nx], out[:xe-lo])
+			break
+		}
+		g.edgeRow(base, ds[:nx], out[:il-lo])
+		g.cubicRow(base+il-lo, ds[:nx], out[il-lo:ih-lo])
+		g.edgeRow(base+ih-lo, ds[:nx], out[ih-lo:xe-lo])
+	}
+	if xe < hi {
+		g.edgeRow(base+xe-lo, ds[:n], out[xe-lo:])
+	}
+}
+
+// edgeRow is predictPoint's boundary ladder over a span: the mean of the
+// 2^len(ds) inner corners reached by the strides ds, summed in
+// predictPoint's order from its zero accumulator (0 + x is not x for x =
+// −0). With every offset axis in ds it is the linear kernel; with some
+// dropped, the partial mean; with none, the base corner.
+func (g *rowGen[T]) edgeRow(b0 int, ds []int, out []T) {
+	data := g.data
+	switch len(ds) {
+	case 0:
+		for t := range out {
+			out[t] = 0 + data[b0+t]
+		}
+	case 1:
+		d := ds[0]
+		for t := range out {
+			b := b0 + t
+			out[t] = (0 + data[b] + data[b+d]) / 2
+		}
+	case 2:
+		d1, d2 := ds[0], ds[1]
+		for t := range out {
+			b := b0 + t
+			out[t] = (0 + data[b] + data[b+d2] + data[b+d1] + data[b+d1+d2]) / 4
+		}
+	default:
+		d1, d2, d3 := ds[0], ds[1], ds[2]
+		for t := range out {
+			b := b0 + t
+			s := 0 + data[b] + data[b+d3] + data[b+d2] + data[b+d2+d3] +
+				data[b+d1] + data[b+d1+d3] + data[b+d1+d2] + data[b+d1+d2+d3]
+			out[t] = s / 8
+		}
+	}
+}
+
+// linearRow is the linear kernel (Eqs. 3–5) of a PredLinear stream over a
+// span whose inner corners all exist.
+func (g *rowGen[T]) linearRow(b0 int, ds []int, out []T) {
+	data := g.data
+	switch len(ds) {
+	case 1:
+		d := ds[0]
+		for t := range out {
+			b := b0 + t
+			out[t] = (data[b] + data[b+d]) / 2
+		}
+	case 2:
+		d1, d2 := ds[0], ds[1]
+		for t := range out {
+			b := b0 + t
+			out[t] = (data[b] + data[b+d1] + data[b+d2] + data[b+d1+d2]) / 4
+		}
+	default:
+		d1, d2, d3 := ds[0], ds[1], ds[2]
+		for t := range out {
+			b := b0 + t
+			s := data[b] + data[b+d3] + data[b+d2] + data[b+d2+d3] +
+				data[b+d1] + data[b+d1+d3] + data[b+d1+d2] + data[b+d1+d2+d3]
+			out[t] = s / 8
+		}
+	}
+}
+
+// cubicRow is the cubic kernel (Eqs. 6–8) over a span whose inner and outer
+// corners all exist. When x is an offset axis (the last stride is 1) the
+// column sums are shared between consecutive points.
+func (g *rowGen[T]) cubicRow(b0 int, ds []int, out []T) {
+	data := g.data
+	xOff := ds[len(ds)-1] == 1
+	switch {
+	case len(ds) == 1 && xOff:
+		// Rolling window along x: one load per point.
+		v0, v1, v2 := data[b0-1], data[b0], data[b0+1]
+		for t := range out {
+			v3 := data[b0+t+2]
+			out[t] = (v1+v2)*9/16 - (v0+v3)/16
+			v0, v1, v2 = v1, v2, v3
+		}
+	case len(ds) == 1:
+		d := ds[0]
+		for t := range out {
+			b := b0 + t
+			out[t] = (data[b]+data[b+d])*9/16 - (data[b-d]+data[b+2*d])/16
+		}
+	case len(ds) == 2 && xOff:
+		// Columns shared between consecutive x: 4 loads per point.
+		d1 := ds[0]
+		r0, r1 := b0, b0+d1
+		rm, rp := b0-d1, b0+2*d1
+		cI := data[r0] + data[r1]
+		o0 := data[rm-1] + data[rp-1]
+		o1 := data[rm] + data[rp]
+		o2 := data[rm+1] + data[rp+1]
+		for t := range out {
+			cI1 := data[r0+t+1] + data[r1+t+1]
+			o3 := data[rm+t+2] + data[rp+t+2]
+			out[t] = (cI+cI1)*9/32 - (o0+o3)/32
+			cI = cI1
+			o0, o1, o2 = o1, o2, o3
+		}
+	case len(ds) == 2:
+		d1, d2 := ds[0], ds[1]
+		for t := range out {
+			b := b0 + t
+			in := data[b] + data[b+d1] + data[b+d2] + data[b+d1+d2]
+			outSum := data[b-d1-d2] + data[b-d1+2*d2] + data[b+2*d1-d2] + data[b+2*d1+2*d2]
+			out[t] = in*9/32 - outSum/32
+		}
+	default:
+		// The (1,1,1) class: shared columns give 8 loads per point, not 16.
+		d1, d2 := ds[0], ds[1]
+		r00, r01, r10, r11 := b0, b0+d2, b0+d1, b0+d1+d2
+		m0 := b0 - d1 - d2
+		m1 := b0 - d1 + 2*d2
+		m2 := b0 + 2*d1 - d2
+		m3 := b0 + 2*d1 + 2*d2
+		colI := func(i int) T {
+			return data[r00+i] + data[r01+i] + data[r10+i] + data[r11+i]
+		}
+		colO := func(i int) T {
+			return data[m0+i] + data[m1+i] + data[m2+i] + data[m3+i]
+		}
+		cI := colI(0)
+		o0, o1, o2 := colO(-1), colO(0), colO(1)
+		for t := range out {
+			cI1 := colI(t + 1)
+			o3 := colO(t + 2)
+			out[t] = (cI+cI1)*9/64 - (o0+o3)/64
+			cI = cI1
+			o0, o1, o2 = o1, o2, o3
+		}
+	}
 }
 
 // classDims returns the dimensions of the parity class off of a fine grid

@@ -2,10 +2,120 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"stz/internal/grid"
 )
+
+// predictPoint is the per-point statement of the prediction rules — the
+// reference rowGen is tested against, point by point. It predicts the value
+// of a parity-class point from the reconstructed coarse grid (the class-0
+// lattice of the same fine grid).
+//
+// The class point at class coordinates (k, j, i) with parity offset off
+// sits at fine coordinates (2k+off.Z, 2j+off.Y, 2i+off.X). Along each axis
+// with offset 1 it lies halfway between coarse lattice indices (k, k+1);
+// along offset-0 axes it coincides with coarse index k.
+//
+// Kernel selection follows the paper's ladder with boundary fallbacks:
+//
+//	cubic (Eqs. 6–8)  — needs inner corners {0,+1} and outer corners
+//	                    {−1,+2} along every offset axis;
+//	linear (Eqs. 3–5) — needs inner corners only;
+//	partial           — mean of the in-range inner corners;
+//	direct (Eq. 1)    — the base corner (always in range).
+func predictPoint[T grid.Float](c *grid.Grid[T], off grid.Offset3, k, j, i int, kind Predictor) T {
+	if kind == PredDirect {
+		return c.Data[(k*c.Ny+j)*c.Nx+i]
+	}
+	// Offset mask per axis.
+	dz, dy, dx := off.Z, off.Y, off.X
+	nOff := dz + dy + dx // number of offset axes, 1..3
+
+	// Upper inner corner availability.
+	zOK := dz == 0 || k+1 < c.Nz
+	yOK := dy == 0 || j+1 < c.Ny
+	xOK := dx == 0 || i+1 < c.Nx
+
+	base := (k*c.Ny+j)*c.Nx + i
+	rowZ := c.Ny * c.Nx
+	rowY := c.Nx
+
+	if zOK && yOK && xOK {
+		// All inner corners exist. Try cubic, else linear.
+		if kind == PredCubic {
+			zC := dz == 0 || (k-1 >= 0 && k+2 < c.Nz)
+			yC := dy == 0 || (j-1 >= 0 && j+2 < c.Ny)
+			xC := dx == 0 || (i-1 >= 0 && i+2 < c.Nx)
+			if zC && yC && xC {
+				var sumIn, sumOut T
+				for bz := 0; bz <= dz; bz++ {
+					for by := 0; by <= dy; by++ {
+						for bx := 0; bx <= dx; bx++ {
+							sumIn += c.Data[base+bz*rowZ+by*rowY+bx]
+						}
+					}
+				}
+				// Outer corners: −1/+2 along offset axes only.
+				zSteps, zn := outerSteps(dz)
+				ySteps, yn := outerSteps(dy)
+				xSteps, xn := outerSteps(dx)
+				for a := 0; a < zn; a++ {
+					for b := 0; b < yn; b++ {
+						for e := 0; e < xn; e++ {
+							sumOut += c.Data[base+zSteps[a]*rowZ+ySteps[b]*rowY+xSteps[e]]
+						}
+					}
+				}
+				// Coefficients 9/2^(n+3) and −1/2^(n+3), n = #offset axes.
+				den := T(int64(1) << uint(nOff+3))
+				return sumIn*9/den - sumOut/den
+			}
+		}
+		// Linear: mean of the 2^n inner corners (Eqs. 3–5).
+		var sum T
+		for bz := 0; bz <= dz; bz++ {
+			for by := 0; by <= dy; by++ {
+				for bx := 0; bx <= dx; bx++ {
+					sum += c.Data[base+bz*rowZ+by*rowY+bx]
+				}
+			}
+		}
+		return sum / T(int64(1)<<uint(nOff))
+	}
+
+	// Partial boundary: mean of the in-range inner corners.
+	var sum T
+	var cnt int
+	for bz := 0; bz <= dz; bz++ {
+		if bz == 1 && !zOK {
+			continue
+		}
+		for by := 0; by <= dy; by++ {
+			if by == 1 && !yOK {
+				continue
+			}
+			for bx := 0; bx <= dx; bx++ {
+				if bx == 1 && !xOK {
+					continue
+				}
+				sum += c.Data[base+bz*rowZ+by*rowY+bx]
+				cnt++
+			}
+		}
+	}
+	return sum / T(cnt)
+}
+
+// outerSteps returns the outer-corner index offsets along one axis:
+// {0} for a non-offset axis, {−1, +2} for an offset axis.
+func outerSteps(d int) ([2]int, int) {
+	if d == 0 {
+		return [2]int{0, 0}, 1
+	}
+	return [2]int{-1, 2}, 2
+}
 
 func TestPredictPointDirect(t *testing.T) {
 	c := grid.New[float64](2, 2, 2)
@@ -168,5 +278,96 @@ func TestOutlierCursor(t *testing.T) {
 	oc = outlierCursor{codes: codes}
 	if got := oc.take(6); got != 3 {
 		t.Fatalf("skip take(6)=%d", got)
+	}
+}
+
+// kernelAt names the kernel the prediction ladder selects at a class point:
+// "direct", "cubic" or "linear" (the stream's own kernel with its whole
+// stencil in range), or "edge" (every boundary fallback).
+func kernelAt(kind Predictor, off grid.Offset3, k, j, i, cz, cy, cx int) string {
+	if kind == PredDirect {
+		return "direct"
+	}
+	inner, outer := true, true
+	for _, a := range [][3]int{{off.Z, k, cz}, {off.Y, j, cy}, {off.X, i, cx}} {
+		if a[0] == 1 {
+			inner = inner && a[1]+1 < a[2]
+			outer = outer && a[1] >= 1 && a[1]+2 < a[2]
+		}
+	}
+	switch {
+	case !inner:
+		return "edge"
+	case kind == PredLinear:
+		return "linear"
+	case outer:
+		return "cubic"
+	}
+	return "edge"
+}
+
+// TestRowGenMatchesPredictPoint compares the row generator with
+// predictPoint on every point of every class, for all three predictors,
+// over every mix of small dims — unit dims (2D and 1D grids) and lattices
+// too short for any interior included — and every sub-range [lo, hi) of
+// every row, so spans that start or end inside an edge zone are covered.
+//
+// Three coarse grids: small integers (every sum is exact, so every kernel
+// must agree bit for bit whatever its summation order), reals (bit for bit
+// wherever the generator promises predictPoint's order — every edge span,
+// direct, and the one- and three-axis kernels; the two-axis linear and
+// multi-axis cubic kernels share column sums and agree to rounding), and
+// all −0 (predictPoint's zero accumulator turns −0 into +0; the edge spans
+// must too).
+func TestRowGenMatchesPredictPoint(t *testing.T) {
+	dims := []int{1, 2, 3, 4, 5, 8, 9}
+	rng := rand.New(rand.NewSource(5))
+	for _, fz := range dims {
+		for _, fy := range dims {
+			for _, fx := range dims {
+				cz, cy, cx := grid.SubDim(fz, 0, 2), grid.SubDim(fy, 0, 2), grid.SubDim(fx, 0, 2)
+				ints, reals, negz := grid.New[float64](cz, cy, cx), grid.New[float64](cz, cy, cx), grid.New[float64](cz, cy, cx)
+				for n := range ints.Data {
+					ints.Data[n] = float64(rng.Intn(2001) - 1000)
+					reals.Data[n] = rng.NormFloat64()
+					negz.Data[n] = math.Copysign(0, -1)
+				}
+				for _, kind := range []Predictor{PredDirect, PredLinear, PredCubic} {
+					for _, off := range predictedClasses() {
+						bz, by, bx := classDims(off, fz, fy, fx)
+						nOff := off.Z + off.Y + off.X
+						for name, c := range map[string]*grid.Grid[float64]{"ints": ints, "reals": reals, "negz": negz} {
+							gen := newRowGen(c, off, kind)
+							out := make([]float64, bx)
+							for k := 0; k < bz; k++ {
+								for j := 0; j < by; j++ {
+									for lo := 0; lo < bx; lo++ {
+										for hi := lo + 1; hi <= bx; hi++ {
+											gen.row(k, j, lo, hi, out)
+											for i := lo; i < hi; i++ {
+												got, want := out[i-lo], predictPoint(c, off, k, j, i, kind)
+												kern := kernelAt(kind, off, k, j, i, cz, cy, cx)
+												exact := true
+												switch name {
+												case "reals":
+													exact = kern == "edge" || kern == "direct" || nOff == 1 || (kern == "linear" && nOff == 3)
+												case "negz":
+													exact = kern != "linear"
+												}
+												if exact && math.Float64bits(got) != math.Float64bits(want) ||
+													!exact && math.Abs(got-want) > 1e-12 {
+													t.Fatalf("dims %dx%dx%d %v class %+v %s (%s kernel) point (%d,%d,%d) of [%d,%d): row %v, predictPoint %v",
+														fz, fy, fx, kind, off, name, kern, k, j, i, lo, hi, got, want)
+												}
+											}
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

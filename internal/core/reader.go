@@ -36,6 +36,9 @@ type Header struct {
 // stage taxonomy of the paper's Table 4: level-1 SZ3 decode, then per
 // predicted level the entropy-decode (dec.), prediction+dequantization
 // (pre.) and reassembly (rec.) stages, plus class-stream decode accounting.
+// The level sweep copies the coarse lattice through while it predicts, so
+// LevelPredict covers the whole sweep and LevelRecon only the level's
+// allocation or lease.
 type Stats struct {
 	L1SZ3          time.Duration
 	LevelDecode    [3]time.Duration // index 0 = paper level 2, up to level 4
@@ -153,9 +156,11 @@ type decodedClass[T grid.Float] struct {
 	outliers       []T
 	diff           *grid.Grid[T] // ResidSZ3 path
 	decodedSymbols int           // class codes that went through the entropy decoder
-	// Chunked-codes (random-access Huffman) metadata.
+	// Escape index: the escapes before each chunkSize codes — per chunk as a
+	// CodeChunk stream stores them, per class plane as indexEscapes counts
+	// them for an unchunked class with outliers.
 	chunkSize     int
-	bases         []uint32 // per-chunk outlier base
+	bases         []uint32
 	decodedChunks int
 	totalChunks   int
 }
@@ -370,66 +375,6 @@ func (v view[T]) idx(z, y, x int) int {
 	return ((z-v.o.Z)*v.g.Ny+y-v.o.Y)*v.g.Nx + x - v.o.X
 }
 
-// reconstructClass reconstructs the class points inside sb (class coords)
-// into v with the fused predict+dequantize kernel: one traversal over the
-// prediction rows, writing reconstructions straight into the destination.
-func (r *Reader[T]) reconstructClass(coarse *grid.Grid[T], off grid.Offset3,
-	fz, fy, fx int, sb grid.Box, dc decodedClass[T], q quant.Quantizer, v view[T]) error {
-
-	if sb.Empty() {
-		return nil
-	}
-	bz, by, bx := classDims(off, fz, fy, fx)
-	// Row (k, j) of sb starts at dst[d0+k*dk+j*dj]; its points are 2 apart.
-	dst, dk, dj := v.g.Data, 2*v.g.Ny*v.g.Nx, 2*v.g.Nx
-	d0 := v.idx(off.Z, off.Y, 2*sb.X0+off.X)
-	preds := scratch.LeaseFloat[T](sb.X1 - sb.X0)
-	defer scratch.ReleaseFloat(preds)
-	if r.hdr.Residual == ResidSZ3 {
-		if dc.diff == nil || dc.diff.Nz != bz || dc.diff.Ny != by || dc.diff.Nx != bx {
-			return fmt.Errorf("core: residual sub-block dims mismatch")
-		}
-		diff := dc.diff.Data
-		classPredRows(coarse, off, fz, fy, fx, sb, r.hdr.Predictor,
-			preds, func(k, j, ciRow, _ int, preds []T) {
-				ci0, d := ciRow+sb.X0, d0+k*dk+j*dj
-				for t, pred := range preds {
-					dst[d+2*t] = pred + diff[ci0+t]
-				}
-			})
-		return nil
-	}
-	if len(dc.codes) != bz*by*bx {
-		return fmt.Errorf("core: class code count %d, want %d", len(dc.codes), bz*by*bx)
-	}
-	oc := newOutlierCursor(dc)
-	var ferr error
-	eb2 := 2 * q.EB
-	radius := q.Radius
-	codes, outs := dc.codes, dc.outliers
-	classPredRows(coarse, off, fz, fy, fx, sb, r.hdr.Predictor,
-		preds, func(k, j, ciRow, _ int, preds []T) {
-			if ferr != nil {
-				return
-			}
-			ci0, d := ciRow+sb.X0, d0+k*dk+j*dj
-			for t, pred := range preds {
-				code := codes[ci0+t]
-				if code == 0 {
-					oi := oc.take(ci0 + t)
-					if oi >= len(outs) {
-						ferr = fmt.Errorf("core: outlier stream exhausted")
-						return
-					}
-					dst[d+2*t] = outs[oi]
-					continue
-				}
-				dst[d+2*t] = T(float64(pred) + eb2*float64(int32(code)-radius))
-			}
-		})
-	return ferr
-}
-
 // decodeLevel1 decodes the deepest coarse grid (paper level 1).
 func (r *Reader[T]) decodeLevel1() (*grid.Grid[T], error) {
 	sec, err := r.arc.Section(1)
@@ -447,67 +392,87 @@ func (r *Reader[T]) decodeLevel1() (*grid.Grid[T], error) {
 	return g, nil
 }
 
-// reconstructLevel is the one reconstruction step: it rebuilds the regions
-// views[i].b of the predicted level p (0 = paper level 2, grid dims fdims)
-// from the reconstructed coarse grid — copy the even lattice through,
-// entropy-decode the classes (and, in chunked streams, the chunks) any
-// region touches, predict and dequantize row by row — updating stats.
-func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, views []view[T], st *Stats) error {
-	fz, fy, fx := fdims[0], fdims[1], fdims[2]
-	q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
-
-	tRec := time.Now()
-	for _, v := range views {
-		sb := grid.SubBox(v.b, grid.Offset3{}, 2, fz, fy, fx)
-		for k := sb.Z0; k < sb.Z1; k++ {
-			for j := sb.Y0; j < sb.Y1; j++ {
-				src := coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][sb.X0:sb.X1]
-				dst := v.g.Data[v.idx(2*k, 2*j, 2*sb.X0):]
-				for i, c := range src {
-					dst[2*i] = c
+// indexEscapes gives an unchunked class with outliers the random-access
+// index a chunked one stores: one counting pass over the decoded codes
+// (everything below class index hi) records the escapes before each class
+// plane of planeLen points, so an outlierCursor starting anywhere
+// resynchronises at its plane instead of scanning from code 0.
+func (dc *decodedClass[T]) indexEscapes(planeLen, hi int) {
+	if dc.chunkSize > 0 || len(dc.outliers) == 0 || planeLen == 0 {
+		return
+	}
+	bases := make([]uint32, (hi+planeLen-1)/planeLen)
+	var zeros uint32
+	for k := range bases {
+		bases[k] = zeros
+		if k+1 < len(bases) {
+			for _, code := range dc.codes[k*planeLen : (k+1)*planeLen] {
+				if code == 0 {
+					zeros++
 				}
 			}
 		}
 	}
-	st.LevelRecon[p] += time.Since(tRec)
+	dc.chunkSize, dc.bases = planeLen, bases
+}
 
-	classes := predictedClasses()
-	// sub[c][i] is view i's share of class c, in class coordinates.
-	sub := make([][]grid.Box, len(classes))
-	dcs := make([]decodedClass[T], len(classes))
-	errs := make([]error, len(classes))
+// reconstructLevel is the one reconstruction step: it rebuilds the regions
+// views[i].b of the predicted level p (0 = paper level 2, grid dims fdims)
+// from the reconstructed coarse grid — entropy-decode the classes (and, in
+// chunked streams, the chunks) any region touches, then one sweep per view,
+// parallel over z-blocks, that copies the even lattice through and predicts
+// and dequantizes the seven classes row by row — updating stats.
+func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, views []view[T], st *Stats) error {
+	lv := newLevel(coarse, fdims[0], fdims[1], fdims[2], r.hdr.Predictor)
+	q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
+
+	// sub[i][c] is view i's share of class c, in class coordinates.
+	sub := make([][8]grid.Box, len(views))
+	for i, v := range views {
+		sub[i] = lv.subBoxes(v.b)
+	}
+	var dcs [8]decodedClass[T]
+	var touched [8]bool // some region has a point of the class
+	var errs [8]error
 	defer func() {
-		for i := range dcs {
-			dcs[i].release()
+		for c := range dcs {
+			dcs[c].release()
 		}
 	}()
 
 	tDec := time.Now()
-	parallel.For(len(classes), r.workers(), func(c int) {
-		bz, by, bx := classDims(classes[c], fz, fy, fx)
+	parallel.For(7, r.workers(), func(i int) {
+		c := i + 1
+		d := lv.dims[c]
 		// [lo, hi) spans the row-major class indices the views touch.
-		n := bz * by * bx
+		n := lv.classLen(c)
 		lo, hi := n, 0
-		sub[c] = make([]grid.Box, len(views))
-		for i, v := range views {
-			sb := grid.SubBox(v.b, classes[c], 2, fz, fy, fx)
-			sub[c][i] = sb
-			if !sb.Empty() {
-				lo = min(lo, (sb.Z0*by+sb.Y0)*bx+sb.X0)
-				hi = max(hi, ((sb.Z1-1)*by+sb.Y1-1)*bx+sb.X1)
+		for vi := range views {
+			if sb := sub[vi][c]; !sb.Empty() {
+				lo = min(lo, (sb.Z0*d[1]+sb.Y0)*d[2]+sb.X0)
+				hi = max(hi, ((sb.Z1-1)*d[1]+sb.Y1-1)*d[2]+sb.X1)
 			}
 		}
-		if lo < hi {
-			dcs[c], errs[c] = r.decodeClass(p, c, q, n, lo, hi)
+		if touched[c] = lo < hi; !touched[c] {
+			return
+		}
+		if dcs[c], errs[c] = r.decodeClass(p, i, q, n, lo, hi); errs[c] != nil {
+			return
+		}
+		if r.hdr.Residual == ResidSZ3 {
+			if diff := dcs[c].diff; diff.Nz != d[0] || diff.Ny != d[1] || diff.Nx != d[2] {
+				errs[c] = fmt.Errorf("core: residual sub-block dims mismatch")
+			}
+		} else if len(dcs[c].codes) != n {
+			errs[c] = fmt.Errorf("core: class code count %d, want %d", len(dcs[c].codes), n)
 		} else {
-			sub[c] = nil // no region has a point of this class
+			dcs[c].indexEscapes(d[1]*d[2], hi)
 		}
 	})
 	st.LevelDecode[p] += time.Since(tDec)
-	for c := range classes {
-		bz, by, bx := classDims(classes[c], fz, fy, fx)
-		st.TotalSymbols[p] += bz * by * bx
-		if sub[c] == nil {
+	for c := 1; c < 8; c++ {
+		st.TotalSymbols[p] += lv.classLen(c)
+		if !touched[c] {
 			st.SkippedClasses[p]++
 			continue
 		}
@@ -520,17 +485,68 @@ func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, 
 		}
 	}
 
+	// One task per (view, z-block of the coarse planes the view depends on).
 	tPre := time.Now()
-	parallel.For(len(classes), r.workers(), func(c int) {
-		for i, sb := range sub[c] {
-			errs[c] = r.reconstructClass(coarse, classes[c], fz, fy, fx, sb, dcs[c], q, views[i])
-			if errs[c] != nil {
-				return
+	type task struct{ view, k0, k1 int }
+	tasks := make([]task, 0, len(views)*zBlocks(coarse.Nz, r.workers()))
+	for i := range views {
+		k0, k1 := coarse.Nz, 0
+		for _, sb := range sub[i] {
+			if !sb.Empty() {
+				k0, k1 = min(k0, sb.Z0), max(k1, sb.Z1)
 			}
 		}
+		bounds := parallel.Chunks(k1-k0, zBlocks(k1-k0, r.workers()))
+		for b := 0; b+1 < len(bounds); b++ {
+			tasks = append(tasks, task{i, k0 + bounds[b], k0 + bounds[b+1]})
+		}
+	}
+	terrs := make([]error, len(tasks))
+	resid := r.hdr.Residual == ResidSZ3
+	bin, radius := 2*q.EB, q.Radius
+	parallel.For(len(tasks), r.workers(), func(ti int) {
+		tk := tasks[ti]
+		v := views[tk.view]
+		preds := scratch.LeaseFloat[T](coarse.Nx)
+		defer scratch.ReleaseFloat(preds)
+		var cursors [8]outlierCursor
+		for c := 1; c < 8; c++ {
+			cursors[c] = newOutlierCursor(dcs[c])
+		}
+		lv.sweep(&sub[tk.view], tk.k0, tk.k1, preds, func(c, k, j, lo, hi int, preds []T) {
+			if terrs[ti] != nil {
+				return
+			}
+			off := grid.Stride2Offsets[c]
+			dst := v.g.Data[v.idx(2*k+off.Z, 2*j+off.Y, 2*lo+off.X):]
+			if c == 0 {
+				spread(dst, coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][lo:hi])
+				return
+			}
+			d := lv.dims[c]
+			ci0 := (k*d[1]+j)*d[2] + lo
+			if resid {
+				for t, diff := range dcs[c].diff.Data[ci0:][:hi-lo] {
+					dst[2*t] = preds[t] + diff
+				}
+				return
+			}
+			for t, code := range dcs[c].codes[ci0:][:hi-lo] {
+				if code != 0 {
+					dst[2*t] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
+					continue
+				}
+				oi := cursors[c].take(ci0 + t)
+				if oi >= len(dcs[c].outliers) {
+					terrs[ti] = fmt.Errorf("core: outlier stream exhausted")
+					return
+				}
+				dst[2*t] = dcs[c].outliers[oi]
+			}
+		})
 	})
 	st.LevelPredict[p] += time.Since(tPre)
-	for _, e := range errs {
+	for _, e := range terrs {
 		if e != nil {
 			return e
 		}

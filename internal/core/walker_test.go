@@ -14,6 +14,7 @@ import (
 	"stz/internal/container"
 	"stz/internal/datasets"
 	"stz/internal/grid"
+	"stz/internal/parallel"
 	"stz/internal/quant"
 )
 
@@ -29,9 +30,11 @@ type walkerCase struct {
 
 // walkerCases spans the hierarchy depths, an odd-dims grid whose parity
 // classes all differ in size, both element types, chunked and unchunked
-// code streams, the SZ3-residual ablation, and an unchunked stream full of
+// code streams, the SZ3-residual ablation, an unchunked stream full of
 // outliers (the 1e12-spike field of TestOutlierRandomAccessConsistency),
-// where escape indexing forbids skipping a class's leading lanes.
+// where escape indexing forbids skipping a class's leading lanes, and two
+// thin grids (7 points along x, then along z) whose coarse lattices are too
+// short for an interior and split into ragged z-blocks.
 func walkerCases() []walkerCase {
 	mk := func(levels int, mut func(*Config)) Config {
 		cfg := DefaultConfig(1e-3)
@@ -50,11 +53,13 @@ func walkerCases() []walkerCase {
 		{"L3-f64-sz3resid", false, 33, 18, 21, mk(3, func(c *Config) { c.Residual = ResidSZ3 }), false},
 		{"L2-f32-sz3resid", true, 33, 18, 21, mk(2, func(c *Config) { c.Residual = ResidSZ3 }), false},
 		{"L3-f64-outliers", false, 33, 18, 21, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
+		{"L3-f32-thin", true, 33, 18, 7, mk(3, nil), false},
+		{"L3-f64-thin-outliers", false, 7, 33, 18, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
 	}
 }
 
-// encode compresses the case's seeded field as element type T.
-func encodeCase[T grid.Float](tb testing.TB, wc walkerCase) []byte {
+// caseField is the case's seeded field as element type T.
+func caseField[T grid.Float](wc walkerCase) *grid.Grid[T] {
 	g := testField[T](wc.nz, wc.ny, wc.nx, 77)
 	if wc.spikes {
 		rng := rand.New(rand.NewSource(23))
@@ -64,7 +69,12 @@ func encodeCase[T grid.Float](tb testing.TB, wc walkerCase) []byte {
 			}
 		}
 	}
-	enc, err := Compress(g, wc.cfg)
+	return g
+}
+
+// encode compresses the case's seeded field as element type T.
+func encodeCase[T grid.Float](tb testing.TB, wc walkerCase) []byte {
+	enc, err := Compress(caseField[T](wc), wc.cfg)
 	if err != nil {
 		tb.Fatalf("%s: %v", wc.name, err)
 	}
@@ -78,26 +88,73 @@ func (wc walkerCase) encode(tb testing.TB) []byte {
 	return encodeCase[float64](tb, wc)
 }
 
-// TestPinnedWalkerArchives pins the archive bytes of every walker case at
-// Workers 1 and 4: an encoder change that is meant to keep archives
-// byte-identical (a faster table build, a new traversal) shows here first.
+// TestPinnedWalkerArchives pins the archive bytes of every walker case —
+// the hashes are the parent encoder's, which coded one class at a time — at
+// Workers 1, 2, 3, 4 and 8: an encoder change that is meant to keep archives
+// byte-identical (a faster table build, a new traversal) shows here first,
+// and so does a z-block split that reorders a class's escapes or miscounts
+// a ragged block.
 func TestPinnedWalkerArchives(t *testing.T) {
 	pins := map[string]string{
 		"L2-f64": "e5b60070e8467e4f", "L3-f32": "307cfed2f1f2fe90", "L4-f64": "1813448f19f9d3e0",
 		"L3-f32-chunk4096": "333fe1e9fa1a0506", "L3-f64-chunk4096": "72a05d0b50b1e9e4",
 		"L3-f64-sz3resid": "ec5bb1fe56a0ff6d", "L2-f32-sz3resid": "01603c475ad116f2",
+		"L3-f64-outliers": "2a01710d4720367e", "L3-f32-thin": "f2dd5315636c0707",
+		"L3-f64-thin-outliers": "39cf20a9726936a4",
 	}
 	for _, wc := range walkerCases() {
 		want, ok := pins[wc.name]
 		if !ok {
-			continue // cases added after the pins were taken
+			t.Errorf("%s: no pinned archive hash", wc.name)
+			continue
 		}
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
 			wc.cfg.Workers = workers
 			sum := sha256.Sum256(wc.encode(t))
 			if got := hex.EncodeToString(sum[:8]); got != want {
 				t.Errorf("%s/w%d: archive sha256 %s, pinned %s", wc.name, workers, got, want)
 			}
+		}
+	}
+}
+
+// TestEscapesSpanZBlocks: the pinned outlier case really exercises the
+// block-order concatenation — at Workers 8 some class of its finest level
+// has escapes in at least three of the sweep's z-blocks.
+func TestEscapesSpanZBlocks(t *testing.T) {
+	for _, wc := range walkerCases() {
+		if wc.name != "L3-f64-outliers" {
+			continue
+		}
+		r, err := NewReader[float64](wc.encode(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := wc.cfg.Levels - 2
+		cz := grid.SubDim(wc.nz, 0, 2)
+		bounds := parallel.Chunks(cz, zBlocks(cz, 8))
+		most := 0
+		for c, off := range predictedClasses() {
+			bz, by, bx := classDims(off, wc.nz, wc.ny, wc.nx)
+			q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
+			dc, err := r.decodeClass(p, c, q, bz*by*bx, 0, bz*by*bx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := 0
+			for b := 0; b+1 < len(bounds); b++ {
+				for _, code := range dc.codes[min(bounds[b], bz)*by*bx : min(bounds[b+1], bz)*by*bx] {
+					if code == 0 {
+						blocks++
+						break
+					}
+				}
+			}
+			most = max(most, blocks)
+			dc.release()
+		}
+		if most < 3 {
+			t.Fatalf("no class has escapes in 3 z-blocks (most: %d of %d blocks)", most, len(bounds)-1)
 		}
 	}
 }
@@ -146,8 +203,8 @@ func walkerRegionSets(rng *rand.Rand, nz, ny, nx int) map[string][]grid.Box {
 	z := rng.Intn(nz)
 	lane := func(k int) []grid.Box {
 		b := randBoxIn(rng, whole)
-		b.Z0 = k*nz/4 + 2
-		b.Z1 = b.Z0 + 3
+		b.Z0 = min(k*nz/4+2, nz-1)
+		b.Z1 = min(b.Z0+3, nz)
 		return []grid.Box{b}
 	}
 	return map[string][]grid.Box{

@@ -387,28 +387,17 @@ func packTable(table []symLen, packed []uint64) {
 	}
 }
 
-// encodeSymbols writes the (code,len) pair of every symbol into w on the
-// word-batched fast path: pairs pack into the writer's 64-bit accumulator
-// and buffer bounds are checked once per drained word rather than once per
-// symbol.
-func encodeSymbols(w *bitio.Writer, codes []uint16, packed []uint64) {
-	for _, c := range codes {
-		e := packed[c]
-		if w.Free() < maxCodeLen+1 {
-			w.DrainBytes()
-		}
-		w.WriteBitsFast(e>>8, uint(e&0xff))
-	}
-}
-
 // encodeHeader runs the shared encoder prologue: histogram the symbols,
 // collect the ones present, build the depth-limited code over that list and
 // emit the self-describing header (symbol count + code-length table) into a
-// fresh writer. It returns the writer and the leased packed (code,len)
+// fresh writer. The histogram and the lengths give the payload's exact bit
+// count, so the writer is sized once for the whole stream — header, lane
+// directory, padding and the 8-byte store overhang bitio.WriteSymbols
+// needs included. It returns the writer and the leased packed (code,len)
 // table — the histogram buffer, overwritten in place at the present
 // symbols — which the caller must hand back to scratch.U64 after writing
 // the payload.
-func encodeHeader(codes []uint16, alphabet, sizeHint int) (*bitio.Writer, []uint64) {
+func encodeHeader(codes []uint16, alphabet int) (*bitio.Writer, []uint64) {
 	hist := scratch.U64.LeaseZeroed(alphabet)
 	for _, c := range codes {
 		hist[c]++
@@ -416,8 +405,13 @@ func encodeHeader(codes []uint16, alphabet, sizeHint int) (*bitio.Writer, []uint
 	bs := buildPool.Get().(*buildScratch)
 	bs.collect(hist)
 	bs.codeLengths()
+	payloadBits := 0
+	for _, e := range bs.table {
+		payloadBits += int(hist[e.sym]) * int(e.len)
+	}
 
-	w := bitio.NewWriter(sizeHint)
+	// The two counts take under 24 bytes, a table entry under 5.
+	w := bitio.NewWriter(64 + 5*len(bs.table) + payloadBits/8)
 	w.WriteGamma(uint64(len(codes)))
 	writeLengths(w, bs.table)
 	packTable(bs.table, hist)
@@ -429,8 +423,8 @@ func encodeHeader(codes []uint16, alphabet, sizeHint int) (*bitio.Writer, []uint
 // self-describing byte stream: symbol count, code-length table, payload.
 // This is the v1 single-stream layout; new archive formats use EncodeLanes.
 func Encode(codes []uint16, alphabet int) []byte {
-	w, packed := encodeHeader(codes, alphabet, len(codes)/2+64)
-	encodeSymbols(w, codes, packed)
+	w, packed := encodeHeader(codes, alphabet)
+	w.WriteSymbols(codes, packed)
 	scratch.U64.Release(packed)
 	return w.Bytes()
 }
@@ -450,7 +444,7 @@ func laneBounds(n, k int) (lo, hi int) {
 // four independent chains) or on parallel.For workers for large streams.
 // All values must be < alphabet.
 func EncodeLanes(codes []uint16, alphabet int) []byte {
-	w, packed := encodeHeader(codes, alphabet, len(codes)/2+80)
+	w, packed := encodeHeader(codes, alphabet)
 
 	// Byte-aligned lane directory: the byte length of every lane but the
 	// last (which runs to the end of the blob), 40 bits each so a lane of a
@@ -467,7 +461,7 @@ func EncodeLanes(codes []uint16, alphabet int) []byte {
 	for k := 0; k < numLanes; k++ {
 		lo, hi := laneBounds(n, k)
 		start := w.BitLen() / 8
-		encodeSymbols(w, codes[lo:hi], packed)
+		w.WriteSymbols(codes[lo:hi], packed)
 		w.AlignByte()
 		if k < numLanes-1 {
 			laneLen[k] = uint64(w.BitLen()/8 - start)

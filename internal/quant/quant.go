@@ -39,11 +39,14 @@ func (q Quantizer) Alphabet() int { return int(q.Radius) * 2 }
 // which case the caller must store value verbatim (code 0).
 func (q Quantizer) Quantize(value, pred float64) (code uint16, recon float64, ok bool) {
 	diff := value - pred
-	scaled := diff / (2 * q.EB)
-	if math.IsNaN(scaled) || math.Abs(scaled) >= float64(q.Radius) {
+	r := math.Round(diff / (2 * q.EB))
+	// The bin, not the scaled residual, must lie inside ±(Radius−1): a
+	// residual within half a bin of ±Radius rounds onto the escape code (or
+	// past the alphabet). The negated comparison also catches NaN.
+	if !(r < float64(q.Radius) && r > -float64(q.Radius)) {
 		return 0, value, false
 	}
-	k := int32(math.Round(scaled))
+	k := int32(r)
 	recon = pred + 2*q.EB*float64(k)
 	if math.Abs(recon-value) > q.EB {
 		return 0, value, false
@@ -93,12 +96,11 @@ func (q Quantizer) Fast() Fast {
 
 // Quantize mirrors Quantizer.Quantize.
 func (f Fast) Quantize(value, pred float64) (code uint16, recon float64, ok bool) {
-	scaled := (value - pred) * f.inv
-	// The negated comparison also catches NaN.
-	if !(scaled < float64(f.radius) && scaled > -float64(f.radius)) {
+	r := math.Round((value - pred) * f.inv)
+	if !(r < float64(f.radius) && r > -float64(f.radius)) {
 		return 0, value, false
 	}
-	k := int32(math.Round(scaled))
+	k := int32(r)
 	recon = pred + 2*f.EB*float64(k)
 	if d := recon - value; d > f.EB || d < -f.EB || d != d {
 		return 0, value, false
@@ -118,6 +120,55 @@ func QuantizeFastT[T grid.Float](f Fast, value T, pred float64) (code uint16, re
 		return 0, value, false
 	}
 	return c, rt, true
+}
+
+// halfBelow is the largest float64 below 0.5. Truncating x ± halfBelow
+// (the sign of x) is math.Round(x) — nearest, ties away from zero — for
+// every |x| < 2^51 without a call: the sum reaches the next integer exactly
+// when x's fraction is at least 0.5 (a tie's sum lands within half a
+// spacing of the integer and rounds onto it), whereas adding 0.5 itself
+// would also carry 0.5 − ulp up to 1.
+const halfBelow = 0.49999999999999994
+
+// QuantizeRow is QuantizeFastT over one row of points with no call per
+// point: element t is the value vals[t·stride] against the prediction
+// preds[t] (the points of a parity class sit stride apart in their fine
+// row). It writes codes[t] — 0 for an escape — and, when recon is non-nil,
+// the reconstruction (the value itself for an escape) to recon[t·stride];
+// a nil recon is for a level whose reconstruction nothing consumes. It
+// returns the number of escapes, whose values the caller gathers from the
+// zero codes.
+func QuantizeRow[T grid.Float](f Fast, vals []T, stride int, preds []T, codes []uint16, recon []T) (escapes int) {
+	eb, neb, inv, bin := f.EB, -f.EB, f.inv, 2*f.EB
+	lim, nlim := float64(f.radius), -float64(f.radius)
+	codes = codes[:len(preds)]
+	i := 0
+	for t, pt := range preds {
+		v, p := float64(vals[i]), float64(pt)
+		x := (v - p) * inv
+		// The bin is trunc(s); NaN fails both comparisons.
+		s := x + math.Copysign(halfBelow, x)
+		if s < lim && s > nlim {
+			k := int32(s)
+			rec := p + bin*float64(k)
+			rt := T(rec)
+			if d, dt := rec-v, float64(rt)-v; d <= eb && d >= neb && dt <= eb && dt >= neb {
+				codes[t] = uint16(k + f.radius)
+				if recon != nil {
+					recon[i] = rt
+				}
+				i += stride
+				continue
+			}
+		}
+		codes[t] = 0
+		escapes++
+		if recon != nil {
+			recon[i] = vals[i]
+		}
+		i += stride
+	}
+	return escapes
 }
 
 // AbsoluteBound converts a value-range-relative bound to an absolute one:
