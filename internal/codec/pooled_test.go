@@ -108,6 +108,16 @@ func TestPoisonedLeaseNeverLeaks(t *testing.T) {
 	g := datasets.Nyx(33, 31, 38, 5)
 	cfg := Config{EB: 1e-3, Workers: 4, Chunks: 3}
 	refArc, refDec := pooledRefArchives(t, g, cfg)
+	// An interior window that crosses both chunk boundaries (planes 11, 22).
+	box := grid.Box{Z0: 5, Y0: 9, X0: 14, Z1: 29, Y1: 23, X1: 31}
+	refWin := map[string][]float32{}
+	for name, dec := range refDec {
+		full, err := grid.FromData(dec, g.Nz, g.Ny, g.Nx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refWin[name] = full.ExtractBox(box).Data
+	}
 
 	prev := scratch.SetEnabled(true)
 	defer scratch.SetEnabled(prev)
@@ -128,6 +138,20 @@ func TestPoisonedLeaseNeverLeaks(t *testing.T) {
 			}
 			if !sameBits(dec.Data, refDec[name]) {
 				t.Fatalf("%s: poisoned lease leaked into the reconstruction (round %d)", name, round)
+			}
+			// A box decode may leave its work grid dirty outside the box's
+			// dependency cone (sz3): the window itself must not show it.
+			scratchtest.Poison(4 * g.Len())
+			r, err := OpenReaderAt[float32](enc)
+			if err != nil {
+				t.Fatalf("%s: open: %v", name, err)
+			}
+			win, err := r.DecompressBox(box)
+			if err != nil {
+				t.Fatalf("%s: box decode: %v", name, err)
+			}
+			if !sameBits(win.Data, refWin[name]) {
+				t.Fatalf("%s: poisoned lease leaked into the box window (round %d)", name, round)
 			}
 		}
 	}

@@ -311,7 +311,10 @@ func (s *Server) serveBoxCached(w http.ResponseWriter, r *http.Request, e *archi
 		defer s.release()
 		s.boxDecodes.Add(1)
 		read0, _ := e.q.accounting()
+		// The body's size is known (DType is the element width, and the box
+		// passed cacheable's ceiling): build it once instead of regrowing.
 		var buf bytes.Buffer
+		buf.Grow(b.Volume() * int(e.hdr().DType))
 		if err := e.q.writeBox(&buf, b); err != nil {
 			return boxResult{}, err
 		}

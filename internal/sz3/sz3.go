@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"stz/internal/fft"
 	"stz/internal/grid"
@@ -92,21 +93,15 @@ func elemBytes[T grid.Float]() int {
 	return 8
 }
 
-func getValue[T grid.Float](data []byte) (T, int, error) {
+// readValue reads the little-endian storage form of a T from the front of
+// data, which must hold at least elemBytes[T]() bytes.
+func readValue[T grid.Float](data []byte) T {
 	var v T
 	switch any(v).(type) {
 	case float32:
-		if len(data) < 4 {
-			return v, 0, ErrFormat
-		}
-		f := math.Float32frombits(binary.LittleEndian.Uint32(data))
-		return T(f), 4, nil
+		return T(math.Float32frombits(binary.LittleEndian.Uint32(data)))
 	default:
-		if len(data) < 8 {
-			return v, 0, ErrFormat
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		return T(f), 8, nil
+		return T(math.Float64frombits(binary.LittleEndian.Uint64(data)))
 	}
 }
 
@@ -141,60 +136,131 @@ func predictAxis[T grid.Float](data []T, idx, step, c, h, n int) T {
 	return data[idx-step]
 }
 
-// forEachPredicted enumerates every non-anchor point in SZ3's traversal
-// order (coarse→fine levels; per level, passes along z, then y, then x) and
-// calls fn with the point's linear index and the prediction computed from
-// rec's already-reconstructed entries.
-func forEachPredicted[T grid.Float](rec *grid.Grid[T], fn func(idx int, pred T)) {
-	nz, ny, nx := rec.Nz, rec.Ny, rec.Nx
-	maxDim := nz
-	if ny > maxDim {
-		maxDim = ny
-	}
-	if nx > maxDim {
-		maxDim = nx
-	}
+// line is one x-line of one interpolation pass: n points idx, idx+stride, …
+// that share (z, y), each predicted along the pass's axis from the points
+// step and 3·step elements to either side of it. Those neighbours lie on the
+// coarser lattice along the axis, so no point of a pass reads another point
+// of the same pass: a whole line can be predicted before any of it is
+// reconstructed, which is what makes a line a kernel.
+type line struct {
+	idx, n, stride int // first linear index, point count, element stride
+	step           int // h lattice spacings along the pass's axis, in elements
+	c, dc          int // axis coordinate of the first point and its advance per point (0 unless the axis is x)
+	h, axisLen     int // half-stride and length of the pass's axis
+	pass           int // 3·level + axis (z, y, x): the pass's slot in passNeeds
+	z, y, x0       int // grid coordinates of the first point
+}
+
+// slice returns the sub-line of points [lo, hi).
+func (ln *line) slice(lo, hi int) line {
+	sub := *ln
+	sub.idx += lo * ln.stride
+	sub.c += lo * ln.dc
+	sub.x0 += lo * ln.stride
+	sub.n = hi - lo
+	return sub
+}
+
+// forEachLine enumerates every non-anchor point in SZ3's traversal order
+// (coarse→fine levels; per level, passes along z, then y, then x; row-major
+// within a pass), one call per x-line. The line is one value updated in
+// place and passed by copy, so the traversal allocates nothing.
+func forEachLine(nz, ny, nx int, fn func(ln line)) {
+	maxDim := max(nz, ny, nx)
 	if maxDim <= 1 {
 		return
 	}
-	data := rec.Data
-	rowY := nx
-	rowZ := ny * nx
+	rowY, rowZ := nx, ny*nx
+	pass := 0
 	for s := startStride(maxDim); s >= 2; s >>= 1 {
 		h := s / 2
 		// Pass along z: z ≡ h (mod s), y ≡ 0 (mod s), x ≡ 0 (mod s).
+		ln := line{n: grid.SubDim(nx, 0, s), stride: s, step: h * rowZ, h: h, axisLen: nz, pass: pass}
 		for z := h; z < nz; z += s {
-			zi := z * rowZ
 			for y := 0; y < ny; y += s {
-				base := zi + y*rowY
-				for x := 0; x < nx; x += s {
-					idx := base + x
-					fn(idx, predictAxis(data, idx, h*rowZ, z, h, nz))
-				}
+				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY, z, z, y
+				fn(ln)
 			}
 		}
 		// Pass along y: z ≡ 0 (mod h), y ≡ h (mod s), x ≡ 0 (mod s).
+		ln.step, ln.axisLen, ln.pass = h*rowY, ny, pass+1
 		for z := 0; z < nz; z += h {
-			zi := z * rowZ
 			for y := h; y < ny; y += s {
-				base := zi + y*rowY
-				for x := 0; x < nx; x += s {
-					idx := base + x
-					fn(idx, predictAxis(data, idx, h*rowY, y, h, ny))
-				}
+				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY, y, z, y
+				fn(ln)
 			}
 		}
 		// Pass along x: z ≡ 0 (mod h), y ≡ 0 (mod h), x ≡ h (mod s).
-		for z := 0; z < nz; z += h {
-			zi := z * rowZ
+		ln = line{n: grid.SubDim(nx, h, s), stride: s, step: h, c: h, dc: s, h: h, axisLen: nx, pass: pass + 2, x0: h}
+		for z := 0; z < nz && ln.n > 0; z += h {
 			for y := 0; y < ny; y += h {
-				base := zi + y*rowY
-				for x := h; x < nx; x += s {
-					idx := base + x
-					fn(idx, predictAxis(data, idx, h, x, h, nx))
-				}
+				ln.idx, ln.z, ln.y = z*rowZ+y*rowY+h, z, y
+				fn(ln)
 			}
 		}
+		pass += 3
+	}
+}
+
+// predictLine fills preds[:ln.n] with the predictions of ln's points from
+// data's already-reconstructed entries. The cubic case needs c−3h ≥ 0 and
+// c+3h < axisLen: all of the line or none of it when the axis coordinate is
+// fixed, one interior run [t0, t1) when it advances with x. That run is a
+// strided loop over the four operand slices; its summation order is
+// interp.Cubic's, which is part of the format. Boundary points go through
+// predictAxis.
+func predictLine[T grid.Float](data []T, ln *line, preds []T) {
+	n, h, step, stride := ln.n, ln.h, ln.step, ln.stride
+	preds = preds[:n]
+	t0, t1 := 0, 0
+	switch {
+	case ln.dc > 0:
+		// The line's points below 3h, and below axisLen−3h.
+		t0 = min(grid.SubDim(3*h, ln.c, ln.dc), n)
+		t1 = max(t0, min(grid.SubDim(ln.axisLen-3*h, ln.c, ln.dc), n))
+	case ln.c-3*h >= 0 && ln.c+3*h < ln.axisLen:
+		t1 = n
+	}
+	for t := 0; t < t0; t++ {
+		preds[t] = predictAxis(data, ln.idx+t*stride, step, ln.c+t*ln.dc, h, ln.axisLen)
+	}
+	if t1 > t0 {
+		i := ln.idx + t0*stride
+		p0, p1, p2, p3 := data[i-3*step:], data[i-step:], data[i+step:], data[i+3*step:]
+		j := 0
+		for t := t0; t < t1; t++ {
+			preds[t] = interp.Cubic(p0[j], p1[j], p2[j], p3[j])
+			j += stride
+		}
+	}
+	for t := t1; t < n; t++ {
+		preds[t] = predictAxis(data, ln.idx+t*stride, step, ln.c+t*ln.dc, h, ln.axisLen)
+	}
+}
+
+// maxPasses bounds the pass count: three per level, one level per bit of a
+// uint32 header dimension.
+const maxPasses = 3 * 32
+
+// passNeeds fills needs[p] with the box of pass p's points that a decode of
+// b has to reconstruct — the box's dependency cone, one slice per pass. It
+// walks the passes backwards from b: a pass reconstructs its points inside
+// the current box, and since each of them reads up to 3h along the pass's
+// axis, every earlier pass must cover the box widened by 3h along that axis
+// (clipped to the grid). Boxes only grow going backwards, so a point needed
+// by a later pass is inside the need-box of the pass that writes it. For
+// the whole-grid box every need-box is the whole grid.
+func passNeeds(nz, ny, nx int, b grid.Box, needs *[maxPasses]grid.Box) {
+	s0 := startStride(max(nz, ny, nx))
+	p := 3 * (bits.Len(uint(s0)) - 1)
+	for h := 1; h < s0; h <<= 1 {
+		needs[p-1] = b
+		b.X0, b.X1 = max(b.X0-3*h, 0), min(b.X1+3*h, nx)
+		needs[p-2] = b
+		b.Y0, b.Y1 = max(b.Y0-3*h, 0), min(b.Y1+3*h, ny)
+		needs[p-3] = b
+		b.Z0, b.Z1 = max(b.Z0-3*h, 0), min(b.Z1+3*h, nz)
+		p -= 3
 	}
 }
 
@@ -228,6 +294,12 @@ func forEachAnchor[T grid.Float](g *grid.Grid[T], fn func(idx int)) {
 	}
 }
 
+// anchorCount returns the size of the anchor lattice.
+func anchorCount[T grid.Float](g *grid.Grid[T]) int {
+	s := anchorStride(g)
+	return grid.SubDim(g.Nz, 0, s) * grid.SubDim(g.Ny, 0, s) * grid.SubDim(g.Nx, 0, s)
+}
+
 // Compress encodes g under the given options. With Workers > 1 it uses the
 // chunked parallel mode (the paper's SZ3-OMP equivalent); otherwise the
 // serial single-stream mode.
@@ -247,11 +319,14 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	// The reconstruction grid is scratch: every point is written (anchors
 	// verbatim, predicted points from their own quantized residual) before
 	// it is ever read, so a dirty lease is safe.
-	recData := scratch.LeaseFloat[T](g.Len())
-	defer scratch.ReleaseFloat(recData)
-	rec := &grid.Grid[T]{Data: recData, Nz: g.Nz, Ny: g.Ny, Nx: g.Nx}
-	codes := scratch.U16.Lease(g.Len())[:0]
-	defer func() { scratch.U16.Release(codes) }()
+	rec := scratch.LeaseFloat[T](g.Len())
+	defer scratch.ReleaseFloat(rec)
+	// One code per predicted point; ci is the cursor.
+	codes := scratch.U16.Lease(g.Len())
+	defer scratch.U16.Release(codes)
+	// The longest line is a finest-level one: every other point of an x-row.
+	row := scratch.LeaseFloat[T]((g.Nx + 1) / 2)
+	defer scratch.ReleaseFloat(row)
 	// Sized for ~12% escapes so outlier-heavy bounds rarely outgrow the
 	// lease (append growth past the lease is correct, just unpooled).
 	outliers := scratch.Bytes.Lease(64 + g.Len()*elemBytes[T]()/8)[:0]
@@ -259,29 +334,33 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	var nOutliers uint32
 
 	// Anchors are stored verbatim; the anchor-lattice size is exact.
-	as := anchorStride(g)
-	nAnchors := grid.SubDim(g.Nz, 0, as) * grid.SubDim(g.Ny, 0, as) * grid.SubDim(g.Nx, 0, as)
-	anchors := scratch.Bytes.Lease(nAnchors * elemBytes[T]())[:0]
+	anchors := scratch.Bytes.Lease(anchorCount(g) * elemBytes[T]())[:0]
 	defer func() { scratch.Bytes.Release(anchors) }()
 	forEachAnchor(g, func(idx int) {
 		anchors = appendValue(anchors, g.Data[idx])
-		rec.Data[idx] = g.Data[idx]
+		rec[idx] = g.Data[idx]
 	})
 
-	forEachPredicted(rec, func(idx int, pred T) {
-		code, r, ok := quant.QuantizeFastT(fq, g.Data[idx], float64(pred))
-		if !ok {
-			outliers = appendValue(outliers, g.Data[idx])
-			nOutliers++
-			codes = append(codes, 0)
-			rec.Data[idx] = g.Data[idx]
+	ci := 0
+	forEachLine(g.Nz, g.Ny, g.Nx, func(ln line) {
+		preds := row[:ln.n]
+		predictLine(rec, &ln, preds)
+		lc := codes[ci : ci+ln.n]
+		ci += ln.n
+		if quant.QuantizeRow(fq, g.Data[ln.idx:], ln.stride, preds, lc, rec[ln.idx:]) == 0 {
 			return
 		}
-		codes = append(codes, code)
-		rec.Data[idx] = r
+		// Escapes are rare: their values are gathered from the zero codes in
+		// a second pass over the lines that have any.
+		for t, code := range lc {
+			if code == 0 {
+				outliers = appendValue(outliers, g.Data[ln.idx+t*ln.stride])
+				nOutliers++
+			}
+		}
 	})
 
-	hblob := huffman.EncodeLanes(codes, q.Alphabet())
+	hblob := huffman.EncodeLanes(codes[:ci], q.Alphabet())
 
 	out := make([]byte, 40, 40+len(anchors)+len(outliers)+len(hblob))
 	binary.LittleEndian.PutUint32(out[0:], MagicV2)
@@ -336,7 +415,7 @@ func decompressSerial[T grid.Float](data []byte, laneWorkers int) (*grid.Grid[T]
 	// transiently (the streaming reader, the chunk-parallel decoder) hand
 	// the buffer back; long-lived results simply never release it.
 	rec := &grid.Grid[T]{Data: scratch.LeaseFloat[T](nz * ny * nx), Nz: nz, Ny: ny, Nx: nx}
-	if err := decompressSerialInto(data, rec, laneWorkers); err != nil {
+	if err := decompressSerialInto(data, rec, grid.FullBox(rec), laneWorkers); err != nil {
 		scratch.ReleaseFloat(rec.Data)
 		return nil, err
 	}
@@ -383,13 +462,25 @@ func checkElems(nz, ny, nx, streamBytes int) error {
 	return nil
 }
 
-// decompressSerialInto decodes a serial stream into rec, whose dimensions
-// must match the stream header (the chunk-parallel decoder passes
-// zero-copy slab views of the full output grid). Every element of rec is
-// overwritten on success. laneWorkers bounds the lane-parallel entropy
-// decode of v2 streams (chunk-parallel callers pass 1: the chunks already
-// occupy the pool).
-func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], laneWorkers int) error {
+// decompressSerialInto is the one decoder. It decodes the serial stream data
+// for the box b into rec, whose dimensions must match the stream header (the
+// chunk-parallel decoder passes zero-copy slab views of the full output
+// grid), and reconstructs exactly the points b depends on: its cone, one
+// need-box per pass (passNeeds). A full decode is the whole-grid box, whose
+// cone is every point. For any other box rec is dirty outside the cone —
+// only b's window of it means anything afterwards — and since the decoder
+// never reads a point it has not written, rec may be a dirty lease. b must
+// be a valid box of the grid (checkBox).
+//
+// Every code is entropy-decoded; the codes of points outside the cone only
+// advance the code cursor — and, when the header counts any escapes, are
+// scanned for them so the outlier cursor stays exact. A corrupt stream can
+// therefore fail a box whose cone reaches the damage and still serve one
+// whose cone does not.
+//
+// laneWorkers bounds the lane-parallel entropy decode of v2 streams
+// (chunk-parallel callers pass 1: the chunks already occupy the pool).
+func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], b grid.Box, laneWorkers int) error {
 	nz, ny, nx, version, err := parseSerialDims[T](data)
 	if err != nil {
 		return err
@@ -407,30 +498,20 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], laneWork
 	}
 	q := quant.Quantizer{EB: eb, Radius: radius}
 
-	pos := 40
-	var ferr error
-	forEachAnchor(rec, func(idx int) {
-		if ferr != nil {
-			return
-		}
-		v, n, err := getValue[T](data[pos:])
-		if err != nil {
-			ferr = err
-			return
-		}
-		rec.Data[idx] = v
-		pos += n
-	})
-	if ferr != nil {
-		return ferr
-	}
-
-	outBytes := nOutliers * elemBytes[T]()
-	if pos+outBytes+hlen > len(data) {
+	// The sections' sizes are known up front: the anchor lattice is exact.
+	elem := elemBytes[T]()
+	nAnchors := anchorCount(rec)
+	outliers := 40 + nAnchors*elem
+	hoff := outliers + nOutliers*elem
+	if hoff+hlen > len(data) {
 		return ErrFormat
 	}
-	outlierData := data[pos : pos+outBytes]
-	hblob := data[pos+outBytes : pos+outBytes+hlen]
+	pos := 40
+	forEachAnchor(rec, func(idx int) {
+		rec.Data[idx] = readValue[T](data[pos:])
+		pos += elem
+	})
+	outlierData := data[outliers:hoff]
 
 	// The code count equals the predicted-point count (≤ Len), so a lease
 	// of Len elements lets the decoder skip its output allocation.
@@ -438,44 +519,73 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], laneWork
 	defer scratch.U16.Release(codesBuf)
 	var codes []uint16
 	if version >= 2 {
-		codes, err = huffman.DecodeLanesInto(codesBuf[:0], hblob, q.Alphabet(), laneWorkers)
+		codes, err = huffman.DecodeLanesInto(codesBuf[:0], data[hoff:hoff+hlen], q.Alphabet(), laneWorkers)
 	} else {
-		codes, err = huffman.DecodeInto(codesBuf[:0], hblob, q.Alphabet())
+		codes, err = huffman.DecodeInto(codesBuf[:0], data[hoff:hoff+hlen], q.Alphabet())
 	}
 	if err != nil {
 		return fmt.Errorf("sz3: %w", err)
 	}
+	// The traversal visits every non-anchor point exactly once.
+	if len(codes) != rec.Len()-nAnchors {
+		return fmt.Errorf("%w: %d codes for %d predicted points", ErrFormat, len(codes), rec.Len()-nAnchors)
+	}
 
+	var needs [maxPasses]grid.Box
+	passNeeds(nz, ny, nx, b, &needs)
+	row := scratch.LeaseFloat[T]((nx + 1) / 2)
+	defer scratch.ReleaseFloat(row)
+	// quant.DequantizeT with its bin width hoisted out of the loop.
+	bin := 2 * q.EB
 	ci, oi := 0, 0
-	forEachPredicted(rec, func(idx int, pred T) {
+	// skip passes over the next n codes, whose points lie outside the cone.
+	skip := func(n int) {
+		if nOutliers > 0 {
+			for _, code := range codes[ci : ci+n] {
+				if code == 0 {
+					oi += elem
+				}
+			}
+		}
+		ci += n
+	}
+	out := rec.Data
+	var ferr error
+	forEachLine(nz, ny, nx, func(ln line) {
 		if ferr != nil {
 			return
 		}
-		if ci >= len(codes) {
-			ferr = fmt.Errorf("%w: code stream exhausted", ErrFormat)
-			return
+		// Clip the line to its pass's need-box: points [lo, hi) are the ones
+		// with need.X0 ≤ x < need.X1.
+		need := &needs[ln.pass]
+		lo, hi := 0, 0
+		if ln.z >= need.Z0 && ln.z < need.Z1 && ln.y >= need.Y0 && ln.y < need.Y1 {
+			lo = min(grid.SubDim(need.X0, ln.x0, ln.stride), ln.n)
+			hi = min(grid.SubDim(need.X1, ln.x0, ln.stride), ln.n)
 		}
-		code := codes[ci]
-		ci++
-		if code == 0 {
-			v, n, err := getValue[T](outlierData[oi:])
-			if err != nil {
-				ferr = err
-				return
+		skip(lo)
+		if hi > lo {
+			sub := ln.slice(lo, hi)
+			preds := row[:sub.n]
+			predictLine(out, &sub, preds)
+			i := sub.idx
+			for t, code := range codes[ci : ci+sub.n] {
+				if code != 0 {
+					out[i] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
+				} else if oi+elem <= len(outlierData) {
+					out[i] = readValue[T](outlierData[oi:])
+					oi += elem
+				} else {
+					ferr = fmt.Errorf("%w: outlier section exhausted", ErrFormat)
+					return
+				}
+				i += sub.stride
 			}
-			oi += n
-			rec.Data[idx] = v
-			return
+			ci += sub.n
 		}
-		rec.Data[idx] = quant.DequantizeT[T](q, code, float64(pred))
+		skip(ln.n - hi)
 	})
-	if ferr != nil {
-		return ferr
-	}
-	if ci != len(codes) {
-		return fmt.Errorf("%w: %d unused codes", ErrFormat, len(codes)-ci)
-	}
-	return nil
+	return ferr
 }
 
 // CompressChunked is the SZ3-OMP equivalent: the grid is split along its z
@@ -536,15 +646,16 @@ func CompressChunked[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 }
 
 // DecompressBox decodes only the region b of a stream produced by Compress
-// (either mode) — native random access. For chunked ("OMP") streams the
-// z-slab chunks give genuine sub-stream addressing: only the slabs whose
-// plane range intersects b are entropy-decoded and reconstructed, the rest
-// of the payload is never touched. Serial streams have one global
-// interpolation traversal, so they are fully decoded and the box windowed
-// out; the result is bit-identical to the same region of Decompress in
-// both cases. The box must lie entirely inside the stream's grid — callers
-// wanting clip semantics clip first (the codec layer validates with
-// codec.CheckBox before dispatching here).
+// (either mode) — native random access, bit-identical to the same region of
+// Decompress. A serial stream is entropy-decoded whole, but only b's
+// dependency cone is reconstructed (decompressSerialInto): the stencil
+// reaches 3h per pass, so a small window depends on a small fraction of the
+// grid. For chunked ("OMP") streams the z-slab chunks add genuine sub-stream
+// addressing on top: only the slabs whose plane range intersects b are
+// touched at all, each for the cone of its own part of b. The box must lie
+// entirely inside the stream's grid, and is checked before anything is
+// decoded or leased — callers wanting clip semantics clip first (the codec
+// layer validates with codec.CheckBox before dispatching here).
 func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Grid[T], error) {
 	if len(data) < 4 {
 		return nil, ErrFormat
@@ -553,15 +664,18 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 		workers = parallel.DefaultWorkers()
 	}
 	if binary.LittleEndian.Uint32(data) != MagicChunked {
-		g, err := decompressSerial[T](data, workers)
+		nz, ny, nx, _, err := parseSerialDims[T](data)
 		if err != nil {
 			return nil, err
 		}
-		defer scratch.ReleaseFloat(g.Data)
-		if err := checkBox(b, g.Nz, g.Ny, g.Nx); err != nil {
+		if err := checkBox(b, nz, ny, nx); err != nil {
 			return nil, err
 		}
-		return g.ExtractBox(b), nil
+		out := grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
+		if err := copyBoxFromSerial(out, data, b, 0, nz, ny, nx, workers); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 
 	nz, ny, nx, offs, bounds, err := parseChunkedDir[T](data)
@@ -584,13 +698,7 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 	parallel.For(len(need), workers, func(i int) {
 		c := need[i]
 		lo, hi := bounds[c], bounds[c+1]
-		slab := &grid.Grid[T]{Data: scratch.LeaseFloat[T]((hi - lo) * ny * nx), Nz: hi - lo, Ny: ny, Nx: nx}
-		defer scratch.ReleaseFloat(slab.Data)
-		if err := decompressSerialInto(data[offs[c]:offs[c+1]], slab, 1); err != nil {
-			errs[i] = err
-			return
-		}
-		out.CopyBoxFromSlab(slab, b, lo)
+		errs[i] = copyBoxFromSerial(out, data[offs[c]:offs[c+1]], b, lo, hi-lo, ny, nx, 1)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -598,6 +706,22 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 		}
 	}
 	return out, nil
+}
+
+// copyBoxFromSerial copies into out (whose dims are b's) the part of b that
+// the serial stream data covers: an nz×ny×nx slab whose plane 0 is plane
+// zOff of b's grid. It reconstructs the cone of that part in a leased slab
+// and windows it out.
+func copyBoxFromSerial[T grid.Float](out *grid.Grid[T], data []byte, b grid.Box, zOff, nz, ny, nx, laneWorkers int) error {
+	slab := &grid.Grid[T]{Data: scratch.LeaseFloat[T](nz * ny * nx), Nz: nz, Ny: ny, Nx: nx}
+	defer scratch.ReleaseFloat(slab.Data)
+	local := b
+	local.Z0, local.Z1 = max(b.Z0, zOff)-zOff, min(b.Z1, zOff+nz)-zOff
+	if err := decompressSerialInto(data, slab, local, laneWorkers); err != nil {
+		return err
+	}
+	out.CopyBoxFromSlab(slab, b, zOff)
+	return nil
 }
 
 // checkBox rejects empty, inverted or out-of-bounds boxes (the package
@@ -678,7 +802,7 @@ func DecompressChunked[T grid.Float](data []byte, workers int) (*grid.Grid[T], e
 		}
 		// Chunks already occupy the worker pool, so each chunk's v2 lane
 		// decode runs on the register-resident single-thread interleave.
-		errs[c] = decompressSerialInto(data[offs[c]:offs[c+1]], sub, 1)
+		errs[c] = decompressSerialInto(data[offs[c]:offs[c+1]], sub, grid.FullBox(sub), 1)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -2,13 +2,17 @@ package sz3
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"stz/internal/grid"
+	"stz/internal/huffman"
 	"stz/internal/metrics"
+	"stz/internal/quant"
+	"stz/internal/scratch"
 )
 
 // smoothField fills a grid with a smooth trigonometric function plus mild
@@ -28,39 +32,286 @@ func smoothField[T grid.Float](nz, ny, nx int, seed int64) *grid.Grid[T] {
 	return g
 }
 
-func TestTraversalCoversEveryPointOnce(t *testing.T) {
-	for _, dims := range [][3]int{
-		{8, 8, 8}, {7, 5, 9}, {1, 16, 16}, {1, 1, 33}, {2, 2, 2}, {5, 1, 1},
-		{1, 1, 1}, {3, 3, 3}, {16, 1, 4},
-	} {
-		g := grid.New[float64](dims[0], dims[1], dims[2])
-		seen := make([]int, g.Len())
-		forEachAnchor(g, func(idx int) { seen[idx]++ })
-		forEachPredicted(g, func(idx int, pred float64) { seen[idx]++ })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("dims %v: point %d visited %d times", dims, i, c)
+// traversalDims are the grids the traversal, kernel and cone tests sweep:
+// cubes, odd and prime extents, 1-D and 2-D shapes, degenerate axes, and the
+// 8×128×128 slab the service decodes.
+var traversalDims = [][3]int{
+	{8, 8, 8}, {7, 5, 9}, {1, 16, 16}, {1, 1, 33}, {2, 2, 2}, {5, 1, 1},
+	{1, 1, 1}, {3, 3, 3}, {16, 1, 4}, {33, 18, 7}, {7, 33, 18}, {8, 128, 128},
+}
+
+// forEachPredicted is the per-point reference traversal the line traversal
+// replaced: it enumerates every non-anchor point in SZ3's order (coarse→fine
+// levels; per level, passes along z, then y, then x) and calls fn with the
+// point's linear index and the prediction computed from rec's
+// already-reconstructed entries.
+func forEachPredicted[T grid.Float](rec *grid.Grid[T], fn func(idx int, pred T)) {
+	nz, ny, nx := rec.Nz, rec.Ny, rec.Nx
+	maxDim := max(nz, ny, nx)
+	if maxDim <= 1 {
+		return
+	}
+	data := rec.Data
+	rowY := nx
+	rowZ := ny * nx
+	for s := startStride(maxDim); s >= 2; s >>= 1 {
+		h := s / 2
+		// Pass along z: z ≡ h (mod s), y ≡ 0 (mod s), x ≡ 0 (mod s).
+		for z := h; z < nz; z += s {
+			zi := z * rowZ
+			for y := 0; y < ny; y += s {
+				base := zi + y*rowY
+				for x := 0; x < nx; x += s {
+					idx := base + x
+					fn(idx, predictAxis(data, idx, h*rowZ, z, h, nz))
+				}
+			}
+		}
+		// Pass along y: z ≡ 0 (mod h), y ≡ h (mod s), x ≡ 0 (mod s).
+		for z := 0; z < nz; z += h {
+			zi := z * rowZ
+			for y := h; y < ny; y += s {
+				base := zi + y*rowY
+				for x := 0; x < nx; x += s {
+					idx := base + x
+					fn(idx, predictAxis(data, idx, h*rowY, y, h, ny))
+				}
+			}
+		}
+		// Pass along x: z ≡ 0 (mod h), y ≡ 0 (mod h), x ≡ h (mod s).
+		for z := 0; z < nz; z += h {
+			zi := z * rowZ
+			for y := 0; y < ny; y += h {
+				base := zi + y*rowY
+				for x := h; x < nx; x += s {
+					idx := base + x
+					fn(idx, predictAxis(data, idx, h, x, h, nx))
+				}
 			}
 		}
 	}
 }
 
-func TestTraversalPredictsOnlyFromProcessed(t *testing.T) {
-	// Mark each point as it is processed; every prediction neighbour access
-	// is implicitly validated by reconstructing with a sentinel: points are
-	// NaN until processed, so any prediction reading an unprocessed point
-	// yields NaN.
-	g := grid.New[float64](9, 6, 7)
-	for i := range g.Data {
-		g.Data[i] = math.NaN()
-	}
-	forEachAnchor(g, func(idx int) { g.Data[idx] = 1 })
-	forEachPredicted(g, func(idx int, pred float64) {
-		if math.IsNaN(pred) {
-			t.Fatalf("prediction at %d read an unprocessed point", idx)
-		}
-		g.Data[idx] = 1
+// refCompressSerial is the per-point reference encoder (one
+// quant.QuantizeFastT call per point): compressSerial must reproduce its
+// archives byte for byte.
+func refCompressSerial[T grid.Float](g *grid.Grid[T], o Options) []byte {
+	q := quant.Quantizer{EB: o.EB, Radius: o.radius()}
+	fq := q.Fast()
+	rec := grid.New[T](g.Nz, g.Ny, g.Nx)
+	var codes []uint16
+	var anchors, outliers []byte
+	var nOutliers uint32
+	forEachAnchor(g, func(idx int) {
+		anchors = appendValue(anchors, g.Data[idx])
+		rec.Data[idx] = g.Data[idx]
 	})
+	forEachPredicted(rec, func(idx int, pred T) {
+		code, r, ok := quant.QuantizeFastT(fq, g.Data[idx], float64(pred))
+		if !ok {
+			outliers = appendValue(outliers, g.Data[idx])
+			nOutliers++
+			codes = append(codes, 0)
+			rec.Data[idx] = g.Data[idx]
+			return
+		}
+		codes = append(codes, code)
+		rec.Data[idx] = r
+	})
+	hblob := huffman.EncodeLanes(codes, q.Alphabet())
+	out := make([]byte, 40)
+	binary.LittleEndian.PutUint32(out[0:], MagicV2)
+	out[4] = dtypeOf[T]()
+	binary.LittleEndian.PutUint32(out[8:], uint32(g.Nz))
+	binary.LittleEndian.PutUint32(out[12:], uint32(g.Ny))
+	binary.LittleEndian.PutUint32(out[16:], uint32(g.Nx))
+	binary.LittleEndian.PutUint64(out[20:], math.Float64bits(o.EB))
+	binary.LittleEndian.PutUint32(out[28:], uint32(o.radius()))
+	binary.LittleEndian.PutUint32(out[32:], nOutliers)
+	binary.LittleEndian.PutUint32(out[36:], uint32(len(hblob)))
+	out = append(out, anchors...)
+	out = append(out, outliers...)
+	return append(out, hblob...)
+}
+
+// refDecompressSerial is the per-point reference decoder (one
+// quant.DequantizeT call per point) for v1 and v2 serial streams: the full
+// decode must reproduce its grid bit for bit.
+func refDecompressSerial[T grid.Float](data []byte) (*grid.Grid[T], error) {
+	nz, ny, nx, version, err := parseSerialDims[T](data)
+	if err != nil {
+		return nil, err
+	}
+	rec := grid.New[T](nz, ny, nx)
+	q := quant.Quantizer{
+		EB:     math.Float64frombits(binary.LittleEndian.Uint64(data[20:])),
+		Radius: int32(binary.LittleEndian.Uint32(data[28:])),
+	}
+	nOutliers := int(binary.LittleEndian.Uint32(data[32:]))
+	hlen := int(binary.LittleEndian.Uint32(data[36:]))
+	elem := elemBytes[T]()
+	pos := 40
+	forEachAnchor(rec, func(idx int) {
+		rec.Data[idx] = readValue[T](data[pos:])
+		pos += elem
+	})
+	outlierData := data[pos : pos+nOutliers*elem]
+	hblob := data[pos+nOutliers*elem : pos+nOutliers*elem+hlen]
+	var codes []uint16
+	if version >= 2 {
+		codes, err = huffman.DecodeLanesInto(nil, hblob, q.Alphabet(), 1)
+	} else {
+		codes, err = huffman.Decode(hblob, q.Alphabet())
+	}
+	if err != nil {
+		return nil, err
+	}
+	ci, oi := 0, 0
+	forEachPredicted(rec, func(idx int, pred T) {
+		code := codes[ci]
+		ci++
+		if code == 0 {
+			rec.Data[idx] = readValue[T](outlierData[oi:])
+			oi += elem
+			return
+		}
+		rec.Data[idx] = quant.DequantizeT[T](q, code, float64(pred))
+	})
+	if ci != len(codes) {
+		return nil, ErrFormat
+	}
+	return rec, nil
+}
+
+// sameBits reports whether two grids hold the same bit patterns (NaN-safe).
+func sameBits[T grid.Float](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// testTraversal checks forEachLine+predictLine against the per-point
+// reference on one grid: the same indices in the same order with
+// bit-identical predictions, every point covered exactly once together with
+// the anchors, and no prediction reading a point that is not yet processed
+// (points are NaN until then, so such a read would surface as a NaN).
+func testTraversal[T grid.Float](t *testing.T, dims [3]int) {
+	t.Helper()
+	nan := T(math.NaN())
+	ref, got := grid.New[T](dims[0], dims[1], dims[2]), grid.New[T](dims[0], dims[1], dims[2])
+	for i := range ref.Data {
+		ref.Data[i], got.Data[i] = nan, nan
+	}
+	rng := rand.New(rand.NewSource(int64(dims[0]*1000003 + dims[1]*1009 + dims[2])))
+	seen := make([]int, ref.Len())
+	forEachAnchor(ref, func(idx int) {
+		v := T(rng.NormFloat64())
+		ref.Data[idx], got.Data[idx] = v, v
+		seen[idx]++
+	})
+	type point struct {
+		idx  int
+		pred T
+	}
+	var want []point
+	forEachPredicted(ref, func(idx int, pred T) {
+		if math.IsNaN(float64(pred)) {
+			t.Fatalf("dims %v: reference prediction at %d read an unprocessed point", dims, idx)
+		}
+		want = append(want, point{idx, pred})
+		// Perturb the reconstruction so later predictions depend on order.
+		ref.Data[idx] = pred + T(rng.NormFloat64())
+	})
+	k, lastPass := 0, -1
+	row := make([]T, (dims[2]+1)/2)
+	forEachLine(dims[0], dims[1], dims[2], func(ln line) {
+		if ln.pass < lastPass {
+			t.Fatalf("dims %v: pass %d after pass %d", dims, ln.pass, lastPass)
+		}
+		lastPass = ln.pass
+		if ln.n <= 0 || ln.n > len(row) {
+			t.Fatalf("dims %v: line of %d points", dims, ln.n)
+		}
+		if ln.idx != (ln.z*dims[1]+ln.y)*dims[2]+ln.x0 {
+			t.Fatalf("dims %v: line index %d is not (%d,%d,%d)", dims, ln.idx, ln.z, ln.y, ln.x0)
+		}
+		preds := row[:ln.n]
+		predictLine(got.Data, &ln, preds)
+		// A clipped line predicts the same values as the whole one.
+		if ln.n > 2 {
+			sub := ln.slice(1, ln.n-1)
+			part := make([]T, sub.n)
+			predictLine(got.Data, &sub, part)
+			if !sameBits(part, preds[1:ln.n-1]) {
+				t.Fatalf("dims %v: sub-line of line at %d predicts differently", dims, ln.idx)
+			}
+		}
+		for i, pred := range preds {
+			idx := ln.idx + i*ln.stride
+			if k >= len(want) || want[k].idx != idx {
+				t.Fatalf("dims %v: point %d of the traversal is %d, reference differs", dims, k, idx)
+			}
+			if !sameBits([]T{pred}, []T{want[k].pred}) {
+				t.Fatalf("dims %v: prediction at %d = %v, reference %v", dims, idx, pred, want[k].pred)
+			}
+			seen[idx]++
+			k++
+		}
+		// Reconstruct the line only after all of it is predicted — legal
+		// because no point of a pass reads another point of the same pass.
+		for i := range preds {
+			idx := ln.idx + i*ln.stride
+			got.Data[idx] = ref.Data[idx]
+		}
+	})
+	if k != len(want) {
+		t.Fatalf("dims %v: %d points traversed, reference %d", dims, k, len(want))
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("dims %v: point %d visited %d times", dims, i, c)
+		}
+	}
+}
+
+func TestTraversalCoversEveryPointOnce(t *testing.T) {
+	for _, dims := range traversalDims {
+		testTraversal[float64](t, dims)
+		testTraversal[float32](t, dims)
+	}
+}
+
+// TestTraversalPredictsOnlyFromProcessed replays the line traversal the way
+// the decoder does — predict a line, then write it — over a grid that is NaN
+// wherever nothing has been written yet, so any prediction reading an
+// unprocessed point (including another point of its own pass) yields NaN.
+func TestTraversalPredictsOnlyFromProcessed(t *testing.T) {
+	for _, dims := range traversalDims {
+		g := grid.New[float64](dims[0], dims[1], dims[2])
+		for i := range g.Data {
+			g.Data[i] = math.NaN()
+		}
+		forEachAnchor(g, func(idx int) { g.Data[idx] = 1 })
+		row := make([]float64, (dims[2]+1)/2)
+		forEachLine(dims[0], dims[1], dims[2], func(ln line) {
+			preds := row[:ln.n]
+			predictLine(g.Data, &ln, preds)
+			for i, pred := range preds {
+				if math.IsNaN(pred) {
+					t.Fatalf("dims %v: prediction at %d read an unprocessed point", dims, ln.idx+i*ln.stride)
+				}
+			}
+			for i := range preds {
+				g.Data[ln.idx+i*ln.stride] = 1
+			}
+		})
+	}
 }
 
 func testRoundTrip[T grid.Float](t *testing.T, g *grid.Grid[T], eb float64) {
@@ -424,8 +675,13 @@ func TestRandomAccessBoxMatchesFull(t *testing.T) {
 }
 
 // TestRandomAccessBoxRejectsBadBoxes checks the package-local validation
-// (empty, inverted, out of bounds) on both stream variants.
+// (empty, inverted, out of bounds) on both stream variants, and that a bad
+// box is refused before anything is decoded: no float arena sees a lease.
 func TestRandomAccessBoxRejectsBadBoxes(t *testing.T) {
+	floatLeases := func() uint64 {
+		all := scratch.All()
+		return all["float32"].Hits + all["float32"].Misses + all["float64"].Hits + all["float64"].Misses
+	}
 	g := smoothField[float32](10, 10, 10, 24)
 	for _, o := range []Options{DefaultOptions(1e-3), {EB: 1e-3, Workers: 2, Chunks: 2}} {
 		enc, err := Compress(g, o)
@@ -440,9 +696,98 @@ func TestRandomAccessBoxRejectsBadBoxes(t *testing.T) {
 			{Z1: 11, Y1: 10, X1: 10},
 			{Z1: 10, Y1: 10, X0: 4, X1: 14},
 		} {
+			before := floatLeases()
 			if _, err := DecompressBox[float32](enc, b, 1); err == nil {
 				t.Errorf("chunks=%d: box %+v accepted", o.Chunks, b)
 			}
+			if n := floatLeases() - before; n != 0 {
+				t.Errorf("chunks=%d: box %+v cost %d grid leases before it was refused", o.Chunks, b, n)
+			}
 		}
 	}
+}
+
+// kernelFields returns the fields the encoder/decoder equivalence tests run
+// on: smooth, outlier-heavy (1e12 spikes), NaN/±Inf-bearing and constant.
+func kernelFields[T grid.Float](nz, ny, nx int) map[string]*grid.Grid[T] {
+	smooth := smoothField[T](nz, ny, nx, 41)
+	spikes := smoothField[T](nz, ny, nx, 42)
+	for i := 0; i < spikes.Len(); i += 5 {
+		spikes.Data[i] = T(1e12)
+	}
+	nonFinite := smoothField[T](nz, ny, nx, 43)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nonFinite.Data[(i*7+3)%nonFinite.Len()] = T(v)
+		nonFinite.Data[nonFinite.Len()-1-(i*11)%nonFinite.Len()] = T(v)
+	}
+	constant := grid.New[T](nz, ny, nx)
+	for i := range constant.Data {
+		constant.Data[i] = 3.25
+	}
+	return map[string]*grid.Grid[T]{"smooth": smooth, "spikes": spikes, "nonfinite": nonFinite, "constant": constant}
+}
+
+// toV1 reframes a v2 serial stream as a version-1 one (Magic, single-lane
+// Huffman payload) — the framing pre-lane writers emitted.
+func toV1(t *testing.T, enc []byte) []byte {
+	t.Helper()
+	if binary.LittleEndian.Uint32(enc) != MagicV2 {
+		t.Fatal("toV1: not a v2 serial stream")
+	}
+	hlen := int(binary.LittleEndian.Uint32(enc[36:]))
+	alphabet := 2 * int(binary.LittleEndian.Uint32(enc[28:]))
+	codes, err := huffman.DecodeLanesInto(nil, enc[len(enc)-hlen:], alphabet, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte(nil), enc[:len(enc)-hlen]...)
+	hblob := huffman.Encode(codes, alphabet)
+	binary.LittleEndian.PutUint32(v1[0:], Magic)
+	binary.LittleEndian.PutUint32(v1[36:], uint32(len(hblob)))
+	return append(v1, hblob...)
+}
+
+func testKernelsMatchReference[T grid.Float](t *testing.T) {
+	for _, dims := range [][3]int{{7, 5, 9}, {1, 16, 16}, {1, 1, 33}, {16, 1, 4}, {33, 18, 7}, {8, 32, 40}} {
+		for name, g := range kernelFields[T](dims[0], dims[1], dims[2]) {
+			for _, eb := range []float64{1e-2, 1e-5, 1e-9} {
+				for _, radius := range []int32{8, 0} {
+					o := Options{EB: eb, Radius: radius}
+					want := refCompressSerial(g, o)
+					enc, err := Compress(g, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(enc, want) {
+						t.Fatalf("%v %s eb=%g radius=%d: archive differs from the per-point encoder's", dims, name, eb, radius)
+					}
+					if nOut := binary.LittleEndian.Uint32(enc[32:]); (name == "spikes" || name == "nonfinite") && nOut == 0 {
+						t.Fatalf("%v %s eb=%g: field produced no escapes", dims, name, eb)
+					}
+					for version, stream := range map[int][]byte{2: enc, 1: toV1(t, enc)} {
+						ref, err := refDecompressSerial[T](stream)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dec, err := Decompress[T](stream)
+						if err != nil {
+							t.Fatalf("%v %s eb=%g radius=%d v%d: %v", dims, name, eb, radius, version, err)
+						}
+						if !sameBits(dec.Data, ref.Data) {
+							t.Fatalf("%v %s eb=%g radius=%d v%d: decode differs from the per-point decoder's", dims, name, eb, radius, version)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsMatchReference: the line-kernel encoder reproduces the
+// per-point encoder's archives byte for byte, and the full decode (the
+// whole-grid box of the one decoder) the per-point decoder's grid bit for
+// bit, on v2 and hand-framed v1 streams.
+func TestKernelsMatchReference(t *testing.T) {
+	t.Run("f32", testKernelsMatchReference[float32])
+	t.Run("f64", testKernelsMatchReference[float64])
 }
