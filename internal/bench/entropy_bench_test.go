@@ -1,22 +1,34 @@
 package bench
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"stz/internal/bitio"
+	"stz/internal/container"
+	"stz/internal/core"
+	"stz/internal/datasets"
 	"stz/internal/huffman"
+	"stz/internal/quant"
 )
 
 // Entropy-stage micro-benchmarks for the multi-lane Huffman payload and
 // the refill-amortized bit I/O underneath it. CI runs these under a
-// -cpu 1,4,8 matrix: the lanes/parallel decode series shows the
-// parallel.For lane split scaling with GOMAXPROCS, while the v1 and
-// interleaved series must stay flat (they are single-goroutine by design).
+// -cpu 1,4,8 matrix: the lanes-parallel series shows the parallel.For split
+// scaling with GOMAXPROCS (a lockstep lane pair per worker below four
+// workers, a lane each from four), while the v1, lanes-interleave and
+// DecodeClass series must stay flat — they decode on one goroutine by
+// design, a single lane or two lanes in lockstep. Every decode series runs
+// the one decoder loop over the one lookup table (ARCHITECTURE.md, "Entropy
+// coding"); DecodeSmall sits below the request size from which the table's
+// entries are extended to several symbols each, DecodeClass at it (lane:
+// 8 Ki symbols to decode) and above (range25, whole).
 
-// entropyCodes mimics quantizer output: a tight normal cluster around the
-// zero-residual code with occasional outliers — the distribution every
-// backend feeds the Huffman stage.
+// entropyCodes is a tight normal cluster around the zero-residual code on a
+// small alphabet: ~3.7 bits a symbol, no rare-symbol tail. The streams reads
+// are bound by look different (BenchmarkHuffmanDecodeClass).
 func entropyCodes(n int) []uint16 {
 	rng := rand.New(rand.NewSource(42))
 	codes := make([]uint16, n)
@@ -117,6 +129,70 @@ func BenchmarkHuffmanDecodeSmall(b *testing.B) {
 			}
 		}
 	})
+}
+
+// classStream returns the Huffman blob and symbol count of the last
+// finest-level class section of the 64³ Nyx field compressed by core at the
+// relative bound rel: what a read actually decodes — a few bits a symbol,
+// a long tail of rare codes, the 65 536-symbol quantizer alphabet.
+func classStream(b *testing.B, rel float64) (blob []byte, n int) {
+	g := datasets.Nyx(64, 64, 64, 7)
+	mn, mx := g.Range()
+	cfg := core.DefaultConfig(quant.AbsoluteBound(rel, float64(mn), float64(mx)))
+	enc, err := core.Compress(g, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arc, err := container.Open(enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Section plan (FORMAT.md §3): header, level-1 stream, then seven class
+	// sections per predicted level; a class section is its outlier count,
+	// the float32 outliers, then the code blob.
+	sec, err := arc.Section(arc.Count() - 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob = sec[4+4*int(binary.LittleEndian.Uint32(sec)):]
+	codes, err := huffman.DecodeLanesInto(nil, blob, quantAlphabet, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return blob, len(codes)
+}
+
+const quantAlphabet = 1 << 16
+
+// BenchmarkHuffmanDecodeClass decodes quantizer-shaped class streams — the
+// distribution every read is bound by, which entropyCodes' N(512, 3) on a
+// 1024-symbol alphabet is not: "whole" is a full decode or a box that needs
+// the stream, "lane" one lane of four (a parallel worker's share), "range25"
+// the quarter of the stream around its middle that a region of interest asks
+// for (two lane prefixes). ns/sym is per symbol actually decoded, table
+// parse and build included.
+func BenchmarkHuffmanDecodeClass(b *testing.B) {
+	for _, rel := range []float64{1e-3, 1e-4} {
+		blob, n := classStream(b, rel)
+		dst := make([]uint16, n)
+		run := func(name string, lo, hi int) {
+			b.Run(fmt.Sprintf("rel%.0e/%s", rel, name), func(b *testing.B) {
+				var decoded int
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if _, decoded, err = huffman.DecodeLanesRange(dst[:0], blob, quantAlphabet, lo, hi); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(decoded), "ns/sym")
+				b.ReportMetric(8*float64(len(blob))/float64(n), "bits/sym")
+			})
+		}
+		run("whole", 0, n)
+		run("lane", 0, n/4)
+		run("range25", 3*n/8, 5*n/8)
+	}
 }
 
 // BenchmarkBitioRefill isolates the word-level reader fast path against

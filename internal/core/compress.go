@@ -12,6 +12,7 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 	"stz/internal/sz3"
 )
@@ -120,36 +121,33 @@ func dtypeOf[T grid.Float]() byte {
 	return 8
 }
 
-// appendValue appends the little-endian storage form of v to buf.
+// appendValue appends the little-endian storage form of v to buf. The
+// conversions sit in non-generic helpers, like rawio's: written inside a
+// shape-instantiated body they can cost a call per value.
 func appendValue[T grid.Float](buf []byte, v T) []byte {
 	switch x := any(v).(type) {
 	case float32:
-		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+		return appendF32(buf, x)
 	case float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		return appendF64(buf, x)
 	}
 	return buf
 }
 
+func appendF32(buf []byte, v float32) []byte {
+	return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+}
+
+func appendF64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
 // readValues fills dst with len(dst) little-endian values from data.
 func readValues[T grid.Float](dst []T, data []byte) error {
-	var v T
-	eb := 8
-	if _, ok := any(v).(float32); ok {
-		eb = 4
-	}
-	if len(data) < len(dst)*eb {
+	if len(data) < len(dst)*rawio.ElemSize[T]() {
 		return fmt.Errorf("core: outlier data truncated")
 	}
-	if eb == 4 {
-		for i := range dst {
-			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))
-		}
-	} else {
-		for i := range dst {
-			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
-		}
-	}
+	rawio.GetValues(dst, data)
 	return nil
 }
 

@@ -28,15 +28,26 @@ import (
 
 const (
 	maxCodeLen = 31 // longest admissible code, fits the 5-bit length field
-	fastBits   = 10 // width of the table-driven decode fast path
+
+	// tableBits is the window of the decoder's lookup table: an entry is
+	// indexed by the next tableBits transmitted bits and retires every whole
+	// symbol inside them (up to four), so the bits an entry consumes fit
+	// the low nibble of its meta byte.
+	tableBits    = 11
+	tableEntries = 1 << tableBits
+	// multiMin is the symbol count from which a decode call builds
+	// multi-symbol entries: below it the extra table pass (~10 µs) costs
+	// more than the faster loop saves (break-even measured at ~3 Ki symbols
+	// of a 2.8 bits/symbol stream, ~8 Ki at 6 bits/symbol).
+	multiMin = 1 << 13
 
 	// numLanes is the lane count of the v2 multi-stream payload: the symbol
 	// stream is split into numLanes near-equal contiguous segments, each
 	// encoded as an independent bitstream over one shared code table.
 	numLanes = 4
 	// laneParallelMin is the symbol count from which DecodeLanesInto hands
-	// whole lanes to parallel.For workers instead of interleaving them on
-	// the calling goroutine (below it, goroutine overhead dominates).
+	// lanes to parallel.For workers instead of decoding them on the calling
+	// goroutine (below it, goroutine overhead dominates).
 	laneParallelMin = 1 << 16
 )
 
@@ -258,16 +269,26 @@ func writeLengths(w *bitio.Writer, table []symLen) {
 }
 
 // decoder is the canonical decoding state derived from a code-length table.
-// Decoders recycle through decoderPool; all slice fields keep their backing
-// arrays across uses.
+// Decoders recycle through decoderPool; the lookup table is part of the
+// struct (tableEntries × 9 bytes) and the slices keep their backing arrays.
 type decoder struct {
 	// table holds the (symbol, length) pairs exactly as readTable parses
 	// them off the wire; every derived table below is built from this list.
 	table  []symLen
 	maxLen uint8
-	// fast path: index by the next fastBits bits (transmitted-order, i.e.
-	// reversed), value packs symbol<<8 | length; length 0 = slow path.
-	fast []uint32
+	// need is the most bits a lookup may consume: max(maxLen, tableBits).
+	// The unchecked loops look up only with that many valid bits in hand,
+	// so neither the table nor slowWalk reads a bit the lane does not hold.
+	need uint
+	// Lookup table, indexed by the next tableBits transmitted bits (LSB =
+	// next bit). syms holds the symbols the entry retires, first symbol in
+	// the low 16 bits; meta is count<<4 | bits consumed. meta&15 == 0: the
+	// first code is longer than the window (or no code matches), take
+	// slowWalk. build fills one symbol per entry for short decodes and
+	// every whole symbol that fits the window, up to four, for long ones —
+	// one format, so the decode loops do not know which they run on.
+	syms [tableEntries]uint64
+	meta [tableEntries]uint8
 	// slow path canonical walk tables.
 	firstCode  [maxCodeLen + 1]uint32
 	firstIndex [maxCodeLen + 1]uint32
@@ -275,9 +296,7 @@ type decoder struct {
 	symByOrder []uint16
 }
 
-var decoderPool = sync.Pool{
-	New: func() any { return &decoder{fast: make([]uint32, 1<<fastBits)} },
-}
+var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
 func releaseDecoder(d *decoder) { decoderPool.Put(d) }
 
@@ -325,9 +344,15 @@ func (d *decoder) readTable(r *bitio.Reader, alphabet int) error {
 	return nil
 }
 
-// build derives the canonical walk tables and the fast table from d.table.
-func (d *decoder) build() {
+// build derives the canonical walk tables and the lookup table from
+// d.table, for a call that will decode want symbols: every entry first gets
+// the one symbol its leading code names, and when want reaches multiMin the
+// entries are extended, in place, with the further whole symbols their
+// window holds. The extension costs a pass over the table, which a short
+// decode would not earn back.
+func (d *decoder) build(want int) {
 	d.blCount, d.firstCode, d.maxLen = firstCodes(d.table)
+	d.need = max(uint(d.maxLen), tableBits)
 	var index uint32
 	for l := range d.firstIndex {
 		d.firstIndex[l] = index
@@ -337,34 +362,74 @@ func (d *decoder) build() {
 		d.symByOrder = make([]uint16, len(d.table))
 	}
 	d.symByOrder = d.symByOrder[:len(d.table)]
-	// Symbols in canonical order, by (length, symbol), and the fast table;
-	// canonical codes are derived on the fly so decoding never needs a
-	// per-symbol code array. Stale fast entries from the previous use are
-	// cleared first so they can never alias into this table.
-	clear(d.fast)
-	nextIdx, nextCode := d.firstIndex, d.firstCode
+	// Symbols in canonical order, by (length, symbol); canonical codes are
+	// derived on the fly so decoding never needs a per-symbol code array.
+	nextIdx := d.firstIndex
 	for _, e := range d.table {
-		l := e.len
-		d.symByOrder[nextIdx[l]] = e.sym
-		nextIdx[l]++
-		code := nextCode[l]
-		nextCode[l]++
-		if l > fastBits {
+		d.symByOrder[nextIdx[e.len]] = e.sym
+		nextIdx[e.len]++
+	}
+	// One-symbol entries, shortest codes first: the table of an l-bit window
+	// is the table of the (l-1)-bit window twice over — an entry there never
+	// looked at bit l — plus the l-bit codes, which are no shorter code's
+	// extension and so land on entries still empty. Every entry is written,
+	// so nothing of the decoder's previous use survives.
+	d.meta[0] = 0
+	for l := uint8(1); l <= tableBits; l++ {
+		half := 1 << (l - 1)
+		copy(d.syms[half:2*half], d.syms[:half])
+		copy(d.meta[half:2*half], d.meta[:half])
+		for i, sym := range d.symByOrder[d.firstIndex[l]:][:d.blCount[l]] {
+			v := reverseBits(d.firstCode[l]+uint32(i), l)
+			d.syms[v], d.meta[v] = uint64(sym), 1<<4|l
+		}
+	}
+	if want < multiMin {
+		return
+	}
+	// Extend each entry with the symbols that follow its first one inside
+	// the window: the bits after a first code of l bits are v>>l, and the
+	// symbols entry v>>l — already extended, v>>l < v — decodes from them
+	// are the ones entry v wants, as far as they end inside the tableBits-l
+	// bits of the window that are left; a symbol that ends there was decoded
+	// from those bits alone. ends[v] keeps, a byte per symbol, the bits
+	// consumed through each symbol of entry v (noSym where it holds fewer),
+	// so the cut is a bytewise compare and no step branches on the data.
+	const noSym = 0x7f7f7f7f
+	var ends [tableEntries]uint32
+	if l := uint32(d.meta[0] & 15); l != 0 {
+		// Entry 0 is its own tail, the all-zeros code repeated: seed it.
+		d.syms[0] *= 0x0001000100010001
+		ends[0] = l * 0x04030201
+	}
+	for v := range ends {
+		l := uint32(d.meta[v] & 15)
+		if l == 0 {
+			ends[v] = noSym
 			continue
 		}
-		step := uint32(1) << l
-		for v := reverseBits(code, l); v < 1<<fastBits; v += step {
-			d.fast[v] = uint32(e.sym)<<8 | uint32(l)
-		}
+		tail := v >> l
+		// Byte i of the difference keeps its top bit iff ends[tail] byte i
+		// <= tableBits-l; bytes are at most 0x7f, so none borrows.
+		fit := ((tableBits-l)*0x01010101 | 0x80808080) - ends[tail]
+		keep := min(uint(bits.OnesCount32(fit&0x80808080)), 3)
+		e := ends[tail]<<8 + l*0x01010101
+		held := uint32(1)<<(8*(keep+1)) - 1
+		ends[v] = e&held | noSym&^held
+		d.syms[v] = d.syms[v]&0xffff | d.syms[tail]&(1<<(16*keep)-1)<<16
+		d.meta[v] = uint8((keep+1)<<4 | uint(e>>(8*keep)&0xff))
 	}
 }
 
 // slowWalk canonically decodes one symbol from the peeked word v (LSB =
-// next transmitted bit) without the fast table, one code length at a time.
-// Returns ok=false when no code matches within maxLen bits.
-func (d *decoder) slowWalk(v uint64) (sym uint16, length uint, ok bool) {
-	var code uint32
-	for l := uint8(1); l <= d.maxLen; l++ {
+// next transmitted bit) without the lookup table, one code length at a
+// time. It starts after the first skip lengths: tableBits when a table miss
+// has already ruled those out, 0 otherwise. Returns ok=false when no code
+// matches within maxLen bits.
+func (d *decoder) slowWalk(v uint64, skip uint8) (sym uint16, length uint, ok bool) {
+	code := reverseBits(uint32(v)&(1<<skip-1), skip)
+	v >>= skip
+	for l := skip + 1; l <= d.maxLen; l++ {
 		code = code<<1 | uint32(v&1)
 		v >>= 1
 		cnt := d.blCount[l]
@@ -440,8 +505,9 @@ func laneBounds(n, k int) (lo, hi int) {
 // byte-aligned lane directory and numLanes independent bitstreams, lane k
 // holding the contiguous segment laneBounds(n, k). Splitting the payload
 // breaks the decoder's single bit-serial dependency chain — the lanes
-// decode interleaved on one goroutine (hiding table-load latency behind
-// four independent chains) or on parallel.For workers for large streams.
+// decode two at a time in lockstep on one goroutine (hiding table-load
+// latency behind two independent chains) or on parallel.For workers for
+// large streams.
 // All values must be < alphabet.
 func EncodeLanes(codes []uint16, alphabet int) []byte {
 	w, packed := encodeHeader(codes, alphabet)
@@ -484,11 +550,11 @@ func Decode(data []byte, alphabet int) ([]uint16, error) {
 }
 
 // decodeHeader runs the shared decoder prologue: read the symbol count,
-// sanity-check it, lease a decoder, read + validate the code-length table
-// and build the decode tables from it. On success the reader is positioned
-// at the first payload bit and the caller owns the leased decoder
-// (releaseDecoder) and the returned output slice (dst reused when its
-// capacity suffices).
+// sanity-check it, lease a decoder and read + validate the code-length
+// table. On success the reader is positioned at the first payload bit and
+// the caller owns the leased decoder (releaseDecoder; it must build the
+// decode tables for the symbols it is about to decode) and the returned
+// output slice (dst reused when its capacity suffices).
 func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]uint16, *decoder, error) {
 	r.Reset(data)
 	n, err := r.ReadGamma()
@@ -507,7 +573,6 @@ func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]u
 		releaseDecoder(d)
 		return nil, nil, err
 	}
-	d.build()
 	var out []uint16
 	if uint64(cap(dst)) >= n {
 		out = dst[:n]
@@ -528,31 +593,35 @@ func DecodeInto(dst []uint16, data []byte, alphabet int) ([]uint16, error) {
 		return nil, err
 	}
 	defer releaseDecoder(d)
-	// The payload starts at the header's last bit, mid-byte: enter the lane
-	// decoder with that byte's remaining bits already loaded.
-	bit := len(data)*8 - r.BitsRemaining()
-	lr := laneReader{buf: data[bit/8:]}
-	if used := uint(bit % 8); used != 0 {
-		lr.acc, lr.navl, lr.pos = uint64(lr.buf[0])>>used, 8-used, 1
-	}
-	if err := d.decodeLane(lr, out); err != nil {
+	d.build(len(out))
+	// The payload is one lane that starts at the header's last bit, mid-byte.
+	payload := lane{bit: len(data)*8 - r.BitsRemaining(), end: len(data), stop: len(out)}
+	if err := d.decodeLane(data, out, payload); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// lane is the decode state of one independent bitstream of a blob: the bit
+// cursor and the byte the lane ends at, the output cursor and the index the
+// lane's symbols end at. Every decode loop keeps bit <= 8*end and at <= stop.
+type lane struct {
+	bit, end int
+	at, stop int
+}
+
 // decodeLanesHeader is the prologue the lane decoders share: decodeHeader,
-// then the lane directory. An empty stream (len(out) == 0) has no directory
-// and no lanes.
-func decodeLanesHeader(dst []uint16, data []byte, alphabet int) (out []uint16, d *decoder, lanes [numLanes][]byte, err error) {
+// then the lane directory, resolved into the numLanes lanes of data. An
+// empty stream (len(out) == 0) has no directory and no lanes.
+func decodeLanesHeader(dst []uint16, data []byte, alphabet int) (out []uint16, d *decoder, lanes [numLanes]lane, err error) {
 	var r bitio.Reader
 	if out, d, err = decodeHeader(&r, dst, data, alphabet); err != nil || len(out) == 0 {
 		return out, d, lanes, err
 	}
-	if d.maxLen == 0 {
+	if len(d.table) == 0 {
 		err = ErrCorrupt // n > 0 but the table codes nothing
 	} else {
-		lanes, err = splitLanes(&r, data)
+		lanes, err = splitLanes(&r, data, len(out))
 	}
 	if err != nil {
 		releaseDecoder(d)
@@ -562,8 +631,9 @@ func decodeLanesHeader(dst []uint16, data []byte, alphabet int) (out []uint16, d
 }
 
 // splitLanes reads the byte-aligned lane directory at r's position in data
-// and resolves it into the byte range of every lane.
-func splitLanes(r *bitio.Reader, data []byte) (lanes [numLanes][]byte, err error) {
+// and resolves it into the byte range and the symbol range (laneBounds) of
+// every lane of an n-symbol stream.
+func splitLanes(r *bitio.Reader, data []byte, n int) (lanes [numLanes]lane, err error) {
 	r.AlignByte()
 	var laneLen [numLanes - 1]uint64
 	for k := range laneLen {
@@ -572,25 +642,26 @@ func splitLanes(r *bitio.Reader, data []byte) (lanes [numLanes][]byte, err error
 		}
 	}
 	off := int64(r.ByteOffset())
-	for k := range laneLen {
-		end := off + int64(laneLen[k])
+	for k := range lanes {
+		end := int64(len(data)) // the last lane runs to the end of the blob
+		if k < numLanes-1 {
+			end = off + int64(laneLen[k])
+		}
 		if end < off || end > int64(len(data)) {
 			return lanes, ErrCorrupt
 		}
-		lanes[k] = data[off:end]
+		lanes[k] = lane{bit: int(off) * 8, end: int(end)}
+		lanes[k].at, lanes[k].stop = laneBounds(n, k)
 		off = end
 	}
-	lanes[numLanes-1] = data[off:]
 	return lanes, nil
 }
 
 // DecodeLanesInto reverses EncodeLanes, decoding into dst when its
 // capacity suffices (dst may be nil; the result aliases dst when reused).
-// Small streams interleave the numLanes lanes on the calling goroutine —
-// one refill-amortized batch per lane per round, so the CPU always has
-// numLanes independent decode chains in flight; streams of at least
-// laneParallelMin symbols hand whole lanes to parallel.For when workers >
-// 1. alphabet must match the encoder's.
+// Small streams decode on the calling goroutine, two lanes at a time in
+// lockstep; streams of at least laneParallelMin symbols hand lanes to
+// parallel.For when workers > 1. alphabet must match the encoder's.
 func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16, error) {
 	out, d, laneData, err := decodeLanesHeader(dst, data, alphabet)
 	if err != nil {
@@ -601,23 +672,29 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 	if nn == 0 {
 		return out, nil
 	}
-	// Whole-lane parallel decode pays only when the stream is large enough
-	// to amortize goroutine handoff and the runtime actually has cores to
-	// run lanes on; otherwise the register-resident interleave below is
-	// strictly faster.
+	d.build(nn)
+	// Parallel decode pays only when the stream amortizes the goroutine
+	// handoff and the runtime has cores to run lanes on.
 	if workers > runtime.GOMAXPROCS(0) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > 1 && nn >= laneParallelMin {
 		// The closure must capture a branch-local copy: capturing laneData
 		// itself would force it to the heap on the (allocation-free)
-		// interleaved path below too.
+		// single-goroutine path below too.
 		lanes := laneData
 		var errs [numLanes]error
-		parallel.For(numLanes, workers, func(k int) {
-			lo, hi := laneBounds(nn, k)
-			errs[k] = d.decodeLane(laneReader{buf: lanes[k]}, out[lo:hi])
-		})
+		if workers < numLanes {
+			// Fewer workers than lanes: a lockstep pair each beats two
+			// single lanes in turn.
+			parallel.For(numLanes/2, workers, func(t int) {
+				errs[t] = d.decodeLanePair(data, out, lanes[2*t], lanes[2*t+1])
+			})
+		} else {
+			parallel.For(numLanes, workers, func(k int) {
+				errs[k] = d.decodeLane(data, out, lanes[k])
+			})
+		}
 		for _, e := range errs {
 			if e != nil {
 				return nil, e
@@ -626,7 +703,7 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 		return out, nil
 	}
 
-	if err := d.decodeLanesInterleaved(&laneData, out, nn); err != nil {
+	if err := d.decodeLanes(data, out, laneData[:]); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -640,8 +717,8 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 // when its capacity suffices), but only out[lo:hi] is guaranteed decoded;
 // the rest keeps whatever dst held, except that a touched lane decodes
 // from its start. decoded reports how many symbols were actually decoded.
-// [lo, hi) is clamped to the stream; the whole stream takes the
-// interleaved path of DecodeLanesInto.
+// [lo, hi) is clamped to the stream. The touched lanes decode on the
+// calling goroutine, as in DecodeLanesInto with one worker.
 func DecodeLanesRange(dst []uint16, data []byte, alphabet, lo, hi int) (out []uint16, decoded int, err error) {
 	out, d, lanes, err := decodeLanesHeader(dst, data, alphabet)
 	if err != nil {
@@ -650,219 +727,202 @@ func DecodeLanesRange(dst []uint16, data []byte, alphabet, lo, hi int) (out []ui
 	defer releaseDecoder(d)
 	n := len(out)
 	lo, hi = max(lo, 0), min(hi, n)
-	if lo == 0 && hi == n && n > 0 {
-		if err := d.decodeLanesInterleaved(&lanes, out, n); err != nil {
-			return nil, 0, err
-		}
-		return out, n, nil
+	if lo >= hi {
+		return out, 0, nil
 	}
-	for k := range lanes {
-		start, end := laneBounds(n, k)
-		end = min(end, hi)
-		if end <= lo || start >= end {
-			continue
+	var touched [numLanes]lane
+	t := 0
+	for _, ln := range lanes {
+		ln.stop = min(ln.stop, hi)
+		if ln.stop > lo && ln.at < ln.stop {
+			touched[t] = ln
+			t++
+			decoded += ln.stop - ln.at
 		}
-		if err := d.decodeLane(laneReader{buf: lanes[k]}, out[start:end]); err != nil {
-			return nil, 0, err
-		}
-		decoded += end - start
+	}
+	d.build(decoded)
+	if err := d.decodeLanes(data, out, touched[:t]); err != nil {
+		return nil, 0, err
 	}
 	return out, decoded, nil
 }
 
-// laneReader is the bit-reader state of one lane: LSB-first accumulator,
-// valid-bit count and byte cursor, as in bitio.Reader but held by value so
-// the decode loops keep it in registers.
-type laneReader struct {
-	buf  []byte
-	acc  uint64
-	navl uint
-	pos  int
-}
-
-// decodeLane decodes len(out) symbols from r. While the lane holds a full
-// word to refill from, symbols decode on the unchecked fast path — the
-// single-chain form of decodeLanesInterleaved's loop, except that a refill
-// (>= 56 valid bits) lasts until fewer than maxLen bits are left instead of
-// a fixed 56/maxLen symbols: a table whose rarest code is 25 bits long
-// still decodes a dozen typical 3-bit symbols per refill, not two. The
-// sub-word tail finishes on finishLane.
-func (d *decoder) decodeLane(r laneReader, out []uint16) error {
-	b, acc, navl, p, fast := r.buf, r.acc, r.navl, r.pos, d.fast
-	i, maxLen := 0, uint(d.maxLen)
-	for i < len(out) && p+8 <= len(b) && maxLen > 0 {
-		// Refill to >= 56 valid bits (see Reader.Refill).
-		acc |= binary.LittleEndian.Uint64(b[p:]) << navl
-		adv := (63 - navl) >> 3
-		p += int(adv)
-		navl += adv * 8
-		acc &= 1<<navl - 1
-		for ; navl >= maxLen && i < len(out); i++ {
-			t := fast[acc&(1<<fastBits-1)]
-			l := uint(t & 0xff)
-			if l == 0 {
-				s, sl, ok := d.slowWalk(acc)
-				if !ok {
-					return ErrCorrupt
-				}
-				t, l = uint32(s)<<8, sl
-			}
-			acc >>= l
-			navl -= l
-			out[i] = uint16(t >> 8)
+// decodeLanes decodes the given lanes of b into out on the calling
+// goroutine: two at a time in lockstep, an odd one alone.
+func (d *decoder) decodeLanes(b []byte, out []uint16, lanes []lane) error {
+	for ; len(lanes) >= 2; lanes = lanes[2:] {
+		if err := d.decodeLanePair(b, out, lanes[0], lanes[1]); err != nil {
+			return err
 		}
 	}
-	return d.finishLane(laneReader{buf: b, acc: acc, navl: navl, pos: p}, out[i:])
-}
-
-// finishLane decodes len(out) symbols from r on the fully checked
-// per-symbol path: byte-granular refill and an explicit bit budget, so it
-// is safe up to the last bit of the lane.
-func (d *decoder) finishLane(r laneReader, out []uint16) error {
-	b, acc, navl, p := r.buf, r.acc, r.navl, r.pos
-	for c := range out {
-		for navl <= 56 && p < len(b) {
-			acc |= uint64(b[p]) << navl
-			p++
-			navl += 8
-		}
-		e := d.fast[acc&(1<<fastBits-1)]
-		l := uint(e & 0xff)
-		sym := uint16(e >> 8)
-		if l == 0 || l > navl {
-			s2, l2, ok := d.slowWalk(acc)
-			if !ok || l2 > navl {
-				return ErrCorrupt
-			}
-			sym, l = s2, l2
-		}
-		acc >>= l
-		navl -= l
-		out[c] = sym
+	if len(lanes) == 1 {
+		return d.decodeLane(b, out, lanes[0])
 	}
 	return nil
 }
 
-// decodeLanesInterleaved decodes all numLanes lanes on the calling
-// goroutine in lockstep. The hot loop keeps every lane's bit-reader state
-// (accumulator, valid-bit count, byte cursor) in scalar locals so the four
-// decode chains stay register-resident and genuinely independent — the CPU
-// overlaps the four fast-table loads the single-stream decoder would
-// serialize. One bounds check per lane per refill round covers a batch of
-// 56/maxLen symbols (the up-front budget: after a full-word refill each
-// lane holds ≥ 56 valid bits and a symbol consumes at most maxLen). The
-// ragged lane tails — and any stream too short for a full-word refill —
-// finish on a fully checked per-symbol loop over the same state.
-func (d *decoder) decodeLanesInterleaved(lanes *[numLanes][]byte, out []uint16, nn int) error {
-	b0, b1, b2, b3 := lanes[0], lanes[1], lanes[2], lanes[3]
-	var a0, a1, a2, a3 uint64
-	var n0, n1, n2, n3 uint
-	var p0, p1, p2, p3 int
-	c0, e0 := laneBounds(nn, 0)
-	c1, e1 := laneBounds(nn, 1)
-	c2, e2 := laneBounds(nn, 2)
-	c3, e3 := laneBounds(nn, 3)
-	fast := d.fast
-	batch := 56 / int(d.maxLen)
-	minLen := nn / numLanes // every lane holds at least this many symbols
-	for i := 0; i+batch <= minLen; i += batch {
-		if p0+8 > len(b0) || p1+8 > len(b1) || p2+8 > len(b2) || p3+8 > len(b3) {
-			break // some lane is in its sub-word tail
-		}
-		// Refill every lane to >= 56 valid bits (see Reader.Refill: only the
-		// advanced-past bytes of the loaded word count as valid).
-		w := binary.LittleEndian.Uint64(b0[p0:])
-		a0 |= w << n0
-		adv := (63 - n0) >> 3
-		p0 += int(adv)
-		n0 += adv * 8
-		a0 &= 1<<n0 - 1
-		w = binary.LittleEndian.Uint64(b1[p1:])
-		a1 |= w << n1
-		adv = (63 - n1) >> 3
-		p1 += int(adv)
-		n1 += adv * 8
-		a1 &= 1<<n1 - 1
-		w = binary.LittleEndian.Uint64(b2[p2:])
-		a2 |= w << n2
-		adv = (63 - n2) >> 3
-		p2 += int(adv)
-		n2 += adv * 8
-		a2 &= 1<<n2 - 1
-		w = binary.LittleEndian.Uint64(b3[p3:])
-		a3 |= w << n3
-		adv = (63 - n3) >> 3
-		p3 += int(adv)
-		n3 += adv * 8
-		a3 &= 1<<n3 - 1
+// peek returns the 64 bits of b that start at bit, LSB first, of which the
+// low 57 at least are the stream's: the caller guarantees bit>>3+8 <= len(b).
+func peek(b []byte, bit int) uint64 {
+	return binary.LittleEndian.Uint64(b[bit>>3:]) >> (bit & 7)
+}
+
+// store4 stores the four symbol slots of a table entry at the head of out
+// (one 8-byte store), whatever the entry's count: the slots past it are
+// rewritten by the next lookup, and the callers keep four slots in hand.
+func store4(out []uint16, syms uint64) {
+	*(*[4]uint16)(out) = [4]uint16{uint16(syms), uint16(syms >> 16), uint16(syms >> 32), uint16(syms >> 48)}
+}
+
+// decodeLanePair decodes two lanes in lockstep, so the CPU overlaps the
+// table loads and shifts of two independent bit-serial chains; two is what
+// keeps both lanes' state (accumulator, bit cursor, output cursor) in
+// registers. One check per round covers a batch of 57/need lookups per
+// lane: a peek holds >= 57 of the lane's bits, a lookup consumes at most
+// need of them and retires at most four symbols. A lookup that misses the
+// table ends the round early and is resolved by slowWalk outside the hot
+// loop. When either lane can no longer promise a whole round — fewer than
+// 8 bytes to peek at, or fewer than 4·batch symbols to go — both continue
+// on decodeLane from where they stand.
+func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) error {
+	bit0, i0, bit1, i1 := l0.bit, l0.at, l1.bit, l1.at
+	batch := 57 / int(d.need)
+	for bit0>>3+8 <= l0.end && bit1>>3+8 <= l1.end && i0+4*batch <= l0.stop && i1+4*batch <= l1.stop {
+		a0, a1 := peek(b, bit0), peek(b, bit1)
+		missed := -1 // the lane whose lookup missed the table, if one did
 		for j := 0; j < batch; j++ {
-			t0 := fast[a0&(1<<fastBits-1)]
-			t1 := fast[a1&(1<<fastBits-1)]
-			t2 := fast[a2&(1<<fastBits-1)]
-			t3 := fast[a3&(1<<fastBits-1)]
-			l0 := uint(t0 & 0xff)
-			l1 := uint(t1 & 0xff)
-			l2 := uint(t2 & 0xff)
-			l3 := uint(t3 & 0xff)
-			// Codes longer than fastBits miss the table (length 0) and take
-			// the canonical walk; the budget guarantees navl >= maxLen, so
-			// no bit checks are needed on this branch either.
-			if l0 == 0 {
-				s, l, ok := d.slowWalk(a0)
-				if !ok {
-					return ErrCorrupt
-				}
-				t0, l0 = uint32(s)<<8, l
+			v := a0 & (tableEntries - 1)
+			m := uint(d.meta[v])
+			if m&15 == 0 {
+				missed = 0
+				break
 			}
-			if l1 == 0 {
-				s, l, ok := d.slowWalk(a1)
-				if !ok {
-					return ErrCorrupt
-				}
-				t1, l1 = uint32(s)<<8, l
+			s := d.syms[v]
+			store4(out[i0:], s)
+			a0 >>= m & 15
+			bit0 += int(m & 15)
+			i0 += int(m >> 4)
+			v = a1 & (tableEntries - 1)
+			m = uint(d.meta[v])
+			if m&15 == 0 {
+				missed = 1
+				break
 			}
-			if l2 == 0 {
-				s, l, ok := d.slowWalk(a2)
-				if !ok {
-					return ErrCorrupt
-				}
-				t2, l2 = uint32(s)<<8, l
+			s = d.syms[v]
+			store4(out[i1:], s)
+			a1 >>= m & 15
+			bit1 += int(m & 15)
+			i1 += int(m >> 4)
+		}
+		// The lane that missed made fewer than batch lookups this round, so
+		// its accumulator still holds the need bits slowWalk may read; the
+		// other lane's may not, and waits for the next round.
+		switch missed {
+		case 0:
+			sym, l, ok := d.slowWalk(a0, tableBits)
+			if !ok {
+				return ErrCorrupt
 			}
-			if l3 == 0 {
-				s, l, ok := d.slowWalk(a3)
-				if !ok {
-					return ErrCorrupt
-				}
-				t3, l3 = uint32(s)<<8, l
+			out[i0] = sym
+			bit0 += int(l)
+			i0++
+		case 1:
+			sym, l, ok := d.slowWalk(a1, tableBits)
+			if !ok {
+				return ErrCorrupt
 			}
-			a0 >>= l0
-			n0 -= l0
-			a1 >>= l1
-			n1 -= l1
-			a2 >>= l2
-			n2 -= l2
-			a3 >>= l3
-			n3 -= l3
-			out[c0] = uint16(t0 >> 8)
-			out[c1] = uint16(t1 >> 8)
-			out[c2] = uint16(t2 >> 8)
-			out[c3] = uint16(t3 >> 8)
-			c0++
-			c1++
-			c2++
-			c3++
+			out[i1] = sym
+			bit1 += int(l)
+			i1++
 		}
 	}
-	// Ragged tails: spill the lane states and finish each lane on the
-	// checked per-symbol path.
-	if err := d.finishLane(laneReader{b0, a0, n0, p0}, out[c0:e0]); err != nil {
+	l0.bit, l0.at, l1.bit, l1.at = bit0, i0, bit1, i1
+	if err := d.decodeLane(b, out, l0); err != nil {
 		return err
 	}
-	if err := d.finishLane(laneReader{b1, a1, n1, p1}, out[c1:e1]); err != nil {
-		return err
+	return d.decodeLane(b, out, l1)
+}
+
+// decodeLane decodes the symbols of lane ln: the one-lane form of
+// decodeLanePair's loop, except that a round lasts until fewer than need of
+// the peeked bits are left instead of a fixed 57/need lookups — a table
+// whose rarest code is 25 bits long still takes four typical lookups per
+// peek, not two. It hands over to finishLane as soon as a lookup could read
+// past the lane's bytes (fewer than 8 to peek at) or its four stores could
+// write past the lane's symbols.
+func (d *decoder) decodeLane(b []byte, out []uint16, ln lane) error {
+	bit, i := ln.bit, ln.at
+	for i+4 <= ln.stop && bit>>3+8 <= ln.end {
+		acc := peek(b, bit)
+		// The peeked word ends at the byte boundary 64 bits on: a lookup is
+		// safe while need bits fit before it.
+		for last := bit&^7 + 64 - int(d.need); bit <= last && i+4 <= ln.stop; {
+			v := acc & (tableEntries - 1)
+			m := uint(d.meta[v])
+			if m&15 == 0 {
+				sym, l, ok := d.slowWalk(acc, tableBits)
+				if !ok {
+					return ErrCorrupt
+				}
+				out[i] = sym
+				acc >>= l
+				bit += int(l)
+				i++
+				continue
+			}
+			s := d.syms[v]
+			store4(out[i:], s)
+			acc >>= m & 15
+			bit += int(m & 15)
+			i += int(m >> 4)
+		}
 	}
-	if err := d.finishLane(laneReader{b2, a2, n2, p2}, out[c2:e2]); err != nil {
-		return err
+	ln.bit, ln.at = bit, i
+	return d.finishLane(b, out, ln)
+}
+
+// finishLane decodes the symbols of lane ln on the fully checked path:
+// byte-granular refill and an explicit bit and symbol budget, so it is safe
+// up to the last bit of the lane. A table entry is taken whole when the
+// bits it consumes are all valid and the symbols it retires are all wanted
+// — its symbols were decoded from those bits alone; otherwise slowWalk
+// decodes the one next symbol.
+func (d *decoder) finishLane(b []byte, out []uint16, ln lane) error {
+	p := ln.bit >> 3
+	var acc uint64
+	var navl uint
+	if skip := uint(ln.bit & 7); skip != 0 {
+		// The cursor got inside byte p by reading it: p < ln.end.
+		acc, navl, p = uint64(b[p])>>skip, 8-skip, p+1
 	}
-	return d.finishLane(laneReader{b3, a3, n3, p3}, out[c3:e3])
+	for c := ln.at; c < ln.stop; {
+		for navl <= 56 && p < ln.end {
+			acc |= uint64(b[p]) << navl
+			p++
+			navl += 8
+		}
+		v := acc & (tableEntries - 1)
+		m := uint(d.meta[v])
+		l, count := m&15, int(m>>4)
+		if l == 0 || l > navl || c+count > ln.stop {
+			var skip uint8
+			if l == 0 {
+				skip = tableBits // the miss rules out every code the window could hold
+			}
+			sym, sl, ok := d.slowWalk(acc, skip)
+			if !ok || sl > navl {
+				return ErrCorrupt
+			}
+			out[c], l, count = sym, sl, 1
+		} else {
+			for s, k := d.syms[v], 0; k < count; k++ {
+				out[c+k] = uint16(s)
+				s >>= 16
+			}
+		}
+		acc >>= l
+		navl -= l
+		c += count
+	}
+	return nil
 }

@@ -272,7 +272,7 @@ func FuzzDecodeLanesRange(f *testing.F) {
 				t.Fatalf("corrupt stream accepted with %d of %d symbols decoded from %d bytes", decoded, len(out), len(bad))
 			}
 			// A stream of b bytes holds at most 8b symbols (2 bytes each); the
-			// pooled decoder state is at most a table and a 4 KiB fast table.
+			// pooled decoder state is at most a table and the 18 KiB lookup table.
 			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(16*len(bad))+1<<20 {
 				t.Fatalf("decoding %d corrupt bytes allocated %d", len(bad), alloc)
 			}

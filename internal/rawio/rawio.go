@@ -27,13 +27,9 @@ func ElemSize[T grid.Float]() int {
 func PutValues[T grid.Float](dst []byte, src []T) {
 	switch s := any(src).(type) {
 	case []float32:
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-		}
+		putF32(dst, s)
 	case []float64:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-		}
+		putF64(dst, s)
 	}
 }
 
@@ -42,13 +38,38 @@ func PutValues[T grid.Float](dst []byte, src []T) {
 func GetValues[T grid.Float](dst []T, src []byte) {
 	switch d := any(dst).(type) {
 	case []float32:
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-		}
+		getF32(d, src)
 	case []float64:
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
+		getF64(d, src)
+	}
+}
+
+// The per-width loops live outside the generic bodies: inside a
+// shape-instantiated function the compiler calls math.Float32bits and
+// binary.LittleEndian.Uint32 per value instead of using the intrinsic and
+// the combined load.
+
+func putF32(dst []byte, src []float32) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+func putF64(dst []byte, src []float64) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+func getF32(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+func getF64(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 }
 

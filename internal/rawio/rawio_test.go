@@ -2,7 +2,9 @@ package rawio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -66,5 +68,41 @@ func TestShortAndRaggedInput(t *testing.T) {
 	n, err := NewReader[float32](bytes.NewReader(make([]byte, 8)), 0).Read(dst)
 	if n != 2 || err != nil {
 		t.Fatalf("partial read: n=%d err=%v, want 2 values", n, err)
+	}
+}
+
+// TestBitExactRoundTrip: the per-width helpers move bit patterns, not
+// values — NaN payloads, signed zeros and denormals survive unchanged.
+func TestBitExactRoundTrip(t *testing.T) {
+	bits32 := []uint32{0, 0x80000000, 1, 0x807fffff, 0x7f800000, 0xff800000,
+		0x7fc00000, 0x7fc00001, 0xffc12345, 0x7f800001, 0x3f800000}
+	f32 := make([]float32, len(bits32))
+	for i, b := range bits32 {
+		f32[i] = math.Float32frombits(b)
+	}
+	raw := make([]byte, 4*len(f32))
+	putF32(raw, f32)
+	back32 := make([]float32, len(f32))
+	getF32(back32, raw)
+	for i, b := range bits32 {
+		if binary.LittleEndian.Uint32(raw[4*i:]) != b || math.Float32bits(back32[i]) != b {
+			t.Fatalf("float32 %#08x: wire %#08x, back %#08x", b, binary.LittleEndian.Uint32(raw[4*i:]), math.Float32bits(back32[i]))
+		}
+	}
+
+	bits64 := []uint64{0, 1 << 63, 1, 1<<63 | 1<<52 - 1, 0x7ff0000000000000, 0xfff0000000000000,
+		0x7ff8000000000000, 0x7ff8000000000001, 0xfff8123456789abc, 0x7ff0000000000001, 0x3ff0000000000000}
+	f64 := make([]float64, len(bits64))
+	for i, b := range bits64 {
+		f64[i] = math.Float64frombits(b)
+	}
+	raw = make([]byte, 8*len(f64))
+	putF64(raw, f64)
+	back64 := make([]float64, len(f64))
+	getF64(back64, raw)
+	for i, b := range bits64 {
+		if binary.LittleEndian.Uint64(raw[8*i:]) != b || math.Float64bits(back64[i]) != b {
+			t.Fatalf("float64 %#016x: wire %#016x, back %#016x", b, binary.LittleEndian.Uint64(raw[8*i:]), math.Float64bits(back64[i]))
+		}
 	}
 }
