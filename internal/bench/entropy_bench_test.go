@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"stz/internal/bitio"
 	"stz/internal/container"
@@ -131,12 +133,14 @@ func BenchmarkHuffmanDecodeSmall(b *testing.B) {
 	})
 }
 
-// classStream returns the Huffman blob and symbol count of the last
-// finest-level class section of the 64³ Nyx field compressed by core at the
-// relative bound rel: what a read actually decodes — a few bits a symbol,
-// a long tail of rare codes, the 65 536-symbol quantizer alphabet.
-func classStream(b *testing.B, rel float64) (blob []byte, n int) {
-	g := datasets.Nyx(64, 64, 64, 7)
+// classStream returns the Huffman blob and the codes of one class section
+// of the side³ Nyx field compressed by core at the relative bound rel —
+// section fromEnd counted back from the archive's last, 1 being the last
+// finest-level class: what a read actually decodes and a write encodes — a
+// few bits a symbol, a long tail of rare codes, the 65 536-symbol quantizer
+// alphabet.
+func classStream(b *testing.B, side int, rel float64, fromEnd int) (blob []byte, codes []uint16) {
+	g := datasets.Nyx(side, side, side, 7)
 	mn, mx := g.Range()
 	cfg := core.DefaultConfig(quant.AbsoluteBound(rel, float64(mn), float64(mx)))
 	enc, err := core.Compress(g, cfg)
@@ -150,16 +154,16 @@ func classStream(b *testing.B, rel float64) (blob []byte, n int) {
 	// Section plan (FORMAT.md §3): header, level-1 stream, then seven class
 	// sections per predicted level; a class section is its outlier count,
 	// the float32 outliers, then the code blob.
-	sec, err := arc.Section(arc.Count() - 1)
+	sec, err := arc.Section(arc.Count() - fromEnd)
 	if err != nil {
 		b.Fatal(err)
 	}
 	blob = sec[4+4*int(binary.LittleEndian.Uint32(sec)):]
-	codes, err := huffman.DecodeLanesInto(nil, blob, quantAlphabet, 1)
+	codes, err = huffman.DecodeLanesInto(nil, blob, quantAlphabet, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return blob, len(codes)
+	return blob, codes
 }
 
 const quantAlphabet = 1 << 16
@@ -173,7 +177,8 @@ const quantAlphabet = 1 << 16
 // parse and build included.
 func BenchmarkHuffmanDecodeClass(b *testing.B) {
 	for _, rel := range []float64{1e-3, 1e-4} {
-		blob, n := classStream(b, rel)
+		blob, codes := classStream(b, 64, rel, 1)
+		n := len(codes)
 		dst := make([]uint16, n)
 		run := func(name string, lo, hi int) {
 			b.Run(fmt.Sprintf("rel%.0e/%s", rel, name), func(b *testing.B) {
@@ -192,6 +197,46 @@ func BenchmarkHuffmanDecodeClass(b *testing.B) {
 		run("whole", 0, n)
 		run("lane", 0, n/4)
 		run("range25", 3*n/8, 5*n/8)
+	}
+}
+
+// BenchmarkHuffmanEncodeClass encodes the class streams a 128³ core.Compress
+// produces at rel 1e-3, the way EncodeLanes does — plan, one exact-size
+// buffer, the four lanes — with the two steps timed apart: "finest" is the
+// last finest-level class (256 Ki symbols, where the per-symbol loops are
+// everything), "level2" the last level-2 class (32 Ki symbols, more bits
+// each and more symbols present), which guards the fixed cost a plan pays
+// per stream — collecting the present symbols, the tree, the table — that a
+// faster symbol loop must not buy back.
+func BenchmarkHuffmanEncodeClass(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		fromEnd int
+	}{{"finest", 1}, {"level2", 8}} {
+		blob, codes := classStream(b, 128, 1e-3, s.fromEnd)
+		b.Run(s.name, func(b *testing.B) {
+			var plan, write time.Duration
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				p := huffman.NewPlan(codes, quantAlphabet)
+				t1 := time.Now()
+				out := make([]byte, p.Size())
+				for k := 0; k < huffman.Lanes; k++ {
+					p.WriteLane(out, k)
+				}
+				p.Release()
+				plan += t1.Sub(t0)
+				write += time.Since(t1)
+				if i == 0 && !bytes.Equal(out, blob) {
+					b.Fatal("encoded class stream differs from the archive's")
+				}
+			}
+			perSym := float64(b.N) * float64(len(codes))
+			b.ReportMetric(float64(plan.Nanoseconds())/perSym, "plan-ns/sym")
+			b.ReportMetric(float64(write.Nanoseconds())/perSym, "write-ns/sym")
+			b.ReportMetric(8*float64(len(blob))/float64(len(codes)), "bits/sym")
+		})
 	}
 }
 

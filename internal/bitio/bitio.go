@@ -86,32 +86,6 @@ func (w *Writer) WriteUnary(v uint) {
 	w.WriteBits(1<<v-1, v+1)
 }
 
-// WriteSymbols appends one table entry per symbol — the bulk write of an
-// entropy coder's payload. Entry e = table[s] carries the bits to append in
-// e>>8 (LSB first, nothing set above the length) and their count, at most
-// 32, in its low byte. The accumulator, the bit count and the byte cursor
-// stay in registers and finished bytes retire with one unconditional 8-byte
-// store per symbol, so the room is reserved up front, not checked per
-// symbol: the buffer (NewWriter's size hint) must hold the symbols' bits
-// plus the 8 bytes of the last store, or WriteSymbols panics.
-func (w *Writer) WriteSymbols(syms []uint16, table []uint64) {
-	w.DrainBytes() // at most 7 bits stay buffered
-	acc, nbits, pos := w.acc, w.nbits, len(w.buf)
-	buf := w.buf[:cap(w.buf)]
-	for _, s := range syms {
-		e := table[s]
-		// nbits ≤ 7 + 32 throughout; the masks spare the shifts their
-		// count ≥ 64 fix-up.
-		acc |= e >> 8 << (nbits & 63)
-		nbits += uint(e & 0xff)
-		binary.LittleEndian.PutUint64(buf[pos:pos+8], acc)
-		pos += int(nbits >> 3)
-		acc >>= nbits &^ 7 & 63
-		nbits &= 7
-	}
-	w.buf, w.acc, w.nbits = buf[:pos], acc, nbits
-}
-
 // DrainBytes flushes the accumulator's complete bytes to the buffer,
 // leaving at most 7 buffered bits (so Free() >= 57). The stream contents
 // are unchanged; this only moves finished bytes out of the accumulator.

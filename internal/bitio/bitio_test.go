@@ -1,7 +1,6 @@
 package bitio
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -289,47 +288,6 @@ func TestWriteBytesUnalignedPanics(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBit(1)
 	w.WriteBytes([]byte{1})
-}
-
-// TestWriteSymbols checks the bulk table-driven write against one checked
-// WriteBits call per symbol, entered byte-aligned and mid-byte, with entry
-// lengths up to the 32-bit limit, and that a buffer without the reserved
-// room panics instead of writing out of bounds.
-func TestWriteSymbols(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	table := make([]uint64, 300)
-	for i := range table {
-		n := uint(rng.Intn(32) + 1)
-		table[i] = (rng.Uint64()&(1<<n-1))<<8 | uint64(n)
-	}
-	syms := make([]uint16, 5000)
-	for i := range syms {
-		syms[i] = uint16(rng.Intn(len(table)))
-	}
-	for _, lead := range []uint{0, 3, 13} {
-		ref := NewWriter(0)
-		bulk := NewWriter(4*len(syms) + 16)
-		ref.WriteBits(5, lead)
-		bulk.WriteBits(5, lead)
-		for _, half := range [][]uint16{syms[:1777], syms[1777:]} {
-			for _, s := range half {
-				ref.WriteBits(table[s]>>8, uint(table[s]&0xff))
-			}
-			bulk.WriteSymbols(half, table)
-			if ref.BitLen() != bulk.BitLen() {
-				t.Fatalf("lead %d: BitLen %d, want %d", lead, bulk.BitLen(), ref.BitLen())
-			}
-		}
-		if !bytes.Equal(ref.Bytes(), bulk.Bytes()) {
-			t.Fatalf("lead %d: bulk stream differs from per-symbol WriteBits", lead)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WriteSymbols into an unreserved buffer did not panic")
-		}
-	}()
-	NewWriter(0).WriteSymbols(syms, table)
 }
 
 // TestRefillPeekSkip checks the unchecked reader fast path against the

@@ -162,6 +162,9 @@ type EncodeStats struct {
 	// (Huffman; under ResidSZ3 the whole per-class residual pipeline).
 	Quantise [3]time.Duration
 	Entropy  [3]time.Duration
+	// Plan is the first step of Entropy, included in it: histograms, code
+	// tables and section framing; the rest is the lane writes.
+	Plan     [3]time.Duration
 	Assemble time.Duration // container framing
 	Total    time.Duration
 	Outliers [3]int // escaped points per predicted level
@@ -384,67 +387,100 @@ func compressLevel[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.
 	t1 := time.Now()
 	st.Quantise[p] = t1.Sub(t0)
 
+	// Entropy stage, two balanced steps: seven plans — each class's stream
+	// histogrammed and its code built, which fixes every byte's place, so
+	// the section is allocated once at its exact size with all but the
+	// payload in it — then the 28 lanes written into the sections, each to
+	// its final offset.
 	elem := int(dtypeOf[T]())
+	var plans [7]classPlan
 	parallel.For(7, workers, func(i int) {
-		secs[i] = classSection(codes[i+1], escapes, i+1, elem, q.Alphabet(), cfg.CodeChunk)
+		plans[i] = planClass(codes[i+1], escapes, i+1, elem, q.Alphabet(), cfg.CodeChunk)
 	})
-	for _, s := range secs {
-		st.Outliers[p] += int(binary.LittleEndian.Uint32(s))
+	t2 := time.Now()
+	st.Plan[p] = t2.Sub(t1)
+	parallel.For(7*huffman.Lanes, workers, func(t int) {
+		plans[t/huffman.Lanes].writeLane(t % huffman.Lanes)
+	})
+	for i := range plans {
+		secs[i] = plans[i].release()
+		st.Outliers[p] += int(binary.LittleEndian.Uint32(secs[i]))
 	}
 	st.Entropy[p] = time.Since(t1)
 	return secs, nil
 }
 
-// classSection frames one quantised class: escape count, the escaped values
-// (class c's buffer of every z-block, in block order), then the entropy-coded
-// codes — one multi-lane Huffman stream, or with CodeChunk > 0 independent
-// chunks behind a directory.
-func classSection(codes []uint16, escapes [][8][]byte, c, elem, alphabet, codeChunk int) []byte {
+// classPlan is one class section between the two entropy steps: the section
+// at its final size, complete up to the Huffman payloads, and the planned
+// streams with their offsets in it — one stream, or with CodeChunk > 0 one
+// per chunk.
+type classPlan struct {
+	sec     []byte
+	streams []*huffman.Plan
+	offs    []int
+}
+
+// planClass frames one quantised class: escape count, the escaped values
+// (class c's buffer of every z-block, in block order), then room for the
+// entropy-coded codes — one multi-lane Huffman stream, or with codeChunk > 0
+// independent chunks, each with its own code table, behind a per-chunk
+// directory of (byte length, outlier base).
+func planClass(codes []uint16, escapes [][8][]byte, c, elem, alphabet, codeChunk int) classPlan {
 	outBytes := 0
 	for b := range escapes {
 		outBytes += len(escapes[b][c])
 	}
-	frame := func(rest int) []byte {
-		sec := make([]byte, 0, 4+outBytes+rest)
-		sec = binary.LittleEndian.AppendUint32(sec, uint32(outBytes/elem))
-		for b := range escapes {
-			sec = append(sec, escapes[b][c]...)
-		}
-		return sec
+	n, cs, nStreams, dirBytes := len(codes), len(codes), 1, 0
+	if codeChunk > 0 {
+		cs = codeChunk
+		nStreams = (n + cs - 1) / cs
+		dirBytes = 4 + 8*nStreams
+	}
+	chunk := func(i int) []uint16 { return codes[i*cs : min((i+1)*cs, n)] }
+	cp := classPlan{streams: make([]*huffman.Plan, nStreams), offs: make([]int, nStreams)}
+	off := 4 + outBytes + dirBytes
+	for i := range cp.streams {
+		cp.streams[i] = huffman.NewPlan(chunk(i), alphabet)
+		cp.offs[i] = off
+		off += cp.streams[i].Size()
+	}
+
+	sec := make([]byte, 0, off)
+	sec = binary.LittleEndian.AppendUint32(sec, uint32(outBytes/elem))
+	for b := range escapes {
+		sec = append(sec, escapes[b][c]...)
 	}
 	if codeChunk > 0 {
-		// Random-access Huffman: independent chunks, each with its own code
-		// table, plus a per-chunk directory of (byte length, outlier base).
-		n, cs := len(codes), codeChunk
-		nChunks := (n + cs - 1) / cs
-		blobs := make([][]byte, nChunks)
-		bases := make([]uint32, nChunks)
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(nStreams))
 		var zeros uint32
-		blobBytes := 0
-		for i := 0; i < nChunks; i++ {
-			chunk := codes[i*cs : min((i+1)*cs, n)]
-			bases[i] = zeros
-			for _, code := range chunk {
+		for i, pl := range cp.streams {
+			sec = binary.LittleEndian.AppendUint32(sec, uint32(pl.Size()))
+			sec = binary.LittleEndian.AppendUint32(sec, zeros)
+			for _, code := range chunk(i) {
 				if code == 0 {
 					zeros++
 				}
 			}
-			blobs[i] = huffman.EncodeLanes(chunk, alphabet)
-			blobBytes += len(blobs[i])
 		}
-		sec := frame(4 + 8*nChunks + blobBytes)
-		sec = binary.LittleEndian.AppendUint32(sec, uint32(nChunks))
-		for i := 0; i < nChunks; i++ {
-			sec = binary.LittleEndian.AppendUint32(sec, uint32(len(blobs[i])))
-			sec = binary.LittleEndian.AppendUint32(sec, bases[i])
-		}
-		for i := 0; i < nChunks; i++ {
-			sec = append(sec, blobs[i]...)
-		}
-		return sec
 	}
-	hblob := huffman.EncodeLanes(codes, alphabet)
-	return append(frame(len(hblob)), hblob...)
+	cp.sec = sec[:off]
+	return cp
+}
+
+// writeLane writes lane k of every planned stream of the section. Lanes own
+// disjoint bytes, so the lanes of one section may be written concurrently.
+func (cp *classPlan) writeLane(k int) {
+	for i, pl := range cp.streams {
+		pl.WriteLane(cp.sec[cp.offs[i]:], k)
+	}
+}
+
+// release hands the plans back and returns the finished section.
+func (cp *classPlan) release() []byte {
+	for _, pl := range cp.streams {
+		pl.Release()
+	}
+	return cp.sec
 }
 
 // compressClassSZ3 is the ResidSZ3 ablation for class c: the residual

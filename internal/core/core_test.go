@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stz/internal/codec"
@@ -174,38 +175,54 @@ func TestNoAdaptiveEB(t *testing.T) {
 	checkBound(t, g, dec, 1e-3, "no-adaptive")
 }
 
+// TestParallelMatchesSerial: the archive does not depend on the worker
+// count. It matters under -race (CI's race leg runs it): the lane writers of
+// a class share one section buffer, each storing into its own bytes only.
+// Nothing in the entropy stage can wrap at any worker count either:
+// codec.CheckDims caps a stream at 2³³ symbols, 2³¹ per lane, below the
+// encoder's uint32 lane counters.
 func TestParallelMatchesSerial(t *testing.T) {
-	g := testField[float64](24, 24, 24, 10)
-	cfg := DefaultConfig(1e-3)
-	serial, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	par, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial, par) {
-		t.Fatal("parallel compression produced a different stream")
-	}
-	// Parallel decode must match too.
-	r, err := NewReader[float64](par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Workers = 8
-	decPar, err := r.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decSer, err := Decompress[float64](serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range decSer.Data {
-		if decSer.Data[i] != decPar.Data[i] {
-			t.Fatal("parallel decode differs from serial")
+	t.Run("f32", parallelMatchesSerial[float32])
+	t.Run("f64", parallelMatchesSerial[float64])
+}
+
+func parallelMatchesSerial[T grid.Float](t *testing.T) {
+	g := testField[T](41, 36, 44, 10) // finest classes of ~8 Ki codes: two chunks of 4096
+	for _, levels := range []int{2, 3, 4} {
+		for _, chunk := range []int{0, 4096} {
+			cfg := DefaultConfig(1e-3)
+			cfg.Levels, cfg.CodeChunk, cfg.Workers = levels, chunk, 1
+			serial, err := Compress(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 5, 8} {
+				cfg.Workers = workers
+				par, err := Compress(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(serial, par) {
+					t.Fatalf("levels %d, CodeChunk %d: %d workers produced a different stream", levels, chunk, workers)
+				}
+			}
+			// Parallel decode must match too.
+			r, err := NewReader[T](serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Workers = 8
+			decPar, err := r.Decompress()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decSer, err := Decompress[T](serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(decSer.Data, decPar.Data) {
+				t.Fatalf("levels %d, CodeChunk %d: parallel decode differs from serial", levels, chunk)
+			}
 		}
 	}
 }

@@ -6,11 +6,18 @@
 // table is serialized ahead of the bitstream so each sub-block stream is
 // self-describing and independently decodable.
 //
-// The encoder and decoder are allocation-free in steady state: histograms,
-// tree nodes, the heap, the packed code table and the decoder state all
-// recycle through scratch arenas and local sync.Pools (the former
-// container/heap implementation boxed every node index into an interface,
-// which dominated whole-pipeline allocs/op).
+// The encoder plans before it writes (Plan): the histogram is kept per lane,
+// so the code table, each lane's exact length and with them the header, the
+// lane directory and the blob's size are known before a payload byte exists,
+// and the lanes are then written straight to their final offsets — in a
+// buffer of the caller's, on the caller's goroutines, if it wants.
+//
+// The encoder and decoder are allocation-free in steady state: the lane
+// histogram, the plan (present symbols, tree nodes, heap, header bytes), the
+// by-symbol code table and the decoder state all recycle through scratch
+// arenas and local sync.Pools (the former container/heap implementation
+// boxed every node index into an interface, which dominated whole-pipeline
+// allocs/op).
 package huffman
 
 import (
@@ -23,7 +30,6 @@ import (
 
 	"stz/internal/bitio"
 	"stz/internal/parallel"
-	"stz/internal/scratch"
 )
 
 const (
@@ -69,10 +75,10 @@ type treeNode struct {
 	left, right int32 // -1 for leaves; leaf i codes table entry i
 }
 
-// buildScratch is the reusable encoder-side state: the present-symbol table
-// with its counts, the node arena and the index heap. It avoids the per-node
-// interface boxing of container/heap and recycles the backing arrays across
-// encodes.
+// buildScratch is the code builder's reusable state, part of every pooled
+// Plan: the present-symbol table with its counts, the node arena and the
+// index heap. It avoids the per-node interface boxing of container/heap and
+// recycles the backing arrays across encodes.
 type buildScratch struct {
 	table  []symLen // present symbols, ascending; lengths set by codeLengths
 	counts []uint64 // parallel to table; flattened in place when depth-limiting
@@ -81,8 +87,6 @@ type buildScratch struct {
 	stack  []int32 // iterative depth walk, node indices
 	depth  []uint8 // parallel to stack
 }
-
-var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // nodeLess orders heap entries by (count, insertion order) — a strict total
 // order, so the pop sequence (and therefore the code table) is identical to
@@ -144,20 +148,6 @@ func (bs *buildScratch) siftDown(i int) {
 		}
 		h[i], h[small] = h[small], h[i]
 		i = small
-	}
-}
-
-// collect gathers the symbols hist counts at least once, in ascending
-// order, into bs.table and bs.counts. This is the encoder's one pass over
-// the alphabet; the tree build, the table serialization and the code
-// packing all run over the collected list.
-func (bs *buildScratch) collect(hist []uint64) {
-	bs.table, bs.counts = bs.table[:0], bs.counts[:0]
-	for sym, c := range hist {
-		if c > 0 {
-			bs.table = append(bs.table, symLen{sym: uint16(sym)})
-			bs.counts = append(bs.counts, c)
-		}
 	}
 }
 
@@ -440,108 +430,22 @@ func (d *decoder) slowWalk(v uint64, skip uint8) (sym uint16, length uint, ok bo
 	return 0, 0, false
 }
 
-// packTable derives the canonical codes of table and packs the
-// transmitted-order (bit-reversed) code and length of every present symbol
-// into packed[sym] = code<<8 | len, so the encode hot loop is one table
-// load per symbol. Entries of absent symbols are left untouched.
-func packTable(table []symLen, packed []uint64) {
+// packCodes derives the canonical codes of table and appends, for every
+// entry, its transmitted-order (bit-reversed) code and its length as
+// code<<8 | len — what the encode hot loop loads per symbol.
+func packCodes(table []symLen, packed []uint64) []uint64 {
 	_, nextCode, _ := firstCodes(table)
 	for _, e := range table {
-		packed[e.sym] = uint64(reverseBits(nextCode[e.len], e.len))<<8 | uint64(e.len)
+		packed = append(packed, uint64(reverseBits(nextCode[e.len], e.len))<<8|uint64(e.len))
 		nextCode[e.len]++
 	}
-}
-
-// encodeHeader runs the shared encoder prologue: histogram the symbols,
-// collect the ones present, build the depth-limited code over that list and
-// emit the self-describing header (symbol count + code-length table) into a
-// fresh writer. The histogram and the lengths give the payload's exact bit
-// count, so the writer is sized once for the whole stream — header, lane
-// directory, padding and the 8-byte store overhang bitio.WriteSymbols
-// needs included. It returns the writer and the leased packed (code,len)
-// table — the histogram buffer, overwritten in place at the present
-// symbols — which the caller must hand back to scratch.U64 after writing
-// the payload.
-func encodeHeader(codes []uint16, alphabet int) (*bitio.Writer, []uint64) {
-	hist := scratch.U64.LeaseZeroed(alphabet)
-	for _, c := range codes {
-		hist[c]++
-	}
-	bs := buildPool.Get().(*buildScratch)
-	bs.collect(hist)
-	bs.codeLengths()
-	payloadBits := 0
-	for _, e := range bs.table {
-		payloadBits += int(hist[e.sym]) * int(e.len)
-	}
-
-	// The two counts take under 24 bytes, a table entry under 5.
-	w := bitio.NewWriter(64 + 5*len(bs.table) + payloadBits/8)
-	w.WriteGamma(uint64(len(codes)))
-	writeLengths(w, bs.table)
-	packTable(bs.table, hist)
-	buildPool.Put(bs)
-	return w, hist
-}
-
-// Encode compresses codes (all values must be < alphabet) into a
-// self-describing byte stream: symbol count, code-length table, payload.
-// This is the v1 single-stream layout; new archive formats use EncodeLanes.
-func Encode(codes []uint16, alphabet int) []byte {
-	w, packed := encodeHeader(codes, alphabet)
-	w.WriteSymbols(codes, packed)
-	scratch.U64.Release(packed)
-	return w.Bytes()
+	return packed
 }
 
 // laneBounds returns lane k's symbol range [lo, hi): numLanes near-equal
 // contiguous segments of an n-symbol stream.
 func laneBounds(n, k int) (lo, hi int) {
 	return k * n / numLanes, (k + 1) * n / numLanes
-}
-
-// EncodeLanes compresses codes into the v2 multi-lane payload: the shared
-// header (symbol count + one code-length table) is followed by a
-// byte-aligned lane directory and numLanes independent bitstreams, lane k
-// holding the contiguous segment laneBounds(n, k). Splitting the payload
-// breaks the decoder's single bit-serial dependency chain — the lanes
-// decode two at a time in lockstep on one goroutine (hiding table-load
-// latency behind two independent chains) or on parallel.For workers for
-// large streams.
-// All values must be < alphabet.
-func EncodeLanes(codes []uint16, alphabet int) []byte {
-	w, packed := encodeHeader(codes, alphabet)
-
-	// Byte-aligned lane directory: the byte length of every lane but the
-	// last (which runs to the end of the blob), 40 bits each so a lane of a
-	// maximum-size grid cannot overflow the field. The directory is written
-	// as placeholder zeros and backpatched after the lanes are encoded —
-	// the entries sit at byte-aligned fixed offsets, so this costs a 15-byte
-	// rewrite instead of a second pass over 3/4 of the symbols.
-	n := len(codes)
-	w.AlignByte()
-	dirOff := w.BitLen() / 8
-	var dir [(numLanes - 1) * 5]byte
-	w.WriteBytes(dir[:])
-	var laneLen [numLanes - 1]uint64
-	for k := 0; k < numLanes; k++ {
-		lo, hi := laneBounds(n, k)
-		start := w.BitLen() / 8
-		w.WriteSymbols(codes[lo:hi], packed)
-		w.AlignByte()
-		if k < numLanes-1 {
-			laneLen[k] = uint64(w.BitLen()/8 - start)
-		}
-	}
-	scratch.U64.Release(packed)
-	out := w.Bytes()
-	// A 40-bit WriteBits at a byte boundary is 5 little-endian bytes.
-	for k, l := range laneLen {
-		for b := 0; b < 5; b++ {
-			out[dirOff+5*k+b] = byte(l >> (8 * b))
-		}
-	}
-	return out
 }
 
 // Decode reverses Encode. alphabet must match the encoder's.
