@@ -1,5 +1,5 @@
-// Command stz is the command-line front end of the STZ streaming
-// compressor and the unified codec registry.
+// Command stz is the command-line front end of the unified codec registry,
+// whose default codec is the paper's STZ streaming compressor.
 //
 //	stz gen        -dataset Nyx -dims 64x64x64 -out nyx.f32
 //	stz compress   -in nyx.f32 -dims 64x64x64 -dtype f32 -eb 1e-3 -rel -out nyx.stz
@@ -9,19 +9,21 @@
 //	stz decompress -in nyx.stz -level 1 -out coarse.f32        (progressive)
 //	stz decompress -in nyx.stz -box 0:32,0:32,0:32 -out roi.f32 (random access)
 //	stz decompress -in nyx.stz -slice 17 -out slice.f32
-//	stz extract    -in nyx.zfp -box 0:16,0:16,0:16 -out roi.f32 (works on
-//	               registry archives too; reads only the chunks it needs)
+//	stz extract    -in nyx.zfp -box 0:16,0:16,0:16 -out roi.f32 (decompress -box
+//	               under its own name; reads only the chunks it needs)
 //	stz roi        -in nyx.f32 -dims 64x64x64 -dtype f32 -mode max -threshold 81.66
 //	stz codecs
 //
-// The -codec flag selects the compressor: "stz" (default) is the paper's
-// hierarchical pipeline; any registry name (sz3, zfp, sperr, mgard) routes
-// through the unified chunk-parallel pipeline of internal/codec. Decompress
-// and info sniff the stream format, so one invocation handles both.
+// The -codec flag names a registry codec: "stz" (default, the paper's
+// hierarchical pipeline), sz3, zfp, sperr or mgard. Every command goes
+// through internal/codec — the streaming Writer/Reader, ReaderAt for boxes
+// and slices, DecodeLevel for previews — so one code path serves all five.
+// A bare core archive written before stz was a registry codec is framed as
+// one on load (loadArchive), the only place the CLI looks at the format.
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"image"
@@ -34,7 +36,6 @@ import (
 	"stz/internal/datasets"
 	"stz/internal/grid"
 	"stz/internal/parallel"
-	"stz/internal/quant"
 	"stz/internal/rawio"
 	"stz/internal/roi"
 	"stz/internal/viz"
@@ -226,36 +227,17 @@ func cmdGen(args []string) error {
 	return fmt.Errorf("gen: unknown dataset %q", *name)
 }
 
-// compressGrid routes one grid through the core hierarchical pipeline
-// (registry codecs take the streaming path in streamCompressFile instead).
-func compressGrid[T grid.Float](g *grid.Grid[T], eb float64, rel bool,
-	levels, workers int, base string) ([]byte, error) {
-
-	bound := eb
-	if rel {
-		mn, mx := g.Range()
-		bound = quant.AbsoluteBound(eb, float64(mn), float64(mx))
-	}
-	cfg := core.DefaultConfig(bound)
-	cfg.Levels = levels
-	cfg.Workers = workers
-	cfg.BaseCodec = base
-	return core.Compress(g, cfg)
-}
-
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	in := fs.String("in", "", "input raw file")
-	out := fs.String("out", "", "output .stz file")
+	out := fs.String("out", "", "output archive")
 	dims := fs.String("dims", "", "dimensions ZxYxX")
 	dtype := fs.String("dtype", "f32", "element type: f32 or f64")
 	eb := fs.Float64("eb", 1e-3, "error bound")
 	rel := fs.Bool("rel", false, "eb is relative to the value range")
-	levels := fs.Int("levels", 3, "hierarchy levels (2, 3 or 4; stz codec only)")
 	workers := fs.Int("workers", 0, "parallel workers (0 = auto: STZ_WORKERS if set, else 1 — archives stay byte-reproducible across machines)")
-	codecName := fs.String("codec", "stz", "compressor: stz, or a registry codec (sz3, zfp, sperr, mgard)")
-	chunks := fs.Int("chunks", 0, "z-slab chunks for registry codecs (0 = auto from -workers)")
-	base := fs.String("base", "", "base codec for the stz coarsest level (default sz3)")
+	codecName := fs.String("codec", "stz", "registry codec: stz, sz3, zfp, sperr or mgard")
+	chunks := fs.Int("chunks", 0, "z-slab chunks (0 = auto: one for stz, from -workers otherwise)")
 	fs.Parse(args)
 	if *workers <= 0 {
 		// The chunk plan (and the backends' internal OMP modes) derive from
@@ -276,62 +258,26 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *dtype != "f32" && *dtype != "f64" {
+	// The file streams through the bounded-memory writer (at most a window
+	// of slabs resident); the archive is byte-identical to codec.Encode.
+	var encBytes int64
+	origBytes := int64(nz) * int64(ny) * int64(nx) * 4
+	switch *dtype {
+	case "f32":
+		encBytes, err = streamCompressFile[float32](*in, *out, *codecName,
+			nz, ny, nx, *eb, *rel, *workers, *chunks)
+	case "f64":
+		origBytes *= 2
+		encBytes, err = streamCompressFile[float64](*in, *out, *codecName,
+			nz, ny, nx, *eb, *rel, *workers, *chunks)
+	default:
 		return fmt.Errorf("compress: dtype must be f32 or f64")
 	}
-
-	// Registry codecs stream the file through the bounded-memory pipeline:
-	// the grid is never fully resident, and the archive is byte-identical
-	// to the buffered codec.Encode path.
-	if *codecName != "stz" {
-		var encBytes int64
-		if *dtype == "f32" {
-			encBytes, err = streamCompressFile[float32](*in, *out, *codecName,
-				nz, ny, nx, *eb, *rel, *workers, *chunks)
-		} else {
-			encBytes, err = streamCompressFile[float64](*in, *out, *codecName,
-				nz, ny, nx, *eb, *rel, *workers, *chunks)
-		}
-		if err != nil {
-			return err
-		}
-		origBytes := int64(nz) * int64(ny) * int64(nx) * 4
-		if *dtype == "f64" {
-			origBytes *= 2
-		}
-		fmt.Printf("%s: %d -> %d bytes (CR %.1f)\n", *out, origBytes, encBytes,
-			float64(origBytes)/float64(encBytes))
-		return nil
-	}
-
-	var enc []byte
-	var origBytes int
-	if *dtype == "f32" {
-		g, err := readRaw[float32](*in, nz, ny, nx)
-		if err != nil {
-			return err
-		}
-		enc, err = compressGrid(g, *eb, *rel, *levels, *workers, *base)
-		if err != nil {
-			return err
-		}
-		origBytes = 4 * g.Len()
-	} else {
-		g, err := readRaw[float64](*in, nz, ny, nx)
-		if err != nil {
-			return err
-		}
-		enc, err = compressGrid(g, *eb, *rel, *levels, *workers, *base)
-		if err != nil {
-			return err
-		}
-		origBytes = 8 * g.Len()
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d -> %d bytes (CR %.1f)\n", *out, origBytes, len(enc),
-		float64(origBytes)/float64(len(enc)))
+	fmt.Printf("%s: %d -> %d bytes (CR %.1f)\n", *out, origBytes, encBytes,
+		float64(origBytes)/float64(encBytes))
 	return nil
 }
 
@@ -352,50 +298,68 @@ func cmdCodecs() error {
 			c.Name(), c.ID(), caps.Progressive, caps.RandomAccess,
 			caps.ParallelCompress, caps.ParallelDecompress, dt)
 	}
-	fmt.Println("\n\"stz\" (the default -codec) is the paper's hierarchical compressor: progressive,")
-	fmt.Println("random-access, parallel, with -base selecting its coarsest-level codec.")
 	return nil
+}
+
+// loadArchive reads an archive file. A bare core archive — what `stz
+// compress` wrote before stz was a registry codec — is adopted here, framed
+// as the single-chunk unified archive of the same payload, so nothing
+// downstream knows two formats.
+func loadArchive(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil || codec.IsEncoded(data) {
+		return data, err
+	}
+	h, err := coreHeader[float32](data)
+	if err != nil {
+		if h, err = coreHeader[float64](data); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	return codec.Frame(codec.Header{
+		CodecID: codec.IDSTZ, DType: h.DType, Nz: h.Fz, Ny: h.Fy, Nx: h.Fx,
+		EBRequested: h.EB, EBAbs: h.EB,
+	}, data), nil
+}
+
+// coreHeader reads the hierarchy header of a core payload of element type T.
+func coreHeader[T grid.Float](payload []byte) (core.Header, error) {
+	r, err := core.NewReader[T](payload)
+	if err != nil {
+		return core.Header{}, err
+	}
+	return r.Header(), nil
+}
+
+// stzDetail is coreHeader of the first slab of a unified stz archive.
+func stzDetail[T grid.Float](data []byte) (core.Header, error) {
+	r, err := codec.OpenReaderAt[T](data)
+	if err != nil {
+		return core.Header{}, err
+	}
+	sec, err := r.RawSection(0)
+	if err != nil {
+		return core.Header{}, err
+	}
+	return coreHeader[T](sec)
 }
 
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	in := fs.String("in", "", "input .stz file")
+	in := fs.String("in", "", "input archive")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("info: -in required")
 	}
-	// Registry archives need only the directory and header section, so
-	// sniff and print without loading the payload (which may be huge).
-	f, err := os.Open(*in)
+	data, err := loadArchive(*in)
 	if err != nil {
 		return err
 	}
-	s, serr := codec.OpenStream(bufio.NewReader(f))
-	if serr == nil {
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		hdr := s.Header()
-		dt := "f64"
-		if hdr.DType == 4 {
-			dt = "f32"
-		}
-		fmt.Printf("codec: %s  dims: %dx%dx%d  dtype: %s\n", hdr.Codec, hdr.Nz, hdr.Ny, hdr.Nx, dt)
-		fmt.Printf("eb: %g (%s)  resolved abs eb: %g\n", hdr.EBRequested, hdr.Mode, hdr.EBAbs)
-		fmt.Printf("chunks: %d  compressed size: %d bytes\n", hdr.Chunks(), fi.Size())
-		return nil
-	}
-	f.Close()
-	if sniffEncoded(*in) {
-		return serr
-	}
-	data, err := os.ReadFile(*in)
+	hdr, err := codec.ParseHeader(data)
 	if err != nil {
 		return err
 	}
-	hdr, err := peekHeader(data)
+	fi, err := os.Stat(*in)
 	if err != nil {
 		return err
 	}
@@ -403,145 +367,49 @@ func cmdInfo(args []string) error {
 	if hdr.DType == 4 {
 		dt = "f32"
 	}
-	fmt.Printf("codec: stz (base %s)  dims: %dx%dx%d  dtype: %s  levels: %d\n",
-		hdr.BaseCodec, hdr.Fz, hdr.Fy, hdr.Fx, dt, hdr.Levels)
-	fmt.Printf("eb: %g  adaptive: %v (ratio %.2f)  predictor: %s  residual: %s\n",
-		hdr.EB, hdr.AdaptiveEB, hdr.EBRatio, hdr.Predictor, hdr.Residual)
-	fmt.Printf("partition-only: %v  compressed size: %d bytes\n", hdr.PartitionOnly, len(data))
-	return nil
-}
-
-// peekHeader reads the header regardless of the stream's element type.
-func peekHeader(data []byte) (core.Header, error) {
-	if r, err := core.NewReader[float32](data); err == nil {
-		return r.Header(), nil
+	fmt.Printf("codec: %s  dims: %dx%dx%d  dtype: %s\n", hdr.Codec, hdr.Nz, hdr.Ny, hdr.Nx, dt)
+	fmt.Printf("eb: %g (%s)  resolved abs eb: %g\n", hdr.EBRequested, hdr.Mode, hdr.EBAbs)
+	fmt.Printf("chunks: %d  compressed size: %d bytes\n", hdr.Chunks(), fi.Size())
+	if hdr.CodecID != codec.IDSTZ {
+		return nil
 	}
-	r, err := core.NewReader[float64](data)
+	// The hierarchy's own parameters live in the payload's header.
+	detail := stzDetail[float64]
+	if hdr.DType == 4 {
+		detail = stzDetail[float32]
+	}
+	h, err := detail(data)
 	if err != nil {
-		return core.Header{}, err
+		return err
 	}
-	return r.Header(), nil
+	fmt.Printf("levels: %d  base: %s  predictor: %s  residual: %s  adaptive: %v (ratio %.2f)  partition-only: %v\n",
+		h.Levels, h.BaseCodec, h.Predictor, h.Residual, h.AdaptiveEB, h.EBRatio, h.PartitionOnly)
+	return nil
 }
 
 func cmdDecompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
-	in := fs.String("in", "", "input .stz file")
+	in := fs.String("in", "", "input archive")
 	out := fs.String("out", "", "output raw file")
 	level := fs.Int("level", 0, "progressive level (1 = coarsest; 0 = full)")
 	boxSpec := fs.String("box", "", "random-access box z0:z1,y0:y1,x0:x1")
 	slice := fs.Int("slice", -1, "random-access z slice")
 	workers := fs.Int("workers", 0, "parallel workers (0 = auto: STZ_WORKERS or min(cores, 8))")
-	stats := fs.Bool("stats", false, "print the stage time breakdown")
 	fs.Parse(args)
-	if *workers <= 0 {
-		*workers = parallel.DefaultWorkers()
-	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("decompress: -in and -out required")
 	}
-	// Sniff the format by attempting to open the unified streaming framing;
-	// registry-codec archives decode incrementally with bounded memory.
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	s, serr := codec.OpenStream(bufio.NewReaderSize(f, 1<<20))
-	if serr == nil {
-		defer f.Close()
-		if *level > 0 || *boxSpec != "" || *slice >= 0 || *stats {
-			return fmt.Errorf("decompress: -level/-box/-slice/-stats require an stz stream; this is a registry-codec stream")
-		}
-		hdr := s.Header()
-		if hdr.DType == 4 {
-			err = streamDecodeToFile[float32](s, *out, *workers)
-		} else {
-			err = streamDecodeToFile[float64](s, *out, *workers)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s: %dx%dx%d\n", *out, hdr.Nz, hdr.Ny, hdr.Nx)
-		return nil
-	}
-	f.Close()
-	if sniffEncoded(*in) {
-		// The file is a unified registry archive that failed to open:
-		// report that error rather than confusing the core path with it.
-		return serr
-	}
-	// Not a unified archive: fall back to the buffered STZ core path,
-	// which owns progressive/random-access decoding.
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	hdr, err := peekHeader(data)
-	if err != nil {
-		return err
-	}
-	if hdr.DType == 4 {
-		return decompressAs[float32](data, *out, *level, *boxSpec, *slice, *workers, *stats)
-	}
-	return decompressAs[float64](data, *out, *level, *boxSpec, *slice, *workers, *stats)
+	return decodeFile(*in, *out, *level, *boxSpec, *slice, *workers)
 }
 
-func decompressAs[T grid.Float](data []byte, out string, level int, boxSpec string,
-	slice, workers int, stats bool) error {
-
-	r, err := core.NewReader[T](data)
-	if err != nil {
-		return err
-	}
-	r.Workers = workers
-	var g *grid.Grid[T]
-	var st *core.Stats
-	switch {
-	case boxSpec != "":
-		b, err := parseBox(boxSpec)
-		if err != nil {
-			return err
-		}
-		g, st, err = r.DecompressBox(b)
-		if err != nil {
-			return err
-		}
-	case slice >= 0:
-		g, st, err = r.DecompressSliceZ(slice)
-		if err != nil {
-			return err
-		}
-	case level > 0:
-		g, err = r.Progressive(level)
-		if err != nil {
-			return err
-		}
-	default:
-		g, st, err = r.DecompressStats()
-		if err != nil {
-			return err
-		}
-	}
-	if err := writeRaw(out, g); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %dx%dx%d\n", out, g.Nz, g.Ny, g.Nx)
-	if stats && st != nil {
-		fmt.Printf("L1 SZ3 %v | L2 dec %v pre %v rec %v | L3 dec %v pre %v rec %v | total %v\n",
-			st.L1SZ3, st.LevelDecode[0], st.LevelPredict[0], st.LevelRecon[0],
-			st.LevelDecode[1], st.LevelPredict[1], st.LevelRecon[1], st.Total)
-	}
-	return nil
-}
-
-// cmdExtract is offline sub-box extraction — random access against both
-// stream families. Registry (SZXC) archives decode through the codec
-// ReaderAt, touching only the z-slab chunks the box intersects (the
-// printed read accounting shows how little of the payload was fetched);
-// STZ core streams use the hierarchical reader's DecompressBox. The box
-// must lie entirely inside the grid (no silent clipping).
+// cmdExtract is decompress -box under its own name: offline sub-box
+// extraction through the codec ReaderAt, which touches only the z-slab
+// chunks the box intersects and, within them, only what the codec's native
+// box decode needs (the printed read accounting shows how little of the
+// payload was fetched). The box must lie entirely inside the grid.
 func cmdExtract(args []string) error {
 	fs := flag.NewFlagSet("extract", flag.ExitOnError)
-	in := fs.String("in", "", "input archive (.stz or registry SZXC)")
+	in := fs.String("in", "", "input archive")
 	out := fs.String("out", "", "output raw file")
 	boxSpec := fs.String("box", "", "sub-box z0:z1,y0:y1,x0:x1")
 	workers := fs.Int("workers", 0, "parallel workers (0 = auto: STZ_WORKERS or min(cores, 8))")
@@ -549,74 +417,77 @@ func cmdExtract(args []string) error {
 	if *in == "" || *out == "" || *boxSpec == "" {
 		return fmt.Errorf("extract: -in, -out and -box required")
 	}
-	if *workers <= 0 {
-		*workers = parallel.DefaultWorkers()
+	return decodeFile(*in, *out, 0, *boxSpec, -1, *workers)
+}
+
+// decodeFile is every read of an archive: the whole grid by default, one
+// hierarchy level with level > 0, a window with a box spec or a z slice.
+func decodeFile(in, out string, level int, boxSpec string, slice, workers int) error {
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
 	}
-	b, err := parseBox(*boxSpec)
+	data, err := loadArchive(in)
 	if err != nil {
 		return err
 	}
-	data, err := os.ReadFile(*in)
+	hdr, err := codec.ParseHeader(data)
 	if err != nil {
 		return err
 	}
-	if codec.IsEncoded(data) {
-		hdr, err := codec.ParseHeader(data)
+	var box *grid.Box
+	switch {
+	case boxSpec != "":
+		b, err := parseBox(boxSpec)
 		if err != nil {
 			return err
 		}
-		if hdr.DType == 4 {
-			return extractEncoded[float32](data, b, *out, *workers)
-		}
-		return extractEncoded[float64](data, b, *out, *workers)
-	}
-	hdr, err := peekHeader(data)
-	if err != nil {
-		return err
+		box = &b
+	case slice >= 0:
+		box = &grid.Box{Z0: slice, Z1: slice + 1, Y1: hdr.Ny, X1: hdr.Nx}
 	}
 	if hdr.DType == 4 {
-		return extractCore[float32](data, b, *out, *workers)
+		return decodeTo[float32](data, out, level, box, workers)
 	}
-	return extractCore[float64](data, b, *out, *workers)
+	return decodeTo[float64](data, out, level, box, workers)
 }
 
-func extractEncoded[T grid.Float](data []byte, b grid.Box, out string,
-	workers int) error {
-
-	r, err := codec.OpenReaderAt[T](data)
-	if err != nil {
-		return err
-	}
-	r.Workers = workers
-	g, err := r.DecompressBox(b)
-	if err != nil {
-		return err
+func decodeTo[T grid.Float](data []byte, out string, level int, box *grid.Box, workers int) error {
+	var g *grid.Grid[T]
+	note := ""
+	switch {
+	case box != nil:
+		r, err := codec.OpenReaderAt[T](data)
+		if err != nil {
+			return err
+		}
+		r.Workers = workers
+		if g, err = r.DecompressBox(*box); err != nil {
+			return err
+		}
+		read, payload := r.BytesRead(), r.PayloadBytes()
+		note = fmt.Sprintf(" (read %d of %d payload bytes, %.1f%%)",
+			read, payload, 100*float64(read)/float64(payload))
+	case level > 0:
+		var err error
+		if g, err = codec.DecodeLevel[T](data, level, workers); err != nil {
+			return err
+		}
+	default:
+		s, err := codec.OpenStream(bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		if err := streamDecodeToFile[T](s, out, workers); err != nil {
+			return err
+		}
+		hdr := s.Header()
+		fmt.Printf("%s: %dx%dx%d\n", out, hdr.Nz, hdr.Ny, hdr.Nx)
+		return nil
 	}
 	if err := writeRaw(out, g); err != nil {
 		return err
 	}
-	read, payload := r.BytesRead(), r.PayloadBytes()
-	fmt.Printf("%s: %dx%dx%d (read %d of %d payload bytes, %.1f%%)\n",
-		out, g.Nz, g.Ny, g.Nx, read, payload, 100*float64(read)/float64(payload))
-	return nil
-}
-
-func extractCore[T grid.Float](data []byte, b grid.Box, out string,
-	workers int) error {
-
-	r, err := core.NewReader[T](data)
-	if err != nil {
-		return err
-	}
-	r.Workers = workers
-	g, _, err := r.DecompressBox(b)
-	if err != nil {
-		return err
-	}
-	if err := writeRaw(out, g); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %dx%dx%d\n", out, g.Nz, g.Ny, g.Nx)
+	fmt.Printf("%s: %dx%dx%d%s\n", out, g.Nz, g.Ny, g.Nx, note)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"stz/internal/codec"
+	"stz/internal/core"
 	"stz/internal/grid"
 )
 
@@ -249,10 +251,10 @@ func TestCodecFlagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRandomAccessExtractCommand drives stz extract against both stream
-// families: a registry (SZXC) archive and a core STZ stream. The extracted
-// window must be byte-identical to the same region of a full decompression,
-// and invalid boxes must be rejected.
+// TestRandomAccessExtractCommand drives stz extract against a chunked sz3
+// archive and a default (stz) one. The extracted window must be
+// byte-identical to the same region of a full decompression, and invalid
+// boxes must be rejected.
 func TestRandomAccessExtractCommand(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "in.f32")
@@ -296,7 +298,7 @@ func TestRandomAccessExtractCommand(t *testing.T) {
 	}
 	check("registry", encReg, fullReg, b)
 
-	// Core STZ stream.
+	// The paper's codec, the default.
 	encCore := filepath.Join(dir, "in.stz")
 	if err := cmdCompress([]string{"-in", raw, "-dims", "24x16x16", "-eb", "0.01", "-out", encCore}); err != nil {
 		t.Fatal(err)
@@ -311,7 +313,7 @@ func TestRandomAccessExtractCommand(t *testing.T) {
 	}
 	check("core", encCore, fullCore, b)
 
-	// Out-of-bounds and inverted boxes are rejected on both paths.
+	// Out-of-bounds and inverted boxes are rejected for both.
 	for _, enc := range []string{encReg, encCore} {
 		for _, spec := range []string{"0:25,0:16,0:16", "5:5,0:16,0:16", "8:4,0:16,0:16"} {
 			if err := cmdExtract([]string{"-in", enc, "-box", spec,
@@ -324,4 +326,123 @@ func TestRandomAccessExtractCommand(t *testing.T) {
 
 func boxSpecOf(b grid.Box) string {
 	return fmt.Sprintf("%d:%d,%d:%d,%d:%d", b.Z0, b.Z1, b.Y0, b.Y1, b.X0, b.X1)
+}
+
+// TestLegacyBareCoreArchives runs the pinned pre-registry core archives —
+// bare, no SZXC frame, one of them with chunked code streams no CLI flag
+// ever wrote — through every read command: loadArchive adopts them, and
+// the one path reproduces the pinned full decode and core.Reader's level,
+// box and slice.
+func TestLegacyBareCoreArchives(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.f32")
+	sameFile := func(label string, want []float32) {
+		t.Helper()
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes := make([]byte, 4*len(want))
+		for i, v := range want {
+			binary.LittleEndian.PutUint32(wantBytes[4*i:], math.Float32bits(v))
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("%s: output differs from the reference", label)
+		}
+	}
+	for _, name := range []string{"core", "core_codechunk"} {
+		corpus := filepath.Join("..", "..", "internal", "integration", "testdata", name)
+		bare, err := os.ReadFile(corpus + ".bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec.IsEncoded(bare) {
+			t.Fatalf("%s: pinned archive is not bare", name)
+		}
+		r, err := core.NewReader[float32](bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := corpus + ".bin"
+		if err := cmdInfo([]string{"-in", in}); err != nil {
+			t.Fatalf("%s: info: %v", name, err)
+		}
+
+		if err := cmdDecompress([]string{"-in", in, "-out", out}); err != nil {
+			t.Fatalf("%s: decompress: %v", name, err)
+		}
+		pinned, err := os.ReadFile(corpus + ".out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(out); !bytes.Equal(got, pinned) {
+			t.Fatalf("%s: full decode differs from the pinned output", name)
+		}
+
+		if err := cmdDecompress([]string{"-in", in, "-out", out, "-level", "1"}); err != nil {
+			t.Fatalf("%s: -level 1: %v", name, err)
+		}
+		coarse, err := r.Progressive(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFile(name+" -level 1", coarse.Data)
+
+		b := grid.Box{Z0: 3, Y0: 5, X0: 7, Z1: 17, Y1: 19, X1: 23}
+		win, _, err := r.DecompressBox(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range []func([]string) error{cmdDecompress, cmdExtract} {
+			if err := cmd([]string{"-in", in, "-out", out, "-box", boxSpecOf(b)}); err != nil {
+				t.Fatalf("%s: -box: %v", name, err)
+			}
+			sameFile(name+" -box", win.Data)
+		}
+
+		if err := cmdDecompress([]string{"-in", in, "-out", out, "-slice", "11"}); err != nil {
+			t.Fatalf("%s: -slice: %v", name, err)
+		}
+		plane, _, err := r.DecompressSliceZ(11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFile(name+" -slice", plane.Data)
+	}
+}
+
+// TestBoxFlagIsExtract: decompress -box and extract are one function, for
+// every codec — zfp, which the CLI's old stz-only -box refused, included.
+func TestBoxFlagIsExtract(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "in.f32")
+	if err := cmdGen([]string{"-dataset", "Nyx", "-dims", "24x16x16", "-out", raw}); err != nil {
+		t.Fatal(err)
+	}
+	enc := filepath.Join(dir, "in.zfp")
+	if err := cmdCompress([]string{"-in", raw, "-dims", "24x16x16", "-codec", "zfp",
+		"-eb", "0.01", "-chunks", "3", "-out", enc}); err != nil {
+		t.Fatal(err)
+	}
+	viaBox, viaExtract := filepath.Join(dir, "a.f32"), filepath.Join(dir, "b.f32")
+	if err := cmdDecompress([]string{"-in", enc, "-box", "5:15,2:12,3:13", "-out", viaBox}); err != nil {
+		t.Fatalf("decompress -box on a zfp archive: %v", err)
+	}
+	if err := cmdExtract([]string{"-in", enc, "-box", "5:15,2:12,3:13", "-out", viaExtract}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(viaBox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(viaExtract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != 4*10*10*10 || !bytes.Equal(a, b) {
+		t.Fatalf("decompress -box wrote %d bytes, extract %d, or they differ", len(a), len(b))
+	}
+	// A level is the one read a codec can lack: the error is the registry's.
+	if err := cmdDecompress([]string{"-in", enc, "-level", "1", "-out", viaBox}); err == nil {
+		t.Fatal("-level on a zfp archive accepted")
+	}
 }

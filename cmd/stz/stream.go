@@ -1,48 +1,23 @@
-// Streaming file paths for registry codecs: compress and decompress move
-// plane-sized pieces between raw files and the bounded-memory codec
-// Writer/Reader instead of materializing whole grids, so file size no
-// longer caps what the CLI can handle. The emitted archives are
-// byte-identical to the buffered codec.Encode path (including two-pass
-// relative-bound resolution).
+// Streaming file paths: compress and decompress move plane-sized pieces
+// between raw files and the bounded-memory codec Writer/Reader instead of
+// materializing whole grids (a window of z-slabs is resident on the raw
+// side; an archive being decoded is read whole, it is the small side). The
+// emitted archives are byte-identical to the buffered codec.Encode path
+// (including two-pass relative-bound resolution).
 
 package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
 	"stz/internal/codec"
-	"stz/internal/container"
 	"stz/internal/grid"
 	"stz/internal/rawio"
 )
-
-// sniffEncoded reports whether the file is framed as a unified (SZXC)
-// registry archive: a valid container directory whose section 0 leads
-// with the unified header magic. It distinguishes "corrupt registry
-// archive" (report the codec error) from "core STZ stream" (fall back to
-// the buffered core path) without loading the file.
-func sniffEncoded(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	dir, err := container.ReadDirFrom(br)
-	if err != nil || dir.Count() < 1 || dir.SectionLen(0) < 4 {
-		return false
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return false
-	}
-	return binary.LittleEndian.Uint32(magic[:]) == codec.EncMagic
-}
 
 // streamBufValues is the number of values moved per read/write step.
 const streamBufValues = 64 * 1024

@@ -2,9 +2,10 @@
 // as it is produced (the paper's motivating scenario — storage bandwidth
 // cannot keep up with compute). Each step's field is compressed with the
 // parallel mode, streamed to storage, and per-step statistics are logged.
-// The compressor is selected with -codec: "stz" (default) or any unified
-// registry backend (sz3, zfp, sperr, mgard), showing how the registry lets
-// one in-situ loop swap compressors without code changes.
+// The compressor is selected with -codec, any name in the unified registry
+// (stz, the default; sz3, zfp, sperr, mgard): the in-situ loop swaps
+// compressors without code changes, and restart tooling needs no codec
+// bookkeeping because the archive header names its codec.
 package main
 
 import (
@@ -17,32 +18,13 @@ import (
 	"time"
 
 	"stz/internal/codec"
-	"stz/internal/core"
+	_ "stz/internal/core" // registers the paper's codec, "stz"
 	"stz/internal/grid"
 	"stz/internal/metrics"
 	"stz/internal/quant"
 )
 
-var flagCodec = flag.String("codec", "stz", "compressor: stz or a registry codec (sz3, zfp, sperr, mgard)")
-
-// compressSnapshot routes one snapshot through the selected compressor.
-func compressSnapshot(g *grid.Grid[float32], eb float64) ([]byte, error) {
-	if *flagCodec == "stz" {
-		cfg := core.DefaultConfig(eb)
-		cfg.Workers = 4
-		return core.Compress(g, cfg)
-	}
-	return codec.Encode(*flagCodec, g, codec.Config{EB: eb, Workers: 4})
-}
-
-// decompressSnapshot inverts compressSnapshot (the format is sniffed, as
-// `stz decompress` does, so restart tooling needs no codec bookkeeping).
-func decompressSnapshot(enc []byte) (*grid.Grid[float32], error) {
-	if codec.IsEncoded(enc) {
-		return codec.Decode[float32](enc, 4)
-	}
-	return core.Decompress[float32](enc)
-}
+var flagCodec = flag.String("codec", "stz", "registry codec: stz, sz3, zfp, sperr or mgard")
 
 // simulate advances a toy advection–diffusion field one step.
 func simulate(g *grid.Grid[float32], step int) {
@@ -92,7 +74,7 @@ func main() {
 		eb := quant.AbsoluteBound(1e-3, float64(mn), float64(mx))
 
 		t0 := time.Now()
-		enc, err := compressSnapshot(g, eb)
+		enc, err := codec.Encode(*flagCodec, g, codec.Config{EB: eb, Workers: 4})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,7 +84,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		dec, err := decompressSnapshot(enc)
+		dec, err := codec.Decode[float32](enc, 4)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,7 +97,7 @@ func main() {
 	}
 	fmt.Printf("\ntotal: %d KB raw -> %d KB compressed (CR %.1f) across %d snapshots\n",
 		totalRaw>>10, totalComp>>10, float64(totalRaw)/float64(totalComp), steps)
-	if *flagCodec == "stz" {
+	if caps := codec.MustLookup(*flagCodec).Caps(); caps.Progressive && caps.RandomAccess {
 		fmt.Println("Every snapshot remains progressively and randomly accessible on disk.")
 	}
 }

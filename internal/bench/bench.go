@@ -3,9 +3,9 @@
 // (cmd/stzsuite, cmd/stzload).
 // It treats the five compressors of the paper's evaluation — STZ, SZ3,
 // SPERR-lite, ZFP-lite and MGARD-lite — through one interface so every
-// table and figure is generated by the same code path. The four baseline
-// backends are drawn from the unified registry (internal/codec); only STZ
-// itself, the paper's contribution, binds directly to internal/core.
+// table and figure is generated by the same code path: all five are drawn
+// from the unified registry (internal/codec). Only the Fig. 5 ablation
+// variants, which are not registry codecs, configure internal/core directly.
 package bench
 
 import (
@@ -36,7 +36,7 @@ type Codec[T grid.Float] struct {
 
 // displayName maps registry names to the paper's comparison labels.
 var displayName = map[string]string{
-	"sz3": "SZ3", "sperr": "SPERR", "zfp": "ZFP", "mgard": "MGARDX",
+	"stz": "Ours", "sz3": "SZ3", "sperr": "SPERR", "zfp": "ZFP", "mgard": "MGARDX",
 }
 
 // FromRegistry adapts a registered codec (internal/codec) to the bench
@@ -65,43 +65,28 @@ func FromRegistry[T grid.Float](name string) (Codec[T], error) {
 	}, nil
 }
 
+// builtin is FromRegistry for the five names that always register at init.
+func builtin[T grid.Float](name string) Codec[T] {
+	c, err := FromRegistry[T](name)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // Codecs returns the five compressors in the paper's comparison order:
-// Ours (STZ), SZ3, SPERR, ZFP, MGARD — the baselines via the registry.
+// Ours (STZ), SZ3, SPERR, ZFP, MGARD.
 func Codecs[T grid.Float]() []Codec[T] {
-	out := []Codec[T]{STZ[T]()}
-	for _, name := range []string{"sz3", "sperr", "zfp", "mgard"} {
-		c, err := FromRegistry[T](name)
-		if err != nil {
-			panic(err) // the built-ins always register at init
-		}
-		out = append(out, c)
+	var out []Codec[T]
+	for _, name := range []string{"stz", "sz3", "sperr", "zfp", "mgard"} {
+		out = append(out, builtin[T](name))
 	}
 	return out
 }
 
 // STZ returns the paper's compressor under the default (3-level, cubic,
-// adaptive) configuration.
-func STZ[T grid.Float]() Codec[T] {
-	return Codec[T]{
-		Name:         "Ours",
-		Progressive:  true,
-		RandomAccess: true,
-		Compress: func(g *grid.Grid[T], eb float64, workers int) ([]byte, error) {
-			cfg := core.DefaultConfig(eb)
-			cfg.Workers = workers
-			return core.Compress(g, cfg)
-		},
-		Decompress: func(data []byte, workers int) (*grid.Grid[T], error) {
-			r, err := core.NewReader[T](data)
-			if err != nil {
-				return nil, err
-			}
-			r.Workers = workers
-			return r.Decompress()
-		},
-		ParallelDecompress: true,
-	}
-}
+// adaptive) configuration — the registry codec "stz".
+func STZ[T grid.Float]() Codec[T] { return builtin[T]("stz") }
 
 // STZVariant returns an ablation configuration of STZ (for Fig. 5).
 func STZVariant[T grid.Float](name string, cfg func(eb float64) core.Config) Codec[T] {
@@ -112,14 +97,8 @@ func STZVariant[T grid.Float](name string, cfg func(eb float64) core.Config) Cod
 			c.Workers = workers
 			return core.Compress(g, c)
 		},
-		Decompress: func(data []byte, workers int) (*grid.Grid[T], error) {
-			r, err := core.NewReader[T](data)
-			if err != nil {
-				return nil, err
-			}
-			r.Workers = workers
-			return r.Decompress()
-		},
+		// Decoding is header-driven, so the registry codec reads any variant.
+		Decompress: builtin[T]("stz").Decompress,
 	}
 }
 

@@ -48,7 +48,7 @@ type SuiteSpec struct {
 // so committed results document their exact inputs.
 type Matrix struct {
 	Datasets  []string
-	Codecs    []string // registry names, plus "stz" for the paper's codec
+	Codecs    []string // registry names
 	Bounds    []float64
 	Workers   []int
 	Workloads []string
@@ -307,17 +307,6 @@ func (m *Matrix) validate() error {
 		}
 	}
 	for _, c := range m.Codecs {
-		if c == "stz" {
-			// The paper's codec binds directly to internal/core; the box,
-			// http and cluster workloads go through the registry container /
-			// stzd, which serve registry codecs only.
-			for _, w := range m.Workloads {
-				if w == WorkloadBox || w == WorkloadHTTP || w == WorkloadCluster || w == WorkloadChaos || w == WorkloadRecovery || w == WorkloadSoak {
-					return fmt.Errorf("codec \"stz\" supports only the compress and decompress workloads, not %q", w)
-				}
-			}
-			continue
-		}
 		if _, err := codec.Lookup(c); err != nil {
 			return err
 		}

@@ -122,7 +122,6 @@ func TestParseSuiteErrors(t *testing.T) {
 		{"no-matrices", "[suite]\nname = \"x\"", "no [[matrix]] sections"},
 		{"unknown-codec", "[suite]\nname = \"x\"\n[[matrix]]\ndatasets = [\"Nyx-8x8x8-s1\"]\ncodecs = [\"lz4\"]\nbounds = [0.001]\nworkloads = [\"compress\"]", `unknown codec "lz4"`},
 		{"unknown-workload", "[suite]\nname = \"x\"\n[[matrix]]\ndatasets = [\"Nyx-8x8x8-s1\"]\ncodecs = [\"sz3\"]\nbounds = [0.001]\nworkloads = [\"roundtrip\"]", `unknown workload "roundtrip"`},
-		{"stz-box", "[suite]\nname = \"x\"\n[[matrix]]\ndatasets = [\"Nyx-8x8x8-s1\"]\ncodecs = [\"stz\"]\nbounds = [0.001]\nworkloads = [\"box\"]", `codec "stz" supports only the compress and decompress workloads`},
 		{"bad-dataset", "[suite]\nname = \"x\"\n[[matrix]]\ndatasets = [\"Nyx\"]\ncodecs = [\"sz3\"]\nbounds = [0.001]\nworkloads = [\"compress\"]", "corpus name"},
 		{"unknown-generator", "[suite]\nname = \"x\"\n[[matrix]]\ndatasets = [\"CESM-8x8x8-s1\"]\ncodecs = [\"sz3\"]\nbounds = [0.001]\nworkloads = [\"compress\"]", `unknown generator "CESM"`},
 		{"bad-bound", "[suite]\nname = \"x\"\n[[matrix]]\ndatasets = [\"Nyx-8x8x8-s1\"]\ncodecs = [\"sz3\"]\nbounds = [0]\nworkloads = [\"compress\"]", "bounds must be finite and > 0"},
@@ -201,7 +200,9 @@ box = [4, 4, 4]
 datasets = ["WarpX-12x8x8-s1002"]
 codecs = ["stz"]
 bounds = [1e-3]
-workloads = ["compress"]
+workloads = ["compress", "box", "http"]
+chunks = 2
+box = [4, 4, 4]
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +211,8 @@ workloads = ["compress"]
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 5 {
-		t.Fatalf("%d results, want 5", len(results))
+	if len(results) != 7 {
+		t.Fatalf("%d results, want 7", len(results))
 	}
 	units := func(r CellResult) map[string]float64 {
 		m := map[string]float64{}

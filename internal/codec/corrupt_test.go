@@ -1,4 +1,4 @@
-package codec
+package codec_test
 
 import (
 	"bytes"
@@ -6,7 +6,9 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"stz/internal/codec"
 	"stz/internal/container"
+	_ "stz/internal/core" // registers "stz"
 	"stz/internal/datasets"
 )
 
@@ -14,21 +16,21 @@ import (
 // reports whether any of them succeeded. None may panic.
 func decodeAllPaths(data []byte) bool {
 	ok := false
-	if _, err := ParseHeader(data); err == nil {
+	if _, err := codec.ParseHeader(data); err == nil {
 		ok = true
 	}
-	if _, err := Decode[float32](data, 2); err == nil {
+	if _, err := codec.Decode[float32](data, 2); err == nil {
 		ok = true
 	}
-	if _, err := Decode[float64](data, 1); err == nil {
+	if _, err := codec.Decode[float64](data, 1); err == nil {
 		ok = true
 	}
-	if sr, err := NewReader[float32](bytes.NewReader(data)); err == nil {
+	if sr, err := codec.NewReader[float32](bytes.NewReader(data)); err == nil {
 		if _, err := sr.ReadGrid(); err == nil {
 			ok = true
 		}
 	}
-	if sr, err := NewReader[float64](bytes.NewReader(data)); err == nil {
+	if sr, err := codec.NewReader[float64](bytes.NewReader(data)); err == nil {
 		if _, err := sr.ReadGrid(); err == nil {
 			ok = true
 		}
@@ -36,16 +38,19 @@ func decodeAllPaths(data []byte) bool {
 	return ok
 }
 
-// validArchives returns one serial and one chunked archive per dtype.
+// validArchives returns one serial and one chunked archive of sz3 and of
+// stz, whose payload sections are whole archives of their own.
 func validArchives(t testing.TB) [][]byte {
 	g32 := datasets.Nyx(16, 8, 8, 2)
 	var out [][]byte
-	for _, cfg := range []Config{{EB: 0.05}, {EB: 0.05, Workers: 2, Chunks: 2}} {
-		enc, err := Encode("sz3", g32, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"sz3", "stz"} {
+		for _, cfg := range []codec.Config{{EB: 0.05}, {EB: 0.05, Workers: 2, Chunks: 2}} {
+			enc, err := codec.Encode(name, g32, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, enc)
 		}
-		out = append(out, enc)
 	}
 	return out
 }
@@ -59,13 +64,13 @@ func TestTruncatedArchivesNeverPanic(t *testing.T) {
 		// never a silent success.
 		for cut := 0; cut < len(enc); cut++ {
 			prefix := enc[:cut]
-			if _, err := ParseHeader(prefix); err == nil {
+			if _, err := codec.ParseHeader(prefix); err == nil {
 				t.Fatalf("ParseHeader accepted a %d/%d-byte prefix", cut, len(enc))
 			}
-			if _, err := Decode[float32](prefix, 1); err == nil {
+			if _, err := codec.Decode[float32](prefix, 1); err == nil {
 				t.Fatalf("Decode accepted a %d/%d-byte prefix", cut, len(enc))
 			}
-			if sr, err := NewReader[float32](bytes.NewReader(prefix)); err == nil {
+			if sr, err := codec.NewReader[float32](bytes.NewReader(prefix)); err == nil {
 				if _, err := sr.ReadGrid(); err == nil {
 					t.Fatalf("streaming read accepted a %d/%d-byte prefix", cut, len(enc))
 				}
@@ -99,11 +104,11 @@ func rewriteHeader(t *testing.T, enc []byte, mutate func(h []byte)) []byte {
 
 func TestMalformedChunkBoundsRejected(t *testing.T) {
 	g := datasets.Nyx(16, 8, 8, 2)
-	enc, err := Encode("sz3", g, Config{EB: 0.05, Workers: 2, Chunks: 2})
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 0.05, Workers: 2, Chunks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := ParseHeader(enc)
+	hdr, err := codec.ParseHeader(enc)
 	if err != nil || hdr.Chunks() != 2 {
 		t.Fatalf("setup: %+v err %v", hdr, err)
 	}
@@ -126,13 +131,13 @@ func TestMalformedChunkBoundsRejected(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := rewriteHeader(t, enc, tc.mutate)
-			if _, err := ParseHeader(bad); err == nil {
+			if _, err := codec.ParseHeader(bad); err == nil {
 				t.Error("ParseHeader accepted malformed chunk bounds")
 			}
-			if _, err := Decode[float32](bad, 2); err == nil {
+			if _, err := codec.Decode[float32](bad, 2); err == nil {
 				t.Error("Decode accepted malformed chunk bounds")
 			}
-			if _, err := NewReader[float32](bytes.NewReader(bad)); err == nil {
+			if _, err := codec.NewReader[float32](bytes.NewReader(bad)); err == nil {
 				t.Error("NewReader accepted malformed chunk bounds")
 			}
 		})
@@ -141,7 +146,7 @@ func TestMalformedChunkBoundsRejected(t *testing.T) {
 
 func TestOverflowingDimsRejected(t *testing.T) {
 	g := datasets.Nyx(16, 8, 8, 2)
-	enc, err := Encode("sz3", g, Config{EB: 0.05})
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,29 +166,29 @@ func TestOverflowingDimsRejected(t *testing.T) {
 				binary.LittleEndian.PutUint32(h[12:], dims[1])
 				binary.LittleEndian.PutUint32(h[16:], dims[2])
 			})
-			if _, err := ParseHeader(bad); err == nil {
+			if _, err := codec.ParseHeader(bad); err == nil {
 				t.Error("ParseHeader accepted overflowing dims")
 			}
-			if _, err := Decode[float32](bad, 1); err == nil {
+			if _, err := codec.Decode[float32](bad, 1); err == nil {
 				t.Error("Decode accepted overflowing dims")
 			}
-			if _, err := NewReader[float32](bytes.NewReader(bad)); err == nil {
+			if _, err := codec.NewReader[float32](bytes.NewReader(bad)); err == nil {
 				t.Error("NewReader accepted overflowing dims")
 			}
 		})
 	}
 	// CheckDims directly: valid dims pass with the right count.
-	if n, err := CheckDims(16, 8, 8); err != nil || n != 1024 {
-		t.Fatalf("CheckDims(16,8,8) = %d, %v", n, err)
+	if n, err := codec.CheckDims(16, 8, 8); err != nil || n != 1024 {
+		t.Fatalf("codec.CheckDims(16,8,8) = %d, %v", n, err)
 	}
-	if _, err := CheckDims(1<<22, 1<<21, 1<<21); err == nil {
+	if _, err := codec.CheckDims(1<<22, 1<<21, 1<<21); err == nil {
 		t.Fatal("CheckDims accepted a wrapping product")
 	}
 }
 
 func TestOversizedSectionLengthRejectedByReader(t *testing.T) {
 	g := datasets.Nyx(16, 8, 8, 2)
-	enc, err := Encode("sz3", g, Config{EB: 0.05, Chunks: 2})
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 0.05, Chunks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestOversizedSectionLengthRejectedByReader(t *testing.T) {
 	bad := append([]byte(nil), enc...)
 	binary.LittleEndian.PutUint64(bad[8+8*1:], 1<<40)
 	binary.LittleEndian.PutUint32(bad[8+8*3:], crc32.ChecksumIEEE(bad[:8+8*3]))
-	sr, err := NewReader[float32](bytes.NewReader(bad))
+	sr, err := codec.NewReader[float32](bytes.NewReader(bad))
 	if err == nil {
 		_, err = sr.ReadGrid()
 	}

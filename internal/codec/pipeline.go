@@ -28,12 +28,12 @@ const (
 
 // encVersionFor returns the header version stamped for a backend: 2 only
 // for backends whose payloads can actually carry lane-coded entropy
-// streams (sz3, sperr). zfp and mgard payloads are byte-identical to what
-// pre-lane writers produced, so their archives keep version 1 and stay
+// streams (sz3, sperr, stz). zfp and mgard payloads are byte-identical to
+// what pre-lane writers produced, so their archives keep version 1 and stay
 // readable by pre-lane readers at no cost.
 func encVersionFor(codecID uint8) byte {
 	switch codecID {
-	case IDSZ3, IDSPERR:
+	case IDSZ3, IDSPERR, IDSTZ:
 		return encVersion
 	}
 	return encVersionMin
@@ -151,13 +151,18 @@ func perChunkWorkers(workers, nChunks int) int {
 
 // planChunkBounds chooses the z-slab boundaries. An explicit cfg.Chunks is
 // honoured (clamped to the plane count); otherwise one slab per worker is
-// used, but never thinner than chunkMinDepth planes.
-func planChunkBounds(nz int, cfg Config) []int {
+// used, but never thinner than chunkMinDepth planes — and a single slab
+// for a LevelDecoder codec, whose hierarchy spans the grid and parallelises
+// inside the payload: slabs would cost it ratio and its coarse levels.
+func planChunkBounds(c Codec, nz int, cfg Config) []int {
 	n := cfg.Chunks
 	if n <= 0 {
 		n = cfg.Workers
 		if maxN := nz / chunkMinDepth; n > maxN {
 			n = maxN
+		}
+		if _, ok := c.(LevelDecoder); ok {
+			n = 1
 		}
 	}
 	if n < 1 {
@@ -192,7 +197,7 @@ func Encode[T grid.Float](name string, g *grid.Grid[T], cfg Config) ([]byte, err
 				cfg.EB, mn, mx)
 		}
 	}
-	bounds := planChunkBounds(g.Nz, cfg)
+	bounds := planChunkBounds(c, g.Nz, cfg)
 	nChunks := len(bounds) - 1
 
 	hdr := Header{
@@ -200,16 +205,12 @@ func Encode[T grid.Float](name string, g *grid.Grid[T], cfg Config) ([]byte, err
 		Nz: g.Nz, Ny: g.Ny, Nx: g.Nx,
 		EBRequested: ebRequested, EBAbs: cfg.EB, ChunkBounds: bounds,
 	}
-	var b container.Builder
-	b.Add(hdr.marshal())
-
 	if nChunks == 1 {
 		blob, err := Compress(c, g, cfg)
 		if err != nil {
 			return nil, err
 		}
-		b.Add(blob)
-		return b.Bytes(), nil
+		return Frame(hdr, blob), nil
 	}
 
 	// Chunked pipeline: z-slabs are contiguous in the row-major layout, so
@@ -236,10 +237,24 @@ func Encode[T grid.Float](name string, g *grid.Grid[T], cfg Config) ([]byte, err
 			return nil, fmt.Errorf("codec: chunk %d: %w", i, e)
 		}
 	}
+	var b container.Builder
+	b.Add(hdr.marshal())
 	for _, blob := range blobs {
 		b.Add(blob)
 	}
 	return b.Bytes(), nil
+}
+
+// Frame wraps payload — one backend stream covering the whole grid that h
+// describes — as a single-chunk unified archive, the bytes Encode emits
+// for the same payload. It is how a stream written outside Encode (a
+// pre-registry core archive) joins the unified format.
+func Frame(h Header, payload []byte) []byte {
+	h.ChunkBounds = []int{0, h.Nz}
+	var b container.Builder
+	b.Add(h.marshal())
+	b.Add(payload)
+	return b.Bytes()
 }
 
 // openEncoded parses the container framing and unified header.
@@ -264,6 +279,23 @@ func openEncoded(data []byte) (*container.Archive, Header, error) {
 			ErrFormat, hdr.Chunks()+1, arc.Count())
 	}
 	return arc, hdr, nil
+}
+
+// openFor is openEncoded plus what every typed decode checks next: the
+// stream's element type is T and its codec is registered.
+func openFor[T grid.Float](data []byte) (*container.Archive, Header, Codec, error) {
+	arc, hdr, err := openEncoded(data)
+	if err != nil {
+		return nil, Header{}, nil, err
+	}
+	if hdr.DType != dtypeOf[T]() {
+		return nil, Header{}, nil, fmt.Errorf("codec: stream element type mismatch")
+	}
+	c, err := LookupID(hdr.CodecID)
+	if err != nil {
+		return nil, Header{}, nil, err
+	}
+	return arc, hdr, c, nil
 }
 
 // ParseHeader returns the unified header of an encoded stream without
@@ -291,14 +323,7 @@ func IsEncoded(data []byte) bool {
 // Decode reconstructs the grid from a unified encoded stream, decoding
 // chunks concurrently on up to workers goroutines.
 func Decode[T grid.Float](data []byte, workers int) (*grid.Grid[T], error) {
-	arc, hdr, err := openEncoded(data)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.DType != dtypeOf[T]() {
-		return nil, fmt.Errorf("codec: stream element type mismatch")
-	}
-	c, err := LookupID(hdr.CodecID)
+	arc, hdr, c, err := openFor[T](data)
 	if err != nil {
 		return nil, err
 	}
@@ -349,4 +374,48 @@ func Decode[T grid.Float](data []byte, workers int) (*grid.Grid[T], error) {
 		}
 	}
 	return out, nil
+}
+
+// LevelDecoder is an optional Codec extension: backends whose payload is a
+// coarse-to-fine hierarchy implement it (and advertise Caps.Progressive).
+// Level 1 is the coarsest; the result is the whole grid of that level and
+// the finest level is bit-identical to a full Decompress.
+type LevelDecoder interface {
+	DecompressLevel32(data []byte, level, workers int) (*grid.Grid[float32], error)
+	DecompressLevel64(data []byte, level, workers int) (*grid.Grid[float64], error)
+}
+
+// DecodeLevel reconstructs hierarchy level lv of a unified encoded stream
+// — progressive decompression at the registry level. It fails for a codec
+// without the LevelDecoder capability and for a multi-chunk archive, whose
+// slabs each carry their own hierarchy.
+func DecodeLevel[T grid.Float](data []byte, lv, workers int) (*grid.Grid[T], error) {
+	arc, hdr, c, err := openFor[T](data)
+	if err != nil {
+		return nil, err
+	}
+	ld, ok := c.(LevelDecoder)
+	if !ok {
+		return nil, fmt.Errorf("codec: %s has no progressive levels", c.Name())
+	}
+	if hdr.Chunks() != 1 {
+		return nil, fmt.Errorf("codec: level decode needs a single-chunk archive, this one has %d", hdr.Chunks())
+	}
+	sec, err := arc.Section(1)
+	if err != nil {
+		return nil, err
+	}
+	var v T
+	if _, ok := any(v).(float32); ok {
+		g, err := ld.DecompressLevel32(sec, lv, workers)
+		if err != nil {
+			return nil, err
+		}
+		return any(g).(*grid.Grid[T]), nil
+	}
+	g, err := ld.DecompressLevel64(sec, lv, workers)
+	if err != nil {
+		return nil, err
+	}
+	return any(g).(*grid.Grid[T]), nil
 }

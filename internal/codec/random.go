@@ -73,14 +73,7 @@ type slabEntry[T grid.Float] struct {
 // encoded stream and returns a random-access reader over it. The type
 // parameter must match the stream's element type.
 func OpenReaderAt[T grid.Float](data []byte) (*ReaderAt[T], error) {
-	arc, hdr, err := openEncoded(data)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.DType != dtypeOf[T]() {
-		return nil, fmt.Errorf("codec: stream element type mismatch")
-	}
-	c, err := LookupID(hdr.CodecID)
+	arc, hdr, c, err := openFor[T](data)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package codec
+package codec_test
 
 import (
 	"errors"
@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"stz/internal/codec"
+	_ "stz/internal/core" // registers "stz", so every codec.Names() loop below covers it
 	"stz/internal/grid"
 )
 
@@ -57,17 +59,17 @@ func TestRandomAccessDifferential(t *testing.T) {
 	const nz, ny, nx = 21, 17, 13 // odd dims stress boundary handling
 	g := randomField[float32](nz, ny, nx, 41)
 	rng := rand.New(rand.NewSource(42))
-	for _, name := range Names() {
+	for _, name := range codec.Names() {
 		for _, chunks := range []int{1, 4} {
-			enc, err := Encode(name, g, Config{EB: 1e-3, Chunks: chunks, Workers: 2})
+			enc, err := codec.Encode(name, g, codec.Config{EB: 1e-3, Chunks: chunks, Workers: 2})
 			if err != nil {
 				t.Fatalf("%s/chunks=%d: %v", name, chunks, err)
 			}
-			full, err := Decode[float32](enc, 2)
+			full, err := codec.Decode[float32](enc, 2)
 			if err != nil {
 				t.Fatalf("%s/chunks=%d: %v", name, chunks, err)
 			}
-			r, err := OpenReaderAt[float32](enc)
+			r, err := codec.OpenReaderAt[float32](enc)
 			if err != nil {
 				t.Fatalf("%s/chunks=%d: %v", name, chunks, err)
 			}
@@ -98,16 +100,16 @@ func TestRandomAccessDifferentialFloat64(t *testing.T) {
 	const nz, ny, nx = 19, 11, 14
 	g := randomField[float64](nz, ny, nx, 43)
 	rng := rand.New(rand.NewSource(44))
-	for _, name := range Names() {
-		enc, err := Encode(name, g, Config{EB: 1e-4, Chunks: 3, Workers: 2})
+	for _, name := range codec.Names() {
+		enc, err := codec.Encode(name, g, codec.Config{EB: 1e-4, Chunks: 3, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		full, err := Decode[float64](enc, 2)
+		full, err := codec.Decode[float64](enc, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r, err := OpenReaderAt[float64](enc)
+		r, err := codec.OpenReaderAt[float64](enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +125,7 @@ func TestRandomAccessDifferentialFloat64(t *testing.T) {
 }
 
 // TestRandomAccessBoxValidation pins the unified box validation: every
-// empty, inverted or out-of-bounds request fails with ErrBox, at CheckBox
+// empty, inverted or out-of-bounds request fails with codec.ErrBox, at CheckBox
 // and through ReaderAt.
 func TestRandomAccessBoxValidation(t *testing.T) {
 	const nz, ny, nx = 8, 9, 10
@@ -141,38 +143,38 @@ func TestRandomAccessBoxValidation(t *testing.T) {
 		{Z0: -3, Y0: -3, X0: -3, Z1: -1, Y1: -1, X1: -1}, // fully negative
 	}
 	for _, b := range bad {
-		err := CheckBox(b, nz, ny, nx)
-		if !errors.Is(err, ErrBox) {
-			t.Errorf("CheckBox(%+v) = %v, want ErrBox", b, err)
+		err := codec.CheckBox(b, nz, ny, nx)
+		if !errors.Is(err, codec.ErrBox) {
+			t.Errorf("codec.CheckBox(%+v) = %v, want codec.ErrBox", b, err)
 		}
-		var be *BoxError
+		var be *codec.BoxError
 		if !errors.As(err, &be) {
-			t.Errorf("CheckBox(%+v) error is not a *BoxError", b)
+			t.Errorf("codec.CheckBox(%+v) error is not a *codec.BoxError", b)
 		}
 	}
-	if err := CheckBox(grid.Box{Z1: nz, Y1: ny, X1: nx}, nz, ny, nx); err != nil {
+	if err := codec.CheckBox(grid.Box{Z1: nz, Y1: ny, X1: nx}, nz, ny, nx); err != nil {
 		t.Fatalf("full box rejected: %v", err)
 	}
-	if err := CheckBox(grid.Box{Z0: 1, Y0: 2, X0: 3, Z1: 2, Y1: 3, X1: 4}, nz, ny, nx); err != nil {
+	if err := codec.CheckBox(grid.Box{Z0: 1, Y0: 2, X0: 3, Z1: 2, Y1: 3, X1: 4}, nz, ny, nx); err != nil {
 		t.Fatalf("voxel box rejected: %v", err)
 	}
 
 	g := randomField[float32](nz, ny, nx, 45)
-	enc, err := Encode("sz3", g, Config{EB: 1e-3, Chunks: 2})
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 1e-3, Chunks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenReaderAt[float32](enc)
+	r, err := codec.OpenReaderAt[float32](enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range bad {
-		if _, err := r.DecompressBox(b); !errors.Is(err, ErrBox) {
-			t.Errorf("ReaderAt.DecompressBox(%+v) = %v, want ErrBox", b, err)
+		if _, err := r.DecompressBox(b); !errors.Is(err, codec.ErrBox) {
+			t.Errorf("ReaderAt.DecompressBox(%+v) = %v, want codec.ErrBox", b, err)
 		}
 	}
 	// Element-type mismatch is caught at open.
-	if _, err := OpenReaderAt[float64](enc); err == nil {
+	if _, err := codec.OpenReaderAt[float64](enc); err == nil {
 		t.Fatal("f64 reader over f32 archive accepted")
 	}
 }
@@ -185,11 +187,11 @@ func TestRandomAccessReadsSubsetOfPayload(t *testing.T) {
 		t.Skip("128³ encode in -short mode")
 	}
 	g := randomField[float32](128, 128, 128, 46)
-	enc, err := Encode("sz3", g, Config{EB: 1e-3, Chunks: 16, Workers: 4})
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 1e-3, Chunks: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenReaderAt[float32](enc)
+	r, err := codec.OpenReaderAt[float32](enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestRandomAccessReadsSubsetOfPayload(t *testing.T) {
 	if frac := float64(read) / float64(payload); frac >= 0.25 {
 		t.Fatalf("16³ box read %.1f%% of the payload, want < 25%%", 100*frac)
 	}
-	full, err := Decode[float32](enc, 4)
+	full, err := codec.Decode[float32](enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,8 @@ func namesLocked() []string {
 }
 
 // All returns the registered codecs in registration order (the paper's
-// comparison order for the built-ins: sz3, sperr, zfp, mgard).
+// comparison order for the baselines — sz3, sperr, zfp, mgard — then stz,
+// whose package initialises after this one).
 func All() []Codec {
 	regMu.RLock()
 	defer regMu.RUnlock()

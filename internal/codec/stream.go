@@ -84,7 +84,7 @@ func NewWriter[T grid.Float](w io.Writer, name string, nz, ny, nx int, cfg Confi
 	if _, err := CheckDims(nz, ny, nx); err != nil {
 		return nil, err
 	}
-	bounds := planChunkBounds(nz, cfg)
+	bounds := planChunkBounds(c, nz, cfg)
 	return &Writer[T]{
 		w:   w,
 		c:   c,

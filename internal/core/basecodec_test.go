@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stz/internal/codec"
+	"stz/internal/container"
 	"stz/internal/datasets"
 )
 
@@ -14,6 +15,9 @@ func TestBaseCodecRouting(t *testing.T) {
 	g := datasets.Nyx(16, 16, 16, 11)
 	const eb = 0.05
 	for _, name := range codec.Names() {
+		if name == "stz" {
+			continue // the hierarchy is not its own base level; see TestBaseCodecUnknownRejected
+		}
 		cfg := DefaultConfig(eb)
 		cfg.BaseCodec = name
 		enc, err := Compress(g, cfg)
@@ -50,4 +54,49 @@ func TestBaseCodecUnknownRejected(t *testing.T) {
 	if _, err := Compress(g, cfg); err == nil {
 		t.Error("unknown base codec accepted")
 	}
+	// The codec's own name resolves in the registry, and must not: a base
+	// level that is itself a hierarchy has nothing to bottom out in.
+	cfg.BaseCodec = "stz"
+	if _, err := Compress(g, cfg); err == nil {
+		t.Error("stz accepted as its own base codec")
+	}
+	enc, err := Compress(g, DefaultConfig(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for depth, bad := range selfBased(t, enc) {
+		if _, err := NewReader[float32](bad); err == nil {
+			t.Errorf("header with base ID %d accepted at nesting depth %d", codec.IDSTZ, depth+1)
+		}
+	}
+}
+
+// selfBased re-frames a valid archive the way a reader without the base-ID
+// check would recurse into: the header names stz as its base codec and the
+// level-1 section is again such an archive, one and two levels deep.
+func selfBased(tb testing.TB, enc []byte) [2][]byte {
+	arc, err := container.Open(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nest := func(inner []byte) []byte {
+		var b container.Builder
+		for i := 0; i < arc.Count(); i++ {
+			sec, err := arc.Section(i)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			switch i {
+			case 0:
+				sec = append([]byte(nil), sec...)
+				sec[7] = codec.IDSTZ
+			case 1:
+				sec = inner
+			}
+			b.Add(sec)
+		}
+		return b.Bytes()
+	}
+	d1 := nest(enc)
+	return [2][]byte{d1, nest(d1)}
 }

@@ -83,6 +83,9 @@ func unmarshalHeader(buf []byte) (header, error) {
 	if h.Version == 1 || h.BaseID == 0 {
 		h.BaseID = codec.IDSZ3 // pre-registry streams are always SZ3-based
 	}
+	if h.BaseID == codec.IDSTZ {
+		return h, errBaseIsSTZ
+	}
 	h.Fz = int(binary.LittleEndian.Uint32(buf[8:]))
 	h.Fy = int(binary.LittleEndian.Uint32(buf[12:]))
 	h.Fx = int(binary.LittleEndian.Uint32(buf[16:]))

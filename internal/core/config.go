@@ -22,6 +22,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -162,12 +163,21 @@ func (c Config) baseCodec() string {
 	return c.BaseCodec
 }
 
+// errBaseIsSTZ rejects the hierarchy as its own base level: the base is
+// what the recursion bottoms out in, and a reader handed such a header
+// would open one nested archive per level of nesting.
+var errBaseIsSTZ = errors.New("core: base codec: stz cannot be its own base level")
+
 func (c Config) validate() error {
 	if !(c.EB > 0) || math.IsInf(c.EB, 0) {
 		return fmt.Errorf("core: invalid error bound %g", c.EB)
 	}
-	if _, err := codec.Lookup(c.baseCodec()); err != nil {
+	base, err := codec.Lookup(c.baseCodec())
+	if err != nil {
 		return fmt.Errorf("core: base codec: %w", err)
+	}
+	if base.ID() == codec.IDSTZ {
+		return errBaseIsSTZ
 	}
 	if c.PartitionOnly {
 		return nil

@@ -487,6 +487,11 @@ func FuzzReader(f *testing.F) {
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 	}
+	// Base ID 5 is the codec itself: unchecked, each nested level-1 payload
+	// is one more reader on the stack.
+	for _, bad := range selfBased(f, walkerCases()[1].encode(f)) {
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

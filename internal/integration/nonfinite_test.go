@@ -11,7 +11,7 @@ import (
 	"stz/internal/grid"
 )
 
-// TestNonFiniteInputs pins what every compressor does with values no
+// TestNonFiniteInputs pins what every registry codec does with values no
 // quantizer can code: NaN, ±Inf, denormals and 1e30 spikes salted into a
 // 33×31×38 Nyx field. The bound holds on every finite point — the spikes
 // included — and a non-finite value comes back bit for bit. These are also
@@ -55,44 +55,34 @@ func TestNonFiniteInputs(t *testing.T) {
 
 	for _, c := range codec.All() {
 		t.Run(c.Name(), func(t *testing.T) {
-			enc, err := codec.Compress(c, g, codec.Config{EB: eb})
+			enc, err := codec.Encode(c.Name(), g, codec.Config{EB: eb})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := codec.Decompress[float32](c, enc, 2)
+			dec, err := codec.Decode[float32](enc, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(t, "decode", dec, whole)
-		})
-	}
-	t.Run("stz", func(t *testing.T) {
-		cfg := core.DefaultConfig(eb)
-		cfg.Workers = 2
-		enc, err := core.Compress(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := core.NewReader[float32](enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := r.Decompress()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "full decode", full, whole)
-		finest, err := r.Progressive(cfg.Levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "progressive, finest level", finest, whole)
-		for _, box := range []grid.Box{{Z1: 9, Y1: 9, X1: 9}, {Z0: 7, Y0: 5, X0: 11, Z1: 30, Y1: 31, X1: 38}} {
-			sub, _, err := r.DecompressBox(box)
+			r, err := codec.OpenReaderAt[float32](enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, "box decode", sub, box)
-		}
-	})
+			r.Workers = 2
+			for _, box := range []grid.Box{{Z1: 9, Y1: 9, X1: 9}, {Z0: 7, Y0: 5, X0: 11, Z1: 30, Y1: 31, X1: 38}} {
+				sub, err := r.DecompressBox(box)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "box decode", sub, box)
+			}
+			if _, ok := c.(codec.LevelDecoder); ok {
+				finest, err := codec.DecodeLevel[float32](enc, core.DefaultConfig(eb).Levels, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "progressive, finest level", finest, whole)
+			}
+		})
+	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"stz/internal/cluster"
 	"stz/internal/codec"
+	_ "stz/internal/core" // registers the paper's codec, "stz"
 	"stz/internal/grid"
 	"stz/internal/health"
 	"stz/internal/rawio"
