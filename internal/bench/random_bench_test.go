@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"stz/internal/codec"
@@ -8,6 +9,7 @@ import (
 	"stz/internal/datasets"
 	"stz/internal/grid"
 	"stz/internal/quant"
+	"stz/internal/scratch"
 )
 
 // The random-access benchmarks measure the query path the stzd archive
@@ -160,6 +162,51 @@ func BenchmarkRandomAccessSTZ(b *testing.B) {
 			}
 			top := cfg.Levels - 2
 			b.ReportMetric(100*float64(st.DecodedSymbols[top])/float64(st.TotalSymbols[top]), "sym-%")
+		})
+	}
+}
+
+// BenchmarkBox32VsGrid is the box-versus-grid probe: the same 32³ interior
+// box of a default-config Nyx stream at 64³, 128³ and 256³ (256³ not under
+// -short), decoded at Workers 2 with the scratch arenas off, so B/op counts
+// every buffer the decode touches. A box that cost only its dependency cone
+// would cost the same at every size; lvN-sym are the class symbols each
+// predicted level entropy-decoded, the part that still grows with the grid.
+func BenchmarkBox32VsGrid(b *testing.B) {
+	for _, n := range []int{64, 128, 256} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			if testing.Short() && n > 128 {
+				b.Skip("256³ is skipped under -short")
+			}
+			g := datasets.Nyx(n, n, n, 7)
+			mn, mx := g.Range()
+			cfg := core.DefaultConfig(quant.AbsoluteBound(1e-3, float64(mn), float64(mx)))
+			cfg.Workers = 2
+			enc, err := core.Compress(g, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := core.NewReader[float32](enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.Workers = 2
+			o := n/2 - 16
+			box := grid.Box{Z0: o, Y0: o, X0: o, Z1: o + 32, Y1: o + 32, X1: o + 32}
+			prev := scratch.SetEnabled(false)
+			defer scratch.SetEnabled(prev)
+			var st *core.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, st, err = r.DecompressBox(box); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			for p := 0; p < cfg.Levels-1; p++ {
+				b.ReportMetric(float64(st.DecodedSymbols[p]), fmt.Sprintf("lv%d-sym", p+2))
+			}
 		})
 	}
 }

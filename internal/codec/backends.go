@@ -54,8 +54,13 @@ func (b *backend) Decompress64(data []byte, workers int) (*grid.Grid[float64], e
 // addressing are registered through it.
 type boxBackend struct {
 	backend
-	b32 func([]byte, grid.Box, int) (*grid.Grid[float32], error)
-	b64 func([]byte, grid.Box, int) (*grid.Grid[float64], error)
+	dims func([]byte) (int, int, int, error)
+	b32  func([]byte, grid.Box, int) (*grid.Grid[float32], error)
+	b64  func([]byte, grid.Box, int) (*grid.Grid[float64], error)
+}
+
+func (b *boxBackend) Dims(data []byte) (nz, ny, nx int, err error) {
+	return b.dims(data)
 }
 
 func (b *boxBackend) DecompressBox32(data []byte, bx grid.Box, workers int) (*grid.Grid[float32], error) {
@@ -108,8 +113,9 @@ func init() {
 			c32: sz3Compress[float32], d32: sz3Decompress[float32],
 			c64: sz3Compress[float64], d64: sz3Decompress[float64],
 		},
-		b32: sz3.DecompressBox[float32],
-		b64: sz3.DecompressBox[float64],
+		dims: sz3.Dims,
+		b32:  sz3.DecompressBox[float32],
+		b64:  sz3.DecompressBox[float64],
 	})
 	Register(&backend{
 		name: "sperr", id: IDSPERR,

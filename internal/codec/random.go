@@ -6,14 +6,20 @@ import (
 
 	"stz/internal/container"
 	"stz/internal/grid"
+	"stz/internal/scratch"
 )
 
 // BoxDecoder is an optional Codec extension: backends whose payload
 // supports native sub-region decoding implement it (and advertise
 // Caps.RandomAccess). The box is expressed in the payload grid's
 // coordinates and must already be validated by the caller; the result is
-// bit-identical to the same window of a full Decompress.
+// bit-identical to the same window of a full Decompress, and the caller's:
+// one that copies it out may hand its backing to the scratch arenas (sz3's
+// is a lease). A box result has the box's dims, so it cannot tell a caller
+// that the payload's grid is not the one expected: Dims reads the payload's
+// dims from its header, without decoding, for the caller to check first.
 type BoxDecoder interface {
+	Dims(data []byte) (nz, ny, nx int, err error)
 	DecompressBox32(data []byte, b grid.Box, workers int) (*grid.Grid[float32], error)
 	DecompressBox64(data []byte, b grid.Box, workers int) (*grid.Grid[float64], error)
 }
@@ -192,9 +198,10 @@ func (r *ReaderAt[T]) DecompressBox(b grid.Box) (*grid.Grid[T], error) {
 			}
 			// sub is the box window for global planes [max(b.Z0,lo),
 			// min(b.Z1,hi)) and shares out's Y/X dims, so its planes land
-			// contiguously in the output.
+			// contiguously in the output; its backing is then dead.
 			plane := out.Ny * out.Nx
 			copy(out.Data[(max(b.Z0, lo)-b.Z0)*plane:], sub.Data)
+			scratch.ReleaseFloat(sub.Data)
 			continue
 		}
 		slab, err := r.slab(i)

@@ -79,24 +79,49 @@ func selfBased(tb testing.TB, enc []byte) [2][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	hsec, err := arc.Section(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hdr := append([]byte(nil), hsec...)
+	hdr[7] = codec.IDSTZ
 	nest := func(inner []byte) []byte {
-		var b container.Builder
-		for i := 0; i < arc.Count(); i++ {
-			sec, err := arc.Section(i)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			switch i {
-			case 0:
-				sec = append([]byte(nil), sec...)
-				sec[7] = codec.IDSTZ
-			case 1:
-				sec = inner
-			}
-			b.Add(sec)
-		}
-		return b.Bytes()
+		return withSections(tb, enc, map[int][]byte{0: hdr, 1: inner})
 	}
 	d1 := nest(enc)
 	return [2][]byte{d1, nest(d1)}
+}
+
+// withSections re-frames the archive enc with the sections repl names
+// replaced (the container checksum covers only the directory, so the result
+// opens).
+func withSections(tb testing.TB, enc []byte, repl map[int][]byte) []byte {
+	arc, err := container.Open(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var b container.Builder
+	for i := 0; i < arc.Count(); i++ {
+		sec, ok := repl[i]
+		if !ok {
+			if sec, err = arc.Section(i); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		b.Add(sec)
+	}
+	return b.Bytes()
+}
+
+// section returns section i of the archive enc.
+func section(tb testing.TB, enc []byte, i int) []byte {
+	arc, err := container.Open(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sec, err := arc.Section(i)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sec
 }

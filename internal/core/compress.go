@@ -316,7 +316,8 @@ func compressLevel[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.
 	cfg Config, workers, p int, st *EncodeStats) ([][]byte, error) {
 
 	t0 := time.Now()
-	lv := newLevel(coarse, fine.Nz, fine.Ny, fine.Nx, cfg.Predictor)
+	lv := newLevel[T](fine.Nz, fine.Ny, fine.Nx)
+	lv.predictFrom(coarse, grid.Offset3{}, cfg.Predictor)
 	secs := make([][]byte, 7)
 	if cfg.Residual == ResidSZ3 {
 		if fineRecon != nil {

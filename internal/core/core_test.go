@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"stz/internal/codec"
 	"stz/internal/grid"
@@ -578,19 +580,56 @@ func TestOutlierRandomAccessConsistency(t *testing.T) {
 	}
 }
 
+// TestStatsPopulated: the stage timers are each at most the wall-clock
+// Total — the base and class decodes run in one concurrent phase and each
+// timer spans only its own tasks — and the class-stream accounting of a
+// pinned box and a pinned slice is what the plan's geometry decides, the
+// same at every worker count (and the same values the walker reported
+// before its decodes ran concurrently).
 func TestStatsPopulated(t *testing.T) {
 	g := testField[float64](32, 32, 32, 24)
 	enc, _ := Compress(g, DefaultConfig(1e-3))
 	r, _ := NewReader[float64](enc)
-	_, st, err := r.DecompressStats()
-	if err != nil {
-		t.Fatal(err)
+	type counts struct{ decoded, skipped, symbols [3]int }
+	pinned := []struct {
+		box  grid.Box
+		want counts
+	}{
+		{grid.Box{Z0: 5, Z1: 17, Y0: 9, Y1: 20, X0: 3, X1: 30}, counts{[3]int{7, 7}, [3]int{}, [3]int{2128, 14425}}},
+		{grid.Box{Z0: 6, Z1: 7, Y1: 32, X1: 32}, counts{[3]int{4, 3}, [3]int{3, 4}, [3]int{512, 3072}}},
 	}
-	if st.Total <= 0 {
-		t.Fatal("total time not recorded")
-	}
-	if st.DecodedClasses[0] != 7 || st.DecodedClasses[1] != 7 {
-		t.Fatalf("decoded classes %v", st.DecodedClasses)
+	for _, workers := range []int{1, 2, 4} {
+		r.Workers = workers
+		_, st, err := r.DecompressStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Total <= 0 {
+			t.Fatal("total time not recorded")
+		}
+		if st.DecodedClasses[0] != 7 || st.DecodedClasses[1] != 7 {
+			t.Fatalf("decoded classes %v", st.DecodedClasses)
+		}
+		timers := map[string]time.Duration{"L1SZ3": st.L1SZ3}
+		for p := 0; p < 2; p++ {
+			timers[fmt.Sprintf("LevelDecode[%d]", p)] = st.LevelDecode[p]
+			timers[fmt.Sprintf("LevelPredict[%d]", p)] = st.LevelPredict[p]
+			timers[fmt.Sprintf("LevelRecon[%d]", p)] = st.LevelRecon[p]
+		}
+		for name, d := range timers {
+			if d < 0 || d > st.Total {
+				t.Errorf("w%d: %s = %v, want within [0, Total = %v]", workers, name, d, st.Total)
+			}
+		}
+		for _, pc := range pinned {
+			_, st, err := r.DecompressBox(pc.box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (counts{st.DecodedClasses, st.SkippedClasses, st.DecodedSymbols}); got != pc.want {
+				t.Errorf("w%d box %+v: decoded/skipped classes and symbols %v, want %v", workers, pc.box, got, pc.want)
+			}
+		}
 	}
 }
 

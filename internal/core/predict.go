@@ -18,21 +18,33 @@ import (
 //   - edgeRow (every fallback: linear beside a cubic stream's lattice edge,
 //     and the mean of the in-range inner corners where one is missing) adds
 //     in predictPoint's order, x fastest: (b, b+d2, b+d1, b+d1+d2).
+//
+// The generator may read a window of the coarse grid: data holds the coarse
+// points from some origin on, with plane and row strides sz and sy, and
+// every boundary decision is taken on the grid's full dims (cz, cy, cx), so
+// a window predicts exactly what the whole grid would wherever the stencil
+// stays inside it.
 type rowGen[T grid.Float] struct {
 	data       []T
+	org        int // coarse point (k, j, i) is data[k*sz + j*sy + i - org]
+	sz, sy     int
 	cz, cy, cx int
 	off        grid.Offset3
 	kind       Predictor
 }
 
-func newRowGen[T grid.Float](coarse *grid.Grid[T], off grid.Offset3, kind Predictor) rowGen[T] {
-	return rowGen[T]{data: coarse.Data, cz: coarse.Nz, cy: coarse.Ny, cx: coarse.Nx, off: off, kind: kind}
+// newRowGen predicts class off from w, the window of a coarse grid of dims
+// cdims whose element (0,0,0) is coarse point o.
+func newRowGen[T grid.Float](w *grid.Grid[T], o grid.Offset3, cdims [3]int, off grid.Offset3, kind Predictor) rowGen[T] {
+	sz, sy := w.Ny*w.Nx, w.Nx
+	return rowGen[T]{data: w.Data, org: o.Z*sz + o.Y*sy + o.X, sz: sz, sy: sy,
+		cz: cdims[0], cy: cdims[1], cx: cdims[2], off: off, kind: kind}
 }
 
 // row fills out[t] with the prediction of the class point (k, j, lo+t) for
 // every class x-index in [lo, hi).
 func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
-	base := (k*g.cy+j)*g.cx + lo
+	base := k*g.sz + j*g.sy + lo - g.org
 	out = out[:hi-lo]
 	if g.kind == PredDirect {
 		copy(out, g.data[base:])
@@ -41,10 +53,13 @@ func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
 	// ds[:n] are the strides of the offset axes whose upper inner corner is
 	// in range, z before y before x. inner: every offset axis has it (else
 	// the row takes the partial mean); cubic: the outer corners exist too.
+	// unit: the last of them has stride 1 in the whole grid, which picks the
+	// cubic kernel's summation order — decided on the whole grid, since a
+	// window only one point wide would otherwise pick another.
 	var ds [3]int
 	n := 0
-	inner, cubic := true, g.kind == PredCubic
-	axis := func(o, k, cdim, stride int) {
+	inner, cubic, unit := true, g.kind == PredCubic, false
+	axis := func(o, k, cdim, stride, whole int) {
 		if o == 0 {
 			return
 		}
@@ -54,10 +69,11 @@ func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
 		}
 		ds[n] = stride
 		n++
+		unit = whole == 1
 		cubic = cubic && k >= 1 && k+2 < cdim
 	}
-	axis(g.off.Z, k, g.cz, g.cy*g.cx)
-	axis(g.off.Y, j, g.cy, g.cx)
+	axis(g.off.Z, k, g.cz, g.sz, g.cy*g.cx)
+	axis(g.off.Y, j, g.cy, g.sy, g.cx)
 
 	// Along an offset x axis the last lattice column has no inner corner:
 	// [lo, xe) is the part of the row that does.
@@ -66,6 +82,7 @@ func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
 		xe = max(lo, min(hi, g.cx-1))
 		ds[n] = 1
 		nx = n + 1
+		unit = true
 	}
 	switch {
 	case !inner || (g.kind == PredCubic && !cubic):
@@ -83,7 +100,7 @@ func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
 			break
 		}
 		g.edgeRow(base, ds[:nx], out[:il-lo])
-		g.cubicRow(base+il-lo, ds[:nx], out[il-lo:ih-lo])
+		g.cubicRow(base+il-lo, ds[:nx], unit, out[il-lo:ih-lo])
 		g.edgeRow(base+ih-lo, ds[:nx], out[ih-lo:xe-lo])
 	}
 	if xe < hi {
@@ -155,11 +172,10 @@ func (g *rowGen[T]) linearRow(b0 int, ds []int, out []T) {
 }
 
 // cubicRow is the cubic kernel (Eqs. 6–8) over a span whose inner and outer
-// corners all exist. When x is an offset axis (the last stride is 1) the
-// column sums are shared between consecutive points.
-func (g *rowGen[T]) cubicRow(b0 int, ds []int, out []T) {
+// corners all exist. When x is an offset axis (xOff: the last stride is 1)
+// the column sums are shared between consecutive points.
+func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 	data := g.data
-	xOff := ds[len(ds)-1] == 1
 	switch {
 	case len(ds) == 1 && xOff:
 		// Rolling window along x: one load per point.

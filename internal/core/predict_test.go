@@ -318,7 +318,9 @@ func kernelAt(kind Predictor, off grid.Offset3, k, j, i, cz, cy, cx int) string 
 // direct, and the one- and three-axis kernels; the two-axis linear and
 // multi-axis cubic kernels share column sums and agree to rounding), and
 // all −0 (predictPoint's zero accumulator turns −0 into +0; the edge spans
-// must too).
+// must too). Every span is also predicted from a window of the coarse grid
+// cropped to the span's stencil reach, the way a box decode stores a level,
+// and must match the whole grid's prediction bit for bit.
 func TestRowGenMatchesPredictPoint(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 8, 9}
 	rng := rand.New(rand.NewSource(5))
@@ -337,15 +339,24 @@ func TestRowGenMatchesPredictPoint(t *testing.T) {
 						bz, by, bx := classDims(off, fz, fy, fx)
 						nOff := off.Z + off.Y + off.X
 						for name, c := range map[string]*grid.Grid[float64]{"ints": ints, "reals": reals, "negz": negz} {
-							gen := newRowGen(c, off, kind)
-							out := make([]float64, bx)
+							gen := newRowGen(c, grid.Offset3{}, [3]int{cz, cy, cx}, off, kind)
+							out, wout := make([]float64, bx), make([]float64, bx)
 							for k := 0; k < bz; k++ {
 								for j := 0; j < by; j++ {
 									for lo := 0; lo < bx; lo++ {
 										for hi := lo + 1; hi <= bx; hi++ {
 											gen.row(k, j, lo, hi, out)
+											// The stencil reaches −1/+2 along offset axes only.
+											w := grid.Box{Z0: max(k-off.Z, 0), Y0: max(j-off.Y, 0), X0: max(lo-off.X, 0),
+												Z1: min(k+1+2*off.Z, cz), Y1: min(j+1+2*off.Y, cy), X1: min(hi+2*off.X, cx)}
+											wgen := newRowGen(c.ExtractBox(w), grid.Offset3{Z: w.Z0, Y: w.Y0, X: w.X0}, [3]int{cz, cy, cx}, off, kind)
+											wgen.row(k, j, lo, hi, wout)
 											for i := lo; i < hi; i++ {
 												got, want := out[i-lo], predictPoint(c, off, k, j, i, kind)
+												if math.Float64bits(wout[i-lo]) != math.Float64bits(got) {
+													t.Fatalf("dims %dx%dx%d %v class %+v %s point (%d,%d,%d) of [%d,%d): window %+v predicts %v, whole grid %v",
+														fz, fy, fx, kind, off, name, k, j, i, lo, hi, w, wout[i-lo], got)
+												}
 												kern := kernelAt(kind, off, k, j, i, cz, cy, cx)
 												exact := true
 												switch name {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -36,9 +37,13 @@ type Header struct {
 // stage taxonomy of the paper's Table 4: level-1 SZ3 decode, then per
 // predicted level the entropy-decode (dec.), prediction+dequantization
 // (pre.) and reassembly (rec.) stages, plus class-stream decode accounting.
-// The level sweep copies the coarse lattice through while it predicts, so
-// LevelPredict covers the whole sweep and LevelRecon only the level's
-// allocation or lease.
+// The level-1 decode and the entropy decodes of every level run in one
+// concurrent phase, so L1SZ3 and each LevelDecode[p], timed each over its
+// own tasks, may overlap one another; Total stays the call's wall time.
+// The class accounting is fixed by the regions' geometry, whatever order
+// the decodes ran in. The level sweep copies the coarse lattice through
+// while it predicts, so LevelPredict covers the whole sweep and LevelRecon
+// only the level's allocation or lease.
 type Stats struct {
 	L1SZ3          time.Duration
 	LevelDecode    [3]time.Duration // index 0 = paper level 2, up to level 4
@@ -68,20 +73,26 @@ type Reader[T grid.Float] struct {
 	base codec.Codec
 }
 
-// NewReader parses and validates the stream framing and header.
-func NewReader[T grid.Float](data []byte) (*Reader[T], error) {
+// openArchive parses the stream framing and validates the header.
+func openArchive(data []byte) (*container.Archive, header, error) {
 	arc, err := container.Open(data)
 	if err != nil {
-		return nil, err
+		return nil, header{}, err
 	}
 	if arc.Count() < 2 {
-		return nil, fmt.Errorf("core: stream has no payload sections")
+		return nil, header{}, fmt.Errorf("core: stream has no payload sections")
 	}
 	hsec, err := arc.Section(0)
 	if err != nil {
-		return nil, err
+		return nil, header{}, err
 	}
 	hdr, err := unmarshalHeader(hsec)
+	return arc, hdr, err
+}
+
+// NewReader parses and validates the stream framing and header.
+func NewReader[T grid.Float](data []byte) (*Reader[T], error) {
+	arc, hdr, err := openArchive(data)
 	if err != nil {
 		return nil, err
 	}
@@ -148,9 +159,9 @@ func (r *Reader[T]) levelEB(lv int) float64 {
 	return eb
 }
 
-// decodedClass is one predicted class's decoded payload. codes and
-// outliers are scratch-arena leases owned by the class; callers release
-// them (via release) once reconstruction no longer reads them.
+// decodedClass is one predicted class's decoded payload. codes, outliers
+// and diff's backing are scratch-arena leases owned by the class; callers
+// release them (via release) once reconstruction no longer reads them.
 type decodedClass[T grid.Float] struct {
 	codes          []uint16 // ResidQuant path
 	outliers       []T
@@ -170,7 +181,10 @@ type decodedClass[T grid.Float] struct {
 func (dc *decodedClass[T]) release() {
 	scratch.U16.Release(dc.codes)
 	scratch.ReleaseFloat(dc.outliers)
-	dc.codes, dc.outliers = nil, nil
+	if dc.diff != nil {
+		scratch.ReleaseFloat(dc.diff.Data)
+	}
+	dc.codes, dc.outliers, dc.diff = nil, nil, nil
 }
 
 // decodeCodes entropy-decodes the codes [lo, hi) of one class code blob
@@ -360,14 +374,20 @@ func (o *outlierCursor) take(ci int) int {
 	return idx
 }
 
-// view is one destination of a reconstruction step: the region b of the
-// level's grid, stored in g, whose element (0,0,0) is the grid point o. The
-// leased intermediates hold the whole level (o = 0) of which only b is
-// written; a caller-owned result grid holds exactly b (o = b's origin).
+// view is one grid of a reconstruction: the region b of a level's grid,
+// stored in g, whose element (0,0,0) is the grid point o. Every view is sized
+// to its region: a requested region in a caller-owned grid, an intermediate
+// level's need[t] in a scratch lease, the level-1 base in what the base codec
+// returned — need-sized after a cone decode, the whole level otherwise.
 type view[T grid.Float] struct {
 	g *grid.Grid[T]
 	o grid.Offset3
 	b grid.Box
+}
+
+// regionView is the view of region b, before its grid is allocated.
+func regionView[T grid.Float](b grid.Box) view[T] {
+	return view[T]{o: grid.Offset3{Z: b.Z0, Y: b.Y0, X: b.X0}, b: b}
 }
 
 // idx returns the index in v.g.Data of the level's grid point (z, y, x).
@@ -375,21 +395,51 @@ func (v view[T]) idx(z, y, x int) int {
 	return ((z-v.o.Z)*v.g.Ny+y-v.o.Y)*v.g.Nx + x - v.o.X
 }
 
-// decodeLevel1 decodes the deepest coarse grid (paper level 1).
-func (r *Reader[T]) decodeLevel1() (*grid.Grid[T], error) {
+// extract copies the region b of the level, inside v.b, into a new grid.
+func (v view[T]) extract(b grid.Box) *grid.Grid[T] {
+	return v.g.ExtractBox(grid.Box{Z0: b.Z0 - v.o.Z, Y0: b.Y0 - v.o.Y, X0: b.X0 - v.o.X,
+		Z1: b.Z1 - v.o.Z, Y1: b.Y1 - v.o.Y, X1: b.X1 - v.o.X})
+}
+
+var errL1Dims = errors.New("core: level-1 dims mismatch")
+
+// decodeBase decodes the level-1 grid (paper level 1, section 1) for its
+// part need: through a base codec that decodes boxes natively, only need's
+// cone, into a grid of need's dims; otherwise, or when need is the whole
+// level, the whole grid.
+func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 	sec, err := r.arc.Section(1)
 	if err != nil {
-		return nil, err
+		return view[T]{}, err
+	}
+	d := r.chainDims()[r.hdr.Levels-1]
+	whole := grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}
+	if bd, ok := r.base.(codec.BoxDecoder); ok && need != whole {
+		// A box result has the box's dims, so the payload's are checked first.
+		nz, ny, nx, err := bd.Dims(sec)
+		if err != nil {
+			return view[T]{}, fmt.Errorf("core: level 1: %w", err)
+		}
+		if [3]int{nz, ny, nx} != d {
+			return view[T]{}, errL1Dims
+		}
+		g, err := codec.DecompressBox[T](bd, sec, need, 1)
+		if err != nil {
+			return view[T]{}, fmt.Errorf("core: level 1: %w", err)
+		}
+		v := regionView[T](need)
+		v.g = g
+		return v, nil
 	}
 	g, err := codec.Decompress[T](r.base, sec, 1)
 	if err != nil {
-		return nil, fmt.Errorf("core: level 1: %w", err)
+		return view[T]{}, fmt.Errorf("core: level 1: %w", err)
 	}
-	dims := r.chainDims()[r.hdr.Levels-1]
-	if g.Nz != dims[0] || g.Ny != dims[1] || g.Nx != dims[2] {
-		return nil, fmt.Errorf("core: level-1 dims mismatch")
+	if [3]int{g.Nz, g.Ny, g.Nx} != d {
+		scratch.ReleaseFloat(g.Data)
+		return view[T]{}, errL1Dims
 	}
-	return g, nil
+	return view[T]{g: g, b: whole}, nil
 }
 
 // indexEscapes gives an unchunked class with outliers the random-access
@@ -416,82 +466,171 @@ func (dc *decodedClass[T]) indexEscapes(planeLen, hi int) {
 	dc.chunkSize, dc.bases = planeLen, bases
 }
 
-// reconstructLevel is the one reconstruction step: it rebuilds the regions
-// views[i].b of the predicted level p (0 = paper level 2, grid dims fdims)
-// from the reconstructed coarse grid — entropy-decode the classes (and, in
-// chunked streams, the chunks) any region touches, then one sweep per view,
-// parallel over z-blocks, that copies the even lattice through and predicts
-// and dequantizes the seven classes row by row — updating stats.
-func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, views []view[T], st *Stats) error {
-	lv := newLevel(coarse, fdims[0], fdims[1], fdims[2], r.hdr.Predictor)
-	q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
+// levelPlan is one predicted level of a reconstruction, fixed before
+// anything is decoded — the views it rebuilds, each view's share of every
+// class (sub[i][c], in class coordinates) and per class the span [lo, hi) of
+// row-major class indices the views touch, its index hull — and the class
+// streams the decode phase produces for it.
+type levelPlan[T grid.Float] struct {
+	p      int // 0 = paper level 2
+	lv     *level[T]
+	q      quant.Quantizer
+	views  []view[T]
+	sub    [][8]grid.Box
+	lo, hi [8]int
+	dcs    [8]decodedClass[T]
+	errs   [8]error
+}
 
-	// sub[i][c] is view i's share of class c, in class coordinates.
-	sub := make([][8]grid.Box, len(views))
-	for i, v := range views {
-		sub[i] = lv.subBoxes(v.b)
+// planLevel plans predicted level p, of fine dims fdims, for views.
+func (r *Reader[T]) planLevel(p int, fdims [3]int, views []view[T]) levelPlan[T] {
+	pl := levelPlan[T]{
+		p: p, lv: newLevel[T](fdims[0], fdims[1], fdims[2]),
+		q:     quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius},
+		views: views, sub: make([][8]grid.Box, len(views)),
 	}
-	var dcs [8]decodedClass[T]
-	var touched [8]bool // some region has a point of the class
-	var errs [8]error
-	defer func() {
-		for c := range dcs {
-			dcs[c].release()
-		}
-	}()
-
-	tDec := time.Now()
-	parallel.For(7, r.workers(), func(i int) {
-		c := i + 1
-		d := lv.dims[c]
-		// [lo, hi) spans the row-major class indices the views touch.
-		n := lv.classLen(c)
-		lo, hi := n, 0
-		for vi := range views {
-			if sb := sub[vi][c]; !sb.Empty() {
-				lo = min(lo, (sb.Z0*d[1]+sb.Y0)*d[2]+sb.X0)
-				hi = max(hi, ((sb.Z1-1)*d[1]+sb.Y1-1)*d[2]+sb.X1)
-			}
-		}
-		if touched[c] = lo < hi; !touched[c] {
-			return
-		}
-		if dcs[c], errs[c] = r.decodeClass(p, i, q, n, lo, hi); errs[c] != nil {
-			return
-		}
-		if r.hdr.Residual == ResidSZ3 {
-			if diff := dcs[c].diff; diff.Nz != d[0] || diff.Ny != d[1] || diff.Nx != d[2] {
-				errs[c] = fmt.Errorf("core: residual sub-block dims mismatch")
-			}
-		} else if len(dcs[c].codes) != n {
-			errs[c] = fmt.Errorf("core: class code count %d, want %d", len(dcs[c].codes), n)
-		} else {
-			dcs[c].indexEscapes(d[1]*d[2], hi)
-		}
-	})
-	st.LevelDecode[p] += time.Since(tDec)
+	for i, v := range views {
+		pl.sub[i] = pl.lv.subBoxes(v.b)
+	}
 	for c := 1; c < 8; c++ {
-		st.TotalSymbols[p] += lv.classLen(c)
-		if !touched[c] {
+		d := pl.lv.dims[c]
+		pl.lo[c] = pl.lv.classLen(c)
+		for i := range views {
+			if sb := pl.sub[i][c]; !sb.Empty() {
+				pl.lo[c] = min(pl.lo[c], (sb.Z0*d[1]+sb.Y0)*d[2]+sb.X0)
+				pl.hi[c] = max(pl.hi[c], ((sb.Z1-1)*d[1]+sb.Y1-1)*d[2]+sb.X1)
+			}
+		}
+	}
+	return pl
+}
+
+// touched reports whether some view has a point of class c.
+func (pl *levelPlan[T]) touched(c int) bool { return pl.lo[c] < pl.hi[c] }
+
+// decode is the decode-phase task of class c: entropy-decode its hull and
+// check what came back against the plan.
+func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
+	d, n := pl.lv.dims[c], pl.lv.classLen(c)
+	dc := &pl.dcs[c]
+	if *dc, pl.errs[c] = r.decodeClass(pl.p, c-1, pl.q, n, pl.lo[c], pl.hi[c]); pl.errs[c] != nil {
+		return
+	}
+	if r.hdr.Residual == ResidSZ3 {
+		if dc.diff.Nz != d[0] || dc.diff.Ny != d[1] || dc.diff.Nx != d[2] {
+			pl.errs[c] = fmt.Errorf("core: residual sub-block dims mismatch")
+		}
+	} else if len(dc.codes) != n {
+		pl.errs[c] = fmt.Errorf("core: class code count %d, want %d", len(dc.codes), n)
+	} else {
+		dc.indexEscapes(d[1]*d[2], pl.hi[c])
+	}
+}
+
+// account adds the level's class-stream accounting to st — what the plan
+// decided, whatever order the decodes ran in — and returns the first class
+// error.
+func (pl *levelPlan[T]) account(st *Stats) error {
+	p := pl.p
+	var err error
+	for c := 1; c < 8; c++ {
+		st.TotalSymbols[p] += pl.lv.classLen(c)
+		if !pl.touched(c) {
 			st.SkippedClasses[p]++
 			continue
 		}
+		dc := &pl.dcs[c]
 		st.DecodedClasses[p]++
-		st.DecodedSymbols[p] += dcs[c].decodedSymbols
-		st.DecodedChunks[p] += dcs[c].decodedChunks
-		st.SkippedChunks[p] += dcs[c].totalChunks - dcs[c].decodedChunks
-		if errs[c] != nil {
-			return errs[c]
+		st.DecodedSymbols[p] += dc.decodedSymbols
+		st.DecodedChunks[p] += dc.decodedChunks
+		st.SkippedChunks[p] += dc.totalChunks - dc.decodedChunks
+		if err == nil {
+			err = pl.errs[c]
 		}
 	}
+	return err
+}
+
+// release hands the level's decoded class streams back. Idempotent.
+func (pl *levelPlan[T]) release() {
+	for c := range pl.dcs {
+		pl.dcs[c].release()
+	}
+}
+
+// decodePhase runs every decode of a reconstruction as one parallel.For:
+// the level-1 base for need, then the touched class streams of each planned
+// level, coarsest level first — the critical path's order — so every class
+// stream, which depends only on archive bytes, decodes beside the base. It
+// returns the base's view.
+func (r *Reader[T]) decodePhase(need grid.Box, plans []levelPlan[T], st *Stats) (view[T], error) {
+	type task struct{ p, c int } // p < 0: the base
+	tasks := []task{{p: -1}}
+	for p := range plans {
+		for c := 1; c < 8; c++ {
+			if plans[p].touched(c) {
+				tasks = append(tasks, task{p, c})
+			}
+		}
+	}
+	spans := make([][2]time.Time, len(tasks))
+	var base view[T]
+	var err error
+	parallel.For(len(tasks), r.workers(), func(i int) {
+		spans[i][0] = time.Now()
+		if tk := tasks[i]; tk.p < 0 {
+			base, err = r.decodeBase(need)
+		} else {
+			plans[tk.p].decode(r, tk.c)
+		}
+		spans[i][1] = time.Now()
+	})
+	// Each stage's timer spans its own tasks, so concurrent stages overlap.
+	var first, last [3]time.Time
+	for i, tk := range tasks {
+		s := spans[i]
+		if tk.p < 0 {
+			st.L1SZ3 = s[1].Sub(s[0])
+			continue
+		}
+		if first[tk.p].IsZero() || s[0].Before(first[tk.p]) {
+			first[tk.p] = s[0]
+		}
+		if s[1].After(last[tk.p]) {
+			last[tk.p] = s[1]
+		}
+	}
+	for p := range plans {
+		st.LevelDecode[p] = last[p].Sub(first[p])
+		if e := plans[p].account(st); err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		if base.g != nil {
+			scratch.ReleaseFloat(base.g.Data)
+		}
+		return view[T]{}, err
+	}
+	return base, nil
+}
+
+// sweepLevel rebuilds the planned level's views from coarse, the level
+// below's reconstruction: one sweep per view, parallel over z-blocks, that
+// copies the even lattice through and predicts and dequantizes the seven
+// classes row by row.
+func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) error {
+	tPre := time.Now()
+	defer func() { st.LevelPredict[pl.p] += time.Since(tPre) }()
+	lv, dcs := pl.lv, &pl.dcs
+	lv.predictFrom(coarse.g, coarse.o, r.hdr.Predictor)
 
 	// One task per (view, z-block of the coarse planes the view depends on).
-	tPre := time.Now()
 	type task struct{ view, k0, k1 int }
-	tasks := make([]task, 0, len(views)*zBlocks(coarse.Nz, r.workers()))
-	for i := range views {
-		k0, k1 := coarse.Nz, 0
-		for _, sb := range sub[i] {
+	var tasks []task
+	for i := range pl.views {
+		k0, k1 := lv.dims[0][0], 0
+		for _, sb := range pl.sub[i] {
 			if !sb.Empty() {
 				k0, k1 = min(k0, sb.Z0), max(k1, sb.Z1)
 			}
@@ -503,24 +642,25 @@ func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, 
 	}
 	terrs := make([]error, len(tasks))
 	resid := r.hdr.Residual == ResidSZ3
-	bin, radius := 2*q.EB, q.Radius
+	bin, radius := 2*pl.q.EB, pl.q.Radius
 	parallel.For(len(tasks), r.workers(), func(ti int) {
 		tk := tasks[ti]
-		v := views[tk.view]
-		preds := scratch.LeaseFloat[T](coarse.Nx)
+		v := pl.views[tk.view]
+		// A class row never outruns the coarse window it is predicted from.
+		preds := scratch.LeaseFloat[T](coarse.g.Nx)
 		defer scratch.ReleaseFloat(preds)
 		var cursors [8]outlierCursor
 		for c := 1; c < 8; c++ {
 			cursors[c] = newOutlierCursor(dcs[c])
 		}
-		lv.sweep(&sub[tk.view], tk.k0, tk.k1, preds, func(c, k, j, lo, hi int, preds []T) {
+		lv.sweep(&pl.sub[tk.view], tk.k0, tk.k1, preds, func(c, k, j, lo, hi int, preds []T) {
 			if terrs[ti] != nil {
 				return
 			}
 			off := grid.Stride2Offsets[c]
 			dst := v.g.Data[v.idx(2*k+off.Z, 2*j+off.Y, 2*lo+off.X):]
 			if c == 0 {
-				spread(dst, coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][lo:hi])
+				spread(dst, coarse.g.Data[coarse.idx(k, j, lo):][:hi-lo])
 				return
 			}
 			d := lv.dims[c]
@@ -545,7 +685,6 @@ func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, 
 			}
 		})
 	})
-	st.LevelPredict[p] += time.Since(tPre)
 	for _, e := range terrs {
 		if e != nil {
 			return e
@@ -556,8 +695,10 @@ func (r *Reader[T]) reconstructLevel(p int, coarse *grid.Grid[T], fdims [3]int, 
 
 // reconstruct is the one walker behind every decode. It rebuilds the given
 // regions of hierarchy level lv (1 = coarsest; boxes in that level's grid
-// coordinates) into one result grid per region: level 1 is decoded once,
-// then each predicted level up to lv is rebuilt only where the regions
+// coordinates) into one result grid per region, in two phases. It plans
+// every predicted level up to lv from geometry alone, then decodes the
+// level-1 base and every class stream the plans touch in one parallel
+// phase, then sweeps the levels in order, each only where the regions
 // depend on it. A full decode is the region that needs everything.
 func (r *Reader[T]) reconstruct(lv int, regions []grid.Box, st *Stats) ([]*grid.Grid[T], error) {
 	t0 := time.Now()
@@ -567,59 +708,89 @@ func (r *Reader[T]) reconstruct(lv int, regions []grid.Box, st *Stats) ([]*grid.
 	}
 	levels, dims := r.hdr.Levels, r.chainDims()
 	top := levels - lv // chain index of the requested level
-	// need[t] is the part of chain grid t the regions depend on: the union
-	// over regions of each one's restriction chain.
+	// need[t] is the part of chain grid t the reconstruction reads: at the
+	// requested level the regions, one level down the union of what each
+	// region's prediction reads, and below that what the level above
+	// reads — all of its view need[t-1], which may span the gaps between
+	// the regions' own cones.
 	need := make([]grid.Box, levels)
 	for _, b := range regions {
-		for t := top; t < levels; t++ {
-			if t > top {
-				b = neededCoarse(b, dims[t][0], dims[t][1], dims[t][2])
-			}
-			need[t] = need[t].Union(b)
+		need[top] = need[top].Union(b)
+		if top+1 < levels {
+			d := dims[top+1]
+			need[top+1] = need[top+1].Union(neededCoarse(b, d[0], d[1], d[2]))
 		}
 	}
+	for t := top + 2; t < levels; t++ {
+		need[t] = neededCoarse(need[t-1], dims[t][0], dims[t][1], dims[t][2])
+	}
 
-	t1 := time.Now()
-	cur, err := r.decodeLevel1()
-	st.L1SZ3 = time.Since(t1)
+	// Plan, coarsest level first: below the requested level one view of
+	// need[t], at it one view per region.
+	plans := make([]levelPlan[T], levels-1-top)
+	for p := range plans {
+		t := levels - 2 - p
+		var views []view[T]
+		if t > top {
+			views = []view[T]{regionView[T](need[t])}
+		} else {
+			for _, b := range regions {
+				views = append(views, regionView[T](b))
+			}
+		}
+		plans[p] = r.planLevel(p, dims[t], views)
+	}
+	defer func() {
+		for p := range plans {
+			plans[p].release()
+		}
+	}()
+
+	coarse, err := r.decodePhase(need[levels-1], plans, st)
 	if err != nil {
 		return nil, err
 	}
-	// Level 1 is stored whole, and only ever requested whole.
-	outs := []*grid.Grid[T]{cur}
-	for t := levels - 2; t >= top; t-- {
-		p, d := levels-2-t, dims[t]
+	if len(plans) == 0 {
+		// Level 1 itself was requested.
+		outs := make([]*grid.Grid[T], len(regions))
+		for i, b := range regions {
+			outs[i] = coarse.extract(b)
+		}
+		scratch.ReleaseFloat(coarse.g.Data)
+		return outs, nil
+	}
+	for p := range plans {
+		pl := &plans[p]
+		final := p == len(plans)-1
 		tRec := time.Now()
-		var views []view[T]
-		if t > top {
-			// An intermediate never escapes, so it is leased. Points outside
-			// need[t] stay unwritten (dirty), which is safe because every
-			// later read is confined to need[t] by construction (the
-			// bit-identity tests against full decompression cover this).
-			views = []view[T]{{b: need[t], g: &grid.Grid[T]{
-				Data: scratch.LeaseFloat[T](d[0] * d[1] * d[2]), Nz: d[0], Ny: d[1], Nx: d[2]}}}
-		} else {
-			for _, b := range regions {
-				views = append(views, view[T]{b: b, o: grid.Offset3{Z: b.Z0, Y: b.Y0, X: b.X0},
-					g: grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)})
+		for i := range pl.views {
+			v := &pl.views[i]
+			v.g = &grid.Grid[T]{Nz: v.b.Z1 - v.b.Z0, Ny: v.b.Y1 - v.b.Y0, Nx: v.b.X1 - v.b.X0}
+			if final {
+				v.g.Data = make([]T, v.b.Volume())
+			} else {
+				// Every point of need[t] is written before the level above
+				// reads it, so a dirty lease will do.
+				v.g.Data = scratch.LeaseFloat[T](v.b.Volume())
 			}
 		}
 		st.LevelRecon[p] += time.Since(tRec)
-		err := r.reconstructLevel(p, outs[0], d, views, st)
-		// The coarse grid is internal (the level-1 decode or a leased
-		// intermediate); its backing can be recycled whether or not this
-		// level failed.
-		scratch.ReleaseFloat(outs[0].Data)
-		outs = outs[:0]
-		for _, v := range views {
-			outs = append(outs, v.g)
-		}
+		err := r.sweepLevel(pl, coarse, st)
+		// The coarse grid (the base decode or a leased intermediate) and the
+		// level's class streams are dead whether or not the level failed.
+		scratch.ReleaseFloat(coarse.g.Data)
+		pl.release()
 		if err != nil {
-			if t > top {
-				scratch.ReleaseFloat(outs[0].Data)
+			if !final {
+				scratch.ReleaseFloat(pl.views[0].g.Data)
 			}
 			return nil, err
 		}
+		coarse = pl.views[0]
+	}
+	outs := make([]*grid.Grid[T], len(regions))
+	for i, v := range plans[len(plans)-1].views {
+		outs[i] = v.g
 	}
 	return outs, nil
 }

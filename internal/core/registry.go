@@ -75,6 +75,10 @@ func (stzCodec) Decompress32(data []byte, workers int) (*grid.Grid[float32], err
 func (stzCodec) Decompress64(data []byte, workers int) (*grid.Grid[float64], error) {
 	return stzDecompress[float64](data, workers)
 }
+func (stzCodec) Dims(data []byte) (nz, ny, nx int, err error) {
+	_, h, err := openArchive(data)
+	return h.Fz, h.Fy, h.Fx, err
+}
 func (stzCodec) DecompressBox32(data []byte, b grid.Box, workers int) (*grid.Grid[float32], error) {
 	return stzBox[float32](data, b, workers)
 }

@@ -4,25 +4,33 @@ import (
 	"stz/internal/grid"
 )
 
-// level is one predicted level prepared for sweeping: the fine dims, the
-// reconstructed coarse grid it is predicted from, and per parity class
-// (grid.Stride2Offsets order; class 0 is the coarse grid itself) its dims and
-// row generator.
+// level is one predicted level prepared for sweeping: the fine dims, and per
+// parity class (grid.Stride2Offsets order; class 0 is the coarse grid
+// itself) its dims and row generator.
 type level[T grid.Float] struct {
 	fz, fy, fx int
-	coarse     *grid.Grid[T]
 	dims       [8][3]int
 	gens       [8]rowGen[T]
 }
 
-func newLevel[T grid.Float](coarse *grid.Grid[T], fz, fy, fx int, kind Predictor) *level[T] {
-	lv := &level[T]{fz: fz, fy: fy, fx: fx, coarse: coarse}
+// newLevel lays out the level of fine dims (fz, fy, fx) — geometry only, so
+// a decode can plan every level before any is reconstructed; predictFrom
+// then binds the row generators.
+func newLevel[T grid.Float](fz, fy, fx int) *level[T] {
+	lv := &level[T]{fz: fz, fy: fy, fx: fx}
 	for c, off := range grid.Stride2Offsets {
 		bz, by, bx := classDims(off, fz, fy, fx)
 		lv.dims[c] = [3]int{bz, by, bx}
-		lv.gens[c] = newRowGen(coarse, off, kind)
 	}
 	return lv
+}
+
+// predictFrom binds the row generators to the reconstructed coarse grid, of
+// which w holds the window from coarse point o on.
+func (lv *level[T]) predictFrom(w *grid.Grid[T], o grid.Offset3, kind Predictor) {
+	for c, off := range grid.Stride2Offsets {
+		lv.gens[c] = newRowGen(w, o, lv.dims[0], off, kind)
+	}
 }
 
 // classLen is the number of points of class c.
@@ -51,7 +59,7 @@ func (lv *level[T]) subBoxes(b grid.Box) (sb [8]grid.Box) {
 // Classes are visited in index order, so each class sees its points in
 // row-major order whatever [k0, k1) split the caller runs in parallel.
 func (lv *level[T]) sweep(sb *[8]grid.Box, k0, k1 int, preds []T, visit func(c, k, j, lo, hi int, preds []T)) {
-	j0, j1 := lv.coarse.Ny, 0
+	j0, j1 := lv.dims[0][1], 0
 	for _, s := range sb {
 		if !s.Empty() {
 			j0, j1 = min(j0, s.Y0), max(j1, s.Y1)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stz/internal/codec"
 	"stz/internal/container"
 	"stz/internal/datasets"
 	"stz/internal/grid"
@@ -299,7 +300,7 @@ func runWalkerCase[T grid.Float](t *testing.T, wc walkerCase, workers int) {
 // so on every stream shape they must agree bit for bit.
 func TestWalkerEquivalence(t *testing.T) {
 	for _, wc := range walkerCases() {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", wc.name, workers), func(t *testing.T) {
 				if wc.f32 {
 					runWalkerCase[float32](t, wc, workers)
@@ -468,6 +469,12 @@ func TestCraftedHeaderRejected(t *testing.T) {
 // this is a header field sizing an allocation unchecked.
 const fuzzAllocCeiling = 256 << 20
 
+// interiorBox is a box a quarter of the grid wide a third of the way in:
+// its level-1 cone is a strict part of the base.
+func interiorBox(h Header) grid.Box {
+	return grid.Box{Z0: h.Fz / 3, Y0: h.Fy / 3, X0: h.Fx / 3, Z1: h.Fz/3 + 1 + h.Fz/4, Y1: h.Fy/3 + 1 + h.Fy/4, X1: h.Fx/3 + 1 + h.Fx/4}
+}
+
 func fuzzDecode[T grid.Float](data []byte) {
 	r, err := NewReader[T](data)
 	if err != nil {
@@ -475,8 +482,53 @@ func fuzzDecode[T grid.Float](data []byte) {
 	}
 	r.Decompress()
 	r.Progressive(1)
-	h := r.Header()
-	r.DecompressBox(grid.Box{Z0: h.Fz / 3, Y0: h.Fy / 3, X0: h.Fx / 3, Z1: h.Fz/3 + 1 + h.Fz/4, Y1: h.Fy/3 + 1 + h.Fy/4, X1: h.Fx/3 + 1 + h.Fx/4})
+	r.DecompressBox(interiorBox(r.Header()))
+}
+
+// badBaseDims re-frames the L3-f32 walker case with a section 1 that is a
+// valid sz3 payload of the wrong grid: one point too large, and one point
+// too small, along z.
+func badBaseDims(tb testing.TB) map[string][]byte {
+	wc := walkerCases()[1]
+	enc := wc.encode(tb)
+	r, err := NewReader[float32](enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := r.chainDims()[wc.cfg.Levels-1]
+	out := map[string][]byte{}
+	for name, dz := range map[string]int{"z+1": 1, "z-1": -1} {
+		sec, err := codec.Compress(r.base, testField[float32](d[0]+dz, d[1], d[2], 3), codec.Config{EB: wc.cfg.EB})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = withSections(tb, enc, map[int][]byte{1: sec})
+	}
+	return out
+}
+
+// TestBaseDimsMismatchRejected: a level-1 payload that decodes fine but to
+// the wrong grid is refused by the full, progressive and box paths alike —
+// the box path, whose cone decode returns a need-sized grid, by reading the
+// payload's dims before it decodes anything.
+func TestBaseDimsMismatchRejected(t *testing.T) {
+	for name, bad := range badBaseDims(t) {
+		r, err := NewReader[float32](bad)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := r.Decompress(); err == nil {
+			t.Errorf("%s: Decompress accepted the base", name)
+		}
+		for lv := 1; lv <= r.Header().Levels; lv++ {
+			if _, err := r.Progressive(lv); err == nil {
+				t.Errorf("%s: Progressive(%d) accepted the base", name, lv)
+			}
+		}
+		if _, _, err := r.DecompressBox(interiorBox(r.Header())); err == nil {
+			t.Errorf("%s: DecompressBox accepted the base", name)
+		}
+	}
 }
 
 // FuzzReader: no byte string may panic the paper's decoder or make it
@@ -490,6 +542,9 @@ func FuzzReader(f *testing.F) {
 	// Base ID 5 is the codec itself: unchecked, each nested level-1 payload
 	// is one more reader on the stack.
 	for _, bad := range selfBased(f, walkerCases()[1].encode(f)) {
+		f.Add(bad)
+	}
+	for _, bad := range badBaseDims(f) {
 		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -422,6 +422,26 @@ func decompressSerial[T grid.Float](data []byte, laneWorkers int) (*grid.Grid[T]
 	return rec, nil
 }
 
+// Dims returns the grid dims a stream produced by Compress (either mode)
+// declares, validated as the decoders validate them, without decoding
+// anything: what a caller that receives a box-sized grid from DecompressBox
+// checks the stream against first.
+func Dims(data []byte) (nz, ny, nx int, err error) {
+	if len(data) > 4 && data[4] == 4 {
+		return dims[float32](data)
+	}
+	return dims[float64](data)
+}
+
+func dims[T grid.Float](data []byte) (nz, ny, nx int, err error) {
+	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == MagicChunked {
+		nz, ny, nx, _, _, err = parseChunkedDir[T](data)
+	} else {
+		nz, ny, nx, _, err = parseSerialDims[T](data)
+	}
+	return nz, ny, nx, err
+}
+
 // parseSerialDims validates the serial-stream header and returns the dims
 // and the format version (1 or 2).
 func parseSerialDims[T grid.Float](data []byte) (nz, ny, nx, version int, err error) {
@@ -655,7 +675,9 @@ func CompressChunked[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 // touched at all, each for the cone of its own part of b. The box must lie
 // entirely inside the stream's grid, and is checked before anything is
 // decoded or leased — callers wanting clip semantics clip first (the codec
-// layer validates with codec.CheckBox before dispatching here).
+// layer validates with codec.CheckBox before dispatching here). Like
+// Decompress's, the result grid is backed by a scratch lease that a
+// transient consumer hands back.
 func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Grid[T], error) {
 	if len(data) < 4 {
 		return nil, ErrFormat
@@ -671,8 +693,9 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 		if err := checkBox(b, nz, ny, nx); err != nil {
 			return nil, err
 		}
-		out := grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
+		out := leaseBox[T](b)
 		if err := copyBoxFromSerial(out, data, b, 0, nz, ny, nx, workers); err != nil {
+			scratch.ReleaseFloat(out.Data)
 			return nil, err
 		}
 		return out, nil
@@ -693,7 +716,7 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 			need = append(need, c)
 		}
 	}
-	out := grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
+	out := leaseBox[T](b)
 	errs := make([]error, len(need))
 	parallel.For(len(need), workers, func(i int) {
 		c := need[i]
@@ -702,10 +725,17 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 	})
 	for _, err := range errs {
 		if err != nil {
+			scratch.ReleaseFloat(out.Data)
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// leaseBox leases a grid of b's dims. The slabs a box decode touches cover
+// every plane of b, so each point is written before the grid is returned.
+func leaseBox[T grid.Float](b grid.Box) *grid.Grid[T] {
+	return &grid.Grid[T]{Data: scratch.LeaseFloat[T](b.Volume()), Nz: b.Z1 - b.Z0, Ny: b.Y1 - b.Y0, Nx: b.X1 - b.X0}
 }
 
 // copyBoxFromSerial copies into out (whose dims are b's) the part of b that
