@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -19,8 +18,9 @@ import (
 
 // writeTime resolves a write's LWW timestamp: the coordinator-stamped
 // X-Stz-Write-Time header when present (a fanned-out replica apply, a
-// hint replay, or a repair push), else the local clock — so direct
-// writes and single-node mode version themselves.
+// hint replay, or a repair push — the edge drops it from client
+// traffic), else the local clock — so direct writes and single-node mode
+// version themselves.
 func writeTime(r *http.Request) int64 {
 	if v := r.Header.Get(WriteTimeHeader); v != "" {
 		if t, err := strconv.ParseInt(v, 10, 64); err == nil && t > 0 {
@@ -68,36 +68,26 @@ type archiveJSON struct {
 }
 
 func entryJSON(e *archiveEntry) archiveJSON {
-	dt := "f64"
-	if e.hdr().DType == 4 {
-		dt = "f32"
-	}
+	hdr := e.hdr()
 	return archiveJSON{
-		ID: e.id, Codec: e.hdr().Codec,
-		Dims:  fmt.Sprintf("%dx%dx%d", e.hdr().Nz, e.hdr().Ny, e.hdr().Nx),
-		Dtype: dt, Chunks: e.hdr().Chunks(),
+		ID: e.id, Codec: hdr.Codec,
+		Dims:  fmt.Sprintf("%dx%dx%d", hdr.Nz, hdr.Ny, hdr.Nx),
+		Dtype: dtypeName(hdr.DType), Chunks: hdr.Chunks(),
 		Bytes: e.size, Cost: e.cost,
 	}
 }
 
-// handleArchivePut stores the request body as a resident archive. A body
-// over -max-body is 413; one that parses as anything but a valid SZXC
-// archive is 422 (it is well-formed HTTP, just not a decodable archive).
-func (s *Server) handleArchivePut(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !validArchiveID(id) {
+// handleArchivePut stores the request body (read by the chain, up to
+// -max-body) as a resident archive. One that parses as anything but a
+// valid SZXC archive is 422 (it is well-formed HTTP, just not a
+// decodable archive).
+func (s *Server) handleArchivePut(w http.ResponseWriter, c *call) {
+	if !validArchiveID(c.id) {
 		httpError(w, http.StatusBadRequest, CodeBadRequest,
 			"archive id must be 1-%d chars of [A-Za-z0-9._-]", maxArchiveID)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		status := requestErrorStatus(err)
-		httpError(w, status, codeForRequestError(status), "reading archive: %v", err)
-		return
-	}
-	e, replaced, err := s.store.put(id, data, writeTime(r))
+	e, replaced, err := s.store.put(c.id, c.body, writeTime(c.r))
 	if err != nil {
 		// A body that cannot fit the store is 413; one that is not a
 		// decodable SZXC archive is 422 (well-formed HTTP, bad entity); one
@@ -113,23 +103,20 @@ func (s *Server) handleArchivePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, CodeBadArchive, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusCreated
 	if replaced {
-		w.WriteHeader(http.StatusOK)
-	} else {
-		w.WriteHeader(http.StatusCreated)
+		status = http.StatusOK
 	}
-	json.NewEncoder(w).Encode(entryJSON(e))
+	writeJSON(w, status, entryJSON(e))
 }
 
-func (s *Server) handleArchiveList(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleArchiveList(w http.ResponseWriter, _ *call) {
 	entries, bytes := s.store.snapshot()
 	out := make([]archiveJSON, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, entryJSON(e))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"archives":  out,
 		"bytes":     bytes,
 		"budget":    s.store.perShard * int64(len(s.store.shards)),
@@ -137,27 +124,21 @@ func (s *Server) handleArchiveList(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) handleArchiveInfo(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.store.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", r.PathValue("id"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(entryJSON(e))
+func (s *Server) handleArchiveInfo(w http.ResponseWriter, c *call) {
+	writeJSON(w, http.StatusOK, entryJSON(c.e))
 }
 
-func (s *Server) handleArchiveDelete(w http.ResponseWriter, r *http.Request) {
-	existed, stale := s.store.delete(r.PathValue("id"), writeTime(r))
+func (s *Server) handleArchiveDelete(w http.ResponseWriter, c *call) {
+	existed, stale := s.store.delete(c.id, writeTime(c.r))
 	if stale {
 		httpError(w, http.StatusConflict, CodeStaleWrite,
-			"a newer version of archive %q is resident; delete not applied", r.PathValue("id"))
+			"a newer version of archive %q is resident; delete not applied", c.id)
 		return
 	}
 	if !existed {
 		// The tombstone is recorded regardless, so even a delete of an id
 		// this replica never saw still blocks later resurrection.
-		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", r.PathValue("id"))
+		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", c.id)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -168,10 +149,10 @@ func (s *Server) handleArchiveDelete(w http.ResponseWriter, r *http.Request) {
 // repair and anti-entropy pull a replica's copy through it to re-push
 // elsewhere). It reads through getRaw, so repair traffic perturbs
 // neither the LRU order nor the hit/miss counters.
-func (s *Server) handleArchiveRaw(w http.ResponseWriter, r *http.Request) {
-	raw, mtime, ok := s.store.getRaw(r.PathValue("id"))
+func (s *Server) handleArchiveRaw(w http.ResponseWriter, c *call) {
+	raw, mtime, ok := s.store.getRaw(c.id)
 	if !ok {
-		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", r.PathValue("id"))
+		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", c.id)
 		return
 	}
 	h := w.Header()
@@ -185,10 +166,9 @@ func (s *Server) handleArchiveRaw(w http.ResponseWriter, r *http.Request) {
 // length, checksum) for every resident archive, plus the live delete
 // tombstones. Peers' anti-entropy sweeps diff this against their own
 // manifest to find missing and divergent entries.
-func (s *Server) handleManifest(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleManifest(w http.ResponseWriter, _ *call) {
 	archives, tombs := s.store.manifest()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(manifestJSON{Archives: archives, Tombstones: tombs})
+	writeJSON(w, http.StatusOK, manifestJSON{Archives: archives, Tombstones: tombs})
 }
 
 // manifestJSON is the /v1/manifest document.
@@ -208,20 +188,11 @@ type manifestJSON struct {
 // same archive+box collapse to one decode whose result all of them (and
 // the cache) share. Payloads beyond the cache's entry cap stream
 // directly (X-Stz-Cache: bypass).
-func (s *Server) handleArchiveBox(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.store.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", r.PathValue("id"))
-		return
-	}
-	spec := param(r, "box", "X-Stz-Box")
-	if spec == "" {
-		httpError(w, http.StatusBadRequest, CodeBadBox, "missing box parameter (z0:z1,y0:y1,x0:x1)")
-		return
-	}
-	b, err := codec.ParseBox(spec)
+func (s *Server) handleArchiveBox(w http.ResponseWriter, c *call) {
+	e := c.e
+	b, err := codec.ParseBox(param(c.r, "box", "X-Stz-Box"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadBox, "%v", err)
+		httpError(w, http.StatusBadRequest, CodeBadBox, "box parameter: %v", err)
 		return
 	}
 	// Validate before claiming a job slot so malformed queries never wait.
@@ -233,40 +204,40 @@ func (s *Server) handleArchiveBox(w http.ResponseWriter, r *http.Request) {
 	// the section media type ships the still-compressed bytes straight
 	// from the archive — no decode, no job slot. Misaligned boxes fall
 	// through to the normal decode path (negotiation, not an error).
-	if acceptsSection(r) {
+	if acceptsSection(c.r) {
 		if i0, i1, ok := alignedSections(e.hdr(), b); ok {
 			s.serveBoxSections(w, e, b, i0, i1)
 			return
 		}
 	}
-	elem := int64(8)
-	if e.hdr().DType == 4 {
-		elem = 4
-	}
-	if s.boxCache.cacheable(int64(b.Volume()) * elem) {
-		s.serveBoxCached(w, r, e, b)
+	size := int64(b.Volume()) * int64(e.hdr().DType)
+	if s.boxCache.cacheable(size) {
+		s.serveBoxCached(w, c.r, e, b)
 		return
 	}
-	if !s.acquire(r) {
+	if !s.acquire(c.r) {
 		saturated(w)
 		return
 	}
 	defer s.release()
 
+	// Decode before the status line, so the headers carry this query's
+	// read delta and a decode failure still gets a clean error status.
+	// The delta is approximate under concurrent queries on the same
+	// archive (the counter is shared).
 	read0, _ := e.q.accounting()
-	resp := &boxResponse{w: w, e: e, box: b, read0: read0, cache: "bypass"}
-	// The read delta is attributed to this query; under concurrent queries
-	// on the same archive it is approximate (the counter is shared).
-	if err := e.q.writeBox(resp, b); err != nil {
-		if resp.started {
-			// The status line is already out; the stream just truncates.
-			log.Printf("archive box: write failed mid-stream: %v", err)
-			return
-		}
-		// The box was validated, so pre-write failures are decode-side:
-		// the resident archive cannot produce the window.
+	write, err := e.q.decodeBox(b)
+	if err != nil {
+		// The box was validated, so failures are decode-side: the resident
+		// archive cannot produce the window.
 		httpError(w, http.StatusUnprocessableEntity, CodeBadArchive, "%v", err)
 		return
+	}
+	read1, _ := e.q.accounting()
+	writeBoxHeaders(w, e, b, "application/octet-stream", read1-read0, size).Set("X-Stz-Cache", "bypass")
+	if err := write(w); err != nil {
+		// The status line is already out; the stream just truncates.
+		log.Printf("archive box: write failed mid-stream: %v", err)
 	}
 }
 
@@ -294,7 +265,7 @@ func boxKey(e *archiveEntry, b grid.Box) string {
 func (s *Server) serveBoxCached(w http.ResponseWriter, r *http.Request, e *archiveEntry, b grid.Box) {
 	key := boxKey(e, b)
 	if data, ok := s.boxCache.get(key); ok {
-		writeBoxHeaders(w, e, b, 0, "hit")
+		writeBoxHeaders(w, e, b, "application/octet-stream", 0, int64(len(data))).Set("X-Stz-Cache", "hit")
 		w.Write(data)
 		return
 	}
@@ -315,7 +286,11 @@ func (s *Server) serveBoxCached(w http.ResponseWriter, r *http.Request, e *archi
 		// passed cacheable's ceiling): build it once instead of regrowing.
 		var buf bytes.Buffer
 		buf.Grow(b.Volume() * int(e.hdr().DType))
-		if err := e.q.writeBox(&buf, b); err != nil {
+		write, err := e.q.decodeBox(b)
+		if err == nil {
+			err = write(&buf)
+		}
+		if err != nil {
 			return boxResult{}, err
 		}
 		read1, _ := e.q.accounting()
@@ -333,28 +308,21 @@ func (s *Server) serveBoxCached(w http.ResponseWriter, r *http.Request, e *archi
 		httpError(w, http.StatusUnprocessableEntity, CodeBadArchive, "%v", err)
 		return
 	}
-	writeBoxHeaders(w, e, b, res.read, "miss")
+	writeBoxHeaders(w, e, b, "application/octet-stream", res.read, int64(len(res.data))).Set("X-Stz-Cache", "miss")
 	w.Write(res.data)
 }
 
-// writeBoxHeaders emits the box response headers: dims/dtype/codec, the
-// accounting pair, the cache disposition, and the exact Content-Length.
-func writeBoxHeaders(w http.ResponseWriter, e *archiveEntry, b grid.Box, read int64, cache string) {
-	elem := int64(8)
-	dt := "f64"
-	if e.hdr().DType == 4 {
-		elem, dt = 4, "f32"
-	}
+// writeBoxHeaders sets what every box response carries — the window's
+// codec, dims and dtype, the read accounting pair, the exact
+// Content-Length — and returns the header map for the path's additions.
+func writeBoxHeaders(w http.ResponseWriter, e *archiveEntry, b grid.Box, ctype string, read, length int64) http.Header {
 	_, payload := e.q.accounting()
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Stz-Codec", e.hdr().Codec)
-	h.Set("X-Stz-Dims", fmt.Sprintf("%dx%dx%d", b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0))
-	h.Set("X-Stz-Dtype", dt)
+	setGridHeaders(h, ctype, e.hdr().Codec, b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0, e.hdr().DType)
 	h.Set("X-Stz-Payload-Bytes", strconv.FormatInt(payload, 10))
 	h.Set("X-Stz-Read-Bytes", strconv.FormatInt(read, 10))
-	h.Set("X-Stz-Cache", cache)
-	h.Set("Content-Length", strconv.FormatInt(int64(b.Volume())*elem, 10))
+	h.Set("Content-Length", strconv.FormatInt(length, 10))
+	return h
 }
 
 // SectionContentType is the media type a client sends in Accept to opt
@@ -424,23 +392,10 @@ func (s *Server) serveBoxSections(w http.ResponseWriter, e *archiveEntry, b grid
 		planes = append(planes, strconv.Itoa(bounds[i+1]-bounds[i]))
 	}
 	read1, _ := e.q.accounting()
-	_, payload := e.q.accounting()
-
-	dt := "f64"
-	if e.hdr().DType == 4 {
-		dt = "f32"
-	}
-	h := w.Header()
-	h.Set("Content-Type", SectionContentType)
-	h.Set("X-Stz-Codec", e.hdr().Codec)
-	h.Set("X-Stz-Dims", fmt.Sprintf("%dx%dx%d", b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0))
-	h.Set("X-Stz-Dtype", dt)
+	h := writeBoxHeaders(w, e, b, SectionContentType, read1-read0, total)
 	h.Set("X-Stz-Zero-Copy", "1")
 	h.Set("X-Stz-Section-Lengths", strings.Join(lens, ","))
 	h.Set("X-Stz-Section-Planes", strings.Join(planes, ","))
-	h.Set("X-Stz-Payload-Bytes", strconv.FormatInt(payload, 10))
-	h.Set("X-Stz-Read-Bytes", strconv.FormatInt(read1-read0, 10))
-	h.Set("Content-Length", strconv.FormatInt(total, 10))
 	for _, sec := range secs {
 		if _, err := w.Write(sec); err != nil {
 			log.Printf("archive box: zero-copy write failed mid-stream: %v", err)
@@ -449,28 +404,6 @@ func (s *Server) serveBoxSections(w http.ResponseWriter, e *archiveEntry, b grid
 	}
 	s.zeroCopies.Add(1)
 	s.zeroCopyBytes.Add(total)
-}
-
-// boxResponse defers the success headers until the first body byte — by
-// then the decode work (and its read accounting) has happened, so the
-// X-Stz-Read-Bytes header reflects this query, and a decode failure can
-// still produce a clean error status.
-type boxResponse struct {
-	w       http.ResponseWriter
-	e       *archiveEntry
-	box     grid.Box
-	read0   int64
-	cache   string
-	started bool
-}
-
-func (d *boxResponse) Write(p []byte) (int, error) {
-	if !d.started {
-		d.started = true
-		read, _ := d.e.q.accounting()
-		writeBoxHeaders(d.w, d.e, d.box, read-d.read0, d.cache)
-	}
-	return d.w.Write(p)
 }
 
 // roiRequest is the POST /v1/archives/{id}/roi body.
@@ -489,15 +422,9 @@ type roiRegionJSON struct {
 // handleArchiveROI runs the internal/roi selector server-side over a
 // resident archive and returns the selected regions, each addressable
 // through the box endpoint.
-func (s *Server) handleArchiveROI(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.store.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, CodeUnknownArchive, "unknown archive %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleArchiveROI(w http.ResponseWriter, c *call) {
 	var req roiRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(c.body)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "request body: %v", err)
 		return
 	}
@@ -518,12 +445,12 @@ func (s *Server) handleArchiveROI(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "mode must be max or range, got %q", req.Mode)
 		return
 	}
-	if !s.acquire(r) {
+	if !s.acquire(c.r) {
 		saturated(w)
 		return
 	}
 	defer s.release()
-	res, err := e.q.queryROI(p)
+	res, err := c.e.q.queryROI(p)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, CodeBadArchive, "%v", err)
 		return
@@ -536,8 +463,7 @@ func (s *Server) handleArchiveROI(w http.ResponseWriter, r *http.Request) {
 			Stat: reg.Stat,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"mode":     p.mode.String(),
 		"block":    p.block,
 		"scanned":  res.scanned,

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"time"
@@ -95,45 +97,6 @@ func indexOf(list []string, v string) int {
 	return -1
 }
 
-// routed wraps an archive handler with replica routing. Single-node
-// deployments (no ring) serve everything locally. In cluster mode a
-// request that already carries the forwarded marker is a replica apply:
-// it must land on an owner (else 421) and is served from the local
-// store. A fresh request makes this node the coordinator: writes fan
-// out to all owners, reads walk them with failover.
-func (s *Server) routed(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.ring == nil {
-			h(w, r)
-			return
-		}
-		id := r.PathValue("id")
-		owners := s.ring.Owners(id, s.opts.Replicas)
-		selfIdx := indexOf(owners, s.opts.Self)
-		if from := r.Header.Get(ForwardedHeader); from != "" {
-			if selfIdx < 0 {
-				s.notOwner.Add(1)
-				httpError(w, http.StatusMisdirectedRequest, CodeNotOwner,
-					"archive %q is owned by %v, not %s (request forwarded by %s; peer topologies disagree)",
-					id, owners, s.opts.Self, from)
-				return
-			}
-			w.Header().Set(ServedByHeader, s.opts.Self)
-			w.Header().Set(ReplicaHeader, strconv.Itoa(selfIdx))
-			h(w, r)
-			return
-		}
-		switch r.Method {
-		case http.MethodPut:
-			s.fanoutWrite(w, r, id, owners, h, false)
-		case http.MethodDelete:
-			s.fanoutWrite(w, r, id, owners, h, true)
-		default:
-			s.readFailover(w, r, id, owners, h)
-		}
-	}
-}
-
 // replicaResult is one replica's answer to a fanned-out write.
 type replicaResult struct {
 	Peer   string `json:"peer"`
@@ -152,17 +115,9 @@ func quorum(n int) int { return n/2 + 1 }
 // operation succeeds when a majority accepted it. The response is the
 // primary successful replica's, with per-replica results attached to
 // JSON bodies.
-func (s *Server) fanoutWrite(w http.ResponseWriter, r *http.Request, id string, owners []string, h http.HandlerFunc, isDelete bool) {
-	var body []byte
-	if !isDelete {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-		if err != nil {
-			status := requestErrorStatus(err)
-			httpError(w, status, codeForRequestError(status), "reading archive: %v", err)
-			return
-		}
-	}
+func (s *Server) fanoutWrite(w http.ResponseWriter, c *call, rt route, owners []string) {
+	r, id := c.r, c.id
+	isDelete := r.Method == http.MethodDelete
 	// The coordinator stamps the write's LWW timestamp once, so every
 	// replica — including a hinted replay long after the fact — stores
 	// the same version.
@@ -173,9 +128,9 @@ func (s *Server) fanoutWrite(w http.ResponseWriter, r *http.Request, id string, 
 	for i, peer := range owners {
 		go func(i int, peer string) {
 			if peer == s.opts.Self {
-				results[i] = s.applyLocal(r, i, body, h)
+				results[i] = s.applyLocal(c, rt, i)
 			} else {
-				results[i] = s.applyRemote(r, peer, body)
+				results[i] = s.applyRemote(r, peer, c.body)
 			}
 			done <- i
 		}(i, peer)
@@ -204,21 +159,6 @@ func (s *Server) fanoutWrite(w http.ResponseWriter, r *http.Request, id string, 
 			clientErr = i
 		}
 	}
-	if acks >= quorum(len(owners)) {
-		// The write succeeded with replicas missed: queue a hint per
-		// failed replica (down or 5xx — a definitive 4xx rejection would
-		// just repeat) so the write heals when the peer returns.
-		for i, res := range results {
-			if acked(res) || owners[i] == s.opts.Self ||
-				(res.Status >= 400 && res.Status < 500) {
-				continue
-			}
-			s.hints.Enqueue(owners[i], repair.Hint{
-				Method: r.Method, ID: id, Path: r.URL.RequestURI(),
-				Body: body, WriteTime: wt,
-			})
-		}
-	}
 	if acks < quorum(len(owners)) {
 		// A definitive client error (bad id, undecodable archive, unknown
 		// id on delete) is the same on every replica — relay it verbatim
@@ -234,39 +174,39 @@ func (s *Server) fanoutWrite(w http.ResponseWriter, r *http.Request, id string, 
 			id, acks, len(owners), quorum(len(owners)))
 		return
 	}
-	win := results[winner]
-	if isDelete || len(win.body) == 0 {
-		replay(w, win.header, win.Status, win.body)
-		return
+	// The write succeeded with replicas missed: queue a hint per failed
+	// replica (down or 5xx — a definitive 4xx rejection would just
+	// repeat) so the write heals when the peer returns.
+	for i, res := range results {
+		if acked(res) || owners[i] == s.opts.Self || (res.Status >= 400 && res.Status < 500) {
+			continue
+		}
+		s.hints.Enqueue(owners[i], repair.Hint{
+			Method: r.Method, ID: id, Path: r.URL.RequestURI(),
+			Body: c.body, WriteTime: wt,
+		})
 	}
 	// Attach the per-replica outcomes to the entry JSON the winning
-	// replica produced; an unparseable body just replays untouched.
+	// replica produced; a body that is not a JSON object replays
+	// untouched (replay sets the new length).
+	win, body := results[winner], results[winner].body
 	var doc map[string]any
-	if err := json.Unmarshal(win.body, &doc); err != nil {
-		replay(w, win.header, win.Status, win.body)
-		return
+	if !isDelete && json.Unmarshal(win.body, &doc) == nil && doc != nil {
+		doc["replicas"] = results
+		if out, err := json.Marshal(doc); err == nil {
+			body = out
+		}
 	}
-	doc["replicas"] = results
-	out, err := json.Marshal(doc)
-	if err != nil {
-		replay(w, win.header, win.Status, win.body)
-		return
-	}
-	hdr := win.header.Clone()
-	hdr.Del("Content-Length")
-	replay(w, hdr, win.Status, out)
+	replay(w, win.header, win.Status, body)
 }
 
-// replay writes a recorded replica response to the client verbatim.
+// replay writes a replica's response to the client verbatim: its headers,
+// status and body, whose length replaces the replica's when it is not
+// empty. A nil body leaves the caller to stream one.
 func replay(w http.ResponseWriter, hdr http.Header, status int, body []byte) {
 	dst := w.Header()
 	for k, vs := range hdr {
-		if k == "Content-Length" {
-			continue
-		}
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
+		dst[k] = append(dst[k], vs...)
 	}
 	if len(body) > 0 {
 		dst.Set("Content-Length", strconv.Itoa(len(body)))
@@ -280,12 +220,12 @@ func replay(w http.ResponseWriter, hdr http.Header, status int, body []byte) {
 // about the peer's health and retrying cannot help.
 type peerRequestError struct{ error }
 
-// peerDo is the one way this node calls a peer: method on
-// http://peer+path, marked forwarded so the peer serves it from its own
-// store (one hop). hdr, nil for none, is sent as is — peerDo takes
+// peerSend is the one way this node sends a request to a peer: method
+// on http://peer+path, marked forwarded so the peer serves it from its
+// own store (one hop). hdr, nil for none, is sent as is — peerSend takes
 // ownership — and a non-nil body is sent with its length. A
 // peerRequestError reports a request that never left this node.
-func (s *Server) peerDo(ctx context.Context, method, peer, path string, hdr http.Header, body []byte) (*http.Response, error) {
+func (s *Server) peerSend(ctx context.Context, method, peer, path string, hdr http.Header, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -301,18 +241,26 @@ func (s *Server) peerDo(ctx context.Context, method, peer, path string, hdr http
 	return s.peerClient.Do(req)
 }
 
-// serveLocal runs h against this node's own store as replica idx of the
-// archive's owner list, re-arming the request body from its buffered
-// copy (nil when there was none to buffer).
-func (s *Server) serveLocal(w http.ResponseWriter, r *http.Request, idx int, body []byte, h http.HandlerFunc) {
-	w.Header().Set(ServedByHeader, s.opts.Self)
-	w.Header().Set(ReplicaHeader, strconv.Itoa(idx))
-	if body != nil {
-		r = r.Clone(r.Context())
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
+// peerDo is peerSend with the answer read whole. The answer is untrusted:
+// one longer than limit bytes is an error, like a transport failure, so
+// no peer can make this node buffer more than its caller expects.
+func (s *Server) peerDo(ctx context.Context, method, peer, path string, hdr http.Header, body []byte, limit int64) (int, http.Header, []byte, error) {
+	resp, err := s.peerSend(ctx, method, peer, path, hdr, body)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	h(w, r)
+	defer resp.Body.Close()
+	data, err := readCapped(resp.Body, limit)
+	return resp.StatusCode, resp.Header, data, err
+}
+
+// readCapped reads a peer's body whole, refusing one longer than limit.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		err = fmt.Errorf("peer answer longer than %d bytes", limit)
+	}
+	return data, err
 }
 
 // answered records the response one replica gave to a fanned-out write.
@@ -324,38 +272,33 @@ func answered(peer string, status int, hdr http.Header, body []byte) replicaResu
 	return res
 }
 
-// applyLocal runs the handler against this node's own store, recording
-// the response it would have sent.
-func (s *Server) applyLocal(r *http.Request, idx int, body []byte, h http.HandlerFunc) replicaResult {
-	rec := newRecorder()
-	s.serveLocal(rec, r, idx, body, h)
-	return answered(s.opts.Self, rec.status, rec.Header(), rec.buf.Bytes())
+// applyLocal runs the write against this node's own store, recording the
+// response it would have sent.
+func (s *Server) applyLocal(c *call, rt route, idx int) replicaResult {
+	rec := httptest.NewRecorder()
+	s.serve(rec, c, rt, idx)
+	return answered(s.opts.Self, rec.Code, rec.Header(), rec.Body.Bytes())
 }
 
 // applyRemote sends the write to one peer replica and records the
-// outcome in the peer's circuit breaker.
+// outcome in the peer's circuit breaker. An answer that cannot be read —
+// a broken body, or one past maxBufferedProxy — fails the leg.
 func (s *Server) applyRemote(r *http.Request, peer string, body []byte) replicaResult {
 	s.forwarded.Add(1)
 	br := s.health.Breaker(peer)
-	resp, err := s.peerDo(r.Context(), r.Method, peer, r.URL.RequestURI(), r.Header.Clone(), body)
+	status, hdr, data, err := s.peerDo(r.Context(), r.Method, peer, r.URL.RequestURI(), r.Header.Clone(), body, maxBufferedProxy)
 	if err != nil {
 		if _, unsent := err.(peerRequestError); !unsent {
 			br.Failure()
 		}
 		return replicaResult{Peer: peer, OK: false, Err: err.Error()}
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		br.Failure()
-		return replicaResult{Peer: peer, Status: resp.StatusCode, OK: false, Err: err.Error()}
-	}
-	if resp.StatusCode >= 500 {
+	if status >= 500 {
 		br.Failure()
 	} else {
 		br.Success()
 	}
-	return answered(peer, resp.StatusCode, resp.Header, data)
+	return answered(peer, status, hdr, data)
 }
 
 // readFailover serves a read by walking the archive's owner list —
@@ -367,20 +310,8 @@ func (s *Server) applyRemote(r *http.Request, peer string, body []byte) replicaR
 // one or more replicas 404'd triggers an asynchronous read repair: the
 // archive is re-pushed from the replica that served it to the lagging
 // owners (selfheal.go).
-func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string, owners []string, h http.HandlerFunc) {
-	// Buffer a possible request body (POST /roi) once so every attempt
-	// can resend it; the roi handler bounds it to 1 MiB itself, this is
-	// just the outer cap.
-	var body []byte
-	if r.Body != nil && r.Method != http.MethodGet {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-		if err != nil {
-			status := requestErrorStatus(err)
-			httpError(w, status, codeForRequestError(status), "reading request body: %v", err)
-			return
-		}
-	}
+func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners []string) {
+	r, id := c.r, c.id
 	ordered := s.health.Reorder(owners)
 	waiter := retry.NewWaiter(s.opts.PeerRetry, nil)
 	var (
@@ -390,6 +321,15 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 		lagging  []string       // replicas that 404'd: up, but missing the archive
 		notFound *replicaResult // the first definitive 404, replayed if no replica has it
 	)
+	// served books a read replica idx (peer) committed, and repairs the
+	// owners that 404'd before it from that replica.
+	served := func(idx int, peer string) {
+		s.replicaHits.Add(1)
+		if idx > 0 {
+			s.failovers.Add(1)
+		}
+		s.spawnReadRepair(id, peer, lagging)
+	}
 	for _, peer := range ordered {
 		idx := indexOf(owners, peer)
 		if peer == s.opts.Self {
@@ -401,12 +341,8 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 			}
 			// Our own store is a replica: serve it directly. Local reads
 			// have no transport to fail, so this always commits.
-			s.serveLocal(w, r, idx, body, h)
-			s.replicaHits.Add(1)
-			if idx > 0 {
-				s.failovers.Add(1)
-			}
-			s.spawnReadRepair(id, s.opts.Self, lagging)
+			s.serve(w, c, rt, idx)
+			served(idx, peer)
 			return
 		}
 		br := s.health.Breaker(peer)
@@ -431,14 +367,10 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 			continue
 		}
 		attempts++
-		committed, nf, hint, errMsg := s.proxyRead(w, r, peer, body)
+		committed, nf, hint, errMsg := s.proxyRead(w, r, peer, c.body)
 		if committed {
 			br.Success()
-			s.replicaHits.Add(1)
-			if idx > 0 {
-				s.failovers.Add(1)
-			}
-			s.spawnReadRepair(id, peer, lagging)
+			served(idx, peer)
 			return
 		}
 		if nf != nil {
@@ -462,7 +394,7 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 	}
 	if indexOf(lagging, s.opts.Self) >= 0 {
 		// Only our own (empty) replica answered: serve the local 404.
-		s.serveLocal(w, r, indexOf(owners, s.opts.Self), body, h)
+		s.serve(w, c, rt, indexOf(owners, s.opts.Self))
 		s.replicaHits.Add(1)
 		return
 	}
@@ -483,7 +415,7 @@ func (s *Server) readFailover(w http.ResponseWriter, r *http.Request, id string,
 // peer's Retry-After hint as the next backoff floor.
 func (s *Server) proxyRead(w http.ResponseWriter, r *http.Request, peer string, body []byte) (committed bool, notFound *replicaResult, floor time.Duration, errMsg string) {
 	s.forwarded.Add(1)
-	resp, err := s.peerDo(r.Context(), r.Method, peer, r.URL.RequestURI(), r.Header.Clone(), body)
+	resp, err := s.peerSend(r.Context(), r.Method, peer, r.URL.RequestURI(), r.Header.Clone(), body)
 	if err != nil {
 		return false, nil, 0, err.Error()
 	}
@@ -491,63 +423,33 @@ func (s *Server) proxyRead(w http.ResponseWriter, r *http.Request, peer string, 
 	if resp.StatusCode >= 500 {
 		// The replica is up but failing; drain so the connection can be
 		// reused, take its Retry-After as the backoff floor, move on.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
+		readCapped(resp.Body, maxBufferedProxy)
 		return false, nil, retry.RetryAfter(resp), peer + " answered " + resp.Status
 	}
-	if resp.StatusCode == http.StatusNotFound {
-		// This replica is missing the archive — possibly lagging. Buffer
-		// the envelope for the caller; another replica may still have it.
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxBufferedProxy))
-		if err != nil {
-			return false, nil, 0, "reading " + peer + " response: " + err.Error()
-		}
-		return false, &replicaResult{
-			Peer: peer, Status: resp.StatusCode,
-			header: resp.Header.Clone(), body: data,
-		}, 0, ""
-	}
-	if resp.ContentLength >= 0 && resp.ContentLength <= maxBufferedProxy {
+	if resp.StatusCode == http.StatusNotFound || (resp.ContentLength >= 0 && resp.ContentLength <= maxBufferedProxy) {
 		// Small enough to verify before committing: a short or failed
 		// body (a truncating peer, a dropped connection) stays invisible
 		// to the client and the next replica gets its chance.
-		data, err := io.ReadAll(resp.Body)
-		if err != nil || int64(len(data)) != resp.ContentLength {
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
+		data, err := readCapped(resp.Body, maxBufferedProxy)
+		if err == nil && resp.ContentLength >= 0 && int64(len(data)) != resp.ContentLength {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return false, nil, 0, "reading " + peer + " response: " + err.Error()
+		}
+		if resp.StatusCode == http.StatusNotFound {
+			// This replica is missing the archive — possibly lagging. Hand
+			// the envelope to the caller; another replica may still have it.
+			return false, &replicaResult{Peer: peer, Status: resp.StatusCode, header: resp.Header, body: data}, 0, ""
 		}
 		replay(w, resp.Header, resp.StatusCode, data)
 		return true, nil, 0, ""
 	}
 	// Too large (or unknown length) to buffer: stream. Past this point a
 	// body failure can only truncate the client's stream.
-	dst := w.Header()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
+	replay(w, resp.Header, resp.StatusCode, nil)
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		log.Printf("stzd: proxy read from %s: response copy: %v", peer, err)
 	}
 	return true, nil, 0, ""
 }
-
-// recorder captures a locally applied handler response so the write
-// coordinator can fold it into the fan-out result (httptest stays out
-// of production code).
-type recorder struct {
-	hdr    http.Header
-	status int
-	buf    bytes.Buffer
-}
-
-func newRecorder() *recorder { return &recorder{hdr: http.Header{}, status: http.StatusOK} }
-
-func (rec *recorder) Header() http.Header { return rec.hdr }
-
-func (rec *recorder) WriteHeader(status int) { rec.status = status }
-
-func (rec *recorder) Write(p []byte) (int, error) { return rec.buf.Write(p) }

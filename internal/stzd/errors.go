@@ -2,6 +2,7 @@ package stzd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -65,13 +66,30 @@ func retryableCode(code string) bool {
 
 // httpError writes the structured error envelope.
 func httpError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorEnvelope{Error: apiError{
+	writeJSON(w, status, errorEnvelope{Error: apiError{
 		Code:      code,
 		Message:   fmt.Sprintf(format, args...),
 		Retryable: retryableCode(code),
 	}})
+}
+
+// writeJSON answers status with v as the JSON body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// requestError answers a request whose body could not be taken: 413
+// payload_too_large past -max-body, else 400 bad_request — a short or
+// broken body, or one past a route's tighter cap for a small JSON body.
+func (s *Server) requestError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) && mbe.Limit == s.opts.MaxBody {
+		httpError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "%v", err)
+		return
+	}
+	httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 }
 
 // saturated is the one shape of every admission rejection: 503 with the
@@ -81,13 +99,4 @@ func httpError(w http.ResponseWriter, status int, code, format string, args ...a
 func saturated(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 	httpError(w, http.StatusServiceUnavailable, CodePoolSaturated, "job pool saturated; retry")
-}
-
-// codeForRequestError pairs requestErrorStatus: ingest failures that
-// tripped the body limit are payload_too_large, the rest are bad_request.
-func codeForRequestError(status int) string {
-	if status == http.StatusRequestEntityTooLarge {
-		return CodePayloadTooLarge
-	}
-	return CodeBadRequest
 }

@@ -2,7 +2,6 @@ package stzd
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -107,20 +106,19 @@ func (s *Server) replayHint(peer string, h repair.Hint) (ok, terminal bool) {
 
 // peerWrite sends one forwarded write to peer, stamped with the write's
 // original time, and returns the response status. A request that cannot
-// be built reports 400 and a transport failure 503 — the classes (never
-// going to work; try again later) every caller already sorts them into.
+// be built reports 400, and a transport failure or an unreadable answer
+// 503 — the classes (never going to work; try again later) every caller
+// already sorts them into.
 func (s *Server) peerWrite(method, peer, path string, body []byte, mtime int64) int {
 	hdr := http.Header{WriteTimeHeader: {strconv.FormatInt(mtime, 10)}}
-	resp, err := s.peerDo(s.baseCtx, method, peer, path, hdr, body)
+	status, _, _, err := s.peerDo(s.baseCtx, method, peer, path, hdr, body, maxBufferedProxy)
 	if _, unsent := err.(peerRequestError); unsent {
 		return http.StatusBadRequest
 	}
 	if err != nil {
 		return http.StatusServiceUnavailable
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-	return resp.StatusCode
+	return status
 }
 
 // spawnReadRepair asynchronously re-pushes id from the replica that
@@ -150,13 +148,14 @@ func (s *Server) spawnReadRepair(id, from string, lagging []string) {
 }
 
 // fetchRaw obtains id's archive bytes and write-time from one replica:
-// the local store when from is this node, GET /raw otherwise.
+// the local store when from is this node, GET /raw otherwise (refused
+// past -max-body).
 func (s *Server) fetchRaw(id, from string) ([]byte, int64, bool) {
 	if from == s.opts.Self {
 		return s.store.getRaw(id)
 	}
-	data, hdr, ok := s.peerGet(from, "/v1/archives/"+id+"/raw")
-	if !ok {
+	status, hdr, data, err := s.peerDo(s.baseCtx, http.MethodGet, from, "/v1/archives/"+id+"/raw", nil, nil, s.opts.MaxBody)
+	if err != nil || status != http.StatusOK {
 		return nil, 0, false
 	}
 	mtime, err := strconv.ParseInt(hdr.Get(WriteTimeHeader), 10, 64)
@@ -210,34 +209,15 @@ func (s *Server) antiEntropyRound() {
 	s.aeRounds.Add(1)
 }
 
-// fetchManifest pulls one peer's replication digest.
+// fetchManifest pulls one peer's replication digest, refused past
+// -max-body like a raw archive.
 func (s *Server) fetchManifest(peer string) (manifestJSON, bool) {
 	var m manifestJSON
-	data, _, ok := s.peerGet(peer, "/v1/manifest")
-	if !ok || json.Unmarshal(data, &m) != nil {
+	status, _, data, err := s.peerDo(s.baseCtx, http.MethodGet, peer, "/v1/manifest", nil, nil, s.opts.MaxBody)
+	if err != nil || status != http.StatusOK || json.Unmarshal(data, &m) != nil {
 		return manifestJSON{}, false
 	}
 	return m, true
-}
-
-// peerGet fetches path from peer for the repair paths, returning the body
-// and headers of a 200 answer. The body is untrusted: anything over
-// -max-body is refused rather than buffered.
-func (s *Server) peerGet(peer, path string) ([]byte, http.Header, bool) {
-	resp, err := s.peerDo(s.baseCtx, http.MethodGet, peer, path, nil, nil)
-	if err != nil {
-		return nil, nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBufferedProxy))
-		return nil, nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxBody+1))
-	if err != nil || int64(len(data)) > s.opts.MaxBody {
-		return nil, nil, false
-	}
-	return data, resp.Header, true
 }
 
 // diffAndPush reconciles one peer against this node's manifest snapshot

@@ -8,14 +8,12 @@ package stzd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,11 +72,6 @@ type Options struct {
 	// them (success = majority quorum), reads fail over along the list.
 	// Default 1 (no replication); clamped to the peer count by the ring.
 	Replicas int
-	// PeerDialTimeout bounds connection establishment to a peer. Default 2s.
-	PeerDialTimeout time.Duration
-	// PeerHeaderTimeout bounds the wait for a peer's response headers.
-	// Default 10s.
-	PeerHeaderTimeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// peer's circuit breaker; 0 uses the health package default (5).
 	BreakerThreshold int
@@ -134,12 +127,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
-	}
-	if o.PeerDialTimeout <= 0 {
-		o.PeerDialTimeout = 2 * time.Second
-	}
-	if o.PeerHeaderTimeout <= 0 {
-		o.PeerHeaderTimeout = 10 * time.Second
 	}
 	if o.HintBudget == 0 {
 		o.HintBudget = 64 << 20
@@ -204,10 +191,10 @@ type Server struct {
 	zeroCopyBytes atomic.Int64 // compressed bytes shipped by those responses
 }
 
-// New builds the stzd handler: the full v1 endpoint mux with a
-// semaphore-bounded job pool and a fresh archive store. A non-empty
-// o.Peers turns on cluster mode: archive routes are wrapped with
-// consistent-hash ownership routing (see cluster.go).
+// New builds the stzd handler: the route table (routes.go) mounted on a
+// mux, a semaphore-bounded job pool and a fresh archive store. A
+// non-empty o.Peers turns on cluster mode: archive routes are placed on
+// their consistent-hash owners (see cluster.go).
 func New(o Options) *Server {
 	o = o.withDefaults()
 	s := &Server{
@@ -245,8 +232,8 @@ func New(o Options) *Server {
 		// response-header waits so a dead peer fails fast enough to fail
 		// over, and warm per-peer connection pools for the fan-out paths.
 		var rt http.RoundTripper = &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: o.PeerDialTimeout}).DialContext,
-			ResponseHeaderTimeout: o.PeerHeaderTimeout,
+			DialContext:           (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
+			ResponseHeaderTimeout: 10 * time.Second,
 			MaxIdleConns:          128,
 			MaxIdleConnsPerHost:   32,
 			IdleConnTimeout:       90 * time.Second,
@@ -257,48 +244,7 @@ func New(o Options) *Server {
 		s.peerClient = &http.Client{Transport: rt}
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/codecs", s.handleCodecs)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/compress", s.handleCompress)
-	s.mux.HandleFunc("POST /v1/decompress", s.handleDecompress)
-	s.mux.HandleFunc("GET /v1/archives", s.handleArchiveList)
-	// Manifest and raw are deliberately unrouted: they describe and serve
-	// THIS node's store (the repair paths fetch a specific replica's
-	// copy), so forwarding them would defeat their purpose.
-	s.mux.HandleFunc("GET /v1/manifest", s.handleManifest)
-	s.mux.HandleFunc("GET /v1/archives/{id}/raw", s.handleArchiveRaw)
-	s.mux.HandleFunc("PUT /v1/archives/{id}", s.routed(s.handleArchivePut))
-	s.mux.HandleFunc("GET /v1/archives/{id}", s.routed(s.handleArchiveInfo))
-	s.mux.HandleFunc("DELETE /v1/archives/{id}", s.routed(s.handleArchiveDelete))
-	s.mux.HandleFunc("GET /v1/archives/{id}/box", s.routed(s.handleArchiveBox))
-	s.mux.HandleFunc("POST /v1/archives/{id}/roi", s.routed(s.handleArchiveROI))
-	// Method-mismatch fallbacks: the method-qualified patterns above win
-	// for their verb, so these catch every other verb with a 405 that
-	// carries both the Allow header and the JSON error envelope (the bare
-	// ServeMux 405 is plain text).
-	for path, allow := range map[string]string{
-		"/healthz":              "GET",
-		"/v1/codecs":            "GET",
-		"/v1/stats":             "GET",
-		"/v1/compress":          "POST",
-		"/v1/decompress":        "POST",
-		"/v1/archives":          "GET",
-		"/v1/manifest":          "GET",
-		"/v1/archives/{id}":     "GET, PUT, DELETE",
-		"/v1/archives/{id}/box": "GET",
-		"/v1/archives/{id}/raw": "GET",
-		"/v1/archives/{id}/roi": "POST",
-	} {
-		s.mux.HandleFunc(path, methodNotAllowed(allow))
-	}
-	if o.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	s.mount()
 	if s.ring != nil {
 		go s.selfhealLoop()
 	} else {
@@ -306,8 +252,6 @@ func New(o Options) *Server {
 	}
 	return s
 }
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close stops the self-healing background work (hint replay, anti-
 // entropy) and cancels any in-flight repair pushes. The HTTP handler
@@ -354,16 +298,6 @@ func (s *Server) acquire(r *http.Request) bool {
 
 func (s *Server) release() { <-s.sem }
 
-// methodNotAllowed answers a path hit with an unsupported verb: 405 with
-// the Allow header and the standard error envelope.
-func methodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		httpError(w, http.StatusMethodNotAllowed, CodeBadRequest,
-			"method %s not allowed here (allow: %s)", r.Method, allow)
-	}
-}
-
 // param reads a request parameter. The precedence rule — the only one,
 // applied to every parameter on every endpoint — is: the query-string
 // parameter wins; the X-Stz-* header of the same meaning is consulted
@@ -379,7 +313,7 @@ func param(r *http.Request, name, header string) string {
 // degradation: peers whose circuit breakers are currently open. The
 // node itself still serves (status stays 200), but "degraded" plus the
 // open-circuit list tells operators part of the replica set is down.
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, _ *call) {
 	doc := map[string]any{"status": "ok", "inflight": len(s.sem)}
 	if s.health != nil {
 		if open := s.health.Open(); len(open) > 0 {
@@ -392,13 +326,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		doc["hint_backlog"] = count
 		doc["hint_backlog_bytes"] = bytes
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // handleStats reports the scratch-arena counters (the memory-reuse health
 // of the hot paths) plus the in-flight job count.
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, _ *call) {
 	type arenaJSON struct {
 		Hits     uint64  `json:"hits"`
 		Misses   uint64  `json:"misses"`
@@ -475,11 +408,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			},
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(stats)
+	writeJSON(w, http.StatusOK, stats)
 }
 
-func (s *Server) handleCodecs(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleCodecs(w http.ResponseWriter, _ *call) {
 	type capsJSON struct {
 		Name               string `json:"name"`
 		ID                 uint8  `json:"id"`
@@ -500,15 +432,14 @@ func (s *Server) handleCodecs(w http.ResponseWriter, _ *http.Request) {
 			Float32: caps.Float32, Float64: caps.Float64,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"codecs": out})
+	writeJSON(w, http.StatusOK, map[string]any{"codecs": out})
 }
 
 // compressParams are the validated inputs of one compress request.
 type compressParams struct {
 	codecName  string
 	nz, ny, nx int
-	dtype      string // "f32" or "f64"
+	width      byte // element width, as codec.Header.DType: 4 (f32) or 8 (f64)
 	cfg        codec.Config
 	rel        bool
 	relEB      float64
@@ -541,18 +472,15 @@ func parseCompressParams(r *http.Request, MaxBody int64) (compressParams, error)
 	if err != nil {
 		return p, err
 	}
-	p.dtype = param(r, "dtype", "X-Stz-Dtype")
-	if p.dtype == "" {
-		p.dtype = "f32"
-	}
-	if p.dtype != "f32" && p.dtype != "f64" {
+	switch param(r, "dtype", "X-Stz-Dtype") {
+	case "", "f32":
+		p.width = 4
+	case "f64":
+		p.width = 8
+	default:
 		return p, fmt.Errorf("dtype must be f32 or f64")
 	}
-	elem := int64(4)
-	if p.dtype == "f64" {
-		elem = 8
-	}
-	if elems > MaxBody/elem {
+	if elem := int64(p.width); elems > MaxBody/elem {
 		return p, fmt.Errorf("grid of %d bytes exceeds the per-request limit of %d", elems*elem, MaxBody)
 	}
 	ebStr := param(r, "eb", "X-Stz-Error-Bound")
@@ -582,27 +510,25 @@ func parseCompressParams(r *http.Request, MaxBody int64) (compressParams, error)
 	return p, nil
 }
 
-func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	p, err := parseCompressParams(r, s.opts.MaxBody)
+func (s *Server) handleCompress(w http.ResponseWriter, c *call) {
+	p, err := parseCompressParams(c.r, s.opts.MaxBody)
+	if err == nil {
+		_, err = codec.Lookup(p.codecName)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	if _, err := codec.Lookup(p.codecName); err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if !s.acquire(r) {
+	if !s.acquire(c.r) {
 		saturated(w)
 		return
 	}
 	defer s.release()
 	p.cfg.Workers = s.opts.Workers
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	if p.dtype == "f32" {
-		err = compressRequest[float32](w, body, p, s.opts.Window)
+	if p.width == 4 {
+		err = compressRequest[float32](w, c.r.Body, p, s.opts.Window)
 	} else {
-		err = compressRequest[float64](w, body, p, s.opts.Window)
+		err = compressRequest[float64](w, c.r.Body, p, s.opts.Window)
 	}
 	if err != nil {
 		// Nothing has been written yet (the streaming writer buffers the
@@ -611,19 +537,8 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			log.Printf("compress: client write failed: %v", err)
 			return
 		}
-		status := requestErrorStatus(err)
-		httpError(w, status, codeForRequestError(status), "%v", err)
+		s.requestError(w, err)
 	}
-}
-
-// requestErrorStatus maps an ingest failure to a status code: bodies that
-// tripped the MaxBytesReader limit are 413, everything else is a 400.
-func requestErrorStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // errBodyWrite marks failures while writing the response body, after the
@@ -654,7 +569,7 @@ func compressRequest[T grid.Float](w http.ResponseWriter, body io.Reader, p comp
 		if err != nil {
 			return err
 		}
-		setArchiveHeaders(w, p)
+		setGridHeaders(w.Header(), "application/octet-stream", p.codecName, p.nz, p.ny, p.nx, p.width)
 		if _, err := w.Write(enc); err != nil {
 			return fmt.Errorf("%w: %v", errBodyWrite, err)
 		}
@@ -698,11 +613,21 @@ func ensureDrained[T grid.Float](vr *rawio.Reader[T]) error {
 	return nil
 }
 
-func setArchiveHeaders(w http.ResponseWriter, p compressParams) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Stz-Codec", p.codecName)
-	w.Header().Set("X-Stz-Dims", fmt.Sprintf("%dx%dx%d", p.nz, p.ny, p.nx))
-	w.Header().Set("X-Stz-Dtype", p.dtype)
+// setGridHeaders describes a response body: its media type and the
+// codec, dims and dtype of the grid it holds or encodes.
+func setGridHeaders(h http.Header, ctype, codecName string, nz, ny, nx int, width byte) {
+	h.Set("Content-Type", ctype)
+	h.Set("X-Stz-Codec", codecName)
+	h.Set("X-Stz-Dims", fmt.Sprintf("%dx%dx%d", nz, ny, nx))
+	h.Set("X-Stz-Dtype", dtypeName(width))
+}
+
+// dtypeName is the wire name of an element width (codec.Header.DType).
+func dtypeName(width byte) string {
+	if width == 4 {
+		return "f32"
+	}
+	return "f64"
 }
 
 // deferredResponse delays the success headers until the codec writer emits
@@ -717,7 +642,7 @@ type deferredResponse struct {
 func (d *deferredResponse) Write(b []byte) (int, error) {
 	if !d.started {
 		d.started = true
-		setArchiveHeaders(d.w, d.p)
+		setGridHeaders(d.w.Header(), "application/octet-stream", d.p.codecName, d.p.nz, d.p.ny, d.p.nx, d.p.width)
 	}
 	n, err := d.w.Write(b)
 	if err != nil {
@@ -726,26 +651,19 @@ func (d *deferredResponse) Write(b []byte) (int, error) {
 	return n, err
 }
 
-func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
-	if !s.acquire(r) {
+func (s *Server) handleDecompress(w http.ResponseWriter, c *call) {
+	if !s.acquire(c.r) {
 		saturated(w)
 		return
 	}
 	defer s.release()
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	st, err := codec.OpenStream(body)
+	st, err := codec.OpenStream(c.r.Body)
 	if err != nil {
-		status := requestErrorStatus(err)
-		httpError(w, status, codeForRequestError(status), "%v", err)
+		s.requestError(w, err)
 		return
 	}
 	hdr := st.Header()
-	elem := int64(8)
-	if hdr.DType == 4 {
-		elem = 4
-	}
-	rawBytes := int64(hdr.Nz) * int64(hdr.Ny) * int64(hdr.Nx) * elem
-	if rawBytes > s.opts.MaxBody {
+	if rawBytes := int64(hdr.Nz) * int64(hdr.Ny) * int64(hdr.Nx) * int64(hdr.DType); rawBytes > s.opts.MaxBody {
 		httpError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
 			"decompressed grid of %d bytes exceeds the per-request limit of %d", rawBytes, s.opts.MaxBody)
 		return
@@ -760,8 +678,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			log.Printf("decompress: client write failed: %v", err)
 			return
 		}
-		status := requestErrorStatus(err)
-		httpError(w, status, codeForRequestError(status), "%v", err)
+		s.requestError(w, err)
 	}
 }
 
@@ -782,14 +699,7 @@ func decompressRequest[T grid.Float](w http.ResponseWriter, st *codec.Stream, hd
 	if err != nil && err != io.EOF {
 		return err
 	}
-	dtype := "f64"
-	if hdr.DType == 4 {
-		dtype = "f32"
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Stz-Codec", hdr.Codec)
-	w.Header().Set("X-Stz-Dims", fmt.Sprintf("%dx%dx%d", hdr.Nz, hdr.Ny, hdr.Nx))
-	w.Header().Set("X-Stz-Dtype", dtype)
+	setGridHeaders(w.Header(), "application/octet-stream", hdr.Codec, hdr.Nz, hdr.Ny, hdr.Nx, hdr.DType)
 	w.Header().Set("Content-Length", strconv.FormatInt(int64(n)*int64(rawio.ElemSize[T]()), 10))
 	vw := rawio.NewWriter[T](w, 0)
 	for {

@@ -286,8 +286,9 @@ type querier interface {
 	header() codec.Header
 	// cost is the byte charge against the store budget.
 	cost() int64
-	// writeBox decodes box b and writes its raw little-endian values to w.
-	writeBox(w io.Writer, b grid.Box) error
+	// decodeBox decodes box b; write then streams its raw little-endian
+	// values, so a decode failure is known before a response starts.
+	decodeBox(b grid.Box) (write func(io.Writer) error, err error)
 	// queryROI runs the server-side ROI selector over the full grid.
 	queryROI(p roiParams) (roiResult, error)
 	// accounting reports (payload bytes read since open, total payload).
@@ -348,21 +349,17 @@ func (q *typedQuerier[T]) cost() int64 {
 		// stay resident.
 		return q.size
 	}
-	elem := int64(4)
-	if hdr.DType == 8 {
-		elem = 8
-	}
-	return q.size + int64(hdr.Nz)*int64(hdr.Ny)*int64(hdr.Nx)*elem
+	return q.size + int64(hdr.Nz)*int64(hdr.Ny)*int64(hdr.Nx)*int64(hdr.DType)
 }
 
 func (q *typedQuerier[T]) rawSection(i int) ([]byte, error) { return q.ra.RawSection(i) }
 
-func (q *typedQuerier[T]) writeBox(w io.Writer, b grid.Box) error {
+func (q *typedQuerier[T]) decodeBox(b grid.Box) (func(io.Writer) error, error) {
 	g, err := q.ra.DecompressBox(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return rawio.NewWriter[T](w, 0).Write(g.Data)
+	return func(w io.Writer) error { return rawio.NewWriter[T](w, 0).Write(g.Data) }, nil
 }
 
 func (q *typedQuerier[T]) queryROI(p roiParams) (roiResult, error) {
