@@ -108,36 +108,51 @@ func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
 	}
 }
 
+// span is the n data points from b on: one stencil row of a kernel. Each
+// kernel takes every row its stencil reads as a span of its output's length,
+// so its per-point loop indexes them all with the loop counter and carries
+// no bounds check; the spans cover exactly the points the loop reads. An
+// empty output reads nothing, and its spans may start past the window, so
+// a kernel that can be handed one returns before slicing.
+func (g *rowGen[T]) span(b, n int) []T { return g.data[b:][:n] }
+
 // edgeRow is predictPoint's boundary ladder over a span: the mean of the
 // 2^len(ds) inner corners reached by the strides ds, summed in
 // predictPoint's order from its zero accumulator (0 + x is not x for x =
 // −0). With every offset axis in ds it is the linear kernel; with some
 // dropped, the partial mean; with none, the base corner.
 func (g *rowGen[T]) edgeRow(b0 int, ds []int, out []T) {
-	data := g.data
+	n := len(out)
+	if n == 0 {
+		return
+	}
 	switch len(ds) {
 	case 0:
+		a := g.span(b0, n)
 		for t := range out {
-			out[t] = 0 + data[b0+t]
+			out[t] = 0 + a[t]
 		}
 	case 1:
 		d := ds[0]
+		a, b := g.span(b0, n), g.span(b0+d, n)
 		for t := range out {
-			b := b0 + t
-			out[t] = (0 + data[b] + data[b+d]) / 2
+			out[t] = (0 + a[t] + b[t]) / 2
 		}
 	case 2:
 		d1, d2 := ds[0], ds[1]
+		a, b := g.span(b0, n), g.span(b0+d2, n)
+		c, e := g.span(b0+d1, n), g.span(b0+d1+d2, n)
 		for t := range out {
-			b := b0 + t
-			out[t] = (0 + data[b] + data[b+d2] + data[b+d1] + data[b+d1+d2]) / 4
+			out[t] = (0 + a[t] + b[t] + c[t] + e[t]) / 4
 		}
 	default:
 		d1, d2, d3 := ds[0], ds[1], ds[2]
+		a0, a1 := g.span(b0, n), g.span(b0+d3, n)
+		a2, a3 := g.span(b0+d2, n), g.span(b0+d2+d3, n)
+		a4, a5 := g.span(b0+d1, n), g.span(b0+d1+d3, n)
+		a6, a7 := g.span(b0+d1+d2, n), g.span(b0+d1+d2+d3, n)
 		for t := range out {
-			b := b0 + t
-			s := 0 + data[b] + data[b+d3] + data[b+d2] + data[b+d2+d3] +
-				data[b+d1] + data[b+d1+d3] + data[b+d1+d2] + data[b+d1+d2+d3]
+			s := 0 + a0[t] + a1[t] + a2[t] + a3[t] + a4[t] + a5[t] + a6[t] + a7[t]
 			out[t] = s / 8
 		}
 	}
@@ -146,26 +161,32 @@ func (g *rowGen[T]) edgeRow(b0 int, ds []int, out []T) {
 // linearRow is the linear kernel (Eqs. 3–5) of a PredLinear stream over a
 // span whose inner corners all exist.
 func (g *rowGen[T]) linearRow(b0 int, ds []int, out []T) {
-	data := g.data
+	n := len(out)
+	if n == 0 {
+		return
+	}
 	switch len(ds) {
 	case 1:
 		d := ds[0]
+		a, b := g.span(b0, n), g.span(b0+d, n)
 		for t := range out {
-			b := b0 + t
-			out[t] = (data[b] + data[b+d]) / 2
+			out[t] = (a[t] + b[t]) / 2
 		}
 	case 2:
 		d1, d2 := ds[0], ds[1]
+		a, b := g.span(b0, n), g.span(b0+d1, n)
+		c, e := g.span(b0+d2, n), g.span(b0+d1+d2, n)
 		for t := range out {
-			b := b0 + t
-			out[t] = (data[b] + data[b+d1] + data[b+d2] + data[b+d1+d2]) / 4
+			out[t] = (a[t] + b[t] + c[t] + e[t]) / 4
 		}
 	default:
 		d1, d2, d3 := ds[0], ds[1], ds[2]
+		a0, a1 := g.span(b0, n), g.span(b0+d3, n)
+		a2, a3 := g.span(b0+d2, n), g.span(b0+d2+d3, n)
+		a4, a5 := g.span(b0+d1, n), g.span(b0+d1+d3, n)
+		a6, a7 := g.span(b0+d1+d2, n), g.span(b0+d1+d2+d3, n)
 		for t := range out {
-			b := b0 + t
-			s := data[b] + data[b+d3] + data[b+d2] + data[b+d2+d3] +
-				data[b+d1] + data[b+d1+d3] + data[b+d1+d2] + data[b+d1+d2+d3]
+			s := a0[t] + a1[t] + a2[t] + a3[t] + a4[t] + a5[t] + a6[t] + a7[t]
 			out[t] = s / 8
 		}
 	}
@@ -175,21 +196,23 @@ func (g *rowGen[T]) linearRow(b0 int, ds []int, out []T) {
 // corners all exist. When x is an offset axis (xOff: the last stride is 1)
 // the column sums are shared between consecutive points.
 func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
-	data := g.data
+	n, data := len(out), g.data
 	switch {
 	case len(ds) == 1 && xOff:
 		// Rolling window along x: one load per point.
 		v0, v1, v2 := data[b0-1], data[b0], data[b0+1]
+		next := g.span(b0+2, n)
 		for t := range out {
-			v3 := data[b0+t+2]
+			v3 := next[t]
 			out[t] = (v1+v2)*9/16 - (v0+v3)/16
 			v0, v1, v2 = v1, v2, v3
 		}
 	case len(ds) == 1:
 		d := ds[0]
+		a, b := g.span(b0, n), g.span(b0+d, n)
+		m, p := g.span(b0-d, n), g.span(b0+2*d, n)
 		for t := range out {
-			b := b0 + t
-			out[t] = (data[b]+data[b+d])*9/16 - (data[b-d]+data[b+2*d])/16
+			out[t] = (a[t]+b[t])*9/16 - (m[t]+p[t])/16
 		}
 	case len(ds) == 2 && xOff:
 		// Columns shared between consecutive x: 4 loads per point.
@@ -200,19 +223,24 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		o0 := data[rm-1] + data[rp-1]
 		o1 := data[rm] + data[rp]
 		o2 := data[rm+1] + data[rp+1]
+		i0, i1 := g.span(r0+1, n), g.span(r1+1, n)
+		m, p := g.span(rm+2, n), g.span(rp+2, n)
 		for t := range out {
-			cI1 := data[r0+t+1] + data[r1+t+1]
-			o3 := data[rm+t+2] + data[rp+t+2]
+			cI1 := i0[t] + i1[t]
+			o3 := m[t] + p[t]
 			out[t] = (cI+cI1)*9/32 - (o0+o3)/32
 			cI = cI1
 			o0, o1, o2 = o1, o2, o3
 		}
 	case len(ds) == 2:
 		d1, d2 := ds[0], ds[1]
+		a, b := g.span(b0, n), g.span(b0+d1, n)
+		c, e := g.span(b0+d2, n), g.span(b0+d1+d2, n)
+		m0, m1 := g.span(b0-d1-d2, n), g.span(b0-d1+2*d2, n)
+		m2, m3 := g.span(b0+2*d1-d2, n), g.span(b0+2*d1+2*d2, n)
 		for t := range out {
-			b := b0 + t
-			in := data[b] + data[b+d1] + data[b+d2] + data[b+d1+d2]
-			outSum := data[b-d1-d2] + data[b-d1+2*d2] + data[b+2*d1-d2] + data[b+2*d1+2*d2]
+			in := a[t] + b[t] + c[t] + e[t]
+			outSum := m0[t] + m1[t] + m2[t] + m3[t]
 			out[t] = in*9/32 - outSum/32
 		}
 	default:
@@ -231,9 +259,13 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		}
 		cI := colI(0)
 		o0, o1, o2 := colO(-1), colO(0), colO(1)
+		i00, i01 := g.span(r00+1, n), g.span(r01+1, n)
+		i10, i11 := g.span(r10+1, n), g.span(r11+1, n)
+		o00, o01 := g.span(m0+2, n), g.span(m1+2, n)
+		o10, o11 := g.span(m2+2, n), g.span(m3+2, n)
 		for t := range out {
-			cI1 := colI(t + 1)
-			o3 := colO(t + 2)
+			cI1 := i00[t] + i01[t] + i10[t] + i11[t]
+			o3 := o00[t] + o01[t] + o10[t] + o11[t]
 			out[t] = (cI+cI1)*9/64 - (o0+o3)/64
 			cI = cI1
 			o0, o1, o2 = o1, o2, o3

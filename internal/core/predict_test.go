@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"stz/internal/grid"
+	"stz/internal/quant"
 )
 
 // predictPoint is the per-point statement of the prediction rules — the
@@ -281,6 +284,118 @@ func TestOutlierCursor(t *testing.T) {
 	}
 }
 
+// TestDequantRowMatchesPoint holds the sweep's dequantise row to one
+// quant.DequantizeT per point, with escapes taking the class's outliers in
+// class-index order, in both element types, on rows of 1–70 points that
+// start mid-class: escapes at the first point, the last, in a run, at
+// random and nowhere; through an unchunked cursor that counts from code 0
+// and a chunked one (CodeChunk) that resynchronises at its chunk base, with
+// the chunks before the row left as garbage the way a box decode leaves
+// them. With the class's last outlier missing, the row must stop at that
+// escape with the error, never panic, and write nothing from there on:
+// every slot between the row's points, the rest of the row and a canary
+// after its last slot keep their sentinel.
+func TestDequantRowMatchesPoint(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { checkDequantRow[float32](t) })
+	t.Run("f64", func(t *testing.T) { checkDequantRow[float64](t) })
+}
+
+func checkDequantRow[T grid.Float](t *testing.T) {
+	const cs = 16 // the chunked cursor's chunk size
+	q := quant.Quantizer{EB: 1e-3, Radius: 512}
+	rng := rand.New(rand.NewSource(11))
+	bits := func(v T) uint64 { return math.Float64bits(float64(v)) }
+	sentinel := T(-7777)
+	patterns := []struct {
+		name string
+		esc  func(n, t int) bool
+	}{
+		{"first", func(n, t int) bool { return t == 0 }},
+		{"last", func(n, t int) bool { return t == n-1 }},
+		{"run", func(n, t int) bool { return t >= n/3 && t < n/3+max(2, n/3) }},
+		{"random", func(n, t int) bool { return rng.Intn(4) == 0 }},
+		{"none", func(n, t int) bool { return false }},
+	}
+	code := func() uint16 { return uint16(1 + rng.Intn(2*int(q.Radius)-1)) }
+	for n := 1; n <= 70; n++ {
+		for _, pat := range patterns {
+			for _, chunked := range []bool{false, true} {
+				for _, short := range []bool{false, true} {
+					what := fmt.Sprintf("n %d, escapes %s, chunked %v, short %v", n, pat.name, chunked, short)
+					// The class: a prefix with escapes, the row, and — unless
+					// the last outlier goes missing, which must be the row's —
+					// a suffix with escapes.
+					pre, suf := rng.Intn(3*cs), 0
+					if !short {
+						suf = rng.Intn(cs)
+					}
+					codes := make([]uint16, pre+n+suf)
+					for i := range codes {
+						inRow := i >= pre && i < pre+n
+						if inRow && !pat.esc(n, i-pre) || !inRow && rng.Intn(4) != 0 {
+							codes[i] = code()
+						}
+					}
+					var outliers []T
+					escBefore := make([]int, len(codes)) // escapes before class index i
+					for i, c := range codes {
+						escBefore[i] = len(outliers)
+						if c == 0 {
+							outliers = append(outliers, T(rng.NormFloat64()*1e6))
+						}
+					}
+					preds := make([]T, n)
+					want := make([]T, n)
+					fail := n // the first point the row must leave unwritten
+					for t := range preds {
+						preds[t] = T(rng.NormFloat64())
+						if c := codes[pre+t]; c != 0 {
+							want[t] = quant.DequantizeT[T](q, c, float64(preds[t]))
+						} else if oi := escBefore[pre+t]; short && oi == len(outliers)-1 {
+							fail = t
+						} else {
+							want[t] = outliers[oi]
+						}
+					}
+					if short {
+						if fail == n {
+							continue // no escape in the row: nothing to run out of
+						}
+						outliers = outliers[:len(outliers)-1]
+					}
+					oc := outlierCursor{codes: codes, curChunk: -1}
+					if chunked {
+						oc.chunkSize = cs
+						for c := 0; c*cs < len(codes); c++ {
+							oc.bases = append(oc.bases, uint32(escBefore[c*cs]))
+						}
+						for i := 0; i < pre/cs*cs; i++ {
+							codes[i] = 0 // an unread chunk: all escapes if anyone counted it
+						}
+					}
+					dst := make([]T, 2*n) // dst[2n−1] is the canary
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, &oc, pre, outliers)
+					if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
+						t.Fatalf("%s: err %v", what, err)
+					}
+					for i, v := range dst {
+						if i%2 == 0 && i/2 < fail {
+							if bits(v) != bits(want[i/2]) {
+								t.Fatalf("%s: point %d is %v, want %v", what, i/2, v, want[i/2])
+							}
+						} else if bits(v) != bits(sentinel) {
+							t.Fatalf("%s: slot %d of %d written (%v)", what, i, len(dst), v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // kernelAt names the kernel the prediction ladder selects at a class point:
 // "direct", "cubic" or "linear" (the stream's own kernel with its whole
 // stencil in range), or "edge" (every boundary fallback).
@@ -307,10 +422,14 @@ func kernelAt(kind Predictor, off grid.Offset3, k, j, i, cz, cy, cx int) string 
 }
 
 // TestRowGenMatchesPredictPoint compares the row generator with
-// predictPoint on every point of every class, for all three predictors,
-// over every mix of small dims — unit dims (2D and 1D grids) and lattices
-// too short for any interior included — and every sub-range [lo, hi) of
-// every row, so spans that start or end inside an edge zone are covered.
+// predictPoint on every point of every class, for all three predictors, in
+// both element types, over every mix of small dims — unit dims (2D and 1D
+// grids) and lattices too short for any interior included — and every
+// sub-range [lo, hi) of every row, so spans that start or end inside an edge
+// zone are covered. The small dims leave every cubic x-span at ≤ 2 points,
+// so a second leg runs rows long enough for each kernel's steady-state loop
+// (fx 16, 17 and 33 over fz, fy 8 and 9) on whole rows and the spans
+// [1, bx−1) and [2, bx−3).
 //
 // Three coarse grids: small integers (every sum is exact, so every kernel
 // must agree bit for bit whatever its summation order), reals (bit for bit
@@ -322,54 +441,92 @@ func kernelAt(kind Predictor, off grid.Offset3, k, j, i, cz, cy, cx int) string 
 // cropped to the span's stencil reach, the way a box decode stores a level,
 // and must match the whole grid's prediction bit for bit.
 func TestRowGenMatchesPredictPoint(t *testing.T) {
-	dims := []int{1, 2, 3, 4, 5, 8, 9}
+	every := func(bx int) (spans [][2]int) {
+		for lo := 0; lo < bx; lo++ {
+			for hi := lo + 1; hi <= bx; hi++ {
+				spans = append(spans, [2]int{lo, hi})
+			}
+		}
+		return spans
+	}
+	long := func(bx int) [][2]int {
+		spans := [][2]int{{0, bx}}
+		for _, s := range [][2]int{{1, bx - 1}, {2, bx - 3}} {
+			if s[0] < s[1] {
+				spans = append(spans, s)
+			}
+		}
+		return spans
+	}
+	small := []int{1, 2, 3, 4, 5, 8, 9}
+	for _, leg := range []struct {
+		name          string
+		fzs, fys, fxs []int
+		spans         func(bx int) [][2]int
+	}{
+		{"small", small, small, small, every},
+		{"long", []int{8, 9}, []int{8, 9}, []int{16, 17, 33}, long},
+	} {
+		t.Run(leg.name+"/f64", func(t *testing.T) {
+			checkRowGen[float64](t, leg.fzs, leg.fys, leg.fxs, leg.spans, 1e-12)
+		})
+		t.Run(leg.name+"/f32", func(t *testing.T) {
+			checkRowGen[float32](t, leg.fzs, leg.fys, leg.fxs, leg.spans, 1e-5)
+		})
+	}
+}
+
+// checkRowGen is TestRowGenMatchesPredictPoint over the fine dims fzs × fys
+// × fxs in element type T, on the row spans spans(bx) of a class bx points
+// wide; tol is the rounding the shared-column kernels may differ by.
+func checkRowGen[T grid.Float](t *testing.T, fzs, fys, fxs []int, spans func(bx int) [][2]int, tol float64) {
+	bits := func(v T) uint64 { return math.Float64bits(float64(v)) } // exact for float32 too
 	rng := rand.New(rand.NewSource(5))
-	for _, fz := range dims {
-		for _, fy := range dims {
-			for _, fx := range dims {
+	for _, fz := range fzs {
+		for _, fy := range fys {
+			for _, fx := range fxs {
 				cz, cy, cx := grid.SubDim(fz, 0, 2), grid.SubDim(fy, 0, 2), grid.SubDim(fx, 0, 2)
-				ints, reals, negz := grid.New[float64](cz, cy, cx), grid.New[float64](cz, cy, cx), grid.New[float64](cz, cy, cx)
+				ints, reals, negz := grid.New[T](cz, cy, cx), grid.New[T](cz, cy, cx), grid.New[T](cz, cy, cx)
 				for n := range ints.Data {
-					ints.Data[n] = float64(rng.Intn(2001) - 1000)
-					reals.Data[n] = rng.NormFloat64()
-					negz.Data[n] = math.Copysign(0, -1)
+					ints.Data[n] = T(rng.Intn(2001) - 1000)
+					reals.Data[n] = T(rng.NormFloat64())
+					negz.Data[n] = T(math.Copysign(0, -1))
 				}
 				for _, kind := range []Predictor{PredDirect, PredLinear, PredCubic} {
 					for _, off := range predictedClasses() {
 						bz, by, bx := classDims(off, fz, fy, fx)
 						nOff := off.Z + off.Y + off.X
-						for name, c := range map[string]*grid.Grid[float64]{"ints": ints, "reals": reals, "negz": negz} {
+						for name, c := range map[string]*grid.Grid[T]{"ints": ints, "reals": reals, "negz": negz} {
 							gen := newRowGen(c, grid.Offset3{}, [3]int{cz, cy, cx}, off, kind)
-							out, wout := make([]float64, bx), make([]float64, bx)
+							out, wout := make([]T, bx), make([]T, bx)
 							for k := 0; k < bz; k++ {
 								for j := 0; j < by; j++ {
-									for lo := 0; lo < bx; lo++ {
-										for hi := lo + 1; hi <= bx; hi++ {
-											gen.row(k, j, lo, hi, out)
-											// The stencil reaches −1/+2 along offset axes only.
-											w := grid.Box{Z0: max(k-off.Z, 0), Y0: max(j-off.Y, 0), X0: max(lo-off.X, 0),
-												Z1: min(k+1+2*off.Z, cz), Y1: min(j+1+2*off.Y, cy), X1: min(hi+2*off.X, cx)}
-											wgen := newRowGen(c.ExtractBox(w), grid.Offset3{Z: w.Z0, Y: w.Y0, X: w.X0}, [3]int{cz, cy, cx}, off, kind)
-											wgen.row(k, j, lo, hi, wout)
-											for i := lo; i < hi; i++ {
-												got, want := out[i-lo], predictPoint(c, off, k, j, i, kind)
-												if math.Float64bits(wout[i-lo]) != math.Float64bits(got) {
-													t.Fatalf("dims %dx%dx%d %v class %+v %s point (%d,%d,%d) of [%d,%d): window %+v predicts %v, whole grid %v",
-														fz, fy, fx, kind, off, name, k, j, i, lo, hi, w, wout[i-lo], got)
-												}
-												kern := kernelAt(kind, off, k, j, i, cz, cy, cx)
-												exact := true
-												switch name {
-												case "reals":
-													exact = kern == "edge" || kern == "direct" || nOff == 1 || (kern == "linear" && nOff == 3)
-												case "negz":
-													exact = kern != "linear"
-												}
-												if exact && math.Float64bits(got) != math.Float64bits(want) ||
-													!exact && math.Abs(got-want) > 1e-12 {
-													t.Fatalf("dims %dx%dx%d %v class %+v %s (%s kernel) point (%d,%d,%d) of [%d,%d): row %v, predictPoint %v",
-														fz, fy, fx, kind, off, name, kern, k, j, i, lo, hi, got, want)
-												}
+									for _, s := range spans(bx) {
+										lo, hi := s[0], s[1]
+										gen.row(k, j, lo, hi, out)
+										// The stencil reaches −1/+2 along offset axes only.
+										w := grid.Box{Z0: max(k-off.Z, 0), Y0: max(j-off.Y, 0), X0: max(lo-off.X, 0),
+											Z1: min(k+1+2*off.Z, cz), Y1: min(j+1+2*off.Y, cy), X1: min(hi+2*off.X, cx)}
+										wgen := newRowGen(c.ExtractBox(w), grid.Offset3{Z: w.Z0, Y: w.Y0, X: w.X0}, [3]int{cz, cy, cx}, off, kind)
+										wgen.row(k, j, lo, hi, wout)
+										for i := lo; i < hi; i++ {
+											got, want := out[i-lo], predictPoint(c, off, k, j, i, kind)
+											if bits(wout[i-lo]) != bits(got) {
+												t.Fatalf("dims %dx%dx%d %v class %+v %s point (%d,%d,%d) of [%d,%d): window %+v predicts %v, whole grid %v",
+													fz, fy, fx, kind, off, name, k, j, i, lo, hi, w, wout[i-lo], got)
+											}
+											kern := kernelAt(kind, off, k, j, i, cz, cy, cx)
+											exact := true
+											switch name {
+											case "reals":
+												exact = kern == "edge" || kern == "direct" || nOff == 1 || (kern == "linear" && nOff == 3)
+											case "negz":
+												exact = kern != "linear"
+											}
+											if exact && bits(got) != bits(want) ||
+												!exact && math.Abs(float64(got-want)) > tol {
+												t.Fatalf("dims %dx%dx%d %v class %+v %s (%s kernel) point (%d,%d,%d) of [%d,%d): row %v, predictPoint %v",
+													fz, fy, fx, kind, off, name, kern, k, j, i, lo, hi, got, want)
 											}
 										}
 									}

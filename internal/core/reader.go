@@ -37,13 +37,16 @@ type Header struct {
 // stage taxonomy of the paper's Table 4: level-1 SZ3 decode, then per
 // predicted level the entropy-decode (dec.), prediction+dequantization
 // (pre.) and reassembly (rec.) stages, plus class-stream decode accounting.
-// The level-1 decode and the entropy decodes of every level run in one
-// concurrent phase, so L1SZ3 and each LevelDecode[p], timed each over its
-// own tasks, may overlap one another; Total stays the call's wall time.
-// The class accounting is fixed by the regions' geometry, whatever order
-// the decodes ran in. The level sweep copies the coarse lattice through
-// while it predicts, so LevelPredict covers the whole sweep and LevelRecon
-// only the level's allocation or lease.
+// The level-1 decode, the entropy decodes of every level and the
+// allocation of the requested level's caller-owned grids run in one
+// concurrent phase, so L1SZ3, each LevelDecode[p] and the requested level's
+// LevelRecon, timed each over its own tasks, may overlap one another; Total
+// stays the call's wall time. The class accounting is fixed by the regions'
+// geometry, whatever order the decodes ran in. The level sweep copies the
+// coarse lattice through while it predicts, so LevelPredict covers the
+// whole sweep and LevelRecon only the level's allocation (the requested
+// level, in the decode phase) or scratch lease (a level below it, just
+// before its sweep).
 type Stats struct {
 	L1SZ3          time.Duration
 	LevelDecode    [3]time.Duration // index 0 = paper level 2, up to level 4
@@ -374,6 +377,39 @@ func (o *outlierCursor) take(ci int) int {
 	return idx
 }
 
+var errOutliersExhausted = errors.New("core: outlier stream exhausted")
+
+// dequantRow reconstructs one class row into its fine row: the class point
+// ci0+t, of code codes[t] and prediction preds[t], goes to dst[2t]. A
+// non-zero code dequantises against the prediction; an escape takes its
+// value from outliers through oc. When outliers runs out it stops with an
+// error, leaving that point and the rest of the row unwritten.
+func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32,
+	oc *outlierCursor, ci0 int, outliers []T) error {
+	preds = preds[:len(codes)]
+	for t, code := range codes {
+		if code == 0 {
+			v, ok := outlierAt(oc, ci0+t, outliers)
+			if !ok {
+				return errOutliersExhausted
+			}
+			dst[2*t] = v
+			continue
+		}
+		dst[2*t] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
+	}
+	return nil
+}
+
+// outlierAt is dequantRow's escape path, out of its loop: the value of the
+// escape at class index ci, or false when outliers holds no such value.
+func outlierAt[T grid.Float](oc *outlierCursor, ci int, outliers []T) (T, bool) {
+	if oi := oc.take(ci); oi < len(outliers) {
+		return outliers[oi], true
+	}
+	return 0, false
+}
+
 // view is one grid of a reconstruction: the region b of a level's grid,
 // stored in g, whose element (0,0,0) is the grid point o. Every view is sized
 // to its region: a requested region in a caller-owned grid, an intermediate
@@ -403,6 +439,30 @@ func (v view[T]) extract(b grid.Box) *grid.Grid[T] {
 
 var errL1Dims = errors.New("core: level-1 dims mismatch")
 
+// checkBaseDims refuses a level-1 payload whose own dims are not the
+// header's level-1 dims, where the base codec reads them without decoding
+// (a BoxDecoder): before the decode phase sizes class streams and output
+// grids from the header's dims, and before a box decode, whose result has
+// the box's dims. decodeBase checks any other base's decoded grid.
+func (r *Reader[T]) checkBaseDims() error {
+	bd, ok := r.base.(codec.BoxDecoder)
+	if !ok {
+		return nil
+	}
+	sec, err := r.arc.Section(1)
+	if err != nil {
+		return err
+	}
+	nz, ny, nx, err := bd.Dims(sec)
+	if err != nil {
+		return fmt.Errorf("core: level 1: %w", err)
+	}
+	if [3]int{nz, ny, nx} != r.chainDims()[r.hdr.Levels-1] {
+		return errL1Dims
+	}
+	return nil
+}
+
 // decodeBase decodes the level-1 grid (paper level 1, section 1) for its
 // part need: through a base codec that decodes boxes natively, only need's
 // cone, into a grid of need's dims; otherwise, or when need is the whole
@@ -415,14 +475,6 @@ func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 	d := r.chainDims()[r.hdr.Levels-1]
 	whole := grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}
 	if bd, ok := r.base.(codec.BoxDecoder); ok && need != whole {
-		// A box result has the box's dims, so the payload's are checked first.
-		nz, ny, nx, err := bd.Dims(sec)
-		if err != nil {
-			return view[T]{}, fmt.Errorf("core: level 1: %w", err)
-		}
-		if [3]int{nz, ny, nx} != d {
-			return view[T]{}, errL1Dims
-		}
 		g, err := codec.DecompressBox[T](bd, sec, need, 1)
 		if err != nil {
 			return view[T]{}, fmt.Errorf("core: level 1: %w", err)
@@ -558,14 +610,38 @@ func (pl *levelPlan[T]) release() {
 	}
 }
 
+// allocViews gives every view of the level its grid: a new caller-owned
+// grid at the requested level (owned), below it a scratch lease — a dirty
+// one will do, since every point of need[t] is written before the level
+// above reads it.
+func (pl *levelPlan[T]) allocViews(owned bool) {
+	for i := range pl.views {
+		v := &pl.views[i]
+		v.g = &grid.Grid[T]{Nz: v.b.Z1 - v.b.Z0, Ny: v.b.Y1 - v.b.Y0, Nx: v.b.X1 - v.b.X0}
+		if owned {
+			v.g.Data = make([]T, v.b.Volume())
+		} else {
+			v.g.Data = scratch.LeaseFloat[T](v.b.Volume())
+		}
+	}
+}
+
 // decodePhase runs every decode of a reconstruction as one parallel.For:
-// the level-1 base for need, then the touched class streams of each planned
+// the level-1 base for need, then the allocation of the requested level's
+// caller-owned grids (zeroed memory, so it runs beside the decodes rather
+// than before the sweep), then the touched class streams of each planned
 // level, coarsest level first — the critical path's order — so every class
 // stream, which depends only on archive bytes, decodes beside the base. It
 // returns the base's view.
 func (r *Reader[T]) decodePhase(need grid.Box, plans []levelPlan[T], st *Stats) (view[T], error) {
-	type task struct{ p, c int } // p < 0: the base
+	if err := r.checkBaseDims(); err != nil {
+		return view[T]{}, err
+	}
+	type task struct{ p, c int } // p < 0: the base; c == 0: level p's grids
 	tasks := []task{{p: -1}}
+	if len(plans) > 0 {
+		tasks = append(tasks, task{p: len(plans) - 1})
+	}
 	for p := range plans {
 		for c := 1; c < 8; c++ {
 			if plans[p].touched(c) {
@@ -578,9 +654,12 @@ func (r *Reader[T]) decodePhase(need grid.Box, plans []levelPlan[T], st *Stats) 
 	var err error
 	parallel.For(len(tasks), r.workers(), func(i int) {
 		spans[i][0] = time.Now()
-		if tk := tasks[i]; tk.p < 0 {
+		switch tk := tasks[i]; {
+		case tk.p < 0:
 			base, err = r.decodeBase(need)
-		} else {
+		case tk.c == 0:
+			plans[tk.p].allocViews(true)
+		default:
 			plans[tk.p].decode(r, tk.c)
 		}
 		spans[i][1] = time.Now()
@@ -591,6 +670,10 @@ func (r *Reader[T]) decodePhase(need grid.Box, plans []levelPlan[T], st *Stats) 
 		s := spans[i]
 		if tk.p < 0 {
 			st.L1SZ3 = s[1].Sub(s[0])
+			continue
+		}
+		if tk.c == 0 {
+			st.LevelRecon[tk.p] = s[1].Sub(s[0])
 			continue
 		}
 		if first[tk.p].IsZero() || s[0].Before(first[tk.p]) {
@@ -653,8 +736,11 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 		for c := 1; c < 8; c++ {
 			cursors[c] = newOutlierCursor(dcs[c])
 		}
+		// The task's error stays on its own stack until the sweep ends:
+		// neighbouring tasks' terrs share a cache line.
+		var err error
 		lv.sweep(&pl.sub[tk.view], tk.k0, tk.k1, preds, func(c, k, j, lo, hi int, preds []T) {
-			if terrs[ti] != nil {
+			if err != nil {
 				return
 			}
 			off := grid.Stride2Offsets[c]
@@ -671,19 +757,10 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 				}
 				return
 			}
-			for t, code := range dcs[c].codes[ci0:][:hi-lo] {
-				if code != 0 {
-					dst[2*t] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
-					continue
-				}
-				oi := cursors[c].take(ci0 + t)
-				if oi >= len(dcs[c].outliers) {
-					terrs[ti] = fmt.Errorf("core: outlier stream exhausted")
-					return
-				}
-				dst[2*t] = dcs[c].outliers[oi]
-			}
+			dc := &dcs[c]
+			err = dequantRow(dst, dc.codes[ci0:][:hi-lo], preds, bin, radius, &cursors[c], ci0, dc.outliers)
 		})
+		terrs[ti] = err
 	})
 	for _, e := range terrs {
 		if e != nil {
@@ -762,19 +839,12 @@ func (r *Reader[T]) reconstruct(lv int, regions []grid.Box, st *Stats) ([]*grid.
 	for p := range plans {
 		pl := &plans[p]
 		final := p == len(plans)-1
-		tRec := time.Now()
-		for i := range pl.views {
-			v := &pl.views[i]
-			v.g = &grid.Grid[T]{Nz: v.b.Z1 - v.b.Z0, Ny: v.b.Y1 - v.b.Y0, Nx: v.b.X1 - v.b.X0}
-			if final {
-				v.g.Data = make([]T, v.b.Volume())
-			} else {
-				// Every point of need[t] is written before the level above
-				// reads it, so a dirty lease will do.
-				v.g.Data = scratch.LeaseFloat[T](v.b.Volume())
-			}
+		if !final {
+			// The requested level's grids came from the decode phase.
+			tRec := time.Now()
+			pl.allocViews(false)
+			st.LevelRecon[p] = time.Since(tRec)
 		}
-		st.LevelRecon[p] += time.Since(tRec)
 		err := r.sweepLevel(pl, coarse, st)
 		// The coarse grid (the base decode or a leased intermediate) and the
 		// level's class streams are dead whether or not the level failed.

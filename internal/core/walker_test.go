@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"stz/internal/grid"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 )
 
 // walkerCase is one stream shape the single level walker must decode the
@@ -114,6 +116,89 @@ func TestPinnedWalkerArchives(t *testing.T) {
 			sum := sha256.Sum256(wc.encode(t))
 			if got := hex.EncodeToString(sum[:8]); got != want {
 				t.Errorf("%s/w%d: archive sha256 %s, pinned %s", wc.name, workers, got, want)
+			}
+		}
+	}
+}
+
+// gridDigest is the first 8 bytes of the sha256 of g's dims and values, hex.
+func gridDigest[T grid.Float](g *grid.Grid[T]) string {
+	buf := make([]byte, 12+len(g.Data)*rawio.ElemSize[T]())
+	binary.LittleEndian.PutUint32(buf, uint32(g.Nz))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(g.Ny))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(g.Nx))
+	rawio.PutValues(buf[12:], g.Data)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// walkerDecodes runs the three pinned decodes of a walker case at workers:
+// the full grid, the level below it, and the interior box, which must
+// decode every class of the finest level.
+func walkerDecodes[T grid.Float](t *testing.T, wc walkerCase, workers int) map[string]string {
+	r, err := NewReader[T](encodeCase[T](t, wc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Workers = workers
+	full, err := r.Decompress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	below, err := r.Progressive(wc.cfg.Levels - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, st, err := r.DecompressBox(interiorBox(r.Header()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := st.DecodedClasses[wc.cfg.Levels-2]; d != 7 {
+		t.Fatalf("interior box decoded %d classes of the finest level, want 7", d)
+	}
+	return map[string]string{"full": gridDigest(full), "below": gridDigest(below), "box": gridDigest(box)}
+}
+
+// TestPinnedWalkerDecodes pins what the decoder writes, as
+// TestPinnedWalkerArchives pins what the encoder writes: the digests of the
+// full decode, Progressive(Levels−1) and an interior box of every walker
+// case, at Workers 1 and 2. They were recorded before the level sweep's
+// kernels and dequantise row were last rewritten, so a decode-only change
+// meant to keep every output bit-identical — a kernel's indexing, the
+// escape path, where the output grid is allocated — shows here first, in
+// both element types and at every hierarchy depth.
+func TestPinnedWalkerDecodes(t *testing.T) {
+	pin := func(full, below, box string) map[string]string {
+		return map[string]string{"full": full, "below": below, "box": box}
+	}
+	pins := map[string]map[string]string{
+		"L2-f64":               pin("c561d9631cb61670", "2c63a6fbfa4c4acc", "a0801c5af6e062e3"),
+		"L3-f32":               pin("3d745a547871770c", "032271564815f831", "cbf77c6c6e5d1329"),
+		"L4-f64":               pin("c90b00e7e66a1e51", "9c3e6a30a95798f6", "7b6eb1a1d323668a"),
+		"L3-f32-chunk4096":     pin("39aebbf92f2b5793", "ec41498f14514619", "f72f5b54d67e40ec"),
+		"L3-f64-chunk4096":     pin("5cd6239049436256", "728b048e0c690df7", "bbeb28391ad21a16"),
+		"L3-f64-sz3resid":      pin("fd3f482fb51cd6a1", "640c96750093c6eb", "5c5a56a51849612c"),
+		"L2-f32-sz3resid":      pin("32a096358bf593e5", "b1676cc960a2188b", "9adf52968bcfbc79"),
+		"L3-f64-outliers":      pin("1720632b2ad90de3", "e119fe7c28e25005", "dcac897056cfce68"),
+		"L3-f32-thin":          pin("67f0aaa6e3a44ccb", "fb56ec8b013c1e9c", "60ef8484bf2044a1"),
+		"L3-f64-thin-outliers": pin("1266ca423b466ff1", "70f3ec2299828e51", "10f22b63df92fec0"),
+	}
+	for _, wc := range walkerCases() {
+		want, ok := pins[wc.name]
+		if !ok {
+			t.Errorf("%s: no pinned decode digests", wc.name)
+		}
+		for _, workers := range []int{1, 2} {
+			var got map[string]string
+			if wc.f32 {
+				got = walkerDecodes[float32](t, wc, workers)
+			} else {
+				got = walkerDecodes[float64](t, wc, workers)
+			}
+			for _, what := range []string{"full", "below", "box"} {
+				if got[what] != want[what] {
+					t.Errorf("%s/w%d: %s decode sha256 %s, pinned %s", wc.name, workers, what, got[what], want[what])
+				}
 			}
 		}
 	}
@@ -527,6 +612,35 @@ func TestBaseDimsMismatchRejected(t *testing.T) {
 		}
 		if _, _, err := r.DecompressBox(interiorBox(r.Header())); err == nil {
 			t.Errorf("%s: DecompressBox accepted the base", name)
+		}
+	}
+}
+
+// TestHeaderDimsCheckedBeforeSizing: a header whose dims disagree with its
+// sz3 base's payload is refused before the decode phase sizes class
+// streams or output grids from them — a 65313×18×21 f64 header (a 197 MB
+// grid) over a 33×18×21 stream, through the full, progressive and box
+// paths alike, allocates next to nothing.
+func TestHeaderDimsCheckedBeforeSizing(t *testing.T) {
+	bad := patchHeader(t, walkerCases()[0].encode(t), func(h []byte) { binary.LittleEndian.PutUint32(h[8:], 33+256*255) })
+	r, err := NewReader[float64](bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, decode := range map[string]func() error{
+		"Decompress":     func() error { _, err := r.Decompress(); return err },
+		"Progressive(2)": func() error { _, err := r.Progressive(2); return err },
+		"DecompressBox":  func() error { _, _, err := r.DecompressBox(interiorBox(r.Header())); return err },
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := decode()
+		runtime.ReadMemStats(&m1)
+		if !errors.Is(err, errL1Dims) {
+			t.Errorf("%s: err %v, want %v", name, err, errL1Dims)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s allocated %d bytes before refusing the base", name, alloc)
 		}
 	}
 }
