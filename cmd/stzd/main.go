@@ -51,8 +51,9 @@
 // set). With -replicas R > 1 each archive is stored on the first R
 // owners walking the ring: PUT and DELETE fan out to all R (a PUT
 // succeeds once a majority quorum acks and reports every replica's
-// outcome in the response), and reads walk the replica set in owner
-// order with jittered-backoff failover, so single-node faults stay
+// outcome in the response), and reads are served by the node addressed
+// when it is an owner; a non-owner walks the replica set in owner order.
+// Either walk fails over with jittered backoff, so single-node faults stay
 // invisible to clients. A per-peer circuit breaker (consecutive
 // failures open it; a half-open probe closes it again) steers reads
 // away from unhealthy peers and is surfaced via /healthz (degraded)

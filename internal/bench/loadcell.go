@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -40,6 +41,9 @@ type cellSpec[T grid.Float] struct {
 	archives int
 	idFmt    string // over (dataset, index)
 	pinned   bool   // only ids whose primary replica is node 0
+	// outsider addresses every read to the node outside its id's owner set,
+	// so each one is forwarded and walks the owners from the primary.
+	outsider bool
 	// Query windows per archive, queries per run, clients (0: Cell.Clients).
 	windows, queries, clients int
 	counters                  [][2]string // /v1/stats (section, key) for counterDeltas
@@ -64,9 +68,11 @@ func loadCells[T grid.Float]() map[string]cellSpec[T] {
 			counters: [][2]string{{"box_cache", "decodes"}, {"cluster", "forwarded"}}, run: runCluster[T],
 		},
 		// The same mix at R=2 with the path to node 0, every archive's
-		// primary, at a 50% fault rate: reads constantly fail over.
+		// primary, at a 50% fault rate. Every read lands on the one node
+		// that owns no copy, so it crosses the faulty path first and
+		// constantly fails over (an owner would serve its own copy).
 		WorkloadChaos: {
-			nodes: 3, archives: 6, idFmt: "%s-chaos%d", pinned: true,
+			nodes: 3, archives: 6, idFmt: "%s-chaos%d", pinned: true, outsider: true,
 			windows: 32, queries: 600, clients: 8,
 			opts: stzd.Options{Replicas: 2, PeerRetry: failoverRetry,
 				BreakerThreshold: 4, BreakerCooldown: 250 * time.Millisecond},
@@ -109,6 +115,7 @@ type loadFixture[T grid.Float] struct {
 type target struct {
 	url   string
 	bytes int64
+	node  int // in an outsider row, the node the query is addressed to
 }
 
 // runLoadCell runs one service-tier cell; counters and caches are cumulative
@@ -220,7 +227,7 @@ func (fx *loadFixture[T]) window(rng *rand.Rand, id string) target {
 	bz, by, bx := minInt(want[0], g.Nz), minInt(want[1], g.Ny), minInt(want[2], g.Nx)
 	z0, y0, x0 := rng.Intn(g.Nz-bz+1), rng.Intn(g.Ny-by+1), rng.Intn(g.Nx-bx+1)
 	url := fmt.Sprintf("/v1/archives/%s/box?box=%d:%d,%d:%d,%d:%d", id, z0, z0+bz, y0, y0+by, x0, x0+bx)
-	return target{url, int64(bz*by*bx) * int64(rawio.ElemSize[T]())}
+	return target{url: url, bytes: int64(bz*by*bx) * int64(rawio.ElemSize[T]())}
 }
 
 // populate builds the query population: (archive, window) pairs, shuffled so
@@ -231,8 +238,17 @@ func (fx *loadFixture[T]) populate() {
 	io.WriteString(h, fx.c.Name)
 	fx.rng = rand.New(rand.NewSource(int64(h.Sum32())))
 	for _, id := range fx.ids {
+		node := 0
+		if fx.spec.outsider {
+			owners := fx.cl.Owners(id)
+			for slices.Contains(owners, node) {
+				node++
+			}
+		}
 		for w := 0; w < fx.spec.windows; w++ {
-			fx.pop = append(fx.pop, fx.window(fx.rng, id))
+			t := fx.window(fx.rng, id)
+			t.node = node
+			fx.pop = append(fx.pop, t)
 		}
 	}
 	fx.rng.Shuffle(len(fx.pop), func(i, j int) { fx.pop[i], fx.pop[j] = fx.pop[j], fx.pop[i] })
@@ -240,14 +256,18 @@ func (fx *loadFixture[T]) populate() {
 }
 
 // closedLoop draws the run's queries — each a random one of the first nodes
-// nodes and a zipf-ranked window, pre-drawn so the timed section is pure
-// serving — and drains them through a pool of the row's clients.
+// nodes (an outsider row: the window's own node) and a zipf-ranked window,
+// pre-drawn so the timed section is pure serving — and drains them through
+// a pool of the row's clients.
 func (fx *loadFixture[T]) closedLoop(nodes int, agg *cellAgg) (lat []time.Duration, ok int, err error) {
 	queries := make([]target, fx.spec.queries)
 	for i := range queries {
-		base := fx.bases[fx.rng.Intn(nodes)]
+		node := fx.rng.Intn(nodes)
 		queries[i] = fx.pop[fx.zipf.Uint64()]
-		queries[i].url = base + queries[i].url
+		if fx.spec.outsider {
+			node = queries[i].node
+		}
+		queries[i].url = fx.bases[node] + queries[i].url
 	}
 	lat = make([]time.Duration, len(queries))
 	errs := make([]error, len(queries))

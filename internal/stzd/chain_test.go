@@ -3,6 +3,7 @@ package stzd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"stz/internal/codec"
 	"stz/internal/datasets"
+	"stz/internal/faultinject"
 )
 
 // TestClientCannotPinWriteTime: a client's X-Stz-Write-Time is not a
@@ -152,6 +154,72 @@ func TestFanoutLegAnswerBounded(t *testing.T) {
 		t.Fatalf("peer_health[%s] = %v, want a recorded failure", c.Addrs[1], ph[c.Addrs[1]])
 	}
 }
+
+// TestReadCapped: a peer answer with a declared length within the cap is
+// read into one buffer of exactly that length, a body that ends short of
+// its declared length is io.ErrUnexpectedEOF, and an answer past the cap
+// is refused whether its length is declared or not.
+func TestReadCapped(t *testing.T) {
+	const limit = 64
+	for _, tc := range []struct {
+		name    string
+		body    int   // bytes the reader delivers
+		size    int64 // declared length, -1 unknown
+		wantErr error // nil: success; errLong: refused as too long
+	}{
+		{"exact", 48, 48, nil},
+		{"exact at limit", limit, limit, nil},
+		{"exact empty", 0, 0, nil},
+		{"short", 20, 48, io.ErrUnexpectedEOF},
+		{"short empty", 0, 48, io.ErrUnexpectedEOF},
+		{"declared over limit", limit + 1, limit + 1, errLong},
+		{"unknown over limit", limit + 1, -1, errLong},
+		{"unknown", 48, -1, nil},
+		{"unknown at limit", limit, -1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := bytes.Repeat([]byte("s"), tc.body)
+			data, err := readCapped(bytes.NewReader(body), tc.size, limit)
+			switch {
+			case tc.wantErr == errLong:
+				if err == nil || !strings.Contains(err.Error(), "longer than") {
+					t.Fatalf("err = %v, want a too-long refusal", err)
+				}
+			case tc.wantErr != nil:
+				if err != tc.wantErr {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+			case err != nil:
+				t.Fatalf("err = %v", err)
+			case !bytes.Equal(data, body):
+				t.Fatalf("read %d bytes, want the %d-byte body", len(data), len(body))
+			case tc.size >= 0 && cap(data) != int(tc.size):
+				t.Fatalf("buffer cap %d, want exactly the declared %d", cap(data), tc.size)
+			}
+		})
+	}
+
+	// Through proxyRead, a peer's short body stays off the wire: nothing
+	// is committed and the walk may fail over.
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		faultinject.WriteTruncated(w, bytes.Repeat([]byte("t"), 4096))
+	}))
+	defer peer.Close()
+	addr := strings.TrimPrefix(peer.URL, "http://")
+	s := New(Options{Self: "self:1", Peers: []string{addr}, AntiEntropyInterval: -1})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	committed, nf, _, errMsg := s.proxyRead(rec, httptest.NewRequest(http.MethodGet, "/v1/archives/x", nil), addr, nil)
+	if committed || nf != nil || !strings.Contains(errMsg, io.ErrUnexpectedEOF.Error()) {
+		t.Fatalf("short peer body: committed=%v notFound=%v err=%q, want an uncommitted unexpected EOF", committed, nf, errMsg)
+	}
+	if rec.Body.Len() != 0 {
+		t.Fatalf("short peer body: %d bytes reached the client", rec.Body.Len())
+	}
+}
+
+// errLong marks a TestReadCapped case refused as longer than the cap.
+var errLong = errors.New("too long")
 
 // TestMalformedRequestsNeverWait pins the chain's order: handlers validate
 // before they claim a job slot, and zero-copy sections and box-cache hits

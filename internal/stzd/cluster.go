@@ -28,13 +28,16 @@ import (
 //     applying its own copy locally when it is an owner), and the write
 //     succeeds when a majority quorum of replicas accepted it. The
 //     response carries per-replica results.
-//   - Reads (info/box/roi) walk the replica list in owner order —
-//     reordered away from peers whose circuit breakers are open — and
-//     fail over to the next replica on connect errors, timeouts, 5xx
-//     responses, and truncated bodies, with jittered exponential
-//     backoff between attempts (internal/retry). Responses small enough
-//     to buffer are verified against their Content-Length before a byte
-//     reaches the client, so even a mid-body failure is recoverable.
+//   - Reads (info/box/roi) are served where they land when the node
+//     addressed is an owner: it answers from its own store and box
+//     cache. A non-owner forwards once, walking the replica list in
+//     owner order — reordered away from peers whose circuit breakers
+//     are open. Either walk fails over to the next replica on connect
+//     errors, timeouts, 5xx responses, and truncated bodies, with
+//     jittered exponential backoff between attempts (internal/retry).
+//     Responses small enough to buffer are verified against their
+//     Content-Length before a byte reaches the client, so even a
+//     mid-body failure is recoverable.
 //   - When every replica is down the client gets a retryable 503
 //     peer_unreachable envelope with a Retry-After hint, and the
 //     breakers behind it surface in /healthz and /v1/stats.
@@ -250,12 +253,27 @@ func (s *Server) peerDo(ctx context.Context, method, peer, path string, hdr http
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := readCapped(resp.Body, limit)
+	data, err := readCapped(resp.Body, resp.ContentLength, limit)
 	return resp.StatusCode, resp.Header, data, err
 }
 
 // readCapped reads a peer's body whole, refusing one longer than limit.
-func readCapped(r io.Reader, limit int64) ([]byte, error) {
+// size is the length the answer declares, -1 when unknown. A declared
+// length within limit is read into one buffer of exactly that size, and
+// a body that ends short of it is io.ErrUnexpectedEOF; an unknown one is
+// read growing, up to limit.
+func readCapped(r io.Reader, size, limit int64) ([]byte, error) {
+	if size > limit {
+		return nil, fmt.Errorf("peer answer of %d bytes is longer than %d", size, limit)
+	}
+	if size >= 0 {
+		data := make([]byte, size)
+		n, err := io.ReadFull(r, data)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return data[:n], err
+	}
 	data, err := io.ReadAll(io.LimitReader(r, limit+1))
 	if err == nil && int64(len(data)) > limit {
 		err = fmt.Errorf("peer answer longer than %d bytes", limit)
@@ -301,18 +319,27 @@ func (s *Server) applyRemote(r *http.Request, peer string, body []byte) replicaR
 	return answered(peer, status, hdr, data)
 }
 
-// readFailover serves a read by walking the archive's owner list —
-// health-reordered so open-circuit peers go last — and failing over on
-// transport errors, 5xx responses, and truncated bodies. A replica
-// answering 404 is up but may be lagging (it missed the write), so the
-// walk continues to the next replica; only when every reachable replica
-// agrees the archive is gone does the 404 commit. A read served after
-// one or more replicas 404'd triggers an asynchronous read repair: the
-// archive is re-pushed from the replica that served it to the lagging
-// owners (selfheal.go).
-func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners []string) {
+// readFailover serves a read by walking the archive's owner list. An
+// owner answers its own reads, so this node goes first when it is one
+// (self is its index in owners, -1 otherwise); the other owners follow
+// in ring order, health-reordered so open-circuit peers go last. The
+// walk fails over on transport errors, 5xx responses, and truncated
+// bodies. A replica answering 404 is up but may be lagging (it missed
+// the write), so the walk continues to the next replica; only when
+// every reachable replica agrees the archive is gone does the 404
+// commit. A read served after one or more replicas 404'd triggers an
+// asynchronous read repair: the archive is re-pushed from the replica
+// that served it to the lagging owners (selfheal.go).
+func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners []string, self int) {
 	r, id := c.r, c.id
 	ordered := s.health.Reorder(owners)
+	first := owners[0] // the replica the walk prefers; any other serving it is a failover
+	if self >= 0 {
+		first = s.opts.Self
+		i := indexOf(ordered, first)
+		copy(ordered[1:i+1], ordered[:i])
+		ordered[0] = first
+	}
 	waiter := retry.NewWaiter(s.opts.PeerRetry, nil)
 	var (
 		floor    time.Duration
@@ -321,17 +348,18 @@ func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners [
 		lagging  []string       // replicas that 404'd: up, but missing the archive
 		notFound *replicaResult // the first definitive 404, replayed if no replica has it
 	)
-	// served books a read replica idx (peer) committed, and repairs the
-	// owners that 404'd before it from that replica.
-	served := func(idx int, peer string) {
+	// served books a read that peer committed, and repairs the owners that
+	// 404'd before it from that replica. The read failed over when the walk
+	// moved past its first choice: that replica failed, missed the archive,
+	// or had its circuit open.
+	served := func(peer string) {
 		s.replicaHits.Add(1)
-		if idx > 0 {
+		if peer != first {
 			s.failovers.Add(1)
 		}
 		s.spawnReadRepair(id, peer, lagging)
 	}
 	for _, peer := range ordered {
-		idx := indexOf(owners, peer)
 		if peer == s.opts.Self {
 			if _, _, ok := s.store.getRaw(id); !ok && len(owners) > 1 {
 				// Our own store is missing the archive: we are the lagging
@@ -341,8 +369,8 @@ func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners [
 			}
 			// Our own store is a replica: serve it directly. Local reads
 			// have no transport to fail, so this always commits.
-			s.serve(w, c, rt, idx)
-			served(idx, peer)
+			s.serve(w, c, rt, self)
+			served(peer)
 			return
 		}
 		br := s.health.Breaker(peer)
@@ -370,7 +398,7 @@ func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners [
 		committed, nf, hint, errMsg := s.proxyRead(w, r, peer, c.body)
 		if committed {
 			br.Success()
-			served(idx, peer)
+			served(peer)
 			return
 		}
 		if nf != nil {
@@ -394,7 +422,7 @@ func (s *Server) readFailover(w http.ResponseWriter, c *call, rt route, owners [
 	}
 	if indexOf(lagging, s.opts.Self) >= 0 {
 		// Only our own (empty) replica answered: serve the local 404.
-		s.serve(w, c, rt, indexOf(owners, s.opts.Self))
+		s.serve(w, c, rt, self)
 		s.replicaHits.Add(1)
 		return
 	}
@@ -423,17 +451,14 @@ func (s *Server) proxyRead(w http.ResponseWriter, r *http.Request, peer string, 
 	if resp.StatusCode >= 500 {
 		// The replica is up but failing; drain so the connection can be
 		// reused, take its Retry-After as the backoff floor, move on.
-		readCapped(resp.Body, maxBufferedProxy)
+		readCapped(resp.Body, resp.ContentLength, maxBufferedProxy)
 		return false, nil, retry.RetryAfter(resp), peer + " answered " + resp.Status
 	}
 	if resp.StatusCode == http.StatusNotFound || (resp.ContentLength >= 0 && resp.ContentLength <= maxBufferedProxy) {
 		// Small enough to verify before committing: a short or failed
 		// body (a truncating peer, a dropped connection) stays invisible
 		// to the client and the next replica gets its chance.
-		data, err := readCapped(resp.Body, maxBufferedProxy)
-		if err == nil && resp.ContentLength >= 0 && int64(len(data)) != resp.ContentLength {
-			err = io.ErrUnexpectedEOF
-		}
+		data, err := readCapped(resp.Body, resp.ContentLength, maxBufferedProxy)
 		if err != nil {
 			return false, nil, 0, "reading " + peer + " response: " + err.Error()
 		}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"stz/internal/datasets"
 	"stz/internal/faultinject"
 	"stz/internal/grid"
+	"stz/internal/rawio"
 	"stz/internal/retry"
 )
 
@@ -382,4 +387,176 @@ func TestBoxCacheGenerationInvalidation(t *testing.T) {
 			assertBox(t, c.URL(i), id, wantB)
 		}
 	})
+}
+
+// TestReadServedByLocalReplica: an owner answers its own reads. A box
+// read addressed to either replica is served by that node with no peer
+// round trip and no failover; a read at the node outside the replica set
+// is forwarded exactly once, to the primary; and a secondary restarted
+// with a wiped store fails over to the primary, counts one failover and
+// is repaired from it.
+func TestReadServedByLocalReplica(t *testing.T) {
+	const outsider = 2
+	c, fis := faultyCluster(t, 3, Options{Workers: 1, Replicas: 2, AntiEntropyInterval: -1})
+	id, owners := idWithOwners(t, c, 2, 0, outsider)
+	primary, secondary := 0, indexOf(c.Addrs, owners[1])
+	enc, _ := encodeGrid(t, 43)
+	putArchive(t, c.URL(outsider), id, enc)
+
+	want := boxBytes(t, enc, grid.Box{Z0: 2, Z1: 10, Y0: 0, Y1: 12, X0: 3, X1: 9})
+	read := func(node, servedBy int, replica string) {
+		t.Helper()
+		resp, body := do(t, http.MethodGet, c.URL(node)+"/v1/archives/"+id+"/box?box=2:10,0:12,3:9", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("read at node %d: status %d (%s)", node, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(ServedByHeader); got != c.Addrs[servedBy] {
+			t.Fatalf("read at node %d: X-Stz-Served-By = %q, want %q", node, got, c.Addrs[servedBy])
+		}
+		if got := resp.Header.Get(ReplicaHeader); got != replica {
+			t.Fatalf("read at node %d: X-Stz-Replica = %q, want %s", node, got, replica)
+		}
+		got := decode32(t, body)
+		if len(got) != len(want) {
+			t.Fatalf("read at node %d: %d values, want %d", node, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("read at node %d: value %d = %v, want %v", node, i, got[i], want[i])
+			}
+		}
+	}
+	// trips counts each node's peer round trips so far.
+	trips := func() []int64 {
+		out := make([]int64, len(fis))
+		for i, ft := range fis {
+			out[i] = ft.Counters().Passed
+		}
+		return out
+	}
+	failovers := func() (n float64) {
+		for i := range c.Nodes {
+			n += statNum(t, statsOf(t, c.URL(i)), "cluster", "failovers")
+		}
+		return n
+	}
+
+	before := trips()
+	read(primary, primary, "0")
+	read(secondary, secondary, "1")
+	if after := trips(); !slices.Equal(after, before) {
+		t.Fatalf("owner reads made peer round trips: %v -> %v", before, after)
+	}
+	if n := failovers(); n != 0 {
+		t.Fatalf("failovers = %v after owner reads, want 0", n)
+	}
+
+	fwd := statNum(t, statsOf(t, c.URL(outsider)), "cluster", "forwarded")
+	read(outsider, primary, "0")
+	after := trips()
+	for i := range after {
+		wantD := int64(0)
+		if i == outsider {
+			wantD = 1
+		}
+		if after[i]-before[i] != wantD {
+			t.Fatalf("read at the non-owner: peer round trips %v -> %v, want one from node %d", before, after, outsider)
+		}
+	}
+	if n := statNum(t, statsOf(t, c.URL(outsider)), "cluster", "forwarded") - fwd; n != 1 {
+		t.Fatalf("non-owner forwarded %v times, want 1", n)
+	}
+	if n := failovers(); n != 0 {
+		t.Fatalf("failovers = %v after a forwarded read, want 0", n)
+	}
+
+	// A secondary back with an empty store is a lagging replica: its own
+	// 404 moves the read on to the primary, and read repair refills it.
+	c.Stop(secondary)
+	if err := c.Restart(secondary); err != nil {
+		t.Fatal(err)
+	}
+	read(secondary, primary, "0")
+	if n := statNum(t, statsOf(t, c.URL(secondary)), "cluster", "failovers"); n != 1 {
+		t.Fatalf("wiped secondary counted %v failovers, want 1", n)
+	}
+	waitFor(t, 5*time.Second, "read repair of the wiped secondary", func() bool {
+		return statNum(t, statsOf(t, c.URL(secondary)), "repair", "read_repairs") == 1
+	})
+	if _, _, ok := c.Nodes[secondary].store.getRaw(id); !ok {
+		t.Fatal("read repair counted but the secondary's store is still empty")
+	}
+	read(secondary, secondary, "1")
+}
+
+// TestReadsNeverTornUnderWrites: a read racing a replicated overwrite
+// sees one whole version. Readers on both replicas fetch one box while
+// PUTs of two bodies alternate on the id through every node; each box
+// body must be one version's window, and no read may answer a 5xx.
+func TestReadsNeverTornUnderWrites(t *testing.T) {
+	c := testCluster(t, 3, Options{Workers: 1, Replicas: 2, MaxInflight: 8,
+		AdmissionWait: 5 * time.Second, AntiEntropyInterval: -1})
+	id, owners := idWithOwners(t, c, 2, 0, 2)
+	encs := [2][]byte{}
+	var want [2][]byte
+	b := grid.Box{Z0: 1, Z1: 11, Y0: 2, Y1: 10, X0: 0, X1: 12}
+	for v := range encs {
+		encs[v], _ = encodeGrid(t, int64(44+v))
+		vals := boxBytes(t, encs[v], b)
+		want[v] = make([]byte, 4*len(vals))
+		rawio.PutValues(want[v], vals)
+	}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("test archives are not distinguishable")
+	}
+	putArchive(t, c.URL(2), id, encs[0])
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reads := make([]atomic.Int64, len(owners))
+	for r, owner := range owners {
+		url := "http://" + owner + "/v1/archives/" + id + "/box?box=1:11,2:10,0:12"
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Errorf("read from %s: %v", owner, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Errorf("read from %s: body: %v", owner, err)
+					return
+				case resp.StatusCode != http.StatusOK:
+					t.Errorf("read from %s: status %d (%s)", owner, resp.StatusCode, body)
+					return
+				case !bytes.Equal(body, want[0]) && !bytes.Equal(body, want[1]):
+					t.Errorf("read from %s: a %d-byte body that is neither version's window", owner, len(body))
+					return
+				}
+				reads[r].Add(1)
+			}
+		}()
+	}
+	func() {
+		defer func() { close(stop); wg.Wait() }()
+		for i := 0; i < 40; i++ {
+			putArchive(t, c.URL(i%3), id, encs[(i+1)%2])
+		}
+	}()
+	for r := range reads {
+		if reads[r].Load() == 0 {
+			t.Errorf("no read against %s completed during the writes", owners[r])
+		}
+		t.Logf("%d reads against %s", reads[r].Load(), owners[r])
+	}
 }

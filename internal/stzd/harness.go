@@ -114,15 +114,18 @@ func (c *TestCluster) Restart(i int) error {
 // URL returns node i's base URL.
 func (c *TestCluster) URL(i int) string { return c.Servers[i].URL }
 
-// Owner returns the index of the node that owns archive id.
-func (c *TestCluster) Owner(id string) int {
-	owner := c.Nodes[0].ring.Owner(id)
-	for i, a := range c.Addrs {
-		if a == owner {
-			return i
-		}
+// Owner returns the index of the node that owns archive id (its primary).
+func (c *TestCluster) Owner(id string) int { return c.Owners(id)[0] }
+
+// Owners returns the indices of the nodes in archive id's replica set,
+// primary first.
+func (c *TestCluster) Owners(id string) []int {
+	n := c.Nodes[0]
+	var out []int
+	for _, a := range n.ring.Owners(id, n.opts.Replicas) {
+		out = append(out, indexOf(c.Addrs, a))
 	}
-	return -1
+	return out
 }
 
 // Close shuts every node down, background healing included. Safe after

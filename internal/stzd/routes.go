@@ -14,7 +14,7 @@ type placement int
 const (
 	placeLocal placement = iota // on the node addressed
 	placeWrite                  // on every owner of the archive; a majority must ack
-	placeRead                   // on the first owner that holds the archive
+	placeRead                   // on this node when it owns the archive, else the first owner that holds it
 )
 
 // route is one row of the route table.
@@ -106,7 +106,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // validates before it claims a job slot. A forwarded archive request is
 // a replica apply, served from the local store; a fresh one makes this
 // node the coordinator: writes fan out to all owners, reads walk them
-// with failover. Without a ring everything is served locally.
+// with failover, this node first when it is one of them. Without a ring
+// everything is served locally.
 func (s *Server) chain(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c := &call{r: r, id: r.PathValue("id")}
@@ -141,7 +142,7 @@ func (s *Server) chain(rt route) http.HandlerFunc {
 		case rt.place == placeWrite:
 			s.fanoutWrite(w, c, rt, owners)
 		default:
-			s.readFailover(w, c, rt, owners)
+			s.readFailover(w, c, rt, owners, self)
 		}
 	}
 }

@@ -158,7 +158,7 @@ type Server struct {
 	forwarded   atomic.Int64    // requests proxied to a peer (per attempt)
 	notOwner    atomic.Int64    // hop-guard rejections (421)
 	replicaHits atomic.Int64    // reads served by some replica
-	failovers   atomic.Int64    // reads served by a non-primary replica
+	failovers   atomic.Int64    // reads that moved past the walk's first replica
 	quorumFails atomic.Int64    // write fan-outs that missed quorum
 	allDown     atomic.Int64    // reads with every replica unreachable
 
