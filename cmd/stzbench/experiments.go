@@ -406,8 +406,8 @@ func expTable4() error {
 	// of ent spent planning (histograms, code tables, section framing), the
 	// rest of it writes the lanes.
 	fmt.Println()
-	row("Case", "Chain", "L1 enc", "L1 ver", "L2 qnt", "L2 ent", "L2 pln", "L3 qnt", "L3 ent", "L3 pln", "Asm", "Sum")
-	row("Write", dur(stEnc.Chain), dur(stEnc.L1Encode), dur(stEnc.L1Verify),
+	row("Case", "Chain", "L1 enc", "L2 qnt", "L2 ent", "L2 pln", "L3 qnt", "L3 ent", "L3 pln", "Asm", "Sum")
+	row("Write", dur(stEnc.Chain), dur(stEnc.L1Encode),
 		dur(stEnc.Quantise[0]), dur(stEnc.Entropy[0]), dur(stEnc.Plan[0]),
 		dur(stEnc.Quantise[1]), dur(stEnc.Entropy[1]), dur(stEnc.Plan[1]),
 		dur(stEnc.Assemble), dur(stEnc.Total))

@@ -87,7 +87,7 @@ func BenchmarkSteadyStateSTZ(b *testing.B) {
 				b.Fatal(err)
 			}
 			sum.Chain += st.Chain
-			sum.L1Encode += st.L1Encode + st.L1Verify
+			sum.L1Encode += st.L1Encode
 			sum.Assemble += st.Assemble
 			sum.Total += st.Total
 			for p := range st.Quantise {

@@ -70,8 +70,30 @@ func (b *boxBackend) DecompressBox64(data []byte, bx grid.Box, workers int) (*gr
 	return b.b64(data, bx, workers)
 }
 
+// reconBackend extends boxBackend with the ReconCompressor extension.
+type reconBackend struct {
+	boxBackend
+	r32 func(*grid.Grid[float32], Config) ([]byte, *grid.Grid[float32], error)
+	r64 func(*grid.Grid[float64], Config) ([]byte, *grid.Grid[float64], error)
+}
+
+func (b *reconBackend) CompressRecon32(g *grid.Grid[float32], cfg Config) ([]byte, *grid.Grid[float32], error) {
+	return b.r32(g, cfg)
+}
+func (b *reconBackend) CompressRecon64(g *grid.Grid[float64], cfg Config) ([]byte, *grid.Grid[float64], error) {
+	return b.r64(g, cfg)
+}
+
+func sz3Options(cfg Config) sz3.Options {
+	return sz3.Options{EB: cfg.EB, Radius: cfg.radius(), Workers: cfg.Workers}
+}
+
 func sz3Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
-	return sz3.Compress(g, sz3.Options{EB: cfg.EB, Radius: cfg.radius(), Workers: cfg.Workers})
+	return sz3.Compress(g, sz3Options(cfg))
+}
+
+func sz3CompressRecon[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *grid.Grid[T], error) {
+	return sz3.CompressRecon(g, sz3Options(cfg))
 }
 
 // sz3Decompress dispatches on the stream magic: Options.Workers > 1
@@ -105,17 +127,20 @@ func mgardDecompress[T grid.Float](data []byte, _ int) (*grid.Grid[T], error) {
 }
 
 func init() {
-	Register(&boxBackend{
-		backend: backend{
-			name: "sz3", id: IDSZ3,
-			caps: Caps{RandomAccess: true, ParallelCompress: true, ParallelDecompress: true,
-				MaxDims: 3, Float32: true, Float64: true},
-			c32: sz3Compress[float32], d32: sz3Decompress[float32],
-			c64: sz3Compress[float64], d64: sz3Decompress[float64],
+	Register(&reconBackend{
+		boxBackend: boxBackend{
+			backend: backend{
+				name: "sz3", id: IDSZ3,
+				caps: Caps{RandomAccess: true, ParallelCompress: true, ParallelDecompress: true,
+					MaxDims: 3, Float32: true, Float64: true},
+				c32: sz3Compress[float32], d32: sz3Decompress[float32],
+				c64: sz3Compress[float64], d64: sz3Decompress[float64],
+			},
+			dims: sz3.Dims,
+			b32:  sz3.DecompressBox[float32],
+			b64:  sz3.DecompressBox[float64],
 		},
-		dims: sz3.Dims,
-		b32:  sz3.DecompressBox[float32],
-		b64:  sz3.DecompressBox[float64],
+		r32: sz3CompressRecon[float32], r64: sz3CompressRecon[float64],
 	})
 	Register(&backend{
 		name: "sperr", id: IDSPERR,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stz/internal/codec"
@@ -155,14 +156,17 @@ func readValues[T grid.Float](dst []T, data []byte) error {
 }
 
 // EncodeStats is the per-stage timing breakdown of a compression — the
-// write-side mirror of Stats. It is an output, not a knob.
+// write-side mirror of Stats. It is an output, not a knob. The write side
+// runs as a few parallel phases (see CompressStats), and a stage is timed
+// over its own tasks, from the first one's start to the last one's end, so
+// stages that share a phase overlap one another; Total stays the call's
+// wall time.
 type EncodeStats struct {
-	Chain    time.Duration // coarse-chain extraction
-	L1Encode time.Duration // level 1 through the base codec
-	L1Verify time.Duration // its decode: the reconstruction level 2 is predicted from
+	Chain    time.Duration // coarse-chain cuts: level 1's input, then the rest beside level 1
+	L1Encode time.Duration // level 1 through the base codec, its reconstruction included
 	// Per predicted level (index 0 = paper level 2, up to level 4): the
-	// predict+quantise sweep, then the class-parallel section builds
-	// (Huffman; under ResidSZ3 the whole per-class residual pipeline).
+	// predict+quantise sweep, then the class section builds (Huffman; under
+	// ResidSZ3 the whole per-class residual pipeline, which is the sweep).
 	Quantise [3]time.Duration
 	Entropy  [3]time.Duration
 	// Plan is the first step of Entropy, included in it: histograms, code
@@ -180,6 +184,21 @@ func Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
 }
 
 // CompressStats is Compress reporting where the time went.
+//
+// The write side is one task graph. Level p+1's sweep needs level p's
+// reconstruction, which level p's own sweep writes, and nothing of its
+// entropy stage; a level's lane writes need its plans. So the graph runs as
+// a pipeline of phases, each one parallel.For over tasks that depend only on
+// earlier phases:
+//
+//	phase 0:    level 1, cut from g and encoded by the base codec, which
+//	            hands back its reconstruction; beside it the rest of the
+//	            chain, each grid cut from g directly
+//	phase k≥1:  level k+1's sweep, level k's plans, level k−1's lane writes
+//
+// and two more phases drain the last levels' entropy steps. Every task
+// writes bytes no other task of its phase touches, so the archive does not
+// depend on the worker count or the order the tasks ran in.
 func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeStats, error) {
 	st := &EncodeStats{}
 	t0 := time.Now()
@@ -194,36 +213,24 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 		enc, err := compressPartitionOnly(g, cfg)
 		return enc, st, err
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Internal grids (the coarse chain and the per-level reconstructions)
-	// are backed by scratch leases released when compression finishes; they
-	// are fully overwritten before any read, so dirty leases are safe.
-	var leased [][]T
-	defer func() {
-		for _, b := range leased {
-			scratch.ReleaseFloat(b)
-		}
-	}()
-	leaseGrid := func(nz, ny, nx int) *grid.Grid[T] {
-		buf := scratch.LeaseFloat[T](nz * ny * nx)
-		leased = append(leased, buf)
-		return &grid.Grid[T]{Data: buf, Nz: nz, Ny: ny, Nx: nx}
-	}
-
-	// Coarse chain: chain[0] = g, chain[t] = parity class 0 of chain[t-1].
 	levels := cfg.Levels
-	chain := make([]*grid.Grid[T], levels)
-	chain[0] = g
-	for t := 1; t < levels; t++ {
-		p := chain[t-1]
-		sub := leaseGrid(grid.SubDim(p.Nz, 0, 2), grid.SubDim(p.Ny, 0, 2), grid.SubDim(p.Nx, 0, 2))
-		p.ExtractStrideInto(sub, grid.Offset3{}, 2)
-		chain[t] = sub
+	e := &encoder[T]{
+		g: g, cfg: cfg, workers: max(cfg.Workers, 1), st: st,
+		base:  codec.MustLookup(cfg.baseCodec()),
+		chain: make([]*grid.Grid[T], levels),
+		encs:  make([]*levelEnc[T], levels-1),
 	}
+	defer e.release()
+
+	// Coarse chain: chain[t] is g at stride 2^t, chain[0] = g itself. Each
+	// grid is cut from g directly, so none waits for another; level 1's input
+	// is cut first.
+	e.chain[0] = g
+	for t := 1; t < levels; t++ {
+		s := 1 << t
+		e.chain[t] = e.leaseGrid(grid.SubDim(g.Nz, 0, s), grid.SubDim(g.Ny, 0, s), grid.SubDim(g.Nx, 0, s))
+	}
+	e.cut(levels - 1)
 	st.Chain = time.Since(t0)
 
 	var b container.Builder
@@ -231,59 +238,213 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	if cfg.Residual == ResidSZ3 {
 		codeChunk = 0 // the ablation path has no code stream to chunk
 	}
-	base := codec.MustLookup(cfg.baseCodec())
 	hdr := header{
 		Version: headerVersion, DType: dtypeOf[T](),
 		Levels: levels, Predictor: cfg.Predictor, Residual: cfg.Residual,
-		AdaptiveEB: cfg.AdaptiveEB, BaseID: base.ID(), EBRatio: cfg.ebRatio(),
+		AdaptiveEB: cfg.AdaptiveEB, BaseID: e.base.ID(), EBRatio: cfg.ebRatio(),
 		EB: cfg.EB, Radius: cfg.radius(), CodeChunk: codeChunk,
 		Fz: g.Nz, Fy: g.Ny, Fx: g.Nx,
 	}
 	b.Add(hdr.marshal())
 
-	// Level 1: the deepest coarse sub-block through the base codec (always
-	// serial so that parallel and serial STZ produce identical streams).
-	t1 := time.Now()
-	l1cfg := codec.Config{EB: cfg.levelEB(1), Radius: cfg.radius()}
-	l1blob, err := codec.Compress(base, chain[levels-1], l1cfg)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: level-1 %s: %w", base.Name(), err)
+	// Phase 0.
+	e.add(encTask{kind: taskL1})
+	for t := levels - 2; t >= 1; t-- {
+		e.add(encTask{kind: taskCut, p: t})
 	}
-	b.Add(l1blob)
-	t2 := time.Now()
-	st.L1Encode = t2.Sub(t1)
-	coarseRecon, err := codec.Decompress[T](base, l1blob, 1)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: level-1 verify: %w", err)
+	e.runPhase()
+	if e.l1err != nil {
+		return nil, st, fmt.Errorf("core: level-1 %s: %w", e.base.Name(), e.l1err)
 	}
-	// Nothing else holds the verify grid, so its backing (a scratch lease
+	// Nothing else holds the reconstruction, so its backing (a scratch lease
 	// for the sz3 base) goes back with the others, as in the reader.
-	leased = append(leased, coarseRecon.Data)
-	st.L1Verify = time.Since(t2)
+	e.leased = append(e.leased, e.l1rec.Data)
+	b.Add(e.l1blob)
 
-	// Predicted levels, coarsest to finest.
-	for t := levels - 1; t >= 1; t-- {
-		fine := chain[t-1]
-		p := levels - 1 - t // 0 = paper level 2
-		q := quant.Quantizer{EB: cfg.levelEB(p + 2), Radius: cfg.radius()}
-		// The finest level's reconstruction has no consumer.
-		var fineRecon *grid.Grid[T]
-		if t > 1 {
-			fineRecon = leaseGrid(fine.Nz, fine.Ny, fine.Nx)
+	// Phases 1 on: predicted levels coarsest to finest, each level's two
+	// entropy steps one and two phases behind its sweep. ResidSZ3's sweep
+	// builds the sections itself, so its levels have no entropy steps.
+	n, resid := len(e.encs), cfg.Residual == ResidSZ3
+	coarse := e.l1rec
+	for k := 0; k < n+2; k++ {
+		if p := k; p < n {
+			fine := e.chain[levels-2-p]
+			// The finest level's reconstruction has no consumer.
+			var fineRecon *grid.Grid[T]
+			if p < n-1 {
+				fineRecon = e.leaseGrid(fine.Nz, fine.Ny, fine.Nx)
+			}
+			q := quant.Quantizer{EB: cfg.levelEB(p + 2), Radius: cfg.radius()}
+			e.encs[p] = newLevelEnc(fine, fineRecon, coarse, q, cfg, e.workers)
+			kind, tasks := taskSweep, len(e.encs[p].escapes)
+			if resid {
+				kind, tasks = taskResid, 8
+			}
+			for i := 0; i < tasks; i++ {
+				e.add(encTask{kind: kind, p: p, i: i})
+			}
+			coarse = fineRecon
 		}
-		secs, err := compressLevel(fine, fineRecon, coarseRecon, q, cfg, workers, p, st)
-		if err != nil {
-			return nil, st, err
+		if p := k - 1; 0 <= p && p < n && !resid {
+			for i := range e.encs[p].plans {
+				e.add(encTask{kind: taskPlan, p: p, i: i})
+			}
 		}
-		for _, s := range secs {
-			b.Add(s)
+		if p := k - 2; 0 <= p && p < n && !resid {
+			for i := 0; i < 7*huffman.Lanes; i++ {
+				e.add(encTask{kind: taskLane, p: p, i: i})
+			}
 		}
-		coarseRecon = fineRecon
+		e.runPhase()
+		if k < n {
+			if err := e.encs[k].err(); err != nil {
+				return nil, st, err
+			}
+		}
+		if p := k - 1; 0 <= p && p < n {
+			e.encs[p].releaseEscapes()
+		}
+		if p := k - 2; 0 <= p && p < n {
+			e.encs[p].release()
+		}
+	}
+	for p, le := range e.encs {
+		for _, sec := range le.secs {
+			b.Add(sec)
+			st.Outliers[p] += int(binary.LittleEndian.Uint32(sec))
+		}
+		st.Entropy[p] += st.Plan[p] + e.lanes[p]
 	}
 	t3 := time.Now()
 	enc := b.Bytes()
 	st.Assemble = time.Since(t3)
 	return enc, st, nil
+}
+
+// encoder is one compression in flight: the coarse chain, level 1 and the
+// predicted levels, and the phase being assembled.
+type encoder[T grid.Float] struct {
+	g       *grid.Grid[T]
+	cfg     Config
+	workers int
+	st      *EncodeStats
+	lanes   [3]time.Duration // the lane-write share of Entropy, per level
+	base    codec.Codec
+	chain   []*grid.Grid[T]
+	l1blob  []byte
+	l1rec   *grid.Grid[T]
+	l1err   error
+	encs    []*levelEnc[T] // index p: predicted level p, 0 = paper level 2
+	// Internal grids (the coarse chain and the per-level reconstructions)
+	// are backed by scratch leases released when compression finishes; they
+	// are fully overwritten before any read, so dirty leases are safe.
+	leased [][]T
+	tasks  []encTask
+	spans  [][2]time.Time
+}
+
+// taskKind is what a node of the write side's graph does.
+type taskKind uint8
+
+const (
+	taskL1    taskKind = iota // level 1 through the base codec
+	taskCut                   // cut chain grid p from g
+	taskSweep                 // z-block i of level p's sweep
+	taskResid                 // ResidSZ3: level p's class i+1 residual pipeline, or (i = 7) its lattice copy
+	taskPlan                  // level p's plan of class i+1
+	taskLane                  // level p's lane i%Lanes of class i/Lanes+1
+)
+
+type encTask struct {
+	kind taskKind
+	p, i int
+}
+
+func (e *encoder[T]) leaseGrid(nz, ny, nx int) *grid.Grid[T] {
+	buf := scratch.LeaseFloat[T](nz * ny * nx)
+	e.leased = append(e.leased, buf)
+	return &grid.Grid[T]{Data: buf, Nz: nz, Ny: ny, Nx: nx}
+}
+
+func (e *encoder[T]) cut(t int) { e.g.ExtractStrideInto(e.chain[t], grid.Offset3{}, 1<<t) }
+
+// add appends tk to the phase being assembled. Tasks run in the order added
+// — the large ones first, so the small ones fill the tail — and a stage's
+// tasks are added together.
+func (e *encoder[T]) add(tk encTask) { e.tasks = append(e.tasks, tk) }
+
+// runPhase runs the assembled phase as one parallel.For, then adds to each
+// stage's timer the span of its tasks, from the first start to the last end.
+func (e *encoder[T]) runPhase() {
+	e.spans = slices.Grow(e.spans[:0], len(e.tasks))[:len(e.tasks)]
+	parallel.For(len(e.tasks), e.workers, func(i int) {
+		e.spans[i][0] = time.Now()
+		e.run(e.tasks[i])
+		e.spans[i][1] = time.Now()
+	})
+	for i := 0; i < len(e.tasks); {
+		tk, first, last := e.tasks[i], e.spans[i][0], e.spans[i][1]
+		for i++; i < len(e.tasks) && e.tasks[i].kind == tk.kind && e.tasks[i].p == tk.p; i++ {
+			if e.spans[i][0].Before(first) {
+				first = e.spans[i][0]
+			}
+			if e.spans[i][1].After(last) {
+				last = e.spans[i][1]
+			}
+		}
+		*e.stage(tk) += last.Sub(first)
+	}
+	e.tasks = e.tasks[:0]
+}
+
+func (e *encoder[T]) run(tk encTask) {
+	switch tk.kind {
+	case taskL1:
+		// One serial base-codec call, so that parallel and serial STZ
+		// produce identical streams.
+		l1cfg := codec.Config{EB: e.cfg.levelEB(1), Radius: e.cfg.radius()}
+		e.l1blob, e.l1rec, e.l1err = codec.CompressRecon(e.base, e.chain[len(e.chain)-1], l1cfg)
+	case taskCut:
+		e.cut(tk.p)
+	case taskSweep:
+		e.encs[tk.p].sweepBlock(tk.i)
+	case taskResid:
+		e.encs[tk.p].residClass(tk.i)
+	case taskPlan:
+		e.encs[tk.p].plan(tk.i)
+	case taskLane:
+		e.encs[tk.p].plans[tk.i/huffman.Lanes].writeLane(tk.i % huffman.Lanes)
+	}
+}
+
+// stage returns the EncodeStats timer tk is charged to.
+func (e *encoder[T]) stage(tk encTask) *time.Duration {
+	switch tk.kind {
+	case taskL1:
+		return &e.st.L1Encode
+	case taskCut:
+		return &e.st.Chain
+	case taskSweep:
+		return &e.st.Quantise[tk.p]
+	case taskResid:
+		return &e.st.Entropy[tk.p]
+	case taskPlan:
+		return &e.st.Plan[tk.p]
+	default: // taskLane
+		return &e.lanes[tk.p]
+	}
+}
+
+// release hands back every lease the compression still holds.
+func (e *encoder[T]) release() {
+	for _, b := range e.leased {
+		scratch.ReleaseFloat(b)
+	}
+	for _, le := range e.encs {
+		if le != nil {
+			le.release()
+		}
+	}
 }
 
 // appendEscape appends the storage form of v to buf, a z-block's escaped
@@ -300,118 +461,136 @@ func appendEscape[T grid.Float](buf []byte, v T) []byte {
 	return appendValue(buf, v)
 }
 
-// compressLevel codes the seven predicted classes of fine against the
-// reconstructed coarse grid (predicted level p, 0 = paper level 2) and
-// returns their sections in class order. A non-nil fineRecon — a finer
-// level will be predicted from it — receives the level's reconstruction,
-// coarse lattice included.
+// levelEnc is one predicted level on its way through the write side: the
+// seven predicted classes of fine, coded against the reconstructed coarse
+// grid in three steps — the sweep, the plans and the lane writes — each a
+// set of tasks of consecutive phases. A non-nil fineRecon — a finer level
+// will be predicted from it — receives the level's reconstruction, coarse
+// lattice included, during the sweep.
 //
-// One sweep over the coarse rows, parallel over z-blocks, predicts and
-// quantises all seven classes: each block writes its own index range of
-// the per-class code buffers and collects its escapes per class, so the
-// blocks' escapes concatenated in block order are in class order and the
-// archive does not depend on the worker count. The section builds (entropy
-// coding) then run class-parallel.
-func compressLevel[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Quantizer,
-	cfg Config, workers, p int, st *EncodeStats) ([][]byte, error) {
+// The sweep runs over the coarse rows in z-blocks: each block writes its own
+// index range of the per-class code buffers and collects its escapes per
+// class, so the blocks' escapes concatenated in block order are in class
+// order. Under ResidSZ3 the sweep is instead the seven per-class residual
+// pipelines, which build the sections themselves.
+type levelEnc[T grid.Float] struct {
+	lv                      *level[T]
+	fine, fineRecon, coarse *grid.Grid[T]
+	whole                   [8]grid.Box // the level's class boxes
+	q                       quant.Quantizer
+	codeChunk               int
+	codes                   [8][]uint16
+	bounds                  []int       // the sweep's z-blocks of coarse planes
+	escapes                 [][8][]byte // [block][class]
+	plans                   [7]classPlan
+	secs                    [7][]byte
+	errs                    [7]error // ResidSZ3's class pipelines
+}
 
-	t0 := time.Now()
-	lv := newLevel[T](fine.Nz, fine.Ny, fine.Nx)
-	lv.predictFrom(coarse, grid.Offset3{}, cfg.Predictor)
-	secs := make([][]byte, 7)
-	if cfg.Residual == ResidSZ3 {
-		if fineRecon != nil {
-			fineRecon.InsertStride(coarse, grid.Offset3{}, 2)
-		}
-		errs := make([]error, 7)
-		parallel.For(7, workers, func(i int) {
-			secs[i], errs[i] = compressClassSZ3(lv, i+1, fine, fineRecon, q)
-		})
-		st.Entropy[p] = time.Since(t0)
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
-		return secs, nil
-	}
-
-	var codes [8][]uint16
-	for c := 1; c < 8; c++ {
-		codes[c] = scratch.U16.Lease(lv.classLen(c))
-	}
-	bounds := parallel.Chunks(coarse.Nz, zBlocks(coarse.Nz, workers))
-	escapes := make([][8][]byte, len(bounds)-1) // [block][class]
-	defer func() {
+func newLevelEnc[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Quantizer, cfg Config, workers int) *levelEnc[T] {
+	le := &levelEnc[T]{fine: fine, fineRecon: fineRecon, coarse: coarse, q: q, codeChunk: cfg.CodeChunk}
+	le.lv = newLevel[T](fine.Nz, fine.Ny, fine.Nx)
+	le.lv.predictFrom(coarse, grid.Offset3{}, cfg.Predictor)
+	le.whole = le.lv.subBoxes(grid.FullBox(fine))
+	if cfg.Residual != ResidSZ3 {
 		for c := 1; c < 8; c++ {
-			scratch.U16.Release(codes[c])
+			le.codes[c] = scratch.U16.Lease(le.lv.classLen(c))
 		}
-		for b := range escapes {
-			for _, buf := range escapes[b] {
-				scratch.Bytes.Release(buf)
-			}
-		}
-	}()
+		le.bounds = parallel.Chunks(coarse.Nz, zBlocks(coarse.Nz, workers))
+		le.escapes = make([][8][]byte, len(le.bounds)-1)
+	}
+	return le
+}
 
-	whole := lv.subBoxes(grid.FullBox(fine))
-	fq := q.Fast()
+// sweepBlock predicts and quantises all seven classes over z-block b.
+func (le *levelEnc[T]) sweepBlock(b int) {
+	lv, fine, coarse := le.lv, le.fine, le.coarse
+	fq := le.q.Fast()
 	fdata := fine.Data
 	var rdata []T
-	if fineRecon != nil {
-		rdata = fineRecon.Data
+	if le.fineRecon != nil {
+		rdata = le.fineRecon.Data
 	}
-	parallel.For(len(escapes), workers, func(b int) {
-		preds := scratch.LeaseFloat[T](coarse.Nx)
-		defer scratch.ReleaseFloat(preds)
-		esc := &escapes[b]
-		lv.sweep(&whole, bounds[b], bounds[b+1], preds, func(c, k, j, lo, hi int, preds []T) {
-			off := grid.Stride2Offsets[c]
-			f0 := ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx + off.X
-			if c == 0 {
-				if rdata != nil {
-					spread(rdata[f0:], coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][:hi])
-				}
-				return
-			}
-			d := lv.dims[c]
-			row := codes[c][(k*d[1]+j)*d[2]:][:hi]
-			var rrow []T
+	preds := scratch.LeaseFloat[T](coarse.Nx)
+	defer scratch.ReleaseFloat(preds)
+	esc := &le.escapes[b]
+	lv.sweep(&le.whole, le.bounds[b], le.bounds[b+1], preds, func(c, k, j, lo, hi int, preds []T) {
+		off := grid.Stride2Offsets[c]
+		f0 := ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx + off.X
+		if c == 0 {
 			if rdata != nil {
-				rrow = rdata[f0:]
+				spread(rdata[f0:], coarse.Data[(k*coarse.Ny+j)*coarse.Nx:][:hi])
 			}
-			if quant.QuantizeRow(fq, fdata[f0:], 2, preds, row, rrow) > 0 {
-				for t, code := range row {
-					if code == 0 {
-						esc[c] = appendEscape(esc[c], fdata[f0+2*t])
-					}
+			return
+		}
+		d := lv.dims[c]
+		row := le.codes[c][(k*d[1]+j)*d[2]:][:hi]
+		var rrow []T
+		if rdata != nil {
+			rrow = rdata[f0:]
+		}
+		if quant.QuantizeRow(fq, fdata[f0:], 2, preds, row, rrow) > 0 {
+			for t, code := range row {
+				if code == 0 {
+					esc[c] = appendEscape(esc[c], fdata[f0+2*t])
 				}
 			}
-		})
+		}
 	})
-	t1 := time.Now()
-	st.Quantise[p] = t1.Sub(t0)
+}
 
-	// Entropy stage, two balanced steps: seven plans — each class's stream
-	// histogrammed and its code built, which fixes every byte's place, so
-	// the section is allocated once at its exact size with all but the
-	// payload in it — then the 28 lanes written into the sections, each to
-	// its final offset.
-	elem := int(dtypeOf[T]())
-	var plans [7]classPlan
-	parallel.For(7, workers, func(i int) {
-		plans[i] = planClass(codes[i+1], escapes, i+1, elem, q.Alphabet(), cfg.CodeChunk)
-	})
-	t2 := time.Now()
-	st.Plan[p] = t2.Sub(t1)
-	parallel.For(7*huffman.Lanes, workers, func(t int) {
-		plans[t/huffman.Lanes].writeLane(t % huffman.Lanes)
-	})
-	for i := range plans {
-		secs[i] = plans[i].release()
-		st.Outliers[p] += int(binary.LittleEndian.Uint32(secs[i]))
+// residClass is ResidSZ3's task i: class i+1's residual pipeline for
+// i < 7, then the coarse lattice copied into the reconstruction.
+func (le *levelEnc[T]) residClass(i int) {
+	if i < 7 {
+		le.secs[i], le.errs[i] = compressClassSZ3(le.lv, i+1, le.fine, le.fineRecon, le.q)
+	} else if le.fineRecon != nil {
+		le.fineRecon.InsertStride(le.coarse, grid.Offset3{}, 2)
 	}
-	st.Entropy[p] = time.Since(t1)
-	return secs, nil
+}
+
+// plan is the first entropy step for class i+1: the stream histogrammed and
+// its code built, which fixes every byte's place, so the section is
+// allocated once at its exact size with all but the payload in it. The lane
+// writes then put each lane at its final offset.
+func (le *levelEnc[T]) plan(i int) {
+	le.plans[i] = planClass(le.codes[i+1], le.escapes, i+1, int(dtypeOf[T]()), le.q.Alphabet(), le.codeChunk)
+}
+
+// err returns the first error of the level's sweep.
+func (le *levelEnc[T]) err() error {
+	for _, e := range le.errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// releaseEscapes hands back the escape buffers, which the plans have
+// copied into the sections. Idempotent.
+func (le *levelEnc[T]) releaseEscapes() {
+	for b := range le.escapes {
+		for c, buf := range le.escapes[b] {
+			scratch.Bytes.Release(buf)
+			le.escapes[b][c] = nil
+		}
+	}
+}
+
+// release hands back everything the level still holds, keeping its plans'
+// sections in secs. Idempotent.
+func (le *levelEnc[T]) release() {
+	le.releaseEscapes()
+	for i := range le.plans {
+		if le.plans[i].streams != nil {
+			le.secs[i] = le.plans[i].release()
+		}
+	}
+	for c := 1; c < 8; c++ {
+		scratch.U16.Release(le.codes[c])
+		le.codes[c] = nil
+	}
 }
 
 // classPlan is one class section between the two entropy steps: the section
@@ -484,6 +663,7 @@ func (cp *classPlan) release() []byte {
 	for _, pl := range cp.streams {
 		pl.Release()
 	}
+	cp.streams = nil
 	return cp.sec
 }
 
@@ -512,13 +692,11 @@ func compressClassSZ3[T grid.Float](lv *level[T], c int, fine, fineRecon *grid.G
 			diff.Data[ci+t] = fine.Data[fi+2*t] - pred
 		}
 	})
-	blob, err := sz3.Compress(diff, sz3.Options{EB: q.EB * 0.999, Radius: q.Radius})
-	if err != nil || fineRecon == nil {
-		return blob, err
+	opts := sz3.Options{EB: q.EB * 0.999, Radius: q.Radius}
+	if fineRecon == nil {
+		return sz3.Compress(diff, opts)
 	}
-	// This runs inside the class-parallel pool: keep the nested sz3
-	// decode (and its v2 lane decode) serial rather than oversubscribing.
-	diffRec, err := sz3.DecompressWorkers[T](blob, 1)
+	blob, diffRec, err := sz3.CompressRecon(diff, opts)
 	if err != nil {
 		return nil, err
 	}

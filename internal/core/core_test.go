@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +191,27 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func parallelMatchesSerial[T grid.Float](t *testing.T) {
 	g := testField[T](41, 36, 44, 10) // finest classes of ~8 Ki codes: two chunks of 4096
+	// The ResidSZ3 ablation's sweep tasks build their own sections, and a
+	// base codec that cannot hand back its reconstruction is decoded
+	// instead: two more paths through the write side's phases.
+	for name, set := range map[string]func(*Config){
+		"residsz3": func(c *Config) { c.Residual = ResidSZ3 },
+		"zfp-base": func(c *Config) { c.BaseCodec = "zfp" },
+	} {
+		cfg := DefaultConfig(1e-3)
+		set(&cfg)
+		cfg.Workers = 1
+		serial, err := Compress(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 5} {
+			cfg.Workers = workers
+			if par, err := Compress(g, cfg); err != nil || !bytes.Equal(serial, par) {
+				t.Fatalf("%s: %d workers produced a different stream (err %v)", name, workers, err)
+			}
+		}
+	}
 	for _, levels := range []int{2, 3, 4} {
 		for _, chunk := range []int{0, 4096} {
 			cfg := DefaultConfig(1e-3)
@@ -630,6 +652,55 @@ func TestStatsPopulated(t *testing.T) {
 				t.Errorf("w%d box %+v: decoded/skipped classes and symbols %v, want %v", workers, pc.box, got, pc.want)
 			}
 		}
+	}
+}
+
+// TestEncodeStatsPopulated: the write side's stage timers. Stages that
+// share a phase overlap, so none is compared with the others' sum; each is
+// positive for a stage the configuration runs, zero for one it does not,
+// and within Total. Plan is part of Entropy, and the escape counts are the
+// same at every worker count.
+func TestEncodeStatsPopulated(t *testing.T) {
+	g := testField[float32](40, 36, 44, 25)
+	var outliers [3]int
+	for _, resid := range []ResidualCoder{ResidQuant, ResidSZ3} {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := DefaultConfig(1e-4)
+			cfg.Residual, cfg.Workers = resid, workers
+			_, st, err := CompressStats(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%v/w%d", resid, workers)
+			timers := map[string]time.Duration{"Chain": st.Chain, "L1Encode": st.L1Encode, "Assemble": st.Assemble}
+			for p := 0; p < 3; p++ {
+				timers[fmt.Sprintf("Quantise[%d]", p)] = st.Quantise[p]
+				timers[fmt.Sprintf("Entropy[%d]", p)] = st.Entropy[p]
+				timers[fmt.Sprintf("Plan[%d]", p)] = st.Plan[p]
+			}
+			for stage, d := range timers {
+				ran := !strings.HasSuffix(stage, "[2]") && // three levels: two predicted
+					!(resid == ResidSZ3 && (strings.HasPrefix(stage, "Quantise") || strings.HasPrefix(stage, "Plan")))
+				if (d > 0) != ran || d > st.Total {
+					t.Errorf("%s: %s = %v (stage runs: %v), want within (0, Total = %v] exactly when it runs", name, stage, d, ran, st.Total)
+				}
+			}
+			for p := range st.Plan {
+				if st.Plan[p] > st.Entropy[p] {
+					t.Errorf("%s: Plan[%d] %v exceeds Entropy[%d] %v", name, p, st.Plan[p], p, st.Entropy[p])
+				}
+			}
+			if resid == ResidQuant {
+				if workers == 1 {
+					outliers = st.Outliers
+				} else if st.Outliers != outliers {
+					t.Errorf("%s: outliers %v, want %v as at one worker", name, st.Outliers, outliers)
+				}
+			}
+		}
+	}
+	if outliers[0]+outliers[1] == 0 {
+		t.Error("no escapes: the field does not exercise the escape counts")
 	}
 }
 

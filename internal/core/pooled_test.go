@@ -188,7 +188,7 @@ func leaseBalance() map[string]int64 {
 }
 
 // TestCompressLeaseBalance: Compress hands back every scratch buffer it
-// leases — the level-1 verify grid and, on a field whose escapes outgrow
+// leases — the level-1 reconstruction and, on a field whose escapes outgrow
 // their first lease, the re-leased escape buffers included. A lease dropped
 // (or a foreign slice released) on any path shows as a per-arena imbalance
 // over 10 calls.

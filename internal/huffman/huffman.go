@@ -13,11 +13,9 @@
 // buffer of the caller's, on the caller's goroutines, if it wants.
 //
 // The encoder and decoder are allocation-free in steady state: the lane
-// histogram, the plan (present symbols, tree nodes, heap, header bytes), the
-// by-symbol code table and the decoder state all recycle through scratch
-// arenas and local sync.Pools (the former container/heap implementation
-// boxed every node index into an interface, which dominated whole-pipeline
-// allocs/op).
+// histogram, the plan (present symbols, tree nodes, sorted leaves, header
+// bytes), the by-symbol code table and the decoder state all recycle through
+// scratch arenas and local sync.Pools.
 package huffman
 
 import (
@@ -26,6 +24,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"stz/internal/bitio"
@@ -77,78 +76,29 @@ type treeNode struct {
 
 // buildScratch is the code builder's reusable state, part of every pooled
 // Plan: the present-symbol table with its counts, the node arena and the
-// index heap. It avoids the per-node interface boxing of container/heap and
-// recycles the backing arrays across encodes.
+// sorted leaf keys. The backing arrays recycle across encodes.
 type buildScratch struct {
 	table  []symLen // present symbols, ascending; lengths set by codeLengths
 	counts []uint64 // parallel to table; flattened in place when depth-limiting
 	nodes  []treeNode
-	heap   []int32
-	stack  []int32 // iterative depth walk, node indices
-	depth  []uint8 // parallel to stack
+	leaves []uint64 // count<<leafBits | leaf index, ascending
+	stack  []int32  // iterative depth walk, node indices
+	depth  []uint8  // parallel to stack
 }
 
-// nodeLess orders heap entries by (count, insertion order) — a strict total
-// order, so the pop sequence (and therefore the code table) is identical to
-// the previous container/heap implementation.
+// leafBits holds a leaf index: at most 1<<16 symbols are present. A count
+// is below 2^34 (codec.CheckDims caps a stream at 2^33 symbols), so a key
+// fits 51 bits.
+const leafBits = 17
+
+// nodeLess orders nodes by (count, order), a strict total order: the order
+// the tree joins them in, which fixes the code table.
 func nodeLess(nodes []treeNode, a, b int32) bool {
 	na, nb := &nodes[a], &nodes[b]
 	if na.count != nb.count {
 		return na.count < nb.count
 	}
 	return na.order < nb.order
-}
-
-func (bs *buildScratch) heapInit() {
-	n := len(bs.heap)
-	for i := n/2 - 1; i >= 0; i-- {
-		bs.siftDown(i)
-	}
-}
-
-func (bs *buildScratch) heapPush(v int32) {
-	bs.heap = append(bs.heap, v)
-	i := len(bs.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !nodeLess(bs.nodes, bs.heap[i], bs.heap[parent]) {
-			break
-		}
-		bs.heap[i], bs.heap[parent] = bs.heap[parent], bs.heap[i]
-		i = parent
-	}
-}
-
-func (bs *buildScratch) heapPop() int32 {
-	h := bs.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	bs.heap = h[:last]
-	if last > 0 {
-		bs.siftDown(0)
-	}
-	return top
-}
-
-func (bs *buildScratch) siftDown(i int) {
-	h := bs.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && nodeLess(bs.nodes, h[r], h[l]) {
-			small = r
-		}
-		if !nodeLess(bs.nodes, h[small], h[i]) {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }
 
 // codeLengths sets the Huffman code length of every bs.table entry from
@@ -177,27 +127,41 @@ func (bs *buildScratch) buildLengths() uint8 {
 	if cap(nodes) < 2*present {
 		nodes = make([]treeNode, 0, 2*present)
 	}
-	heap := bs.heap[:0]
-	if cap(heap) < present {
-		heap = make([]int32, 0, present)
-	}
+	leaves := bs.leaves[:0]
 	for i, c := range bs.counts {
 		nodes = append(nodes, treeNode{count: c, order: int32(i), left: -1, right: -1})
-		heap = append(heap, int32(i))
+		leaves = append(leaves, c<<leafBits|uint64(i))
 	}
-	bs.nodes, bs.heap = nodes, heap
-	bs.heapInit()
-	for len(bs.heap) > 1 {
-		a := bs.heapPop()
-		b := bs.heapPop()
-		bs.nodes = append(bs.nodes, treeNode{
-			count: bs.nodes[a].count + bs.nodes[b].count,
-			order: int32(len(bs.nodes)),
+	// The leaves in (count, order) order: a leaf's order is its index.
+	slices.Sort(leaves)
+	// Two queues replace a priority queue. Each join takes the two least
+	// nodes left, so joined nodes are made in ascending (count, order) —
+	// their order is their index, above every leaf's — and the lesser of
+	// the two fronts is the least node left: the joins are a heap's, node
+	// for node.
+	li, ji := 0, present
+	next := func() int32 {
+		if li < present {
+			leaf := int32(leaves[li] & (1<<leafBits - 1))
+			if ji == len(nodes) || nodeLess(nodes, leaf, int32(ji)) {
+				li++
+				return leaf
+			}
+		}
+		ji++
+		return int32(ji - 1)
+	}
+	for len(nodes) < 2*present-1 {
+		a := next()
+		b := next()
+		nodes = append(nodes, treeNode{
+			count: nodes[a].count + nodes[b].count,
+			order: int32(len(nodes)),
 			left:  a, right: b,
 		})
-		bs.heapPush(int32(len(bs.nodes) - 1))
 	}
-	root := bs.heap[0]
+	bs.nodes, bs.leaves = nodes, leaves
+	root := int32(len(nodes) - 1)
 	// Iterative depth assignment over the pooled stacks.
 	stack, depth := bs.stack[:0], bs.depth[:0]
 	stack = append(stack, root)

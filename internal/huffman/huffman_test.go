@@ -210,6 +210,67 @@ func TestDepthLimiting(t *testing.T) {
 	roundTrip(t, codes, n)
 }
 
+// TestBuildLengthsMatchesLeastTwo holds the two-queue tree build to the
+// definition it must reproduce node for node, since the code table — and so
+// every archive byte — follows from which nodes join: repeatedly join the
+// two least live nodes under (count, order), a new node's order being its
+// index. The histograms have many equal counts, where only the tie-break
+// decides, and counts spread over up to 2^41, which makes deep trees.
+func TestBuildLengthsMatchesLeastTwo(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(300)
+		var bs buildScratch
+		for i := 0; i < n; i++ {
+			bs.table = append(bs.table, symLen{sym: uint16(i)})
+			bs.counts = append(bs.counts, 1+uint64(rng.Intn(1+trial%7))<<uint(rng.Intn(2+trial%40)))
+		}
+		want := leastTwoLengths(bs.counts)
+		bs.buildLengths()
+		for i, e := range bs.table {
+			if e.len != want[i] {
+				t.Fatalf("trial %d (%d symbols): symbol %d length %d, want %d", trial, n, i, e.len, want[i])
+			}
+		}
+	}
+}
+
+// leastTwoLengths is the reference: a quadratic scan for the two least live
+// nodes, then each leaf's depth.
+func leastTwoLengths(counts []uint64) []uint8 {
+	type node struct {
+		count  uint64
+		parent int
+		live   bool
+	}
+	nodes := make([]node, len(counts))
+	for i, c := range counts {
+		nodes[i] = node{count: c, parent: -1, live: true}
+	}
+	least := func() int {
+		m := -1
+		for i := range nodes {
+			if nodes[i].live && (m < 0 || nodes[i].count < nodes[m].count) {
+				m = i // strict <: the lower index wins a tie
+			}
+		}
+		nodes[m].live = false
+		return m
+	}
+	for live := len(counts); live > 1; live-- {
+		a, b := least(), least()
+		nodes = append(nodes, node{count: nodes[a].count + nodes[b].count, parent: -1, live: true})
+		nodes[a].parent, nodes[b].parent = len(nodes)-1, len(nodes)-1
+	}
+	lens := make([]uint8, len(counts))
+	for i := range lens {
+		for j := i; nodes[j].parent >= 0; j = nodes[j].parent {
+			lens[i]++
+		}
+	}
+	return lens
+}
+
 // craftStream frames a code-length table no encoder produces: the symbol
 // count n, then the listed (symbol delta, length) entries, then — byte
 // aligned — a directory of three 1-byte lanes and four zero payload bytes.

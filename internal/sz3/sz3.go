@@ -7,8 +7,8 @@
 // It plays two roles in this repository: it is the paper's main baseline,
 // and the STZ core uses it to compress the coarsest hierarchical level.
 //
-// The "OMP" variant used in the paper's Table 3 is reproduced by
-// CompressChunked: the grid is split into independent z-chunks compressed
+// The "OMP" variant used in the paper's Table 3 is reproduced by Compress
+// with Workers > 1: the grid is split into independent z-chunks compressed
 // in parallel, which — exactly as the paper notes for SZ3's OpenMP mode —
 // costs compression ratio because chunks lose cross-boundary correlation.
 package sz3
@@ -304,23 +304,48 @@ func anchorCount[T grid.Float](g *grid.Grid[T]) int {
 // chunked parallel mode (the paper's SZ3-OMP equivalent); otherwise the
 // serial single-stream mode.
 func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
-	if o.Workers > 1 {
-		return CompressChunked(g, o)
-	}
-	return compressSerial(g, o)
+	return compress(g, o, nil)
 }
 
-func compressSerial[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
+// CompressRecon is Compress handing back, beside the stream, the grid a
+// decoder reconstructs from it. The encoder predicts every point from that
+// very reconstruction, which it builds point by point with the decoder's
+// arithmetic, so the grid is bit-identical to Decompress's and a caller that
+// needs both skips the decode. Like Decompress's, it is backed by a scratch
+// lease that a transient consumer hands back.
+func CompressRecon[T grid.Float](g *grid.Grid[T], o Options) ([]byte, *grid.Grid[T], error) {
+	rec := &grid.Grid[T]{Data: scratch.LeaseFloat[T](g.Len()), Nz: g.Nz, Ny: g.Ny, Nx: g.Nx}
+	enc, err := compress(g, o, rec.Data)
+	if err != nil {
+		scratch.ReleaseFloat(rec.Data)
+		return nil, nil, err
+	}
+	return enc, rec, nil
+}
+
+// compress encodes g in the mode o selects, reconstructing into rec: g's
+// length (dirty is fine: every point is written before it is read), or nil
+// when the caller does not want the reconstruction.
+func compress[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, error) {
 	if o.EB <= 0 || math.IsNaN(o.EB) || math.IsInf(o.EB, 0) {
 		return nil, fmt.Errorf("sz3: invalid error bound %g", o.EB)
 	}
+	if o.Workers > 1 {
+		return compressChunked(g, o, rec)
+	}
+	return compressSerial(g, o, rec)
+}
+
+// compressSerial encodes g as one serial stream, writing the decoder's
+// reconstruction into rec (nil: a scratch lease) as it goes: anchors
+// verbatim, predicted points from their own quantized residual.
+func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, error) {
+	if rec == nil {
+		rec = scratch.LeaseFloat[T](g.Len())
+		defer scratch.ReleaseFloat(rec)
+	}
 	q := quant.Quantizer{EB: o.EB, Radius: o.radius()}
 	fq := q.Fast()
-	// The reconstruction grid is scratch: every point is written (anchors
-	// verbatim, predicted points from their own quantized residual) before
-	// it is ever read, so a dirty lease is safe.
-	rec := scratch.LeaseFloat[T](g.Len())
-	defer scratch.ReleaseFloat(rec)
 	// One code per predicted point; ci is the cursor.
 	codes := scratch.U16.Lease(g.Len())
 	defer scratch.U16.Release(codes)
@@ -608,12 +633,10 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], b grid.B
 	return ferr
 }
 
-// CompressChunked is the SZ3-OMP equivalent: the grid is split along its z
-// axis into independent chunks compressed in parallel.
-func CompressChunked[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
-	if o.EB <= 0 || math.IsNaN(o.EB) || math.IsInf(o.EB, 0) {
-		return nil, fmt.Errorf("sz3: invalid error bound %g", o.EB)
-	}
+// compressChunked is the SZ3-OMP equivalent: the grid is split along its z
+// axis into independent chunks compressed in parallel, each reconstructing
+// into its own z-slab of rec (or, with rec nil, a lease of its own).
+func compressChunked[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, error) {
 	workers := o.Workers
 	if workers < 1 {
 		workers = 1
@@ -638,7 +661,11 @@ func CompressChunked[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 			errs[c] = err
 			return
 		}
-		blobs[c], errs[c] = compressSerial(sub, serialOpts)
+		var slab []T
+		if rec != nil {
+			slab = rec[lo*plane : hi*plane]
+		}
+		blobs[c], errs[c] = compressSerial(sub, serialOpts, slab)
 	})
 	for _, err := range errs {
 		if err != nil {
