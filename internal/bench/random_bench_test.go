@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"stz/internal/codec"
 	"stz/internal/core"
@@ -167,16 +168,19 @@ func BenchmarkRandomAccessSTZ(b *testing.B) {
 }
 
 // BenchmarkBox32VsGrid is the box-versus-grid probe: the same 32³ interior
-// box of a default-config Nyx stream at 64³, 128³ and 256³ (256³ not under
-// -short), decoded at Workers 2 with the scratch arenas off, so B/op counts
-// every buffer the decode touches. A box that cost only its dependency cone
-// would cost the same at every size; lvN-sym are the class symbols each
-// predicted level entropy-decoded, the part that still grows with the grid.
+// box of a default-config Nyx stream at 64³, 128³, 256³ and 512³ — Nyx's
+// native size in the paper; the last two not under -short — decoded at
+// Workers 2 with the scratch arenas off, so B/op counts every buffer the
+// decode touches. A box that cost only its dependency cone would cost the
+// same at every size; lvN-sym are the class symbols each predicted level
+// entropy-decoded, the touched bricks of its class streams, and l1-ms and
+// lvdec-ms the time a decode spent on the level-1 base (sz3's cone decode,
+// which still entropy-decodes its whole base) and on those class streams.
 func BenchmarkBox32VsGrid(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
+	for _, n := range []int{64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			if testing.Short() && n > 128 {
-				b.Skip("256³ is skipped under -short")
+				b.Skip("256³ and 512³ are skipped under -short")
 			}
 			g := datasets.Nyx(n, n, n, 7)
 			mn, mx := g.Range()
@@ -196,14 +200,21 @@ func BenchmarkBox32VsGrid(b *testing.B) {
 			prev := scratch.SetEnabled(false)
 			defer scratch.SetEnabled(prev)
 			var st *core.Stats
+			var l1, lvdec time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, st, err = r.DecompressBox(box); err != nil {
 					b.Fatal(err)
 				}
+				l1 += st.L1SZ3
+				for _, d := range st.LevelDecode {
+					lvdec += d
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			b.ReportMetric(l1.Seconds()*1e3/float64(b.N), "l1-ms")
+			b.ReportMetric(lvdec.Seconds()*1e3/float64(b.N), "lvdec-ms")
 			for p := 0; p < cfg.Levels-1; p++ {
 				b.ReportMetric(float64(st.DecodedSymbols[p]), fmt.Sprintf("lv%d-sym", p+2))
 			}

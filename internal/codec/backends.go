@@ -26,6 +26,7 @@ type backend struct {
 	name string
 	id   uint8
 	caps Caps
+	dims func([]byte) (int, int, int, error)
 	c32  func(*grid.Grid[float32], Config) ([]byte, error)
 	d32  func([]byte, int) (*grid.Grid[float32], error)
 	c64  func(*grid.Grid[float64], Config) ([]byte, error)
@@ -35,6 +36,10 @@ type backend struct {
 func (b *backend) Name() string { return b.name }
 func (b *backend) ID() uint8    { return b.id }
 func (b *backend) Caps() Caps   { return b.caps }
+
+func (b *backend) Dims(data []byte) (nz, ny, nx int, err error) {
+	return b.dims(data)
+}
 
 func (b *backend) Compress32(g *grid.Grid[float32], cfg Config) ([]byte, error) {
 	return b.c32(g, cfg)
@@ -54,13 +59,8 @@ func (b *backend) Decompress64(data []byte, workers int) (*grid.Grid[float64], e
 // addressing are registered through it.
 type boxBackend struct {
 	backend
-	dims func([]byte) (int, int, int, error)
-	b32  func([]byte, grid.Box, int) (*grid.Grid[float32], error)
-	b64  func([]byte, grid.Box, int) (*grid.Grid[float64], error)
-}
-
-func (b *boxBackend) Dims(data []byte) (nz, ny, nx int, err error) {
-	return b.dims(data)
+	b32 func([]byte, grid.Box, int) (*grid.Grid[float32], error)
+	b64 func([]byte, grid.Box, int) (*grid.Grid[float64], error)
 }
 
 func (b *boxBackend) DecompressBox32(data []byte, bx grid.Box, workers int) (*grid.Grid[float32], error) {
@@ -133,12 +133,12 @@ func init() {
 				name: "sz3", id: IDSZ3,
 				caps: Caps{RandomAccess: true, ParallelCompress: true, ParallelDecompress: true,
 					MaxDims: 3, Float32: true, Float64: true},
-				c32: sz3Compress[float32], d32: sz3Decompress[float32],
+				dims: sz3.Dims,
+				c32:  sz3Compress[float32], d32: sz3Decompress[float32],
 				c64: sz3Compress[float64], d64: sz3Decompress[float64],
 			},
-			dims: sz3.Dims,
-			b32:  sz3.DecompressBox[float32],
-			b64:  sz3.DecompressBox[float64],
+			b32: sz3.DecompressBox[float32],
+			b64: sz3.DecompressBox[float64],
 		},
 		r32: sz3CompressRecon[float32], r64: sz3CompressRecon[float64],
 	})
@@ -146,21 +146,24 @@ func init() {
 		name: "sperr", id: IDSPERR,
 		caps: Caps{Progressive: true, ParallelCompress: true, ParallelDecompress: true,
 			MaxDims: 3, Float32: true, Float64: true},
-		c32: sperrCompress[float32], d32: sperrDecompress[float32],
+		dims: sperr.Dims,
+		c32:  sperrCompress[float32], d32: sperrDecompress[float32],
 		c64: sperrCompress[float64], d64: sperrDecompress[float64],
 	})
 	Register(&backend{
 		name: "zfp", id: IDZFP,
 		caps: Caps{RandomAccess: true, ParallelCompress: true,
 			MaxDims: 3, Float32: true, Float64: true},
-		c32: zfpCompress[float32], d32: zfpDecompress[float32],
+		dims: zfp.Dims,
+		c32:  zfpCompress[float32], d32: zfpDecompress[float32],
 		c64: zfpCompress[float64], d64: zfpDecompress[float64],
 	})
 	Register(&backend{
 		name: "mgard", id: IDMGARD,
 		caps: Caps{Progressive: true, ParallelCompress: true,
 			MaxDims: 3, Float32: true, Float64: true},
-		c32: mgardCompress[float32], d32: mgardDecompress[float32],
+		dims: mgard.Dims,
+		c32:  mgardCompress[float32], d32: mgardDecompress[float32],
 		c64: mgardCompress[float64], d64: mgardDecompress[float64],
 	})
 }

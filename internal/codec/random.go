@@ -9,6 +9,14 @@ import (
 	"stz/internal/scratch"
 )
 
+// DimsReader is an optional Codec extension, which every registered backend
+// implements: Dims reads the grid dims a payload declares from its header,
+// validated, without decoding anything — what a caller about to size
+// buffers from dims it was told checks the payload against first.
+type DimsReader interface {
+	Dims(data []byte) (nz, ny, nx int, err error)
+}
+
 // BoxDecoder is an optional Codec extension: backends whose payload
 // supports native sub-region decoding implement it (and advertise
 // Caps.RandomAccess). The box is expressed in the payload grid's
@@ -16,10 +24,9 @@ import (
 // bit-identical to the same window of a full Decompress, and the caller's:
 // one that copies it out may hand its backing to the scratch arenas (sz3's
 // is a lease). A box result has the box's dims, so it cannot tell a caller
-// that the payload's grid is not the one expected: Dims reads the payload's
-// dims from its header, without decoding, for the caller to check first.
+// that the payload's grid is not the one expected: Dims tells it first.
 type BoxDecoder interface {
-	Dims(data []byte) (nz, ny, nx int, err error)
+	DimsReader
 	DecompressBox32(data []byte, b grid.Box, workers int) (*grid.Grid[float32], error)
 	DecompressBox64(data []byte, b grid.Box, workers int) (*grid.Grid[float64], error)
 }

@@ -28,13 +28,24 @@ var (
 
 // Builder accumulates sections.
 type Builder struct {
-	sections [][]byte
+	sections [][][]byte // each section as its parts
 }
 
-// Add appends a section and returns its index.
-func (b *Builder) Add(data []byte) int {
-	b.sections = append(b.sections, data)
+// Add appends a section made of parts, in order — one part or several a
+// writer filled separately, joined by the one copy serialization makes —
+// and returns its index.
+func (b *Builder) Add(parts ...[]byte) int {
+	b.sections = append(b.sections, parts)
 	return len(b.sections) - 1
+}
+
+// sectionLen is the byte length of a section made of parts.
+func sectionLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
 }
 
 // Count returns the number of sections added so far.
@@ -46,7 +57,7 @@ func (b *Builder) Bytes() []byte {
 	dirLen := 8 + 8*len(b.sections)
 	total := dirLen + 4
 	for _, s := range b.sections {
-		total += len(s)
+		total += sectionLen(s)
 	}
 	out := make([]byte, 0, total)
 	var tmp [8]byte
@@ -54,14 +65,16 @@ func (b *Builder) Bytes() []byte {
 	binary.LittleEndian.PutUint32(tmp[4:], uint32(len(b.sections)))
 	out = append(out, tmp[:]...)
 	for _, s := range b.sections {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(s)))
+		binary.LittleEndian.PutUint64(tmp[:], uint64(sectionLen(s)))
 		out = append(out, tmp[:]...)
 	}
 	crc := crc32.ChecksumIEEE(out)
 	binary.LittleEndian.PutUint32(tmp[:4], crc)
 	out = append(out, tmp[:4]...)
 	for _, s := range b.sections {
-		out = append(out, s...)
+		for _, p := range s {
+			out = append(out, p...)
+		}
 	}
 	return out
 }

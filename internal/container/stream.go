@@ -20,7 +20,7 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(dir, Magic)
 	binary.LittleEndian.PutUint32(dir[4:], uint32(len(b.sections)))
 	for i, s := range b.sections {
-		binary.LittleEndian.PutUint64(dir[8+8*i:], uint64(len(s)))
+		binary.LittleEndian.PutUint64(dir[8+8*i:], uint64(sectionLen(s)))
 	}
 	crc := crc32.ChecksumIEEE(dir[:len(dir)-4])
 	binary.LittleEndian.PutUint32(dir[len(dir)-4:], crc)
@@ -31,10 +31,12 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 		return total, err
 	}
 	for _, s := range b.sections {
-		n, err := w.Write(s)
-		total += int64(n)
-		if err != nil {
-			return total, err
+		for _, p := range s {
+			n, err := w.Write(p)
+			total += int64(n)
+			if err != nil {
+				return total, err
+			}
 		}
 	}
 	return total, nil

@@ -20,9 +20,11 @@ import (
 
 // headerVersion is the core stream format version. Version 2 added the
 // base-codec ID byte; version 3 switched the class code streams to the
-// multi-lane Huffman payload (huffman.EncodeLanes). Version-1 and -2
-// streams are still readable (implicit SZ3 / single-stream Huffman).
-const headerVersion = 3
+// multi-lane Huffman payload (huffman.EncodeLanes); version 4 codes each
+// class stream as one lane per brick of the class grid (bricks.go). Streams
+// of versions 1–3 are still readable, and Config.CodeChunk > 0 still writes
+// version 3's chunked layout.
+const headerVersion = 4
 
 // header is the section-0 payload.
 type header struct {
@@ -234,12 +236,15 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	st.Chain = time.Since(t0)
 
 	var b container.Builder
-	codeChunk := cfg.CodeChunk
+	codeChunk, version := cfg.CodeChunk, byte(headerVersion)
 	if cfg.Residual == ResidSZ3 {
 		codeChunk = 0 // the ablation path has no code stream to chunk
 	}
+	if codeChunk > 0 {
+		version = 3
+	}
 	hdr := header{
-		Version: headerVersion, DType: dtypeOf[T](),
+		Version: version, DType: dtypeOf[T](),
 		Levels: levels, Predictor: cfg.Predictor, Residual: cfg.Residual,
 		AdaptiveEB: cfg.AdaptiveEB, BaseID: e.base.ID(), EBRatio: cfg.ebRatio(),
 		EB: cfg.EB, Radius: cfg.radius(), CodeChunk: codeChunk,
@@ -276,7 +281,7 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 			}
 			q := quant.Quantizer{EB: cfg.levelEB(p + 2), Radius: cfg.radius()}
 			e.encs[p] = newLevelEnc(fine, fineRecon, coarse, q, cfg, e.workers)
-			kind, tasks := taskSweep, len(e.encs[p].escapes)
+			kind, tasks := taskSweep, len(e.encs[p].bounds)-1
 			if resid {
 				kind, tasks = taskResid, 8
 			}
@@ -291,7 +296,7 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 			}
 		}
 		if p := k - 2; 0 <= p && p < n && !resid {
-			for i := 0; i < 7*huffman.Lanes; i++ {
+			for i := range e.encs[p].laneTasks() {
 				e.add(encTask{kind: taskLane, p: p, i: i})
 			}
 		}
@@ -301,17 +306,15 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 				return nil, st, err
 			}
 		}
-		if p := k - 1; 0 <= p && p < n {
-			e.encs[p].releaseEscapes()
-		}
 		if p := k - 2; 0 <= p && p < n {
-			e.encs[p].release()
+			e.encs[p].finish()
 		}
 	}
+	// A section's parts are joined by the one copy assembly makes.
 	for p, le := range e.encs {
-		for _, sec := range le.secs {
-			b.Add(sec)
-			st.Outliers[p] += int(binary.LittleEndian.Uint32(sec))
+		for _, parts := range le.secs {
+			b.Add(parts...)
+			st.Outliers[p] += int(binary.LittleEndian.Uint32(parts[0]))
 		}
 		st.Entropy[p] += st.Plan[p] + e.lanes[p]
 	}
@@ -352,7 +355,7 @@ const (
 	taskSweep                 // z-block i of level p's sweep
 	taskResid                 // ResidSZ3: level p's class i+1 residual pipeline, or (i = 7) its lattice copy
 	taskPlan                  // level p's plan of class i+1
-	taskLane                  // level p's lane i%Lanes of class i/Lanes+1
+	taskLane                  // level p's lane task i (levelEnc.writeLanes)
 )
 
 type encTask struct {
@@ -413,7 +416,7 @@ func (e *encoder[T]) run(tk encTask) {
 	case taskPlan:
 		e.encs[tk.p].plan(tk.i)
 	case taskLane:
-		e.encs[tk.p].plans[tk.i/huffman.Lanes].writeLane(tk.i % huffman.Lanes)
+		e.encs[tk.p].writeLanes(tk.i)
 	}
 }
 
@@ -447,20 +450,6 @@ func (e *encoder[T]) release() {
 	}
 }
 
-// appendEscape appends the storage form of v to buf, a z-block's escaped
-// values of one class held in a scratch.Bytes lease (nil until the first
-// escape). It re-leases as buf grows, so releasing the returned slice hands
-// back exactly the buffer that is held.
-func appendEscape[T grid.Float](buf []byte, v T) []byte {
-	if len(buf)+8 > cap(buf) {
-		grown := scratch.Bytes.Lease(max(256, 2*cap(buf)))[:len(buf)]
-		copy(grown, buf)
-		scratch.Bytes.Release(buf)
-		buf = grown
-	}
-	return appendValue(buf, v)
-}
-
 // levelEnc is one predicted level on its way through the write side: the
 // seven predicted classes of fine, coded against the reconstructed coarse
 // grid in three steps — the sweep, the plans and the lane writes — each a
@@ -468,11 +457,13 @@ func appendEscape[T grid.Float](buf []byte, v T) []byte {
 // will be predicted from it — receives the level's reconstruction, coarse
 // lattice included, during the sweep.
 //
-// The sweep runs over the coarse rows in z-blocks: each block writes its own
-// index range of the per-class code buffers and collects its escapes per
-// class, so the blocks' escapes concatenated in block order are in class
-// order. Under ResidSZ3 the sweep is instead the seven per-class residual
-// pipelines, which build the sections themselves.
+// The sweep runs over the coarse rows in z-blocks, each writing its own
+// index range of the row-major per-class code buffers and marking the class
+// rows that hold an escape. The entropy steps then read the codes where they
+// lie: the lane tasks of a v4 section copy out each brick's codes and gather
+// the escapes of its marked rows from fine. Under ResidSZ3 the sweep is
+// instead the seven per-class residual pipelines, which build the sections
+// themselves.
 type levelEnc[T grid.Float] struct {
 	lv                      *level[T]
 	fine, fineRecon, coarse *grid.Grid[T]
@@ -480,11 +471,12 @@ type levelEnc[T grid.Float] struct {
 	q                       quant.Quantizer
 	codeChunk               int
 	codes                   [8][]uint16
-	bounds                  []int       // the sweep's z-blocks of coarse planes
-	escapes                 [][8][]byte // [block][class]
-	plans                   [7]classPlan
-	secs                    [7][]byte
-	errs                    [7]error // ResidSZ3's class pipelines
+	escRows                 [8][]byte     // per class row (k, j): non-zero if it holds an escape
+	bounds                  []int         // the sweep's z-blocks of coarse planes
+	lanes                   [7]classLanes // v4 sections
+	plans                   [7]classPlan  // CodeChunk > 0: v3 chunked sections
+	secs                    [7][][]byte   // each section's parts, once finished
+	errs                    [7]error      // ResidSZ3's class pipelines
 }
 
 func newLevelEnc[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Quantizer, cfg Config, workers int) *levelEnc[T] {
@@ -494,10 +486,11 @@ func newLevelEnc[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Qu
 	le.whole = le.lv.subBoxes(grid.FullBox(fine))
 	if cfg.Residual != ResidSZ3 {
 		for c := 1; c < 8; c++ {
+			d := le.lv.dims[c]
 			le.codes[c] = scratch.U16.Lease(le.lv.classLen(c))
+			le.escRows[c] = scratch.Bytes.LeaseZeroed(d[0] * d[1])
 		}
 		le.bounds = parallel.Chunks(coarse.Nz, zBlocks(coarse.Nz, workers))
-		le.escapes = make([][8][]byte, len(le.bounds)-1)
 	}
 	return le
 }
@@ -513,7 +506,6 @@ func (le *levelEnc[T]) sweepBlock(b int) {
 	}
 	preds := scratch.LeaseFloat[T](coarse.Nx)
 	defer scratch.ReleaseFloat(preds)
-	esc := &le.escapes[b]
 	lv.sweep(&le.whole, le.bounds[b], le.bounds[b+1], preds, func(c, k, j, lo, hi int, preds []T) {
 		off := grid.Stride2Offsets[c]
 		f0 := ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx + off.X
@@ -530,11 +522,7 @@ func (le *levelEnc[T]) sweepBlock(b int) {
 			rrow = rdata[f0:]
 		}
 		if quant.QuantizeRow(fq, fdata[f0:], 2, preds, row, rrow) > 0 {
-			for t, code := range row {
-				if code == 0 {
-					esc[c] = appendEscape(esc[c], fdata[f0+2*t])
-				}
-			}
+			le.escRows[c][k*d[1]+j] = 1
 		}
 	})
 }
@@ -543,18 +531,115 @@ func (le *levelEnc[T]) sweepBlock(b int) {
 // i < 7, then the coarse lattice copied into the reconstruction.
 func (le *levelEnc[T]) residClass(i int) {
 	if i < 7 {
-		le.secs[i], le.errs[i] = compressClassSZ3(le.lv, i+1, le.fine, le.fineRecon, le.q)
+		var sec []byte
+		sec, le.errs[i] = compressClassSZ3(le.lv, i+1, le.fine, le.fineRecon, le.q)
+		le.secs[i] = [][]byte{sec}
 	} else if le.fineRecon != nil {
 		le.fineRecon.InsertStride(le.coarse, grid.Offset3{}, 2)
 	}
 }
 
 // plan is the first entropy step for class i+1: the stream histogrammed and
-// its code built, which fixes every byte's place, so the section is
-// allocated once at its exact size with all but the payload in it. The lane
-// writes then put each lane at its final offset.
+// its code built, which fixes the section's head — everything ahead of the
+// escape values and the lanes.
 func (le *levelEnc[T]) plan(i int) {
-	le.plans[i] = planClass(le.codes[i+1], le.escapes, i+1, int(dtypeOf[T]()), le.q.Alphabet(), le.codeChunk)
+	if le.codeChunk > 0 {
+		esc, _ := le.appendEscapes(nil, i+1, le.whole[i+1])
+		le.plans[i] = planClass(le.codes[i+1], esc, int(dtypeOf[T]()), le.q.Alphabet(), le.codeChunk)
+		return
+	}
+	le.lanes[i].plan(le.codes[i+1], le.lv.dims[i+1], le.q.Alphabet())
+}
+
+// laneTasks is the number of lane tasks of the level's sections: one per
+// brick z-slab of every class, or with CodeChunk > 0 one per lane of every
+// class.
+func (le *levelEnc[T]) laneTasks() int {
+	if le.codeChunk > 0 {
+		return 7 * huffman.Lanes
+	}
+	n := 0
+	for i := range le.lanes {
+		n += le.lanes[i].bs.n[0]
+	}
+	return n
+}
+
+// writeLanes is lane task t: with CodeChunk > 0 lane t%Lanes of every chunk
+// of class t/Lanes+1, otherwise the lanes and escapes of one brick z-slab.
+func (le *levelEnc[T]) writeLanes(t int) {
+	if le.codeChunk > 0 {
+		le.plans[t/huffman.Lanes].writeLane(t % huffman.Lanes)
+		return
+	}
+	i := 0
+	for ; t >= le.lanes[i].bs.n[0]; i++ {
+		t -= le.lanes[i].bs.n[0]
+	}
+	le.writeSlab(i, t)
+}
+
+// writeSlab writes the lanes of brick z-slab bz of class i+1, each from a
+// copy of its brick's codes in brick-local row-major order, into the slab's
+// buffer, and when the class has escapes gathers each brick's values.
+func (le *levelEnc[T]) writeSlab(i, bz int) {
+	cl, codes := &le.lanes[i], le.codes[i+1]
+	bs, d := cl.bs, cl.bs.d
+	stage := scratch.U16.Lease(brickLen)
+	defer scratch.U16.Release(stage)
+	// Room for the slab's share of the stream's bits, a byte of padding a
+	// lane, and one brick at its worst: a slab of average density never
+	// grows its buffer.
+	planes := min(brickZ, d[0]-bz*brickZ)
+	share := int(int64(cl.code.Bits()) * int64(planes) / int64(d[0]))
+	lanes := scratch.Bytes.Lease(share/8 + bs.slab() + cl.code.LaneBound(brickLen))[:0]
+	for b := bz * bs.slab(); b < (bz+1)*bs.slab(); b++ {
+		box := bs.box(b)
+		n := 0
+		for k := box.Z0; k < box.Z1; k++ {
+			for j := box.Y0; j < box.Y1; j++ {
+				n += copy(stage[n:], codes[(k*d[1]+j)*d[2]:][box.X0:box.X1])
+			}
+		}
+		if need := len(lanes) + cl.code.LaneBound(n); need > cap(lanes) {
+			grown := scratch.Bytes.Lease(max(need, 2*cap(lanes)))[:len(lanes)]
+			copy(grown, lanes)
+			scratch.Bytes.Release(lanes)
+			lanes = grown
+		}
+		m := cl.code.WriteLane(lanes[len(lanes):cap(lanes)], stage[:n])
+		lanes = lanes[:len(lanes)+m]
+		binary.LittleEndian.PutUint16(cl.head[cl.dir+2*b:], uint16(m))
+		if cl.code.Zeros() > 0 {
+			var e int
+			cl.vals[bz], e = le.appendEscapes(cl.vals[bz], i+1, box)
+			binary.LittleEndian.PutUint16(cl.head[cl.dir+2*(bs.count()+b):], uint16(e))
+		}
+	}
+	cl.lanes[bz] = lanes
+}
+
+// appendEscapes appends to buf the values of class c's escapes inside b, a
+// box of the class grid, in row-major order, and returns it with their
+// count. Only the rows the sweep marked are walked.
+func (le *levelEnc[T]) appendEscapes(buf []byte, c int, b grid.Box) ([]byte, int) {
+	d, off, fine := le.lv.dims[c], grid.Stride2Offsets[c], le.fine
+	n := 0
+	for k := b.Z0; k < b.Z1; k++ {
+		for j := b.Y0; j < b.Y1; j++ {
+			if le.escRows[c][k*d[1]+j] == 0 {
+				continue
+			}
+			f0 := ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx + off.X
+			for x, code := range le.codes[c][(k*d[1]+j)*d[2]:][b.X0:b.X1] {
+				if code == 0 {
+					buf = appendValue(buf, fine.Data[f0+2*(b.X0+x)])
+					n++
+				}
+			}
+		}
+	}
+	return buf, n
 }
 
 // err returns the first error of the level's sweep.
@@ -567,58 +652,103 @@ func (le *levelEnc[T]) err() error {
 	return nil
 }
 
-// releaseEscapes hands back the escape buffers, which the plans have
-// copied into the sections. Idempotent.
-func (le *levelEnc[T]) releaseEscapes() {
-	for b := range le.escapes {
-		for c, buf := range le.escapes[b] {
-			scratch.Bytes.Release(buf)
-			le.escapes[b][c] = nil
-		}
-	}
-}
-
-// release hands back everything the level still holds, keeping its plans'
-// sections in secs. Idempotent.
-func (le *levelEnc[T]) release() {
-	le.releaseEscapes()
+// finish hands back what the level's lane writes no longer need — the codes,
+// the code tables and plans — and keeps each finished section's parts in
+// secs. Idempotent.
+func (le *levelEnc[T]) finish() {
 	for i := range le.plans {
 		if le.plans[i].streams != nil {
-			le.secs[i] = le.plans[i].release()
+			le.secs[i] = [][]byte{le.plans[i].release()}
+		}
+		if le.lanes[i].code != nil {
+			le.secs[i] = le.lanes[i].finish()
 		}
 	}
 	for c := 1; c < 8; c++ {
 		scratch.U16.Release(le.codes[c])
-		le.codes[c] = nil
+		scratch.Bytes.Release(le.escRows[c])
+		le.codes[c], le.escRows[c] = nil, nil
 	}
 }
 
-// classPlan is one class section between the two entropy steps: the section
-// at its final size, complete up to the Huffman payloads, and the planned
-// streams with their offsets in it — one stream, or with CodeChunk > 0 one
-// per chunk.
+// release is finish, then the lane buffers handed back too: the archive
+// has been assembled from them, or will not be. Idempotent.
+func (le *levelEnc[T]) release() {
+	le.finish()
+	for i := range le.lanes {
+		le.lanes[i].release()
+	}
+}
+
+// classLanes is a v4 class section on its way through the entropy steps.
+// Its parts, in order: the head — the escape count, the code's header, then
+// the brick directory of every lane's byte length and, when the class has
+// escapes, every brick's escape count, two bytes an entry in brick order;
+// the escape values, brick order; the lanes, brick order. The plan fixes
+// the head; each lane task (levelEnc.writeSlab) fills its brick z-slab's
+// directory entries and writes the slab's lanes and escape values into
+// buffers of its own.
+type classLanes struct {
+	code  *huffman.Code
+	bs    bricks
+	head  []byte
+	dir   int      // where the directory starts in head
+	lanes [][]byte // per brick z-slab: its lanes back to back, a scratch.Bytes lease
+	vals  [][]byte // per brick z-slab: its escape values
+}
+
+// plan builds the code of the class stream codes, of class dims d, and the
+// section's head with room for the directory.
+func (cl *classLanes) plan(codes []uint16, d [3]int, alphabet int) {
+	cl.code = huffman.NewCode(codes, alphabet)
+	cl.bs = newBricks(d)
+	h := cl.code.Header()
+	cl.dir = 4 + len(h)
+	dirLen := 2 * cl.bs.count()
+	if cl.code.Zeros() > 0 {
+		dirLen *= 2
+	}
+	cl.head = make([]byte, cl.dir+dirLen)
+	binary.LittleEndian.PutUint32(cl.head, uint32(cl.code.Zeros()))
+	copy(cl.head[4:], h)
+	cl.lanes = make([][]byte, cl.bs.n[0])
+	cl.vals = make([][]byte, cl.bs.n[0])
+}
+
+// finish releases the code and returns the section's parts.
+func (cl *classLanes) finish() [][]byte {
+	cl.code.Release()
+	cl.code = nil
+	parts := append([][]byte{cl.head}, cl.vals...)
+	return append(parts, cl.lanes...)
+}
+
+// release hands the lane buffers back. Idempotent.
+func (cl *classLanes) release() {
+	for i, buf := range cl.lanes {
+		scratch.Bytes.Release(buf)
+		cl.lanes[i] = nil
+	}
+}
+
+// classPlan is one v3 chunked class section between the two entropy steps:
+// the section at its final size, complete up to the Huffman payloads, and
+// the planned streams — one per chunk — with their offsets in it.
 type classPlan struct {
 	sec     []byte
 	streams []*huffman.Plan
 	offs    []int
 }
 
-// planClass frames one quantised class: escape count, the escaped values
-// (class c's buffer of every z-block, in block order), then room for the
-// entropy-coded codes — one multi-lane Huffman stream, or with codeChunk > 0
-// independent chunks, each with its own code table, behind a per-chunk
+// planClass frames one quantised class as version 3 chunks it: escape
+// count, the escaped values in class order, then independent chunks of
+// codeChunk codes, each with its own code table, behind a per-chunk
 // directory of (byte length, outlier base).
-func planClass(codes []uint16, escapes [][8][]byte, c, elem, alphabet, codeChunk int) classPlan {
-	outBytes := 0
-	for b := range escapes {
-		outBytes += len(escapes[b][c])
-	}
-	n, cs, nStreams, dirBytes := len(codes), len(codes), 1, 0
-	if codeChunk > 0 {
-		cs = codeChunk
-		nStreams = (n + cs - 1) / cs
-		dirBytes = 4 + 8*nStreams
-	}
+func planClass(codes []uint16, escapes []byte, elem, alphabet, codeChunk int) classPlan {
+	outBytes := len(escapes)
+	n, cs := len(codes), codeChunk
+	nStreams := (n + cs - 1) / cs
+	dirBytes := 4 + 8*nStreams
 	chunk := func(i int) []uint16 { return codes[i*cs : min((i+1)*cs, n)] }
 	cp := classPlan{streams: make([]*huffman.Plan, nStreams), offs: make([]int, nStreams)}
 	off := 4 + outBytes + dirBytes
@@ -630,19 +760,15 @@ func planClass(codes []uint16, escapes [][8][]byte, c, elem, alphabet, codeChunk
 
 	sec := make([]byte, 0, off)
 	sec = binary.LittleEndian.AppendUint32(sec, uint32(outBytes/elem))
-	for b := range escapes {
-		sec = append(sec, escapes[b][c]...)
-	}
-	if codeChunk > 0 {
-		sec = binary.LittleEndian.AppendUint32(sec, uint32(nStreams))
-		var zeros uint32
-		for i, pl := range cp.streams {
-			sec = binary.LittleEndian.AppendUint32(sec, uint32(pl.Size()))
-			sec = binary.LittleEndian.AppendUint32(sec, zeros)
-			for _, code := range chunk(i) {
-				if code == 0 {
-					zeros++
-				}
+	sec = append(sec, escapes...)
+	sec = binary.LittleEndian.AppendUint32(sec, uint32(nStreams))
+	var zeros uint32
+	for i, pl := range cp.streams {
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(pl.Size()))
+		sec = binary.LittleEndian.AppendUint32(sec, zeros)
+		for _, code := range chunk(i) {
+			if code == 0 {
+				zeros++
 			}
 		}
 	}

@@ -606,8 +606,9 @@ func TestOutlierRandomAccessConsistency(t *testing.T) {
 // Total — the base and class decodes run in one concurrent phase and each
 // timer spans only its own tasks — and the class-stream accounting of a
 // pinned box and a pinned slice is what the plan's geometry decides, the
-// same at every worker count (and the same values the walker reported
-// before its decodes ran concurrently).
+// same at every worker count: whole bricks of the classes the region
+// touches (a 16³ class grid is two 8×16×16 bricks, an 8³ one a single
+// brick).
 func TestStatsPopulated(t *testing.T) {
 	g := testField[float64](32, 32, 32, 24)
 	enc, _ := Compress(g, DefaultConfig(1e-3))
@@ -617,8 +618,8 @@ func TestStatsPopulated(t *testing.T) {
 		box  grid.Box
 		want counts
 	}{
-		{grid.Box{Z0: 5, Z1: 17, Y0: 9, Y1: 20, X0: 3, X1: 30}, counts{[3]int{7, 7}, [3]int{}, [3]int{2128, 14425}}},
-		{grid.Box{Z0: 6, Z1: 7, Y1: 32, X1: 32}, counts{[3]int{4, 3}, [3]int{3, 4}, [3]int{512, 3072}}},
+		{grid.Box{Z0: 5, Z1: 17, Y0: 9, Y1: 20, X0: 3, X1: 30}, counts{[3]int{7, 7}, [3]int{}, [3]int{7 * 512, 10 * 2048}}},
+		{grid.Box{Z0: 6, Z1: 7, Y1: 32, X1: 32}, counts{[3]int{4, 3}, [3]int{3, 4}, [3]int{4 * 512, 3 * 2048}}},
 	}
 	for _, workers := range []int{1, 2, 4} {
 		r.Workers = workers

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -188,10 +189,11 @@ func leaseBalance() map[string]int64 {
 }
 
 // TestCompressLeaseBalance: Compress hands back every scratch buffer it
-// leases — the level-1 reconstruction and, on a field whose escapes outgrow
-// their first lease, the re-leased escape buffers included. A lease dropped
-// (or a foreign slice released) on any path shows as a per-arena imbalance
-// over 10 calls.
+// leases — the level-1 reconstruction, the lane buffers and, on a field
+// whose top brick slabs code far denser than the average slab, the lane
+// buffers re-leased as they outgrow their first lease included. A lease
+// dropped (or a foreign slice released) on any path shows as a per-arena
+// imbalance over 10 calls.
 func TestCompressLeaseBalance(t *testing.T) {
 	prev := scratch.SetEnabled(true)
 	defer scratch.SetEnabled(prev)
@@ -199,6 +201,25 @@ func TestCompressLeaseBalance(t *testing.T) {
 	for name, cfg := range stzPoolConfigs() {
 		checkLeaseBalance(t, name, false, func() error { _, err := Compress(g, cfg); return err })
 	}
+	dense := grid.New[float32](24, 128, 256)
+	rng := rand.New(rand.NewSource(4))
+	for i := range dense.Data {
+		dense.Data[i] = float32(math.Sin(float64(i%256) / 16))
+		if i >= 2*len(dense.Data)/3 {
+			dense.Data[i] += float32(30 * rng.NormFloat64())
+		}
+	}
+	cfg := DefaultConfig(1e-3)
+	checkLeaseBalance(t, "dense top slabs", false, func() error {
+		enc, err := Compress(dense, cfg)
+		if err == nil {
+			var rec *grid.Grid[float32]
+			if rec, err = Decompress[float32](enc); err == nil {
+				checkBound(t, dense, rec, cfg.EB, "dense top slabs")
+			}
+		}
+		return err
+	})
 	for _, wc := range walkerCases() {
 		if wc.name != "L3-f64-outliers" {
 			continue

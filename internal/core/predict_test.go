@@ -377,18 +377,36 @@ func checkDequantRow[T grid.Float](t *testing.T) {
 					for i := range dst {
 						dst[i] = sentinel
 					}
-					err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, &oc, pre, outliers)
-					if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
-						t.Fatalf("%s: err %v", what, err)
-					}
-					for i, v := range dst {
-						if i%2 == 0 && i/2 < fail {
-							if bits(v) != bits(want[i/2]) {
-								t.Fatalf("%s: point %d is %v, want %v", what, i/2, v, want[i/2])
-							}
-						} else if bits(v) != bits(sentinel) {
-							t.Fatalf("%s: slot %d of %d written (%v)", what, i, len(dst), v)
+					es := escapes[T]{oc: &oc, outliers: outliers}
+					check := func(how string, es escapes[T]) {
+						for i := range dst {
+							dst[i] = sentinel
 						}
+						err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, &es, pre)
+						if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
+							t.Fatalf("%s, %s: err %v", what, how, err)
+						}
+						for i, v := range dst {
+							if i%2 == 0 && i/2 < fail {
+								if bits(v) != bits(want[i/2]) {
+									t.Fatalf("%s, %s: point %d is %v, want %v", what, how, i/2, v, want[i/2])
+								}
+							} else if bits(v) != bits(sentinel) {
+								t.Fatalf("%s, %s: slot %d of %d written (%v)", what, how, i, len(dst), v)
+							}
+						}
+					}
+					check("cursor", es)
+					if !short {
+						// A version-4 class holds each escape's value at its
+						// own index.
+						vals := make([]T, len(codes))
+						for t := range n {
+							if codes[pre+t] == 0 {
+								vals[pre+t] = want[t]
+							}
+						}
+						check("in place", escapes[T]{vals: vals})
 					}
 				}
 			}

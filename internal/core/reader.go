@@ -12,6 +12,7 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 	"stz/internal/sz3"
 )
@@ -54,8 +55,9 @@ type Stats struct {
 	LevelRecon     [3]time.Duration
 	DecodedClasses [3]int
 	SkippedClasses [3]int
-	// Chunk accounting for streams written with Config.CodeChunk > 0
-	// (random-access Huffman decoding).
+	// Accounting of the independently decodable parts of the touched class
+	// streams (random-access Huffman decoding): the bricks of a version-4
+	// stream, the chunks of one written with Config.CodeChunk > 0.
 	DecodedChunks [3]int
 	SkippedChunks [3]int
 	// Symbol accounting: of the TotalSymbols class codes a level stores
@@ -162,11 +164,20 @@ func (r *Reader[T]) levelEB(lv int) float64 {
 	return eb
 }
 
-// decodedClass is one predicted class's decoded payload. codes, outliers
-// and diff's backing are scratch-arena leases owned by the class; callers
-// release them (via release) once reconstruction no longer reads them.
+// decodedClass is one predicted class's decoded payload. codes, esc,
+// outliers and diff's backing are scratch-arena leases owned by the class;
+// callers release them (via release) once reconstruction no longer reads
+// them.
+//
+// codes hold the class points of box, row-major: in a version-4 class the
+// union of its views' class boxes, with each escape's value at its code's
+// index in esc (nil when the class has no escapes); in an older class the
+// whole class grid, its escapes' values in outliers, which an
+// outlierCursor resolves.
 type decodedClass[T grid.Float] struct {
 	codes          []uint16 // ResidQuant path
+	box            grid.Box
+	esc            []T
 	outliers       []T
 	diff           *grid.Grid[T] // ResidSZ3 path
 	decodedSymbols int           // class codes that went through the entropy decoder
@@ -183,11 +194,172 @@ type decodedClass[T grid.Float] struct {
 // the zero value and after a partial decode.
 func (dc *decodedClass[T]) release() {
 	scratch.U16.Release(dc.codes)
+	scratch.ReleaseFloat(dc.esc)
 	scratch.ReleaseFloat(dc.outliers)
 	if dc.diff != nil {
 		scratch.ReleaseFloat(dc.diff.Data)
 	}
-	dc.codes, dc.outliers, dc.diff = nil, nil, nil
+	dc.codes, dc.esc, dc.outliers, dc.diff = nil, nil, nil, nil
+}
+
+// at is the index in codes of the class point (k, j, x) of box.
+func (dc *decodedClass[T]) at(k, j, x int) int {
+	b := &dc.box
+	return ((k-b.Z0)*(b.Y1-b.Y0)+j-b.Y0)*(b.X1-b.X0) + x - b.X0
+}
+
+// decodeBricks entropy-decodes the listed bricks (ascending) of version-4
+// class section sec — class c (1..7, for messages) of brick grid bs, want
+// codes in all — into the codes of box, the union of the views' class
+// boxes. The section's directory is checked whole before it sizes
+// anything.
+func (r *Reader[T]) decodeBricks(sec []byte, c int, q quant.Quantizer, bs bricks, box grid.Box, list []int32, want int) (decodedClass[T], error) {
+	dc := decodedClass[T]{box: box, totalChunks: bs.count()}
+	if len(sec) < 4 {
+		return dc, fmt.Errorf("%w (class %d)", errBrickDir, c)
+	}
+	nOut := int(binary.LittleEndian.Uint32(sec))
+	cr, n, headLen, err := huffman.ReadCode(sec[4:], q.Alphabet(), want)
+	if err != nil {
+		return dc, fmt.Errorf("core: class %d codes: %w", c, err)
+	}
+	defer cr.Release()
+	if n != bs.d[0]*bs.d[1]*bs.d[2] {
+		return dc, fmt.Errorf("core: class %d code count %d, want %d", c, n, bs.d[0]*bs.d[1]*bs.d[2])
+	}
+	// The directory: every brick's lane length, then with escapes every
+	// brick's escape count. Their sums place the escape values and the
+	// lanes, which must fill the section exactly.
+	nb, dir := bs.count(), 4+headLen
+	entries := nb
+	if nOut > 0 {
+		entries *= 2
+	}
+	if len(sec)-dir < 2*entries {
+		return dc, fmt.Errorf("%w (class %d)", errBrickDir, c)
+	}
+	elem := rawio.ElemSize[T]()
+	outOff := dir + 2*entries
+	laneOff := outOff + nOut*elem
+	lens, escs := sec[dir:][:2*nb], sec[dir+2*nb:][:2*entries-2*nb]
+	type brickLane struct {
+		b          int
+		start, end int // the lane's bytes in sec
+		esc0, escs int // the brick's first escape value, and its count
+	}
+	touched := make([]brickLane, 0, len(list))
+	off, escSum := laneOff, 0
+	for b := 0; b < nb; b++ {
+		l, e := int(binary.LittleEndian.Uint16(lens[2*b:])), 0
+		if nOut > 0 {
+			e = int(binary.LittleEndian.Uint16(escs[2*b:]))
+		}
+		if len(touched) < len(list) && int(list[len(touched)]) == b {
+			touched = append(touched, brickLane{b, off, off + l, escSum, e})
+		}
+		off += l
+		escSum += e
+	}
+	if escSum != nOut {
+		return dc, fmt.Errorf("%w (class %d)", errEscapeCount, c)
+	}
+	if laneOff > len(sec) || off != len(sec) {
+		return dc, fmt.Errorf("%w (class %d)", errLaneBounds, c)
+	}
+
+	dc.codes = scratch.U16.Lease(box.Volume())
+	if nOut > 0 {
+		dc.esc = scratch.LeaseFloat[T](box.Volume())
+	}
+	stage := scratch.U16.Lease(2 * brickLen)
+	defer scratch.U16.Release(stage)
+	fail := func(err error) (decodedClass[T], error) {
+		dc.release()
+		return decodedClass[T]{}, fmt.Errorf("core: class %d: %w", c, err)
+	}
+	// The lanes decode two at a time in lockstep into the stage, and each
+	// brick is placed from there. A lane must end in its last byte: one
+	// that does not holds symbols past its brick's.
+	for i := 0; i < len(touched); i += 2 {
+		pair := touched[i:min(i+2, len(touched))]
+		var ls [2]huffman.Lane
+		for j, tl := range pair {
+			ls[j] = huffman.Lane{Start: tl.start, End: tl.end, At: j * brickLen, Stop: j*brickLen + bs.box(tl.b).Volume()}
+		}
+		var ends [2]int
+		var err error
+		if len(pair) == 2 {
+			ends[0], ends[1], err = cr.DecodePair(sec, stage, ls[0], ls[1])
+		} else {
+			ends[0], err = cr.Decode(sec, stage, ls[0])
+		}
+		if err != nil {
+			return fail(err)
+		}
+		for j, tl := range pair {
+			if (ends[j]+7)/8 != tl.end {
+				return fail(errLaneOverrun)
+			}
+			if err := dc.place(bs.box(tl.b), stage[ls[j].At:ls[j].Stop], sec[outOff+tl.esc0*elem:], tl.escs); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	dc.decodedSymbols, dc.decodedChunks = want, len(touched)
+	return dc, nil
+}
+
+// place copies the decoded brick bb — its codes in brick-local row-major
+// order — into the codes of the box they share, and when the class has
+// escapes gives each escape there its value: the brick's n escapes are the
+// first n values of vals, in brick order.
+func (dc *decodedClass[T]) place(bb grid.Box, codes []uint16, vals []byte, n int) error {
+	b := dc.box
+	in := grid.Box{
+		Z0: max(bb.Z0, b.Z0), Y0: max(bb.Y0, b.Y0), X0: max(bb.X0, b.X0),
+		Z1: min(bb.Z1, b.Z1), Y1: min(bb.Y1, b.Y1), X1: min(bb.X1, b.X1),
+	}
+	h, w := bb.Y1-bb.Y0, bb.X1-bb.X0
+	if !in.Empty() {
+		// Row by row, both cursors stepping; a whole brick row is one
+		// fixed-size move.
+		bx, by, row := b.X1-b.X0, b.Y1-b.Y0, in.X1-in.X0
+		dst, src := dc.at(in.Z0, in.Y0, in.X0), ((in.Z0-bb.Z0)*h+in.Y0-bb.Y0)*w+in.X0-bb.X0
+		for k := in.Z0; k < in.Z1; k++ {
+			d, s := dst, src
+			for j := in.Y0; j < in.Y1; j++ {
+				if row == brickX {
+					*(*[brickX]uint16)(dc.codes[d:]) = *(*[brickX]uint16)(codes[s:])
+				} else {
+					copy(dc.codes[d:d+row], codes[s:s+row])
+				}
+				d += bx
+				s += w
+			}
+			dst += bx * by
+			src += h * w
+		}
+	}
+	if dc.esc == nil {
+		return nil
+	}
+	e := 0
+	for t, code := range codes {
+		if code != 0 {
+			continue
+		}
+		if e == n {
+			return errEscapeCount
+		}
+		if k, j, x := bb.Z0+t/(h*w), bb.Y0+t/w%h, bb.X0+t%w; in.Contains(k, j, x) {
+			rawio.GetValues(dc.esc[dc.at(k, j, x):][:1], vals[e*rawio.ElemSize[T]():])
+		}
+		e++
+	}
+	if e != n {
+		return errEscapeCount
+	}
+	return nil
 }
 
 // decodeCodes entropy-decodes the codes [lo, hi) of one class code blob
@@ -205,11 +377,11 @@ func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet, lo, hi int)
 	return codes, len(codes), err
 }
 
-// decodeClass entropy-decodes the class stream of predicted level p,
-// class c. n is the class size in points; only codes within [ciLo, ciHi)
-// are guaranteed decoded: a multi-lane stream decodes the lane prefixes the
-// range touches (huffman.DecodeLanesRange), and with chunked streams
-// (Config.CodeChunk) chunks entirely outside the range are skipped.
+// decodeClass entropy-decodes the version-1–3 class stream of predicted
+// level p, class c. n is the class size in points; only codes within
+// [ciLo, ciHi) are guaranteed decoded: a multi-lane stream decodes the lane
+// prefixes the range touches (huffman.DecodeLanesRange), and with chunked
+// streams (Config.CodeChunk) chunks entirely outside the range are skipped.
 func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) (decodedClass[T], error) {
 	sec, err := r.arc.Section(r.classSection(p, c))
 	if err != nil {
@@ -379,17 +551,27 @@ func (o *outlierCursor) take(ci int) int {
 
 var errOutliersExhausted = errors.New("core: outlier stream exhausted")
 
+// escapes is where dequantRow finds the value of the escape at index i of
+// a class's decoded codes: a version-4 class holds it at vals[i]; an older
+// one in outliers, at the index oc resolves for class index i. With
+// neither, there is none.
+type escapes[T grid.Float] struct {
+	vals     []T
+	oc       *outlierCursor
+	outliers []T
+}
+
 // dequantRow reconstructs one class row into its fine row: the class point
-// ci0+t, of code codes[t] and prediction preds[t], goes to dst[2t]. A
-// non-zero code dequantises against the prediction; an escape takes its
-// value from outliers through oc. When outliers runs out it stops with an
-// error, leaving that point and the rest of the row unwritten.
-func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32,
-	oc *outlierCursor, ci0 int, outliers []T) error {
+// of code codes[t] — index at+t of the class's decoded codes — and
+// prediction preds[t] goes to dst[2t]. A non-zero code dequantises against
+// the prediction; an escape takes its value from es. When es has no value
+// for it, it stops with an error, leaving that point and the rest of the
+// row unwritten.
+func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32, es *escapes[T], at int) error {
 	preds = preds[:len(codes)]
 	for t, code := range codes {
 		if code == 0 {
-			v, ok := outlierAt(oc, ci0+t, outliers)
+			v, ok := es.at(at + t)
 			if !ok {
 				return errOutliersExhausted
 			}
@@ -401,11 +583,17 @@ func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, r
 	return nil
 }
 
-// outlierAt is dequantRow's escape path, out of its loop: the value of the
-// escape at class index ci, or false when outliers holds no such value.
-func outlierAt[T grid.Float](oc *outlierCursor, ci int, outliers []T) (T, bool) {
-	if oi := oc.take(ci); oi < len(outliers) {
-		return outliers[oi], true
+// at is dequantRow's escape path, out of its loop: the value of the escape
+// at index i, or false when there is no such value.
+func (es *escapes[T]) at(i int) (T, bool) {
+	if es.vals != nil {
+		return es.vals[i], true
+	}
+	if es.oc == nil {
+		return 0, false
+	}
+	if oi := es.oc.take(i); oi < len(es.outliers) {
+		return es.outliers[oi], true
 	}
 	return 0, false
 }
@@ -440,12 +628,13 @@ func (v view[T]) extract(b grid.Box) *grid.Grid[T] {
 var errL1Dims = errors.New("core: level-1 dims mismatch")
 
 // checkBaseDims refuses a level-1 payload whose own dims are not the
-// header's level-1 dims, where the base codec reads them without decoding
-// (a BoxDecoder): before the decode phase sizes class streams and output
+// header's level-1 dims, read without decoding (every registered base is a
+// codec.DimsReader): before the decode phase sizes class streams and output
 // grids from the header's dims, and before a box decode, whose result has
-// the box's dims. decodeBase checks any other base's decoded grid.
+// the box's dims. decodeBase checks the decoded grid of a base that could
+// not say.
 func (r *Reader[T]) checkBaseDims() error {
-	bd, ok := r.base.(codec.BoxDecoder)
+	bd, ok := r.base.(codec.DimsReader)
 	if !ok {
 		return nil
 	}
@@ -521,8 +710,9 @@ func (dc *decodedClass[T]) indexEscapes(planeLen, hi int) {
 // levelPlan is one predicted level of a reconstruction, fixed before
 // anything is decoded — the views it rebuilds, each view's share of every
 // class (sub[i][c], in class coordinates) and per class the span [lo, hi) of
-// row-major class indices the views touch, its index hull — and the class
-// streams the decode phase produces for it.
+// row-major class indices the views touch, its index hull, and in a
+// version-4 stream the bricks they touch — and the class streams the
+// decode phase produces for it.
 type levelPlan[T grid.Float] struct {
 	p      int // 0 = paper level 2
 	lv     *level[T]
@@ -530,6 +720,11 @@ type levelPlan[T grid.Float] struct {
 	views  []view[T]
 	sub    [][8]grid.Box
 	lo, hi [8]int
+	// Version 4: per class, the union of the views' class boxes, the bricks
+	// they touch, in brick order, and the codes those bricks hold.
+	box    [8]grid.Box
+	bricks [8][]int32
+	want   [8]int
 	dcs    [8]decodedClass[T]
 	errs   [8]error
 }
@@ -553,8 +748,28 @@ func (r *Reader[T]) planLevel(p int, fdims [3]int, views []view[T]) levelPlan[T]
 				pl.hi[c] = max(pl.hi[c], ((sb.Z1-1)*d[1]+sb.Y1-1)*d[2]+sb.X1)
 			}
 		}
+		if r.hdr.Version >= 4 && r.hdr.Residual != ResidSZ3 && pl.touched(c) {
+			pl.planBricks(c)
+		}
 	}
 	return pl
+}
+
+// planBricks fixes the union of the views' boxes of class c and lists the
+// bricks they touch, in brick order.
+func (pl *levelPlan[T]) planBricks(c int) {
+	bs := newBricks(pl.lv.dims[c])
+	marked := make([]bool, bs.count())
+	for i := range pl.views {
+		pl.box[c] = pl.box[c].Union(pl.sub[i][c])
+		bs.mark(pl.sub[i][c], marked)
+	}
+	for b, m := range marked {
+		if m {
+			pl.bricks[c] = append(pl.bricks[c], int32(b))
+			pl.want[c] += bs.box(b).Volume()
+		}
+	}
 }
 
 // touched reports whether some view has a point of class c.
@@ -565,9 +780,19 @@ func (pl *levelPlan[T]) touched(c int) bool { return pl.lo[c] < pl.hi[c] }
 func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
 	d, n := pl.lv.dims[c], pl.lv.classLen(c)
 	dc := &pl.dcs[c]
+	if pl.bricks[c] != nil {
+		sec, err := r.arc.Section(r.classSection(pl.p, c-1))
+		if err != nil {
+			pl.errs[c] = err
+			return
+		}
+		*dc, pl.errs[c] = r.decodeBricks(sec, c, pl.q, newBricks(d), pl.box[c], pl.bricks[c], pl.want[c])
+		return
+	}
 	if *dc, pl.errs[c] = r.decodeClass(pl.p, c-1, pl.q, n, pl.lo[c], pl.hi[c]); pl.errs[c] != nil {
 		return
 	}
+	dc.box = grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}
 	if r.hdr.Residual == ResidSZ3 {
 		if dc.diff.Nz != d[0] || dc.diff.Ny != d[1] || dc.diff.Nx != d[2] {
 			pl.errs[c] = fmt.Errorf("core: residual sub-block dims mismatch")
@@ -724,7 +949,7 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 		}
 	}
 	terrs := make([]error, len(tasks))
-	resid := r.hdr.Residual == ResidSZ3
+	resid, v4 := r.hdr.Residual == ResidSZ3, r.hdr.Version >= 4
 	bin, radius := 2*pl.q.EB, pl.q.Radius
 	parallel.For(len(tasks), r.workers(), func(ti int) {
 		tk := tasks[ti]
@@ -733,8 +958,13 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 		preds := scratch.LeaseFloat[T](coarse.g.Nx)
 		defer scratch.ReleaseFloat(preds)
 		var cursors [8]outlierCursor
+		var ess [8]escapes[T]
 		for c := 1; c < 8; c++ {
-			cursors[c] = newOutlierCursor(dcs[c])
+			ess[c] = escapes[T]{vals: dcs[c].esc}
+			if !v4 {
+				cursors[c] = newOutlierCursor(dcs[c])
+				ess[c] = escapes[T]{oc: &cursors[c], outliers: dcs[c].outliers}
+			}
 		}
 		// The task's error stays on its own stack until the sweep ends:
 		// neighbouring tasks' terrs share a cache line.
@@ -749,16 +979,16 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 				spread(dst, coarse.g.Data[coarse.idx(k, j, lo):][:hi-lo])
 				return
 			}
-			d := lv.dims[c]
-			ci0 := (k*d[1]+j)*d[2] + lo
 			if resid {
-				for t, diff := range dcs[c].diff.Data[ci0:][:hi-lo] {
+				d := lv.dims[c]
+				for t, diff := range dcs[c].diff.Data[(k*d[1]+j)*d[2]+lo:][:hi-lo] {
 					dst[2*t] = preds[t] + diff
 				}
 				return
 			}
 			dc := &dcs[c]
-			err = dequantRow(dst, dc.codes[ci0:][:hi-lo], preds, bin, radius, &cursors[c], ci0, dc.outliers)
+			at := dc.at(k, j, lo)
+			err = dequantRow(dst, dc.codes[at:][:hi-lo], preds, bin, radius, &ess[c], at)
 		})
 		terrs[ti] = err
 	})

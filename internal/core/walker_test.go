@@ -16,7 +16,7 @@ import (
 	"stz/internal/container"
 	"stz/internal/datasets"
 	"stz/internal/grid"
-	"stz/internal/parallel"
+	"stz/internal/huffman"
 	"stz/internal/quant"
 	"stz/internal/rawio"
 )
@@ -35,9 +35,11 @@ type walkerCase struct {
 // classes all differ in size, both element types, chunked and unchunked
 // code streams, the SZ3-residual ablation, an unchunked stream full of
 // outliers (the 1e12-spike field of TestOutlierRandomAccessConsistency),
-// where escape indexing forbids skipping a class's leading lanes, and two
-// thin grids (7 points along x, then along z) whose coarse lattices are too
-// short for an interior and split into ragged z-blocks.
+// two thin grids (7 points along x, then along z) whose coarse lattices are
+// too short for an interior and split into ragged z-blocks, and two grids
+// whose class streams span several bricks along every axis at both
+// predicted levels, clipped bricks included — one of them full of
+// outliers.
 func walkerCases() []walkerCase {
 	mk := func(levels int, mut func(*Config)) Config {
 		cfg := DefaultConfig(1e-3)
@@ -58,6 +60,8 @@ func walkerCases() []walkerCase {
 		{"L3-f64-outliers", false, 33, 18, 21, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
 		{"L3-f32-thin", true, 33, 18, 7, mk(3, nil), false},
 		{"L3-f64-thin-outliers", false, 7, 33, 18, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
+		{"L3-f32-bricks", true, 96, 80, 72, mk(3, nil), false},
+		{"L3-f64-bricks-outliers", false, 80, 72, 96, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
 	}
 }
 
@@ -91,19 +95,20 @@ func (wc walkerCase) encode(tb testing.TB) []byte {
 	return encodeCase[float64](tb, wc)
 }
 
-// TestPinnedWalkerArchives pins the archive bytes of every walker case —
-// the hashes are the parent encoder's, which coded one class at a time — at
+// TestPinnedWalkerArchives pins the archive bytes of every walker case at
 // Workers 1, 2, 3, 4 and 8: an encoder change that is meant to keep archives
 // byte-identical (a faster table build, a new traversal) shows here first,
-// and so does a z-block split that reorders a class's escapes or miscounts
-// a ragged block.
+// and so does a lane task that gathers a brick's escapes out of order or
+// miscounts a clipped brick. The chunk4096 hashes are version 3's, which
+// CodeChunk still writes; the rest are version 4's first writer's.
 func TestPinnedWalkerArchives(t *testing.T) {
 	pins := map[string]string{
-		"L2-f64": "e5b60070e8467e4f", "L3-f32": "307cfed2f1f2fe90", "L4-f64": "1813448f19f9d3e0",
+		"L2-f64": "73879989995bce11", "L3-f32": "554dfb1155d9dfb9", "L4-f64": "751573222e192ac5",
 		"L3-f32-chunk4096": "333fe1e9fa1a0506", "L3-f64-chunk4096": "72a05d0b50b1e9e4",
-		"L3-f64-sz3resid": "ec5bb1fe56a0ff6d", "L2-f32-sz3resid": "01603c475ad116f2",
-		"L3-f64-outliers": "2a01710d4720367e", "L3-f32-thin": "f2dd5315636c0707",
-		"L3-f64-thin-outliers": "39cf20a9726936a4",
+		"L3-f64-sz3resid": "4bde53f1fb9cbe15", "L2-f32-sz3resid": "962baa631678c90d",
+		"L3-f64-outliers": "f9e8e8ad88b4aa65", "L3-f32-thin": "c6a5212c43047708",
+		"L3-f64-thin-outliers": "5bf71ff1d095c5d7",
+		"L3-f32-bricks":        "590d7945f8247076", "L3-f64-bricks-outliers": "356fb4bf92df8636",
 	}
 	for _, wc := range walkerCases() {
 		want, ok := pins[wc.name]
@@ -162,26 +167,29 @@ func walkerDecodes[T grid.Float](t *testing.T, wc walkerCase, workers int) map[s
 // TestPinnedWalkerDecodes pins what the decoder writes, as
 // TestPinnedWalkerArchives pins what the encoder writes: the digests of the
 // full decode, Progressive(Levels−1) and an interior box of every walker
-// case, at Workers 1 and 2. They were recorded before the level sweep's
-// kernels and dequantise row were last rewritten, so a decode-only change
-// meant to keep every output bit-identical — a kernel's indexing, the
-// escape path, where the output grid is allocated — shows here first, in
-// both element types and at every hierarchy depth.
+// case, at Workers 1 and 2. They were recorded from version-3 archives,
+// before the level sweep's kernels and dequantise row were last rewritten
+// and before the class streams were tiled into bricks, so a change meant to
+// keep every output bit-identical — a kernel's indexing, the escape path,
+// where the output grid is allocated, the stream layout — shows here
+// first, in both element types and at every hierarchy depth.
 func TestPinnedWalkerDecodes(t *testing.T) {
 	pin := func(full, below, box string) map[string]string {
 		return map[string]string{"full": full, "below": below, "box": box}
 	}
 	pins := map[string]map[string]string{
-		"L2-f64":               pin("c561d9631cb61670", "2c63a6fbfa4c4acc", "a0801c5af6e062e3"),
-		"L3-f32":               pin("3d745a547871770c", "032271564815f831", "cbf77c6c6e5d1329"),
-		"L4-f64":               pin("c90b00e7e66a1e51", "9c3e6a30a95798f6", "7b6eb1a1d323668a"),
-		"L3-f32-chunk4096":     pin("39aebbf92f2b5793", "ec41498f14514619", "f72f5b54d67e40ec"),
-		"L3-f64-chunk4096":     pin("5cd6239049436256", "728b048e0c690df7", "bbeb28391ad21a16"),
-		"L3-f64-sz3resid":      pin("fd3f482fb51cd6a1", "640c96750093c6eb", "5c5a56a51849612c"),
-		"L2-f32-sz3resid":      pin("32a096358bf593e5", "b1676cc960a2188b", "9adf52968bcfbc79"),
-		"L3-f64-outliers":      pin("1720632b2ad90de3", "e119fe7c28e25005", "dcac897056cfce68"),
-		"L3-f32-thin":          pin("67f0aaa6e3a44ccb", "fb56ec8b013c1e9c", "60ef8484bf2044a1"),
-		"L3-f64-thin-outliers": pin("1266ca423b466ff1", "70f3ec2299828e51", "10f22b63df92fec0"),
+		"L2-f64":                 pin("c561d9631cb61670", "2c63a6fbfa4c4acc", "a0801c5af6e062e3"),
+		"L3-f32":                 pin("3d745a547871770c", "032271564815f831", "cbf77c6c6e5d1329"),
+		"L4-f64":                 pin("c90b00e7e66a1e51", "9c3e6a30a95798f6", "7b6eb1a1d323668a"),
+		"L3-f32-chunk4096":       pin("39aebbf92f2b5793", "ec41498f14514619", "f72f5b54d67e40ec"),
+		"L3-f64-chunk4096":       pin("5cd6239049436256", "728b048e0c690df7", "bbeb28391ad21a16"),
+		"L3-f64-sz3resid":        pin("fd3f482fb51cd6a1", "640c96750093c6eb", "5c5a56a51849612c"),
+		"L2-f32-sz3resid":        pin("32a096358bf593e5", "b1676cc960a2188b", "9adf52968bcfbc79"),
+		"L3-f64-outliers":        pin("1720632b2ad90de3", "e119fe7c28e25005", "dcac897056cfce68"),
+		"L3-f32-thin":            pin("67f0aaa6e3a44ccb", "fb56ec8b013c1e9c", "60ef8484bf2044a1"),
+		"L3-f64-thin-outliers":   pin("1266ca423b466ff1", "70f3ec2299828e51", "10f22b63df92fec0"),
+		"L3-f32-bricks":          pin("454b78587f26a369", "8f0a15ee48913a23", "493d3fc28ac278d5"),
+		"L3-f64-bricks-outliers": pin("c98670320aad8c22", "ed4a322ec5b12931", "25a1f7751df31c4e"),
 	}
 	for _, wc := range walkerCases() {
 		want, ok := pins[wc.name]
@@ -204,12 +212,14 @@ func TestPinnedWalkerDecodes(t *testing.T) {
 	}
 }
 
-// TestEscapesSpanZBlocks: the pinned outlier case really exercises the
-// block-order concatenation — at Workers 8 some class of its finest level
-// has escapes in at least three of the sweep's z-blocks.
+// TestEscapesSpanZBlocks: the pinned outlier cases really exercise the
+// brick-order gather of escapes across lane tasks — some class of the
+// finest level has escapes in at least three of its brick z-slabs, each
+// written by its own task, and the brick directory's escape counts add up
+// to the class's.
 func TestEscapesSpanZBlocks(t *testing.T) {
 	for _, wc := range walkerCases() {
-		if wc.name != "L3-f64-outliers" {
+		if wc.name != "L3-f64-outliers" && wc.name != "L3-f64-bricks-outliers" {
 			continue
 		}
 		r, err := NewReader[float64](wc.encode(t))
@@ -217,32 +227,57 @@ func TestEscapesSpanZBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := wc.cfg.Levels - 2
-		cz := grid.SubDim(wc.nz, 0, 2)
-		bounds := parallel.Chunks(cz, zBlocks(cz, 8))
+		q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
 		most := 0
 		for c, off := range predictedClasses() {
 			bz, by, bx := classDims(off, wc.nz, wc.ny, wc.nx)
-			q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
-			dc, err := r.decodeClass(p, c, q, bz*by*bx, 0, bz*by*bx)
+			bs := newBricks([3]int{bz, by, bx})
+			sec, err := r.arc.Section(r.classSection(p, c))
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks := 0
-			for b := 0; b+1 < len(bounds); b++ {
-				for _, code := range dc.codes[min(bounds[b], bz)*by*bx : min(bounds[b+1], bz)*by*bx] {
-					if code == 0 {
-						blocks++
-						break
-					}
+			_, escs := brickDir(t, sec, q.Alphabet(), bs.count())
+			slabs, sum := 0, 0
+			for z := 0; z < bs.n[0]; z++ {
+				inSlab := 0
+				for _, e := range escs[z*bs.slab() : (z+1)*bs.slab()] {
+					inSlab += e
 				}
+				if inSlab > 0 {
+					slabs++
+				}
+				sum += inSlab
 			}
-			most = max(most, blocks)
-			dc.release()
+			if nOut := int(binary.LittleEndian.Uint32(sec)); sum != nOut {
+				t.Errorf("%s class %d: brick escape counts sum to %d, section holds %d", wc.name, c+1, sum, nOut)
+			}
+			most = max(most, slabs)
 		}
 		if most < 3 {
-			t.Fatalf("no class has escapes in 3 z-blocks (most: %d of %d blocks)", most, len(bounds)-1)
+			t.Errorf("%s: no class has escapes in 3 brick z-slabs (most: %d)", wc.name, most)
 		}
 	}
+}
+
+// brickDir reads the directory of a version-4 class section of nb bricks:
+// every lane's byte length and, when the class has escapes, every brick's
+// escape count (else all zero).
+func brickDir(tb testing.TB, sec []byte, alphabet, nb int) (lens, escs []int) {
+	tb.Helper()
+	cr, _, headLen, err := huffman.ReadCode(sec[4:], alphabet, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cr.Release()
+	dir := sec[4+headLen:]
+	lens, escs = make([]int, nb), make([]int, nb)
+	for b := range lens {
+		lens[b] = int(binary.LittleEndian.Uint16(dir[2*b:]))
+		if binary.LittleEndian.Uint32(sec) > 0 {
+			escs[b] = int(binary.LittleEndian.Uint16(dir[2*(nb+b):]))
+		}
+	}
+	return lens, escs
 }
 
 // randBoxIn draws a non-empty box inside in.
@@ -261,8 +296,9 @@ func randBoxIn(rng *rand.Rand, in grid.Box) grid.Box {
 // walkerRegionSets draws the seeded region sets of one grid: a single box,
 // 8 disjoint boxes (one per octant), boxes overlapping in a shared point, a
 // z-slice, the whole grid, and one thin box inside each of the last three
-// z-quarters — a class stream's Huffman lanes are quarters of its row-major
-// index space, so those boxes start in lanes 1, 2 and 3 of every class.
+// z-quarters: boxes that start deep in a class stream — in lanes 1, 2 and 3
+// of a version-3 stream, and past its first brick z-slabs in a version-4
+// one.
 func walkerRegionSets(rng *rand.Rand, nz, ny, nx int) map[string][]grid.Box {
 	whole := grid.Box{Z1: nz, Y1: ny, X1: nx}
 	var disjoint []grid.Box
@@ -398,11 +434,10 @@ func TestWalkerEquivalence(t *testing.T) {
 }
 
 // TestDecodedSymbolsAccounting is the timing-free form of "a box pays for
-// what it reads": on a 128³ default-config stream whose finest level has no
-// outliers, a 32³ box aligned to a lane of every class (z 32..64 is the
-// second z-quarter) decodes one lane prefix per class, a z-slice at most
-// one lane of the classes that have points in it, and a full decode
-// everything.
+// what it reads": on a 128³ default-config stream, a 32³ box decodes under
+// 30 % of the finest level's symbols, a z-slice under 15 %, and a full
+// decode everything. (TestBoxDecodesOnlyTouchedBricks pins the exact
+// brick counts.)
 func TestDecodedSymbolsAccounting(t *testing.T) {
 	g := datasets.Nyx(128, 128, 128, 1001)
 	mn, mx := g.Range()
@@ -433,7 +468,7 @@ func TestDecodedSymbolsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f := finest(st); f <= 0 || f > 0.30 {
-		t.Errorf("lane-aligned 32³ box decoded %.1f%% of the finest level's symbols, want (0, 30]", 100*f)
+		t.Errorf("32³ box decoded %.1f%% of the finest level's symbols, want (0, 30]", 100*f)
 	}
 	for _, z := range []int{77, 90} {
 		_, st, err = r.DecompressSliceZ(z)
@@ -617,30 +652,35 @@ func TestBaseDimsMismatchRejected(t *testing.T) {
 }
 
 // TestHeaderDimsCheckedBeforeSizing: a header whose dims disagree with its
-// sz3 base's payload is refused before the decode phase sizes class
-// streams or output grids from them — a 65313×18×21 f64 header (a 197 MB
-// grid) over a 33×18×21 stream, through the full, progressive and box
-// paths alike, allocates next to nothing.
+// base's payload is refused before the decode phase sizes class streams or
+// output grids from them — a 65313×18×21 f64 header (a 197 MB grid) over a
+// 33×18×21 stream, through the full, progressive and box paths alike,
+// allocates next to nothing — whatever the base: every registry codec
+// reads its payload's dims without decoding it.
 func TestHeaderDimsCheckedBeforeSizing(t *testing.T) {
-	bad := patchHeader(t, walkerCases()[0].encode(t), func(h []byte) { binary.LittleEndian.PutUint32(h[8:], 33+256*255) })
-	r, err := NewReader[float64](bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, decode := range map[string]func() error{
-		"Decompress":     func() error { _, err := r.Decompress(); return err },
-		"Progressive(2)": func() error { _, err := r.Progressive(2); return err },
-		"DecompressBox":  func() error { _, _, err := r.DecompressBox(interiorBox(r.Header())); return err },
-	} {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		err := decode()
-		runtime.ReadMemStats(&m1)
-		if !errors.Is(err, errL1Dims) {
-			t.Errorf("%s: err %v, want %v", name, err, errL1Dims)
+	for _, base := range []string{"sz3", "zfp", "sperr", "mgard"} {
+		wc := walkerCases()[0]
+		wc.cfg.BaseCodec = base
+		bad := patchHeader(t, wc.encode(t), func(h []byte) { binary.LittleEndian.PutUint32(h[8:], 33+256*255) })
+		r, err := NewReader[float64](bad)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
-			t.Errorf("%s allocated %d bytes before refusing the base", name, alloc)
+		for name, decode := range map[string]func() error{
+			"Decompress":     func() error { _, err := r.Decompress(); return err },
+			"Progressive(2)": func() error { _, err := r.Progressive(2); return err },
+			"DecompressBox":  func() error { _, _, err := r.DecompressBox(interiorBox(r.Header())); return err },
+		} {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err := decode()
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, errL1Dims) {
+				t.Errorf("%s base %s: err %v, want %v", name, base, err, errL1Dims)
+			}
+			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("%s base %s allocated %d bytes before refusing the base", name, base, alloc)
+			}
 		}
 	}
 }
@@ -649,6 +689,9 @@ func TestHeaderDimsCheckedBeforeSizing(t *testing.T) {
 // allocate past the ceiling, through the full, progressive and box paths.
 func FuzzReader(f *testing.F) {
 	for _, wc := range walkerCases() {
+		if wc.nz*wc.ny*wc.nx > 48*40*44 {
+			continue // the multi-brick grids: too slow to mutate, and brickDirSeeds cover their layout
+		}
 		enc := wc.encode(f)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
@@ -659,6 +702,9 @@ func FuzzReader(f *testing.F) {
 		f.Add(bad)
 	}
 	for _, bad := range badBaseDims(f) {
+		f.Add(bad)
+	}
+	for _, bad := range brickDirSeeds(f) {
 		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

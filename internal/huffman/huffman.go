@@ -78,12 +78,13 @@ type treeNode struct {
 // Plan: the present-symbol table with its counts, the node arena and the
 // sorted leaf keys. The backing arrays recycle across encodes.
 type buildScratch struct {
-	table  []symLen // present symbols, ascending; lengths set by codeLengths
-	counts []uint64 // parallel to table; flattened in place when depth-limiting
-	nodes  []treeNode
-	leaves []uint64 // count<<leafBits | leaf index, ascending
-	stack  []int32  // iterative depth walk, node indices
-	depth  []uint8  // parallel to stack
+	table      []symLen           // present symbols, ascending; lengths set by codeLengths
+	counts     []uint64           // parallel to table; flattened in place when depth-limiting
+	laneCounts [][numLanes]uint32 // parallel to table: the symbol's count in each lane
+	nodes      []treeNode
+	leaves     []uint64 // count<<leafBits | leaf index, ascending
+	stack      []int32  // iterative depth walk, node indices
+	depth      []uint8  // parallel to stack
 }
 
 // leafBits holds a leaf index: at most 1<<16 symbols are present. A count
@@ -424,21 +425,8 @@ func Decode(data []byte, alphabet int) ([]uint16, error) {
 // decode tables for the symbols it is about to decode) and the returned
 // output slice (dst reused when its capacity suffices).
 func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]uint16, *decoder, error) {
-	r.Reset(data)
-	n, err := r.ReadGamma()
+	n, d, err := readHeader(r, data, alphabet)
 	if err != nil {
-		return nil, nil, err
-	}
-	const maxReasonable = 1 << 34
-	// Every symbol costs at least one payload bit, so a count beyond the
-	// blob's bit length is structurally impossible — reject it before the
-	// output allocation, or a dozen corrupt bytes could demand gigabytes.
-	if n > maxReasonable || n > uint64(len(data))*8 {
-		return nil, nil, ErrCorrupt
-	}
-	d := decoderPool.Get().(*decoder)
-	if err := d.readTable(r, alphabet); err != nil {
-		releaseDecoder(d)
 		return nil, nil, err
 	}
 	var out []uint16
@@ -448,6 +436,29 @@ func decodeHeader(r *bitio.Reader, dst []uint16, data []byte, alphabet int) ([]u
 		out = make([]uint16, n)
 	}
 	return out, d, nil
+}
+
+// readHeader reads the symbol count and the code-length table off the front
+// of data into a leased decoder, which the caller owns on success.
+func readHeader(r *bitio.Reader, data []byte, alphabet int) (uint64, *decoder, error) {
+	r.Reset(data)
+	n, err := r.ReadGamma()
+	if err != nil {
+		return 0, nil, err
+	}
+	const maxReasonable = 1 << 34
+	// Every symbol costs at least one payload bit, so a count beyond the
+	// blob's bit length is structurally impossible — reject it before the
+	// output allocation, or a dozen corrupt bytes could demand gigabytes.
+	if n > maxReasonable || n > uint64(len(data))*8 {
+		return 0, nil, ErrCorrupt
+	}
+	d := decoderPool.Get().(*decoder)
+	if err := d.readTable(r, alphabet); err != nil {
+		releaseDecoder(d)
+		return 0, nil, err
+	}
+	return n, d, nil
 }
 
 // DecodeInto reverses Encode, decoding into dst when its capacity suffices
@@ -464,7 +475,7 @@ func DecodeInto(dst []uint16, data []byte, alphabet int) ([]uint16, error) {
 	d.build(len(out))
 	// The payload is one lane that starts at the header's last bit, mid-byte.
 	payload := lane{bit: len(data)*8 - r.BitsRemaining(), end: len(data), stop: len(out)}
-	if err := d.decodeLane(data, out, payload); err != nil {
+	if _, err := d.decodeLane(data, out, payload); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -556,11 +567,11 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 			// Fewer workers than lanes: a lockstep pair each beats two
 			// single lanes in turn.
 			parallel.For(numLanes/2, workers, func(t int) {
-				errs[t] = d.decodeLanePair(data, out, lanes[2*t], lanes[2*t+1])
+				_, _, errs[t] = d.decodeLanePair(data, out, lanes[2*t], lanes[2*t+1])
 			})
 		} else {
 			parallel.For(numLanes, workers, func(k int) {
-				errs[k] = d.decodeLane(data, out, lanes[k])
+				_, errs[k] = d.decodeLane(data, out, lanes[k])
 			})
 		}
 		for _, e := range errs {
@@ -619,12 +630,13 @@ func DecodeLanesRange(dst []uint16, data []byte, alphabet, lo, hi int) (out []ui
 // goroutine: two at a time in lockstep, an odd one alone.
 func (d *decoder) decodeLanes(b []byte, out []uint16, lanes []lane) error {
 	for ; len(lanes) >= 2; lanes = lanes[2:] {
-		if err := d.decodeLanePair(b, out, lanes[0], lanes[1]); err != nil {
+		if _, _, err := d.decodeLanePair(b, out, lanes[0], lanes[1]); err != nil {
 			return err
 		}
 	}
 	if len(lanes) == 1 {
-		return d.decodeLane(b, out, lanes[0])
+		_, err := d.decodeLane(b, out, lanes[0])
+		return err
 	}
 	return nil
 }
@@ -651,8 +663,9 @@ func store4(out []uint16, syms uint64) {
 // table ends the round early and is resolved by slowWalk outside the hot
 // loop. When either lane can no longer promise a whole round — fewer than
 // 8 bytes to peek at, or fewer than 4·batch symbols to go — both continue
-// on decodeLane from where they stand.
-func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) error {
+// on decodeLane from where they stand. It returns the bit each lane's last
+// symbol ended at.
+func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) (end0, end1 int, err error) {
 	bit0, i0, bit1, i1 := l0.bit, l0.at, l1.bit, l1.at
 	batch := 57 / int(d.need)
 	for bit0>>3+8 <= l0.end && bit1>>3+8 <= l1.end && i0+4*batch <= l0.stop && i1+4*batch <= l1.stop {
@@ -689,7 +702,7 @@ func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) error {
 		case 0:
 			sym, l, ok := d.slowWalk(a0, tableBits)
 			if !ok {
-				return ErrCorrupt
+				return 0, 0, ErrCorrupt
 			}
 			out[i0] = sym
 			bit0 += int(l)
@@ -697,7 +710,7 @@ func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) error {
 		case 1:
 			sym, l, ok := d.slowWalk(a1, tableBits)
 			if !ok {
-				return ErrCorrupt
+				return 0, 0, ErrCorrupt
 			}
 			out[i1] = sym
 			bit1 += int(l)
@@ -705,10 +718,11 @@ func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) error {
 		}
 	}
 	l0.bit, l0.at, l1.bit, l1.at = bit0, i0, bit1, i1
-	if err := d.decodeLane(b, out, l0); err != nil {
-		return err
+	if end0, err = d.decodeLane(b, out, l0); err != nil {
+		return 0, 0, err
 	}
-	return d.decodeLane(b, out, l1)
+	end1, err = d.decodeLane(b, out, l1)
+	return end0, end1, err
 }
 
 // decodeLane decodes the symbols of lane ln: the one-lane form of
@@ -717,8 +731,9 @@ func (d *decoder) decodeLanePair(b []byte, out []uint16, l0, l1 lane) error {
 // whose rarest code is 25 bits long still takes four typical lookups per
 // peek, not two. It hands over to finishLane as soon as a lookup could read
 // past the lane's bytes (fewer than 8 to peek at) or its four stores could
-// write past the lane's symbols.
-func (d *decoder) decodeLane(b []byte, out []uint16, ln lane) error {
+// write past the lane's symbols. It returns the bit the lane's last symbol
+// ended at.
+func (d *decoder) decodeLane(b []byte, out []uint16, ln lane) (int, error) {
 	bit, i := ln.bit, ln.at
 	for i+4 <= ln.stop && bit>>3+8 <= ln.end {
 		acc := peek(b, bit)
@@ -730,7 +745,7 @@ func (d *decoder) decodeLane(b []byte, out []uint16, ln lane) error {
 			if m&15 == 0 {
 				sym, l, ok := d.slowWalk(acc, tableBits)
 				if !ok {
-					return ErrCorrupt
+					return 0, ErrCorrupt
 				}
 				out[i] = sym
 				acc >>= l
@@ -754,8 +769,9 @@ func (d *decoder) decodeLane(b []byte, out []uint16, ln lane) error {
 // up to the last bit of the lane. A table entry is taken whole when the
 // bits it consumes are all valid and the symbols it retires are all wanted
 // — its symbols were decoded from those bits alone; otherwise slowWalk
-// decodes the one next symbol.
-func (d *decoder) finishLane(b []byte, out []uint16, ln lane) error {
+// decodes the one next symbol. It returns the bit the lane's last symbol
+// ended at.
+func (d *decoder) finishLane(b []byte, out []uint16, ln lane) (int, error) {
 	p := ln.bit >> 3
 	var acc uint64
 	var navl uint
@@ -779,7 +795,7 @@ func (d *decoder) finishLane(b []byte, out []uint16, ln lane) error {
 			}
 			sym, sl, ok := d.slowWalk(acc, skip)
 			if !ok || sl > navl {
-				return ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			out[c], l, count = sym, sl, 1
 		} else {
@@ -792,5 +808,5 @@ func (d *decoder) finishLane(b []byte, out []uint16, ln lane) error {
 		navl -= l
 		c += count
 	}
-	return nil
+	return 8*p - int(navl), nil
 }

@@ -77,8 +77,7 @@ type laneOut struct {
 // written, and do not use it afterwards.
 type Plan struct {
 	buildScratch
-	codes      []uint16
-	laneCounts [][numLanes]uint32 // parallel to table: the symbol's count in each lane
+	codes []uint16
 	// head is everything ahead of the payload: symbol count and code-length
 	// table, then — lane layout — the byte-aligned directory. The v1 layout
 	// has no directory and its one lane starts at head's last, partial byte.
@@ -152,7 +151,7 @@ func newPlan(codes []uint16, alphabet, lanes int) *Plan {
 // p.counts and p.laneCounts, and zeroes every counter and mark it read, so
 // h goes back to its pool clean. It panics on a symbol outside the alphabet:
 // the caller broke the encoder's contract, and the blob would not decode.
-func (p *Plan) collect(h *laneHist, alphabet int) {
+func (p *buildScratch) collect(h *laneHist, alphabet int) {
 	p.table, p.counts, p.laneCounts = p.table[:0], p.counts[:0], p.laneCounts[:0]
 	for b, marked := range h.mark {
 		if !marked {
@@ -212,8 +211,9 @@ func (p *Plan) writeLanes(dst []byte, from, to int) {
 }
 
 // writeLane codes the symbols of one lane into the bytes of lane from bit
-// on; the lane ends where the slice does.
-func writeLane(lane []byte, codes []uint16, bySym *[1 << 16]uint64, bit int) {
+// on, and returns the byte the lane's bits end before. The slice must hold
+// them all; it may hold more.
+func writeLane(lane []byte, codes []uint16, bySym *[1 << 16]uint64, bit int) int {
 	// The bits held back from the lane: fewer than 8 between stores, at the
 	// start those of the byte a v1 lane shares with the header.
 	pos, nbits := bit>>3, uint(bit&7)
@@ -263,7 +263,9 @@ func writeLane(lane []byte, codes []uint16, bySym *[1 << 16]uint64, bit int) {
 	}
 	if nbits != 0 {
 		lane[pos] = byte(acc)
+		pos++
 	}
+	return pos
 }
 
 // Encode compresses codes (all values must be < alphabet) into a

@@ -592,24 +592,34 @@ type Stream[T grid.Float] struct {
 	cz, cy, cx int
 }
 
+// Dims returns the grid dims a stream declares, validated as Open validates
+// them, without reading past the header.
+func Dims(data []byte) (nz, ny, nx int, err error) {
+	if len(data) < 33 || binary.LittleEndian.Uint32(data) != Magic {
+		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
+	}
+	nz = int(binary.LittleEndian.Uint32(data[5:]))
+	ny = int(binary.LittleEndian.Uint32(data[9:]))
+	nx = int(binary.LittleEndian.Uint32(data[13:]))
+	if nz <= 0 || ny <= 0 || nx <= 0 || int64(nz)*int64(ny)*int64(nx) > 1<<33 {
+		return 0, 0, 0, fmt.Errorf("%w: implausible dims", ErrFormat)
+	}
+	return nz, ny, nx, nil
+}
+
 // Open parses and validates the header and block index.
 func Open[T grid.Float](data []byte) (*Stream[T], error) {
-	if len(data) < 33 || binary.LittleEndian.Uint32(data) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
+	nz, ny, nx, err := Dims(data)
+	if err != nil {
+		return nil, err
 	}
 	if data[4] != dtypeOf[T]() {
 		return nil, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
-	s := &Stream[T]{data: data}
-	s.Nz = int(binary.LittleEndian.Uint32(data[5:]))
-	s.Ny = int(binary.LittleEndian.Uint32(data[9:]))
-	s.Nx = int(binary.LittleEndian.Uint32(data[13:]))
+	s := &Stream[T]{data: data, Nz: nz, Ny: ny, Nx: nx}
 	s.Tolerance = math.Float64frombits(binary.LittleEndian.Uint64(data[17:]))
 	nBlocks := int(binary.LittleEndian.Uint32(data[25:]))
 	idxLen := int(binary.LittleEndian.Uint32(data[29:]))
-	if s.Nz <= 0 || s.Ny <= 0 || s.Nx <= 0 || int64(s.Nz)*int64(s.Ny)*int64(s.Nx) > 1<<33 {
-		return nil, fmt.Errorf("%w: implausible dims", ErrFormat)
-	}
 	s.cz, s.cy, s.cx = blockCounts(s.Nz, s.Ny, s.Nx)
 	if nBlocks != s.cz*s.cy*s.cx {
 		return nil, fmt.Errorf("%w: block count mismatch", ErrFormat)
