@@ -175,7 +175,8 @@ func BenchmarkRandomAccessSTZ(b *testing.B) {
 // same at every size; lvN-sym are the class symbols each predicted level
 // entropy-decoded, the touched bricks of its class streams, and l1-ms and
 // lvdec-ms the time a decode spent on the level-1 base (sz3's cone decode,
-// which still entropy-decodes its whole base) and on those class streams.
+// which entropy-decodes the brick lanes holding its cone's codes) and on
+// those class streams.
 func BenchmarkBox32VsGrid(b *testing.B) {
 	for _, n := range []int{64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {

@@ -10,6 +10,8 @@ import (
 	"stz/internal/container"
 	_ "stz/internal/core" // registers "stz"
 	"stz/internal/datasets"
+	"stz/internal/huffman"
+	"stz/internal/sz3"
 )
 
 // decodeAllPaths runs every untrusted-input entry point on data and
@@ -218,9 +220,64 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("STZC garbage that is not a container at all"))
+	for _, seed := range sz3LaneSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No input may panic any decode path; success is only legitimate
 		// when the archive actually parses end to end.
 		decodeAllPaths(data)
 	})
+}
+
+// sz3LaneSeeds are FuzzDecode seeds that reach an sz3 v3 payload's lane
+// directory through the container: a one-chunk sz3 archive cut one byte
+// before, at and after every directory entry, and the archive with each
+// entry corrupted. The directory follows the payload's code header and
+// holds a u16 length per lane — one lane per 8h×16h×32h brick of every
+// interpolation level's lattice — then, when the payload has escapes, a u16
+// escape count per lane (FORMAT.md §4).
+func sz3LaneSeeds(tb testing.TB) [][]byte {
+	g := datasets.Nyx(24, 20, 40, 3)
+	g.Data[100] *= 1e9 // an escape, so the directory has both halves
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 0.05, Chunks: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	arc, err := container.Open(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sec, err := arc.Section(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if binary.LittleEndian.Uint32(sec) != sz3.MagicV3 || binary.LittleEndian.Uint32(sec[32:]) == 0 {
+		tb.Fatal("seed payload is not a v3 sz3 stream with escapes")
+	}
+	hoff := len(sec) - int(binary.LittleEndian.Uint32(sec[36:]))
+	cr, _, headLen, err := huffman.ReadCode(sec[hoff:], 2*int(binary.LittleEndian.Uint32(sec[28:])), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cr.Release()
+	lanes, s := 0, 2
+	for s < 40-1 {
+		s <<= 1
+	}
+	for ceil := func(n, d int) int { return (n + d - 1) / d }; s >= 2; s >>= 1 {
+		h := s / 2
+		lanes += ceil(24, 8*h) * ceil(20, 16*h) * ceil(40, 32*h)
+	}
+	dir := bytes.Index(enc, sec) + hoff + headLen
+	var seeds [][]byte
+	for e := 0; e < 2*lanes; e++ {
+		for _, cut := range []int{dir + 2*e - 1, dir + 2*e, dir + 2*e + 1} {
+			seeds = append(seeds, append([]byte(nil), enc[:cut]...))
+		}
+		bad := append([]byte(nil), enc...)
+		bad[dir+2*e] ^= 0x5a
+		seeds = append(seeds, bad)
+	}
+	return seeds
 }

@@ -6,6 +6,7 @@ import (
 
 	"stz/internal/container"
 	"stz/internal/grid"
+	"stz/internal/parallel"
 	"stz/internal/scratch"
 )
 
@@ -142,9 +143,10 @@ func (r *ReaderAt[T]) workers() int {
 }
 
 // slab returns the decoded z-slab of chunk i, decoding and caching it on
-// first touch (the fallback path for backends without native sub-box
-// support). The cached grid is shared: callers must not mutate it.
-func (r *ReaderAt[T]) slab(i int) (*grid.Grid[T], error) {
+// first touch with workers goroutines (the fallback path for backends
+// without native sub-box support). The cached grid is shared: callers must
+// not mutate it.
+func (r *ReaderAt[T]) slab(i, workers int) (*grid.Grid[T], error) {
 	r.mu.Lock()
 	e, ok := r.slabs[i]
 	if !ok {
@@ -152,17 +154,18 @@ func (r *ReaderAt[T]) slab(i int) (*grid.Grid[T], error) {
 		r.slabs[i] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = r.decodeSlab(i) })
+	e.once.Do(func() { e.g, e.err = r.decodeSlab(i, workers) })
 	return e.g, e.err
 }
 
-// decodeSlab decodes chunk i's whole z-slab and validates its dims.
-func (r *ReaderAt[T]) decodeSlab(i int) (*grid.Grid[T], error) {
+// decodeSlab decodes chunk i's whole z-slab with workers goroutines and
+// validates its dims.
+func (r *ReaderAt[T]) decodeSlab(i, workers int) (*grid.Grid[T], error) {
 	sec, err := r.arc.Section(i + 1)
 	if err != nil {
 		return nil, err
 	}
-	g, err := Decompress[T](r.c, sec, r.workers())
+	g, err := Decompress[T](r.c, sec, workers)
 	if err != nil {
 		return nil, fmt.Errorf("codec: chunk %d: %w", i, err)
 	}
@@ -177,45 +180,68 @@ func (r *ReaderAt[T]) decodeSlab(i int) (*grid.Grid[T], error) {
 // decompression at the registry level. The result grid has the box's
 // dimensions and is bit-identical to the same window of a full Decode.
 // The box must lie entirely inside the grid (CheckBox; no silent
-// clipping); it fails with an error wrapping ErrBox otherwise.
+// clipping); it fails with an error wrapping ErrBox otherwise. A box that
+// touches one slab decodes it with Workers; one that touches several hands
+// the slabs to Workers goroutines, one slab each.
 func (r *ReaderAt[T]) DecompressBox(b grid.Box) (*grid.Grid[T], error) {
 	if err := CheckBox(b, r.hdr.Nz, r.hdr.Ny, r.hdr.Nx); err != nil {
 		return nil, err
 	}
 	out := grid.New[T](b.Z1-b.Z0, b.Y1-b.Y0, b.X1-b.X0)
 	bounds := r.hdr.ChunkBounds
+	var touched []int
 	for i := 0; i < r.hdr.Chunks(); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		if hi <= b.Z0 || lo >= b.Z1 {
-			continue
+		if bounds[i] < b.Z1 && bounds[i+1] > b.Z0 {
+			touched = append(touched, i)
 		}
-		if r.native != nil {
-			sec, err := r.arc.Section(i + 1)
-			if err != nil {
-				return nil, err
-			}
-			// The box window in the slab's local coordinates.
-			sb := grid.Box{
-				Z0: max(b.Z0, lo) - lo, Z1: min(b.Z1, hi) - lo,
-				Y0: b.Y0, Y1: b.Y1, X0: b.X0, X1: b.X1,
-			}
-			sub, err := DecompressBox[T](r.native, sec, sb, r.workers())
-			if err != nil {
-				return nil, fmt.Errorf("codec: chunk %d: %w", i, err)
-			}
-			// sub is the box window for global planes [max(b.Z0,lo),
-			// min(b.Z1,hi)) and shares out's Y/X dims, so its planes land
-			// contiguously in the output; its backing is then dead.
-			plane := out.Ny * out.Nx
-			copy(out.Data[(max(b.Z0, lo)-b.Z0)*plane:], sub.Data)
-			scratch.ReleaseFloat(sub.Data)
-			continue
-		}
-		slab, err := r.slab(i)
+	}
+	workers, slabWorkers := r.workers(), 1
+	if len(touched) == 1 {
+		slabWorkers = workers
+	}
+	errs := make([]error, len(touched))
+	parallel.For(len(touched), workers, func(k int) {
+		errs[k] = r.copyBox(out, b, touched[k], slabWorkers)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out.CopyBoxFromSlab(slab, b, lo)
 	}
 	return out, nil
+}
+
+// copyBox writes into out (whose dims are b's) the part of b that chunk i
+// holds, decoding with workers goroutines. Chunks hold disjoint plane
+// ranges, so concurrent calls for different chunks write disjoint planes.
+func (r *ReaderAt[T]) copyBox(out *grid.Grid[T], b grid.Box, i, workers int) error {
+	lo, hi := r.hdr.ChunkBounds[i], r.hdr.ChunkBounds[i+1]
+	if r.native == nil {
+		slab, err := r.slab(i, workers)
+		if err != nil {
+			return err
+		}
+		out.CopyBoxFromSlab(slab, b, lo)
+		return nil
+	}
+	sec, err := r.arc.Section(i + 1)
+	if err != nil {
+		return err
+	}
+	// The box window in the slab's local coordinates.
+	sb := grid.Box{
+		Z0: max(b.Z0, lo) - lo, Z1: min(b.Z1, hi) - lo,
+		Y0: b.Y0, Y1: b.Y1, X0: b.X0, X1: b.X1,
+	}
+	sub, err := DecompressBox[T](r.native, sec, sb, workers)
+	if err != nil {
+		return fmt.Errorf("codec: chunk %d: %w", i, err)
+	}
+	// sub is the box window for global planes [max(b.Z0,lo), min(b.Z1,hi))
+	// and shares out's Y/X dims, so its planes land contiguously in the
+	// output; its backing is then dead.
+	plane := out.Ny * out.Nx
+	copy(out.Data[(max(b.Z0, lo)-b.Z0)*plane:], sub.Data)
+	scratch.ReleaseFloat(sub.Data)
+	return nil
 }

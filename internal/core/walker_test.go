@@ -100,15 +100,18 @@ func (wc walkerCase) encode(tb testing.TB) []byte {
 // byte-identical (a faster table build, a new traversal) shows here first,
 // and so does a lane task that gathers a brick's escapes out of order or
 // miscounts a clipped brick. The chunk4096 hashes are version 3's, which
-// CodeChunk still writes; the rest are version 4's first writer's.
+// CodeChunk still writes; the rest are version 4's first writer's. All were
+// re-pinned when the level-1 base moved to sz3's version-3 stream (brick
+// lanes), which changed only the base section's bytes: every decode
+// stayed bit-identical (TestPinnedWalkerDecodes).
 func TestPinnedWalkerArchives(t *testing.T) {
 	pins := map[string]string{
-		"L2-f64": "73879989995bce11", "L3-f32": "554dfb1155d9dfb9", "L4-f64": "751573222e192ac5",
-		"L3-f32-chunk4096": "333fe1e9fa1a0506", "L3-f64-chunk4096": "72a05d0b50b1e9e4",
-		"L3-f64-sz3resid": "4bde53f1fb9cbe15", "L2-f32-sz3resid": "962baa631678c90d",
-		"L3-f64-outliers": "f9e8e8ad88b4aa65", "L3-f32-thin": "c6a5212c43047708",
-		"L3-f64-thin-outliers": "5bf71ff1d095c5d7",
-		"L3-f32-bricks":        "590d7945f8247076", "L3-f64-bricks-outliers": "356fb4bf92df8636",
+		"L2-f64": "b433a865c33ccc89", "L3-f32": "d7a4e1f6410353bc", "L4-f64": "45724407157f6cc8",
+		"L3-f32-chunk4096": "a6ab22e4b6a7dc6b", "L3-f64-chunk4096": "becc8d075711f989",
+		"L3-f64-sz3resid": "c6744af7fe821a05", "L2-f32-sz3resid": "e7246e0ce792a43f",
+		"L3-f64-outliers": "b975b6b5e9ba5216", "L3-f32-thin": "a8f41f4410582d0f",
+		"L3-f64-thin-outliers": "deb3b4774e1639d0",
+		"L3-f32-bricks":        "5e786b6a51c2b0fb", "L3-f64-bricks-outliers": "4dae4b8cca9913c3",
 	}
 	for _, wc := range walkerCases() {
 		want, ok := pins[wc.name]

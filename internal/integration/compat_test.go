@@ -30,9 +30,15 @@ import (
 // writer — four-lane class streams over 8 640 codes with outliers, so the
 // reader's lane-prefix decode, outlier cursor and per-plane escape index
 // stay tested once nothing writes them.
+//
+// sz3_v2 joined it when sz3's serial stream moved to version 3 (brick
+// lanes): a 24×40×36 Nyx field with a spike every 97th point, written by
+// the last version-2 writer — four Huffman lanes over the traversal-ordered
+// codes, with 31 escapes — so the v2 reader's lane decode and traversal
+// outlier cursor stay tested once nothing writes them.
 
 // corpusDims are the dims of each corpus grid: 20×24×28 unless listed.
-var corpusDims = map[string][3]int{"core_v3": {40, 36, 48}}
+var corpusDims = map[string][3]int{"core_v3": {40, 36, 48}, "sz3_v2": {24, 40, 36}}
 
 func dimsOf(name string) [3]int {
 	if d, ok := corpusDims[name]; ok {
@@ -84,6 +90,7 @@ func TestPinnedV1Corpus(t *testing.T) {
 	}{
 		{"sz3_serial", func(b []byte) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
 		{"sz3_chunked", func(b []byte) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
+		{"sz3_v2", func(b []byte) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
 		{"core", func(b []byte) (*grid.Grid[float32], error) { return core.Decompress[float32](b) }},
 		{"core_codechunk", func(b []byte) (*grid.Grid[float32], error) { return core.Decompress[float32](b) }},
 		{"core_v3", func(b []byte) (*grid.Grid[float32], error) { return core.Decompress[float32](b) }},
@@ -157,6 +164,9 @@ func TestRandomAccessPinnedCorpus(t *testing.T) {
 		{"sz3_chunked", func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
 			return sz3.DecompressBox[float32](b, bx, 2)
 		}},
+		{"sz3_v2", func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
+			return sz3.DecompressBox[float32](b, bx, 2)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,6 +203,10 @@ func TestPinnedCorpusMagics(t *testing.T) {
 	sz3Serial, _ := readCorpus(t, "sz3_serial")
 	if got := binary.LittleEndian.Uint32(sz3Serial); got != sz3.Magic {
 		t.Fatalf("sz3_serial corpus magic %#x, want v1 %#x", got, sz3.Magic)
+	}
+	sz3V2, _ := readCorpus(t, "sz3_v2")
+	if got := binary.LittleEndian.Uint32(sz3V2); got != sz3.MagicV2 {
+		t.Fatalf("sz3_v2 corpus magic %#x, want v2 %#x", got, sz3.MagicV2)
 	}
 	sperrBlob, _ := readCorpus(t, "sperr")
 	if got := binary.LittleEndian.Uint32(sperrBlob); got != sperr.Magic {

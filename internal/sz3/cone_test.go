@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"stz/internal/grid"
-	"stz/internal/huffman"
 )
 
 // sparseSpikeField is a smooth field with a 1e12 spike every 97th point:
@@ -59,7 +58,12 @@ func decodeConePoisoned[T grid.Float](enc []byte, nz, ny, nx int, b grid.Box) (*
 	for i := range rec.Data {
 		rec.Data[i] = T(math.NaN())
 	}
-	return rec, decompressSerialInto(enc, rec, b, 1)
+	sd, err := openSerial[T](enc, b, 1)
+	if err != nil {
+		return rec, err
+	}
+	defer sd.release()
+	return rec, sd.reconstruct(rec)
 }
 
 // written counts the points of a poisoned grid a decode wrote.
@@ -142,14 +146,65 @@ func TestBoxConePoisoned(t *testing.T) {
 	})
 }
 
+// TestConeTraversal: forEachLine over a cone visits exactly the points of
+// the full traversal that lie in their pass's need-box, in the same order,
+// as lines of the same pass and axis geometry.
+func TestConeTraversal(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	type point struct{ pass, idx, c int }
+	for _, dims := range traversalDims {
+		nz, ny, nx := dims[0], dims[1], dims[2]
+		for _, b := range coneBoxes(rng, nz, ny, nx, 8) {
+			var needs [maxPasses]grid.Box
+			passNeeds(nz, ny, nx, b, &needs)
+			var want, got []point
+			forEachLine(nz, ny, nx, nil, func(ln line) {
+				for t := 0; t < ln.n; t++ {
+					if needs[ln.pass].Contains(ln.z, ln.y, ln.x0+t*ln.stride) {
+						want = append(want, point{ln.pass, ln.idx + t*ln.stride, ln.c + t*ln.dc})
+					}
+				}
+			})
+			forEachLine(nz, ny, nx, &needs, func(ln line) {
+				if ln.n <= 0 || ln.idx != (ln.z*ny+ln.y)*nx+ln.x0 {
+					t.Fatalf("%v box %+v: line of %d points at %d is not (%d,%d,%d)", dims, b, ln.n, ln.idx, ln.z, ln.y, ln.x0)
+				}
+				for t := 0; t < ln.n; t++ {
+					got = append(got, point{ln.pass, ln.idx + t*ln.stride, ln.c + t*ln.dc})
+				}
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%v box %+v: cone traversal visits %d points, the clipped full one %d", dims, b, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v box %+v: cone point %d is %+v, the clipped full traversal's %+v", dims, b, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestBoxConeShortOutlierSection: a stream whose outlier section is one
 // value short (header count and bytes both, so the framing stays
 // consistent and the code stream holds one escape too many) fails with
-// ErrFormat — never a panic or a read past the section — from every box
-// whose cone contains the point of the missing escape. A box whose cone
-// does not reach it may still decode, and then its window is exact.
+// ErrFormat — never a panic or a read past the section. A v3 stream's lane
+// directory then counts one escape more than the header: every decode
+// fails on it (errEscapeCount) before a code is decoded. A v2 stream keeps
+// one outlier cursor over the traversal, so the failure comes from every
+// box whose cone contains the point of the missing escape; a box whose
+// cone does not reach it may still decode, and then its window is exact.
 func TestBoxConeShortOutlierSection(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
+	// short drops the stream's last outlier value.
+	short := func(enc []byte) []byte {
+		nOut := int(binary.LittleEndian.Uint32(enc[32:]))
+		hoff := len(enc) - int(binary.LittleEndian.Uint32(enc[36:]))
+		s := append([]byte(nil), enc[:hoff-4]...)
+		s = append(s, enc[hoff:]...)
+		binary.LittleEndian.PutUint32(s[32:], uint32(nOut-1))
+		return s
+	}
 	for _, dims := range [][3]int{{7, 5, 9}, {1, 16, 16}, {33, 18, 7}, {8, 128, 128}} {
 		nz, ny, nx := dims[0], dims[1], dims[2]
 		g := sparseSpikeField[float32](nz, ny, nx, 55)
@@ -161,25 +216,31 @@ func TestBoxConeShortOutlierSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nOut := int(binary.LittleEndian.Uint32(enc[32:]))
-		hlen := int(binary.LittleEndian.Uint32(enc[36:]))
-		if nOut == 0 {
+		if binary.LittleEndian.Uint32(enc[32:]) == 0 {
 			t.Fatalf("%v: field has no escapes", dims)
 		}
-		// Drop the last outlier value.
-		hoff := len(enc) - hlen
-		short := append([]byte(nil), enc[:hoff-4]...)
-		short = append(short, enc[hoff:]...)
-		binary.LittleEndian.PutUint32(short[32:], uint32(nOut-1))
+		boxes := coneBoxes(rng, nz, ny, nx, 20)
 
+		short3 := short(enc)
+		for _, b := range boxes {
+			if _, err := DecompressBox[float32](short3, b, 1); !errors.Is(err, errEscapeCount) {
+				t.Fatalf("%v box %+v of the short v3 stream: err = %v", dims, b, err)
+			}
+		}
+		if _, err := Decompress[float32](short3); !errors.Is(err, errEscapeCount) {
+			t.Fatalf("%v: full decode of the short v3 stream: err = %v", dims, err)
+		}
+
+		v2 := reframe[float32](t, enc, 2)
+		short2 := short(v2)
 		// The missing escape belongs to the last zero code of the traversal.
-		codes, err := huffman.DecodeLanesInto(nil, enc[hoff:], 2*int(binary.LittleEndian.Uint32(enc[28:])), 1)
+		codes, _, err := refCodes[float32](v2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var lastPass, lz, ly, lx int
 		ci := 0
-		forEachLine(nz, ny, nx, func(ln line) {
+		forEachLine(nz, ny, nx, nil, func(ln line) {
 			for i, code := range codes[ci : ci+ln.n] {
 				if code == 0 {
 					lastPass, lz, ly, lx = ln.pass, ln.z, ln.y, ln.x0+i*ln.stride
@@ -188,12 +249,12 @@ func TestBoxConeShortOutlierSection(t *testing.T) {
 			ci += ln.n
 		})
 
-		boxes := append(coneBoxes(rng, nz, ny, nx, 20), grid.Box{Z0: lz, Y0: ly, X0: lx, Z1: lz + 1, Y1: ly + 1, X1: lx + 1})
+		boxes = append(boxes, grid.Box{Z0: lz, Y0: ly, X0: lx, Z1: lz + 1, Y1: ly + 1, X1: lx + 1})
 		failed, served := 0, 0
 		for _, b := range boxes {
 			var needs [maxPasses]grid.Box
 			passNeeds(nz, ny, nx, b, &needs)
-			rec, err := decodeConePoisoned[float32](short, nz, ny, nx, b)
+			rec, err := decodeConePoisoned[float32](short2, nz, ny, nx, b)
 			switch {
 			case needs[lastPass].Contains(lz, ly, lx):
 				if !errors.Is(err, ErrFormat) {
@@ -208,7 +269,7 @@ func TestBoxConeShortOutlierSection(t *testing.T) {
 			case !errors.Is(err, ErrFormat):
 				t.Fatalf("%v box %+v: err = %v", dims, b, err)
 			}
-			if _, err := DecompressBox[float32](short, b, 1); err != nil && !errors.Is(err, ErrFormat) {
+			if _, err := DecompressBox[float32](short2, b, 1); err != nil && !errors.Is(err, ErrFormat) {
 				t.Fatalf("%v box %+v: DecompressBox err = %v", dims, b, err)
 			}
 		}
@@ -218,7 +279,7 @@ func TestBoxConeShortOutlierSection(t *testing.T) {
 		if dims[0] == 8 && served == 0 {
 			t.Fatalf("%v: no box decoded past the missing escape", dims)
 		}
-		if _, err := Decompress[float32](short); !errors.Is(err, ErrFormat) {
+		if _, err := Decompress[float32](short2); !errors.Is(err, ErrFormat) {
 			t.Fatalf("%v: full decode of the short stream: err = %v", dims, err)
 		}
 	}

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzDecompressBox feeds mutated serial and chunked streams plus an
-// arbitrary box to the random-access decoder: it must never panic, never
+// arbitrary box to the random-access decoder (its v3 seeds cut and corrupt
+// the lane directory at every entry, fuzzLaneSeeds): it must never panic, never
 // return a grid larger than checkElems' bound allows the stream to describe
 // (a bit per point), refuse every box checkBox refuses, and — whenever the
 // full decode of the same bytes succeeds — serve every valid box with
@@ -27,6 +28,20 @@ func FuzzDecompressBox(f *testing.F) {
 		add(Compress(spiky, o))
 		add(Compress(spiky64, o))
 	}
+	// The lane directory of a v3 stream, with escapes and without.
+	seed := func(b []byte) { f.Add(b, int16(2), int16(3), int16(1), int16(7), int16(9), int16(10)) }
+	for _, g := range []*grid.Grid[float32]{smooth, spiky} {
+		enc, err := Compress(g, Options{EB: 1e-3})
+		if err != nil {
+			f.Fatal(err)
+		}
+		fuzzLaneSeeds[float32](f, enc, seed)
+	}
+	enc, err := Compress(spiky64, Options{EB: 1e-3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fuzzLaneSeeds[float64](f, enc, seed)
 	f.Fuzz(func(t *testing.T, data []byte, z0, y0, x0, z1, y1, x1 int16) {
 		b := grid.Box{Z0: int(z0), Y0: int(y0), X0: int(x0), Z1: int(z1), Y1: int(y1), X1: int(x1)}
 		if len(data) > 4 && data[4] == 8 {

@@ -30,14 +30,17 @@ import (
 )
 
 // Magic identifies a version-1 serial SZ3 stream; MagicChunked a chunked
-// one (whose slabs are self-describing serial streams of either version);
+// one (whose slabs are self-describing serial streams of any version);
 // MagicV2 a version-2 serial stream, identical to v1 except that the
 // quantization codes are entropy-coded with the multi-lane Huffman payload
-// (huffman.EncodeLanes). Writers emit v2; readers accept both.
+// (huffman.EncodeLanes); MagicV3 a version-3 serial stream, whose codes are
+// one Huffman lane per brick of each interpolation level (lanes.go).
+// Writers emit v3; readers accept all three.
 const (
 	Magic        = uint32(0x335a5301) // "SZ3" + version 1
 	MagicChunked = uint32(0x335a5302)
 	MagicV2      = uint32(0x335a5303)
+	MagicV3      = uint32(0x335a5304)
 )
 
 // ErrFormat reports a malformed or mismatching stream.
@@ -164,43 +167,69 @@ func (ln *line) slice(lo, hi int) line {
 // forEachLine enumerates every non-anchor point in SZ3's traversal order
 // (coarse→fine levels; per level, passes along z, then y, then x; row-major
 // within a pass), one call per x-line. The line is one value updated in
-// place and passed by copy, so the traversal allocates nothing.
-func forEachLine(nz, ny, nx int, fn func(ln line)) {
+// place and passed by copy, so the traversal allocates nothing. With needs
+// non-nil it enumerates a cone instead (passNeeds): only the lines with
+// points inside their pass's need-box, each cut to those points, so what
+// it costs is the cone's lines, not the grid's.
+func forEachLine(nz, ny, nx int, needs *[maxPasses]grid.Box, fn func(ln line)) {
 	maxDim := max(nz, ny, nx)
 	if maxDim <= 1 {
 		return
 	}
 	rowY, rowZ := nx, ny*nx
 	pass := 0
+	// need is pass p's box, cut along x to the line's points [lo, hi) for
+	// points at x ≡ off (mod s), n of them.
+	need := func(p, off, s, n int) (b grid.Box, lo, hi int) {
+		b = grid.Box{Z1: nz, Y1: ny, X1: nx}
+		if needs != nil {
+			b = needs[p]
+		}
+		return b, min(grid.SubDim(b.X0, off, s), n), min(grid.SubDim(b.X1, off, s), n)
+	}
+	emit := func(ln *line, lo, hi int) {
+		if lo == 0 && hi == ln.n {
+			fn(*ln)
+		} else {
+			fn(ln.slice(lo, hi))
+		}
+	}
 	for s := startStride(maxDim); s >= 2; s >>= 1 {
 		h := s / 2
 		// Pass along z: z ≡ h (mod s), y ≡ 0 (mod s), x ≡ 0 (mod s).
 		ln := line{n: grid.SubDim(nx, 0, s), stride: s, step: h * rowZ, h: h, axisLen: nz, pass: pass}
-		for z := h; z < nz; z += s {
-			for y := 0; y < ny; y += s {
+		b, lo, hi := need(pass, 0, s, ln.n)
+		for z := ceilTo(b.Z0, h, s); z < b.Z1 && lo < hi; z += s {
+			for y := ceilTo(b.Y0, 0, s); y < b.Y1; y += s {
 				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY, z, z, y
-				fn(ln)
+				emit(&ln, lo, hi)
 			}
 		}
 		// Pass along y: z ≡ 0 (mod h), y ≡ h (mod s), x ≡ 0 (mod s).
 		ln.step, ln.axisLen, ln.pass = h*rowY, ny, pass+1
-		for z := 0; z < nz; z += h {
-			for y := h; y < ny; y += s {
+		b, lo, hi = need(pass+1, 0, s, ln.n)
+		for z := ceilTo(b.Z0, 0, h); z < b.Z1 && lo < hi; z += h {
+			for y := ceilTo(b.Y0, h, s); y < b.Y1; y += s {
 				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY, y, z, y
-				fn(ln)
+				emit(&ln, lo, hi)
 			}
 		}
 		// Pass along x: z ≡ 0 (mod h), y ≡ 0 (mod h), x ≡ h (mod s).
 		ln = line{n: grid.SubDim(nx, h, s), stride: s, step: h, c: h, dc: s, h: h, axisLen: nx, pass: pass + 2, x0: h}
-		for z := 0; z < nz && ln.n > 0; z += h {
-			for y := 0; y < ny; y += h {
+		b, lo, hi = need(pass+2, h, s, ln.n)
+		for z := ceilTo(b.Z0, 0, h); z < b.Z1 && lo < hi; z += h {
+			for y := ceilTo(b.Y0, 0, h); y < b.Y1; y += h {
 				ln.idx, ln.z, ln.y = z*rowZ+y*rowY+h, z, y
-				fn(ln)
+				emit(&ln, lo, hi)
 			}
 		}
 		pass += 3
 	}
 }
+
+// ceilTo is the first coordinate ≥ lo that is ≡ off (mod s), s a power of
+// two.
+func ceilTo(lo, off, s int) int { return lo + (off-lo)&(s-1) }
 
 // predictLine fills preds[:ln.n] with the predictions of ln's points from
 // data's already-reconstructed entries. The cubic case needs c−3h ≥ 0 and
@@ -346,9 +375,6 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 	}
 	q := quant.Quantizer{EB: o.EB, Radius: o.radius()}
 	fq := q.Fast()
-	// One code per predicted point; ci is the cursor.
-	codes := scratch.U16.Lease(g.Len())
-	defer scratch.U16.Release(codes)
 	// The longest line is a finest-level one: every other point of an x-row.
 	row := scratch.LeaseFloat[T]((g.Nx + 1) / 2)
 	defer scratch.ReleaseFloat(row)
@@ -356,7 +382,6 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 	// lease (append growth past the lease is correct, just unpooled).
 	outliers := scratch.Bytes.Lease(64 + g.Len()*elemBytes[T]()/8)[:0]
 	defer func() { scratch.Bytes.Release(outliers) }()
-	var nOutliers uint32
 
 	// Anchors are stored verbatim; the anchor-lattice size is exact.
 	anchors := scratch.Bytes.Lease(anchorCount(g) * elemBytes[T]())[:0]
@@ -366,47 +391,83 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 		rec[idx] = g.Data[idx]
 	})
 
-	ci := 0
-	forEachLine(g.Nz, g.Ny, g.Nx, func(ln line) {
+	// Codes go straight to their lanes: starts[l] is lane l's first code,
+	// and a lane's codes are in traversal order, so one cursor a lane
+	// places them.
+	tl := newTiling(g.Nz, g.Ny, g.Nx)
+	starts := make([]int, tl.lanes+1)
+	for l, n := range tl.laneCodes() {
+		starts[l+1] = starts[l] + n
+	}
+	cur := append([]int(nil), starts[:tl.lanes]...)
+	codes := scratch.U16.Lease(starts[tl.lanes])
+	defer scratch.U16.Release(codes)
+	// The lane of each escape, in traversal order: lane order within a lane.
+	var escLanes []int32
+	forEachLine(g.Nz, g.Ny, g.Nx, nil, func(ln line) {
 		preds := row[:ln.n]
 		predictLine(rec, &ln, preds)
-		lc := codes[ci : ci+ln.n]
-		ci += ln.n
-		if quant.QuantizeRow(fq, g.Data[ln.idx:], ln.stride, preds, lc, rec[ln.idx:]) == 0 {
-			return
-		}
-		// Escapes are rare: their values are gathered from the zero codes in
-		// a second pass over the lines that have any.
-		for t, code := range lc {
-			if code == 0 {
-				outliers = appendValue(outliers, g.Data[ln.idx+t*ln.stride])
-				nOutliers++
+		// Each brick row of the line is quantised straight into its lane.
+		for l, t := tl.lane(ln.pass, ln.z, ln.y), 0; t < ln.n; l, t = l+1, t+brickCols {
+			i, lc := ln.idx+t*ln.stride, codes[cur[l]:][:min(brickCols, ln.n-t)]
+			cur[l] += len(lc)
+			if quant.QuantizeRow(fq, g.Data[i:], ln.stride, preds[t:t+len(lc)], lc, rec[i:]) == 0 {
+				continue
+			}
+			// Escapes are rare: their values are gathered from the zero
+			// codes in a second pass over the rows that have any.
+			for k, code := range lc {
+				if code == 0 {
+					outliers = appendValue(outliers, g.Data[i+k*ln.stride])
+					escLanes = append(escLanes, int32(l))
+				}
 			}
 		}
 	})
+	nOutliers := len(escLanes)
 
-	hblob := huffman.EncodeLanes(codes[:ci], q.Alphabet())
-
-	out := make([]byte, 40, 40+len(anchors)+len(outliers)+len(hblob))
-	binary.LittleEndian.PutUint32(out[0:], MagicV2)
+	code := huffman.NewCode(codes[:starts[tl.lanes]], q.Alphabet())
+	defer code.Release()
+	elem := elemBytes[T]()
+	out := make([]byte, 40, 40+len(anchors)+len(outliers))
+	binary.LittleEndian.PutUint32(out[0:], MagicV3)
 	out[4] = dtypeOf[T]()
 	binary.LittleEndian.PutUint32(out[8:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[12:], uint32(g.Ny))
 	binary.LittleEndian.PutUint32(out[16:], uint32(g.Nx))
 	binary.LittleEndian.PutUint64(out[20:], math.Float64bits(o.EB))
 	binary.LittleEndian.PutUint32(out[28:], uint32(o.radius()))
-	binary.LittleEndian.PutUint32(out[32:], nOutliers)
-	binary.LittleEndian.PutUint32(out[36:], uint32(len(hblob)))
+	binary.LittleEndian.PutUint32(out[32:], uint32(nOutliers))
 	out = append(out, anchors...)
-	out = append(out, outliers...)
-	out = append(out, hblob...)
+	// The escape values in lane order: a counting sort of the traversal's
+	// by lane, stable, so each lane's stay in its own order.
+	var escN []int
+	if nOutliers > 0 {
+		escN = make([]int, tl.lanes)
+		for _, l := range escLanes {
+			escN[l]++
+		}
+		at := make([]int, tl.lanes)
+		for l := 1; l < tl.lanes; l++ {
+			at[l] = at[l-1] + escN[l-1]
+		}
+		vals := out[len(out):][:len(outliers)]
+		for i, l := range escLanes {
+			copy(vals[at[l]*elem:][:elem], outliers[i*elem:])
+			at[l]++
+		}
+		out = out[:len(out)+len(outliers)]
+	}
+	hoff := len(out)
+	out = appendLanes(out, code, codes, starts, escN)
+	binary.LittleEndian.PutUint32(out[36:], uint32(len(out)-hoff))
 	return out, nil
 }
 
 // Decompress decodes a stream produced by Compress (either mode). The type
 // parameter must match the stream's element type. It uses up to
 // parallel.DefaultWorkers goroutines (chunk-parallel for chunked streams,
-// lane-parallel entropy decoding for large v2 serial streams); use
+// lane-parallel entropy decoding for large serial streams); use
 // DecompressWorkers to bound parallelism explicitly.
 func Decompress[T grid.Float](data []byte) (*grid.Grid[T], error) {
 	return DecompressWorkers[T](data, 0)
@@ -422,7 +483,7 @@ func DecompressWorkers[T grid.Float](data []byte, workers int) (*grid.Grid[T], e
 		workers = parallel.DefaultWorkers()
 	}
 	switch binary.LittleEndian.Uint32(data) {
-	case Magic, MagicV2:
+	case Magic, MagicV2, MagicV3:
 		return decompressSerial[T](data, workers)
 	case MagicChunked:
 		return DecompressChunked[T](data, workers)
@@ -436,11 +497,16 @@ func decompressSerial[T grid.Float](data []byte, laneWorkers int) (*grid.Grid[T]
 	if err != nil {
 		return nil, err
 	}
+	sd, err := openSerial[T](data, grid.Box{Z1: nz, Y1: ny, X1: nx}, laneWorkers)
+	if err != nil {
+		return nil, err
+	}
+	defer sd.release()
 	// The result grid is backed by a scratch lease: callers that consume it
 	// transiently (the streaming reader, the chunk-parallel decoder) hand
 	// the buffer back; long-lived results simply never release it.
 	rec := &grid.Grid[T]{Data: scratch.LeaseFloat[T](nz * ny * nx), Nz: nz, Ny: ny, Nx: nx}
-	if err := decompressSerialInto(data, rec, grid.FullBox(rec), laneWorkers); err != nil {
+	if err := sd.reconstruct(rec); err != nil {
 		scratch.ReleaseFloat(rec.Data)
 		return nil, err
 	}
@@ -468,7 +534,7 @@ func dims[T grid.Float](data []byte) (nz, ny, nx int, err error) {
 }
 
 // parseSerialDims validates the serial-stream header and returns the dims
-// and the format version (1 or 2).
+// and the format version (1, 2 or 3).
 func parseSerialDims[T grid.Float](data []byte) (nz, ny, nx, version int, err error) {
 	if len(data) < 40 {
 		return 0, 0, 0, 0, ErrFormat
@@ -478,6 +544,8 @@ func parseSerialDims[T grid.Float](data []byte) (nz, ny, nx, version int, err er
 		version = 1
 	case MagicV2:
 		version = 2
+	case MagicV3:
+		version = 3
 	default:
 		return 0, 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
@@ -507,31 +575,37 @@ func checkElems(nz, ny, nx, streamBytes int) error {
 	return nil
 }
 
-// decompressSerialInto is the one decoder. It decodes the serial stream data
-// for the box b into rec, whose dimensions must match the stream header (the
-// chunk-parallel decoder passes zero-copy slab views of the full output
-// grid), and reconstructs exactly the points b depends on: its cone, one
-// need-box per pass (passNeeds). A full decode is the whole-grid box, whose
-// cone is every point. For any other box rec is dirty outside the cone —
-// only b's window of it means anything afterwards — and since the decoder
-// never reads a point it has not written, rec may be a dirty lease. b must
-// be a valid box of the grid (checkBox).
-//
-// Every code is entropy-decoded; the codes of points outside the cone only
-// advance the code cursor — and, when the header counts any escapes, are
-// scanned for them so the outlier cursor stays exact. A corrupt stream can
-// therefore fail a box whose cone reaches the damage and still serve one
-// whose cone does not.
-//
-// laneWorkers bounds the lane-parallel entropy decode of v2 streams
-// (chunk-parallel callers pass 1: the chunks already occupy the pool).
-func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], b grid.Box, laneWorkers int) error {
+// serialDecode is a serial stream opened for one box: its header, the
+// box's dependency cone — one need-box per pass (passNeeds) — and the codes
+// the cone reads, entropy-decoded. Opening is everything that can fail on
+// a bad stream but for the escapes' own checks, so the grid a decode
+// reconstructs into is sized only once the stream has been.
+type serialDecode[T grid.Float] struct {
+	nz, ny, nx, version int
+	q                   quant.Quantizer
+	anchors, outliers   []byte
+	needs               [maxPasses]grid.Box
+	// v1 and v2: every code in traversal order (leased), their escape
+	// values in outliers in the same order.
+	codes []uint16
+	// v3: the codes of the lanes that hold a code of the cone.
+	tl    tiling
+	lanes laneDecode[T]
+}
+
+// openSerial opens the serial stream data for the box b, which must be a
+// valid box of its grid (checkBox). A version-3 stream entropy-decodes only
+// the lanes that hold a code of the cone (tiling.mark); older ones decode
+// whole. laneWorkers bounds the lane-parallel entropy decode
+// (chunk-parallel callers pass 1: the chunks already occupy the pool). The
+// decode must be released.
+func openSerial[T grid.Float](data []byte, b grid.Box, laneWorkers int) (*serialDecode[T], error) {
 	nz, ny, nx, version, err := parseSerialDims[T](data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if rec.Nz != nz || rec.Ny != ny || rec.Nx != nx {
-		return fmt.Errorf("%w: dims mismatch", ErrFormat)
+	if err := checkBox(b, nz, ny, nx); err != nil {
+		return nil, err
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(data[20:]))
 	radius := int32(binary.LittleEndian.Uint32(data[28:]))
@@ -539,51 +613,93 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], b grid.B
 	hlen := int(binary.LittleEndian.Uint32(data[36:]))
 	// Codes are uint16, so a larger radius only sizes a bigger code table.
 	if radius <= 0 || radius > quant.DefaultRadius || !(eb > 0) {
-		return ErrFormat
+		return nil, ErrFormat
 	}
-	q := quant.Quantizer{EB: eb, Radius: radius}
+	sd := &serialDecode[T]{nz: nz, ny: ny, nx: nx, version: version, q: quant.Quantizer{EB: eb, Radius: radius}}
 
 	// The sections' sizes are known up front: the anchor lattice is exact.
 	elem := elemBytes[T]()
-	nAnchors := anchorCount(rec)
+	nAnchors := anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})
 	outliers := 40 + nAnchors*elem
 	hoff := outliers + nOutliers*elem
 	if hoff+hlen > len(data) {
-		return ErrFormat
+		return nil, ErrFormat
 	}
-	pos := 40
-	forEachAnchor(rec, func(idx int) {
-		rec.Data[idx] = readValue[T](data[pos:])
-		pos += elem
-	})
-	outlierData := data[outliers:hoff]
-
-	// The code count equals the predicted-point count (≤ Len), so a lease
-	// of Len elements lets the decoder skip its output allocation.
-	codesBuf := scratch.U16.Lease(rec.Len())
-	defer scratch.U16.Release(codesBuf)
-	var codes []uint16
-	if version >= 2 {
-		codes, err = huffman.DecodeLanesInto(codesBuf[:0], data[hoff:hoff+hlen], q.Alphabet(), laneWorkers)
+	sd.anchors, sd.outliers = data[40:outliers], data[outliers:hoff]
+	passNeeds(nz, ny, nx, b, &sd.needs)
+	sec := data[hoff : hoff+hlen]
+	if version == 3 {
+		sd.tl = newTiling(nz, ny, nx)
+		if err := sd.decodeLanes(sec, laneWorkers); err != nil {
+			return nil, err
+		}
+		return sd, nil
+	}
+	// The code count equals the predicted-point count (≤ the grid's), so a
+	// lease of the grid's length lets the decoder skip its output
+	// allocation.
+	buf := scratch.U16.Lease(nz * ny * nx)
+	if version == 2 {
+		sd.codes, err = huffman.DecodeLanesInto(buf[:0], sec, sd.q.Alphabet(), laneWorkers)
 	} else {
-		codes, err = huffman.DecodeInto(codesBuf[:0], data[hoff:hoff+hlen], q.Alphabet())
+		sd.codes, err = huffman.DecodeInto(buf[:0], sec, sd.q.Alphabet())
 	}
 	if err != nil {
-		return fmt.Errorf("sz3: %w", err)
+		scratch.U16.Release(buf)
+		return nil, fmt.Errorf("sz3: %w", err)
 	}
 	// The traversal visits every non-anchor point exactly once.
-	if len(codes) != rec.Len()-nAnchors {
-		return fmt.Errorf("%w: %d codes for %d predicted points", ErrFormat, len(codes), rec.Len()-nAnchors)
+	if len(sd.codes) != nz*ny*nx-nAnchors {
+		scratch.U16.Release(buf)
+		return nil, fmt.Errorf("%w: %d codes for %d predicted points", ErrFormat, len(sd.codes), nz*ny*nx-nAnchors)
 	}
+	return sd, nil
+}
 
-	var needs [maxPasses]grid.Box
-	passNeeds(nz, ny, nx, b, &needs)
-	row := scratch.LeaseFloat[T]((nx + 1) / 2)
+func (sd *serialDecode[T]) release() {
+	scratch.U16.Release(sd.codes)
+	sd.codes = nil
+	sd.lanes.release()
+}
+
+// clip returns the points [lo, hi) of ln that lie in need, its pass's
+// need-box: those with need.X0 ≤ x < need.X1 when the line's (z, y) is
+// inside it, none otherwise.
+func (ln *line) clip(need *grid.Box) (lo, hi int) {
+	if ln.z >= need.Z0 && ln.z < need.Z1 && ln.y >= need.Y0 && ln.y < need.Y1 {
+		lo = min(grid.SubDim(need.X0, ln.x0, ln.stride), ln.n)
+		hi = min(grid.SubDim(need.X1, ln.x0, ln.stride), ln.n)
+	}
+	return lo, hi
+}
+
+// reconstruct is the one decoder. It reconstructs into rec, whose dims
+// are the stream's, exactly the points the opened box depends on: its
+// cone. A full decode is the whole-grid box, whose cone is every point.
+// For any other box rec is dirty outside the cone — only the box's window
+// of it means anything afterwards — and since the decoder never reads a
+// point it has not written, rec may be a dirty lease. A corrupt stream can
+// therefore fail a box whose cone reaches the damage and still serve one
+// whose cone does not.
+func (sd *serialDecode[T]) reconstruct(rec *grid.Grid[T]) error {
+	elem := elemBytes[T]()
+	pos := 0
+	forEachAnchor(rec, func(idx int) {
+		rec.Data[idx] = readValue[T](sd.anchors[pos:])
+		pos += elem
+	})
+	row := scratch.LeaseFloat[T]((sd.nx + 1) / 2)
 	defer scratch.ReleaseFloat(row)
+	if sd.version == 3 {
+		return sd.reconstructLanes(rec.Data, row)
+	}
 	// quant.DequantizeT with its bin width hoisted out of the loop.
-	bin := 2 * q.EB
+	bin, radius := 2*sd.q.EB, sd.q.Radius
+	codes, outlierData, nOutliers := sd.codes, sd.outliers, len(sd.outliers)/elem
 	ci, oi := 0, 0
-	// skip passes over the next n codes, whose points lie outside the cone.
+	// skip passes over the next n codes, whose points lie outside the cone:
+	// when the stream has escapes, they are scanned for them so the
+	// outlier cursor stays exact.
 	skip := func(n int) {
 		if nOutliers > 0 {
 			for _, code := range codes[ci : ci+n] {
@@ -596,18 +712,11 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], b grid.B
 	}
 	out := rec.Data
 	var ferr error
-	forEachLine(nz, ny, nx, func(ln line) {
+	forEachLine(sd.nz, sd.ny, sd.nx, nil, func(ln line) {
 		if ferr != nil {
 			return
 		}
-		// Clip the line to its pass's need-box: points [lo, hi) are the ones
-		// with need.X0 ≤ x < need.X1.
-		need := &needs[ln.pass]
-		lo, hi := 0, 0
-		if ln.z >= need.Z0 && ln.z < need.Z1 && ln.y >= need.Y0 && ln.y < need.Y1 {
-			lo = min(grid.SubDim(need.X0, ln.x0, ln.stride), ln.n)
-			hi = min(grid.SubDim(need.X1, ln.x0, ln.stride), ln.n)
-		}
+		lo, hi := ln.clip(&sd.needs[ln.pass])
 		skip(lo)
 		if hi > lo {
 			sub := ln.slice(lo, hi)
@@ -629,6 +738,53 @@ func decompressSerialInto[T grid.Float](data []byte, rec *grid.Grid[T], b grid.B
 			ci += sub.n
 		}
 		skip(ln.n - hi)
+	})
+	return ferr
+}
+
+// reconstructLanes is reconstruct's loop for a v3 stream. It walks only
+// the cone's lines, and each reads its codes brick column by brick column,
+// each at its own position in its brick's lane, so the lines and bricks
+// outside the cone cost nothing.
+func (sd *serialDecode[T]) reconstructLanes(out, row []T) error {
+	bin, radius := 2*sd.q.EB, sd.q.Radius
+	ld := &sd.lanes
+	var ferr error
+	forEachLine(sd.nz, sd.ny, sd.nx, &sd.needs, func(ln line) {
+		if ferr != nil {
+			return
+		}
+		preds := row[:ln.n]
+		predictLine(out, &ln, preds)
+		lane, off, offLast := sd.tl.row(&ln)
+		last := sd.tl.lv[ln.pass/3].n[2] - 1
+		// The points [lo, hi) of the whole line: x0 is lo steps of 2h past
+		// the line's first point, 0 or h.
+		lo := ln.x0 / ln.stride
+		hi := lo + ln.n
+		i := ln.idx
+		for t := lo; t < hi; {
+			c := t / brickCols
+			if c == last {
+				off = offLast
+			}
+			t1 := min(hi, (c+1)*brickCols)
+			at := ld.at[lane+c] + off + t - c*brickCols
+			ps := preds[t-lo : t1-lo]
+			cs := ld.codes[at:][:len(ps)]
+			for k := range ps {
+				if code := cs[k]; code != 0 {
+					out[i] = T(float64(ps[k]) + bin*float64(int32(code)-radius))
+				} else if v, ok := ld.escape(at + k); ok {
+					out[i] = v
+				} else {
+					ferr = fmt.Errorf("%w: an escape its lane does not count", errEscapeCount)
+					return
+				}
+				i += ln.stride
+			}
+			t = t1
+		}
 	})
 	return ferr
 }
@@ -694,10 +850,11 @@ func compressChunked[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte,
 
 // DecompressBox decodes only the region b of a stream produced by Compress
 // (either mode) — native random access, bit-identical to the same region of
-// Decompress. A serial stream is entropy-decoded whole, but only b's
-// dependency cone is reconstructed (decompressSerialInto): the stencil
-// reaches 3h per pass, so a small window depends on a small fraction of the
-// grid. For chunked ("OMP") streams the z-slab chunks add genuine sub-stream
+// Decompress. Only b's dependency cone is reconstructed (openSerial,
+// reconstruct): the stencil reaches 3h per pass, so a small window depends
+// on a small fraction of the grid; a v3 stream entropy-decodes only the
+// lanes that hold the cone's codes, an older one decodes whole. For
+// chunked ("OMP") streams the z-slab chunks add genuine sub-stream
 // addressing on top: only the slabs whose plane range intersects b are
 // touched at all, each for the cone of its own part of b. The box must lie
 // entirely inside the stream's grid, and is checked before anything is
@@ -713,15 +870,13 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 		workers = parallel.DefaultWorkers()
 	}
 	if binary.LittleEndian.Uint32(data) != MagicChunked {
-		nz, ny, nx, _, err := parseSerialDims[T](data)
+		sd, err := openSerial[T](data, b, workers)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkBox(b, nz, ny, nx); err != nil {
-			return nil, err
-		}
+		defer sd.release()
 		out := leaseBox[T](b)
-		if err := copyBoxFromSerial(out, data, b, 0, nz, ny, nx, workers); err != nil {
+		if err := sd.copyBox(out, b, 0); err != nil {
 			scratch.ReleaseFloat(out.Data)
 			return nil, err
 		}
@@ -748,7 +903,7 @@ func DecompressBox[T grid.Float](data []byte, b grid.Box, workers int) (*grid.Gr
 	parallel.For(len(need), workers, func(i int) {
 		c := need[i]
 		lo, hi := bounds[c], bounds[c+1]
-		errs[i] = copyBoxFromSerial(out, data[offs[c]:offs[c+1]], b, lo, hi-lo, ny, nx, 1)
+		errs[i] = copyBoxFromSerial(out, data[offs[c]:offs[c+1]], b, lo, hi-lo, ny, nx)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -767,14 +922,41 @@ func leaseBox[T grid.Float](b grid.Box) *grid.Grid[T] {
 
 // copyBoxFromSerial copies into out (whose dims are b's) the part of b that
 // the serial stream data covers: an nz×ny×nx slab whose plane 0 is plane
-// zOff of b's grid. It reconstructs the cone of that part in a leased slab
-// and windows it out.
-func copyBoxFromSerial[T grid.Float](out *grid.Grid[T], data []byte, b grid.Box, zOff, nz, ny, nx, laneWorkers int) error {
-	slab := &grid.Grid[T]{Data: scratch.LeaseFloat[T](nz * ny * nx), Nz: nz, Ny: ny, Nx: nx}
-	defer scratch.ReleaseFloat(slab.Data)
+// zOff of b's grid.
+func copyBoxFromSerial[T grid.Float](out *grid.Grid[T], data []byte, b grid.Box, zOff, nz, ny, nx int) error {
 	local := b
 	local.Z0, local.Z1 = max(b.Z0, zOff)-zOff, min(b.Z1, zOff+nz)-zOff
-	if err := decompressSerialInto(data, slab, local, laneWorkers); err != nil {
+	sd, err := openSlab[T](data, local, nz, ny, nx)
+	if err != nil {
+		return err
+	}
+	defer sd.release()
+	return sd.copyBox(out, b, zOff)
+}
+
+// openSlab opens the serial stream of one slab of a chunked stream for the
+// box b of its nz×ny×nx grid, which its header must declare. The chunks
+// already occupy the worker pool, so each slab's lanes decode on its own
+// goroutine.
+func openSlab[T grid.Float](data []byte, b grid.Box, nz, ny, nx int) (*serialDecode[T], error) {
+	sd, err := openSerial[T](data, b, 1)
+	if err != nil {
+		return nil, err
+	}
+	if sd.nz != nz || sd.ny != ny || sd.nx != nx {
+		sd.release()
+		return nil, fmt.Errorf("%w: dims mismatch", ErrFormat)
+	}
+	return sd, nil
+}
+
+// copyBox reconstructs the opened box's cone in a leased slab of the
+// stream's grid, whose plane 0 is plane zOff of b's grid, and windows b's
+// part of it out into out.
+func (sd *serialDecode[T]) copyBox(out *grid.Grid[T], b grid.Box, zOff int) error {
+	slab := &grid.Grid[T]{Data: scratch.LeaseFloat[T](sd.nz * sd.ny * sd.nx), Nz: sd.nz, Ny: sd.ny, Nx: sd.nx}
+	defer scratch.ReleaseFloat(slab.Data)
+	if err := sd.reconstruct(slab); err != nil {
 		return err
 	}
 	out.CopyBoxFromSlab(slab, b, zOff)
@@ -857,9 +1039,13 @@ func DecompressChunked[T grid.Float](data []byte, workers int) (*grid.Grid[T], e
 			errs[c] = err
 			return
 		}
-		// Chunks already occupy the worker pool, so each chunk's v2 lane
-		// decode runs on the register-resident single-thread interleave.
-		errs[c] = decompressSerialInto(data[offs[c]:offs[c+1]], sub, grid.FullBox(sub), 1)
+		sd, err := openSlab[T](data[offs[c]:offs[c+1]], grid.FullBox(sub), sub.Nz, ny, nx)
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		defer sd.release()
+		errs[c] = sd.reconstruct(sub)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -92,80 +92,165 @@ func forEachPredicted[T grid.Float](rec *grid.Grid[T], fn func(idx int, pred T))
 	}
 }
 
+// refLane is the lane of the predicted point (z, y, x), from the format's
+// definition: its level is the half-stride h at which it first appears —
+// the lowest set bit of z|y|x — and its brick is the 8h×16h×32h cell of the
+// grid it lies in, numbered z-major after the lanes of the coarser levels.
+func refLane(tl *tiling, z, y, x int) int {
+	h := (z | y | x) & -(z | y | x)
+	for i := 0; i < tl.levels; i++ {
+		if lv := &tl.lv[i]; lv.h == h {
+			return lv.first + ((z/(brickZ*h))*lv.n[1]+y/(brickY*h))*lv.n[2] + x/(brickX*h)
+		}
+	}
+	panic("refLane: an anchor has no lane")
+}
+
 // refCompressSerial is the per-point reference encoder (one
-// quant.QuantizeFastT call per point): compressSerial must reproduce its
-// archives byte for byte.
+// quant.QuantizeFastT call per point), which lays out its version-3 stream
+// from refLane, lane by lane: compressSerial must reproduce its archives
+// byte for byte.
 func refCompressSerial[T grid.Float](g *grid.Grid[T], o Options) []byte {
 	q := quant.Quantizer{EB: o.EB, Radius: o.radius()}
 	fq := q.Fast()
 	rec := grid.New[T](g.Nz, g.Ny, g.Nx)
-	var codes []uint16
-	var anchors, outliers []byte
-	var nOutliers uint32
+	tl := newTiling(g.Nz, g.Ny, g.Nx)
+	laneCodes, laneEscapes := make([][]uint16, tl.lanes), make([][]byte, tl.lanes)
+	var anchors []byte
+	nOutliers := 0
 	forEachAnchor(g, func(idx int) {
 		anchors = appendValue(anchors, g.Data[idx])
 		rec.Data[idx] = g.Data[idx]
 	})
 	forEachPredicted(rec, func(idx int, pred T) {
+		l := refLane(&tl, idx/(g.Ny*g.Nx), idx/g.Nx%g.Ny, idx%g.Nx)
 		code, r, ok := quant.QuantizeFastT(fq, g.Data[idx], float64(pred))
 		if !ok {
-			outliers = appendValue(outliers, g.Data[idx])
+			laneEscapes[l] = appendValue(laneEscapes[l], g.Data[idx])
 			nOutliers++
-			codes = append(codes, 0)
-			rec.Data[idx] = g.Data[idx]
-			return
+			code, r = 0, g.Data[idx]
 		}
-		codes = append(codes, code)
+		laneCodes[l] = append(laneCodes[l], code)
 		rec.Data[idx] = r
 	})
-	hblob := huffman.EncodeLanes(codes, q.Alphabet())
+	var all []uint16
+	for _, lc := range laneCodes {
+		all = append(all, lc...)
+	}
+	code := huffman.NewCode(all, q.Alphabet())
+	defer code.Release()
+	var lens, escs, lanes []byte
+	for l, lc := range laneCodes {
+		buf := make([]byte, code.LaneBound(len(lc)))
+		n := code.WriteLane(buf, lc)
+		lanes = append(lanes, buf[:n]...)
+		lens = binary.LittleEndian.AppendUint16(lens, uint16(n))
+		escs = binary.LittleEndian.AppendUint16(escs, uint16(len(laneEscapes[l])/elemBytes[T]()))
+	}
+	sec := append(append([]byte(nil), code.Header()...), lens...)
+	if nOutliers > 0 {
+		sec = append(sec, escs...)
+	}
+	sec = append(sec, lanes...)
 	out := make([]byte, 40)
-	binary.LittleEndian.PutUint32(out[0:], MagicV2)
+	binary.LittleEndian.PutUint32(out[0:], MagicV3)
 	out[4] = dtypeOf[T]()
 	binary.LittleEndian.PutUint32(out[8:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[12:], uint32(g.Ny))
 	binary.LittleEndian.PutUint32(out[16:], uint32(g.Nx))
 	binary.LittleEndian.PutUint64(out[20:], math.Float64bits(o.EB))
 	binary.LittleEndian.PutUint32(out[28:], uint32(o.radius()))
-	binary.LittleEndian.PutUint32(out[32:], nOutliers)
-	binary.LittleEndian.PutUint32(out[36:], uint32(len(hblob)))
+	binary.LittleEndian.PutUint32(out[32:], uint32(nOutliers))
+	binary.LittleEndian.PutUint32(out[36:], uint32(len(sec)))
 	out = append(out, anchors...)
-	out = append(out, outliers...)
-	return append(out, hblob...)
+	for _, e := range laneEscapes {
+		out = append(out, e...)
+	}
+	return append(out, sec...)
+}
+
+// refCodes returns the codes of a serial stream of any version in
+// traversal order, and its escape values in the same order: a v3 stream's
+// lanes are decoded whole and read back through one cursor per brick.
+func refCodes[T grid.Float](data []byte) (codes []uint16, outliers []byte, err error) {
+	nz, ny, nx, version, err := parseSerialDims[T](data)
+	if err != nil {
+		return nil, nil, err
+	}
+	alphabet := 2 * int(binary.LittleEndian.Uint32(data[28:]))
+	nOutliers := int(binary.LittleEndian.Uint32(data[32:]))
+	hlen := int(binary.LittleEndian.Uint32(data[36:]))
+	elem := elemBytes[T]()
+	pos := 40 + anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*elem
+	outs, sec := data[pos:pos+nOutliers*elem], data[pos+nOutliers*elem:][:hlen]
+	switch version {
+	case 1:
+		codes, err = huffman.Decode(sec, alphabet)
+		return codes, outs, err
+	case 2:
+		codes, err = huffman.DecodeLanesInto(nil, sec, alphabet, 1)
+		return codes, outs, err
+	}
+	tl := newTiling(nz, ny, nx)
+	counts := tl.laneCodes()
+	cr, _, headLen, err := huffman.ReadCode(sec, alphabet, nz*ny*nx)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer cr.Release()
+	entries := tl.lanes
+	if nOutliers > 0 {
+		entries *= 2
+	}
+	lanes, escapes := make([][]uint16, tl.lanes), make([][]byte, tl.lanes)
+	off, esc := headLen+2*entries, 0
+	for l := range lanes {
+		n, e := int(binary.LittleEndian.Uint16(sec[headLen+2*l:])), 0
+		if nOutliers > 0 {
+			e = int(binary.LittleEndian.Uint16(sec[headLen+2*tl.lanes+2*l:]))
+		}
+		lanes[l] = make([]uint16, counts[l])
+		if _, err := cr.Decode(sec, lanes[l], huffman.Lane{Start: off, End: off + n, Stop: counts[l]}); err != nil {
+			return nil, nil, err
+		}
+		escapes[l] = outs[esc*elem : (esc+e)*elem]
+		off, esc = off+n, esc+e
+	}
+	forEachLine(nz, ny, nx, nil, func(ln line) {
+		for t := 0; t < ln.n; t++ {
+			l := refLane(&tl, ln.z, ln.y, ln.x0+t*ln.stride)
+			code := lanes[l][0]
+			lanes[l] = lanes[l][1:]
+			codes = append(codes, code)
+			if code == 0 {
+				outliers = append(outliers, escapes[l][:elem]...)
+				escapes[l] = escapes[l][elem:]
+			}
+		}
+	})
+	return codes, outliers, nil
 }
 
 // refDecompressSerial is the per-point reference decoder (one
-// quant.DequantizeT call per point) for v1 and v2 serial streams: the full
-// decode must reproduce its grid bit for bit.
+// quant.DequantizeT call per point) for serial streams of any version: the
+// full decode must reproduce its grid bit for bit.
 func refDecompressSerial[T grid.Float](data []byte) (*grid.Grid[T], error) {
-	nz, ny, nx, version, err := parseSerialDims[T](data)
+	codes, outlierData, err := refCodes[T](data)
 	if err != nil {
 		return nil, err
 	}
+	nz, ny, nx, _, _ := parseSerialDims[T](data)
 	rec := grid.New[T](nz, ny, nx)
 	q := quant.Quantizer{
 		EB:     math.Float64frombits(binary.LittleEndian.Uint64(data[20:])),
 		Radius: int32(binary.LittleEndian.Uint32(data[28:])),
 	}
-	nOutliers := int(binary.LittleEndian.Uint32(data[32:]))
-	hlen := int(binary.LittleEndian.Uint32(data[36:]))
 	elem := elemBytes[T]()
 	pos := 40
 	forEachAnchor(rec, func(idx int) {
 		rec.Data[idx] = readValue[T](data[pos:])
 		pos += elem
 	})
-	outlierData := data[pos : pos+nOutliers*elem]
-	hblob := data[pos+nOutliers*elem : pos+nOutliers*elem+hlen]
-	var codes []uint16
-	if version >= 2 {
-		codes, err = huffman.DecodeLanesInto(nil, hblob, q.Alphabet(), 1)
-	} else {
-		codes, err = huffman.Decode(hblob, q.Alphabet())
-	}
-	if err != nil {
-		return nil, err
-	}
 	ci, oi := 0, 0
 	forEachPredicted(rec, func(idx int, pred T) {
 		code := codes[ci]
@@ -181,6 +266,29 @@ func refDecompressSerial[T grid.Float](data []byte) (*grid.Grid[T], error) {
 		return nil, ErrFormat
 	}
 	return rec, nil
+}
+
+// reframe rewrites a serial stream as a version-1 or version-2 one — the
+// framing earlier writers emitted: the same header, anchors and codes, the
+// escape values in traversal order, and a single-lane (v1) or four-lane
+// (v2) Huffman payload.
+func reframe[T grid.Float](t *testing.T, enc []byte, version int) []byte {
+	t.Helper()
+	codes, outliers, err := refCodes[T](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nz, ny, nx, _, _ := parseSerialDims[T](enc)
+	alphabet := 2 * int(binary.LittleEndian.Uint32(enc[28:]))
+	out := append([]byte(nil), enc[:40+anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*elemBytes[T]()]...)
+	out = append(out, outliers...)
+	hblob, magic := huffman.EncodeLanes(codes, alphabet), MagicV2
+	if version == 1 {
+		hblob, magic = huffman.Encode(codes, alphabet), Magic
+	}
+	binary.LittleEndian.PutUint32(out[0:], magic)
+	binary.LittleEndian.PutUint32(out[36:], uint32(len(hblob)))
+	return append(out, hblob...)
 }
 
 // sameBits reports whether two grids hold the same bit patterns (NaN-safe).
@@ -230,7 +338,7 @@ func testTraversal[T grid.Float](t *testing.T, dims [3]int) {
 	})
 	k, lastPass := 0, -1
 	row := make([]T, (dims[2]+1)/2)
-	forEachLine(dims[0], dims[1], dims[2], func(ln line) {
+	forEachLine(dims[0], dims[1], dims[2], nil, func(ln line) {
 		if ln.pass < lastPass {
 			t.Fatalf("dims %v: pass %d after pass %d", dims, ln.pass, lastPass)
 		}
@@ -299,7 +407,7 @@ func TestTraversalPredictsOnlyFromProcessed(t *testing.T) {
 		}
 		forEachAnchor(g, func(idx int) { g.Data[idx] = 1 })
 		row := make([]float64, (dims[2]+1)/2)
-		forEachLine(dims[0], dims[1], dims[2], func(ln line) {
+		forEachLine(dims[0], dims[1], dims[2], nil, func(ln line) {
 			preds := row[:ln.n]
 			predictLine(g.Data, &ln, preds)
 			for i, pred := range preds {
@@ -727,26 +835,6 @@ func kernelFields[T grid.Float](nz, ny, nx int) map[string]*grid.Grid[T] {
 	return map[string]*grid.Grid[T]{"smooth": smooth, "spikes": spikes, "nonfinite": nonFinite, "constant": constant}
 }
 
-// toV1 reframes a v2 serial stream as a version-1 one (Magic, single-lane
-// Huffman payload) — the framing pre-lane writers emitted.
-func toV1(t *testing.T, enc []byte) []byte {
-	t.Helper()
-	if binary.LittleEndian.Uint32(enc) != MagicV2 {
-		t.Fatal("toV1: not a v2 serial stream")
-	}
-	hlen := int(binary.LittleEndian.Uint32(enc[36:]))
-	alphabet := 2 * int(binary.LittleEndian.Uint32(enc[28:]))
-	codes, err := huffman.DecodeLanesInto(nil, enc[len(enc)-hlen:], alphabet, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := append([]byte(nil), enc[:len(enc)-hlen]...)
-	hblob := huffman.Encode(codes, alphabet)
-	binary.LittleEndian.PutUint32(v1[0:], Magic)
-	binary.LittleEndian.PutUint32(v1[36:], uint32(len(hblob)))
-	return append(v1, hblob...)
-}
-
 func testKernelsMatchReference[T grid.Float](t *testing.T) {
 	for _, dims := range [][3]int{{7, 5, 9}, {1, 16, 16}, {1, 1, 33}, {16, 1, 4}, {33, 18, 7}, {8, 32, 40}} {
 		for name, g := range kernelFields[T](dims[0], dims[1], dims[2]) {
@@ -764,7 +852,7 @@ func testKernelsMatchReference[T grid.Float](t *testing.T) {
 					if nOut := binary.LittleEndian.Uint32(enc[32:]); (name == "spikes" || name == "nonfinite") && nOut == 0 {
 						t.Fatalf("%v %s eb=%g: field produced no escapes", dims, name, eb)
 					}
-					for version, stream := range map[int][]byte{2: enc, 1: toV1(t, enc)} {
+					for version, stream := range map[int][]byte{3: enc, 2: reframe[T](t, enc, 2), 1: reframe[T](t, enc, 1)} {
 						ref, err := refDecompressSerial[T](stream)
 						if err != nil {
 							t.Fatal(err)
@@ -786,7 +874,7 @@ func testKernelsMatchReference[T grid.Float](t *testing.T) {
 // TestKernelsMatchReference: the line-kernel encoder reproduces the
 // per-point encoder's archives byte for byte, and the full decode (the
 // whole-grid box of the one decoder) the per-point decoder's grid bit for
-// bit, on v2 and hand-framed v1 streams.
+// bit, on v3 streams and on the same codes reframed as v2 and v1.
 func TestKernelsMatchReference(t *testing.T) {
 	t.Run("f32", testKernelsMatchReference[float32])
 	t.Run("f64", testKernelsMatchReference[float64])
