@@ -382,8 +382,8 @@ func cmdInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("levels: %d  base: %s  predictor: %s  residual: %s  adaptive: %v (ratio %.2f)  partition-only: %v\n",
-		h.Levels, h.BaseCodec, h.Predictor, h.Residual, h.AdaptiveEB, h.EBRatio, h.PartitionOnly)
+	fmt.Printf("levels: %d  base: %s  predictor: %s  adaptive: %v (ratio %.2f)\n",
+		h.Levels, h.BaseCodec, h.Predictor, h.AdaptiveEB, h.EBRatio)
 	return nil
 }
 

@@ -39,10 +39,6 @@ func gen64(s datasets.Spec) *grid.Grid[float64] {
 	return s.Generate64(d[0], d[1], d[2], s.Seed)
 }
 
-// ebSweep is the relative-error-bound sweep used by the rate-distortion
-// experiments; it spans the paper's CR range (tens to several hundred).
-var ebSweep = []float64{2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2}
-
 // ---------------------------------------------------------------- table 1
 
 func expTable1() error {
@@ -85,15 +81,7 @@ func expFig3() error {
 	g := gen32(datasets.All()[0])
 	const targetCR = 205
 
-	variants := []bench.Codec[float32]{
-		bench.STZVariant[float32]("Partition", func(eb float64) core.Config {
-			c := core.DefaultConfig(eb)
-			c.PartitionOnly = true
-			return c
-		}),
-		sz3Codec32(),
-		bench.STZ[float32](),
-	}
+	variants := []bench.Codec[float32]{bench.Partition[float32](), sz3Codec32(), bench.STZ[float32]()}
 	row("Method", "CR", "PSNR", "SSIM")
 	for _, v := range variants {
 		_, r, err := bench.EBForTargetCR(v, g, targetCR, *flagWorkers)
@@ -122,43 +110,14 @@ func sz3Codec32() bench.Codec[float32] {
 
 // ------------------------------------------------------------------ fig 5
 
-// fig5Variants returns the ablation ladder of Fig. 5 in paper order.
-func fig5Variants() []bench.Codec[float32] {
-	mk := bench.STZVariant[float32]
-	return []bench.Codec[float32]{
-		mk("Partition", func(eb float64) core.Config {
-			c := core.DefaultConfig(eb)
-			c.PartitionOnly = true
-			return c
-		}),
-		mk("Direct pred", func(eb float64) core.Config {
-			return core.Config{EB: eb, Levels: 2, Predictor: core.PredDirect, Residual: core.ResidSZ3}
-		}),
-		mk("Multi-dim Interp", func(eb float64) core.Config {
-			return core.Config{EB: eb, Levels: 2, Predictor: core.PredLinear, Residual: core.ResidSZ3}
-		}),
-		mk("Multi-dim + Qt", func(eb float64) core.Config {
-			return core.Config{EB: eb, Levels: 2, Predictor: core.PredLinear, Residual: core.ResidQuant}
-		}),
-		mk("Cubic-Multi + Qt", func(eb float64) core.Config {
-			return core.Config{EB: eb, Levels: 2, Predictor: core.PredCubic, Residual: core.ResidQuant}
-		}),
-		mk("Cubic-Multi-Qt + Adp", func(eb float64) core.Config {
-			return core.Config{EB: eb, Levels: 2, Predictor: core.PredCubic, Residual: core.ResidQuant,
-				AdaptiveEB: true, EBRatio: 2.5}
-		}),
-		mk("3-level + All", core.DefaultConfig),
-	}
-}
-
 func expFig5() error {
 	header("fig5", "Ablation rate-distortion on Nyx (Fig. 5)")
 	g := gen32(datasets.All()[0])
-	variants := append(fig5Variants(), sz3Codec32())
+	variants := append(bench.Fig5Ladder[float32](), sz3Codec32())
 	for _, v := range variants {
 		fmt.Printf("\n%s:\n", v.Name)
 		row("  eb(rel)", "CR", "PSNR")
-		for _, eb := range ebSweep {
+		for _, eb := range bench.EBSweep {
 			r, err := bench.Run(v, g, eb, *flagWorkers, false)
 			if err != nil {
 				return fmt.Errorf("%s eb=%g: %w", v.Name, eb, err)
@@ -246,7 +205,7 @@ func rdFor[T grid.Float](g *grid.Grid[T]) error {
 	for _, c := range bench.Codecs[T]() {
 		fmt.Printf("%s:\n", c.Name)
 		row("  eb(rel)", "CR", "PSNR")
-		for _, eb := range ebSweep {
+		for _, eb := range bench.EBSweep {
 			r, err := bench.Run(c, g, eb, *flagWorkers, false)
 			if err != nil {
 				return err
@@ -516,62 +475,6 @@ func expEBRatio() error {
 		}
 	}
 	fmt.Println("\nPaper: ratio 2.5 gave the best overall compression performance.")
-	return nil
-}
-
-// expChunked quantifies the random-access-Huffman extension (the paper's
-// future work): compression-ratio cost vs slice-decode savings for several
-// chunk sizes.
-func expChunked() error {
-	header("chunked", "Random-access Huffman chunking: CR cost vs decode savings")
-	s := datasets.All()[3] // Miranda
-	g := gen32(s)
-	mn, mx := g.Range()
-	eb := 1e-3 * float64(mx-mn)
-
-	plain, err := core.Compress(g, core.DefaultConfig(eb))
-	if err != nil {
-		return err
-	}
-	row("chunk", "CR", "CR cost", "slice chunks", "slice time")
-	rp, err := core.NewReader[float32](plain)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	_, st, err := rp.DecompressSliceZ(g.Nz / 2)
-	if err != nil {
-		return err
-	}
-	baseT := time.Since(t0)
-	crPlain := float64(g.Len()*4) / float64(len(plain))
-	// The default stream's class streams are brick lanes: its "chunks" are
-	// its bricks.
-	row("bricks", f1(crPlain), "-", fmt.Sprintf("%d/%d", st.DecodedChunks[1], st.DecodedChunks[1]+st.SkippedChunks[1]), dur(baseT))
-
-	for _, chunk := range []int{1 << 18, 1 << 16, 1 << 14, 1 << 12} {
-		cfg := core.DefaultConfig(eb)
-		cfg.CodeChunk = chunk
-		enc, err := core.Compress(g, cfg)
-		if err != nil {
-			return err
-		}
-		r, err := core.NewReader[float32](enc)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		_, st, err := r.DecompressSliceZ(g.Nz / 2)
-		if err != nil {
-			return err
-		}
-		el := time.Since(t1)
-		cr := float64(g.Len()*4) / float64(len(enc))
-		row(fmt.Sprintf("%d", chunk), f1(cr),
-			fmt.Sprintf("%.1f%%", 100*(1-float64(len(plain))/float64(len(enc)))),
-			fmt.Sprintf("%d/%d", st.DecodedChunks[1], st.DecodedChunks[1]+st.SkippedChunks[1]),
-			dur(el))
-	}
 	return nil
 }
 

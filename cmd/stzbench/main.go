@@ -11,9 +11,14 @@
 //	table3  — compression/decompression times, serial and 8-way parallel
 //	table4  — random-access decompression time breakdown on Miranda
 //	fig13   — progressive decompression on Miranda (Fig. 13)
+//	ebratio — the adaptive error-bound ratio calibration (§3.1, Opt. 5)
 //	codecs  — unified registry capability matrix + chunk-parallel sweep
 //
-// Usage: stzbench -exp all|table1|...|fig13|codecs [-scale tiny|bench] [-workers 8]
+// The rungs of the fig3 and fig5 ablation ladder that are not STZ
+// configurations — Partition and the two SZ3-residual rungs — live in
+// internal/bench (Fig5Ladder), pinned there by TestAblationLadderGolden.
+//
+// Usage: stzbench -exp all|table1|...|fig13|ebratio|codecs [-scale tiny|bench] [-workers 8]
 package main
 
 import (
@@ -46,7 +51,6 @@ var experiments = []struct {
 	{"fig13", expFig13},
 	// Design-choice ablations beyond the paper's figures.
 	{"ebratio", expEBRatio},
-	{"chunked", expChunked},
 	{"codecs", expCodecs},
 }
 

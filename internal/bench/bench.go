@@ -5,7 +5,8 @@
 // SPERR-lite, ZFP-lite and MGARD-lite — through one interface so every
 // table and figure is generated by the same code path: all five are drawn
 // from the unified registry (internal/codec). Only the Fig. 5 ablation
-// variants, which are not registry codecs, configure internal/core directly.
+// ladder (ablation.go), which is not a registry codec, builds on
+// internal/core directly.
 package bench
 
 import (
@@ -88,7 +89,8 @@ func Codecs[T grid.Float]() []Codec[T] {
 // adaptive) configuration — the registry codec "stz".
 func STZ[T grid.Float]() Codec[T] { return builtin[T]("stz") }
 
-// STZVariant returns an ablation configuration of STZ (for Fig. 5).
+// STZVariant returns STZ under a configuration other than the default: the
+// later rungs of the Fig. 5 ladder, the ebratio calibration.
 func STZVariant[T grid.Float](name string, cfg func(eb float64) core.Config) Codec[T] {
 	return Codec[T]{
 		Name: name,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"stz/internal/bitio"
 	"stz/internal/container"
@@ -133,12 +132,13 @@ func BenchmarkHuffmanDecodeSmall(b *testing.B) {
 	})
 }
 
-// classStream returns the Huffman blob and the codes of one class section
-// of the side³ Nyx field compressed by core at the relative bound rel —
-// section fromEnd counted back from the archive's last, 1 being the last
-// finest-level class: what a read actually decodes and a write encodes — a
-// few bits a symbol, a long tail of rare codes, the 65 536-symbol quantizer
-// alphabet.
+// classStream returns the codes of one class section of the side³ Nyx field
+// compressed by core at the relative bound rel, and those codes as one
+// EncodeLanes blob — what a read decodes and a write encodes: a few bits a
+// symbol, a long tail of rare codes, the 65 536-symbol quantizer alphabet.
+// The section is fromEnd counted back from the archive's last: 1 is the
+// last finest-level class, 8 the last level-2 class, both the (1,1,1)
+// parity class of their level, a cube of side/2 or side/4 points.
 func classStream(b *testing.B, side int, rel float64, fromEnd int) (blob []byte, codes []uint16) {
 	g := datasets.Nyx(side, side, side, 7)
 	mn, mx := g.Range()
@@ -151,19 +151,60 @@ func classStream(b *testing.B, side int, rel float64, fromEnd int) (blob []byte,
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Section plan (FORMAT.md §3): header, level-1 stream, then seven class
-	// sections per predicted level; a class section is its outlier count,
-	// the float32 outliers, then the code blob.
 	sec, err := arc.Section(arc.Count() - fromEnd)
 	if err != nil {
 		b.Fatal(err)
 	}
-	blob = sec[4+4*int(binary.LittleEndian.Uint32(sec)):]
-	codes, err = huffman.DecodeLanesInto(nil, blob, quantAlphabet, 1)
+	n := side / 2
+	if fromEnd > 7 {
+		n = side / 4
+	}
+	codes = brickCodes(b, sec, [3]int{n, n, n})
+	return huffman.EncodeLanes(codes, quantAlphabet), codes
+}
+
+// brickCodes decodes the codes of a core class section of class dims d, in
+// brick order (FORMAT.md §3): the section is the escape count, the code
+// header, a u16 byte length per brick lane (and, with escapes, a u16 escape
+// count per brick), the float32 escape values, then one lane per brick of
+// 8×16×32 class points (z×y×x, clipped at the far faces), in brick order.
+// Static Huffman sizes do not depend on symbol order, so the brick-ordered
+// codes code to the class's own bits.
+func brickCodes(b *testing.B, sec []byte, d [3]int) []uint16 {
+	nOut := int(binary.LittleEndian.Uint32(sec))
+	cr, n, headLen, err := huffman.ReadCode(sec[4:], quantAlphabet, d[0]*d[1]*d[2])
 	if err != nil {
 		b.Fatal(err)
 	}
-	return blob, codes
+	defer cr.Release()
+	if n != d[0]*d[1]*d[2] {
+		b.Fatalf("class section codes %d symbols, want %d", n, d[0]*d[1]*d[2])
+	}
+	var sizes []int
+	for z := 0; z < d[0]; z += 8 {
+		for y := 0; y < d[1]; y += 16 {
+			for x := 0; x < d[2]; x += 32 {
+				sizes = append(sizes, (min(z+8, d[0])-z)*(min(y+16, d[1])-y)*(min(x+32, d[2])-x))
+			}
+		}
+	}
+	dir, entries := 4+headLen, len(sizes)
+	if nOut > 0 {
+		entries *= 2
+	}
+	off, at := dir+2*entries+4*nOut, 0
+	codes := make([]uint16, n)
+	for i, size := range sizes {
+		l := int(binary.LittleEndian.Uint16(sec[dir+2*i:]))
+		if _, err := cr.Decode(sec, codes, huffman.Lane{Start: off, End: off + l, At: at, Stop: at + size}); err != nil {
+			b.Fatal(err)
+		}
+		off, at = off+l, at+size
+	}
+	if off != len(sec) {
+		b.Fatalf("brick lanes end at %d of a %d-byte section", off, len(sec))
+	}
+	return codes
 }
 
 const quantAlphabet = 1 << 16
@@ -201,13 +242,13 @@ func BenchmarkHuffmanDecodeClass(b *testing.B) {
 }
 
 // BenchmarkHuffmanEncodeClass encodes the class streams a 128³ core.Compress
-// produces at rel 1e-3, the way EncodeLanes does — plan, one exact-size
-// buffer, the four lanes — with the two steps timed apart: "finest" is the
-// last finest-level class (256 Ki symbols, where the per-symbol loops are
-// everything), "level2" the last level-2 class (32 Ki symbols, more bits
-// each and more symbols present), which guards the fixed cost a plan pays
-// per stream — collecting the present symbols, the tree, the table — that a
-// faster symbol loop must not buy back.
+// produces at rel 1e-3 with EncodeLanes — plan, one exact-size buffer, the
+// four lanes: "finest" is the last finest-level class (256 Ki symbols,
+// where the per-symbol loops are everything), "level2" the last level-2
+// class (32 Ki symbols, more bits each and more symbols present), which
+// guards the fixed cost a plan pays per stream — collecting the present
+// symbols, the tree, the table — that a faster symbol loop must not buy
+// back.
 func BenchmarkHuffmanEncodeClass(b *testing.B) {
 	for _, s := range []struct {
 		name    string
@@ -215,26 +256,14 @@ func BenchmarkHuffmanEncodeClass(b *testing.B) {
 	}{{"finest", 1}, {"level2", 8}} {
 		blob, codes := classStream(b, 128, 1e-3, s.fromEnd)
 		b.Run(s.name, func(b *testing.B) {
-			var plan, write time.Duration
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				p := huffman.NewPlan(codes, quantAlphabet)
-				t1 := time.Now()
-				out := make([]byte, p.Size())
-				for k := 0; k < huffman.Lanes; k++ {
-					p.WriteLane(out, k)
-				}
-				p.Release()
-				plan += t1.Sub(t0)
-				write += time.Since(t1)
+				out := huffman.EncodeLanes(codes, quantAlphabet)
 				if i == 0 && !bytes.Equal(out, blob) {
-					b.Fatal("encoded class stream differs from the archive's")
+					b.Fatal("encoding the class stream is not deterministic")
 				}
 			}
-			perSym := float64(b.N) * float64(len(codes))
-			b.ReportMetric(float64(plan.Nanoseconds())/perSym, "plan-ns/sym")
-			b.ReportMetric(float64(write.Nanoseconds())/perSym, "write-ns/sym")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(codes)), "ns/sym")
 			b.ReportMetric(8*float64(len(blob))/float64(len(codes)), "bits/sym")
 		})
 	}

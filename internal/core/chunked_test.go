@@ -7,184 +7,150 @@ import (
 	"stz/internal/grid"
 )
 
-func chunkedConfig(eb float64, chunk int) Config {
-	cfg := DefaultConfig(eb)
-	cfg.CodeChunk = chunk
-	return cfg
+// Chunked class streams (versions 1–3, header CodeChunk > 0: each class
+// stream cut into independently Huffman-coded chunks behind a directory of
+// byte lengths and outlier bases) are read-only: no writer of this package
+// produces them. These tests read the walker's version-3 fixtures.
+
+// chunkFixtures are the fixture walker cases.
+func chunkFixtures() []walkerCase {
+	var out []walkerCase
+	for _, wc := range walkerCases() {
+		if wc.fixture {
+			out = append(out, wc)
+		}
+	}
+	return out
+}
+
+// forChunkFixtures runs fn on every fixture as a subtest, in the fixture's
+// element type.
+func forChunkFixtures(t *testing.T, f32 func(*testing.T, walkerCase), f64 func(*testing.T, walkerCase)) {
+	for _, wc := range chunkFixtures() {
+		t.Run(wc.name, func(t *testing.T) {
+			if wc.f32 {
+				f32(t, wc)
+			} else {
+				f64(t, wc)
+			}
+		})
+	}
+}
+
+// fixtureFull opens a fixture and decodes it whole.
+func fixtureFull[T grid.Float](t *testing.T, wc walkerCase) (*Reader[T], *grid.Grid[T]) {
+	t.Helper()
+	r, err := NewReader[T](encodeCase[T](t, wc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.hdr.Version != 3 || r.hdr.CodeChunk <= 0 {
+		t.Fatalf("fixture is version %d with chunk %d, want a chunked version 3", r.hdr.Version, r.hdr.CodeChunk)
+	}
+	full, err := r.Decompress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, full
 }
 
 func TestChunkedRoundTrip(t *testing.T) {
-	g := testField[float64](28, 28, 28, 50)
-	for _, chunk := range []int{64, 1000, 1 << 20} {
-		enc, err := Compress(g, chunkedConfig(1e-3, chunk))
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
-		}
-		dec, err := Decompress[float64](enc)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
-		}
-		checkBound(t, g, dec, 1e-3, "chunked")
-	}
+	forChunkFixtures(t, chunkedRoundTrip[float32], chunkedRoundTrip[float64])
 }
 
+func chunkedRoundTrip[T grid.Float](t *testing.T, wc walkerCase) {
+	_, full := fixtureFull[T](t, wc)
+	checkBound(t, caseField[T](wc), full, wc.cfg.EB, "chunked")
+}
+
+// TestChunkedMatchesUnchunkedReconstruction: chunking changes only the
+// entropy-coding layout, not the codes, so a fixture decodes to exactly
+// what today's writer's archive of the same field and configuration does.
 func TestChunkedMatchesUnchunkedReconstruction(t *testing.T) {
-	// The reconstruction must be identical — chunking only changes the
-	// entropy-coding layout, not the codes.
-	g := testField[float32](24, 24, 24, 51)
-	plain, err := Compress(g, DefaultConfig(1e-3))
+	forChunkFixtures(t, chunkedMatchesUnchunked[float32], chunkedMatchesUnchunked[float64])
+}
+
+func chunkedMatchesUnchunked[T grid.Float](t *testing.T, wc walkerCase) {
+	_, chunked := fixtureFull[T](t, wc)
+	plain, err := Compress(caseField[T](wc), wc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := Compress(g, chunkedConfig(1e-3, 500))
+	want, err := Decompress[T](plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Decompress[float32](plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Decompress[float32](chunked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("chunked reconstruction differs at %d", i)
-		}
-	}
-	// Chunking costs some compression ratio (per-chunk tables).
-	if len(chunked) < len(plain) {
-		t.Fatalf("chunked stream (%d) smaller than plain (%d)?", len(chunked), len(plain))
+	if !sameGrid(chunked, want) {
+		t.Fatal("chunked reconstruction differs from the unchunked one")
 	}
 }
 
 func TestChunkedRandomAccessConsistency(t *testing.T) {
-	g := testField[float64](32, 32, 32, 52)
-	enc, err := Compress(g, chunkedConfig(1e-3, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader[float64](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := r.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
+	forChunkFixtures(t, chunkedRandomAccess[float32], chunkedRandomAccess[float64])
+}
+
+func chunkedRandomAccess[T grid.Float](t *testing.T, wc walkerCase) {
+	r, full := fixtureFull[T](t, wc)
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 25; trial++ {
-		z0, y0, x0 := rng.Intn(28), rng.Intn(28), rng.Intn(28)
-		// Strict validation: keep the random extents inside the 32³ grid.
+		z0, y0, x0 := rng.Intn(wc.nz), rng.Intn(wc.ny), rng.Intn(wc.nx)
 		b := grid.Box{Z0: z0, Y0: y0, X0: x0,
-			Z1: z0 + 1 + rng.Intn(8), Y1: y0 + 1 + rng.Intn(8), X1: x0 + 1 + rng.Intn(8)}.Clip(32, 32, 32)
+			Z1: z0 + 1 + rng.Intn(8), Y1: y0 + 1 + rng.Intn(8), X1: x0 + 1 + rng.Intn(8)}.Clip(wc.nz, wc.ny, wc.nx)
 		got, _, err := r.DecompressBox(b)
 		if err != nil {
 			t.Fatalf("box %+v: %v", b, err)
 		}
-		want := full.ExtractBox(b)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("chunked box %+v differs at %d", b, i)
-			}
+		if !sameGrid(got, full.ExtractBox(b)) {
+			t.Fatalf("chunked box %+v differs from the full decode", b)
 		}
 	}
 }
 
+// TestChunkedOutlierResync: heavy escapes and chunks of 512 codes — the
+// per-chunk outlier bases must resolve escape indices for boxes that start
+// deep inside the class streams, several chunks in.
 func TestChunkedOutlierResync(t *testing.T) {
-	// Heavy escapes + chunking: the per-chunk outlier bases must resolve
-	// escape indices for boxes starting deep inside the class stream.
-	g := grid.New[float64](24, 24, 24)
-	rng := rand.New(rand.NewSource(54))
-	for i := range g.Data {
-		g.Data[i] = rng.NormFloat64()
-		if rng.Intn(4) == 0 {
-			g.Data[i] *= 1e13
+	wc := walkerCaseNamed(t, "L3-f64-chunk512-outliers")
+	r, full := fixtureFull[float64](t, wc)
+	for _, b := range []grid.Box{
+		{Z0: 17, Y0: 9, X0: 5, Z1: 30, Y1: 17, X1: 20},
+		{Z0: 25, Y0: 2, X0: 11, Z1: 33, Y1: 18, X1: 21},
+	} {
+		got, st, err := r.DecompressBox(b)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	enc, err := Compress(g, chunkedConfig(1e-6, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader[float64](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := r.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := grid.Box{Z0: 17, Y0: 9, X0: 5, Z1: 23, Y1: 20, X1: 21}
-	got, _, err := r.DecompressBox(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := full.ExtractBox(b)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("outlier resync failed at %d: %g vs %g", i, got.Data[i], want.Data[i])
+		if !sameGrid(got, full.ExtractBox(b)) {
+			t.Fatalf("outlier resync failed for box %+v", b)
+		}
+		if st.SkippedChunks[1] == 0 {
+			t.Errorf("box %+v skipped no finest-level chunk: the resync is not exercised", b)
 		}
 	}
 }
 
+// TestChunkedSliceSkipsChunks: a thin slice entropy-decodes only a fraction
+// of each needed class stream — the chunks its rows lie in — in the
+// fixtures whose finest classes span several chunks.
 func TestChunkedSliceSkipsChunks(t *testing.T) {
-	// A thin slice must entropy-decode only a fraction of each needed
-	// class stream — the paper's future-work goal realized.
-	g := testField[float32](48, 48, 48, 55)
-	enc, err := Compress(g, chunkedConfig(1e-3, 512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader[float32](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, st, err := r.DecompressSliceZ(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sl.Ny != 48 {
-		t.Fatal("slice dims wrong")
-	}
-	if st.SkippedChunks[1] == 0 {
-		t.Fatalf("slice skipped no level-3 chunks (decoded %d)", st.DecodedChunks[1])
-	}
-	if st.DecodedChunks[1] >= st.DecodedChunks[1]+st.SkippedChunks[1] {
-		t.Fatal("no chunk savings recorded")
-	}
-	// Verify the slice against a full decompression.
-	full, err := r.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for y := 0; y < 48; y++ {
-		for x := 0; x < 48; x++ {
-			if sl.At(0, y, x) != full.At(20, y, x) {
-				t.Fatalf("slice mismatch at (%d,%d)", y, x)
-			}
-		}
-	}
+	forChunkFixtures(t, chunkedSliceSkips[float32], chunkedSliceSkips[float64])
 }
 
-func TestChunkedParallelDeterministic(t *testing.T) {
-	g := testField[float64](24, 24, 24, 56)
-	cfg := chunkedConfig(1e-3, 333)
-	a, err := Compress(g, cfg)
+func chunkedSliceSkips[T grid.Float](t *testing.T, wc walkerCase) {
+	r, full := fixtureFull[T](t, wc)
+	if bz, by, bx := classDims(grid.Offset3{Z: 1, Y: 1, X: 1}, wc.nz, wc.ny, wc.nx); bz*by*bx <= r.hdr.CodeChunk {
+		t.Skipf("finest classes of %d codes fit one chunk of %d", bz*by*bx, r.hdr.CodeChunk)
+	}
+	z := wc.nz / 2
+	sl, st, err := r.DecompressSliceZ(z)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
-	b, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if st.SkippedChunks[1] == 0 || st.DecodedChunks[1] == 0 {
+		t.Fatalf("slice decoded %d and skipped %d finest-level chunks, want both > 0", st.DecodedChunks[1], st.SkippedChunks[1])
 	}
-	if len(a) != len(b) {
-		t.Fatal("chunked parallel stream size differs")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("chunked parallel stream differs")
-		}
+	want := full.ExtractBox(grid.Box{Z0: z, Z1: z + 1, Y1: wc.ny, X1: wc.nx})
+	if !sameGrid(sl, want) {
+		t.Fatalf("slice %d differs from the full decode", z)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -15,44 +16,45 @@ import (
 	"stz/internal/quant"
 	"stz/internal/rawio"
 	"stz/internal/scratch"
-	"stz/internal/sz3"
 )
 
 // headerVersion is the core stream format version. Version 2 added the
 // base-codec ID byte; version 3 switched the class code streams to the
 // multi-lane Huffman payload (huffman.EncodeLanes); version 4 codes each
 // class stream as one lane per brick of the class grid (bricks.go). Streams
-// of versions 1–3 are still readable, and Config.CodeChunk > 0 still writes
-// version 3's chunked layout.
+// of versions 1–3, chunked ones included, are still readable; only version
+// 4 is written.
 const headerVersion = 4
 
-// header is the section-0 payload.
+// header is the section-0 payload. Bytes 2 and 5 are reserved and zero (an
+// ablation coder once set them), and so is the uint32 at 40 in version 4;
+// in versions 1–3 it is CodeChunk, the code count of a chunked stream's
+// chunks, 0 when unchunked.
 type header struct {
-	Version       byte
-	DType         byte // 4 = float32, 8 = float64
-	PartitionOnly bool
-	Levels        int
-	Predictor     Predictor
-	Residual      ResidualCoder
-	AdaptiveEB    bool
-	BaseID        uint8 // registry ID of the base-level codec
-	EBRatio       float64
-	EB            float64
-	Radius        int32
-	CodeChunk     int
-	Fz, Fy, Fx    int
+	Version    byte
+	DType      byte // 4 = float32, 8 = float64
+	Levels     int
+	Predictor  Predictor
+	AdaptiveEB bool
+	BaseID     uint8 // registry ID of the base-level codec
+	EBRatio    float64
+	EB         float64
+	Radius     int32
+	CodeChunk  int // read-only: versions 1–3
+	Fz, Fy, Fx int
 }
+
+// errReservedHeader refuses a header that sets a field no supported writer
+// sets: the reserved bytes 2 (the partition-only ablation) and 5 (the
+// residual coder) in any version, or a chunk size in version 4.
+var errReservedHeader = errors.New("core: header sets a reserved field")
 
 func (h header) marshal() []byte {
 	buf := make([]byte, 44)
 	buf[0] = h.Version
 	buf[1] = h.DType
-	if h.PartitionOnly {
-		buf[2] = 1
-	}
 	buf[3] = byte(h.Levels)
 	buf[4] = byte(h.Predictor)
-	buf[5] = byte(h.Residual)
 	if h.AdaptiveEB {
 		buf[6] = 1
 	}
@@ -63,7 +65,6 @@ func (h header) marshal() []byte {
 	binary.LittleEndian.PutUint64(buf[20:], math.Float64bits(h.EB))
 	binary.LittleEndian.PutUint64(buf[28:], math.Float64bits(h.EBRatio))
 	binary.LittleEndian.PutUint32(buf[36:], uint32(h.Radius))
-	binary.LittleEndian.PutUint32(buf[40:], uint32(h.CodeChunk))
 	return buf
 }
 
@@ -77,10 +78,8 @@ func unmarshalHeader(buf []byte) (header, error) {
 		return h, fmt.Errorf("core: unsupported version %d", h.Version)
 	}
 	h.DType = buf[1]
-	h.PartitionOnly = buf[2] != 0
 	h.Levels = int(buf[3])
 	h.Predictor = Predictor(buf[4])
-	h.Residual = ResidualCoder(buf[5])
 	h.AdaptiveEB = buf[6] != 0
 	h.BaseID = buf[7]
 	if h.Version == 1 || h.BaseID == 0 {
@@ -96,6 +95,9 @@ func unmarshalHeader(buf []byte) (header, error) {
 	h.EBRatio = math.Float64frombits(binary.LittleEndian.Uint64(buf[28:]))
 	h.Radius = int32(binary.LittleEndian.Uint32(buf[36:]))
 	h.CodeChunk = int(binary.LittleEndian.Uint32(buf[40:]))
+	if buf[2] != 0 || buf[5] != 0 || h.Version >= 4 && h.CodeChunk != 0 {
+		return h, errReservedHeader
+	}
 	if h.DType != 4 && h.DType != 8 {
 		return h, fmt.Errorf("core: bad dtype %d", h.DType)
 	}
@@ -104,10 +106,8 @@ func unmarshalHeader(buf []byte) (header, error) {
 	if _, err := codec.CheckDims(h.Fz, h.Fy, h.Fx); err != nil {
 		return h, fmt.Errorf("core: %w", err)
 	}
-	if h.PartitionOnly {
-		h.Levels = 2 // what the writer forces; the stored byte carries nothing
-	} else if h.Levels < 2 || h.Levels > 4 || h.Predictor > PredCubic || h.Residual > ResidSZ3 {
-		return h, fmt.Errorf("core: bad levels/predictor/residual %d/%d/%d", h.Levels, h.Predictor, h.Residual)
+	if h.Levels < 2 || h.Levels > 4 || h.Predictor > PredCubic {
+		return h, fmt.Errorf("core: bad levels/predictor %d/%d", h.Levels, h.Predictor)
 	}
 	// Codes are uint16, so no valid stream has a radius past 32768.
 	if !(h.EB > 0) || math.IsInf(h.EB, 0) || h.Radius <= 0 || h.Radius > quant.DefaultRadius {
@@ -167,8 +167,7 @@ type EncodeStats struct {
 	Chain    time.Duration // coarse-chain cuts: level 1's input, then the rest beside level 1
 	L1Encode time.Duration // level 1 through the base codec, its reconstruction included
 	// Per predicted level (index 0 = paper level 2, up to level 4): the
-	// predict+quantise sweep, then the class section builds (Huffman; under
-	// ResidSZ3 the whole per-class residual pipeline, which is the sweep).
+	// predict+quantise sweep, then the class section builds (Huffman).
 	Quantise [3]time.Duration
 	Entropy  [3]time.Duration
 	// Plan is the first step of Entropy, included in it: histograms, code
@@ -211,10 +210,6 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	if g.Len() == 0 {
 		return nil, st, fmt.Errorf("core: empty grid")
 	}
-	if cfg.PartitionOnly {
-		enc, err := compressPartitionOnly(g, cfg)
-		return enc, st, err
-	}
 	levels := cfg.Levels
 	e := &encoder[T]{
 		g: g, cfg: cfg, workers: max(cfg.Workers, 1), st: st,
@@ -236,18 +231,11 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	st.Chain = time.Since(t0)
 
 	var b container.Builder
-	codeChunk, version := cfg.CodeChunk, byte(headerVersion)
-	if cfg.Residual == ResidSZ3 {
-		codeChunk = 0 // the ablation path has no code stream to chunk
-	}
-	if codeChunk > 0 {
-		version = 3
-	}
 	hdr := header{
-		Version: version, DType: dtypeOf[T](),
-		Levels: levels, Predictor: cfg.Predictor, Residual: cfg.Residual,
+		Version: headerVersion, DType: dtypeOf[T](),
+		Levels: levels, Predictor: cfg.Predictor,
 		AdaptiveEB: cfg.AdaptiveEB, BaseID: e.base.ID(), EBRatio: cfg.ebRatio(),
-		EB: cfg.EB, Radius: cfg.radius(), CodeChunk: codeChunk,
+		EB: cfg.EB, Radius: cfg.radius(),
 		Fz: g.Nz, Fy: g.Ny, Fx: g.Nx,
 	}
 	b.Add(hdr.marshal())
@@ -267,9 +255,8 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	b.Add(e.l1blob)
 
 	// Phases 1 on: predicted levels coarsest to finest, each level's two
-	// entropy steps one and two phases behind its sweep. ResidSZ3's sweep
-	// builds the sections itself, so its levels have no entropy steps.
-	n, resid := len(e.encs), cfg.Residual == ResidSZ3
+	// entropy steps one and two phases behind its sweep.
+	n := len(e.encs)
 	coarse := e.l1rec
 	for k := 0; k < n+2; k++ {
 		if p := k; p < n {
@@ -280,32 +267,23 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 				fineRecon = e.leaseGrid(fine.Nz, fine.Ny, fine.Nx)
 			}
 			q := quant.Quantizer{EB: cfg.levelEB(p + 2), Radius: cfg.radius()}
-			e.encs[p] = newLevelEnc(fine, fineRecon, coarse, q, cfg, e.workers)
-			kind, tasks := taskSweep, len(e.encs[p].bounds)-1
-			if resid {
-				kind, tasks = taskResid, 8
-			}
-			for i := 0; i < tasks; i++ {
-				e.add(encTask{kind: kind, p: p, i: i})
+			e.encs[p] = newLevelEnc(fine, fineRecon, coarse, q, cfg.Predictor, e.workers)
+			for i := 0; i < len(e.encs[p].bounds)-1; i++ {
+				e.add(encTask{kind: taskSweep, p: p, i: i})
 			}
 			coarse = fineRecon
 		}
-		if p := k - 1; 0 <= p && p < n && !resid {
-			for i := range e.encs[p].plans {
+		if p := k - 1; 0 <= p && p < n {
+			for i := range e.encs[p].lanes {
 				e.add(encTask{kind: taskPlan, p: p, i: i})
 			}
 		}
-		if p := k - 2; 0 <= p && p < n && !resid {
+		if p := k - 2; 0 <= p && p < n {
 			for i := range e.encs[p].laneTasks() {
 				e.add(encTask{kind: taskLane, p: p, i: i})
 			}
 		}
 		e.runPhase()
-		if k < n {
-			if err := e.encs[k].err(); err != nil {
-				return nil, st, err
-			}
-		}
 		if p := k - 2; 0 <= p && p < n {
 			e.encs[p].finish()
 		}
@@ -353,7 +331,6 @@ const (
 	taskL1    taskKind = iota // level 1 through the base codec
 	taskCut                   // cut chain grid p from g
 	taskSweep                 // z-block i of level p's sweep
-	taskResid                 // ResidSZ3: level p's class i+1 residual pipeline, or (i = 7) its lattice copy
 	taskPlan                  // level p's plan of class i+1
 	taskLane                  // level p's lane task i (levelEnc.writeLanes)
 )
@@ -411,8 +388,6 @@ func (e *encoder[T]) run(tk encTask) {
 		e.cut(tk.p)
 	case taskSweep:
 		e.encs[tk.p].sweepBlock(tk.i)
-	case taskResid:
-		e.encs[tk.p].residClass(tk.i)
 	case taskPlan:
 		e.encs[tk.p].plan(tk.i)
 	case taskLane:
@@ -429,8 +404,6 @@ func (e *encoder[T]) stage(tk encTask) *time.Duration {
 		return &e.st.Chain
 	case taskSweep:
 		return &e.st.Quantise[tk.p]
-	case taskResid:
-		return &e.st.Entropy[tk.p]
 	case taskPlan:
 		return &e.st.Plan[tk.p]
 	default: // taskLane
@@ -460,38 +433,31 @@ func (e *encoder[T]) release() {
 // The sweep runs over the coarse rows in z-blocks, each writing its own
 // index range of the row-major per-class code buffers and marking the class
 // rows that hold an escape. The entropy steps then read the codes where they
-// lie: the lane tasks of a v4 section copy out each brick's codes and gather
-// the escapes of its marked rows from fine. Under ResidSZ3 the sweep is
-// instead the seven per-class residual pipelines, which build the sections
-// themselves.
+// lie: the lane tasks of a section copy out each brick's codes and gather
+// the escapes of its marked rows from fine.
 type levelEnc[T grid.Float] struct {
 	lv                      *level[T]
 	fine, fineRecon, coarse *grid.Grid[T]
 	whole                   [8]grid.Box // the level's class boxes
 	q                       quant.Quantizer
-	codeChunk               int
 	codes                   [8][]uint16
 	escRows                 [8][]byte     // per class row (k, j): non-zero if it holds an escape
 	bounds                  []int         // the sweep's z-blocks of coarse planes
-	lanes                   [7]classLanes // v4 sections
-	plans                   [7]classPlan  // CodeChunk > 0: v3 chunked sections
+	lanes                   [7]classLanes // the class sections on their way
 	secs                    [7][][]byte   // each section's parts, once finished
-	errs                    [7]error      // ResidSZ3's class pipelines
 }
 
-func newLevelEnc[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Quantizer, cfg Config, workers int) *levelEnc[T] {
-	le := &levelEnc[T]{fine: fine, fineRecon: fineRecon, coarse: coarse, q: q, codeChunk: cfg.CodeChunk}
+func newLevelEnc[T grid.Float](fine, fineRecon, coarse *grid.Grid[T], q quant.Quantizer, pred Predictor, workers int) *levelEnc[T] {
+	le := &levelEnc[T]{fine: fine, fineRecon: fineRecon, coarse: coarse, q: q}
 	le.lv = newLevel[T](fine.Nz, fine.Ny, fine.Nx)
-	le.lv.predictFrom(coarse, grid.Offset3{}, cfg.Predictor)
+	le.lv.predictFrom(coarse, grid.Offset3{}, pred)
 	le.whole = le.lv.subBoxes(grid.FullBox(fine))
-	if cfg.Residual != ResidSZ3 {
-		for c := 1; c < 8; c++ {
-			d := le.lv.dims[c]
-			le.codes[c] = scratch.U16.Lease(le.lv.classLen(c))
-			le.escRows[c] = scratch.Bytes.LeaseZeroed(d[0] * d[1])
-		}
-		le.bounds = parallel.Chunks(coarse.Nz, zBlocks(coarse.Nz, workers))
+	for c := 1; c < 8; c++ {
+		d := le.lv.dims[c]
+		le.codes[c] = scratch.U16.Lease(le.lv.classLen(c))
+		le.escRows[c] = scratch.Bytes.LeaseZeroed(d[0] * d[1])
 	}
+	le.bounds = parallel.Chunks(coarse.Nz, zBlocks(coarse.Nz, workers))
 	return le
 }
 
@@ -527,37 +493,16 @@ func (le *levelEnc[T]) sweepBlock(b int) {
 	})
 }
 
-// residClass is ResidSZ3's task i: class i+1's residual pipeline for
-// i < 7, then the coarse lattice copied into the reconstruction.
-func (le *levelEnc[T]) residClass(i int) {
-	if i < 7 {
-		var sec []byte
-		sec, le.errs[i] = compressClassSZ3(le.lv, i+1, le.fine, le.fineRecon, le.q)
-		le.secs[i] = [][]byte{sec}
-	} else if le.fineRecon != nil {
-		le.fineRecon.InsertStride(le.coarse, grid.Offset3{}, 2)
-	}
-}
-
 // plan is the first entropy step for class i+1: the stream histogrammed and
 // its code built, which fixes the section's head — everything ahead of the
 // escape values and the lanes.
 func (le *levelEnc[T]) plan(i int) {
-	if le.codeChunk > 0 {
-		esc, _ := le.appendEscapes(nil, i+1, le.whole[i+1])
-		le.plans[i] = planClass(le.codes[i+1], esc, int(dtypeOf[T]()), le.q.Alphabet(), le.codeChunk)
-		return
-	}
 	le.lanes[i].plan(le.codes[i+1], le.lv.dims[i+1], le.q.Alphabet())
 }
 
 // laneTasks is the number of lane tasks of the level's sections: one per
-// brick z-slab of every class, or with CodeChunk > 0 one per lane of every
-// class.
+// brick z-slab of every class.
 func (le *levelEnc[T]) laneTasks() int {
-	if le.codeChunk > 0 {
-		return 7 * huffman.Lanes
-	}
 	n := 0
 	for i := range le.lanes {
 		n += le.lanes[i].bs.n[0]
@@ -565,13 +510,8 @@ func (le *levelEnc[T]) laneTasks() int {
 	return n
 }
 
-// writeLanes is lane task t: with CodeChunk > 0 lane t%Lanes of every chunk
-// of class t/Lanes+1, otherwise the lanes and escapes of one brick z-slab.
+// writeLanes is lane task t: the lanes and escapes of one brick z-slab.
 func (le *levelEnc[T]) writeLanes(t int) {
-	if le.codeChunk > 0 {
-		le.plans[t/huffman.Lanes].writeLane(t % huffman.Lanes)
-		return
-	}
 	i := 0
 	for ; t >= le.lanes[i].bs.n[0]; i++ {
 		t -= le.lanes[i].bs.n[0]
@@ -642,24 +582,11 @@ func (le *levelEnc[T]) appendEscapes(buf []byte, c int, b grid.Box) ([]byte, int
 	return buf, n
 }
 
-// err returns the first error of the level's sweep.
-func (le *levelEnc[T]) err() error {
-	for _, e := range le.errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// finish hands back what the level's lane writes no longer need — the codes,
-// the code tables and plans — and keeps each finished section's parts in
-// secs. Idempotent.
+// finish hands back what the level's lane writes no longer need — the codes
+// and the code tables — and keeps each finished section's parts in secs.
+// Idempotent.
 func (le *levelEnc[T]) finish() {
-	for i := range le.plans {
-		if le.plans[i].streams != nil {
-			le.secs[i] = [][]byte{le.plans[i].release()}
-		}
+	for i := range le.lanes {
 		if le.lanes[i].code != nil {
 			le.secs[i] = le.lanes[i].finish()
 		}
@@ -680,7 +607,7 @@ func (le *levelEnc[T]) release() {
 	}
 }
 
-// classLanes is a v4 class section on its way through the entropy steps.
+// classLanes is a class section on its way through the entropy steps.
 // Its parts, in order: the head — the escape count, the code's header, then
 // the brick directory of every lane's byte length and, when the class has
 // escapes, every brick's escape count, two bytes an entry in brick order;
@@ -729,160 +656,4 @@ func (cl *classLanes) release() {
 		scratch.Bytes.Release(buf)
 		cl.lanes[i] = nil
 	}
-}
-
-// classPlan is one v3 chunked class section between the two entropy steps:
-// the section at its final size, complete up to the Huffman payloads, and
-// the planned streams — one per chunk — with their offsets in it.
-type classPlan struct {
-	sec     []byte
-	streams []*huffman.Plan
-	offs    []int
-}
-
-// planClass frames one quantised class as version 3 chunks it: escape
-// count, the escaped values in class order, then independent chunks of
-// codeChunk codes, each with its own code table, behind a per-chunk
-// directory of (byte length, outlier base).
-func planClass(codes []uint16, escapes []byte, elem, alphabet, codeChunk int) classPlan {
-	outBytes := len(escapes)
-	n, cs := len(codes), codeChunk
-	nStreams := (n + cs - 1) / cs
-	dirBytes := 4 + 8*nStreams
-	chunk := func(i int) []uint16 { return codes[i*cs : min((i+1)*cs, n)] }
-	cp := classPlan{streams: make([]*huffman.Plan, nStreams), offs: make([]int, nStreams)}
-	off := 4 + outBytes + dirBytes
-	for i := range cp.streams {
-		cp.streams[i] = huffman.NewPlan(chunk(i), alphabet)
-		cp.offs[i] = off
-		off += cp.streams[i].Size()
-	}
-
-	sec := make([]byte, 0, off)
-	sec = binary.LittleEndian.AppendUint32(sec, uint32(outBytes/elem))
-	sec = append(sec, escapes...)
-	sec = binary.LittleEndian.AppendUint32(sec, uint32(nStreams))
-	var zeros uint32
-	for i, pl := range cp.streams {
-		sec = binary.LittleEndian.AppendUint32(sec, uint32(pl.Size()))
-		sec = binary.LittleEndian.AppendUint32(sec, zeros)
-		for _, code := range chunk(i) {
-			if code == 0 {
-				zeros++
-			}
-		}
-	}
-	cp.sec = sec[:off]
-	return cp
-}
-
-// writeLane writes lane k of every planned stream of the section. Lanes own
-// disjoint bytes, so the lanes of one section may be written concurrently.
-func (cp *classPlan) writeLane(k int) {
-	for i, pl := range cp.streams {
-		pl.WriteLane(cp.sec[cp.offs[i]:], k)
-	}
-}
-
-// release hands the plans back and returns the finished section.
-func (cp *classPlan) release() []byte {
-	for _, pl := range cp.streams {
-		pl.Release()
-	}
-	cp.streams = nil
-	return cp.sec
-}
-
-// compressClassSZ3 is the ResidSZ3 ablation for class c: the residual
-// sub-block through the full SZ3 pipeline. The residual bound is tightened
-// by 0.1% so that the float rounding of the final pred+diff recombination
-// stays inside the user bound.
-func compressClassSZ3[T grid.Float](lv *level[T], c int, fine, fineRecon *grid.Grid[T], q quant.Quantizer) ([]byte, error) {
-	d, off, gen := lv.dims[c], grid.Stride2Offsets[c], &lv.gens[c]
-	diff := &grid.Grid[T]{Data: scratch.LeaseFloat[T](lv.classLen(c)), Nz: d[0], Ny: d[1], Nx: d[2]}
-	defer scratch.ReleaseFloat(diff.Data)
-	preds := scratch.LeaseFloat[T](d[2])
-	defer scratch.ReleaseFloat(preds)
-	// rows runs fn over every class row: its predictions, its first class
-	// index and its first fine index (the row's points are 2 apart).
-	rows := func(fn func(preds []T, ci, fi int)) {
-		for k := 0; k < d[0]; k++ {
-			for j := 0; j < d[1]; j++ {
-				gen.row(k, j, 0, d[2], preds)
-				fn(preds, (k*d[1]+j)*d[2], ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx+off.X)
-			}
-		}
-	}
-	rows(func(preds []T, ci, fi int) {
-		for t, pred := range preds {
-			diff.Data[ci+t] = fine.Data[fi+2*t] - pred
-		}
-	})
-	opts := sz3.Options{EB: q.EB * 0.999, Radius: q.Radius}
-	if fineRecon == nil {
-		return sz3.Compress(diff, opts)
-	}
-	blob, diffRec, err := sz3.CompressRecon(diff, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer scratch.ReleaseFloat(diffRec.Data)
-	rows(func(preds []T, ci, fi int) {
-		for t, pred := range preds {
-			fineRecon.Data[fi+2*t] = pred + diffRec.Data[ci+t]
-		}
-	})
-	return blob, nil
-}
-
-// compressPartitionOnly is the Fig. 5 "Partition" ablation: the 8 stride-2
-// parity sub-blocks are compressed independently with SZ3.
-func compressPartitionOnly[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	base := codec.MustLookup(cfg.baseCodec())
-	var b container.Builder
-	hdr := header{
-		Version: headerVersion, DType: dtypeOf[T](), PartitionOnly: true,
-		Levels: 2, Predictor: cfg.Predictor, Residual: cfg.Residual,
-		BaseID: base.ID(), EB: cfg.EB, EBRatio: cfg.ebRatio(),
-		Radius: cfg.radius(), Fz: g.Nz, Fy: g.Ny, Fx: g.Nx,
-	}
-	b.Add(hdr.marshal())
-	// The parity sub-blocks are transient inputs to the base codec, so they
-	// are backed by scratch leases (fully overwritten by the extraction).
-	var blocks [8]*grid.Grid[T]
-	for i, off := range grid.Stride2Offsets {
-		bz := grid.SubDim(g.Nz, off.Z, 2)
-		by := grid.SubDim(g.Ny, off.Y, 2)
-		bx := grid.SubDim(g.Nx, off.X, 2)
-		blocks[i] = &grid.Grid[T]{Data: scratch.LeaseFloat[T](bz * by * bx), Nz: bz, Ny: by, Nx: bx}
-		g.ExtractStrideInto(blocks[i], off, 2)
-	}
-	defer func() {
-		for _, blk := range blocks {
-			scratch.ReleaseFloat(blk.Data)
-		}
-	}()
-	blobs := make([][]byte, len(blocks))
-	errs := make([]error, len(blocks))
-	opts := codec.Config{EB: cfg.EB, Radius: cfg.radius()}
-	parallel.For(len(blocks), workers, func(i int) {
-		if blocks[i].Len() == 0 {
-			blobs[i] = nil
-			return
-		}
-		blobs[i], errs[i] = codec.Compress(base, blocks[i], opts)
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	for _, blob := range blobs {
-		b.Add(blob)
-	}
-	return b.Bytes(), nil
 }

@@ -56,26 +56,6 @@ func (p Predictor) String() string {
 	return fmt.Sprintf("Predictor(%d)", uint8(p))
 }
 
-// ResidualCoder selects how prediction residuals of the predicted levels
-// are compressed.
-type ResidualCoder uint8
-
-const (
-	// ResidQuant quantizes and Huffman-codes the residuals directly —
-	// the paper's optimization 3 ("+ Qt": no second prediction pass).
-	ResidQuant ResidualCoder = iota
-	// ResidSZ3 runs the residual sub-blocks through the full SZ3 pipeline
-	// (used by the Fig. 5 ablations before optimization 3).
-	ResidSZ3
-)
-
-func (r ResidualCoder) String() string {
-	if r == ResidQuant {
-		return "quant"
-	}
-	return "sz3"
-}
-
 // Config controls compression. The zero value is not valid; use
 // DefaultConfig.
 type Config struct {
@@ -88,8 +68,6 @@ type Config struct {
 	Levels int
 	// Predictor is the cross-level prediction kernel.
 	Predictor Predictor
-	// Residual selects the residual coder for predicted levels.
-	Residual ResidualCoder
 	// AdaptiveEB tightens coarser levels' bounds by EBRatio per level
 	// (the paper's optimization 5: eb_l2 = 2.5 × eb_l1).
 	AdaptiveEB bool
@@ -100,31 +78,20 @@ type Config struct {
 	// Workers enables parallel compression of the per-class streams
 	// (and the chunked-parallel SZ3 on level 1) when > 1.
 	Workers int
-	// PartitionOnly is the Fig. 5 "Partition" ablation: the 8 stride-2
-	// sub-blocks are compressed independently with SZ3, no cross-level
-	// prediction. Levels is forced to 2.
-	PartitionOnly bool
-	// CodeChunk, when > 0, Huffman-codes each class stream in independent
-	// chunks of CodeChunk codes. This implements the paper's future-work
-	// item "random-access Huffman decoding": random-access decompression
-	// then entropy-decodes only the chunks its region touches, at a small
-	// compression-ratio cost (one code table per chunk).
-	CodeChunk int
 	// BaseCodec names the registry codec (internal/codec) that compresses
-	// the coarsest hierarchical level and the PartitionOnly sub-blocks.
-	// Empty selects "sz3", the paper's substrate. The codec ID is recorded
+	// the coarsest hierarchical level. Empty selects "sz3", the paper's
+	// substrate. The codec ID is recorded
 	// in the stream header so decompression resolves it automatically.
 	BaseCodec string
 }
 
 // DefaultConfig returns the paper's recommended configuration: 3 levels,
-// cubic prediction, quantize-only residuals, adaptive bounds with ratio 2.5.
+// cubic prediction, adaptive bounds with ratio 2.5.
 func DefaultConfig(eb float64) Config {
 	return Config{
 		EB:         eb,
 		Levels:     3,
 		Predictor:  PredCubic,
-		Residual:   ResidQuant,
 		AdaptiveEB: true,
 		EBRatio:    2.5,
 		Radius:     quant.DefaultRadius,
@@ -179,17 +146,11 @@ func (c Config) validate() error {
 	if base.ID() == codec.IDSTZ {
 		return errBaseIsSTZ
 	}
-	if c.PartitionOnly {
-		return nil
-	}
 	if c.Levels < 2 || c.Levels > 4 {
 		return fmt.Errorf("core: Levels must be 2, 3 or 4, got %d", c.Levels)
 	}
 	if c.Predictor > PredCubic {
 		return fmt.Errorf("core: unknown predictor %d", c.Predictor)
-	}
-	if c.Residual > ResidSZ3 {
-		return fmt.Errorf("core: unknown residual coder %d", c.Residual)
 	}
 	return nil
 }

@@ -102,39 +102,6 @@ func TestRoundTripAllPredictors(t *testing.T) {
 	}
 }
 
-func TestRoundTripResidualSZ3(t *testing.T) {
-	g := testField[float64](16, 16, 16, 5)
-	cfg := DefaultConfig(1e-3)
-	cfg.Residual = ResidSZ3
-	cfg.Levels = 2
-	enc, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decompress[float64](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The SZ3-residual ablation path is bound on the residual before the
-	// final add, so allow float rounding slack.
-	checkBound(t, g, dec, 1e-3*(1+1e-9), "resid-sz3")
-}
-
-func TestRoundTripPartitionOnly(t *testing.T) {
-	g := testField[float64](16, 16, 16, 6)
-	cfg := DefaultConfig(1e-3)
-	cfg.PartitionOnly = true
-	enc, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decompress[float64](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBound(t, g, dec, 1e-3, "partition-only")
-}
-
 func TestRoundTrip2D(t *testing.T) {
 	g := testField[float64](1, 40, 40, 7)
 	enc, err := Compress(g, DefaultConfig(1e-4))
@@ -190,63 +157,54 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func parallelMatchesSerial[T grid.Float](t *testing.T) {
-	g := testField[T](41, 36, 44, 10) // finest classes of ~8 Ki codes: two chunks of 4096
-	// The ResidSZ3 ablation's sweep tasks build their own sections, and a
-	// base codec that cannot hand back its reconstruction is decoded
-	// instead: two more paths through the write side's phases.
-	for name, set := range map[string]func(*Config){
-		"residsz3": func(c *Config) { c.Residual = ResidSZ3 },
-		"zfp-base": func(c *Config) { c.BaseCodec = "zfp" },
-	} {
+	g := testField[T](41, 36, 44, 10)
+	// A base codec that cannot hand back its reconstruction is decoded
+	// instead: one more path through the write side's phases.
+	cfg := DefaultConfig(1e-3)
+	cfg.BaseCodec, cfg.Workers = "zfp", 1
+	serial, err := Compress(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 5} {
+		cfg.Workers = workers
+		if par, err := Compress(g, cfg); err != nil || !bytes.Equal(serial, par) {
+			t.Fatalf("zfp-base: %d workers produced a different stream (err %v)", workers, err)
+		}
+	}
+	for _, levels := range []int{2, 3, 4} {
 		cfg := DefaultConfig(1e-3)
-		set(&cfg)
-		cfg.Workers = 1
+		cfg.Levels, cfg.Workers = levels, 1
 		serial, err := Compress(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 5} {
+		for _, workers := range []int{2, 3, 5, 8} {
 			cfg.Workers = workers
-			if par, err := Compress(g, cfg); err != nil || !bytes.Equal(serial, par) {
-				t.Fatalf("%s: %d workers produced a different stream (err %v)", name, workers, err)
+			par, err := Compress(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serial, par) {
+				t.Fatalf("levels %d: %d workers produced a different stream", levels, workers)
 			}
 		}
-	}
-	for _, levels := range []int{2, 3, 4} {
-		for _, chunk := range []int{0, 4096} {
-			cfg := DefaultConfig(1e-3)
-			cfg.Levels, cfg.CodeChunk, cfg.Workers = levels, chunk, 1
-			serial, err := Compress(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 5, 8} {
-				cfg.Workers = workers
-				par, err := Compress(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(serial, par) {
-					t.Fatalf("levels %d, CodeChunk %d: %d workers produced a different stream", levels, chunk, workers)
-				}
-			}
-			// Parallel decode must match too.
-			r, err := NewReader[T](serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Workers = 8
-			decPar, err := r.Decompress()
-			if err != nil {
-				t.Fatal(err)
-			}
-			decSer, err := Decompress[T](serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(decSer.Data, decPar.Data) {
-				t.Fatalf("levels %d, CodeChunk %d: parallel decode differs from serial", levels, chunk)
-			}
+		// Parallel decode must match too.
+		r, err := NewReader[T](serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Workers = 8
+		decPar, err := r.Decompress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decSer, err := Decompress[T](serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(decSer.Data, decPar.Data) {
+			t.Fatalf("levels %d: parallel decode differs from serial", levels)
 		}
 	}
 }
@@ -509,7 +467,6 @@ func TestInvalidConfig(t *testing.T) {
 		{EB: 1e-3, Levels: 1},
 		{EB: 1e-3, Levels: 5},
 		{EB: 1e-3, Levels: 3, Predictor: 99},
-		{EB: 1e-3, Levels: 3, Residual: 99},
 	}
 	for i, cfg := range bad {
 		if _, err := Compress(g, cfg); err == nil {
@@ -664,64 +621,39 @@ func TestStatsPopulated(t *testing.T) {
 func TestEncodeStatsPopulated(t *testing.T) {
 	g := testField[float32](40, 36, 44, 25)
 	var outliers [3]int
-	for _, resid := range []ResidualCoder{ResidQuant, ResidSZ3} {
-		for _, workers := range []int{1, 2, 4} {
-			cfg := DefaultConfig(1e-4)
-			cfg.Residual, cfg.Workers = resid, workers
-			_, st, err := CompressStats(g, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		cfg := DefaultConfig(1e-4)
+		cfg.Workers = workers
+		_, st, err := CompressStats(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("w%d", workers)
+		timers := map[string]time.Duration{"Chain": st.Chain, "L1Encode": st.L1Encode, "Assemble": st.Assemble}
+		for p := 0; p < 3; p++ {
+			timers[fmt.Sprintf("Quantise[%d]", p)] = st.Quantise[p]
+			timers[fmt.Sprintf("Entropy[%d]", p)] = st.Entropy[p]
+			timers[fmt.Sprintf("Plan[%d]", p)] = st.Plan[p]
+		}
+		for stage, d := range timers {
+			ran := !strings.HasSuffix(stage, "[2]") // three levels: two predicted
+			if (d > 0) != ran || d > st.Total {
+				t.Errorf("%s: %s = %v (stage runs: %v), want within (0, Total = %v] exactly when it runs", name, stage, d, ran, st.Total)
 			}
-			name := fmt.Sprintf("%v/w%d", resid, workers)
-			timers := map[string]time.Duration{"Chain": st.Chain, "L1Encode": st.L1Encode, "Assemble": st.Assemble}
-			for p := 0; p < 3; p++ {
-				timers[fmt.Sprintf("Quantise[%d]", p)] = st.Quantise[p]
-				timers[fmt.Sprintf("Entropy[%d]", p)] = st.Entropy[p]
-				timers[fmt.Sprintf("Plan[%d]", p)] = st.Plan[p]
+		}
+		for p := range st.Plan {
+			if st.Plan[p] > st.Entropy[p] {
+				t.Errorf("%s: Plan[%d] %v exceeds Entropy[%d] %v", name, p, st.Plan[p], p, st.Entropy[p])
 			}
-			for stage, d := range timers {
-				ran := !strings.HasSuffix(stage, "[2]") && // three levels: two predicted
-					!(resid == ResidSZ3 && (strings.HasPrefix(stage, "Quantise") || strings.HasPrefix(stage, "Plan")))
-				if (d > 0) != ran || d > st.Total {
-					t.Errorf("%s: %s = %v (stage runs: %v), want within (0, Total = %v] exactly when it runs", name, stage, d, ran, st.Total)
-				}
-			}
-			for p := range st.Plan {
-				if st.Plan[p] > st.Entropy[p] {
-					t.Errorf("%s: Plan[%d] %v exceeds Entropy[%d] %v", name, p, st.Plan[p], p, st.Entropy[p])
-				}
-			}
-			if resid == ResidQuant {
-				if workers == 1 {
-					outliers = st.Outliers
-				} else if st.Outliers != outliers {
-					t.Errorf("%s: outliers %v, want %v as at one worker", name, st.Outliers, outliers)
-				}
-			}
+		}
+		if workers == 1 {
+			outliers = st.Outliers
+		} else if st.Outliers != outliers {
+			t.Errorf("%s: outliers %v, want %v as at one worker", name, st.Outliers, outliers)
 		}
 	}
 	if outliers[0]+outliers[1] == 0 {
 		t.Error("no escapes: the field does not exercise the escape counts")
-	}
-}
-
-func TestCompressionBeatsNaivePartitionOnSmoothData(t *testing.T) {
-	// The whole point of hierarchical prediction (Fig. 5): at the same
-	// bound, STZ must compress better than the naive partition ablation.
-	g := testField[float64](32, 32, 32, 25)
-	cfg := DefaultConfig(1e-4)
-	hier, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := DefaultConfig(1e-4)
-	cfg2.PartitionOnly = true
-	part, err := Compress(g, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hier) > len(part) {
-		t.Fatalf("hierarchical (%d) worse than naive partition (%d)", len(hier), len(part))
 	}
 }
 

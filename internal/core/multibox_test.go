@@ -93,26 +93,3 @@ func TestDecompressBoxesErrors(t *testing.T) {
 		t.Fatal("out-of-range box accepted")
 	}
 }
-
-func TestDecompressBoxesPartitionOnly(t *testing.T) {
-	g := testField[float32](16, 16, 16, 34)
-	cfg := DefaultConfig(1e-3)
-	cfg.PartitionOnly = true
-	enc, _ := Compress(g, cfg)
-	r, _ := NewReader[float32](enc)
-	full, err := r.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	boxes := []grid.Box{{Z0: 1, Y0: 2, X0: 3, Z1: 9, Y1: 10, X1: 11}}
-	outs, _, err := r.DecompressBoxes(boxes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := full.ExtractBox(boxes[0])
-	for i := range want.Data {
-		if outs[0].Data[i] != want.Data[i] {
-			t.Fatal("partition-only multi-box mismatch")
-		}
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,41 +16,30 @@ import (
 	"stz/internal/scratch/scratchtest"
 )
 
-// stzPoolConfigs are the STZ configurations whose hot paths touch the
-// scratch arenas in distinct ways: the default fused quantizing path, the
-// chunked-codes random-access layout, and the SZ3-residual ablation.
-func stzPoolConfigs() map[string]Config {
-	def := DefaultConfig(1e-3)
-	def.Workers = 4
-	cc := DefaultConfig(1e-3)
-	cc.CodeChunk = 2048
-	cc.Workers = 4
-	rs := DefaultConfig(1e-3)
-	rs.Residual = ResidSZ3
-	rs.Workers = 4
-	return map[string]Config{"default": def, "codechunk": cc, "residsz3": rs}
-}
-
-// TestCorePooledMatchesUnpooled asserts, for each configuration and under
-// concurrency, that STZ archives and reconstructions with the scratch
-// arenas active are byte-identical to the unpooled path.
+// TestCorePooledMatchesUnpooled asserts, under concurrency, that STZ
+// archives and reconstructions with the scratch arenas active are
+// byte-identical to the unpooled path: the default fused quantizing path,
+// written and read, and the chunked-codes layout of version 3, read from
+// its fixture.
 func TestCorePooledMatchesUnpooled(t *testing.T) {
 	g := datasets.Nyx(33, 31, 38, 9)
-	cfgs := stzPoolConfigs()
+	cfg := DefaultConfig(1e-3)
+	cfg.Workers = 4
 
 	prev := scratch.SetEnabled(false)
-	refArc := map[string][]byte{}
+	plain, err := Compress(g, cfg)
+	if err != nil {
+		t.Fatalf("reference compress: %v", err)
+	}
+	// "default" is compressed again under the arenas; "codechunk" is only read.
+	refArc := map[string][]byte{"default": plain, "codechunk": encodeCase[float32](t, walkerCaseNamed(t, "L3-f32-chunk4096"))}
 	refDec := map[string][]float32{}
-	for name, cfg := range cfgs {
-		enc, err := Compress(g, cfg)
-		if err != nil {
-			t.Fatalf("%s: reference compress: %v", name, err)
-		}
+	for name, enc := range refArc {
 		dec, err := Decompress[float32](enc)
 		if err != nil {
 			t.Fatalf("%s: reference decompress: %v", name, err)
 		}
-		refArc[name], refDec[name] = enc, dec.Data
+		refDec[name] = dec.Data
 	}
 	scratch.SetEnabled(true)
 	defer scratch.SetEnabled(prev)
@@ -60,16 +50,19 @@ func TestCorePooledMatchesUnpooled(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for name, cfg := range cfgs {
+			for name, ref := range refArc {
 				for r := 0; r < 3; r++ {
-					enc, err := Compress(g, cfg)
-					if err != nil {
-						errc <- fmt.Errorf("%s: compress: %v", name, err)
-						return
-					}
-					if !bytes.Equal(enc, refArc[name]) {
-						errc <- fmt.Errorf("%s: pooled archive differs", name)
-						return
+					enc := ref
+					if name == "default" {
+						var err error
+						if enc, err = Compress(g, cfg); err != nil {
+							errc <- fmt.Errorf("%s: compress: %v", name, err)
+							return
+						}
+						if !bytes.Equal(enc, ref) {
+							errc <- fmt.Errorf("%s: pooled archive differs", name)
+							return
+						}
 					}
 					dec, err := Decompress[float32](enc)
 					if err != nil {
@@ -104,8 +97,6 @@ func TestCorePooledMatchesUnpooled(t *testing.T) {
 // or a point outside a level's need.
 func TestCoreRandomAccessPooled(t *testing.T) {
 	g := datasets.Nyx(40, 36, 44, 3)
-	chunked := DefaultConfig(1e-3)
-	chunked.CodeChunk = 512
 	deep := DefaultConfig(1e-3)
 	deep.Levels = 4
 	boxes := []grid.Box{
@@ -114,11 +105,18 @@ func TestCoreRandomAccessPooled(t *testing.T) {
 		{Z0: 38, Z1: 39, Y0: 30, Y1: 31, X0: 40, X1: 41},
 		{Z0: 17, Z1: 21, Y0: 14, Y1: 15, X0: 20, X1: 21}, // one point wide: one-point-wide windows below
 	}
-	for name, cfg := range map[string]Config{"codechunk": chunked, "lanes": DefaultConfig(1e-3), "lanes-L4": deep} {
+	archives := map[string][]byte{
+		// 48×40×44, chunks of 4096 codes: three to a finest-level class.
+		"codechunk": encodeCase[float32](t, walkerCaseNamed(t, "L3-f32-chunk4096")),
+	}
+	for name, cfg := range map[string]Config{"lanes": DefaultConfig(1e-3), "lanes-L4": deep} {
 		enc, err := Compress(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		archives[name] = enc
+	}
+	for name, enc := range archives {
 		for _, box := range boxes {
 			prev := scratch.SetEnabled(false)
 			r1, err := NewReader[float32](enc)
@@ -154,28 +152,22 @@ func TestCoreRandomAccessPooled(t *testing.T) {
 	}
 }
 
-// TestCraftedCodeChunkHeaderBounded patches the stored CodeChunk to a huge
-// value: decode must fail cleanly (or succeed byte-identically when the
-// chunk layout stays consistent) without attempting a CodeChunk-sized
-// allocation — the staging lease is capped at the class size.
+// TestCraftedCodeChunkHeaderBounded patches the CodeChunk of a chunked
+// version-3 stream (the uint32 at offset 40 of the header) to a huge value:
+// decode must fail cleanly without attempting a CodeChunk-sized allocation
+// — the staging lease is capped at the class size.
 func TestCraftedCodeChunkHeaderBounded(t *testing.T) {
-	g := datasets.Nyx(32, 30, 34, 1)
-	cfg := DefaultConfig(1e-3)
-	cfg.CodeChunk = 512
-	enc, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := append([]byte(nil), enc...)
-	// Section 0 starts after the container directory (8 + 8*nSections + 4
-	// bytes); CodeChunk is the uint32 at offset 40 of the header payload.
-	arcSections := 2 + (cfg.Levels-1)*7
-	hdrOff := 8 + 8*arcSections + 4
-	for i := 0; i < 4; i++ {
-		mut[hdrOff+40+i] = 0xFF
-	}
-	if _, err := Decompress[float32](mut); err == nil {
+	wc := walkerCaseNamed(t, "L3-f64-chunk512-outliers")
+	mut := patchHeader(t, encodeCase[float64](t, wc), func(h []byte) { binary.LittleEndian.PutUint32(h[40:], 0xFFFFFFFF) })
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := Decompress[float64](mut)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
 		t.Fatal("huge CodeChunk with stale chunk layout accepted")
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("refusing the chunk size allocated %d bytes", alloc)
 	}
 }
 
@@ -198,9 +190,9 @@ func TestCompressLeaseBalance(t *testing.T) {
 	prev := scratch.SetEnabled(true)
 	defer scratch.SetEnabled(prev)
 	g := datasets.Nyx(33, 31, 38, 9)
-	for name, cfg := range stzPoolConfigs() {
-		checkLeaseBalance(t, name, false, func() error { _, err := Compress(g, cfg); return err })
-	}
+	def := DefaultConfig(1e-3)
+	def.Workers = 4
+	checkLeaseBalance(t, "default", false, func() error { _, err := Compress(g, def); return err })
 	dense := grid.New[float32](24, 128, 256)
 	rng := rand.New(rand.NewSource(4))
 	for i := range dense.Data {

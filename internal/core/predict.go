@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
+
 	"stz/internal/grid"
 )
 
 // rowGen predicts whole rows of one parity class from the coarse grid: the
-// one prediction generator behind the compressor, every decode and the
-// ResidSZ3 ablation. It applies predictPoint's kernel ladder a row span at a
+// one prediction generator behind the compressor, every decode and
+// PredictClasses. It applies predictPoint's kernel ladder a row span at a
 // time with unrolled stencils.
 //
 // Summation order is part of the stream format — the encoder and every
@@ -283,4 +285,34 @@ func classDims(off grid.Offset3, fz, fy, fx int) (int, int, int) {
 // (grid.Stride2Offsets[1:]).
 func predictedClasses() []grid.Offset3 {
 	return grid.Stride2Offsets[1:]
+}
+
+// PredictClasses is one hierarchy level's cross-level prediction and
+// nothing else: from coarse, the stride-2 lattice (class 0) of a fine grid
+// of dims (fz, fy, fx), kernel p predicts every other point of the fine
+// grid, exactly as the compressor and every decode do. Element c = 1..7 of
+// the result (grid.Stride2Offsets order) holds class c's predictions in
+// class-grid coordinates; element 0 is coarse itself, so once each class
+// has its residual added back the eight assemble (grid.AssembleStride2)
+// into the fine grid. It serves the Fig. 5 ablation rungs that code the
+// residuals with another compressor (internal/bench). It panics when
+// coarse is not the lattice of such a grid.
+func PredictClasses[T grid.Float](coarse *grid.Grid[T], fz, fy, fx int, p Predictor) [8]*grid.Grid[T] {
+	lv := newLevel[T](fz, fy, fx)
+	if d := lv.dims[0]; coarse.Nz != d[0] || coarse.Ny != d[1] || coarse.Nx != d[2] {
+		panic(fmt.Sprintf("core: PredictClasses: coarse grid %dx%dx%d is not the lattice of %dx%dx%d",
+			coarse.Nz, coarse.Ny, coarse.Nx, fz, fy, fx))
+	}
+	lv.predictFrom(coarse, grid.Offset3{}, p)
+	out := [8]*grid.Grid[T]{coarse}
+	for c := 1; c < 8; c++ {
+		d := lv.dims[c]
+		out[c] = grid.New[T](d[0], d[1], d[2])
+		for k := 0; k < d[0]; k++ {
+			for j := 0; j < d[1]; j++ {
+				lv.gens[c].row(k, j, 0, d[2], out[c].Data[(k*d[1]+j)*d[2]:])
+			}
+		}
+	}
+	return out
 }

@@ -289,9 +289,9 @@ func TestOutlierCursor(t *testing.T) {
 // class-index order, in both element types, on rows of 1–70 points that
 // start mid-class: escapes at the first point, the last, in a run, at
 // random and nowhere; through an unchunked cursor that counts from code 0
-// and a chunked one (CodeChunk) that resynchronises at its chunk base, with
-// the chunks before the row left as garbage the way a box decode leaves
-// them. With the class's last outlier missing, the row must stop at that
+// and a chunked one (a version-3 chunked stream's) that resynchronises at
+// its chunk base, with the chunks before the row left as garbage the way a
+// box decode leaves them. With the class's last outlier missing, the row must stop at that
 // escape with the error, never panic, and write nothing from there on:
 // every slot between the row's points, the rest of the row and a canary
 // after its last slot keep their sentinel.

@@ -14,21 +14,18 @@ import (
 	"stz/internal/quant"
 	"stz/internal/rawio"
 	"stz/internal/scratch"
-	"stz/internal/sz3"
 )
 
 // Header is the public view of an STZ stream's metadata.
 type Header struct {
-	DType         byte // 4 = float32, 8 = float64
-	Fz, Fy, Fx    int
-	Levels        int
-	Predictor     Predictor
-	Residual      ResidualCoder
-	AdaptiveEB    bool
-	EBRatio       float64
-	EB            float64
-	Radius        int32
-	PartitionOnly bool
+	DType      byte // 4 = float32, 8 = float64
+	Fz, Fy, Fx int
+	Levels     int
+	Predictor  Predictor
+	AdaptiveEB bool
+	EBRatio    float64
+	EB         float64
+	Radius     int32
 	// BaseCodec is the registry name of the base-level codec ("sz3"
 	// unless Config.BaseCodec overrode it).
 	BaseCodec string
@@ -57,7 +54,7 @@ type Stats struct {
 	SkippedClasses [3]int
 	// Accounting of the independently decodable parts of the touched class
 	// streams (random-access Huffman decoding): the bricks of a version-4
-	// stream, the chunks of one written with Config.CodeChunk > 0.
+	// stream, the chunks of a chunked version-1–3 one.
 	DecodedChunks [3]int
 	SkippedChunks [3]int
 	// Symbol accounting: of the TotalSymbols class codes a level stores
@@ -104,11 +101,7 @@ func NewReader[T grid.Float](data []byte) (*Reader[T], error) {
 	if hdr.DType != dtypeOf[T]() {
 		return nil, fmt.Errorf("core: stream element type mismatch")
 	}
-	wantSecs := 2 + (hdr.Levels-1)*7
-	if hdr.PartitionOnly {
-		wantSecs = 9
-	}
-	if arc.Count() != wantSecs {
+	if wantSecs := 2 + (hdr.Levels-1)*7; arc.Count() != wantSecs {
 		return nil, fmt.Errorf("core: want %d sections, have %d", wantSecs, arc.Count())
 	}
 	base, err := codec.LookupID(hdr.BaseID)
@@ -123,9 +116,8 @@ func (r *Reader[T]) Header() Header {
 	h := r.hdr
 	return Header{
 		DType: h.DType, Fz: h.Fz, Fy: h.Fy, Fx: h.Fx, Levels: h.Levels,
-		Predictor: h.Predictor, Residual: h.Residual, AdaptiveEB: h.AdaptiveEB,
-		EBRatio: h.EBRatio, EB: h.EB, Radius: h.Radius, PartitionOnly: h.PartitionOnly,
-		BaseCodec: r.base.Name(),
+		Predictor: h.Predictor, AdaptiveEB: h.AdaptiveEB,
+		EBRatio: h.EBRatio, EB: h.EB, Radius: h.Radius, BaseCodec: r.base.Name(),
 	}
 }
 
@@ -164,10 +156,9 @@ func (r *Reader[T]) levelEB(lv int) float64 {
 	return eb
 }
 
-// decodedClass is one predicted class's decoded payload. codes, esc,
-// outliers and diff's backing are scratch-arena leases owned by the class;
-// callers release them (via release) once reconstruction no longer reads
-// them.
+// decodedClass is one predicted class's decoded payload. codes, esc and
+// outliers are scratch-arena leases owned by the class; callers release
+// them (via release) once reconstruction no longer reads them.
 //
 // codes hold the class points of box, row-major: in a version-4 class the
 // union of its views' class boxes, with each escape's value at its code's
@@ -175,14 +166,13 @@ func (r *Reader[T]) levelEB(lv int) float64 {
 // whole class grid, its escapes' values in outliers, which an
 // outlierCursor resolves.
 type decodedClass[T grid.Float] struct {
-	codes          []uint16 // ResidQuant path
+	codes          []uint16
 	box            grid.Box
 	esc            []T
 	outliers       []T
-	diff           *grid.Grid[T] // ResidSZ3 path
-	decodedSymbols int           // class codes that went through the entropy decoder
+	decodedSymbols int // class codes that went through the entropy decoder
 	// Escape index: the escapes before each chunkSize codes — per chunk as a
-	// CodeChunk stream stores them, per class plane as indexEscapes counts
+	// chunked stream stores them, per class plane as indexEscapes counts
 	// them for an unchunked class with outliers.
 	chunkSize     int
 	bases         []uint32
@@ -196,10 +186,7 @@ func (dc *decodedClass[T]) release() {
 	scratch.U16.Release(dc.codes)
 	scratch.ReleaseFloat(dc.esc)
 	scratch.ReleaseFloat(dc.outliers)
-	if dc.diff != nil {
-		scratch.ReleaseFloat(dc.diff.Data)
-	}
-	dc.codes, dc.esc, dc.outliers, dc.diff = nil, nil, nil, nil
+	dc.codes, dc.esc, dc.outliers = nil, nil, nil
 }
 
 // at is the index in codes of the class point (k, j, x) of box.
@@ -380,21 +367,12 @@ func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet, lo, hi int)
 // decodeClass entropy-decodes the version-1–3 class stream of predicted
 // level p, class c. n is the class size in points; only codes within
 // [ciLo, ciHi) are guaranteed decoded: a multi-lane stream decodes the lane
-// prefixes the range touches (huffman.DecodeLanesRange), and with chunked
-// streams (Config.CodeChunk) chunks entirely outside the range are skipped.
+// prefixes the range touches (huffman.DecodeLanesRange), and a chunked
+// stream (header CodeChunk > 0) skips the chunks entirely outside the range.
 func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) (decodedClass[T], error) {
 	sec, err := r.arc.Section(r.classSection(p, c))
 	if err != nil {
 		return decodedClass[T]{}, err
-	}
-	if r.hdr.Residual == ResidSZ3 {
-		// Classes already occupy the reader's worker pool: decode the
-		// residual sub-block (and its v2 lanes) serially.
-		diff, err := sz3.DecompressWorkers[T](sec, 1)
-		if err != nil {
-			return decodedClass[T]{}, fmt.Errorf("core: class %d residual: %w", c, err)
-		}
-		return decodedClass[T]{diff: diff, decodedSymbols: n}, nil
 	}
 	if len(sec) < 4 {
 		return decodedClass[T]{}, fmt.Errorf("core: class %d section truncated", c)
@@ -748,7 +726,7 @@ func (r *Reader[T]) planLevel(p int, fdims [3]int, views []view[T]) levelPlan[T]
 				pl.hi[c] = max(pl.hi[c], ((sb.Z1-1)*d[1]+sb.Y1-1)*d[2]+sb.X1)
 			}
 		}
-		if r.hdr.Version >= 4 && r.hdr.Residual != ResidSZ3 && pl.touched(c) {
+		if r.hdr.Version >= 4 && pl.touched(c) {
 			pl.planBricks(c)
 		}
 	}
@@ -793,11 +771,7 @@ func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
 		return
 	}
 	dc.box = grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}
-	if r.hdr.Residual == ResidSZ3 {
-		if dc.diff.Nz != d[0] || dc.diff.Ny != d[1] || dc.diff.Nx != d[2] {
-			pl.errs[c] = fmt.Errorf("core: residual sub-block dims mismatch")
-		}
-	} else if len(dc.codes) != n {
+	if len(dc.codes) != n {
 		pl.errs[c] = fmt.Errorf("core: class code count %d, want %d", len(dc.codes), n)
 	} else {
 		dc.indexEscapes(d[1]*d[2], pl.hi[c])
@@ -949,7 +923,7 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 		}
 	}
 	terrs := make([]error, len(tasks))
-	resid, v4 := r.hdr.Residual == ResidSZ3, r.hdr.Version >= 4
+	v4 := r.hdr.Version >= 4
 	bin, radius := 2*pl.q.EB, pl.q.Radius
 	parallel.For(len(tasks), r.workers(), func(ti int) {
 		tk := tasks[ti]
@@ -979,13 +953,6 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 				spread(dst, coarse.g.Data[coarse.idx(k, j, lo):][:hi-lo])
 				return
 			}
-			if resid {
-				d := lv.dims[c]
-				for t, diff := range dcs[c].diff.Data[(k*d[1]+j)*d[2]+lo:][:hi-lo] {
-					dst[2*t] = preds[t] + diff
-				}
-				return
-			}
 			dc := &dcs[c]
 			at := dc.at(k, j, lo)
 			err = dequantRow(dst, dc.codes[at:][:hi-lo], preds, bin, radius, &ess[c], at)
@@ -1010,9 +977,6 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 func (r *Reader[T]) reconstruct(lv int, regions []grid.Box, st *Stats) ([]*grid.Grid[T], error) {
 	t0 := time.Now()
 	defer func() { st.Total = time.Since(t0) }()
-	if r.hdr.PartitionOnly {
-		return r.reconstructPartitionOnly(lv, regions)
-	}
 	levels, dims := r.hdr.Levels, r.chainDims()
 	top := levels - lv // chain index of the requested level
 	// need[t] is the part of chain grid t the reconstruction reads: at the
@@ -1126,55 +1090,6 @@ func (r *Reader[T]) progressive(lv int, st *Stats) (*grid.Grid[T], error) {
 		return nil, err
 	}
 	return outs[0], nil
-}
-
-// reconstructPartitionOnly is reconstruct for the Fig. 5 "Partition"
-// ablation, whose 8 parity sub-blocks are coded independently: level 1 is
-// the class-0 sub-block, level 2 the assembled grid.
-func (r *Reader[T]) reconstructPartitionOnly(lv int, regions []grid.Box) ([]*grid.Grid[T], error) {
-	if lv == 1 {
-		sec, err := r.arc.Section(1)
-		if err != nil {
-			return nil, err
-		}
-		g, err := codec.Decompress[T](r.base, sec, 1)
-		return []*grid.Grid[T]{g}, err
-	}
-	full, err := r.decompressPartitionOnly()
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]*grid.Grid[T], len(regions))
-	for i, b := range regions {
-		outs[i] = full
-		if b != grid.FullBox(full) {
-			outs[i] = full.ExtractBox(b)
-		}
-	}
-	return outs, nil
-}
-
-func (r *Reader[T]) decompressPartitionOnly() (*grid.Grid[T], error) {
-	var blocks [8]*grid.Grid[T]
-	errs := make([]error, 8)
-	parallel.For(8, r.workers(), func(i int) {
-		sec, err := r.arc.Section(1 + i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if len(sec) == 0 {
-			blocks[i] = grid.New[T](0, 0, 0)
-			return
-		}
-		blocks[i], errs[i] = codec.Decompress[T](r.base, sec, 1)
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return grid.AssembleStride2(blocks, r.hdr.Fz, r.hdr.Fy, r.hdr.Fx), nil
 }
 
 // Decode-time helper: Decompress parses and fully decodes data in one call.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -29,17 +31,22 @@ type walkerCase struct {
 	nz, ny, nx int
 	cfg        Config
 	spikes     bool // every fifth value or so ×1e12: escapes in every class
+	// fixture: the archive is testdata/<name>.stz, a version-3 chunked
+	// stream of the case's field, which no writer of this package produces
+	// any more; cfg is what it was written with, less the chunk size.
+	fixture bool
 }
 
 // walkerCases spans the hierarchy depths, an odd-dims grid whose parity
-// classes all differ in size, both element types, chunked and unchunked
-// code streams, the SZ3-residual ablation, an unchunked stream full of
-// outliers (the 1e12-spike field of TestOutlierRandomAccessConsistency),
+// classes all differ in size, both element types, an unchunked stream full
+// of outliers (the 1e12-spike field of TestOutlierRandomAccessConsistency),
 // two thin grids (7 points along x, then along z) whose coarse lattices are
-// too short for an interior and split into ragged z-blocks, and two grids
-// whose class streams span several bricks along every axis at both
-// predicted levels, clipped bricks included — one of them full of
-// outliers.
+// too short for an interior and split into ragged z-blocks, two grids whose
+// class streams span several bricks along every axis at both predicted
+// levels, clipped bricks included — one of them full of outliers — and
+// three version-3 chunked fixtures: chunks of 4096 codes in both element
+// types, and chunks of 512 over the 1e12-spike field, whose escapes the
+// reader resynchronises at every chunk boundary.
 func walkerCases() []walkerCase {
 	mk := func(levels int, mut func(*Config)) Config {
 		cfg := DefaultConfig(1e-3)
@@ -49,19 +56,19 @@ func walkerCases() []walkerCase {
 		}
 		return cfg
 	}
+	outliers := func(c *Config) { c.EB = 1e-6 }
 	return []walkerCase{
-		{"L2-f64", false, 33, 18, 21, mk(2, nil), false},
-		{"L3-f32", true, 33, 18, 21, mk(3, nil), false},
-		{"L4-f64", false, 33, 18, 21, mk(4, nil), false},
-		{"L3-f32-chunk4096", true, 48, 40, 44, mk(3, func(c *Config) { c.CodeChunk = 4096 }), false},
-		{"L3-f64-chunk4096", false, 33, 18, 21, mk(3, func(c *Config) { c.CodeChunk = 4096 }), false},
-		{"L3-f64-sz3resid", false, 33, 18, 21, mk(3, func(c *Config) { c.Residual = ResidSZ3 }), false},
-		{"L2-f32-sz3resid", true, 33, 18, 21, mk(2, func(c *Config) { c.Residual = ResidSZ3 }), false},
-		{"L3-f64-outliers", false, 33, 18, 21, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
-		{"L3-f32-thin", true, 33, 18, 7, mk(3, nil), false},
-		{"L3-f64-thin-outliers", false, 7, 33, 18, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
-		{"L3-f32-bricks", true, 96, 80, 72, mk(3, nil), false},
-		{"L3-f64-bricks-outliers", false, 80, 72, 96, mk(3, func(c *Config) { c.EB = 1e-6 }), true},
+		{"L2-f64", false, 33, 18, 21, mk(2, nil), false, false},
+		{"L3-f32", true, 33, 18, 21, mk(3, nil), false, false},
+		{"L4-f64", false, 33, 18, 21, mk(4, nil), false, false},
+		{"L3-f32-chunk4096", true, 48, 40, 44, mk(3, nil), false, true},
+		{"L3-f64-chunk4096", false, 33, 18, 21, mk(3, nil), false, true},
+		{"L3-f64-chunk512-outliers", false, 33, 18, 21, mk(3, outliers), true, true},
+		{"L3-f64-outliers", false, 33, 18, 21, mk(3, outliers), true, false},
+		{"L3-f32-thin", true, 33, 18, 7, mk(3, nil), false, false},
+		{"L3-f64-thin-outliers", false, 7, 33, 18, mk(3, outliers), true, false},
+		{"L3-f32-bricks", true, 96, 80, 72, mk(3, nil), false, false},
+		{"L3-f64-bricks-outliers", false, 80, 72, 96, mk(3, outliers), true, false},
 	}
 }
 
@@ -79,8 +86,16 @@ func caseField[T grid.Float](wc walkerCase) *grid.Grid[T] {
 	return g
 }
 
-// encode compresses the case's seeded field as element type T.
+// encodeCase compresses the case's seeded field as element type T, or
+// reads a fixture case's archive.
 func encodeCase[T grid.Float](tb testing.TB, wc walkerCase) []byte {
+	if wc.fixture {
+		enc, err := os.ReadFile(filepath.Join("testdata", wc.name+".stz"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return enc
+	}
 	enc, err := Compress(caseField[T](wc), wc.cfg)
 	if err != nil {
 		tb.Fatalf("%s: %v", wc.name, err)
@@ -95,25 +110,25 @@ func (wc walkerCase) encode(tb testing.TB) []byte {
 	return encodeCase[float64](tb, wc)
 }
 
-// TestPinnedWalkerArchives pins the archive bytes of every walker case at
-// Workers 1, 2, 3, 4 and 8: an encoder change that is meant to keep archives
-// byte-identical (a faster table build, a new traversal) shows here first,
-// and so does a lane task that gathers a brick's escapes out of order or
-// miscounts a clipped brick. The chunk4096 hashes are version 3's, which
-// CodeChunk still writes; the rest are version 4's first writer's. All were
-// re-pinned when the level-1 base moved to sz3's version-3 stream (brick
-// lanes), which changed only the base section's bytes: every decode
+// TestPinnedWalkerArchives pins the archive bytes of every written walker
+// case at Workers 1, 2, 3, 4 and 8: an encoder change that is meant to keep
+// archives byte-identical (a faster table build, a new traversal) shows
+// here first, and so does a lane task that gathers a brick's escapes out of
+// order or miscounts a clipped brick. The hashes are version 4's first
+// writer's, re-pinned when the level-1 base moved to sz3's version-3 stream
+// (brick lanes), which changed only the base section's bytes: every decode
 // stayed bit-identical (TestPinnedWalkerDecodes).
 func TestPinnedWalkerArchives(t *testing.T) {
 	pins := map[string]string{
 		"L2-f64": "b433a865c33ccc89", "L3-f32": "d7a4e1f6410353bc", "L4-f64": "45724407157f6cc8",
-		"L3-f32-chunk4096": "a6ab22e4b6a7dc6b", "L3-f64-chunk4096": "becc8d075711f989",
-		"L3-f64-sz3resid": "c6744af7fe821a05", "L2-f32-sz3resid": "e7246e0ce792a43f",
 		"L3-f64-outliers": "b975b6b5e9ba5216", "L3-f32-thin": "a8f41f4410582d0f",
 		"L3-f64-thin-outliers": "deb3b4774e1639d0",
 		"L3-f32-bricks":        "5e786b6a51c2b0fb", "L3-f64-bricks-outliers": "4dae4b8cca9913c3",
 	}
 	for _, wc := range walkerCases() {
+		if wc.fixture {
+			continue
+		}
 		want, ok := pins[wc.name]
 		if !ok {
 			t.Errorf("%s: no pinned archive hash", wc.name)
@@ -175,24 +190,24 @@ func walkerDecodes[T grid.Float](t *testing.T, wc walkerCase, workers int) map[s
 // and before the class streams were tiled into bricks, so a change meant to
 // keep every output bit-identical — a kernel's indexing, the escape path,
 // where the output grid is allocated, the stream layout — shows here
-// first, in both element types and at every hierarchy depth.
+// first, in both element types and at every hierarchy depth. The chunk512
+// fixture decodes to what its unchunked twin L3-f64-outliers does.
 func TestPinnedWalkerDecodes(t *testing.T) {
 	pin := func(full, below, box string) map[string]string {
 		return map[string]string{"full": full, "below": below, "box": box}
 	}
 	pins := map[string]map[string]string{
-		"L2-f64":                 pin("c561d9631cb61670", "2c63a6fbfa4c4acc", "a0801c5af6e062e3"),
-		"L3-f32":                 pin("3d745a547871770c", "032271564815f831", "cbf77c6c6e5d1329"),
-		"L4-f64":                 pin("c90b00e7e66a1e51", "9c3e6a30a95798f6", "7b6eb1a1d323668a"),
-		"L3-f32-chunk4096":       pin("39aebbf92f2b5793", "ec41498f14514619", "f72f5b54d67e40ec"),
-		"L3-f64-chunk4096":       pin("5cd6239049436256", "728b048e0c690df7", "bbeb28391ad21a16"),
-		"L3-f64-sz3resid":        pin("fd3f482fb51cd6a1", "640c96750093c6eb", "5c5a56a51849612c"),
-		"L2-f32-sz3resid":        pin("32a096358bf593e5", "b1676cc960a2188b", "9adf52968bcfbc79"),
-		"L3-f64-outliers":        pin("1720632b2ad90de3", "e119fe7c28e25005", "dcac897056cfce68"),
-		"L3-f32-thin":            pin("67f0aaa6e3a44ccb", "fb56ec8b013c1e9c", "60ef8484bf2044a1"),
-		"L3-f64-thin-outliers":   pin("1266ca423b466ff1", "70f3ec2299828e51", "10f22b63df92fec0"),
-		"L3-f32-bricks":          pin("454b78587f26a369", "8f0a15ee48913a23", "493d3fc28ac278d5"),
-		"L3-f64-bricks-outliers": pin("c98670320aad8c22", "ed4a322ec5b12931", "25a1f7751df31c4e"),
+		"L2-f64":                   pin("c561d9631cb61670", "2c63a6fbfa4c4acc", "a0801c5af6e062e3"),
+		"L3-f32":                   pin("3d745a547871770c", "032271564815f831", "cbf77c6c6e5d1329"),
+		"L4-f64":                   pin("c90b00e7e66a1e51", "9c3e6a30a95798f6", "7b6eb1a1d323668a"),
+		"L3-f32-chunk4096":         pin("39aebbf92f2b5793", "ec41498f14514619", "f72f5b54d67e40ec"),
+		"L3-f64-chunk4096":         pin("5cd6239049436256", "728b048e0c690df7", "bbeb28391ad21a16"),
+		"L3-f64-chunk512-outliers": pin("1720632b2ad90de3", "e119fe7c28e25005", "dcac897056cfce68"),
+		"L3-f64-outliers":          pin("1720632b2ad90de3", "e119fe7c28e25005", "dcac897056cfce68"),
+		"L3-f32-thin":              pin("67f0aaa6e3a44ccb", "fb56ec8b013c1e9c", "60ef8484bf2044a1"),
+		"L3-f64-thin-outliers":     pin("1266ca423b466ff1", "70f3ec2299828e51", "10f22b63df92fec0"),
+		"L3-f32-bricks":            pin("454b78587f26a369", "8f0a15ee48913a23", "493d3fc28ac278d5"),
+		"L3-f64-bricks-outliers":   pin("c98670320aad8c22", "ed4a322ec5b12931", "25a1f7751df31c4e"),
 	}
 	for _, wc := range walkerCases() {
 		want, ok := pins[wc.name]
@@ -487,35 +502,6 @@ func TestDecodedSymbolsAccounting(t *testing.T) {
 	}
 }
 
-// TestProgressivePartitionOnly: level 1 of a partition-only stream is its
-// class-0 sub-block (section 1), within the bound of the original's.
-func TestProgressivePartitionOnly(t *testing.T) {
-	g := grid.New[float32](16, 16, 16)
-	for i := range g.Data {
-		g.Data[i] = float32(i)
-	}
-	cfg := DefaultConfig(1e-3)
-	cfg.PartitionOnly = true
-	enc, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader[float32](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, err := r.Progressive(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBound(t, g.ExtractStride(grid.Offset3{}, 2), l1, cfg.EB, "partition-only level 1")
-	l2, err := r.Progressive(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBound(t, g, l2, cfg.EB, "partition-only level 2")
-}
-
 // patchHeader returns a copy of enc whose 44-byte core header was edited by
 // mut (the container checksum covers only the directory).
 func patchHeader(tb testing.TB, enc []byte, mut func(h []byte)) []byte {
@@ -532,9 +518,39 @@ func patchHeader(tb testing.TB, enc []byte, mut func(h []byte)) []byte {
 	return out
 }
 
+// walkerCaseNamed returns the walker case called name.
+func walkerCaseNamed(tb testing.TB, name string) walkerCase {
+	for _, wc := range walkerCases() {
+		if wc.name == name {
+			return wc
+		}
+	}
+	tb.Fatalf("no walker case %s", name)
+	return walkerCase{}
+}
+
+// reservedHeaders re-frames enc, a version-4 stream, and v3, a version-3
+// chunked one, with each header field no supported writer sets: the
+// partition-only byte 2 and the residual-coder byte 5 in either version,
+// and a chunk size in version 4.
+func reservedHeaders(tb testing.TB, enc, v3 []byte) map[string][]byte {
+	byte2 := func(h []byte) { h[2] = 1 }
+	byte5 := func(h []byte) { h[5] = 1 }
+	return map[string][]byte{
+		"partition-only v4": patchHeader(tb, enc, byte2),
+		"partition-only v3": patchHeader(tb, v3, byte2),
+		"residual sz3 v4":   patchHeader(tb, enc, byte5),
+		"residual sz3 v3":   patchHeader(tb, v3, byte5),
+		"residual 7":        patchHeader(tb, enc, func(h []byte) { h[5] = 7 }),
+		"code chunk v4":     patchHeader(tb, enc, func(h []byte) { binary.LittleEndian.PutUint32(h[40:], 4096) }),
+	}
+}
+
 // TestCraftedHeaderRejected re-frames a valid stream with header fields no
 // writer produces: NewReader must refuse each one before anything is sized
-// from it, quickly and without allocating more than the input.
+// from it, quickly and without allocating more than the input. A reserved
+// field — the ablation coders' bytes, a chunk size in version 4 — is
+// refused with errReservedHeader, whatever else the stream holds.
 func TestCraftedHeaderRejected(t *testing.T) {
 	le32 := func(off int, v uint32) func([]byte) {
 		return func(h []byte) { binary.LittleEndian.PutUint32(h[off:], v) }
@@ -543,6 +559,30 @@ func TestCraftedHeaderRejected(t *testing.T) {
 		return func(h []byte) { binary.LittleEndian.PutUint64(h[off:], math.Float64bits(v)) }
 	}
 	enc := encodeCase[float32](t, walkerCase{name: "crafted", nz: 16, ny: 16, nx: 16, cfg: DefaultConfig(1e-3)})
+	reject := func(t *testing.T, bad []byte, want error) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		_, err := NewReader[float32](bad)
+		took := time.Since(t0)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Fatal("crafted header accepted")
+		}
+		if want != nil && !errors.Is(err, want) {
+			t.Errorf("err %v, want %v", err, want)
+		}
+		if took > 10*time.Millisecond {
+			t.Errorf("rejection took %v", took)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(bad)) {
+			t.Errorf("rejection allocated %d bytes for a %d-byte input", alloc, len(bad))
+		}
+	}
+	v3 := encodeCase[float32](t, walkerCaseNamed(t, "L3-f32-chunk4096"))
+	for name, bad := range reservedHeaders(t, enc, v3) {
+		t.Run(name, func(t *testing.T) { reject(t, bad, errReservedHeader) })
+	}
 	for _, tc := range []struct {
 		name string
 		mut  func([]byte)
@@ -550,7 +590,6 @@ func TestCraftedHeaderRejected(t *testing.T) {
 		{"radius 1<<30", le32(36, 1<<30)},
 		{"radius 32769", le32(36, 32769)},
 		{"predictor 9", func(h []byte) { h[4] = 9 }},
-		{"residual 7", func(h []byte) { h[5] = 7 }},
 		{"levels 5", func(h []byte) { h[3] = 5 }},
 		{"ebratio 0", f64(28, 0)},
 		{"ebratio -2.5", f64(28, -2.5)},
@@ -561,24 +600,7 @@ func TestCraftedHeaderRejected(t *testing.T) {
 		{"dims 2^33+", func(h []byte) { le32(8, 4096)(h); le32(12, 4096)(h); le32(16, 4096)(h) }},
 		{"zero dim", le32(12, 0)},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := patchHeader(t, enc, tc.mut)
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			_, err := NewReader[float32](bad)
-			took := time.Since(t0)
-			runtime.ReadMemStats(&m1)
-			if err == nil {
-				t.Fatal("crafted header accepted")
-			}
-			if took > 10*time.Millisecond {
-				t.Errorf("rejection took %v", took)
-			}
-			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(bad)) {
-				t.Errorf("rejection allocated %d bytes for a %d-byte input", alloc, len(bad))
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { reject(t, patchHeader(t, enc, tc.mut), nil) })
 	}
 	// The non-adaptive ratio is never read, so it is not policed.
 	ok := patchHeader(t, enc, func(h []byte) { h[6] = 0; f64(28, 0)(h) })
@@ -708,6 +730,10 @@ func FuzzReader(f *testing.F) {
 		f.Add(bad)
 	}
 	for _, bad := range brickDirSeeds(f) {
+		f.Add(bad)
+	}
+	v3 := walkerCaseNamed(f, "L3-f32-chunk4096").encode(f)
+	for _, bad := range reservedHeaders(f, walkerCases()[1].encode(f), v3) {
 		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

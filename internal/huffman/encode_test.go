@@ -76,12 +76,12 @@ func checkAgainstOracle(t testing.TB, what string, codes []uint16, alphabet int)
 	}
 	// The same blob through the plan's own entry points, last lane first:
 	// a lane's bytes depend on no other lane having been written.
-	p := NewPlan(codes, alphabet)
-	planned := make([]byte, p.Size())
-	for k := Lanes - 1; k >= 0; k-- {
-		p.WriteLane(planned, k)
+	p := newPlan(codes, alphabet, numLanes)
+	planned := make([]byte, p.size)
+	for k := numLanes - 1; k >= 0; k-- {
+		p.writeLanes(planned, k, k+1)
 	}
-	p.Release()
+	p.release()
 	if !bytes.Equal(planned, v2) {
 		t.Fatalf("%s: lanes written in reverse differ from EncodeLanes (first difference at %d)", what, firstDiff(planned, v2))
 	}

@@ -6,11 +6,12 @@
 // table is serialized ahead of the bitstream so each sub-block stream is
 // self-describing and independently decodable.
 //
-// The encoder plans before it writes (Plan): the histogram is kept per lane,
+// The encoder plans before it writes (plan): the histogram is kept per lane,
 // so the code table, each lane's exact length and with them the header, the
 // lane directory and the blob's size are known before a payload byte exists,
-// and the lanes are then written straight to their final offsets — in a
-// buffer of the caller's, on the caller's goroutines, if it wants.
+// and the lanes are then written straight to their final offsets. A caller
+// that cuts a stream into lanes of its own (Code) places and writes them
+// itself, on its own goroutines.
 //
 // The encoder and decoder are allocation-free in steady state: the lane
 // histogram, the plan (present symbols, tree nodes, sorted leaves, header
@@ -75,7 +76,7 @@ type treeNode struct {
 }
 
 // buildScratch is the code builder's reusable state, part of every pooled
-// Plan: the present-symbol table with its counts, the node arena and the
+// plan: the present-symbol table with its counts, the node arena and the
 // sorted leaf keys. The backing arrays recycle across encodes.
 type buildScratch struct {
 	table      []symLen           // present symbols, ascending; lengths set by codeLengths

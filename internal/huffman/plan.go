@@ -9,10 +9,6 @@ import (
 	"stz/internal/scratch"
 )
 
-// Lanes is the number of independent lane writes (Plan.WriteLane) a planned
-// EncodeLanes stream is made of.
-const Lanes = numLanes
-
 // laneHist is the encoder's histogram: one counter per symbol and lane.
 // The symbols of a stream are counted four at a time, one from each lane, so
 // neighbouring increments never touch the same counter — a run of equal
@@ -21,7 +17,7 @@ const Lanes = numLanes
 // the lanes before a bit of them is written. mark[b] says block b (the 64
 // symbols from 64·b) may hold a non-zero counter, so finding the symbols
 // present costs the blocks touched, not the 1 MB table. Histograms recycle
-// through histPool and are handed back all zero: Plan.collect clears what
+// through histPool and are handed back all zero: collect clears what
 // it reads, and nothing else is ever set.
 //
 // No counter can wrap: codec.CheckDims caps a grid, and so a stream, at 2³³
@@ -67,15 +63,15 @@ type laneOut struct {
 	bit, end int
 }
 
-// Plan is an encode with every byte placed and no payload byte written: the
+// plan is an encode with every byte placed and no payload byte written: the
 // stream is histogrammed, its code table built, and the header, the lane
-// directory and each lane's offset and length are known, so the caller can
-// allocate the blob (or its place inside a larger section) at its exact
-// size and have the lanes written straight into it, on as many goroutines
-// as there are lanes. The planned codes must not change until the lanes are
-// written. Plans recycle through a pool: Release one when its lanes are
+// directory and each lane's offset and length are known, so the blob is
+// allocated once, at its exact size, and the lanes are written straight
+// into it. Each lane stores only into its own bytes, so lanes may be written
+// concurrently. The planned codes must not change until the lanes are
+// written. Plans recycle through a pool: release one when its lanes are
 // written, and do not use it afterwards.
-type Plan struct {
+type plan struct {
 	buildScratch
 	codes []uint16
 	// head is everything ahead of the payload: symbol count and code-length
@@ -89,15 +85,12 @@ type Plan struct {
 	packed []uint64 // packed[i] = code<<8 | len of table[i], the code in transmitted order
 }
 
-var planPool = sync.Pool{New: func() any { return new(Plan) }}
+var planPool = sync.Pool{New: func() any { return new(plan) }}
 
-// NewPlan plans the EncodeLanes blob of codes. All values must be < alphabet.
-func NewPlan(codes []uint16, alphabet int) *Plan {
-	return newPlan(codes, alphabet, numLanes)
-}
-
-func newPlan(codes []uint16, alphabet, lanes int) *Plan {
-	p := planPool.Get().(*Plan)
+// newPlan plans the blob of codes in lanes lanes: numLanes for EncodeLanes'
+// layout, 1 for Encode's. All values must be < alphabet.
+func newPlan(codes []uint16, alphabet, lanes int) *plan {
+	p := planPool.Get().(*plan)
 	p.codes = codes
 	h := histPool.Get().(*laneHist)
 	h.add(codes)
@@ -175,26 +168,20 @@ func (p *buildScratch) collect(h *laneHist, alphabet int) {
 	}
 }
 
-// Size is the exact byte length of the planned blob.
-func (p *Plan) Size() int { return p.size }
-
-// Release hands the plan's buffers back. The plan must not be used again.
-func (p *Plan) Release() {
+// release hands the plan's buffers back. The plan must not be used again.
+func (p *plan) release() {
 	p.codes = nil
 	planPool.Put(p)
 }
 
-// WriteLane writes lane k of the planned blob into dst, which must hold
-// Size bytes: the lane's codes go straight to their final offset, and lane 0
-// also stores what precedes the payload. Lanes own disjoint bytes of dst and
-// no lane stores outside its own, so the Lanes calls may run concurrently.
-func (p *Plan) WriteLane(dst []byte, k int) { p.writeLanes(dst, k, k+1) }
-
-// writeLanes writes the lanes [from, to) of the planned blob into dst. The
-// code table is spread over the whole symbol range first — a dirty
+// writeLanes writes the lanes [from, to) of the planned blob into dst, which
+// must hold p.size bytes: each lane's codes go straight to their final
+// offset, and lane 0 also stores what precedes the payload. Lanes own
+// disjoint bytes of dst, so calls for disjoint ranges may run concurrently.
+// The code table is spread over the whole symbol range first — a dirty
 // scratch.U64 lease set at the present symbols, the only ones looked up —
 // so the loops index it by the symbol alone, with no bounds to check.
-func (p *Plan) writeLanes(dst []byte, from, to int) {
+func (p *plan) writeLanes(dst []byte, from, to int) {
 	dst = dst[:p.size]
 	if from == 0 {
 		copy(dst, p.head)
@@ -283,19 +270,17 @@ func Encode(codes []uint16, alphabet int) []byte {
 // breaks the decoder's single bit-serial dependency chain — the lanes
 // decode two at a time in lockstep on one goroutine (hiding table-load
 // latency behind two independent chains) or on parallel.For workers for
-// large streams. The blob is planned before it is written (Plan), so the
+// large streams. The blob is planned before it is written (plan), so the
 // directory is known ahead of the lanes and the buffer is allocated once, at
-// its exact size; callers that place the blob inside a section of their own,
-// or write the lanes in parallel, use NewPlan directly.
-// All values must be < alphabet.
+// its exact size. All values must be < alphabet.
 func EncodeLanes(codes []uint16, alphabet int) []byte {
-	return NewPlan(codes, alphabet).encode()
+	return newPlan(codes, alphabet, numLanes).encode()
 }
 
 // encode writes every lane of p into a fresh buffer and releases p.
-func (p *Plan) encode() []byte {
+func (p *plan) encode() []byte {
 	out := make([]byte, p.size)
 	p.writeLanes(out, 0, p.nl)
-	p.Release()
+	p.release()
 	return out
 }
