@@ -1,13 +1,18 @@
 package stzd
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,16 +81,96 @@ func TestROIBodyCappedBeforeForwarding(t *testing.T) {
 	}
 
 	for name, s := range map[string]*Server{"non-owner": c.Nodes[0], "single-node": single} {
-		body := &spaces{n: 8 << 20}
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/archives/"+id+"/roi", body))
-		if body.read > 1<<20+1 {
-			t.Errorf("%s: read %d body bytes of a ROI request, want at most 1 MiB + 1", name, body.read)
+		// Unknown length, and a declared one the cap refuses unread.
+		for _, declared := range []bool{false, true} {
+			body := &spaces{n: 8 << 20}
+			req := httptest.NewRequest(http.MethodPost, "/v1/archives/"+id+"/roi", body)
+			if declared {
+				req.ContentLength = body.n
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if body.read > 1<<20+1 {
+				t.Errorf("%s (declared %v): read %d body bytes of a ROI request, want at most 1 MiB + 1", name, declared, body.read)
+			}
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s (declared %v): status %d, want 400 (%s)", name, declared, rec.Code, rec.Body)
+			}
+			assertEnvelope(t, rec.Body.Bytes(), CodeBadRequest)
 		}
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (%s)", name, rec.Code, rec.Body)
+	}
+}
+
+// allocated is how many heap bytes the process allocated while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPutDeclaredLengths: a PUT body is stored byte for byte whether it
+// declares its length or arrives chunked; one past -max-body is 413
+// either way; and a Content-Length near the default 1 GiB -max-body that
+// only 10 bytes back is 400 bad_request without the node allocating the
+// declared length.
+func TestPutDeclaredLengths(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
+	enc, _ := encodeGrid(t, 35)
+	for name, body := range map[string]io.Reader{
+		"declared": bytes.NewReader(enc),
+		"chunked":  io.MultiReader(bytes.NewReader(enc)), // no length: sent chunked
+	} {
+		if resp, b := do(t, http.MethodPut, ts.URL+"/v1/archives/"+name, body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s PUT: status %d, want 201 (%s)", name, resp.StatusCode, b)
 		}
-		assertEnvelope(t, rec.Body.Bytes(), CodeBadRequest)
+		if raw, _, ok := s.store.getRaw(name); !ok || !bytes.Equal(raw, enc) {
+			t.Fatalf("%s PUT: stored %d bytes, want the %d-byte archive byte for byte", name, len(raw), len(enc))
+		}
+	}
+
+	small := testServer(t, Options{Workers: 1, MaxBody: int64(len(enc)) - 1})
+	for name, body := range map[string]io.Reader{
+		"declared": bytes.NewReader(enc),
+		"chunked":  io.MultiReader(bytes.NewReader(enc)),
+	} {
+		resp, b := do(t, http.MethodPut, small.URL+"/v1/archives/big", body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s PUT past -max-body: status %d, want 413 (%s)", name, resp.StatusCode, b)
+		}
+		assertEnvelope(t, b, CodePayloadTooLarge)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var resp *http.Response
+	grew := allocated(func() {
+		fmt.Fprintf(conn, "PUT /v1/archives/liar HTTP/1.1\r\nHost: stzd\r\nContent-Length: %d\r\n\r\n0123456789", s.opts.MaxBody-1)
+		if err = conn.(*net.TCPConn).CloseWrite(); err == nil {
+			resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT declaring %d bytes with 10 sent: status %d, want 400 (%s)", s.opts.MaxBody-1, resp.StatusCode, b)
+	}
+	assertEnvelope(t, b, CodeBadRequest)
+	if grew > 4*bodyStep {
+		t.Fatalf("PUT declaring %d bytes with 10 sent: heap grew %d bytes, want at most %d", s.opts.MaxBody-1, grew, 4*bodyStep)
+	}
+	if _, _, ok := s.store.getRaw("liar"); ok {
+		t.Fatal("a short body was stored")
 	}
 }
 
@@ -155,10 +240,11 @@ func TestFanoutLegAnswerBounded(t *testing.T) {
 	}
 }
 
-// TestReadCapped: a peer answer with a declared length within the cap is
-// read into one buffer of exactly that length, a body that ends short of
-// its declared length is io.ErrUnexpectedEOF, and an answer past the cap
-// is refused whether its length is declared or not.
+// TestReadCapped: a body with a declared length within the cap is read
+// into one buffer of exactly that length up to bodyStep and grown past
+// it, a body that ends short of its declared length is
+// io.ErrUnexpectedEOF, and a body past the cap is refused with an
+// *http.MaxBytesError whether its length is declared or not.
 func TestReadCapped(t *testing.T) {
 	const limit = 64
 	for _, tc := range []struct {
@@ -180,10 +266,11 @@ func TestReadCapped(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			body := bytes.Repeat([]byte("s"), tc.body)
 			data, err := readCapped(bytes.NewReader(body), tc.size, limit)
+			var mbe *http.MaxBytesError
 			switch {
 			case tc.wantErr == errLong:
-				if err == nil || !strings.Contains(err.Error(), "longer than") {
-					t.Fatalf("err = %v, want a too-long refusal", err)
+				if !errors.As(err, &mbe) || mbe.Limit != limit {
+					t.Fatalf("err = %v, want a MaxBytesError at %d", err, limit)
 				}
 			case tc.wantErr != nil:
 				if err != tc.wantErr {
@@ -199,9 +286,28 @@ func TestReadCapped(t *testing.T) {
 		})
 	}
 
+	// Past bodyStep a declared body is read growing, and a declared
+	// length no bytes back costs no more than a step or two.
+	big := bytes.Repeat([]byte("b"), 3*bodyStep+5)
+	if data, err := readCapped(bytes.NewReader(big), int64(len(big)), 1<<30); err != nil || !bytes.Equal(data, big) {
+		t.Fatalf("a %d-byte declared body: read %d bytes, err %v", len(big), len(data), err)
+	}
+	var err error
+	if grew := allocated(func() { _, err = readCapped(strings.NewReader("0123456789"), 1<<30, 1<<30) }); grew > 2*bodyStep {
+		t.Fatalf("10 bytes declaring 1 GiB: allocated %d bytes, want at most %d", grew, 2*bodyStep)
+	}
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("10 bytes declaring 1 GiB: err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+
 	// Through proxyRead, a peer's short body stays off the wire: nothing
 	// is committed and the walk may fail over.
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/liar" {
+			w.Header().Set("Content-Length", strconv.Itoa(1<<30-1))
+			w.Write([]byte("0123456789"))
+			return
+		}
 		faultinject.WriteTruncated(w, bytes.Repeat([]byte("t"), 4096))
 	}))
 	defer peer.Close()
@@ -215,6 +321,19 @@ func TestReadCapped(t *testing.T) {
 	}
 	if rec.Body.Len() != 0 {
 		t.Fatalf("short peer body: %d bytes reached the client", rec.Body.Len())
+	}
+
+	// Through peerDo, a peer answer declaring about the whole -max-body
+	// with 10 bytes sent is an error that never sized a buffer from the
+	// header.
+	grew := allocated(func() {
+		_, _, _, err = s.peerDo(context.Background(), http.MethodGet, addr, "/liar", nil, nil, s.opts.MaxBody)
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("peer answer declaring 1 GiB with 10 bytes sent: err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if grew > 4*bodyStep {
+		t.Fatalf("peer answer declaring 1 GiB with 10 bytes sent: heap grew %d bytes, want at most %d", grew, 4*bodyStep)
 	}
 }
 
@@ -332,6 +451,11 @@ func FuzzArchiveRequest(f *testing.F) {
 		{"GET", "ok/box", "box=0:6,0:12,0:12", "", true, nil},
 		{"PUT", "ok", "", "Forwarded=peer:1\nWrite-Time=9000000000000000000", false, stz},
 		{"GET", "stz/raw", "", "", false, nil},
+		// Declared lengths the body does not match: short, longer than
+		// -max-body, and shorter than the body.
+		{"PUT", "ok", "", "Content-Length=1048575", false, sz3},
+		{"PUT", "ok", "", "Content-Length=1048577", false, sz3},
+		{"PUT", "ok", "", "Content-Length=10", false, sz3},
 	} {
 		f.Add(method(s.method), s.suffix, s.query, s.headers, s.section, s.body)
 	}
@@ -346,7 +470,15 @@ func FuzzArchiveRequest(f *testing.F) {
 			return
 		}
 		for _, line := range strings.Split(headers, "\n") {
-			if k, v, ok := strings.Cut(line, "="); ok {
+			k, v, ok := strings.Cut(line, "=")
+			switch {
+			case !ok:
+			case k == "Content-Length":
+				// A length the body need not back, as any client may declare.
+				if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
+					req.ContentLength = n
+				}
+			default:
 				req.Header.Set("X-Stz-"+k, v)
 			}
 		}

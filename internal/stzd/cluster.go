@@ -254,31 +254,58 @@ func (s *Server) peerDo(ctx context.Context, method, peer, path string, hdr http
 	}
 	defer resp.Body.Close()
 	data, err := readCapped(resp.Body, resp.ContentLength, limit)
+	if err != nil {
+		err = fmt.Errorf("reading %s answer: %w", peer, err)
+	}
 	return resp.StatusCode, resp.Header, data, err
 }
 
-// readCapped reads a peer's body whole, refusing one longer than limit.
-// size is the length the answer declares, -1 when unknown. A declared
-// length within limit is read into one buffer of exactly that size, and
-// a body that ends short of it is io.ErrUnexpectedEOF; an unknown one is
-// read growing, up to limit.
+// bodyStep bounds how far a body buffer runs ahead of the bytes that
+// arrived: a declared length no bytes back costs at most this much.
+const bodyStep = 1 << 20
+
+// readCapped is the one reader of a whole body, a request's in the chain
+// and a peer's answer in peerDo, refusing one longer than limit with an
+// *http.MaxBytesError — the error the chain's MaxBytesReader gives, so a
+// request answers the same whichever of the two notices. size is the
+// length the body declares, -1 when unknown. A declared length is
+// untrusted: its buffer starts at min(size, bodyStep) and doubles towards
+// size only as bytes fill it, so a body up to bodyStep is one exact
+// allocation and a header no bytes back cannot size one. A body that
+// ends short of its declared length is io.ErrUnexpectedEOF. An unknown
+// length is read growing from 512 bytes, up to limit.
 func readCapped(r io.Reader, size, limit int64) ([]byte, error) {
 	if size > limit {
-		return nil, fmt.Errorf("peer answer of %d bytes is longer than %d", size, limit)
+		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	if size >= 0 {
-		data := make([]byte, size)
-		n, err := io.ReadFull(r, data)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	want, first := size, min(size, bodyStep)
+	if size < 0 {
+		want, first = limit+1, min(limit+1, 512)
+	}
+	buf := make([]byte, 0, first)
+	for int64(len(buf)) < want {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(want, 2*int64(cap(buf))))
+			copy(grown, buf)
+			buf = grown
 		}
-		return data[:n], err
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			if int64(len(buf)) < size {
+				return buf, io.ErrUnexpectedEOF
+			}
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err == nil && int64(len(data)) > limit {
-		err = fmt.Errorf("peer answer longer than %d bytes", limit)
+	if size < 0 {
+		// limit+1 bytes arrived: the body is longer than limit.
+		return buf, &http.MaxBytesError{Limit: limit}
 	}
-	return data, err
+	return buf, nil
 }
 
 // answered records the response one replica gave to a fanned-out write.

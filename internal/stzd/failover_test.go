@@ -56,7 +56,7 @@ func idWithOwners(t *testing.T, c *TestCluster, r, primary, exclude int) (string
 }
 
 // encodeGrid builds a small deterministic archive for replication tests.
-func encodeGrid(t *testing.T, seed int64) ([]byte, *grid.Grid[float32]) {
+func encodeGrid(t testing.TB, seed int64) ([]byte, *grid.Grid[float32]) {
 	t.Helper()
 	g := datasets.Nyx(12, 12, 12, seed)
 	enc, err := codec.Encode("sz3", g, codec.Config{EB: 0.05, Chunks: 2})

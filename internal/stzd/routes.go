@@ -1,7 +1,6 @@
 package stzd
 
 import (
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -22,8 +21,9 @@ type route struct {
 	method, pattern string // method "" serves every method
 	place           placement
 	// body caps the request body. An archive route reads it whole before
-	// placement, so fan-out legs, failover attempts and the local handler
-	// share one copy; a placeLocal route streams it.
+	// placement (readCapped: one buffer of its declared length), so
+	// fan-out legs, failover attempts and the local handler share one
+	// copy; a placeLocal route streams it.
 	body int64
 	h    func(http.ResponseWriter, *call)
 }
@@ -130,7 +130,7 @@ func (s *Server) chain(rt route) http.HandlerFunc {
 				r.Body = body
 			} else {
 				var err error
-				if c.body, err = io.ReadAll(body); err != nil {
+				if c.body, err = readCapped(body, r.ContentLength, rt.body); err != nil {
 					s.requestError(w, err)
 					return
 				}

@@ -3,12 +3,17 @@ package stzd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,12 +328,21 @@ func TestHintReplayRespectsNewerWrite(t *testing.T) {
 }
 
 // TestManifestEndpoint: the node digest lists resident archives with
-// write-time, length, and checksum, and deleted ids as tombstones.
+// write-time, length, and checksum, and deleted ids as tombstones. Every
+// sum is the 16-hex-digit FNV-64a of the bytes the node stores, though it
+// is computed on the first manifest rather than on the write, and the
+// document is the same bytes for the same store contents.
 func TestManifestEndpoint(t *testing.T) {
-	ts := testServer(t, Options{Workers: 1})
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
 	enc, _ := encodeGrid(t, 27)
+	other, _ := encodeGrid(t, 28)
 	putArchive(t, ts.URL, "kept", enc)
 	putArchive(t, ts.URL, "gone", enc)
+	putArchive(t, ts.URL, "replaced", enc)
+	putArchive(t, ts.URL, "replaced", other)
 	if resp, _ := do(t, http.MethodDelete, ts.URL+"/v1/archives/gone", nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
@@ -348,12 +362,173 @@ func TestManifestEndpoint(t *testing.T) {
 	if e.Bytes != int64(len(enc)) || e.MTime <= 0 || len(e.Sum) != 16 {
 		t.Fatalf("manifest entry = %+v, want %d bytes, positive mtime, 16-hex sum", e, len(enc))
 	}
+	if len(m.Archives) != 2 {
+		t.Fatalf("manifest lists %d archives, want kept and replaced: %+v", len(m.Archives), m.Archives)
+	}
+	for id, e := range m.Archives {
+		raw, _, ok := s.store.getRaw(id)
+		if !ok {
+			t.Fatalf("manifest lists %q, which the store does not hold", id)
+		}
+		if want := fnvHex(raw); e.Sum != want || e.Bytes != int64(len(raw)) {
+			t.Fatalf("manifest[%q] = %+v, want sum %s of the %d stored bytes", id, e, want, len(raw))
+		}
+	}
 	if _, ok := m.Archives["gone"]; ok {
 		t.Fatal("deleted archive still listed in manifest")
 	}
 	if _, ok := m.Tombstones["gone"]; !ok {
 		t.Fatalf("manifest missing tombstone for deleted id: %+v", m.Tombstones)
 	}
+	if _, again := do(t, http.MethodGet, ts.URL+"/v1/manifest", nil); !bytes.Equal(again, body) {
+		t.Fatalf("a second manifest of the same store differs:\n%s\n%s", body, again)
+	}
+}
+
+// fnvHex is the manifest's spelling of data's checksum: its FNV-64a as
+// 16 hex digits.
+func fnvHex(data []byte) string {
+	h := fnv.New64a()
+	h.Write(data)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestManifestUnderWrites: manifests taken while PUTs and DELETEs replace
+// and remove the same ids only ever list a (length, sum) pair of an
+// archive that was written. Run under -race it checks that an entry's
+// lazily computed sum is safe beside the writes.
+func TestManifestUnderWrites(t *testing.T) {
+	st := newArchiveStore(1<<30, 4, 1)
+	var archives [3][]byte
+	written := map[manifestEntry]bool{}
+	for i := range archives {
+		archives[i], _ = encodeGrid(t, int64(40+i))
+		written[manifestEntry{Bytes: int64(len(archives[i])), Sum: fnvHex(archives[i])}] = true
+	}
+	ids := []string{"a", "b", "c", "d"}
+	var clock atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				id := ids[(i+w)%len(ids)]
+				if i%5 == 4 {
+					st.delete(id, clock.Add(1))
+					continue
+				}
+				if _, _, err := st.put(id, archives[(i+w)%len(archives)], clock.Add(1)); err != nil && !errors.Is(err, errStaleWrite) {
+					t.Errorf("put %s: %v", id, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				got, _ := st.manifest()
+				for id, e := range got {
+					if !written[manifestEntry{Bytes: e.Bytes, Sum: e.Sum}] {
+						t.Errorf("manifest[%q] = %+v: no archive written has this length and sum", id, e)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// manifestPeer is a fake co-owner: it answers GET /v1/manifest with doc
+// and every other request — a push — with 201, recording it.
+type manifestPeer struct {
+	doc    []byte
+	pushes []string // "METHOD path" of each request other than the manifest fetch
+}
+
+func (p *manifestPeer) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	status, body := http.StatusCreated, []byte(nil)
+	if req.Method == http.MethodGet && req.URL.Path == "/v1/manifest" {
+		status, body = http.StatusOK, p.doc
+	} else {
+		p.pushes = append(p.pushes, req.Method+" "+req.URL.Path)
+	}
+	return &http.Response{
+		Status: http.StatusText(status), StatusCode: status,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: http.Header{},
+		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)), Request: req,
+	}, nil
+}
+
+// FuzzManifest feeds arbitrary bytes as a co-owner's /v1/manifest answer
+// through one anti-entropy round (fetch, parse, diffAndPush) of a node
+// holding two archives and a tombstone. Nothing may panic; a document
+// that does not decode pushes and deletes nothing, here or at the peer;
+// and any push names an id this node held — a PUT an archive, a DELETE a
+// tombstone.
+func FuzzManifest(f *testing.F) {
+	a, _ := encodeGrid(f, 50)
+	b, _ := encodeGrid(f, 51)
+	for _, doc := range []string{
+		`{"archives":{},"tombstones":{}}`,
+		`{"archives":{"a":{"mtime":10,"bytes":1,"sum":"ffffffffffffffff"},"b":{"mtime":99,"bytes":1,"sum":"00"}}}`,
+		`{"archives":{"a":{"mtime":5}},"tombstones":{"b":99}}`,
+		`{"archives":{"c":{"mtime":1,"bytes":3,"sum":"0000000000000001"}},"tombstones":{"a":10}}`,
+		`null`,
+		``,
+		`not json`,
+		`{"archives":[]}`,
+		`{"archives":{"a":{"mtime":"10"}}}`,
+		`{"archives":{"a":null},"tombstones":{"a":-1}}`,
+		`{"tombstones":{"b":20}} trailing`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		peer := &manifestPeer{doc: doc}
+		s := New(Options{
+			Workers: 1, Self: "self:1", Peers: []string{"self:1", "peer:1"}, Replicas: 2,
+			AntiEntropyInterval: -1, HintRetryInterval: time.Hour,
+			WrapTransport: func(http.RoundTripper) http.RoundTripper { return peer },
+		})
+		defer s.Close()
+		if _, _, err := s.store.put("a", a, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.store.put("b", b, 20); err != nil {
+			t.Fatal(err)
+		}
+		s.store.delete("c", 30)
+		archives, tombs := s.store.manifest()
+
+		s.antiEntropyRound()
+
+		if json.Unmarshal(doc, new(manifestJSON)) != nil {
+			if len(peer.pushes) > 0 {
+				t.Fatalf("an undecodable manifest drew pushes %v", peer.pushes)
+			}
+			after, afterTombs := s.store.manifest()
+			if !maps.Equal(after, archives) || !maps.Equal(afterTombs, tombs) {
+				t.Fatalf("an undecodable manifest changed the local store: %v %v, was %v %v", after, afterTombs, archives, tombs)
+			}
+		}
+		for _, p := range peer.pushes {
+			method, id, _ := strings.Cut(p, " /v1/archives/")
+			_, isArchive := archives[id]
+			_, isTomb := tombs[id]
+			if (method == http.MethodPut && !isArchive) || (method == http.MethodDelete && !isTomb) ||
+				(method != http.MethodPut && method != http.MethodDelete) {
+				t.Fatalf("push %q names nothing this node held (archives %v, tombstones %v)", p, archives, tombs)
+			}
+		}
+	})
 }
 
 // TestFetchManifestBounded: a peer's manifest is untrusted input, read

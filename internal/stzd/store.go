@@ -72,14 +72,29 @@ type archiveEntry struct {
 	size    int64  // raw archive bytes
 	cost    int64  // bytes charged against the shard budget
 	modTime int64  // LWW write-time (unix nanos) stamped by the write coordinator
-	sum     uint64 // FNV-64a of the raw bytes, for manifest diffs
 	raw     []byte // the stored archive bytes (the querier holds views into them)
 	q       querier
+
+	sumOnce sync.Once
+	sumVal  uint64 // set by sumOnce; read through sum
 }
 
 // hdr is the entry's stream metadata (held by the querier's reader; not
 // duplicated here).
 func (e *archiveEntry) hdr() codec.Header { return e.q.header() }
+
+// sum is the FNV-64a of the raw bytes, for manifest diffs. The manifest
+// is its only reader, so it is computed there, once per entry: a write
+// never pays for it, and an entry replaced before any manifest sees it
+// is never hashed. raw never changes after put, so no lock is needed.
+func (e *archiveEntry) sum() uint64 {
+	e.sumOnce.Do(func() {
+		h := fnv.New64a()
+		h.Write(e.raw)
+		e.sumVal = h.Sum64()
+	})
+	return e.sumVal
+}
 
 func newArchiveStore(budget int64, nShards, workers int) *archiveStore {
 	if nShards < 1 {
@@ -119,10 +134,8 @@ func (s *archiveStore) put(id string, data []byte, at int64) (*archiveEntry, boo
 	if err != nil {
 		return nil, false, err
 	}
-	h := fnv.New64a()
-	h.Write(data)
 	e := &archiveEntry{id: id, gen: s.gen.Add(1), size: int64(len(data)), cost: q.cost(),
-		modTime: at, sum: h.Sum64(), raw: data, q: q}
+		modTime: at, raw: data, q: q}
 	if e.cost > s.perShard {
 		return nil, false, fmt.Errorf("%w: needs %d budget bytes, shard budget is %d",
 			errStoreBudget, e.cost, s.perShard)
@@ -242,22 +255,25 @@ type manifestEntry struct {
 
 // manifest snapshots the node's digest: every resident archive's
 // (write-time, length, checksum) plus the live tombstones — the
-// anti-entropy sweep's unit of comparison.
+// anti-entropy sweep's unit of comparison. The entries are listed under
+// each shard's lock and hashed after it is released, so a manifest never
+// holds up a PUT or GET on a shard while it hashes.
 func (s *archiveStore) manifest() (map[string]manifestEntry, map[string]int64) {
-	archives := map[string]manifestEntry{}
+	var entries []*archiveEntry
 	tombs := map[string]int64{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*archiveEntry)
-			archives[e.id] = manifestEntry{
-				MTime: e.modTime, Bytes: e.size, Sum: fmt.Sprintf("%016x", e.sum),
-			}
+			entries = append(entries, el.Value.(*archiveEntry))
 		}
 		for id, t := range sh.tombs {
 			tombs[id] = t
 		}
 		sh.mu.Unlock()
+	}
+	archives := make(map[string]manifestEntry, len(entries))
+	for _, e := range entries {
+		archives[e.id] = manifestEntry{MTime: e.modTime, Bytes: e.size, Sum: fmt.Sprintf("%016x", e.sum())}
 	}
 	return archives, tombs
 }
