@@ -13,7 +13,7 @@ import (
 )
 
 // Entry aliases the shared series-point schema; parsing and merging live
-// in internal/benchfmt so cmd/stzsuite emits the same shape.
+// in internal/benchfmt so cmd/stzload emits the same shape.
 type Entry = benchfmt.Entry
 
 // Regression is one benchmark metric that worsened beyond its threshold.

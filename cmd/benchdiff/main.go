@@ -4,24 +4,22 @@
 //
 //	go test -run '^$' -bench . -benchtime 1x ./... | benchdiff convert -out bench.json
 //	benchdiff compare -old baseline.json -new bench.json -threshold 1.30
-//	benchdiff compare -old bench/BENCH_2026-08-08_quick.json -new new.json \
-//	  -metric ratio:1.5:higher -metric psnr_db:1.3:higher
-//	benchdiff validate -in bench/BENCH_2026-08-08_default.json
+//	benchdiff compare -old soak.json -new limited.json \
+//	  -metric p99_ns:1.5 -metric ok-%:1.02:higher
+//	benchdiff validate -in soak.json
 //
 // convert emits one entry per measured metric (ns/op, B/op, allocs/op and
 // any custom metrics), named like the window.BENCHMARK_DATA series that
 // benchmark-action/github-action-benchmark (tool: "go") builds: the plain
 // benchmark name carries ns/op, and secondary metrics get a " - <unit>"
 // suffix. compare accepts either that flat entry array or a full
-// window.BENCHMARK_DATA document (the BENCH_<date>.json files cmd/stzsuite
-// commits under bench/), gating on the document's newest run. It exits
-// non-zero when any ns/op entry regresses beyond the threshold ratio
-// against the baseline, when allocs/op regresses beyond -alloc-threshold,
-// or when a -metric gated custom unit (compression ratio, PSNR, …)
-// degrades beyond its own threshold in its own direction; benchmarks
-// present in only one file are reported but never fail the gate. validate
-// asserts a BENCH document is schema-valid, the smoke check CI runs on
-// freshly emitted suite output.
+// window.BENCHMARK_DATA document (what cmd/stzload writes), gating on the
+// document's newest run. It exits non-zero when any ns/op entry regresses
+// beyond the threshold ratio against the baseline, when allocs/op
+// regresses beyond -alloc-threshold, or when a -metric gated custom unit
+// (compression ratio, PSNR, …) degrades beyond its own threshold in its
+// own direction; benchmarks present in only one file are reported but
+// never fail the gate. validate asserts a BENCH document is schema-valid.
 package main
 
 import (

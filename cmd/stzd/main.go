@@ -75,9 +75,9 @@
 // -pprof (off by default) additionally mounts net/http/pprof under
 // /debug/pprof/ for live profiling of a loaded instance.
 //
-// The handler itself lives in internal/stzd so tests and the benchmark
-// suite driver (cmd/stzsuite) can embed the identical service in-process;
-// this command only binds flags and the listener around stzd.New.
+// The handler itself lives in internal/stzd so tests, cmd/stzload and the
+// benchmark (benchmark/) can embed the identical service in-process; this
+// command only binds flags and the listener around stzd.New.
 package main
 
 import (

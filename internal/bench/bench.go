@@ -1,6 +1,6 @@
 // Package bench provides the uniform codec facade and measurement runners
-// behind the experiment harness (cmd/stzbench) and the declarative suites
-// (cmd/stzsuite, cmd/stzload).
+// behind the experiment harness (cmd/stzbench), the go-bench benchmarks,
+// and the open-loop load generator cmd/stzload drives (loadgen.go).
 // It treats the five compressors of the paper's evaluation — STZ, SZ3,
 // SPERR-lite, ZFP-lite and MGARD-lite — through one interface so every
 // table and figure is generated by the same code path: all five are drawn

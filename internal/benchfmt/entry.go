@@ -1,10 +1,9 @@
 // Package benchfmt defines the benchmark-series interchange formats shared
-// by cmd/benchdiff and cmd/stzsuite: the flat entry list that
+// by cmd/benchdiff and cmd/stzload: the flat entry list that
 // benchmark-action/github-action-benchmark extracts from `go test -bench`
-// output (tool: "go"), and the full window.BENCHMARK_DATA document — the
-// BENCH_<date>.json files committed under bench/ — which wraps one suite
-// run's entries with its commit provenance so the perf trajectory of the
-// repo is diffable across history.
+// output (tool: "go"), and the full window.BENCHMARK_DATA document, which
+// wraps one run's entries with its commit provenance so runs stay
+// diffable across history.
 package benchfmt
 
 import (

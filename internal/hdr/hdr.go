@@ -1,11 +1,12 @@
 // Package hdr implements HDR-style log-linear latency histograms: fixed
 // bucket layout, constant-time recording, bounded relative error, and
-// lossless merging. It is the recording half of the open-loop soak
-// harness (cmd/stzload, the bench soak workload): each load worker owns
-// one Histogram and records into it without synchronization — recording
-// is a single array increment, lock-free because the histogram is
-// single-writer — and the workers' histograms are merged after the run,
-// which loses nothing because bucket counts are additive.
+// lossless merging. It is the recording half of the open-loop load
+// generator (internal/bench's RunLoad, which cmd/stzload drives): each
+// load worker owns one Histogram and records into it without
+// synchronization — recording is a single array increment, lock-free
+// because the histogram is single-writer — and the workers' histograms
+// are merged after the run, which loses nothing because bucket counts are
+// additive.
 //
 // The bucket layout is the hdrhistogram/gc_latency scheme: values below
 // 2*subCount fall into exact unit-width buckets, and each further

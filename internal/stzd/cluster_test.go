@@ -137,6 +137,30 @@ func TestClusterForwardingRoundTrip(t *testing.T) {
 		t.Fatalf("owner forwarded = %v, want 0", n)
 	}
 
+	// The same box twice through every node: each non-owner forwards both
+	// reads, and the owner's hot-box tier decodes the box once in all.
+	var before [3]float64
+	for i := range before {
+		before[i] = statNum(t, statsOf(t, c.URL(i)), "cluster", "forwarded")
+	}
+	for i := range before {
+		for range 2 {
+			resp, again := do(t, http.MethodGet, c.URL(i)+"/v1/archives/"+id+"/box?box=2:9,1:11,3:12", nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(again, body) {
+				t.Fatalf("box via node %d: status %d, %d bytes, want 200 and the first read's %d",
+					i, resp.StatusCode, len(again), len(body))
+			}
+		}
+	}
+	if n := statNum(t, statsOf(t, c.URL(1)), "box_cache", "decodes"); n != 1 {
+		t.Fatalf("owner box decodes = %v after 7 reads of one box, want 1", n)
+	}
+	for i, want := range []float64{before[0] + 2, 0, before[2] + 2} {
+		if n := statNum(t, statsOf(t, c.URL(i)), "cluster", "forwarded"); n != want {
+			t.Fatalf("node %d forwarded = %v, want %v", i, n, want)
+		}
+	}
+
 	// DELETE via node 2, then the archive is gone cluster-wide.
 	resp, _ = do(t, http.MethodDelete, c.URL(2)+"/v1/archives/"+id, nil)
 	if resp.StatusCode != http.StatusNoContent {

@@ -11,10 +11,9 @@ import (
 // StartTest starts an in-process stzd instance over httptest and returns
 // the running server. It is the one construction path shared by the stzd
 // test suite and by out-of-package consumers that need a live service
-// without a network deployment — most prominently the HTTP workload of
-// cmd/stzsuite, whose end-to-end cells must measure exactly the handler
-// stack the real daemon serves. The caller owns the returned server and
-// must Close it.
+// without a network deployment — cmd/stzload and the codec fidelity
+// floors, which must exercise exactly the handler stack the real daemon
+// serves. The caller owns the returned server and must Close it.
 func StartTest(o Options) *httptest.Server {
 	return httptest.NewServer(New(o))
 }
@@ -22,7 +21,7 @@ func StartTest(o Options) *httptest.Server {
 // TestCluster is a running in-process stzd cluster: n nodes on localhost
 // listeners, each built with the full static peer topology, forwarding
 // to each other over real HTTP. It backs the cluster tests and the
-// suite driver's cluster workload.
+// benchmark's serve workloads (benchmark/).
 type TestCluster struct {
 	// Servers are the running nodes, index-aligned with Addrs.
 	Servers []*httptest.Server

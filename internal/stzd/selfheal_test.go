@@ -10,6 +10,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"stz/internal/grid"
 	"stz/internal/retry"
 )
 
@@ -97,8 +99,9 @@ func forwardedWrite(t *testing.T, base, method, id string, body []byte, wt int64
 
 // TestHintedHandoffReplaysOnRecovery is the headline scenario: a PUT
 // coordinated while one owner is down succeeds on the surviving quorum
-// and queues a hint; when the owner comes back the hint replays, and
-// the revived node serves the archive from its own store.
+// and queues a hint, and box reads through either survivor return the
+// archive's bytes meanwhile; when the owner comes back the hint replays,
+// and the revived node serves the archive from its own store.
 func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	o := selfhealOpts()
 	o.Replicas = 3
@@ -124,6 +127,16 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	resp, body := do(t, http.MethodGet, c.URL(coord)+"/healthz", nil)
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"hint_backlog":1`)) {
 		t.Fatalf("healthz = %d %s, want hint_backlog 1", resp.StatusCode, body)
+	}
+
+	// Reads stay whole during the outage: each survivor holds a replica.
+	want := boxBytes(t, enc, grid.Box{Z0: 2, Z1: 10, Y0: 1, Y1: 9, X0: 0, X1: 12})
+	for _, i := range []int{0, 2} {
+		resp, body := do(t, http.MethodGet, c.URL(i)+"/v1/archives/"+id+"/box?box=2:10,1:9,0:12", nil)
+		if resp.StatusCode != http.StatusOK || !slices.Equal(decode32(t, body), want) {
+			t.Fatalf("box via survivor %d during the outage: status %d (%d bytes), want 200 and the box's %d values",
+				i, resp.StatusCode, len(body), len(want))
+		}
 	}
 
 	if err := c.Restart(victim); err != nil {
@@ -236,27 +249,25 @@ func TestAntiEntropyConvergesWipedNode(t *testing.T) {
 		return ok
 	})
 
-	// The sweeps that ran surface in stats on the pushing side.
-	healed := false
-	for i := 0; i < 3; i++ {
-		if i == victim {
-			continue
+	// The sweeps that ran surface in stats on the pushing side. A round
+	// books its counters when it completes, which can trail the push the
+	// refill above observed, so wait for them rather than read them once.
+	waitFor(t, 5*time.Second, "a completed round on every survivor and a repair on one", func() bool {
+		rounds, healed := true, false
+		for i := 0; i < 3; i++ {
+			if i == victim {
+				continue
+			}
+			st := statsOf(t, c.URL(i))
+			ae, ok := st["repair"].(map[string]any)["anti_entropy"].(map[string]any)
+			if !ok {
+				t.Fatalf("node %d stats missing anti_entropy: %v", i, st["repair"])
+			}
+			rounds = rounds && ae["rounds"].(float64) >= 1
+			healed = healed || ae["repaired"].(float64) >= 1 && ae["divergences"].(float64) >= 1
 		}
-		st := statsOf(t, c.URL(i))
-		ae, ok := st["repair"].(map[string]any)["anti_entropy"].(map[string]any)
-		if !ok {
-			t.Fatalf("node %d stats missing anti_entropy: %v", i, st["repair"])
-		}
-		if ae["rounds"].(float64) < 1 {
-			t.Fatalf("node %d anti-entropy rounds = %v, want >= 1", i, ae["rounds"])
-		}
-		if ae["repaired"].(float64) >= 1 && ae["divergences"].(float64) >= 1 {
-			healed = true
-		}
-	}
-	if !healed {
-		t.Fatal("no peer reports an anti-entropy repair")
-	}
+		return rounds && healed
+	})
 }
 
 // TestAntiEntropyTombstoneNoResurrect: one replica holds the archive,

@@ -1,9 +1,9 @@
 // Package stzd implements the stzd HTTP service: streaming
 // compress/decompress endpoints and the resident-archive random-access
 // query API in front of internal/codec. Command stzd (cmd/stzd) is a thin
-// flag wrapper around New; the stzd tests and the suite driver
-// (cmd/stzsuite) embed the same handler in-process through StartTest, so
-// every consumer shares one construction path.
+// flag wrapper around New; the stzd tests and cmd/stzload embed the same
+// handler in-process through StartTest, so every consumer shares one
+// construction path.
 package stzd
 
 import (

@@ -18,7 +18,7 @@ import (
 )
 
 // testServer wraps the exported StartTest harness — the same in-process
-// setup path cmd/stzsuite's HTTP workload uses — adding test cleanup.
+// setup path cmd/stzload uses — adding test cleanup.
 func testServer(t *testing.T, o Options) *httptest.Server {
 	t.Helper()
 	ts := StartTest(o)
