@@ -164,22 +164,12 @@ func classStream(b *testing.B, side int, rel float64, fromEnd int) (blob []byte,
 }
 
 // brickCodes decodes the codes of a core class section of class dims d, in
-// brick order (FORMAT.md §3): the section is the escape count, the code
-// header, a u16 byte length per brick lane (and, with escapes, a u16 escape
-// count per brick), the float32 escape values, then one lane per brick of
-// 8×16×32 class points (z×y×x, clipped at the far faces), in brick order.
-// Static Huffman sizes do not depend on symbol order, so the brick-ordered
-// codes code to the class's own bits.
+// brick order (FORMAT.md §3): the section is the escape count, then a
+// laned section (§5) of one lane per brick of 8×16×32 class points (z×y×x,
+// clipped at the far faces), in brick order, with the float32 escape
+// values inline. Static Huffman sizes do not depend on symbol order, so the
+// brick-ordered codes code to the class's own bits.
 func brickCodes(b *testing.B, sec []byte, d [3]int) []uint16 {
-	nOut := int(binary.LittleEndian.Uint32(sec))
-	cr, n, headLen, err := huffman.ReadCode(sec[4:], quantAlphabet, d[0]*d[1]*d[2])
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cr.Release()
-	if n != d[0]*d[1]*d[2] {
-		b.Fatalf("class section codes %d symbols, want %d", n, d[0]*d[1]*d[2])
-	}
 	var sizes []int
 	for z := 0; z < d[0]; z += 8 {
 		for y := 0; y < d[1]; y += 16 {
@@ -188,21 +178,19 @@ func brickCodes(b *testing.B, sec []byte, d [3]int) []uint16 {
 			}
 		}
 	}
-	dir, entries := 4+headLen, len(sizes)
-	if nOut > 0 {
-		entries *= 2
+	nOut := int(binary.LittleEndian.Uint32(sec))
+	s, err := huffman.OpenSection(sec[4:], quantAlphabet, sizes, nOut, 4*nOut)
+	if err != nil {
+		b.Fatal(err)
 	}
-	off, at := dir+2*entries+4*nOut, 0
-	codes := make([]uint16, n)
-	for i, size := range sizes {
-		l := int(binary.LittleEndian.Uint16(sec[dir+2*i:]))
-		if _, err := cr.Decode(sec, codes, huffman.Lane{Start: off, End: off + l, At: at, Stop: at + size}); err != nil {
-			b.Fatal(err)
-		}
-		off, at = off+l, at+size
+	defer s.Release()
+	all := make([]int32, len(sizes))
+	for i := range all {
+		all[i] = int32(i)
 	}
-	if off != len(sec) {
-		b.Fatalf("brick lanes end at %d of a %d-byte section", off, len(sec))
+	codes := make([]uint16, d[0]*d[1]*d[2])
+	if err := s.Decode(all, codes, 1, func(huffman.LaneCodes) {}); err != nil {
+		b.Fatal(err)
 	}
 	return codes
 }

@@ -256,11 +256,10 @@ func sz3LaneSeeds(tb testing.TB) [][]byte {
 		tb.Fatal("seed payload is not a v3 sz3 stream with escapes")
 	}
 	hoff := len(sec) - int(binary.LittleEndian.Uint32(sec[36:]))
-	cr, _, headLen, err := huffman.ReadCode(sec[hoff:], 2*int(binary.LittleEndian.Uint32(sec[28:])), 0)
+	_, headLen, err := huffman.HeaderLen(sec[hoff:], 2*int(binary.LittleEndian.Uint32(sec[28:])))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cr.Release()
 	lanes, s := 0, 2
 	for s < 40-1 {
 		s <<= 1

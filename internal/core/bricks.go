@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"stz/internal/grid"
-)
+import "stz/internal/grid"
 
 // A v4 class stream is tiled into bricks of the class grid, brickZ×brickY×
 // brickX class points (z×y×x; the last brick along an axis is clipped to the
@@ -14,15 +10,6 @@ import (
 const (
 	brickZ, brickY, brickX = 8, 16, 32
 	brickLen               = brickZ * brickY * brickX
-)
-
-// Typed failures of a v4 class section's directory, checked before it
-// sizes anything.
-var (
-	errBrickDir    = errors.New("core: brick directory truncated")
-	errLaneBounds  = errors.New("core: brick lanes do not fill their section")
-	errEscapeCount = errors.New("core: brick escape counts disagree with the outliers")
-	errLaneOverrun = errors.New("core: brick lane holds more than its brick's symbols")
 )
 
 // bricks is the brick tiling of one class grid of dims d: n bricks along

@@ -121,11 +121,10 @@ func finestBrickSection(tb testing.TB, name string, c int) brickSection {
 		bs := brickSection{enc: enc, idx: r.classSection(p, c), nb: newBricks([3]int{bz, by, bx}).count(), escs: -1}
 		bs.sec = section(tb, enc, bs.idx)
 		q := quant.Quantizer{EB: r.levelEB(p + 2), Radius: r.hdr.Radius}
-		cr, _, headLen, err := huffman.ReadCode(bs.sec[4:], q.Alphabet(), 0)
+		_, headLen, err := huffman.HeaderLen(bs.sec[4:], q.Alphabet())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cr.Release()
 		bs.lens = 4 + headLen
 		if binary.LittleEndian.Uint32(bs.sec) > 0 {
 			bs.escs = bs.lens + 2*bs.nb
@@ -148,10 +147,12 @@ func addU16(sec []byte, off, d int) {
 }
 
 // TestBrickDirectoryRejected: each check of a version-4 class section's
-// directory fails a full decode with its own typed error — a section cut
-// inside the directory, lanes that do not fill the section, escape counts
-// that do not add up (in sum, or brick by brick), and a lane with bytes
-// past its brick's symbols.
+// directory fails a full decode with its own typed error, the laned
+// section's (huffman.OpenSection) — a section cut inside the directory,
+// lanes that do not fill the section, escape counts that do not add up (in
+// sum, or brick by brick), a lane with bytes past its brick's symbols, and
+// a code count that is not the class grid's (the coarser level's section
+// in the finest's place).
 func TestBrickDirectoryRejected(t *testing.T) {
 	bs := finestBrickSection(t, "L3-f64-outliers", 0)
 	if bs.escs < 0 || bs.nb < 3 {
@@ -163,23 +164,24 @@ func TestBrickDirectoryRejected(t *testing.T) {
 		mut  func([]byte) []byte
 		want error
 	}{
-		{"cut in the lane lengths", func(s []byte) []byte { return s[:bs.lens+1] }, errBrickDir},
-		{"cut in the escape counts", func(s []byte) []byte { return s[:bs.escs+2*bs.nb-1] }, errBrickDir},
-		{"lane longer than the section", func(s []byte) []byte { addU16(s, bs.lens, 1); return s }, errLaneBounds},
-		{"lane shorter than the section", func(s []byte) []byte { addU16(s, last, -1); return s }, errLaneBounds},
-		{"lane past the section's end", func(s []byte) []byte { addU16(s, bs.lens, 0x8000); return s }, errLaneBounds},
-		{"escape counts sum high", func(s []byte) []byte { addU16(s, bs.escs, 1); return s }, errEscapeCount},
-		{"escape counts sum low", func(s []byte) []byte { addU16(s, bs.escs+2, -1); return s }, errEscapeCount},
+		{"cut in the lane lengths", func(s []byte) []byte { return s[:bs.lens+1] }, huffman.ErrLaneDir},
+		{"cut in the escape counts", func(s []byte) []byte { return s[:bs.escs+2*bs.nb-1] }, huffman.ErrLaneDir},
+		{"lane longer than the section", func(s []byte) []byte { addU16(s, bs.lens, 1); return s }, huffman.ErrLaneBounds},
+		{"lane shorter than the section", func(s []byte) []byte { addU16(s, last, -1); return s }, huffman.ErrLaneBounds},
+		{"lane past the section's end", func(s []byte) []byte { addU16(s, bs.lens, 0x8000); return s }, huffman.ErrLaneBounds},
+		{"escape counts sum high", func(s []byte) []byte { addU16(s, bs.escs, 1); return s }, huffman.ErrEscapeCount},
+		{"escape counts sum low", func(s []byte) []byte { addU16(s, bs.escs+2, -1); return s }, huffman.ErrEscapeCount},
 		{"escape moved between bricks", func(s []byte) []byte {
 			addU16(s, bs.escs, 1)
 			addU16(s, bs.escs+2, -1)
 			return s
-		}, errEscapeCount},
+		}, huffman.ErrEscapeCount},
 		{"outlier count beyond the section", func(s []byte) []byte {
 			binary.LittleEndian.PutUint32(s, 1<<31)
 			return s
-		}, errEscapeCount},
-		{"last lane one byte long", func(s []byte) []byte { addU16(s, last, 1); return append(s, 0) }, errLaneOverrun},
+		}, huffman.ErrEscapeCount},
+		{"last lane one byte long", func(s []byte) []byte { addU16(s, last, 1); return append(s, 0) }, huffman.ErrLaneLong},
+		{"code count off the grid", func([]byte) []byte { return section(t, bs.enc, bs.idx-7) }, huffman.ErrCodeCount},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewReader[float64](bs.with(t, tc.mut))

@@ -547,14 +547,12 @@ func (le *levelEnc[T]) writeSlab(i, bz int) {
 			scratch.Bytes.Release(lanes)
 			lanes = grown
 		}
-		m := cl.code.WriteLane(lanes[len(lanes):cap(lanes)], stage[:n])
+		m, e := cl.code.WriteLane(lanes[len(lanes):cap(lanes)], stage[:n]), 0
 		lanes = lanes[:len(lanes)+m]
-		binary.LittleEndian.PutUint16(cl.head[cl.dir+2*b:], uint16(m))
 		if cl.code.Zeros() > 0 {
-			var e int
 			cl.vals[bz], e = le.appendEscapes(cl.vals[bz], i+1, box)
-			binary.LittleEndian.PutUint16(cl.head[cl.dir+2*(bs.count()+b):], uint16(e))
 		}
+		cl.dir.Set(b, m, e)
 	}
 	cl.lanes[bz] = lanes
 }
@@ -608,18 +606,17 @@ func (le *levelEnc[T]) release() {
 }
 
 // classLanes is a class section on its way through the entropy steps.
-// Its parts, in order: the head — the escape count, the code's header, then
-// the brick directory of every lane's byte length and, when the class has
-// escapes, every brick's escape count, two bytes an entry in brick order;
-// the escape values, brick order; the lanes, brick order. The plan fixes
-// the head; each lane task (levelEnc.writeSlab) fills its brick z-slab's
-// directory entries and writes the slab's lanes and escape values into
-// buffers of its own.
+// Its parts, in order: the head — the escape count, then the head of a
+// laned section of one lane per brick (huffman.Code.AppendHead: the code's
+// header and the directory); the escape values, brick order; the lanes,
+// brick order. The plan fixes the head; each lane task
+// (levelEnc.writeSlab) fills its brick z-slab's directory entries and
+// writes the slab's lanes and escape values into buffers of its own.
 type classLanes struct {
 	code  *huffman.Code
 	bs    bricks
 	head  []byte
-	dir   int      // where the directory starts in head
+	dir   huffman.Dir
 	lanes [][]byte // per brick z-slab: its lanes back to back, a scratch.Bytes lease
 	vals  [][]byte // per brick z-slab: its escape values
 }
@@ -629,15 +626,8 @@ type classLanes struct {
 func (cl *classLanes) plan(codes []uint16, d [3]int, alphabet int) {
 	cl.code = huffman.NewCode(codes, alphabet)
 	cl.bs = newBricks(d)
-	h := cl.code.Header()
-	cl.dir = 4 + len(h)
-	dirLen := 2 * cl.bs.count()
-	if cl.code.Zeros() > 0 {
-		dirLen *= 2
-	}
-	cl.head = make([]byte, cl.dir+dirLen)
-	binary.LittleEndian.PutUint32(cl.head, uint32(cl.code.Zeros()))
-	copy(cl.head[4:], h)
+	cl.head = binary.LittleEndian.AppendUint32(nil, uint32(cl.code.Zeros()))
+	cl.head, cl.dir = cl.code.AppendHead(cl.head, cl.bs.count())
 	cl.lanes = make([][]byte, cl.bs.n[0])
 	cl.vals = make([][]byte, cl.bs.n[0])
 }

@@ -195,112 +195,48 @@ func (dc *decodedClass[T]) at(k, j, x int) int {
 	return ((k-b.Z0)*(b.Y1-b.Y0)+j-b.Y0)*(b.X1-b.X0) + x - b.X0
 }
 
-// decodeBricks entropy-decodes the listed bricks (ascending) of version-4
-// class section sec — class c (1..7, for messages) of brick grid bs, want
-// codes in all — into the codes of box, the union of the views' class
-// boxes. The section's directory is checked whole before it sizes
-// anything.
-func (r *Reader[T]) decodeBricks(sec []byte, c int, q quant.Quantizer, bs bricks, box grid.Box, list []int32, want int) (decodedClass[T], error) {
-	dc := decodedClass[T]{box: box, totalChunks: bs.count()}
+// decodeBricks entropy-decodes into dc the listed bricks (ascending) of
+// version-4 class section sec — class c (1..7, for messages) of brick grid
+// bs, want codes in all — as the codes of box, the union of the views'
+// class boxes. The section is a laned section (huffman.OpenSection) behind
+// the class's escape count, its escape values inline in brick order.
+func (r *Reader[T]) decodeBricks(dc *decodedClass[T], sec []byte, c int, q quant.Quantizer, bs bricks, box grid.Box, list []int32, want int) error {
+	*dc = decodedClass[T]{box: box, totalChunks: bs.count()}
 	if len(sec) < 4 {
-		return dc, fmt.Errorf("%w (class %d)", errBrickDir, c)
+		return fmt.Errorf("core: class %d: %w", c, huffman.ErrLaneDir)
 	}
-	nOut := int(binary.LittleEndian.Uint32(sec))
-	cr, n, headLen, err := huffman.ReadCode(sec[4:], q.Alphabet(), want)
+	sizes := make([]int, bs.count())
+	for b := range sizes {
+		sizes[b] = bs.box(b).Volume()
+	}
+	nOut, elem := int(binary.LittleEndian.Uint32(sec)), rawio.ElemSize[T]()
+	ls, err := huffman.OpenSection(sec[4:], q.Alphabet(), sizes, nOut, nOut*elem)
 	if err != nil {
-		return dc, fmt.Errorf("core: class %d codes: %w", c, err)
+		return fmt.Errorf("core: class %d: %w", c, err)
 	}
-	defer cr.Release()
-	if n != bs.d[0]*bs.d[1]*bs.d[2] {
-		return dc, fmt.Errorf("core: class %d code count %d, want %d", c, n, bs.d[0]*bs.d[1]*bs.d[2])
-	}
-	// The directory: every brick's lane length, then with escapes every
-	// brick's escape count. Their sums place the escape values and the
-	// lanes, which must fill the section exactly.
-	nb, dir := bs.count(), 4+headLen
-	entries := nb
-	if nOut > 0 {
-		entries *= 2
-	}
-	if len(sec)-dir < 2*entries {
-		return dc, fmt.Errorf("%w (class %d)", errBrickDir, c)
-	}
-	elem := rawio.ElemSize[T]()
-	outOff := dir + 2*entries
-	laneOff := outOff + nOut*elem
-	lens, escs := sec[dir:][:2*nb], sec[dir+2*nb:][:2*entries-2*nb]
-	type brickLane struct {
-		b          int
-		start, end int // the lane's bytes in sec
-		esc0, escs int // the brick's first escape value, and its count
-	}
-	touched := make([]brickLane, 0, len(list))
-	off, escSum := laneOff, 0
-	for b := 0; b < nb; b++ {
-		l, e := int(binary.LittleEndian.Uint16(lens[2*b:])), 0
-		if nOut > 0 {
-			e = int(binary.LittleEndian.Uint16(escs[2*b:]))
-		}
-		if len(touched) < len(list) && int(list[len(touched)]) == b {
-			touched = append(touched, brickLane{b, off, off + l, escSum, e})
-		}
-		off += l
-		escSum += e
-	}
-	if escSum != nOut {
-		return dc, fmt.Errorf("%w (class %d)", errEscapeCount, c)
-	}
-	if laneOff > len(sec) || off != len(sec) {
-		return dc, fmt.Errorf("%w (class %d)", errLaneBounds, c)
-	}
-
+	defer ls.Release()
 	dc.codes = scratch.U16.Lease(box.Volume())
 	if nOut > 0 {
 		dc.esc = scratch.LeaseFloat[T](box.Volume())
 	}
-	stage := scratch.U16.Lease(2 * brickLen)
-	defer scratch.U16.Release(stage)
-	fail := func(err error) (decodedClass[T], error) {
+	vals := ls.Inline()
+	// Each brick is placed from the stage its pair decoded into.
+	err = ls.Decode(list, nil, 1, func(lc huffman.LaneCodes) {
+		dc.place(bs.box(lc.Lane), lc.Codes, vals[lc.Esc*elem:], lc.Escs)
+	})
+	if err != nil {
 		dc.release()
-		return decodedClass[T]{}, fmt.Errorf("core: class %d: %w", c, err)
+		return fmt.Errorf("core: class %d: %w", c, err)
 	}
-	// The lanes decode two at a time in lockstep into the stage, and each
-	// brick is placed from there. A lane must end in its last byte: one
-	// that does not holds symbols past its brick's.
-	for i := 0; i < len(touched); i += 2 {
-		pair := touched[i:min(i+2, len(touched))]
-		var ls [2]huffman.Lane
-		for j, tl := range pair {
-			ls[j] = huffman.Lane{Start: tl.start, End: tl.end, At: j * brickLen, Stop: j*brickLen + bs.box(tl.b).Volume()}
-		}
-		var ends [2]int
-		var err error
-		if len(pair) == 2 {
-			ends[0], ends[1], err = cr.DecodePair(sec, stage, ls[0], ls[1])
-		} else {
-			ends[0], err = cr.Decode(sec, stage, ls[0])
-		}
-		if err != nil {
-			return fail(err)
-		}
-		for j, tl := range pair {
-			if (ends[j]+7)/8 != tl.end {
-				return fail(errLaneOverrun)
-			}
-			if err := dc.place(bs.box(tl.b), stage[ls[j].At:ls[j].Stop], sec[outOff+tl.esc0*elem:], tl.escs); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	dc.decodedSymbols, dc.decodedChunks = want, len(touched)
-	return dc, nil
+	dc.decodedSymbols, dc.decodedChunks = want, len(list)
+	return nil
 }
 
 // place copies the decoded brick bb — its codes in brick-local row-major
-// order — into the codes of the box they share, and when the class has
-// escapes gives each escape there its value: the brick's n escapes are the
-// first n values of vals, in brick order.
-func (dc *decodedClass[T]) place(bb grid.Box, codes []uint16, vals []byte, n int) error {
+// order — into the codes of the box they share, and gives each of the
+// brick's n escapes there its value: they are the first n values of vals,
+// in brick order.
+func (dc *decodedClass[T]) place(bb grid.Box, codes []uint16, vals []byte, n int) {
 	b := dc.box
 	in := grid.Box{
 		Z0: max(bb.Z0, b.Z0), Y0: max(bb.Y0, b.Y0), X0: max(bb.X0, b.X0),
@@ -327,26 +263,20 @@ func (dc *decodedClass[T]) place(bb grid.Box, codes []uint16, vals []byte, n int
 			src += h * w
 		}
 	}
-	if dc.esc == nil {
-		return nil
+	if n == 0 {
+		return
 	}
+	// The section's Decode checked that the brick holds n zero codes.
 	e := 0
 	for t, code := range codes {
 		if code != 0 {
 			continue
-		}
-		if e == n {
-			return errEscapeCount
 		}
 		if k, j, x := bb.Z0+t/(h*w), bb.Y0+t/w%h, bb.X0+t%w; in.Contains(k, j, x) {
 			rawio.GetValues(dc.esc[dc.at(k, j, x):][:1], vals[e*rawio.ElemSize[T]():])
 		}
 		e++
 	}
-	if e != n {
-		return errEscapeCount
-	}
-	return nil
 }
 
 // decodeCodes entropy-decodes the codes [lo, hi) of one class code blob
@@ -764,7 +694,7 @@ func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
 			pl.errs[c] = err
 			return
 		}
-		*dc, pl.errs[c] = r.decodeBricks(sec, c, pl.q, newBricks(d), pl.box[c], pl.bricks[c], pl.want[c])
+		pl.errs[c] = r.decodeBricks(dc, sec, c, pl.q, newBricks(d), pl.box[c], pl.bricks[c], pl.want[c])
 		return
 	}
 	if *dc, pl.errs[c] = r.decodeClass(pl.p, c-1, pl.q, n, pl.lo[c], pl.hi[c]); pl.errs[c] != nil {

@@ -282,11 +282,10 @@ func TestEscapesSpanZBlocks(t *testing.T) {
 // escape count (else all zero).
 func brickDir(tb testing.TB, sec []byte, alphabet, nb int) (lens, escs []int) {
 	tb.Helper()
-	cr, _, headLen, err := huffman.ReadCode(sec[4:], alphabet, 0)
+	_, headLen, err := huffman.HeaderLen(sec[4:], alphabet)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cr.Release()
 	dir := sec[4+headLen:]
 	lens, escs = make([]int, nb), make([]int, nb)
 	for b := range lens {

@@ -2,16 +2,40 @@ package huffman
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 )
 
+// codeSection writes codes, cut into lanes of the given sizes, as a laned
+// section of c's, and returns it with its symbol 0 count.
+func codeSection(c *Code, codes []uint16, sizes []int) (sec []byte, zeros int) {
+	sec, dir := c.AppendHead(nil, len(sizes))
+	var lanes []byte
+	for l, size := range sizes {
+		lane := codes[:size]
+		codes = codes[size:]
+		buf := make([]byte, c.LaneBound(size))
+		m, escs := c.WriteLane(buf, lane), 0
+		for _, code := range lane {
+			if code == 0 {
+				escs++
+			}
+		}
+		dir.Set(l, m, escs)
+		lanes = append(lanes, buf[:m]...)
+		zeros += escs
+	}
+	return append(sec, lanes...), zeros
+}
+
 // TestCodeLanesRoundTrip: a stream cut into lanes of arbitrary lengths,
-// written by a Code into buffers of their own and joined, decodes lane by
-// lane — in lockstep pairs and alone — to the stream, each lane ending in
-// its last byte. The Code's header is the head of EncodeLanes' blob of the
-// same stream (one histogram, one table), and Zeros counts symbol 0.
+// written by a Code into buffers of their own and joined behind its
+// AppendHead, opens as a laned section and decodes — in lockstep pairs and
+// an odd lane alone — to the stream, each lane ending in its last byte. The
+// Code's header is the head of EncodeLanes' blob of the same stream (one
+// histogram, one table), and Zeros counts symbol 0.
 func TestCodeLanesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 7, 100, 4096, 20000, 70000} {
@@ -34,41 +58,30 @@ func TestCodeLanesRoundTrip(t *testing.T) {
 			if blob := EncodeLanes(codes, 1024); !bytes.HasPrefix(blob, c.Header()) {
 				t.Fatalf("n %d spread %d: header is not EncodeLanes' head", n, spread)
 			}
-			data := append([]byte(nil), c.Header()...)
-			var lanes []Lane
-			for at := 0; at < n; {
-				stop := min(n, at+1+rng.Intn(5000))
-				buf := make([]byte, c.LaneBound(stop-at))
-				m := c.WriteLane(buf, codes[at:stop])
-				lanes = append(lanes, Lane{Start: len(data), End: len(data) + m, At: at, Stop: stop})
-				data = append(data, buf[:m]...)
-				at = stop
+			var sizes []int
+			for at := 0; at < n; at += sizes[len(sizes)-1] {
+				sizes = append(sizes, min(n-at, 1+rng.Intn(5000)))
 			}
+			sec, _ := codeSection(c, codes, sizes)
 			hl := len(c.Header())
 			c.Release()
 
-			cr, gotN, headLen, err := ReadCode(data, 1024, n)
-			if err != nil || gotN != n || headLen != hl {
-				t.Fatalf("n %d: ReadCode n %d head %d err %v, want %d %d", n, gotN, headLen, err, n, hl)
+			if gotN, headLen, err := HeaderLen(sec, 1024); err != nil || gotN != n || headLen != hl {
+				t.Fatalf("n %d: HeaderLen n %d head %d err %v, want %d %d", n, gotN, headLen, err, n, hl)
+			}
+			s, err := OpenSection(sec, 1024, sizes, zeros, 0)
+			if err != nil {
+				t.Fatalf("n %d: %v", n, err)
+			}
+			touched := make([]int32, len(sizes))
+			for l := range touched {
+				touched[l] = int32(l)
 			}
 			out := make([]uint16, n)
-			for i := 0; i < len(lanes); i += 2 {
-				var ends [2]int
-				if i+1 < len(lanes) {
-					ends[0], ends[1], err = cr.DecodePair(data, out, lanes[i], lanes[i+1])
-				} else {
-					ends[0], err = cr.Decode(data, out, lanes[i])
-				}
-				if err != nil {
-					t.Fatalf("n %d lane %d: %v", n, i, err)
-				}
-				for j := 0; j < 2 && i+j < len(lanes); j++ {
-					if l := lanes[i+j]; (ends[j]+7)/8 != l.End {
-						t.Fatalf("n %d lane %d: ended at bit %d, its bytes end at %d", n, i+j, ends[j], l.End)
-					}
-				}
+			if err := s.Decode(touched, out, 1, func(LaneCodes) {}); err != nil {
+				t.Fatalf("n %d spread %d: %v", n, spread, err)
 			}
-			cr.Release()
+			s.Release()
 			for i := range codes {
 				if out[i] != codes[i] {
 					t.Fatalf("n %d spread %d: symbol %d = %d, want %d", n, spread, i, out[i], codes[i])
@@ -78,8 +91,10 @@ func TestCodeLanesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodeLaneShortBytes: a lane cut short of its symbols' bits fails with
-// ErrCorrupt, however its end falls.
+// TestCodeLaneShortBytes: a lane cut short of its symbols' bits — its
+// directory entry and its section cut alike, so the directory still fills
+// the section — fails with ErrLaneShort, an ErrCorrupt, however its end
+// falls.
 func TestCodeLaneShortBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	codes := make([]uint16, 3000)
@@ -87,22 +102,20 @@ func TestCodeLaneShortBytes(t *testing.T) {
 		codes[i] = uint16(rng.Intn(300))
 	}
 	c := NewCode(codes, 512)
-	data := append([]byte(nil), c.Header()...)
-	buf := make([]byte, c.LaneBound(len(codes)))
-	m := c.WriteLane(buf, codes)
-	data = append(data, buf[:m]...)
+	sec, zeros := codeSection(c, codes, []int{len(codes)})
 	hl := len(c.Header())
 	c.Release()
+	m := int(binary.LittleEndian.Uint16(sec[hl:]))
 	for _, short := range []int{1, 2, 9, m / 2} {
-		cr, _, _, err := ReadCode(data, 512, len(codes))
-		if err != nil {
-			t.Fatal(err)
+		cut := append([]byte(nil), sec[:len(sec)-short]...)
+		binary.LittleEndian.PutUint16(cut[hl:], uint16(m-short))
+		s, err := OpenSection(cut, 512, []int{len(codes)}, zeros, 0)
+		if err == nil {
+			err = s.Decode([]int32{0}, nil, 1, func(LaneCodes) {})
+			s.Release()
 		}
-		out := make([]uint16, len(codes))
-		_, err = cr.Decode(data[:len(data)-short], out, Lane{Start: hl, End: hl + m - short, Stop: len(codes)})
-		cr.Release()
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("lane %d bytes short: err %v, want ErrCorrupt", short, err)
+		if !errors.Is(err, ErrLaneShort) || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("lane %d bytes short: err %v, want ErrLaneShort", short, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stz/internal/grid"
+	"stz/internal/huffman"
 )
 
 // sparseSpikeField is a smooth field with a 1e12 spike every 97th point:
@@ -190,7 +191,7 @@ func TestConeTraversal(t *testing.T) {
 // consistent and the code stream holds one escape too many) fails with
 // ErrFormat — never a panic or a read past the section. A v3 stream's lane
 // directory then counts one escape more than the header: every decode
-// fails on it (errEscapeCount) before a code is decoded. A v2 stream keeps
+// fails on it (huffman.ErrEscapeCount) before a code is decoded. A v2 stream keeps
 // one outlier cursor over the traversal, so the failure comes from every
 // box whose cone contains the point of the missing escape; a box whose
 // cone does not reach it may still decode, and then its window is exact.
@@ -223,11 +224,11 @@ func TestBoxConeShortOutlierSection(t *testing.T) {
 
 		short3 := short(enc)
 		for _, b := range boxes {
-			if _, err := DecompressBox[float32](short3, b, 1); !errors.Is(err, errEscapeCount) {
+			if _, err := DecompressBox[float32](short3, b, 1); !errors.Is(err, huffman.ErrEscapeCount) {
 				t.Fatalf("%v box %+v of the short v3 stream: err = %v", dims, b, err)
 			}
 		}
-		if _, err := Decompress[float32](short3); !errors.Is(err, errEscapeCount) {
+		if _, err := Decompress[float32](short3); !errors.Is(err, huffman.ErrEscapeCount) {
 			t.Fatalf("%v: full decode of the short v3 stream: err = %v", dims, err)
 		}
 

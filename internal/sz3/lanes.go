@@ -1,7 +1,6 @@
 package sz3
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -9,7 +8,6 @@ import (
 
 	"stz/internal/grid"
 	"stz/internal/huffman"
-	"stz/internal/parallel"
 	"stz/internal/scratch"
 )
 
@@ -26,18 +24,6 @@ const (
 	// brickCols is the number of a line's points in one brick: a brick is
 	// 32h grid cells wide and every line steps 2h.
 	brickCols = brickX / 2
-)
-
-// Typed failures of a v3 lane directory, all wrapping ErrFormat. The
-// directory is checked whole before it sizes anything; a lane's own end is
-// checked as it decodes.
-var (
-	errLaneDir     = fmt.Errorf("%w: lane directory truncated", ErrFormat)
-	errCodeCount   = fmt.Errorf("%w: code count disagrees with the grid", ErrFormat)
-	errLaneBounds  = fmt.Errorf("%w: lane lengths do not fill the code section", ErrFormat)
-	errEscapeCount = fmt.Errorf("%w: lane escape counts disagree with the outliers", ErrFormat)
-	errLaneShort   = fmt.Errorf("%w: lane ends before its codes", ErrFormat)
-	errLaneLong    = fmt.Errorf("%w: lane ends after its codes", ErrFormat)
 )
 
 // level is one interpolation level's brick tiling: half-stride h = 1<<lg,
@@ -207,33 +193,6 @@ func snap(lo, hi, off, s int) (int, int) {
 	return first, max(first, last+1)
 }
 
-// appendLanes appends a v3 code section to out: the code's header, the
-// directory — a u16 byte length per lane, then, when escN is non-nil, a
-// u16 escape count per lane — and the lanes, lane l coding
-// codes[starts[l]:starts[l+1]].
-func appendLanes(out []byte, code *huffman.Code, codes []uint16, starts []int, escN []int) []byte {
-	lanes, head := len(starts)-1, code.Header()
-	entries := lanes
-	if escN != nil {
-		entries *= 2
-	}
-	// The lanes pad to a byte each, and the last one written needs room
-	// for its bound, not only its bytes.
-	out = slices.Grow(out, len(head)+2*entries+(code.Bits()+7)/8+lanes+code.LaneBound(brickZ*brickY*brickX))
-	out = append(out, head...)
-	dir := len(out)
-	out = out[:dir+2*entries]
-	for l := 0; l < lanes; l++ {
-		n := code.WriteLane(out[len(out):cap(out)], codes[starts[l]:starts[l+1]])
-		binary.LittleEndian.PutUint16(out[dir+2*l:], uint16(n))
-		out = out[:len(out)+n]
-	}
-	for l, e := range escN {
-		binary.LittleEndian.PutUint16(out[dir+2*lanes+2*l:], uint16(e))
-	}
-	return out
-}
-
 // laneDecode is the entropy-decode of a v3 stream for one box: the codes of
 // the lanes that hold a code of its cone, lane after lane, and where each
 // lane starts among them.
@@ -255,7 +214,8 @@ func (ld *laneDecode[T]) release() {
 }
 
 // escape returns the value of the escape at index i of codes; ok is false
-// when no escape is there, a zero code its lane's directory did not count.
+// when no escape is there: a zero code in a stream without escapes, whose
+// lanes the decode does not scan.
 func (ld *laneDecode[T]) escape(i int) (v T, ok bool) {
 	j, ok := slices.BinarySearch(ld.escAt, i)
 	if !ok {
@@ -265,131 +225,49 @@ func (ld *laneDecode[T]) escape(i int) (v T, ok bool) {
 }
 
 // decodeLanes decodes the v3 code section sec into sd.lanes, for sd's
-// cone. The directory is checked whole first: lane lengths that do not
-// fill sec and escape counts that do not sum to the header's are refused
-// before any buffer is leased. The touched lanes decode two at a time in
-// lockstep, pairs handed to workers when laneWorkers > 1 and the decode is
-// large enough to pay for the handoff.
+// cone: a laned section (huffman.OpenSection) whose escape values are the
+// outlier section's, in lane order. The touched lanes decode lane after
+// lane into one buffer, their pairs handed to workers when laneWorkers > 1
+// and the decode is large enough to pay for the handoff.
 func (sd *serialDecode[T]) decodeLanes(sec []byte, laneWorkers int) error {
 	tl, elem := &sd.tl, elemBytes[T]()
-	nOutliers := len(sd.outliers) / elem
 	counts := tl.laneCodes()
-	touched := make([]bool, tl.lanes)
-	tl.mark(&sd.needs, touched)
-	total, want, nTouched := 0, 0, 0
-	for l, c := range counts {
-		total += c
-		if touched[l] {
-			want += c
-			nTouched++
-		}
-	}
-	cr, n, headLen, err := huffman.ReadCode(sec, sd.q.Alphabet(), want)
+	ls, err := huffman.OpenSection(sec, sd.q.Alphabet(), counts, len(sd.outliers)/elem, 0)
 	if err != nil {
-		return fmt.Errorf("sz3: %w", err)
+		return fmt.Errorf("%w: %w", ErrFormat, err)
 	}
-	defer cr.Release()
-	if n != total {
-		return fmt.Errorf("%w: %d codes for %d predicted points", errCodeCount, n, total)
-	}
-	entries := tl.lanes
-	if nOutliers > 0 {
-		entries *= 2
-	}
-	if len(sec)-headLen < 2*entries {
-		return errLaneDir
-	}
-	dir := sec[headLen:]
-	// Every lane's bytes and first escape, from the length and count sums;
-	// the touched ones keep theirs.
-	type task struct {
-		lane, start, end int
-		esc0, escs, slot int // its first escape value, their count, and where they go in escAt
-	}
-	tasks := make([]task, 0, nTouched)
-	off, escSum, slots := headLen+2*entries, 0, 0
-	for l := range counts {
-		ln, e := int(binary.LittleEndian.Uint16(dir[2*l:])), 0
-		if nOutliers > 0 {
-			e = int(binary.LittleEndian.Uint16(dir[2*tl.lanes+2*l:]))
-		}
-		if touched[l] {
-			tasks = append(tasks, task{l, off, off + ln, escSum, e, slots})
-			slots += e
-		}
-		off += ln
-		escSum += e
-	}
-	if off != len(sec) {
-		return errLaneBounds
-	}
-	if escSum != nOutliers {
-		return errEscapeCount
-	}
-
+	defer ls.Release()
+	marked := make([]bool, tl.lanes)
+	tl.mark(&sd.needs, marked)
 	ld := &sd.lanes
 	ld.at = make([]int, tl.lanes)
-	for _, tk := range tasks {
-		ld.at[tk.lane] = ld.decoded
-		ld.decoded += counts[tk.lane]
+	touched, slots := make([]int32, 0, tl.lanes), 0
+	for l, m := range marked {
+		if m {
+			touched = append(touched, int32(l))
+			ld.at[l] = ld.decoded
+			ld.decoded += counts[l]
+			slots += ls.Escapes(l)
+		}
 	}
 	ld.codes = scratch.U16.Lease(ld.decoded)
 	ld.escAt, ld.escVal = make([]int, slots), make([]T, slots)
-	// decode decodes tasks and places their escapes; a lane must end in its
-	// last byte, and one with escapes hold as many zero codes as its
-	// directory counts. (A zero code in a lane that counts none is found
-	// only if the reconstruction reads it: escape reports it.)
-	decode := func(tks []task) error {
-		var ls [2]huffman.Lane
-		for j, tk := range tks {
-			at := ld.at[tk.lane]
-			ls[j] = huffman.Lane{Start: tk.start, End: tk.end, At: at, Stop: at + counts[tk.lane]}
-		}
-		var ends [2]int
-		var err error
-		if len(tks) == 2 {
-			ends[0], ends[1], err = cr.DecodePair(sec, ld.codes, ls[0], ls[1])
-		} else {
-			ends[0], err = cr.Decode(sec, ld.codes, ls[0])
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", errLaneShort, err)
-		}
-		for j, tk := range tks {
-			if (ends[j]+7)/8 != tk.end {
-				return errLaneLong
-			}
-			if tk.escs == 0 {
-				continue
-			}
-			vals, e := sd.outliers[tk.esc0*elem:], 0
-			for i := ls[j].At; i < ls[j].Stop; i++ {
-				if ld.codes[i] != 0 {
-					continue
-				}
-				if e == tk.escs {
-					return errEscapeCount
-				}
-				ld.escAt[tk.slot+e], ld.escVal[tk.slot+e] = i, readValue[T](vals[e*elem:])
-				e++
-			}
-			if e != tk.escs {
-				return errEscapeCount
-			}
-		}
-		return nil
-	}
 	workers := min(laneWorkers, runtime.GOMAXPROCS(0))
 	if ld.decoded < laneParallelMin {
 		workers = 1
 	}
-	errs := make([]error, (len(tasks)+1)/2)
-	parallel.For(len(errs), workers, func(i int) { errs[i] = decode(tasks[2*i : min(2*i+2, len(tasks))]) })
-	for _, err := range errs {
-		if err != nil {
-			ld.release()
-			return err
+	err = ls.Decode(touched, ld.codes, workers, func(lc huffman.LaneCodes) {
+		vals, at := sd.outliers[lc.Esc*elem:], ld.at[lc.Lane]
+		for i, e := 0, 0; e < lc.Escs; i++ {
+			if lc.Codes[i] == 0 {
+				ld.escAt[lc.Slot+e], ld.escVal[lc.Slot+e] = at+i, readValue[T](vals[e*elem:])
+				e++
+			}
 		}
+	})
+	if err != nil {
+		ld.release()
+		return fmt.Errorf("%w: %w", ErrFormat, err)
 	}
 	return nil
 }

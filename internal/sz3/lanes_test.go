@@ -182,11 +182,10 @@ func laneDir[T grid.Float](tb testing.TB, enc []byte) (dir, lanes, entries int) 
 		tb.Fatalf("not a v3 stream (version %d, err %v)", version, err)
 	}
 	hoff := len(enc) - int(binary.LittleEndian.Uint32(enc[36:]))
-	cr, _, headLen, err := huffman.ReadCode(enc[hoff:], 2*int(binary.LittleEndian.Uint32(enc[28:])), 0)
+	_, headLen, err := huffman.HeaderLen(enc[hoff:], 2*int(binary.LittleEndian.Uint32(enc[28:])))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cr.Release()
 	tl := newTiling(nz, ny, nx)
 	entries = tl.lanes
 	if binary.LittleEndian.Uint32(enc[32:]) > 0 {
@@ -196,11 +195,13 @@ func laneDir[T grid.Float](tb testing.TB, enc []byte) (dir, lanes, entries int) 
 }
 
 // TestBrickLaneDirectoryErrors: each way a lane directory can lie fails
-// with its own typed error (all wrapping ErrFormat). A truncated
-// directory, lengths that over- or under-run the code section, escape
-// counts off their sum and a code count off the grid are refused before
-// any code or float buffer is leased; a lane that ends before or after its
-// codes is found as it decodes.
+// with its own typed error, the laned section's (huffman.OpenSection),
+// wrapped in ErrFormat. A truncated directory, lengths that over- or
+// under-run the code section, escape counts off their sum and a code count
+// off the grid are refused before any code or float buffer is leased; a
+// lane that ends before or after its codes, or holds a zero code its
+// escape count does not count, is found as it decodes — before the output
+// grid is leased.
 func TestBrickLaneDirectoryErrors(t *testing.T) {
 	leases := func(names ...string) uint64 {
 		all, n := scratch.All(), uint64(0)
@@ -239,27 +240,43 @@ func TestBrickLaneDirectoryErrors(t *testing.T) {
 		mut    func(b []byte) []byte
 	}
 	for _, m := range []mutation{
-		{"lane over-runs", errLaneBounds, true, func(b []byte) []byte { put(b, 0, u16(b, 0)+1); return b }},
-		{"lane under-runs", errLaneBounds, true, func(b []byte) []byte { put(b, a, u16(b, a)-1); return b }},
-		{"escape count up", errEscapeCount, true, func(b []byte) []byte { put(b, lanes, u16(b, lanes)+1); return b }},
-		{"code count off the grid", errCodeCount, true, func(b []byte) []byte {
+		{"lane over-runs", huffman.ErrLaneBounds, true, func(b []byte) []byte { put(b, 0, u16(b, 0)+1); return b }},
+		{"lane under-runs", huffman.ErrLaneBounds, true, func(b []byte) []byte { put(b, a, u16(b, a)-1); return b }},
+		{"escape count up", huffman.ErrEscapeCount, true, func(b []byte) []byte { put(b, lanes, u16(b, lanes)+1); return b }},
+		{"code count off the grid", huffman.ErrCodeCount, true, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[16:], 69)
 			return b
 		}},
-		{"lane ends before its codes", errLaneShort, false, func(b []byte) []byte {
+		{"lane ends before its codes", huffman.ErrLaneShort, false, func(b []byte) []byte {
 			put(b, a, u16(b, a)-1)
 			put(b, a+1, u16(b, a+1)+1)
 			return b
 		}},
-		{"lane ends after its codes", errLaneLong, false, func(b []byte) []byte {
+		{"lane ends after its codes", huffman.ErrLaneLong, false, func(b []byte) []byte {
 			put(b, a, u16(b, a)+1)
 			put(b, a+1, u16(b, a+1)-1)
 			return b
 		}},
+		// Lane x's escapes leave its directory entry, the header's count and
+		// the outlier section: only its zero codes still say they are
+		// there, and the lane decode finds them before the grid is leased.
+		{"zero code in a lane that counts none", huffman.ErrEscapeCount, false, func(b []byte) []byte {
+			x, esc0 := 0, 0
+			for ; u16(b, lanes+x) == 0; x++ {
+			}
+			for l := 0; l < x; l++ {
+				esc0 += u16(b, lanes+l)
+			}
+			e, nOut := u16(b, lanes+x), int(binary.LittleEndian.Uint32(b[32:]))
+			put(b, lanes+x, 0)
+			binary.LittleEndian.PutUint32(b[32:], uint32(nOut-e))
+			vals := len(b) - int(binary.LittleEndian.Uint32(b[36:])) - 4*nOut + 4*esc0
+			return append(b[:vals:vals], b[vals+4*e:]...)
+		}},
 		// A directory is 2 bytes a lane, lanes hold up to 3 584 codes each
 		// and the code header refuses a section shorter than a bit a code,
 		// so only a stream with lanes of few codes can reach this check.
-		{"directory truncated", errLaneDir, true, func([]byte) []byte {
+		{"directory truncated", huffman.ErrLaneDir, true, func([]byte) []byte {
 			small, err := Compress(smoothField[float32](17, 1, 2, 82), Options{EB: 1e-3})
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +293,10 @@ func TestBrickLaneDirectoryErrors(t *testing.T) {
 		if !errors.Is(err, m.want) || !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want %v", m.name, err, m.want)
 		}
-		if n := leases("float32", "float64") - grids + leases("uint16") - codes; m.sizing && n != 0 {
+		if n := leases("float32", "float64") - grids; n != 0 {
+			t.Errorf("%s: %d grid leases before the stream was refused", m.name, n)
+		}
+		if n := leases("uint16") - codes; m.sizing && n != 0 {
 			t.Errorf("%s: %d leases before the directory was refused", m.name, n)
 		}
 		nz, ny, nx, _ := Dims(bad)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"stz/internal/fft"
 	"stz/internal/grid"
@@ -441,9 +442,8 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 	out = append(out, anchors...)
 	// The escape values in lane order: a counting sort of the traversal's
 	// by lane, stable, so each lane's stay in its own order.
-	var escN []int
+	escN := make([]int, tl.lanes)
 	if nOutliers > 0 {
-		escN = make([]int, tl.lanes)
 		for _, l := range escLanes {
 			escN[l]++
 		}
@@ -458,8 +458,17 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 		}
 		out = out[:len(out)+len(outliers)]
 	}
+	// The code section: a laned section, one lane a brick. The lanes pad
+	// to a byte each, and the last one written needs room for its bound,
+	// not only its bytes.
 	hoff := len(out)
-	out = appendLanes(out, code, codes, starts, escN)
+	out = slices.Grow(out, len(code.Header())+4*tl.lanes+(code.Bits()+7)/8+tl.lanes+code.LaneBound(brickZ*brickY*brickX))
+	out, dir := code.AppendHead(out, tl.lanes)
+	for l := 0; l < tl.lanes; l++ {
+		n := code.WriteLane(out[len(out):cap(out)], codes[starts[l]:starts[l+1]])
+		dir.Set(l, n, escN[l])
+		out = out[:len(out)+n]
+	}
 	binary.LittleEndian.PutUint32(out[36:], uint32(len(out)-hoff))
 	return out, nil
 }
@@ -778,7 +787,7 @@ func (sd *serialDecode[T]) reconstructLanes(out, row []T) error {
 				} else if v, ok := ld.escape(at + k); ok {
 					out[i] = v
 				} else {
-					ferr = fmt.Errorf("%w: an escape its lane does not count", errEscapeCount)
+					ferr = fmt.Errorf("%w: %w: a zero code in a stream without escapes", ErrFormat, huffman.ErrEscapeCount)
 					return
 				}
 				i += ln.stride

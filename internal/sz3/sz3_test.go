@@ -193,28 +193,22 @@ func refCodes[T grid.Float](data []byte) (codes []uint16, outliers []byte, err e
 	}
 	tl := newTiling(nz, ny, nx)
 	counts := tl.laneCodes()
-	cr, _, headLen, err := huffman.ReadCode(sec, alphabet, nz*ny*nx)
+	s, err := huffman.OpenSection(sec, alphabet, counts, nOutliers, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer cr.Release()
-	entries := tl.lanes
-	if nOutliers > 0 {
-		entries *= 2
+	defer s.Release()
+	all := make([]int32, tl.lanes)
+	for l := range all {
+		all[l] = int32(l)
 	}
 	lanes, escapes := make([][]uint16, tl.lanes), make([][]byte, tl.lanes)
-	off, esc := headLen+2*entries, 0
-	for l := range lanes {
-		n, e := int(binary.LittleEndian.Uint16(sec[headLen+2*l:])), 0
-		if nOutliers > 0 {
-			e = int(binary.LittleEndian.Uint16(sec[headLen+2*tl.lanes+2*l:]))
-		}
-		lanes[l] = make([]uint16, counts[l])
-		if _, err := cr.Decode(sec, lanes[l], huffman.Lane{Start: off, End: off + n, Stop: counts[l]}); err != nil {
-			return nil, nil, err
-		}
-		escapes[l] = outs[esc*elem : (esc+e)*elem]
-		off, esc = off+n, esc+e
+	err = s.Decode(all, nil, 1, func(lc huffman.LaneCodes) {
+		lanes[lc.Lane] = append([]uint16(nil), lc.Codes...)
+		escapes[lc.Lane] = outs[lc.Esc*elem : (lc.Esc+lc.Escs)*elem]
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	forEachLine(nz, ny, nx, nil, func(ln line) {
 		for t := 0; t < ln.n; t++ {
