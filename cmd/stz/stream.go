@@ -1,5 +1,5 @@
-// Streaming file paths: compress and decompress move plane-sized pieces
-// between raw files and the bounded-memory codec Writer/Reader instead of
+// Streaming file paths: compress and decompress move raw files through the
+// bounded-memory codec Writer.ReadFrom/Reader.WriteTo instead of
 // materializing whole grids (a window of z-slabs is resident on the raw
 // side; an archive being decoded is read whole, it is the small side). The
 // emitted archives are byte-identical to the buffered codec.Encode path
@@ -10,7 +10,6 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -19,7 +18,7 @@ import (
 	"stz/internal/rawio"
 )
 
-// streamBufValues is the number of values moved per read/write step.
+// streamBufValues is the number of values scanRange reads per step.
 const streamBufValues = 64 * 1024
 
 // scanRange streams the file once and returns the finite value range with
@@ -111,9 +110,7 @@ func streamCompressFile[T grid.Float](in, out string, name string,
 		return 0, err
 	}
 	defer o.Close()
-	bw := bufio.NewWriterSize(o, 1<<20)
-
-	sw, err := codec.NewWriter[T](bw, name, nz, ny, nx, cfg)
+	sw, err := codec.NewWriter[T](o, name, nz, ny, nx, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -122,26 +119,10 @@ func streamCompressFile[T grid.Float](in, out string, name string,
 			return 0, err
 		}
 	}
-	vr := rawio.NewReader[T](bufio.NewReaderSize(f, 1<<20), streamBufValues)
-	buf := make([]T, streamBufValues)
-	remaining := n
-	for remaining > 0 {
-		want := len(buf)
-		if want > remaining {
-			want = remaining
-		}
-		if err := vr.ReadExactly(buf[:want]); err != nil {
-			return 0, fmt.Errorf("%s: %w", in, err)
-		}
-		if err := sw.Write(buf[:want]); err != nil {
-			return 0, err
-		}
-		remaining -= want
+	if _, err := sw.ReadFrom(f); err != nil {
+		return 0, fmt.Errorf("%s: %w", in, err)
 	}
 	if err := sw.Close(); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
 		return 0, err
 	}
 	if err := o.Close(); err != nil {
@@ -166,24 +147,7 @@ func streamDecodeToFile[T grid.Float](s *codec.Stream, out string, workers int) 
 		return err
 	}
 	defer o.Close()
-	bw := bufio.NewWriterSize(o, 1<<20)
-	vw := rawio.NewWriter[T](bw, streamBufValues)
-	buf := make([]T, streamBufValues)
-	for {
-		k, err := sr.Read(buf)
-		if k > 0 {
-			if werr := vw.Write(buf[:k]); werr != nil {
-				return werr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := sr.WriteTo(o); err != nil {
 		return err
 	}
 	return o.Close()

@@ -100,7 +100,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<30, "per-request raw/archive byte limit")
 	maxInflight := flag.Int("max-inflight", 4, "concurrent compression jobs")
 	workers := flag.Int("workers", parallel.DefaultWorkers(), "codec workers per job (default honors STZ_WORKERS)")
-	window := flag.Int("window", 0, "streaming window in z-slabs (0 = auto)")
 	timeout := flag.Duration("timeout", 5*time.Minute,
 		"per-request read and write deadline; bounds how long a stalled client can hold a job slot (0 = none)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown timeout")
@@ -135,7 +134,6 @@ func main() {
 		MaxBody:             *maxBody,
 		MaxInflight:         *maxInflight,
 		Workers:             *workers,
-		Window:              *window,
 		EnablePprof:         *pprofOn,
 		ArchiveBudget:       *archiveBudget,
 		ArchiveShards:       *archiveShards,

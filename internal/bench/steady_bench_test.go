@@ -174,14 +174,14 @@ func BenchmarkSteadyStateStream(b *testing.B) {
 	})
 
 	b.Run("read", func(b *testing.B) {
-		if _, err := codec.DecodeFrom[float32](bytes.NewReader(enc), 4); err != nil { // warm the pools
+		if err := streamDecode(enc); err != nil { // warm the pools
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(4 * len(g.Data)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := codec.DecodeFrom[float32](bytes.NewReader(enc), 4); err != nil {
+			if err := streamDecode(enc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,6 +14,17 @@ import (
 // against the buffered Encode/Decode it is byte-compatible with, so the
 // CI regression gate covers both entry points of every backend.
 
+// streamDecode decodes enc through the streaming Reader on four workers.
+func streamDecode(enc []byte) error {
+	sr, err := codec.NewReader[float32](bytes.NewReader(enc))
+	if err != nil {
+		return err
+	}
+	sr.Workers = 4
+	_, err = sr.ReadGrid()
+	return err
+}
+
 func streamGrid() ([]float32, int, int, int) {
 	g := datasets.Nyx(64, 64, 64, 11)
 	return g.Data, g.Nz, g.Ny, g.Nx
@@ -60,7 +71,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(4 * len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := codec.DecodeFrom[float32](bytes.NewReader(enc), 4); err != nil {
+				if err := streamDecode(enc); err != nil {
 					b.Fatal(err)
 				}
 			}

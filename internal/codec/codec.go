@@ -181,7 +181,9 @@ func CompressRecon[T grid.Float](c Codec, g *grid.Grid[T], cfg Config) ([]byte, 
 	return enc, rec.(*grid.Grid[T]), nil
 }
 
-// resolveFor validates cfg and resolves a relative bound against g's range.
+// resolveFor validates cfg and resolves a relative bound against g's range
+// — the one relative-bound resolution of Compress, CompressRecon and
+// Encode.
 func resolveFor[T grid.Float](cfg Config, g *grid.Grid[T]) (Config, error) {
 	if err := cfg.validate(); err != nil {
 		return cfg, err
@@ -189,6 +191,10 @@ func resolveFor[T grid.Float](cfg Config, g *grid.Grid[T]) (Config, error) {
 	if cfg.Mode == ModeRel {
 		mn, mx := g.Range()
 		cfg = cfg.Resolve(float64(mn), float64(mx))
+		if err := cfg.validate(); err != nil {
+			return cfg, fmt.Errorf("codec: relative bound resolves to %g on range [%g, %g]",
+				cfg.EB, mn, mx)
+		}
 	}
 	return cfg, nil
 }

@@ -10,34 +10,49 @@ import (
 	"stz/internal/container"
 	_ "stz/internal/core" // registers "stz"
 	"stz/internal/datasets"
+	"stz/internal/grid"
 	"stz/internal/huffman"
 	"stz/internal/sz3"
 )
 
 // decodeAllPaths runs every untrusted-input entry point on data and
-// reports whether any of them succeeded. None may panic.
-func decodeAllPaths(data []byte) bool {
-	ok := false
-	if _, err := codec.ParseHeader(data); err == nil {
-		ok = true
+// reports whether any of them succeeded. None may panic, and the full
+// decodes that succeed on the same bytes must agree bit for bit.
+func decodeAllPaths(t testing.TB, data []byte) bool {
+	_, err := codec.ParseHeader(data)
+	ok := err == nil
+	ok = decodesAgree[float32](t, data, 2) || ok
+	return decodesAgree[float64](t, data, 1) || ok
+}
+
+// decodesAgree decodes data as T through Decode, Reader.ReadGrid and
+// Reader.WriteTo and fails t when two that succeed differ. It reports
+// whether any succeeded.
+func decodesAgree[T grid.Float](t testing.TB, data []byte, workers int) bool {
+	var paths []string
+	var outs [][]byte
+	if g, err := codec.Decode[T](data, workers); err == nil {
+		paths, outs = append(paths, "Decode"), append(outs, leBytes(g.Data))
 	}
-	if _, err := codec.Decode[float32](data, 2); err == nil {
-		ok = true
-	}
-	if _, err := codec.Decode[float64](data, 1); err == nil {
-		ok = true
-	}
-	if sr, err := codec.NewReader[float32](bytes.NewReader(data)); err == nil {
-		if _, err := sr.ReadGrid(); err == nil {
-			ok = true
+	if sr, err := codec.NewReader[T](bytes.NewReader(data)); err == nil {
+		sr.Workers = workers
+		if g, err := sr.ReadGrid(); err == nil {
+			paths, outs = append(paths, "Reader.ReadGrid"), append(outs, leBytes(g.Data))
 		}
 	}
-	if sr, err := codec.NewReader[float64](bytes.NewReader(data)); err == nil {
-		if _, err := sr.ReadGrid(); err == nil {
-			ok = true
+	if sr, err := codec.NewReader[T](bytes.NewReader(data)); err == nil {
+		sr.Workers = workers
+		var raw bytes.Buffer
+		if _, err := sr.WriteTo(&raw); err == nil {
+			paths, outs = append(paths, "Reader.WriteTo"), append(outs, raw.Bytes())
 		}
 	}
-	return ok
+	for i := 1; i < len(outs); i++ {
+		if !bytes.Equal(outs[0], outs[i]) {
+			t.Fatalf("%s and %s decode the same %d bytes differently", paths[0], paths[i], len(data))
+		}
+	}
+	return len(outs) > 0
 }
 
 // validArchives returns one serial and one chunked archive of sz3 and of
@@ -59,7 +74,7 @@ func validArchives(t testing.TB) [][]byte {
 
 func TestTruncatedArchivesNeverPanic(t *testing.T) {
 	for _, enc := range validArchives(t) {
-		if !decodeAllPaths(enc) {
+		if !decodeAllPaths(t, enc) {
 			t.Fatal("valid archive rejected")
 		}
 		// Every proper prefix must fail with an error, never a panic and
@@ -82,8 +97,9 @@ func TestTruncatedArchivesNeverPanic(t *testing.T) {
 }
 
 // rewriteHeader re-frames an archive with its section-0 header bytes
-// transformed by mutate, leaving the slab sections untouched.
-func rewriteHeader(t *testing.T, enc []byte, mutate func(h []byte)) []byte {
+// replaced by what mutate returns for a copy of them, leaving the slab
+// sections untouched.
+func rewriteHeader(t *testing.T, enc []byte, mutate func(h []byte) []byte) []byte {
 	t.Helper()
 	arc, err := container.Open(enc)
 	if err != nil {
@@ -97,7 +113,7 @@ func rewriteHeader(t *testing.T, enc []byte, mutate func(h []byte)) []byte {
 		}
 		sec = append([]byte(nil), sec...)
 		if i == 0 {
-			mutate(sec)
+			sec = mutate(sec)
 		}
 		b.Add(sec)
 	}
@@ -115,12 +131,15 @@ func TestMalformedChunkBoundsRejected(t *testing.T) {
 		t.Fatalf("setup: %+v err %v", hdr, err)
 	}
 	// Bounds live at header offset 40 as little-endian uint32s: [0, 8, 16].
-	setBound := func(i int, v uint32) func([]byte) {
-		return func(h []byte) { binary.LittleEndian.PutUint32(h[40+4*i:], v) }
+	setBound := func(i int, v uint32) func([]byte) []byte {
+		return func(h []byte) []byte {
+			binary.LittleEndian.PutUint32(h[40+4*i:], v)
+			return h
+		}
 	}
 	cases := []struct {
 		name   string
-		mutate func([]byte)
+		mutate func([]byte) []byte
 	}{
 		{"reversed", setBound(1, 20)},              // [0, 20, 16]: decreasing
 		{"empty-chunk", setBound(1, 0)},            // [0, 0, 16]: zero-depth slab
@@ -129,6 +148,9 @@ func TestMalformedChunkBoundsRejected(t *testing.T) {
 		{"uncovered-end", setBound(2, 15)},         // [0, 8, 15]
 		{"out-of-range", setBound(2, 1<<30)},       // far beyond Nz
 		{"chunk-count-overflow", setBound(-1, 99)}, // nChunks at offset 36
+		// Section 0 is exactly 40 + 4·(chunks+1) bytes; a tail would make
+		// two byte strings the same archive.
+		{"trailing-bytes", func(h []byte) []byte { return append(h, 0, 0, 0, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,6 +163,9 @@ func TestMalformedChunkBoundsRejected(t *testing.T) {
 			}
 			if _, err := codec.NewReader[float32](bytes.NewReader(bad)); err == nil {
 				t.Error("NewReader accepted malformed chunk bounds")
+			}
+			if _, err := codec.OpenReaderAt[float32](bad); err == nil {
+				t.Error("OpenReaderAt accepted malformed chunk bounds")
 			}
 		})
 	}
@@ -163,10 +188,11 @@ func TestOverflowingDimsRejected(t *testing.T) {
 	}
 	for name, dims := range cases {
 		t.Run(name, func(t *testing.T) {
-			bad := rewriteHeader(t, enc, func(h []byte) {
+			bad := rewriteHeader(t, enc, func(h []byte) []byte {
 				binary.LittleEndian.PutUint32(h[8:], dims[0])
 				binary.LittleEndian.PutUint32(h[12:], dims[1])
 				binary.LittleEndian.PutUint32(h[16:], dims[2])
+				return h
 			})
 			if _, err := codec.ParseHeader(bad); err == nil {
 				t.Error("ParseHeader accepted overflowing dims")
@@ -226,7 +252,7 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No input may panic any decode path; success is only legitimate
 		// when the archive actually parses end to end.
-		decodeAllPaths(data)
+		decodeAllPaths(t, data)
 	})
 }
 

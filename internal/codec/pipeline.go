@@ -17,27 +17,15 @@ import (
 const EncMagic = uint32(0x43585a53)
 
 // encVersion is the on-disk version of the unified header (docs/FORMAT.md).
-// Version 2 marks archives whose backend chunk payloads may use the
-// multi-lane Huffman entropy layout (the payloads are self-describing, so
-// readers accept both versions; the bump exists so pre-lane readers reject
-// archives they cannot decode rather than failing deep inside a backend).
+// Every writer stamps version 2, which marks archives whose backend chunk
+// payloads may use the multi-lane Huffman entropy layout. The payloads are
+// self-describing, so readers accept version 1 too; the bump exists so
+// pre-lane readers reject archives they cannot decode rather than failing
+// deep inside a backend.
 const (
 	encVersion    = 2
 	encVersionMin = 1
 )
-
-// encVersionFor returns the header version stamped for a backend: 2 only
-// for backends whose payloads can actually carry lane-coded entropy
-// streams (sz3, sperr, stz). zfp and mgard payloads are byte-identical to
-// what pre-lane writers produced, so their archives keep version 1 and stay
-// readable by pre-lane readers at no cost.
-func encVersionFor(codecID uint8) byte {
-	switch codecID {
-	case IDSZ3, IDSPERR, IDSTZ:
-		return encVersion
-	}
-	return encVersionMin
-}
 
 // chunkMinDepth is the minimum z-slab depth the automatic chunk planner
 // will produce: thinner slabs lose too much cross-boundary correlation for
@@ -69,7 +57,7 @@ func (h Header) Chunks() int { return len(h.ChunkBounds) - 1 }
 func (h Header) marshal() []byte {
 	buf := make([]byte, 40+4*len(h.ChunkBounds))
 	binary.LittleEndian.PutUint32(buf[0:], EncMagic)
-	buf[4] = encVersionFor(h.CodecID)
+	buf[4] = encVersion
 	buf[5] = h.CodecID
 	buf[6] = h.DType
 	buf[7] = byte(h.Mode)
@@ -114,8 +102,13 @@ func unmarshalEncHeader(buf []byte) (Header, error) {
 	if _, err := CheckDims(h.Nz, h.Ny, h.Nx); err != nil {
 		return h, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if nChunks < 1 || nChunks > h.Nz || len(buf) < 40+4*(nChunks+1) {
+	if nChunks < 1 || nChunks > h.Nz {
 		return h, fmt.Errorf("%w: implausible chunk count %d", ErrFormat, nChunks)
+	}
+	// Exactly the declared size: a tail would let two byte strings open as
+	// the same archive.
+	if want := 40 + 4*(nChunks+1); len(buf) != want {
+		return h, fmt.Errorf("%w: header section of %d bytes, want %d", ErrFormat, len(buf), want)
 	}
 	h.ChunkBounds = make([]int, nChunks+1)
 	for i := range h.ChunkBounds {
@@ -171,6 +164,82 @@ func planChunkBounds(c Codec, nz int, cfg Config) []int {
 	return parallel.Chunks(nz, n)
 }
 
+// newHeader looks up the named codec and returns it with the header of an
+// (nz, ny, nx) grid of T compressed at cfg's bound, chunk plan included —
+// the front half Encode and NewWriter share.
+func newHeader[T grid.Float](name string, nz, ny, nx int, cfg Config) (Codec, Header, error) {
+	c, err := Lookup(name)
+	if err != nil {
+		return nil, Header{}, err
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, Header{}, err
+	}
+	if _, err := CheckDims(nz, ny, nx); err != nil {
+		return nil, Header{}, err
+	}
+	return c, Header{
+		CodecID: c.ID(), DType: dtypeOf[T](), Mode: cfg.Mode,
+		Nz: nz, Ny: ny, Nx: nx,
+		EBRequested: cfg.EB, EBAbs: cfg.EB, ChunkBounds: planChunkBounds(c, nz, cfg),
+	}, nil
+}
+
+// encodeChunks compresses the z-slabs of chunks first, first+1, … of the
+// stream hdr describes — slabs[i] holds chunk first+i's values — on up to
+// cfg.Workers goroutines and returns their sections. cfg's bound must be
+// absolute. A single-chunk stream compresses with cfg as given; a chunked
+// one hands each slab an equal share of the worker budget for the
+// backend's internal mode.
+func encodeChunks[T grid.Float](c Codec, hdr Header, cfg Config, first int, slabs [][]T) ([][]byte, error) {
+	slabCfg := cfg
+	if hdr.Chunks() > 1 {
+		slabCfg.Workers = perChunkWorkers(cfg.Workers, hdr.Chunks())
+		slabCfg.Chunks = 1
+	}
+	blobs := make([][]byte, len(slabs))
+	errs := make([]error, len(slabs))
+	parallel.For(len(slabs), cfg.Workers, func(i int) {
+		lo, hi := hdr.ChunkBounds[first+i], hdr.ChunkBounds[first+i+1]
+		slab, err := grid.FromData(slabs[i], hi-lo, hdr.Ny, hdr.Nx)
+		if err == nil {
+			blobs[i], err = Compress(c, slab, slabCfg)
+		}
+		errs[i] = err
+	})
+	for i, e := range errs {
+		if e != nil {
+			return nil, fmt.Errorf("codec: chunk %d: %w", first+i, e)
+		}
+	}
+	return blobs, nil
+}
+
+// decodeChunk decompresses sec, the section of chunk i of the stream hdr
+// describes, with workers goroutines and checks that it holds the chunk's
+// z-slab.
+func decodeChunk[T grid.Float](c Codec, hdr Header, i int, sec []byte, workers int) (*grid.Grid[T], error) {
+	g, err := Decompress[T](c, sec, workers)
+	if err != nil {
+		return nil, fmt.Errorf("codec: chunk %d: %w", i, err)
+	}
+	if lo, hi := hdr.ChunkBounds[i], hdr.ChunkBounds[i+1]; g.Nz != hi-lo || g.Ny != hdr.Ny || g.Nx != hdr.Nx {
+		return nil, fmt.Errorf("%w: chunk %d dims mismatch", ErrFormat, i)
+	}
+	return g, nil
+}
+
+// frame returns the container of a stream: the header section, then the
+// chunk sections in order.
+func (h Header) frame(blobs [][]byte) *container.Builder {
+	var b container.Builder
+	b.Add(h.marshal())
+	for _, blob := range blobs {
+		b.Add(blob)
+	}
+	return &b
+}
+
 // Encode compresses g with the named codec and frames the result into the
 // container format behind a versioned header (docs/FORMAT.md). With
 // cfg.Chunks != 1 and a deep enough grid, the grid is split into z-slabs
@@ -178,71 +247,27 @@ func planChunkBounds(c Codec, nz int, cfg Config) []int {
 // equivalent of the paper's per-backend "OMP" modes, with the same
 // trade-off: chunks lose cross-boundary correlation, costing some ratio.
 func Encode[T grid.Float](name string, g *grid.Grid[T], cfg Config) ([]byte, error) {
-	c, err := Lookup(name)
+	c, hdr, err := newHeader[T](name, g.Nz, g.Ny, g.Nx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	abs, err := resolveFor(cfg, g)
+	if err != nil {
 		return nil, err
 	}
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("codec: empty grid")
-	}
-	ebRequested, mode := cfg.EB, cfg.Mode
-	if cfg.Mode == ModeRel {
-		mn, mx := g.Range()
-		cfg = cfg.Resolve(float64(mn), float64(mx))
-		if err := cfg.validate(); err != nil {
-			return nil, fmt.Errorf("codec: relative bound resolves to %g on range [%g, %g]",
-				cfg.EB, mn, mx)
-		}
-	}
-	bounds := planChunkBounds(c, g.Nz, cfg)
-	nChunks := len(bounds) - 1
-
-	hdr := Header{
-		CodecID: c.ID(), DType: dtypeOf[T](), Mode: mode,
-		Nz: g.Nz, Ny: g.Ny, Nx: g.Nx,
-		EBRequested: ebRequested, EBAbs: cfg.EB, ChunkBounds: bounds,
-	}
-	if nChunks == 1 {
-		blob, err := Compress(c, g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return Frame(hdr, blob), nil
-	}
-
-	// Chunked pipeline: z-slabs are contiguous in the row-major layout, so
-	// each chunk grid is a zero-copy view; the pool supplies the chunk
-	// parallelism, and any worker surplus beyond the chunk count is handed
-	// to the backend's internal mode.
-	chunkCfg := cfg
-	chunkCfg.Workers = perChunkWorkers(cfg.Workers, nChunks)
-	chunkCfg.Chunks = 1
+	hdr.EBAbs = abs.EB
+	// z-slabs are contiguous in the row-major layout, so each chunk's
+	// values are a zero-copy view of g.
 	plane := g.Ny * g.Nx
-	blobs := make([][]byte, nChunks)
-	errs := make([]error, nChunks)
-	parallel.For(nChunks, cfg.Workers, func(i int) {
-		lo, hi := bounds[i], bounds[i+1]
-		slab, err := grid.FromData(g.Data[lo*plane:hi*plane], hi-lo, g.Ny, g.Nx)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		blobs[i], errs[i] = Compress(c, slab, chunkCfg)
-	})
-	for i, e := range errs {
-		if e != nil {
-			return nil, fmt.Errorf("codec: chunk %d: %w", i, e)
-		}
+	slabs := make([][]T, hdr.Chunks())
+	for i := range slabs {
+		slabs[i] = g.Data[hdr.ChunkBounds[i]*plane : hdr.ChunkBounds[i+1]*plane]
 	}
-	var b container.Builder
-	b.Add(hdr.marshal())
-	for _, blob := range blobs {
-		b.Add(blob)
+	blobs, err := encodeChunks(c, hdr, abs, 0, slabs)
+	if err != nil {
+		return nil, err
 	}
-	return b.Bytes(), nil
+	return hdr.frame(blobs).Bytes(), nil
 }
 
 // Frame wraps payload — one backend stream covering the whole grid that h
@@ -251,10 +276,7 @@ func Encode[T grid.Float](name string, g *grid.Grid[T], cfg Config) ([]byte, err
 // pre-registry core archive) joins the unified format.
 func Frame(h Header, payload []byte) []byte {
 	h.ChunkBounds = []int{0, h.Nz}
-	var b container.Builder
-	b.Add(h.marshal())
-	b.Add(payload)
-	return b.Bytes()
+	return h.frame([][]byte{payload}).Bytes()
 }
 
 // openEncoded parses the container framing and unified header.
@@ -333,14 +355,7 @@ func Decode[T grid.Float](data []byte, workers int) (*grid.Grid[T], error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := Decompress[T](c, sec, workers)
-		if err != nil {
-			return nil, err
-		}
-		if g.Nz != hdr.Nz || g.Ny != hdr.Ny || g.Nx != hdr.Nx {
-			return nil, fmt.Errorf("%w: payload dims mismatch", ErrFormat)
-		}
-		return g, nil
+		return decodeChunk[T](c, hdr, 0, sec, workers)
 	}
 	out := grid.New[T](hdr.Nz, hdr.Ny, hdr.Nx)
 	plane := hdr.Ny * hdr.Nx
@@ -352,25 +367,20 @@ func Decode[T grid.Float](data []byte, workers int) (*grid.Grid[T], error) {
 			errs[i] = err
 			return
 		}
-		slab, err := Decompress[T](c, sec, inner)
+		slab, err := decodeChunk[T](c, hdr, i, sec, inner)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		lo, hi := hdr.ChunkBounds[i], hdr.ChunkBounds[i+1]
-		if slab.Nz != hi-lo || slab.Ny != hdr.Ny || slab.Nx != hdr.Nx {
-			errs[i] = fmt.Errorf("%w: chunk %d dims mismatch", ErrFormat, i)
-			return
-		}
-		copy(out.Data[lo*plane:hi*plane], slab.Data)
+		copy(out.Data[hdr.ChunkBounds[i]*plane:], slab.Data)
 		// The slab was only a staging buffer; recycle its backing array
 		// (backends that lease their result grids get it back on the next
 		// chunk, others just seed the pool).
 		scratch.ReleaseFloat(slab.Data)
 	})
-	for i, e := range errs {
+	for _, e := range errs {
 		if e != nil {
-			return nil, fmt.Errorf("codec: chunk %d: %w", i, e)
+			return nil, e
 		}
 	}
 	return out, nil

@@ -158,22 +158,13 @@ func (r *ReaderAt[T]) slab(i, workers int) (*grid.Grid[T], error) {
 	return e.g, e.err
 }
 
-// decodeSlab decodes chunk i's whole z-slab with workers goroutines and
-// validates its dims.
+// decodeSlab decodes chunk i's whole z-slab with workers goroutines.
 func (r *ReaderAt[T]) decodeSlab(i, workers int) (*grid.Grid[T], error) {
 	sec, err := r.arc.Section(i + 1)
 	if err != nil {
 		return nil, err
 	}
-	g, err := Decompress[T](r.c, sec, workers)
-	if err != nil {
-		return nil, fmt.Errorf("codec: chunk %d: %w", i, err)
-	}
-	lo, hi := r.hdr.ChunkBounds[i], r.hdr.ChunkBounds[i+1]
-	if g.Nz != hi-lo || g.Ny != r.hdr.Ny || g.Nx != r.hdr.Nx {
-		return nil, fmt.Errorf("%w: chunk %d dims mismatch", ErrFormat, i)
-	}
-	return g, nil
+	return decodeChunk[T](r.c, r.hdr, i, sec, workers)
 }
 
 // DecompressBox reconstructs only the region b — random-access

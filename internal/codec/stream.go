@@ -7,6 +7,7 @@ import (
 	"stz/internal/container"
 	"stz/internal/grid"
 	"stz/internal/parallel"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -20,6 +21,10 @@ const maxStreamHeaderLen = 40 + 4*((1<<20)+1)
 // from an untrusted directory.
 const sectionSlack = 1 << 20
 
+// rawBufValues is the most values ReadFrom and WriteTo convert between
+// little-endian bytes and T at a time.
+const rawBufValues = 64 * 1024
+
 // maxSectionFactor is the largest plausible compressed-to-raw expansion of
 // any backend (verbatim fallbacks stay near 1x; 16x already means a badly
 // broken stream and protects streaming readers from directory-driven
@@ -28,41 +33,36 @@ const maxSectionFactor = 16
 
 // Writer encodes a grid incrementally into the unified encoded format
 // (docs/FORMAT.md) with bounded memory: values arrive in row-major order
-// through Write, complete z-slabs accumulate up to a fixed window and are
-// then compressed as one parallel batch on the worker pool, and Close
-// frames the compressed sections into the container. The emitted bytes are
-// identical to Encode on the same grid and configuration, so streamed
-// archives are indistinguishable from buffered ones.
+// through Write or ReadFrom, complete z-slabs accumulate up to a window of
+// max(1, Workers) slabs and are then compressed as one parallel batch on
+// the worker pool, and Close frames the compressed sections into the
+// container. The emitted bytes are identical to Encode on the same grid and
+// configuration, so streamed archives are indistinguishable from buffered
+// ones.
 //
-// Raw-side memory is bounded by Window slabs; the compressed sections are
+// Raw-side memory is bounded by the window; the compressed sections are
 // retained until Close because the container directory precedes the
 // payloads. The bound must be absolute (resolve relative bounds against
 // the data range first, see Config.Resolve); the pre-resolution bound can
 // be recorded in the header with SetRequestedBound for byte compatibility
 // with relative-mode Encode.
 type Writer[T grid.Float] struct {
-	// Window is the maximum number of complete raw z-slabs buffered before
-	// a compression batch is flushed. 0 selects max(1, cfg.Workers). It
-	// must be set before the first Write.
-	Window int
-
 	w      io.Writer
 	c      Codec
 	cfg    Config // absolute-mode, as used for per-chunk compression
 	hdr    Header
 	plane  int
-	window int // resolved on first Write
+	window int // complete slabs buffered before a compression batch
 
 	chunk      int // index of the chunk currently being filled
-	slab       []T // buffer for that chunk (nil until first value)
+	slab       []T // lease for that chunk (nil until its first value)
 	slabLen    int
 	batch      [][]T // complete slabs awaiting compression
 	batchFirst int   // chunk index of batch[0]
 	blobs      [][]byte
 
-	started bool
-	closed  bool
-	err     error
+	closed bool
+	err    error
 }
 
 // NewWriter returns a streaming encoder that writes the unified encoded
@@ -71,30 +71,18 @@ type Writer[T grid.Float] struct {
 // rejected: a streaming encoder cannot see the full value range in
 // advance, so the caller must resolve the bound first.
 func NewWriter[T grid.Float](w io.Writer, name string, nz, ny, nx int, cfg Config) (*Writer[T], error) {
-	c, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Mode == ModeRel {
 		return nil, fmt.Errorf("codec: streaming writer requires an absolute bound; resolve the relative bound first (Config.Resolve) and record it with SetRequestedBound")
 	}
-	if _, err := CheckDims(nz, ny, nx); err != nil {
+	c, hdr, err := newHeader[T](name, nz, ny, nx, cfg)
+	if err != nil {
 		return nil, err
 	}
-	bounds := planChunkBounds(c, nz, cfg)
+	window := max(1, cfg.Workers)
 	return &Writer[T]{
-		w:   w,
-		c:   c,
-		cfg: cfg,
-		hdr: Header{
-			CodecID: c.ID(), DType: dtypeOf[T](), Mode: cfg.Mode,
-			Nz: nz, Ny: ny, Nx: nx,
-			EBRequested: cfg.EB, EBAbs: cfg.EB, ChunkBounds: bounds,
-		},
-		plane: ny * nx,
+		w: w, c: c, cfg: cfg, hdr: hdr, plane: ny * nx, window: window,
+		batch: make([][]T, 0, window),
+		blobs: make([][]byte, 0, hdr.Chunks()),
 	}, nil
 }
 
@@ -102,7 +90,7 @@ func NewWriter[T grid.Float](w io.Writer, name string, nz, ny, nx int, cfg Confi
 // stream header, matching what Encode writes for relative-mode configs.
 // It must be called before the first Write.
 func (sw *Writer[T]) SetRequestedBound(eb float64, mode ErrorMode) error {
-	if sw.started || sw.closed {
+	if sw.chunk > 0 || sw.slab != nil || sw.closed {
 		return fmt.Errorf("codec: SetRequestedBound after first Write")
 	}
 	sw.hdr.EBRequested = eb
@@ -115,74 +103,121 @@ func (sw *Writer[T]) Header() Header { return sw.hdr }
 
 // Write appends values in row-major (x fastest) order. It may be called
 // with any granularity — single values, partial planes, whole slabs — and
-// triggers a parallel compression batch whenever Window slabs are full.
+// triggers a parallel compression batch whenever a window of slabs is
+// full.
 func (sw *Writer[T]) Write(vals []T) error {
+	for len(vals) > 0 {
+		dst, err := sw.space()
+		if err != nil {
+			return err
+		}
+		n := copy(dst, vals)
+		vals = vals[n:]
+		if err := sw.commit(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadFrom reads the rest of the grid from r as little-endian values,
+// decoding them straight into the writer's slab leases (io.ReaderFrom).
+// r must end exactly at the grid's last value: a short body, one that ends
+// inside a value and one with bytes past the grid all fail, wrapping r's
+// own error when r reports one, and leave the writer failed, so Close
+// writes nothing. It returns the bytes consumed.
+func (sw *Writer[T]) ReadFrom(r io.Reader) (int64, error) {
+	if err := sw.check(); err != nil {
+		return 0, err
+	}
+	vr := rawio.NewReader[T](r, min(sw.hdr.Nz*sw.plane, rawBufValues))
+	elem := int64(sw.hdr.DType)
+	var total int64
+	for sw.chunk < sw.hdr.Chunks() {
+		dst, err := sw.space()
+		if err != nil {
+			return total, err
+		}
+		n, err := vr.Read(dst)
+		total += int64(n) * elem
+		if cerr := sw.commit(n); cerr != nil {
+			return total, cerr
+		}
+		if err == io.EOF {
+			sw.err = fmt.Errorf("codec: short input: %d of %d values", sw.written(), sw.hdr.Nz*sw.plane)
+			return total, sw.err
+		}
+		if err != nil {
+			sw.err = fmt.Errorf("codec: reading values: %w", err)
+			return total, sw.err
+		}
+	}
+	var probe [1]byte
+	switch n, err := io.ReadFull(r, probe[:]); {
+	case n > 0:
+		sw.err = fmt.Errorf("codec: input longer than the %d×%d×%d grid", sw.hdr.Nz, sw.hdr.Ny, sw.hdr.Nx)
+	case err != io.EOF:
+		sw.err = fmt.Errorf("codec: reading values: %w", err)
+	default:
+		return total, nil
+	}
+	return total, sw.err
+}
+
+// space returns the unfilled rest of the current chunk's slab, leasing it
+// on the chunk's first value.
+func (sw *Writer[T]) space() ([]T, error) {
+	if err := sw.check(); err != nil {
+		return nil, err
+	}
+	if sw.chunk >= sw.hdr.Chunks() {
+		sw.err = fmt.Errorf("codec: more than %d values written to %d×%d×%d stream",
+			sw.hdr.Nz*sw.plane, sw.hdr.Nz, sw.hdr.Ny, sw.hdr.Nx)
+		return nil, sw.err
+	}
+	if sw.slab == nil {
+		// Slabs are scratch leases: filled completely before compression
+		// and released as soon as their compressed section exists.
+		depth := sw.hdr.ChunkBounds[sw.chunk+1] - sw.hdr.ChunkBounds[sw.chunk]
+		sw.slab = scratch.LeaseFloat[T](depth * sw.plane)
+		sw.slabLen = 0
+	}
+	return sw.slab[sw.slabLen:], nil
+}
+
+// check reports why the writer takes no more values, if it does not.
+func (sw *Writer[T]) check() error {
 	if sw.err != nil {
 		return sw.err
 	}
 	if sw.closed {
 		return fmt.Errorf("codec: write on closed Writer")
 	}
-	if !sw.started {
-		sw.started = true
-		sw.window = sw.Window
-		if sw.window <= 0 {
-			sw.window = sw.cfg.Workers
-		}
-		if sw.window < 1 {
-			sw.window = 1
-		}
-		// Pre-size the accumulators once: blobs holds every compressed
-		// section until Close, batch at most one window of slabs.
-		sw.blobs = make([][]byte, 0, sw.hdr.Chunks())
-		sw.batch = make([][]T, 0, sw.window)
-	}
-	nChunks := sw.hdr.Chunks()
-	for len(vals) > 0 {
-		if sw.chunk >= nChunks {
-			sw.err = fmt.Errorf("codec: more than %d values written to %d×%d×%d stream",
-				sw.hdr.Nz*sw.plane, sw.hdr.Nz, sw.hdr.Ny, sw.hdr.Nx)
-			return sw.err
-		}
-		if sw.slab == nil {
-			depth := sw.hdr.ChunkBounds[sw.chunk+1] - sw.hdr.ChunkBounds[sw.chunk]
-			// Slabs are scratch leases: filled completely before compression
-			// and released as soon as their compressed section exists.
-			sw.slab = scratch.LeaseFloat[T](depth * sw.plane)
-			sw.slabLen = 0
-		}
-		n := copy(sw.slab[sw.slabLen:], vals)
-		sw.slabLen += n
-		vals = vals[n:]
-		if sw.slabLen == len(sw.slab) {
-			if len(sw.batch) == 0 {
-				sw.batchFirst = sw.chunk
-			}
-			sw.batch = append(sw.batch, sw.slab)
-			sw.slab = nil
-			sw.slabLen = 0
-			sw.chunk++
-			if len(sw.batch) >= sw.window {
-				if err := sw.flush(); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	return nil
 }
 
-// chunkConfig returns the per-slab compression config, mirroring Encode:
-// a single-chunk stream keeps the caller's config verbatim; a chunked one
-// hands each slab an equal share of the worker budget.
-func (sw *Writer[T]) chunkConfig() Config {
-	if sw.hdr.Chunks() == 1 {
-		return sw.cfg
+// commit counts n more values written into space's slice; a complete slab
+// joins the batch, and a full window is compressed.
+func (sw *Writer[T]) commit(n int) error {
+	sw.slabLen += n
+	if sw.slabLen < len(sw.slab) {
+		return nil
 	}
-	c := sw.cfg
-	c.Workers = perChunkWorkers(sw.cfg.Workers, sw.hdr.Chunks())
-	c.Chunks = 1
-	return c
+	if len(sw.batch) == 0 {
+		sw.batchFirst = sw.chunk
+	}
+	sw.batch = append(sw.batch, sw.slab)
+	sw.slab, sw.slabLen = nil, 0
+	sw.chunk++
+	if len(sw.batch) < sw.window {
+		return nil
+	}
+	return sw.flush()
+}
+
+// written is the number of values the writer has taken.
+func (sw *Writer[T]) written() int {
+	return sw.hdr.ChunkBounds[sw.chunk]*sw.plane + sw.slabLen
 }
 
 // flush compresses the buffered batch of complete slabs in parallel and
@@ -191,29 +226,15 @@ func (sw *Writer[T]) flush() error {
 	if len(sw.batch) == 0 {
 		return nil
 	}
-	cfgc := sw.chunkConfig()
-	blobs := make([][]byte, len(sw.batch))
-	errs := make([]error, len(sw.batch))
-	first := sw.batchFirst
-	parallel.For(len(sw.batch), sw.cfg.Workers, func(i int) {
-		lo, hi := sw.hdr.ChunkBounds[first+i], sw.hdr.ChunkBounds[first+i+1]
-		slab, err := grid.FromData(sw.batch[i], hi-lo, sw.hdr.Ny, sw.hdr.Nx)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		blobs[i], errs[i] = Compress(sw.c, slab, cfgc)
-	})
+	blobs, err := encodeChunks(sw.c, sw.hdr, sw.cfg, sw.batchFirst, sw.batch)
 	for i := range sw.batch {
 		scratch.ReleaseFloat(sw.batch[i])
 		sw.batch[i] = nil
 	}
 	sw.batch = sw.batch[:0]
-	for i, e := range errs {
-		if e != nil {
-			sw.err = fmt.Errorf("codec: chunk %d: %w", first+i, e)
-			return sw.err
-		}
+	if err != nil {
+		sw.err = err
+		return err
 	}
 	sw.blobs = append(sw.blobs, blobs...)
 	return nil
@@ -236,21 +257,15 @@ func (sw *Writer[T]) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if sw.slabLen > 0 || sw.chunk < sw.hdr.Chunks() {
-		written := sw.hdr.ChunkBounds[sw.chunk]*sw.plane + sw.slabLen
+	if sw.chunk < sw.hdr.Chunks() {
 		sw.err = fmt.Errorf("codec: short stream: %d of %d values written",
-			written, sw.hdr.Nz*sw.plane)
+			sw.written(), sw.hdr.Nz*sw.plane)
 		return sw.err
 	}
 	if err := sw.flush(); err != nil {
 		return err
 	}
-	var b container.Builder
-	b.Add(sw.hdr.marshal())
-	for _, blob := range sw.blobs {
-		b.Add(blob)
-	}
-	if _, err := b.WriteTo(sw.w); err != nil {
+	if _, err := sw.hdr.frame(sw.blobs).WriteTo(sw.w); err != nil {
 		sw.err = err
 		return err
 	}
@@ -279,7 +294,7 @@ func OpenStream(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("%w: no payload sections", ErrFormat)
 	}
 	hlen := dir.SectionLen(0)
-	if hlen < 44 || hlen > maxStreamHeaderLen {
+	if hlen > maxStreamHeaderLen {
 		return nil, fmt.Errorf("%w: implausible header section length %d", ErrFormat, hlen)
 	}
 	hbuf := scratch.Bytes.Lease(int(hlen))
@@ -304,15 +319,12 @@ func (s *Stream) Header() Header { return s.hdr }
 
 // Reader decodes a unified encoded stream incrementally with bounded
 // memory: slab sections are read sequentially off the underlying reader,
-// decompressed in parallel batches of up to Window slabs, and served to
-// the consumer in row-major order through Read.
+// decompressed in parallel batches of up to max(2, Workers) slabs, and
+// served to the consumer in row-major order through Read or WriteTo.
 type Reader[T grid.Float] struct {
 	// Workers bounds the decompression parallelism (across slabs in a
 	// batch, with any surplus handed to backend-internal modes).
 	Workers int
-	// Window is the maximum number of slabs resident at once. 0 selects
-	// max(2, Workers).
-	Window int
 
 	s     *Stream
 	c     Codec
@@ -357,61 +369,81 @@ func (sr *Reader[T]) Header() Header { return sr.s.hdr }
 // decoding further slab batches as needed. It returns io.EOF after the
 // final value has been served.
 func (sr *Reader[T]) Read(dst []T) (int, error) {
-	if sr.err != nil {
-		return 0, sr.err
-	}
 	total := 0
 	for len(dst) > 0 {
-		if sr.head == len(sr.ready) {
-			if sr.chunk >= sr.s.hdr.Chunks() {
-				if total > 0 {
-					return total, nil
-				}
-				return 0, io.EOF
+		vals, err := sr.next()
+		if err != nil {
+			if total > 0 {
+				return total, nil
 			}
-			if err := sr.fill(); err != nil {
-				sr.err = err
-				if total > 0 {
-					return total, nil
-				}
-				return 0, err
-			}
+			return 0, err
 		}
-		head := sr.ready[sr.head]
-		n := copy(dst, head.Data[sr.cur:])
-		sr.cur += n
+		n := copy(dst, vals)
+		sr.consume(n)
 		dst = dst[n:]
 		total += n
-		if sr.cur == len(head.Data) {
-			// The slab is fully served; recycle its backing array so the
-			// next decode batch leases it instead of allocating.
-			scratch.ReleaseFloat(head.Data)
-			sr.ready[sr.head] = nil
-			sr.head++
-			sr.cur = 0
-		}
 	}
 	return total, nil
+}
+
+// WriteTo writes the rest of the grid to w as little-endian values, one
+// decoded slab at a time, releasing each slab once it is written
+// (io.WriterTo). It returns the bytes written.
+func (sr *Reader[T]) WriteTo(w io.Writer) (int64, error) {
+	hdr := sr.s.hdr
+	vw := rawio.NewWriter[T](w, min(hdr.Nz*hdr.Ny*hdr.Nx, rawBufValues))
+	var total int64
+	for {
+		vals, err := sr.next()
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+		if err := vw.Write(vals); err != nil {
+			return total, err
+		}
+		total += int64(len(vals)) * int64(hdr.DType)
+		sr.consume(len(vals))
+	}
+}
+
+// next returns the unserved values of the current slab, decoding the next
+// window once every resident slab is served; io.EOF follows the last.
+func (sr *Reader[T]) next() ([]T, error) {
+	if sr.err != nil {
+		return nil, sr.err
+	}
+	if sr.head == len(sr.ready) {
+		if sr.chunk >= sr.s.hdr.Chunks() {
+			return nil, io.EOF
+		}
+		if err := sr.fill(); err != nil {
+			sr.err = err
+			return nil, err
+		}
+	}
+	return sr.ready[sr.head].Data[sr.cur:], nil
+}
+
+// consume marks n more values of the current slab served. A fully served
+// slab's backing array is recycled, so the next decode batch leases it
+// instead of allocating.
+func (sr *Reader[T]) consume(n int) {
+	sr.cur += n
+	if head := sr.ready[sr.head]; sr.cur == len(head.Data) {
+		scratch.ReleaseFloat(head.Data)
+		sr.ready[sr.head] = nil
+		sr.head++
+		sr.cur = 0
+	}
 }
 
 // fill reads and decompresses the next window of slab sections.
 func (sr *Reader[T]) fill() error {
 	hdr := sr.s.hdr
-	window := sr.Window
-	if window <= 0 {
-		window = sr.Workers
-		if window < 2 {
-			window = 2
-		}
-	}
-	batchN := hdr.Chunks() - sr.chunk
-	if batchN > window {
-		batchN = window
-	}
-	var elem int64 = 8
-	if hdr.DType == 4 {
-		elem = 4
-	}
+	batchN := min(hdr.Chunks()-sr.chunk, max(2, sr.Workers))
 	// Compressed section buffers are scratch leases, released as soon as
 	// their slab is decoded (no backend retains its input).
 	secs := make([][]byte, batchN)
@@ -419,7 +451,7 @@ func (sr *Reader[T]) fill() error {
 		ci := sr.chunk + i
 		l := sr.s.dir.SectionLen(ci + 1)
 		raw := int64(hdr.ChunkBounds[ci+1]-hdr.ChunkBounds[ci]) *
-			int64(hdr.Ny) * int64(hdr.Nx) * elem
+			int64(hdr.Ny) * int64(hdr.Nx) * int64(hdr.DType)
 		if l < 0 || l > maxSectionFactor*raw+sectionSlack {
 			return fmt.Errorf("%w: implausible section length %d for chunk %d", ErrFormat, l, ci)
 		}
@@ -436,23 +468,13 @@ func (sr *Reader[T]) fill() error {
 	errs := make([]error, batchN)
 	first := sr.chunk
 	parallel.For(batchN, sr.Workers, func(i int) {
-		slab, err := Decompress[T](sr.c, secs[i], inner)
+		slabs[i], errs[i] = decodeChunk[T](sr.c, hdr, first+i, secs[i], inner)
 		scratch.Bytes.Release(secs[i])
 		secs[i] = nil
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		lo, hi := hdr.ChunkBounds[first+i], hdr.ChunkBounds[first+i+1]
-		if slab.Nz != hi-lo || slab.Ny != hdr.Ny || slab.Nx != hdr.Nx {
-			errs[i] = fmt.Errorf("%w: chunk %d dims mismatch", ErrFormat, first+i)
-			return
-		}
-		slabs[i] = slab
 	})
-	for i, e := range errs {
+	for _, e := range errs {
 		if e != nil {
-			return fmt.Errorf("codec: chunk %d: %w", first+i, e)
+			return e
 		}
 	}
 	// Reuse the ready ring's capacity once every served slab is consumed.
@@ -485,44 +507,4 @@ func (sr *Reader[T]) ReadGrid() (*grid.Grid[T], error) {
 		return nil, fmt.Errorf("%w: short stream: %d of %d values", ErrFormat, pos, len(out.Data))
 	}
 	return out, nil
-}
-
-// DecodeFrom is the streaming equivalent of Decode: it reconstructs the
-// full grid from r with bounded in-flight memory.
-func DecodeFrom[T grid.Float](r io.Reader, workers int) (*grid.Grid[T], error) {
-	sr, err := NewReader[T](r)
-	if err != nil {
-		return nil, err
-	}
-	sr.Workers = workers
-	return sr.ReadGrid()
-}
-
-// EncodeTo is the streaming equivalent of Encode for a grid that is
-// already in memory: it produces identical bytes while compressing through
-// the bounded-window writer. Relative bounds are resolved against g first,
-// exactly as Encode does.
-func EncodeTo[T grid.Float](w io.Writer, name string, g *grid.Grid[T], cfg Config) error {
-	ebRequested, mode := cfg.EB, cfg.Mode
-	if cfg.Mode == ModeRel {
-		mn, mx := g.Range()
-		cfg = cfg.Resolve(float64(mn), float64(mx))
-		if err := cfg.validate(); err != nil {
-			return fmt.Errorf("codec: relative bound resolves to %g on range [%g, %g]",
-				cfg.EB, mn, mx)
-		}
-	}
-	sw, err := NewWriter[T](w, name, g.Nz, g.Ny, g.Nx, cfg)
-	if err != nil {
-		return err
-	}
-	if mode == ModeRel {
-		if err := sw.SetRequestedBound(ebRequested, mode); err != nil {
-			return err
-		}
-	}
-	if err := sw.Write(g.Data); err != nil {
-		return err
-	}
-	return sw.Close()
 }

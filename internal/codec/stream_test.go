@@ -24,7 +24,22 @@ func streamIdentity[T grid.Float](t *testing.T, g *grid.Grid[T], name string, cf
 		t.Fatalf("%s: encode: %v", name, err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeTo(&buf, name, g, cfg); err != nil {
+	abs := cfg
+	if cfg.Mode == ModeRel {
+		mn, mx := g.Range()
+		abs = cfg.Resolve(float64(mn), float64(mx))
+	}
+	sw, err := NewWriter[T](&buf, name, g.Nz, g.Ny, g.Nx, abs)
+	if err == nil {
+		err = sw.SetRequestedBound(cfg.EB, cfg.Mode)
+	}
+	if err == nil {
+		err = sw.Write(g.Data)
+	}
+	if err == nil {
+		err = sw.Close()
+	}
+	if err != nil {
 		t.Fatalf("%s: stream encode: %v", name, err)
 	}
 	if !bytes.Equal(want, buf.Bytes()) {
@@ -58,7 +73,9 @@ func TestStreamWriterMatchesEncode(t *testing.T) {
 
 func TestStreamWriterSmallWrites(t *testing.T) {
 	g := datasets.Miranda(24, 10, 12, 5)
-	cfg := Config{EB: 0.02, Workers: 3, Chunks: 3}
+	// One worker makes the window one slab, the tightest memory bound:
+	// every slab is flushed as soon as it is complete.
+	cfg := Config{EB: 0.02, Workers: 1, Chunks: 3}
 	want, err := Encode("sz3", g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +85,6 @@ func TestStreamWriterSmallWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Window = 1 // tightest memory bound: flush every slab
 	// Feed in awkward, non-plane-aligned pieces.
 	for lo := 0; lo < len(g.Data); {
 		hi := lo + 37
@@ -103,7 +119,12 @@ func TestStreamReaderRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got, err := DecodeFrom[float32](onlyReader{bytes.NewReader(enc)}, cfg.Workers)
+			sr, err := NewReader[float32](onlyReader{bytes.NewReader(enc)})
+			if err != nil {
+				t.Fatalf("%s: stream open: %v", name, err)
+			}
+			sr.Workers = cfg.Workers
+			got, err := sr.ReadGrid()
 			if err != nil {
 				t.Fatalf("%s: stream decode: %v", name, err)
 			}
@@ -134,7 +155,6 @@ func TestStreamReaderSmallReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr.Window = 1
 	if h := sr.Header(); h.Nz != g.Nz || h.Chunks() != 3 {
 		t.Fatalf("header %+v", h)
 	}

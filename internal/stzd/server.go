@@ -7,11 +7,12 @@
 package stzd
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"strconv"
@@ -42,9 +43,6 @@ type Options struct {
 	MaxInflight int
 	// Workers is the per-job codec worker budget.
 	Workers int
-	// Window is the bounded streaming window (slabs in flight per job);
-	// 0 lets the codec layer choose.
-	Window int
 	// AdmissionWait is how long a request waits for a job slot before 503.
 	AdmissionWait time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
@@ -525,15 +523,14 @@ func (s *Server) handleCompress(w http.ResponseWriter, c *call) {
 	}
 	defer s.release()
 	p.cfg.Workers = s.opts.Workers
+	d := gridResponse(w, p.codecName, p.nz, p.ny, p.nx, p.width)
 	if p.width == 4 {
-		err = compressRequest[float32](w, c.r.Body, p, s.opts.Window)
+		err = compressRequest[float32](d, c.r.Body, p)
 	} else {
-		err = compressRequest[float64](w, c.r.Body, p, s.opts.Window)
+		err = compressRequest[float64](d, c.r.Body, p)
 	}
 	if err != nil {
-		// Nothing has been written yet (the streaming writer buffers the
-		// archive until Close), so a clean error status is still possible.
-		if errors.Is(err, errBodyWrite) {
+		if d.started {
 			log.Printf("compress: client write failed: %v", err)
 			return
 		}
@@ -541,24 +538,20 @@ func (s *Server) handleCompress(w http.ResponseWriter, c *call) {
 	}
 }
 
-// errBodyWrite marks failures while writing the response body, after the
-// status line is out.
-var errBodyWrite = errors.New("response write")
-
 // compressRequest streams the request body through the bounded-memory
-// codec writer and emits the archive. Relative-mode requests must see the
-// whole grid to resolve the bound, so they buffer it first (still subject
-// to the body limit).
-func compressRequest[T grid.Float](w http.ResponseWriter, body io.Reader, p compressParams, window int) error {
-	vr := rawio.NewReader[T](body, 0)
-	n := p.nz * p.ny * p.nx
-
+// codec writer and emits the archive to d. Relative-mode requests must see
+// the whole grid to resolve the bound, so they buffer it first (still
+// subject to the body limit). Nothing reaches d before the archive is
+// complete, so an ingest error still gets a clean status.
+func compressRequest[T grid.Float](d *deferredResponse, body io.Reader, p compressParams) error {
 	if p.rel {
 		// The staging grid only lives for this request; ReadExactly
 		// overwrites every element of the lease before any read.
+		n := p.nz * p.ny * p.nx
 		gbuf := scratch.LeaseFloat[T](n)
 		defer scratch.ReleaseFloat(gbuf)
 		g := &grid.Grid[T]{Data: gbuf, Nz: p.nz, Ny: p.ny, Nx: p.nx}
+		vr := rawio.NewReader[T](body, 0)
 		if err := vr.ReadExactly(g.Data); err != nil {
 			return fmt.Errorf("reading grid: %w", err)
 		}
@@ -569,32 +562,15 @@ func compressRequest[T grid.Float](w http.ResponseWriter, body io.Reader, p comp
 		if err != nil {
 			return err
 		}
-		setGridHeaders(w.Header(), "application/octet-stream", p.codecName, p.nz, p.ny, p.nx, p.width)
-		if _, err := w.Write(enc); err != nil {
-			return fmt.Errorf("%w: %v", errBodyWrite, err)
-		}
-		return nil
+		_, err = d.Write(enc)
+		return err
 	}
 
-	sw, err := codec.NewWriter[T](&deferredResponse{w: w, p: p}, p.codecName, p.nz, p.ny, p.nx, p.cfg)
+	sw, err := codec.NewWriter[T](d, p.codecName, p.nz, p.ny, p.nx, p.cfg)
 	if err != nil {
 		return err
 	}
-	sw.Window = window
-	buf := scratch.LeaseFloat[T](min(n, 64*1024))
-	defer scratch.ReleaseFloat(buf)
-	remaining := n
-	for remaining > 0 {
-		k := min(remaining, len(buf))
-		if err := vr.ReadExactly(buf[:k]); err != nil {
-			return fmt.Errorf("reading grid: %w", err)
-		}
-		if err := sw.Write(buf[:k]); err != nil {
-			return err
-		}
-		remaining -= k
-	}
-	if err := ensureDrained(vr); err != nil {
+	if _, err := sw.ReadFrom(body); err != nil {
 		return err
 	}
 	return sw.Close()
@@ -630,25 +606,30 @@ func dtypeName(width byte) string {
 	return "f64"
 }
 
-// deferredResponse delays the success headers until the codec writer emits
-// its first archive byte (at Close), so ingest errors can still produce a
-// clean 4xx.
+// deferredResponse delays the success status and headers until the first
+// body byte, so a request that fails before it — a bad compress body, or
+// an archive whose first window does not decode — still gets a clean
+// error status.
 type deferredResponse struct {
 	w       http.ResponseWriter
-	p       compressParams
+	h       http.Header // the success headers
 	started bool
+}
+
+// gridResponse is a deferredResponse whose body holds or encodes a grid
+// (setGridHeaders).
+func gridResponse(w http.ResponseWriter, codecName string, nz, ny, nx int, width byte) *deferredResponse {
+	h := http.Header{}
+	setGridHeaders(h, "application/octet-stream", codecName, nz, ny, nx, width)
+	return &deferredResponse{w: w, h: h}
 }
 
 func (d *deferredResponse) Write(b []byte) (int, error) {
 	if !d.started {
 		d.started = true
-		setGridHeaders(d.w.Header(), "application/octet-stream", d.p.codecName, d.p.nz, d.p.ny, d.p.nx, d.p.width)
+		maps.Copy(d.w.Header(), d.h)
 	}
-	n, err := d.w.Write(b)
-	if err != nil {
-		err = fmt.Errorf("%w: %v", errBodyWrite, err)
-	}
-	return n, err
+	return d.w.Write(b)
 }
 
 func (s *Server) handleDecompress(w http.ResponseWriter, c *call) {
@@ -657,65 +638,50 @@ func (s *Server) handleDecompress(w http.ResponseWriter, c *call) {
 		return
 	}
 	defer s.release()
-	st, err := codec.OpenStream(c.r.Body)
+	// The archive, the small side, is read whole before the first response
+	// byte: an HTTP/1.x server stops reading a request body once its
+	// response starts.
+	body, err := readCapped(c.r.Body, c.r.ContentLength, s.opts.MaxBody)
+	var st *codec.Stream
+	if err == nil {
+		st, err = codec.OpenStream(bytes.NewReader(body))
+	}
 	if err != nil {
 		s.requestError(w, err)
 		return
 	}
 	hdr := st.Header()
-	if rawBytes := int64(hdr.Nz) * int64(hdr.Ny) * int64(hdr.Nx) * int64(hdr.DType); rawBytes > s.opts.MaxBody {
+	rawBytes := int64(hdr.Nz) * int64(hdr.Ny) * int64(hdr.Nx) * int64(hdr.DType)
+	if rawBytes > s.opts.MaxBody {
 		httpError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
 			"decompressed grid of %d bytes exceeds the per-request limit of %d", rawBytes, s.opts.MaxBody)
 		return
 	}
+	d := gridResponse(w, hdr.Codec, hdr.Nz, hdr.Ny, hdr.Nx, hdr.DType)
+	d.h.Set("Content-Length", strconv.FormatInt(rawBytes, 10))
 	if hdr.DType == 4 {
-		err = decompressRequest[float32](w, st, hdr, s.opts)
+		err = decompressRequest[float32](d, st, s.opts.Workers)
 	} else {
-		err = decompressRequest[float64](w, st, hdr, s.opts)
+		err = decompressRequest[float64](d, st, s.opts.Workers)
 	}
 	if err != nil {
-		if errors.Is(err, errBodyWrite) {
-			log.Printf("decompress: client write failed: %v", err)
+		if d.started {
+			// The status is already committed, so the best we can do is
+			// truncate the response.
+			log.Printf("decompress: stream aborted: %v", err)
 			return
 		}
 		s.requestError(w, err)
 	}
 }
 
-// decompressRequest streams decoded planes to the client. The first slab
-// window is decoded before the status line goes out so malformed payloads
-// still get a 4xx; later failures can only abort the stream.
-func decompressRequest[T grid.Float](w http.ResponseWriter, st *codec.Stream, hdr codec.Header, o Options) error {
+// decompressRequest streams the decoded grid to d, one slab at a time.
+func decompressRequest[T grid.Float](d *deferredResponse, st *codec.Stream, workers int) error {
 	sr, err := codec.NewStreamReader[T](st)
 	if err != nil {
 		return err
 	}
-	sr.Workers = o.Workers
-	sr.Window = o.Window
-	n := hdr.Nz * hdr.Ny * hdr.Nx
-	buf := scratch.LeaseFloat[T](min(n, 64*1024))
-	defer scratch.ReleaseFloat(buf)
-	k, err := sr.Read(buf)
-	if err != nil && err != io.EOF {
-		return err
-	}
-	setGridHeaders(w.Header(), "application/octet-stream", hdr.Codec, hdr.Nz, hdr.Ny, hdr.Nx, hdr.DType)
-	w.Header().Set("Content-Length", strconv.FormatInt(int64(n)*int64(rawio.ElemSize[T]()), 10))
-	vw := rawio.NewWriter[T](w, 0)
-	for {
-		if k > 0 {
-			if werr := vw.Write(buf[:k]); werr != nil {
-				return fmt.Errorf("%w: %v", errBodyWrite, werr)
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		k, err = sr.Read(buf)
-		if err != nil && err != io.EOF {
-			// Mid-stream decode failure: the status is already committed,
-			// so the best we can do is truncate the response.
-			return fmt.Errorf("%w: decode failed mid-stream: %v", errBodyWrite, err)
-		}
-	}
+	sr.Workers = workers
+	_, err = sr.WriteTo(d)
+	return err
 }

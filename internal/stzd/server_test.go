@@ -91,6 +91,29 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecompressManyWindows decodes an archive of more slabs than one
+// window holds: the response starts after the first window, and every
+// later window's sections must still be readable from the request.
+func TestDecompressManyWindows(t *testing.T) {
+	ts := testServer(t, Options{Workers: 1})
+	g := datasets.Nyx(64, 64, 32, 4) // eight slabs, four windows
+	enc, err := codec.Encode("sz3", g, codec.Config{EB: 0.01, Chunks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := post(t, ts.URL+"/v1/decompress", bytes.NewReader(enc))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	dec, err := codec.Decode[float32](enc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, rawBody(dec).Bytes()) {
+		t.Fatalf("served %d bytes differ from codec.Decode's %d", len(raw), 4*len(dec.Data))
+	}
+}
+
 func TestCompressRelativeMode(t *testing.T) {
 	ts := testServer(t, Options{Workers: 1})
 	g := grid.ToFloat64(datasets.Nyx(16, 8, 8, 1))
