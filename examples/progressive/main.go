@@ -1,12 +1,15 @@
 // Progressive decompression (the paper's Fig. 13 workflow): reconstruct a
 // turbulence field at 1/64, 1/8 and full resolution from one compressed
 // stream, reporting quality and decode time per level — the "preview first,
-// refine later" pattern for datasets too large to decompress in full.
+// refine later" pattern for datasets too large to decompress in full. It
+// exits non-zero unless the full-resolution level is bit-identical to
+// core.Decompress and within the error bound.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"stz/internal/core"
@@ -37,6 +40,7 @@ func main() {
 	}
 
 	fmt.Println("\nlevel  resolution      fraction   SSIM(vs full)  time")
+	var full *grid.Grid[float32]
 	for lv := 1; lv <= 3; lv++ {
 		t0 := time.Now()
 		rec, err := r.Progressive(lv)
@@ -44,6 +48,7 @@ func main() {
 			log.Fatal(err)
 		}
 		el := time.Since(t0)
+		full = rec
 		// Render-style comparison: upsample the coarse reconstruction to
 		// full resolution and compare with the original.
 		up := grid.Resize(rec, g.Nz, g.Ny, g.Nx)
@@ -57,4 +62,26 @@ func main() {
 	}
 	fmt.Println("\nThe coarsest level touches ~1.6% of the data — enough to locate")
 	fmt.Println("structures before committing to a full-resolution reconstruction.")
+
+	// The full-resolution level is the full decode, and it holds the bound.
+	dec, err := core.Decompress[float32](enc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(dec.Data) != len(full.Data) {
+		log.Fatalf("Progressive(3) has %d values, core.Decompress %d", len(full.Data), len(dec.Data))
+	}
+	for i, v := range dec.Data {
+		if math.Float32bits(v) != math.Float32bits(full.Data[i]) {
+			log.Fatalf("Progressive(3) differs from core.Decompress at value %d", i)
+		}
+	}
+	d, err := metrics.Compare(g, full)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if d.MaxErr > eb*(1+1e-9) {
+		log.Fatalf("Progressive(3): max error %.3g breaks the bound %.3g", d.MaxErr, eb)
+	}
+	fmt.Printf("Progressive(3) is bit-identical to core.Decompress; max error %.3g within bound %.3g\n", d.MaxErr, eb)
 }

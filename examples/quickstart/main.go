@@ -1,7 +1,8 @@
 // Quickstart: compress a synthetic scientific field with STZ, decompress
 // it, and verify the error bound — the smallest end-to-end use of the
 // public API — then run the same field through every backend in the
-// unified codec registry for comparison.
+// unified codec registry for comparison. It exits non-zero when any
+// codec's reconstruction breaks the bound.
 package main
 
 import (
@@ -45,7 +46,8 @@ func main() {
 	fmt.Printf("compressed:  %d bytes  (CR %.1f, %.2f bits/value)\n",
 		len(enc), ratio.CR(), ratio.BitRate(4))
 	fmt.Printf("PSNR:        %.1f dB\n", d.PSNR)
-	fmt.Printf("max error:   %.3g (bound %.3g) — bound holds: %v\n", d.MaxErr, eb, d.MaxErr <= eb)
+	fmt.Printf("max error:   %.3g (bound %.3g)\n", d.MaxErr, eb)
+	checkBound("stz", d.MaxErr, eb)
 
 	// 5. The same grid through every registered backend, via the unified
 	//    chunk-parallel pipeline (what `stz compress -codec <name>` runs).
@@ -65,5 +67,14 @@ func main() {
 		}
 		fmt.Printf("  %-6s CR %5.1f   PSNR %5.1f dB   max error %.3g\n",
 			name, float64(g.Len()*4)/float64(len(enc)), d.PSNR, d.MaxErr)
+		checkBound(name, d.MaxErr, eb)
+	}
+}
+
+// checkBound stops the program when the named codec's max error breaks the
+// bound eb, with the relative slack bench.Run allows for float rounding.
+func checkBound(name string, maxErr, eb float64) {
+	if maxErr > eb*(1+1e-9) {
+		log.Fatalf("%s: max error %.3g breaks the bound %.3g", name, maxErr, eb)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/parallel"
 	"stz/internal/quant"
-	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -146,15 +145,6 @@ func appendF32(buf []byte, v float32) []byte {
 
 func appendF64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-// readValues fills dst with len(dst) little-endian values from data.
-func readValues[T grid.Float](dst []T, data []byte) error {
-	if len(data) < len(dst)*rawio.ElemSize[T]() {
-		return fmt.Errorf("core: outlier data truncated")
-	}
-	rawio.GetValues(dst, data)
-	return nil
 }
 
 // EncodeStats is the per-stage timing breakdown of a compression — the

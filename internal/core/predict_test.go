@@ -9,6 +9,7 @@ import (
 
 	"stz/internal/grid"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 )
 
 // predictPoint is the per-point statement of the prediction rules — the
@@ -260,48 +261,26 @@ func TestNeededCoarseCoversSliceThinly(t *testing.T) {
 	}
 }
 
-func TestOutlierCursor(t *testing.T) {
-	codes := []uint16{5, 0, 7, 0, 0, 9, 0}
-	oc := outlierCursor{codes: codes}
-	// Escapes at ci = 1, 3, 4, 6 -> outlier indices 0, 1, 2, 3.
-	if got := oc.take(1); got != 0 {
-		t.Fatalf("take(1)=%d", got)
-	}
-	if got := oc.take(3); got != 1 {
-		t.Fatalf("take(3)=%d", got)
-	}
-	if got := oc.take(4); got != 2 {
-		t.Fatalf("take(4)=%d", got)
-	}
-	if got := oc.take(6); got != 3 {
-		t.Fatalf("take(6)=%d", got)
-	}
-	// Skipping ahead: fresh cursor jumping straight to ci=6 must count the
-	// three zeros before it.
-	oc = outlierCursor{codes: codes}
-	if got := oc.take(6); got != 3 {
-		t.Fatalf("skip take(6)=%d", got)
-	}
-}
-
-// TestDequantRowMatchesPoint holds the sweep's dequantise row to one
-// quant.DequantizeT per point, with escapes taking the class's outliers in
-// class-index order, in both element types, on rows of 1–70 points that
-// start mid-class: escapes at the first point, the last, in a run, at
-// random and nowhere; through an unchunked cursor that counts from code 0
-// and a chunked one (a version-3 chunked stream's) that resynchronises at
-// its chunk base, with the chunks before the row left as garbage the way a
-// box decode leaves them. With the class's last outlier missing, the row must stop at that
-// escape with the error, never panic, and write nothing from there on:
-// every slot between the row's points, the rest of the row and a canary
-// after its last slot keep their sentinel.
+// TestDequantRowMatchesPoint holds outlier placement and the sweep's
+// dequantise row to one quant.DequantizeT per point, with escapes taking the
+// class's outliers in class-index order, in both element types, on rows of
+// 1–70 points that start mid-class: escapes at the first point, the last, in
+// a run, at random and nowhere. Placement fills every escape of the row,
+// whether it counts an unchunked class from code 0 or places a chunked one (a
+// version-3 chunked stream's) chunk by chunk from each chunk's base, with the
+// chunks before the row left as garbage the way a box decode leaves them;
+// with the class's last outlier missing it must fail. With no escape values
+// at all (nil esc) the row must stop at its first escape with the error,
+// never panic, and write nothing from there on: every slot between the row's
+// points, the rest of the row and a canary after its last slot keep their
+// sentinel.
 func TestDequantRowMatchesPoint(t *testing.T) {
 	t.Run("f32", func(t *testing.T) { checkDequantRow[float32](t) })
 	t.Run("f64", func(t *testing.T) { checkDequantRow[float64](t) })
 }
 
 func checkDequantRow[T grid.Float](t *testing.T) {
-	const cs = 16 // the chunked cursor's chunk size
+	const cs = 16 // the chunked class's chunk size
 	q := quant.Quantizer{EB: 1e-3, Radius: 512}
 	rng := rand.New(rand.NewSource(11))
 	bits := func(v T) uint64 { return math.Float64bits(float64(v)) }
@@ -346,48 +325,50 @@ func checkDequantRow[T grid.Float](t *testing.T) {
 					}
 					preds := make([]T, n)
 					want := make([]T, n)
-					fail := n // the first point the row must leave unwritten
+					first := n // the row's first escape
 					for t := range preds {
 						preds[t] = T(rng.NormFloat64())
 						if c := codes[pre+t]; c != 0 {
 							want[t] = quant.DequantizeT[T](q, c, float64(preds[t]))
-						} else if oi := escBefore[pre+t]; short && oi == len(outliers)-1 {
-							fail = t
 						} else {
-							want[t] = outliers[oi]
+							want[t] = outliers[escBefore[pre+t]]
+							first = min(first, t)
 						}
 					}
 					if short {
-						if fail == n {
+						if first == n {
 							continue // no escape in the row: nothing to run out of
 						}
 						outliers = outliers[:len(outliers)-1]
 					}
-					oc := outlierCursor{codes: codes, curChunk: -1}
+					vals := make([]byte, len(outliers)*rawio.ElemSize[T]())
+					rawio.PutValues(vals, outliers)
+					dc := decodedClass[T]{codes: codes, esc: make([]T, len(codes))}
+					var err error
 					if chunked {
-						oc.chunkSize = cs
-						for c := 0; c*cs < len(codes); c++ {
-							oc.bases = append(oc.bases, uint32(escBefore[c*cs]))
-						}
 						for i := 0; i < pre/cs*cs; i++ {
 							codes[i] = 0 // an unread chunk: all escapes if anyone counted it
 						}
+						for c := pre / cs; c*cs < len(codes) && err == nil; c++ {
+							err = dc.placeOutliers(c*cs, min((c+1)*cs, len(codes)), vals, escBefore[c*cs])
+						}
+					} else {
+						err = dc.placeOutliers(0, pre+n, vals, 0)
+					}
+					if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
+						t.Fatalf("%s: placement err %v", what, err)
 					}
 					dst := make([]T, 2*n) // dst[2n−1] is the canary
-					for i := range dst {
-						dst[i] = sentinel
-					}
-					es := escapes[T]{oc: &oc, outliers: outliers}
-					check := func(how string, es escapes[T]) {
+					check := func(how string, esc []T, stop int) {
 						for i := range dst {
 							dst[i] = sentinel
 						}
-						err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, &es, pre)
-						if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
+						err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, esc, pre)
+						if (stop < n) != (err != nil) || err != nil && !errors.Is(err, errOutliersExhausted) {
 							t.Fatalf("%s, %s: err %v", what, how, err)
 						}
 						for i, v := range dst {
-							if i%2 == 0 && i/2 < fail {
+							if i%2 == 0 && i/2 < stop {
 								if bits(v) != bits(want[i/2]) {
 									t.Fatalf("%s, %s: point %d is %v, want %v", what, how, i/2, v, want[i/2])
 								}
@@ -396,18 +377,10 @@ func checkDequantRow[T grid.Float](t *testing.T) {
 							}
 						}
 					}
-					check("cursor", es)
 					if !short {
-						// A version-4 class holds each escape's value at its
-						// own index.
-						vals := make([]T, len(codes))
-						for t := range n {
-							if codes[pre+t] == 0 {
-								vals[pre+t] = want[t]
-							}
-						}
-						check("in place", escapes[T]{vals: vals})
+						check("placed", dc.esc, n)
 					}
+					check("nil esc", nil, first)
 				}
 			}
 		}

@@ -156,28 +156,21 @@ func (r *Reader[T]) levelEB(lv int) float64 {
 	return eb
 }
 
-// decodedClass is one predicted class's decoded payload. codes, esc and
-// outliers are scratch-arena leases owned by the class; callers release
-// them (via release) once reconstruction no longer reads them.
+// decodedClass is one predicted class's decoded payload. codes and esc are
+// scratch-arena leases owned by the class; callers release them (via
+// release) once reconstruction no longer reads them.
 //
-// codes hold the class points of box, row-major: in a version-4 class the
-// union of its views' class boxes, with each escape's value at its code's
-// index in esc (nil when the class has no escapes); in an older class the
-// whole class grid, its escapes' values in outliers, which an
-// outlierCursor resolves.
+// codes hold the class points of box, row-major — in a version-4 class the
+// union of its views' class boxes, in an older one the whole class grid —
+// and esc each decoded escape's value at its code's index (nil when the
+// class has no escapes).
 type decodedClass[T grid.Float] struct {
 	codes          []uint16
 	box            grid.Box
 	esc            []T
-	outliers       []T
 	decodedSymbols int // class codes that went through the entropy decoder
-	// Escape index: the escapes before each chunkSize codes — per chunk as a
-	// chunked stream stores them, per class plane as indexEscapes counts
-	// them for an unchunked class with outliers.
-	chunkSize     int
-	bases         []uint32
-	decodedChunks int
-	totalChunks   int
+	decodedChunks  int
+	totalChunks    int
 }
 
 // release returns the leased decode buffers to the scratch arenas. Safe on
@@ -185,8 +178,7 @@ type decodedClass[T grid.Float] struct {
 func (dc *decodedClass[T]) release() {
 	scratch.U16.Release(dc.codes)
 	scratch.ReleaseFloat(dc.esc)
-	scratch.ReleaseFloat(dc.outliers)
-	dc.codes, dc.esc, dc.outliers = nil, nil, nil
+	dc.codes, dc.esc = nil, nil
 }
 
 // at is the index in codes of the class point (k, j, x) of box.
@@ -294,66 +286,63 @@ func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet, lo, hi int)
 	return codes, len(codes), err
 }
 
-// decodeClass entropy-decodes the version-1–3 class stream of predicted
-// level p, class c. n is the class size in points; only codes within
-// [ciLo, ciHi) are guaranteed decoded: a multi-lane stream decodes the lane
-// prefixes the range touches (huffman.DecodeLanesRange), and a chunked
-// stream (header CodeChunk > 0) skips the chunks entirely outside the range.
-func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) (decodedClass[T], error) {
-	sec, err := r.arc.Section(r.classSection(p, c))
-	if err != nil {
-		return decodedClass[T]{}, err
-	}
+// decodeClass entropy-decodes into dc the version-1–3 class section sec —
+// class c (1..7, for messages) of dims d — and gives each decoded escape its
+// outlier at its code's index in esc. Only codes within [ciLo, ciHi) are
+// guaranteed decoded: a multi-lane stream decodes the lane prefixes the
+// range touches (huffman.DecodeLanesRange), and a chunked stream (header
+// CodeChunk > 0) skips the chunks entirely outside the range. An unchunked
+// class with outliers decodes and places from its first code, since the
+// escapes before the range fix its outliers' indices; a chunked one places
+// each chunk it decodes from the outlier base its directory stores.
+func (r *Reader[T]) decodeClass(dc *decodedClass[T], sec []byte, c int, q quant.Quantizer, d [3]int, ciLo, ciHi int) error {
+	n := d[0] * d[1] * d[2]
+	*dc = decodedClass[T]{box: grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}}
 	if len(sec) < 4 {
-		return decodedClass[T]{}, fmt.Errorf("core: class %d section truncated", c)
+		return fmt.Errorf("core: class %d section truncated", c)
 	}
-	nOut := int(binary.LittleEndian.Uint32(sec))
-	elem := 8
-	if r.hdr.DType == 4 {
-		elem = 4
-	}
+	nOut, elem := int(binary.LittleEndian.Uint32(sec)), rawio.ElemSize[T]()
 	if 4+nOut*elem > len(sec) {
-		return decodedClass[T]{}, fmt.Errorf("core: class %d outliers truncated", c)
+		return fmt.Errorf("core: class %d outliers truncated", c)
 	}
-	outliers := scratch.LeaseFloat[T](nOut)
-	if err := readValues(outliers, sec[4:]); err != nil {
-		scratch.ReleaseFloat(outliers)
-		return decodedClass[T]{}, err
+	vals, rest := sec[4:4+nOut*elem], sec[4+nOut*elem:]
+	// fail releases the partially assembled leases on any decode error.
+	fail := func(format string, args ...any) error {
+		dc.release()
+		return fmt.Errorf(format, args...)
 	}
-	rest := sec[4+nOut*elem:]
+	dc.codes = scratch.U16.Lease(n)
+	if nOut > 0 {
+		dc.esc = scratch.LeaseFloat[T](n)
+	}
 
 	if r.hdr.CodeChunk <= 0 {
 		if nOut > 0 {
-			// outlierCursor counts every escape before the region, so a
-			// class with outliers decodes from its first code.
 			ciLo = 0
 		}
-		codesBuf := scratch.U16.Lease(n)
-		codes, decoded, err := r.decodeCodes(codesBuf[:0], rest, q.Alphabet(), ciLo, ciHi)
+		codes, decoded, err := r.decodeCodes(dc.codes[:0], rest, q.Alphabet(), ciLo, ciHi)
 		if err != nil {
-			scratch.U16.Release(codesBuf)
-			scratch.ReleaseFloat(outliers)
-			return decodedClass[T]{}, fmt.Errorf("core: class %d codes: %w", c, err)
+			return fail("core: class %d codes: %w", c, err)
 		}
-		if cap(codes) != cap(codesBuf) {
+		if cap(codes) != cap(dc.codes) {
 			// The decoder outgrew the lease (corrupt count); hand the lease
 			// back and keep the allocated slice.
-			scratch.U16.Release(codesBuf)
+			scratch.U16.Release(dc.codes)
 		}
-		return decodedClass[T]{codes: codes, outliers: outliers, decodedSymbols: decoded}, nil
+		dc.codes, dc.decodedSymbols = codes, decoded
+		if len(codes) != n {
+			return fail("core: class %d code count %d, want %d", c, len(codes), n)
+		}
+		if err := dc.placeOutliers(ciLo, ciHi, vals, 0); err != nil {
+			return fail("core: class %d: %w", c, err)
+		}
+		return nil
 	}
 
 	// Chunked codes: decode only the chunks intersecting [ciLo, ciHi).
 	cs := r.hdr.CodeChunk
 	if len(rest) < 4 {
-		scratch.ReleaseFloat(outliers)
-		return decodedClass[T]{}, fmt.Errorf("core: class %d chunk directory truncated", c)
-	}
-	// fail releases the partially assembled leases on any decode error.
-	dc := decodedClass[T]{outliers: outliers, chunkSize: cs}
-	fail := func(format string, args ...any) (decodedClass[T], error) {
-		dc.release()
-		return decodedClass[T]{}, fmt.Errorf(format, args...)
+		return fail("core: class %d chunk directory truncated", c)
 	}
 	nChunks := int(binary.LittleEndian.Uint32(rest))
 	wantChunks := (n + cs - 1) / cs
@@ -367,15 +356,10 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 	if len(dir) < 8*nChunks {
 		return fail("core: class %d chunk directory truncated", c)
 	}
-	lens := make([]int, nChunks)
-	bases := make([]uint32, nChunks)
-	for i := 0; i < nChunks; i++ {
-		lens[i] = int(binary.LittleEndian.Uint32(dir[8*i:]))
-		bases[i] = binary.LittleEndian.Uint32(dir[8*i+4:])
-	}
 	payload := dir[8*nChunks:]
 	offs := make([]int, nChunks+1)
-	for i, l := range lens {
+	for i := range nChunks {
+		l := int(binary.LittleEndian.Uint32(dir[8*i:]))
 		if l < 0 {
 			return fail("core: class %d bad chunk length", c)
 		}
@@ -385,20 +369,16 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 		return fail("core: class %d chunk payload truncated", c)
 	}
 	// Skipped (out-of-range) chunks stay unwritten: reconstruction reads only
-	// codes inside [ciLo, ciHi), and outlierCursor resynchronizes at chunk
-	// bases instead of scanning across them.
-	dc.codes = scratch.U16.Lease(n)
-	dc.bases, dc.totalChunks = bases, nChunks
+	// codes inside [ciLo, ciHi), and each decoded chunk's escapes start at
+	// its stored outlier base instead of a count across the chunks before it.
+	dc.totalChunks = nChunks
 	// cs comes from the untrusted header; a chunk never holds more than n
 	// codes, so cap the staging lease to keep a crafted CodeChunk from
 	// forcing a huge allocation.
 	chunkBuf := scratch.U16.Lease(min(cs, n))
 	defer scratch.U16.Release(chunkBuf)
-	for i := 0; i < nChunks; i++ {
-		lo, hi := i*cs, (i+1)*cs
-		if hi > n {
-			hi = n
-		}
+	for i := range nChunks {
+		lo, hi := i*cs, min((i+1)*cs, n)
 		if hi <= ciLo || lo >= ciHi {
 			continue
 		}
@@ -410,100 +390,58 @@ func (r *Reader[T]) decodeClass(p, c int, q quant.Quantizer, n, ciLo, ciHi int) 
 			return fail("core: class %d chunk %d size mismatch", c, i)
 		}
 		copy(dc.codes[lo:hi], part)
+		base := int(binary.LittleEndian.Uint32(dir[8*i+4:]))
+		if err := dc.placeOutliers(lo, hi, vals, base); err != nil {
+			return fail("core: class %d chunk %d: %w", c, i, err)
+		}
 		dc.decodedChunks++
 		dc.decodedSymbols += hi - lo
 	}
-	return dc, nil
-}
-
-// outlierCursor resolves the outlier-array index for escape codes during a
-// monotone (row-major) walk over class indices. With chunked code streams
-// it resynchronizes at chunk boundaries from the per-chunk outlier bases,
-// so skipped (un-decoded) chunks never have to be scanned.
-type outlierCursor struct {
-	codes     []uint16
-	pos       int
-	zeros     int
-	chunkSize int
-	bases     []uint32
-	curChunk  int
-}
-
-func newOutlierCursor[T grid.Float](dc decodedClass[T]) outlierCursor {
-	return outlierCursor{
-		codes: dc.codes, chunkSize: dc.chunkSize, bases: dc.bases, curChunk: -1,
-	}
-}
-
-// take returns the outlier index for the escape at class index ci, which
-// must be ≥ any previously passed index.
-func (o *outlierCursor) take(ci int) int {
-	if o.chunkSize > 0 {
-		if c := ci / o.chunkSize; c != o.curChunk {
-			o.curChunk = c
-			o.pos = c * o.chunkSize
-			o.zeros = int(o.bases[c])
-		}
-	}
-	for o.pos < ci {
-		if o.codes[o.pos] == 0 {
-			o.zeros++
-		}
-		o.pos++
-	}
-	idx := o.zeros
-	o.zeros++ // the escape at ci itself
-	o.pos = ci + 1
-	return idx
+	return nil
 }
 
 var errOutliersExhausted = errors.New("core: outlier stream exhausted")
 
-// escapes is where dequantRow finds the value of the escape at index i of
-// a class's decoded codes: a version-4 class holds it at vals[i]; an older
-// one in outliers, at the index oc resolves for class index i. With
-// neither, there is none.
-type escapes[T grid.Float] struct {
-	vals     []T
-	oc       *outlierCursor
-	outliers []T
+// placeOutliers gives each escape among the codes [lo, hi) its verbatim
+// outlier at its code's index in esc: in order, the little-endian values of
+// vals from index e on. It fails when vals runs out first, before writing
+// that escape's slot — so a class without outliers (nil esc) fails at its
+// first escape.
+func (dc *decodedClass[T]) placeOutliers(lo, hi int, vals []byte, e int) error {
+	elem := rawio.ElemSize[T]()
+	for i, code := range dc.codes[lo:hi] {
+		if code != 0 {
+			continue
+		}
+		if (e+1)*elem > len(vals) {
+			return errOutliersExhausted
+		}
+		rawio.GetValues(dc.esc[lo+i:][:1], vals[e*elem:])
+		e++
+	}
+	return nil
 }
 
 // dequantRow reconstructs one class row into its fine row: the class point
 // of code codes[t] — index at+t of the class's decoded codes — and
 // prediction preds[t] goes to dst[2t]. A non-zero code dequantises against
-// the prediction; an escape takes its value from es. When es has no value
-// for it, it stops with an error, leaving that point and the rest of the
-// row unwritten.
-func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32, es *escapes[T], at int) error {
+// the prediction; an escape takes its value at the same index of esc, the
+// class's escape values. An escape in a class without any (nil esc) stops
+// the row with an error, leaving that point and the rest of the row
+// unwritten.
+func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32, esc []T, at int) error {
 	preds = preds[:len(codes)]
 	for t, code := range codes {
 		if code == 0 {
-			v, ok := es.at(at + t)
-			if !ok {
+			if esc == nil {
 				return errOutliersExhausted
 			}
-			dst[2*t] = v
+			dst[2*t] = esc[at+t]
 			continue
 		}
 		dst[2*t] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
 	}
 	return nil
-}
-
-// at is dequantRow's escape path, out of its loop: the value of the escape
-// at index i, or false when there is no such value.
-func (es *escapes[T]) at(i int) (T, bool) {
-	if es.vals != nil {
-		return es.vals[i], true
-	}
-	if es.oc == nil {
-		return 0, false
-	}
-	if oi := es.oc.take(i); oi < len(es.outliers) {
-		return es.outliers[oi], true
-	}
-	return 0, false
 }
 
 // view is one grid of a reconstruction: the region b of a level's grid,
@@ -591,30 +529,6 @@ func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 	return view[T]{g: g, b: whole}, nil
 }
 
-// indexEscapes gives an unchunked class with outliers the random-access
-// index a chunked one stores: one counting pass over the decoded codes
-// (everything below class index hi) records the escapes before each class
-// plane of planeLen points, so an outlierCursor starting anywhere
-// resynchronises at its plane instead of scanning from code 0.
-func (dc *decodedClass[T]) indexEscapes(planeLen, hi int) {
-	if dc.chunkSize > 0 || len(dc.outliers) == 0 || planeLen == 0 {
-		return
-	}
-	bases := make([]uint32, (hi+planeLen-1)/planeLen)
-	var zeros uint32
-	for k := range bases {
-		bases[k] = zeros
-		if k+1 < len(bases) {
-			for _, code := range dc.codes[k*planeLen : (k+1)*planeLen] {
-				if code == 0 {
-					zeros++
-				}
-			}
-		}
-	}
-	dc.chunkSize, dc.bases = planeLen, bases
-}
-
 // levelPlan is one predicted level of a reconstruction, fixed before
 // anything is decoded — the views it rebuilds, each view's share of every
 // class (sub[i][c], in class coordinates) and per class the span [lo, hi) of
@@ -686,25 +600,16 @@ func (pl *levelPlan[T]) touched(c int) bool { return pl.lo[c] < pl.hi[c] }
 // decode is the decode-phase task of class c: entropy-decode its hull and
 // check what came back against the plan.
 func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
-	d, n := pl.lv.dims[c], pl.lv.classLen(c)
-	dc := &pl.dcs[c]
+	sec, err := r.arc.Section(r.classSection(pl.p, c-1))
+	if err != nil {
+		pl.errs[c] = err
+		return
+	}
+	d, dc := pl.lv.dims[c], &pl.dcs[c]
 	if pl.bricks[c] != nil {
-		sec, err := r.arc.Section(r.classSection(pl.p, c-1))
-		if err != nil {
-			pl.errs[c] = err
-			return
-		}
 		pl.errs[c] = r.decodeBricks(dc, sec, c, pl.q, newBricks(d), pl.box[c], pl.bricks[c], pl.want[c])
-		return
-	}
-	if *dc, pl.errs[c] = r.decodeClass(pl.p, c-1, pl.q, n, pl.lo[c], pl.hi[c]); pl.errs[c] != nil {
-		return
-	}
-	dc.box = grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}
-	if len(dc.codes) != n {
-		pl.errs[c] = fmt.Errorf("core: class code count %d, want %d", len(dc.codes), n)
 	} else {
-		dc.indexEscapes(d[1]*d[2], pl.hi[c])
+		pl.errs[c] = r.decodeClass(dc, sec, c, pl.q, d, pl.lo[c], pl.hi[c])
 	}
 }
 
@@ -853,7 +758,6 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 		}
 	}
 	terrs := make([]error, len(tasks))
-	v4 := r.hdr.Version >= 4
 	bin, radius := 2*pl.q.EB, pl.q.Radius
 	parallel.For(len(tasks), r.workers(), func(ti int) {
 		tk := tasks[ti]
@@ -861,15 +765,6 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 		// A class row never outruns the coarse window it is predicted from.
 		preds := scratch.LeaseFloat[T](coarse.g.Nx)
 		defer scratch.ReleaseFloat(preds)
-		var cursors [8]outlierCursor
-		var ess [8]escapes[T]
-		for c := 1; c < 8; c++ {
-			ess[c] = escapes[T]{vals: dcs[c].esc}
-			if !v4 {
-				cursors[c] = newOutlierCursor(dcs[c])
-				ess[c] = escapes[T]{oc: &cursors[c], outliers: dcs[c].outliers}
-			}
-		}
 		// The task's error stays on its own stack until the sweep ends:
 		// neighbouring tasks' terrs share a cache line.
 		var err error
@@ -885,7 +780,7 @@ func (r *Reader[T]) sweepLevel(pl *levelPlan[T], coarse view[T], st *Stats) erro
 			}
 			dc := &dcs[c]
 			at := dc.at(k, j, lo)
-			err = dequantRow(dst, dc.codes[at:][:hi-lo], preds, bin, radius, &ess[c], at)
+			err = dequantRow(dst, dc.codes[at:][:hi-lo], preds, bin, radius, dc.esc, at)
 		})
 		terrs[ti] = err
 	})

@@ -735,6 +735,18 @@ func FuzzReader(f *testing.F) {
 	for _, bad := range reservedHeaders(f, walkerCases()[1].encode(f), v3) {
 		f.Add(bad)
 	}
+	// The pinned legacy streams reach what the walker fixtures do not: an
+	// unchunked legacy class with outliers — core (v2, outliers in 10 of
+	// its 14 classes) and core_v3 (v3 lanes, 50–1 628 per class) — and a
+	// v2 chunked one, core_codechunk (CodeChunk 512).
+	for _, name := range []string{"core", "core_codechunk", "core_v3"} {
+		enc, err := os.ReadFile(filepath.Join("..", "integration", "testdata", name+".bin"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

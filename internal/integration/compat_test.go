@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stz/internal/codec"
@@ -28,8 +29,8 @@ import (
 // core_v3 joined it when the core stream moved to version 4 (brick lanes):
 // a 40×36×48 spiked field, default config, written by the last version-3
 // writer — four-lane class streams over 8 640 codes with outliers, so the
-// reader's lane-prefix decode, outlier cursor and per-plane escape index
-// stay tested once nothing writes them.
+// reader's lane-prefix decode and its placement of an unchunked class's
+// outliers stay tested once nothing writes them.
 //
 // sz3_v2 joined it when sz3's serial stream moved to version 3 (brick
 // lanes): a 24×40×36 Nyx field with a spike every 97th point, written by
@@ -84,31 +85,52 @@ func checkGrid(t *testing.T, name string, g *grid.Grid[float32], want []float32)
 }
 
 func TestPinnedV1Corpus(t *testing.T) {
+	coreAt := func(b []byte, workers int) (*grid.Grid[float32], error) {
+		r, err := core.NewReader[float32](b)
+		if err != nil {
+			return nil, err
+		}
+		r.Workers = workers
+		return r.Decompress()
+	}
 	cases := []struct {
 		name   string
-		decode func([]byte) (*grid.Grid[float32], error)
+		decode func(b []byte, workers int) (*grid.Grid[float32], error)
 	}{
-		{"sz3_serial", func(b []byte) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
-		{"sz3_chunked", func(b []byte) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
-		{"sz3_v2", func(b []byte) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
-		{"core", func(b []byte) (*grid.Grid[float32], error) { return core.Decompress[float32](b) }},
-		{"core_codechunk", func(b []byte) (*grid.Grid[float32], error) { return core.Decompress[float32](b) }},
-		{"core_v3", func(b []byte) (*grid.Grid[float32], error) { return core.Decompress[float32](b) }},
-		{"codec_sz3", func(b []byte) (*grid.Grid[float32], error) { return codec.Decode[float32](b, 2) }},
-		{"sperr", func(b []byte) (*grid.Grid[float32], error) { return sperr.Decompress[float32](b) }},
-		{"zfp", func(b []byte) (*grid.Grid[float32], error) { return zfp.Decompress[float32](b) }},
-		{"mgard", func(b []byte) (*grid.Grid[float32], error) { return mgard.Decompress[float32](b) }},
+		{"sz3_serial", func(b []byte, _ int) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
+		{"sz3_chunked", func(b []byte, _ int) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
+		{"sz3_v2", func(b []byte, _ int) (*grid.Grid[float32], error) { return sz3.Decompress[float32](b) }},
+		{"core", coreAt},
+		{"core_codechunk", coreAt},
+		{"core_v3", coreAt},
+		{"codec_sz3", func(b []byte, _ int) (*grid.Grid[float32], error) { return codec.Decode[float32](b, 2) }},
+		{"sperr", func(b []byte, _ int) (*grid.Grid[float32], error) { return sperr.Decompress[float32](b) }},
+		{"zfp", func(b []byte, _ int) (*grid.Grid[float32], error) { return zfp.Decompress[float32](b) }},
+		{"mgard", func(b []byte, _ int) (*grid.Grid[float32], error) { return mgard.Decompress[float32](b) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			archive, want := readCorpus(t, tc.name)
-			g, err := tc.decode(archive)
-			if err != nil {
-				t.Fatalf("decode pinned v1 archive: %v", err)
+			for _, w := range corpusWorkers(tc.name) {
+				g, err := tc.decode(archive, w)
+				if err != nil {
+					t.Fatalf("decode pinned v1 archive, workers %d: %v", w, err)
+				}
+				checkGrid(t, tc.name, g, want)
 			}
-			checkGrid(t, tc.name, g, want)
 		})
 	}
+}
+
+// corpusWorkers lists the worker counts a corpus archive decodes at: a core
+// stream also in a decode pool of 4, so its legacy class decodes — outlier
+// placement included — run beside one another; the other codecs' rows take
+// no worker count.
+func corpusWorkers(name string) []int {
+	if strings.HasPrefix(name, "core") {
+		return []int{1, 4}
+	}
+	return []int{1}
 }
 
 // TestRandomAccessPinnedCorpus locks the random-access decode paths
@@ -136,35 +158,36 @@ func TestRandomAccessPinnedCorpus(t *testing.T) {
 		}
 		return boxes
 	}
-	coreBox := func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
+	coreBox := func(b []byte, bx grid.Box, workers int) (*grid.Grid[float32], error) {
 		r, err := core.NewReader[float32](b)
 		if err != nil {
 			return nil, err
 		}
+		r.Workers = workers
 		g, _, err := r.DecompressBox(bx)
 		return g, err
 	}
 	cases := []struct {
 		name   string
-		decode func([]byte, grid.Box) (*grid.Grid[float32], error)
+		decode func(b []byte, bx grid.Box, workers int) (*grid.Grid[float32], error)
 	}{
 		{"core", coreBox},
 		{"core_codechunk", coreBox},
 		{"core_v3", coreBox},
-		{"codec_sz3", func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
+		{"codec_sz3", func(b []byte, bx grid.Box, _ int) (*grid.Grid[float32], error) {
 			r, err := codec.OpenReaderAt[float32](b)
 			if err != nil {
 				return nil, err
 			}
 			return r.DecompressBox(bx)
 		}},
-		{"sz3_serial", func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
+		{"sz3_serial", func(b []byte, bx grid.Box, _ int) (*grid.Grid[float32], error) {
 			return sz3.DecompressBox[float32](b, bx, 2)
 		}},
-		{"sz3_chunked", func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
+		{"sz3_chunked", func(b []byte, bx grid.Box, _ int) (*grid.Grid[float32], error) {
 			return sz3.DecompressBox[float32](b, bx, 2)
 		}},
-		{"sz3_v2", func(b []byte, bx grid.Box) (*grid.Grid[float32], error) {
+		{"sz3_v2", func(b []byte, bx grid.Box, _ int) (*grid.Grid[float32], error) {
 			return sz3.DecompressBox[float32](b, bx, 2)
 		}},
 	}
@@ -176,19 +199,21 @@ func TestRandomAccessPinnedCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, bx := range boxesOf(tc.name) {
-				g, err := tc.decode(archive, bx)
-				if err != nil {
-					t.Fatalf("box %+v: %v", bx, err)
-				}
-				wantWin := pinned.ExtractBox(bx)
-				if g.Nz != wantWin.Nz || g.Ny != wantWin.Ny || g.Nx != wantWin.Nx {
-					t.Fatalf("box %+v: dims %dx%dx%d", bx, g.Nz, g.Ny, g.Nx)
-				}
-				for i, v := range g.Data {
-					if math.Float32bits(v) != math.Float32bits(wantWin.Data[i]) {
-						t.Fatalf("box %+v: value %d = %g, pinned corpus window has %g",
-							bx, i, v, wantWin.Data[i])
+			for _, w := range corpusWorkers(tc.name) {
+				for _, bx := range boxesOf(tc.name) {
+					g, err := tc.decode(archive, bx, w)
+					if err != nil {
+						t.Fatalf("box %+v, workers %d: %v", bx, w, err)
+					}
+					wantWin := pinned.ExtractBox(bx)
+					if g.Nz != wantWin.Nz || g.Ny != wantWin.Ny || g.Nx != wantWin.Nx {
+						t.Fatalf("box %+v, workers %d: dims %dx%dx%d", bx, w, g.Nz, g.Ny, g.Nx)
+					}
+					for i, v := range g.Data {
+						if math.Float32bits(v) != math.Float32bits(wantWin.Data[i]) {
+							t.Fatalf("box %+v, workers %d: value %d = %g, pinned corpus window has %g",
+								bx, w, i, v, wantWin.Data[i])
+						}
 					}
 				}
 			}
