@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -82,18 +83,11 @@ func expFig3() error {
 	const targetCR = 205
 
 	variants := []bench.Codec[float32]{bench.Partition[float32](), sz3Codec32(), bench.STZ[float32]()}
-	row("Method", "CR", "PSNR", "SSIM")
+	row("Method", "CR", "PSNR", "SSIM", "Target")
 	for _, v := range variants {
-		_, r, err := bench.EBForTargetCR(v, g, targetCR, *flagWorkers)
-		if err != nil {
+		if err := matchedRow(v, g, targetCR); err != nil {
 			return err
 		}
-		// SSIM needs a fresh run at the found bound.
-		full, err := bench.Run(v, g, r.EBRel, *flagWorkers, true)
-		if err != nil {
-			return err
-		}
-		row(v.Name, f1(full.CR), f1(full.PSNR), f3(full.SSIM))
 	}
 	fmt.Println("\nPaper: Partition SSIM=0.67/PSNR=107, SZ3 0.95/118, STZ 0.95/120 at CR≈205.")
 	return nil
@@ -230,7 +224,7 @@ func expFig12() error {
 	}
 	for _, cs := range cases {
 		fmt.Printf("\n--- %s (target CR %.0f) ---\n", cs.spec.Name, cs.targetCR)
-		row("Compressor", "CR", "PSNR", "SSIM")
+		row("Compressor", "CR", "PSNR", "SSIM", "Target")
 		if cs.spec.DType == "float32" {
 			if err := matchedCR(gen32(cs.spec), cs.targetCR); err != nil {
 				return err
@@ -248,17 +242,30 @@ func expFig12() error {
 
 func matchedCR[T grid.Float](g *grid.Grid[T], target float64) error {
 	for _, c := range bench.Codecs[T]() {
-		ebRel, r, err := bench.EBForTargetCR(c, g, target, *flagWorkers)
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.Name, err)
+		if err := matchedRow(c, g, target); err != nil {
+			return err
 		}
-		full, err := bench.Run(c, g, ebRel, *flagWorkers, true)
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.Name, err)
-		}
-		_ = r
-		row(c.Name, f1(full.CR), f1(full.PSNR), f3(full.SSIM))
 	}
+	return nil
+}
+
+// matchedRow prints c's row at the bound whose ratio comes closest to
+// target, with SSIM from a fresh run at that bound. A row more than 5 % off
+// the target (bench.ErrTargetMissed) is marked "missed", not "matched".
+func matchedRow[T grid.Float](c bench.Codec[T], g *grid.Grid[T], target float64) error {
+	ebRel, _, err := bench.EBForTargetCR(c, g, target, *flagWorkers)
+	mark := "matched"
+	if errors.Is(err, bench.ErrTargetMissed) {
+		mark, err = "missed", nil
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", c.Name, err)
+	}
+	full, err := bench.Run(c, g, ebRel, *flagWorkers, true)
+	if err != nil {
+		return fmt.Errorf("%s: %w", c.Name, err)
+	}
+	row(c.Name, f1(full.CR), f1(full.PSNR), f3(full.SSIM), mark)
 	return nil
 }
 

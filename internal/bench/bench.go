@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -175,9 +176,17 @@ func Run[T grid.Float](c Codec[T], g *grid.Grid[T], ebRel float64, workers int, 
 	return res, nil
 }
 
+// ErrTargetMissed is EBForTargetCR's report that the closest compression
+// ratio it found lies more than 5 % from the target — a ratio the codec
+// cannot reach at any bound, such as one past the 32× ceiling one Huffman
+// bit a float32 point sets. The closest row comes back with it.
+var ErrTargetMissed = errors.New("bench: target compression ratio missed")
+
 // EBForTargetCR searches (by bisection on the relative bound) for a bound
-// whose compressed size lands near the target compression ratio. Used by
-// the matched-CR visual-quality experiments (Figs. 3 and 12).
+// whose compressed size lands within 5 % of the target compression ratio,
+// and returns the closest row it found: with ErrTargetMissed when even that
+// one is further off. Used by the matched-CR visual-quality experiments
+// (Figs. 3 and 12).
 func EBForTargetCR[T grid.Float](c Codec[T], g *grid.Grid[T], targetCR float64, workers int) (float64, Result, error) {
 	lo, hi := 1e-6, 0.5
 	var best Result
@@ -197,6 +206,9 @@ func EBForTargetCR[T grid.Float](c Codec[T], g *grid.Grid[T], targetCR float64, 
 		} else {
 			hi = mid
 		}
+	}
+	if math.Abs(best.CR/targetCR-1) > 0.05 {
+		return bestEB, best, fmt.Errorf("%w: closest CR %.1f for target %.1f", ErrTargetMissed, best.CR, targetCR)
 	}
 	return bestEB, best, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -74,15 +75,24 @@ func TestRunFloat64(t *testing.T) {
 	}
 }
 
+// TestEBForTargetCR: a reachable target comes back within 5 %, and one past
+// float32's 32× ceiling comes back as ErrTargetMissed with the closest row.
 func TestEBForTargetCR(t *testing.T) {
 	g := datasets.Miranda(32, 32, 32, 4)
 	c := STZ[float32]()
-	_, r, err := EBForTargetCR(c, g, 50, 1)
+	_, r, err := EBForTargetCR(c, g, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(math.Log(r.CR/50)) > math.Log(2.5) {
-		t.Fatalf("matched CR %.1f too far from target 50", r.CR)
+	if math.Abs(r.CR/10-1) > 0.05 {
+		t.Fatalf("matched CR %.2f more than 5 %% from target 10", r.CR)
+	}
+	_, r, err = EBForTargetCR(c, g, 50, 1)
+	if !errors.Is(err, ErrTargetMissed) {
+		t.Fatalf("target 50: err %v, want ErrTargetMissed", err)
+	}
+	if !(r.CR > 1 && r.CR < 32) {
+		t.Fatalf("target 50: closest row CR %.1f, want one under the 32× ceiling", r.CR)
 	}
 }
 

@@ -66,8 +66,8 @@ type Config struct {
 	EB float64
 	// Mode is the error-bound mode; the zero value is ModeAbs.
 	Mode ErrorMode
-	// Radius is the quantizer radius for quantizing backends; 0 selects
-	// quant.DefaultRadius.
+	// Radius is the quantizer radius for quantizing backends, at most
+	// quant.DefaultRadius; 0 selects quant.DefaultRadius.
 	Radius int32
 	// Workers bounds backend-internal parallelism (and, through Encode,
 	// the chunk worker pool); values < 1 mean serial.
@@ -92,6 +92,11 @@ func (cfg Config) Resolve(min, max float64) Config {
 func (cfg Config) validate() error {
 	if !(cfg.EB > 0) {
 		return fmt.Errorf("codec: invalid error bound %g", cfg.EB)
+	}
+	// The quantizing backends write uint16 codes, and their readers refuse
+	// a larger radius.
+	if cfg.Radius > quant.DefaultRadius {
+		return fmt.Errorf("codec: radius %d above %d", cfg.Radius, quant.DefaultRadius)
 	}
 	return nil
 }

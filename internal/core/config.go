@@ -73,7 +73,8 @@ type Config struct {
 	AdaptiveEB bool
 	// EBRatio is the per-level bound ratio; 0 selects 2.5.
 	EBRatio float64
-	// Radius is the quantizer radius; 0 selects quant.DefaultRadius.
+	// Radius is the quantizer radius, at most quant.DefaultRadius; 0
+	// selects quant.DefaultRadius.
 	Radius int32
 	// Workers enables parallel compression of the per-class streams
 	// (and the chunked-parallel SZ3 on level 1) when > 1.
@@ -151,6 +152,11 @@ func (c Config) validate() error {
 	}
 	if c.Predictor > PredCubic {
 		return fmt.Errorf("core: unknown predictor %d", c.Predictor)
+	}
+	// Codes are uint16 (k + radius ≤ 2·radius − 1), and the reader refuses
+	// a header with a larger radius.
+	if c.Radius > quant.DefaultRadius {
+		return fmt.Errorf("core: Radius %d above %d", c.Radius, quant.DefaultRadius)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"stz/internal/codec"
 	"stz/internal/grid"
+	"stz/internal/quant"
 )
 
 // testField fills a grid with a smooth function plus mild noise.
@@ -467,6 +468,8 @@ func TestInvalidConfig(t *testing.T) {
 		{EB: 1e-3, Levels: 1},
 		{EB: 1e-3, Levels: 5},
 		{EB: 1e-3, Levels: 3, Predictor: 99},
+		// Codes are uint16; DefaultConfig's radius is the largest accepted.
+		{EB: 1e-3, Levels: 3, Radius: quant.DefaultRadius + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Compress(g, cfg); err == nil {

@@ -12,6 +12,7 @@ package quant
 
 import (
 	"math"
+	"unsafe"
 
 	"stz/internal/grid"
 )
@@ -83,15 +84,19 @@ func DequantizeT[T grid.Float](q Quantizer, code uint16, pred float64) T {
 // precomputed reciprocal — the hot-loop form used by the compressors.
 // It produces identical codes and reconstructions apart from the usual
 // one-ulp reciprocal rounding, which the bound re-check absorbs.
+// The row kernel loads every field it broadcasts straight from here, so a
+// short row pays no per-call set-up.
 type Fast struct {
 	EB     float64
-	inv    float64
+	inv    float64 // 1/(2·EB)
+	bin    float64 // 2·EB
+	lim    float64 // float64(radius)
 	radius int32
 }
 
 // Fast derives the hot-loop form.
 func (q Quantizer) Fast() Fast {
-	return Fast{EB: q.EB, inv: 1 / (2 * q.EB), radius: q.Radius}
+	return Fast{EB: q.EB, inv: 1 / (2 * q.EB), bin: 2 * q.EB, lim: float64(q.Radius), radius: q.Radius}
 }
 
 // Quantize mirrors Quantizer.Quantize.
@@ -138,9 +143,38 @@ const halfBelow = 0.49999999999999994
 // a nil recon is for a level whose reconstruction nothing consumes. It
 // returns the number of escapes, whose values the caller gathers from the
 // zero codes.
+//
+// Float32 rows at stride 2 — every row of core's level sweep and of sz3's
+// finest interpolation level — go four points at a time through
+// quantizeRow2x32, which is an assembly kernel where the CPU has one and
+// computes bit for bit what quantizeRow does; the rest of such a row, and
+// every other row, runs quantizeRow.
 func QuantizeRow[T grid.Float](f Fast, vals []T, stride int, preds []T, codes []uint16, recon []T) (escapes int) {
-	eb, neb, inv, bin := f.EB, -f.EB, f.inv, 2*f.EB
-	lim, nlim := float64(f.radius), -float64(f.radius)
+	codes = codes[:len(preds)]
+	if stride == 2 && unsafe.Sizeof(T(0)) == 4 {
+		var n int
+		n, escapes = quantizeRow2x32(&f, asFloat32(vals), asFloat32(preds), codes, asFloat32(recon))
+		if n == len(preds) {
+			return escapes
+		}
+		vals, preds, codes = vals[2*n:], preds[n:], codes[n:]
+		if recon != nil {
+			recon = recon[2*n:]
+		}
+	}
+	return escapes + quantizeRow(f, vals, stride, preds, codes, recon)
+}
+
+// asFloat32 views a 4-byte T slice as the []float32 it is.
+func asFloat32[T grid.Float](s []T) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// quantizeRow is QuantizeRow in Go, one point at a time: the reference the
+// kernel is held to, and the loop for every row the kernel does not take.
+func quantizeRow[T grid.Float](f Fast, vals []T, stride int, preds []T, codes []uint16, recon []T) (escapes int) {
+	eb, neb, inv, bin := f.EB, -f.EB, f.inv, f.bin
+	lim, nlim := f.lim, -f.lim
 	codes = codes[:len(preds)]
 	i := 0
 	for t, pt := range preds {

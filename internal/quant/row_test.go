@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"stz/internal/grid"
 )
@@ -48,6 +49,52 @@ func checkRow[T grid.Float](t testing.TB, q Quantizer, vals, preds []T, stride i
 	if esc != want {
 		t.Fatalf("row reports %d escapes, the points %d", esc, want)
 	}
+	checkKernel(t, f, strided, stride, preds)
+	if n > 0 { // slices that end on the row's last point
+		checkKernel(t, f, strided[:(n-1)*stride+1], stride, preds)
+	}
+}
+
+// checkKernel requires QuantizeRow, which takes stride-2 float32 rows
+// through the row kernel where the CPU has one, to match the reference loop
+// quantizeRow bit for bit — codes, every bit of the recon row (the slots
+// between the row's points included) and the escape count — with and without
+// a recon row of vals's length.
+func checkKernel[T grid.Float](t testing.TB, f Fast, vals []T, stride int, preds []T) {
+	t.Helper()
+	for _, withRecon := range []bool{true, false} {
+		codes, refCodes := make([]uint16, len(preds)), make([]uint16, len(preds))
+		var recon, refRecon []T
+		if withRecon {
+			recon, refRecon = make([]T, len(vals)), make([]T, len(vals))
+			for i := range recon {
+				recon[i], refRecon[i] = -7.25, -7.25
+			}
+		}
+		esc := QuantizeRow(f, vals, stride, preds, codes, recon)
+		ref := quantizeRow(f, vals, stride, preds, refCodes, refRecon)
+		if esc != ref {
+			t.Fatalf("%d points, recon %v: %d escapes, reference %d", len(preds), withRecon, esc, ref)
+		}
+		for i := range codes {
+			if codes[i] != refCodes[i] {
+				t.Fatalf("%d points: point %d (val %g pred %g) code %d, reference %d", len(preds), i, vals[i*stride], preds[i], codes[i], refCodes[i])
+			}
+		}
+		for i := range recon {
+			if rawBits(recon[i]) != rawBits(refRecon[i]) {
+				t.Fatalf("%d points: recon[%d] bits %#x, reference %#x", len(preds), i, rawBits(recon[i]), rawBits(refRecon[i]))
+			}
+		}
+	}
+}
+
+// rawBits is v's storage bits, NaN payload and quiet bit as stored.
+func rawBits[T grid.Float](v T) uint64 {
+	if unsafe.Sizeof(v) == 4 {
+		return uint64(math.Float32bits(float32(v)))
+	}
+	return math.Float64bits(float64(v))
 }
 
 // edgeRow builds (value, prediction) pairs whose scaled residual
@@ -71,6 +118,11 @@ func edgeRow[T grid.Float](q Quantizer) (vals, preds []T) {
 	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat32} {
 		vals = append(vals, 1)
 		preds = append(preds, T(p))
+	}
+	// NaN values with payloads, one signalling: an escape keeps their bits.
+	for _, b := range []uint32{0x7fa00001, 0xffc12345} {
+		vals = append(vals, T(math.Float32frombits(b)))
+		preds = append(preds, 0)
 	}
 	return vals, preds
 }
@@ -144,6 +196,59 @@ func TestQuantizeRowRandom(t *testing.T) {
 	}
 }
 
+// TestQuantizeRowLengths: every row length from 0 to 70 — whole kernel
+// groups, a tail of one to three points, rows too short for one group —
+// with passes, ties, radius escapes and NaNs in each.
+func TestQuantizeRowLengths(t *testing.T) {
+	q := Quantizer{EB: 1e-3, Radius: 512}
+	rng := rand.New(rand.NewSource(17))
+	for n := 0; n <= 70; n++ {
+		v32, p32 := make([]float32, n), make([]float32, n)
+		v64, p64 := make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			v := rng.NormFloat64()
+			p := v + rng.NormFloat64()*q.EB*800 // about a fifth past the radius
+			switch rng.Intn(8) {
+			case 0: // a tie
+				p = v + float64(rng.Intn(41)-20)*q.EB
+			case 1:
+				v = math.NaN()
+			}
+			v32[i], p32[i], v64[i], p64[i] = float32(v), float32(p), v, p
+		}
+		checkRow(t, q, v32, p32, 2)
+		checkRow(t, q, v32, p32, 1)
+		checkRow(t, q, v64, p64, 2)
+	}
+}
+
+// TestRowKernelTakesRows: where the CPU runs the kernel, it takes a whole
+// 64-point stride-2 float32 row (a 128³ sweep row), with or without a recon
+// row, and all but the last group of a row whose values end on its last
+// point.
+func TestRowKernelTakesRows(t *testing.T) {
+	if !hasRowKernel {
+		t.Skip("no row kernel on this CPU: QuantizeRow is the reference loop")
+	}
+	f := New(1e-3).Fast()
+	vals, preds := make([]float32, 128), make([]float32, 64)
+	codes, recon := make([]uint16, 64), make([]float32, 128)
+	for _, c := range []struct {
+		vals, recon []float32
+		want        int
+	}{
+		{vals, recon, 64},
+		{vals, nil, 64},
+		{vals, recon[:127], 64},
+		{vals[:127], recon, 60},
+		{vals[:127], recon[:127], 60},
+	} {
+		if n, _ := quantizeRow2x32(&f, c.vals, preds, codes, c.recon); n != c.want {
+			t.Errorf("vals %d, recon %d: the kernel took %d points, want %d", len(c.vals), len(c.recon), n, c.want)
+		}
+	}
+}
+
 // TestHalfBelowRounding: truncating x ± halfBelow is math.Round(x) at and
 // one ulp either side of every half-integer and integer a code can come
 // from, and on random values in between.
@@ -172,8 +277,9 @@ func TestHalfBelowRounding(t *testing.T) {
 	}
 }
 
-// FuzzQuantizeRow: the row kernel and the per-point quantiser agree on
-// every (value, prediction, bound, radius), for both element types.
+// FuzzQuantizeRow: the row quantiser, the reference loop and the per-point
+// quantiser agree on every (value, prediction, bound, radius), for both
+// element types.
 func FuzzQuantizeRow(f *testing.F) {
 	f.Add(1.0, 0.75, 0.25, uint16(4))
 	f.Add(3.5, 0.0, 0.5, uint16(32768))
@@ -186,9 +292,11 @@ func FuzzQuantizeRow(f *testing.F) {
 			return
 		}
 		q := Quantizer{EB: eb, Radius: int32(radius%DefaultRadius) + 1}
-		// Neighbours of the drawn pair ride along so a row has several points.
-		v64 := []float64{v, math.Nextafter(v, p), v + eb, v - eb, p}
-		p64 := []float64{p, p, p, math.Nextafter(p, v), v}
+		// Neighbours of the drawn pair ride along so a row has two kernel
+		// groups and a tail: ties, the radius edge and the pair swapped.
+		edge := 2 * eb * float64(q.Radius)
+		v64 := []float64{v, math.Nextafter(v, p), v + eb, v - eb, p, p + eb, p - eb, p + edge, p - edge}
+		p64 := []float64{p, p, p, math.Nextafter(p, v), v, p, p, p, p}
 		checkRow(t, q, v64, p64, 2)
 		v32, p32 := make([]float32, len(v64)), make([]float32, len(v64))
 		for i := range v64 {

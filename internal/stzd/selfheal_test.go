@@ -146,6 +146,12 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 		_, _, ok := c.Nodes[victim].store.getRaw(id)
 		return ok
 	})
+	// The coordinator acks the hint when the replay's response is back,
+	// which can be after the revived owner has stored the archive.
+	waitFor(t, 5*time.Second, "the coordinator's ack of the replayed hint", func() bool {
+		hints := statsOf(t, c.URL(coord))["repair"].(map[string]any)["hints"].(map[string]any)
+		return hints["backlog_count"].(float64) == 0
+	})
 
 	// The revived node answers for its own store — no forwarding.
 	resp, _ = do(t, http.MethodGet, c.URL(victim)+"/v1/archives/"+id, nil)

@@ -50,7 +50,7 @@ var ErrFormat = errors.New("sz3: malformed stream")
 // Options configures compression.
 type Options struct {
 	EB      float64 // absolute error bound, must be > 0
-	Radius  int32   // quantizer radius; 0 selects quant.DefaultRadius
+	Radius  int32   // quantizer radius, at most quant.DefaultRadius; 0 selects it
 	Workers int     // >1 enables the chunked "OMP" mode in Compress
 	Chunks  int     // number of chunks in chunked mode; 0 means Workers
 }
@@ -359,6 +359,10 @@ func CompressRecon[T grid.Float](g *grid.Grid[T], o Options) ([]byte, *grid.Grid
 func compress[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, error) {
 	if o.EB <= 0 || math.IsNaN(o.EB) || math.IsInf(o.EB, 0) {
 		return nil, fmt.Errorf("sz3: invalid error bound %g", o.EB)
+	}
+	// Codes are uint16, and the decoders refuse a larger radius.
+	if o.Radius > quant.DefaultRadius {
+		return nil, fmt.Errorf("sz3: radius %d above %d", o.Radius, quant.DefaultRadius)
 	}
 	if o.Workers > 1 {
 		return compressChunked(g, o, rec)

@@ -547,6 +547,12 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := Compress(g, Options{EB: -1}); err == nil {
 		t.Fatal("negative EB accepted")
 	}
+	// Codes are uint16; DefaultOptions' radius is the largest accepted.
+	for _, workers := range []int{1, 2} {
+		if _, err := Compress(g, Options{EB: 1e-3, Radius: quant.DefaultRadius + 1, Workers: workers}); err == nil {
+			t.Fatalf("workers %d: radius %d accepted", workers, quant.DefaultRadius+1)
+		}
+	}
 }
 
 func TestDecompressWrongType(t *testing.T) {
