@@ -382,8 +382,8 @@ func cmdInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("levels: %d  base: %s  predictor: %s  adaptive: %v (ratio %.2f)\n",
-		h.Levels, h.BaseCodec, h.Predictor, h.AdaptiveEB, h.EBRatio)
+	fmt.Printf("levels: %d  base: sz3  predictor: %s  adaptive: %v (ratio %.2f)\n",
+		h.Levels, h.Predictor, h.AdaptiveEB, h.EBRatio)
 	return nil
 }
 

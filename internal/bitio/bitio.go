@@ -74,18 +74,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUnary appends v as a unary code: v one-bits followed by a zero bit.
-// The run is emitted word-at-a-time through WriteBits rather than bit by
-// bit.
-func (w *Writer) WriteUnary(v uint) {
-	for v >= 63 {
-		w.WriteBits(^uint64(0), 63)
-		v -= 63
-	}
-	// v one-bits then the terminating zero, LSB-first.
-	w.WriteBits(1<<v-1, v+1)
-}
-
 // DrainBytes flushes the accumulator's complete bytes to the buffer,
 // leaving at most 7 buffered bits (so Free() >= 57). The stream contents
 // are unchanged; this only moves finished bytes out of the accumulator.
@@ -207,7 +195,7 @@ func (r *Reader) fill() {
 		// Only adv whole bytes were consumed: bits of w above the new valid
 		// count land in acc but belong to bytes not yet advanced past, so
 		// they must be cleared to keep the "bits >= navl are zero" invariant
-		// (Peek, ReadUnary and ReadGamma all rely on it).
+		// (Peek and ReadGamma rely on it).
 		r.acc &= 1<<r.navl - 1
 	}
 	for r.navl <= 56 && r.pos < len(r.buf) {
@@ -308,32 +296,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	r.acc >>= rest
 	r.navl -= rest
 	return v | hi<<got, nil
-}
-
-// ReadUnary consumes a unary code (ones terminated by a zero) and returns
-// the count of ones. The run is scanned a word at a time via trailing-zero
-// counts instead of per-bit reads.
-func (r *Reader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		r.fill()
-		if r.navl == 0 {
-			return 0, ErrOutOfBits
-		}
-		// Bits above navl in acc are zero, so ^acc has ones there and the
-		// trailing-zero count of ^acc never overshoots the valid range by
-		// more than "all navl bits are ones".
-		tz := uint(bits.TrailingZeros64(^r.acc))
-		if tz >= r.navl {
-			v += r.navl
-			r.acc = 0
-			r.navl = 0
-			continue
-		}
-		r.acc >>= tz + 1
-		r.navl -= tz + 1
-		return v + tz, nil
-	}
 }
 
 // Peek returns up to n bits (n in [1, 57]) without consuming them. If the

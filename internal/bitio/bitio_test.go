@@ -88,24 +88,6 @@ func TestReadBitPastEnd(t *testing.T) {
 	}
 }
 
-func TestUnaryRoundTrip(t *testing.T) {
-	w := NewWriter(0)
-	vals := []uint{0, 1, 2, 7, 31, 100}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("unary %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("unary %d: got %d want %d", i, got, want)
-		}
-	}
-}
-
 func TestPeekSkip(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0b101101, 6)
@@ -205,32 +187,28 @@ func TestBitsRemaining(t *testing.T) {
 	}
 }
 
-// Property: unary and gamma codes round-trip for adversarial mixes of
-// small and large values (both codecs are now word-batched internally).
-func TestUnaryGammaQuick(t *testing.T) {
+// Property: gamma codes of small and large values round-trip between raw
+// fields of every width, so codes start at every bit offset of a word and the
+// long ones span words (the reader scans their zero runs a word at a time).
+func TestGammaQuick(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n)%100 + 1
 		w := NewWriter(0)
-		unary := make([]uint, count)
+		raw := make([]uint64, count)
+		widths := make([]uint, count)
 		gamma := make([]uint64, count)
 		for i := 0; i < count; i++ {
-			switch rng.Intn(3) {
-			case 0:
-				unary[i] = uint(rng.Intn(8))
-			case 1:
-				unary[i] = uint(rng.Intn(200)) // spans multiple words
-			default:
-				unary[i] = 0
-			}
+			widths[i] = uint(rng.Intn(58))
+			raw[i] = rng.Uint64() & (1<<widths[i] - 1)
 			gamma[i] = rng.Uint64() >> uint(1+rng.Intn(63))
-			w.WriteUnary(unary[i])
+			w.WriteBits(raw[i], widths[i])
 			w.WriteGamma(gamma[i])
 		}
 		r := NewReader(w.Bytes())
 		for i := 0; i < count; i++ {
-			u, err := r.ReadUnary()
-			if err != nil || u != unary[i] {
+			v, err := r.ReadBits(widths[i])
+			if err != nil || v != raw[i] {
 				return false
 			}
 			g, err := r.ReadGamma()

@@ -9,10 +9,10 @@
 // the codec ID, chunk geometry and error-bound mode (see docs/FORMAT.md for
 // the byte-level spec).
 //
-// The dependency points from core to here (core compresses its base level
-// through this registry), so a program serves "stz" by linking
-// internal/core; cmd/stz, internal/stzd and internal/bench all do, and
-// reach every codec through this package alone.
+// The dependency points from core to here (core registers "stz" itself),
+// so a program serves "stz" by linking internal/core; cmd/stz,
+// internal/stzd and internal/bench all do, and reach every codec through
+// this package alone.
 package codec
 
 import (
@@ -127,15 +127,6 @@ type Codec interface {
 	Decompress64(data []byte, workers int) (*grid.Grid[float64], error)
 }
 
-// ReconCompressor is the extension of a codec whose compressor builds, as
-// it encodes, the grid a decoder reconstructs from the stream — sz3, which
-// predicts every point from it. CompressRecon returns the stream and that
-// grid, bit-identical to what Decompress returns for the stream.
-type ReconCompressor interface {
-	CompressRecon32(g *grid.Grid[float32], cfg Config) ([]byte, *grid.Grid[float32], error)
-	CompressRecon64(g *grid.Grid[float64], cfg Config) ([]byte, *grid.Grid[float64], error)
-}
-
 // Compress runs c on g with a relative bound resolved first. It is the
 // generic front door over the Compress32/Compress64 method pair.
 func Compress[T grid.Float](c Codec, g *grid.Grid[T], cfg Config) ([]byte, error) {
@@ -152,43 +143,8 @@ func Compress[T grid.Float](c Codec, g *grid.Grid[T], cfg Config) ([]byte, error
 	return nil, fmt.Errorf("codec: unsupported element type")
 }
 
-// CompressRecon is Compress returning beside the stream the grid a decode of
-// it yields: handed back by the compressor when c is a ReconCompressor,
-// otherwise decoded with cfg.Workers (at least one).
-func CompressRecon[T grid.Float](c Codec, g *grid.Grid[T], cfg Config) ([]byte, *grid.Grid[T], error) {
-	rc, ok := c.(ReconCompressor)
-	if !ok {
-		enc, err := Compress(c, g, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec, err := Decompress[T](c, enc, max(cfg.Workers, 1))
-		if err != nil {
-			return nil, nil, err
-		}
-		return enc, rec, nil
-	}
-	cfg, err := resolveFor(cfg, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	var enc []byte
-	var rec any
-	switch gg := any(g).(type) {
-	case *grid.Grid[float32]:
-		enc, rec, err = rc.CompressRecon32(gg, cfg)
-	case *grid.Grid[float64]:
-		enc, rec, err = rc.CompressRecon64(gg, cfg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return enc, rec.(*grid.Grid[T]), nil
-}
-
 // resolveFor validates cfg and resolves a relative bound against g's range
-// — the one relative-bound resolution of Compress, CompressRecon and
-// Encode.
+// — the one relative-bound resolution of Compress and Encode.
 func resolveFor[T grid.Float](cfg Config, g *grid.Grid[T]) (Config, error) {
 	if err := cfg.validate(); err != nil {
 		return cfg, err

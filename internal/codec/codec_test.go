@@ -147,59 +147,3 @@ func TestEncodeUnknownCodec(t *testing.T) {
 		t.Error("Encode with unknown codec succeeded")
 	}
 }
-
-// TestCompressRecon: the grid CompressRecon hands back is, bit for bit,
-// what Decompress makes of the stream it returns — from the compressor
-// itself for a ReconCompressor (sz3, serial and chunked), from a decode for
-// every other codec. The field carries NaN, ±Inf and spikes, and a tight
-// radius, so escapes take the verbatim path; a relative bound is resolved
-// the way Compress resolves it.
-func TestCompressRecon(t *testing.T) {
-	t.Run("f32", compressRecon[float32])
-	t.Run("f64", compressRecon[float64])
-}
-
-func compressRecon[T grid.Float](t *testing.T) {
-	g := grid.ToFloat64(datasets.Nyx(19, 22, 25, 3))
-	f := &grid.Grid[T]{Data: make([]T, g.Len()), Nz: g.Nz, Ny: g.Ny, Nx: g.Nx}
-	for i, v := range g.Data {
-		f.Data[i] = T(v)
-	}
-	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e30, -1e30} {
-		f.Data[97*i+5] = T(v)
-	}
-	if _, ok := MustLookup("sz3").(ReconCompressor); !ok {
-		t.Fatal("sz3 is not a ReconCompressor")
-	}
-	cfgs := map[string]Config{
-		"serial":   {EB: 1e-3, Mode: ModeRel, Radius: 8},
-		"parallel": {EB: 1e-3, Mode: ModeRel, Radius: 8, Workers: 3},
-	}
-	for _, c := range All() {
-		for name, cfg := range cfgs {
-			enc, rec, err := CompressRecon(c, f, cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", c.Name(), name, err)
-			}
-			want, err := Compress(c, f, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(enc) != string(want) {
-				t.Errorf("%s/%s: stream differs from Compress's", c.Name(), name)
-			}
-			dec, err := Decompress[T](c, enc, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.Nz != dec.Nz || rec.Ny != dec.Ny || rec.Nx != dec.Nx {
-				t.Fatalf("%s/%s: dims %dx%dx%d, want %dx%dx%d", c.Name(), name, rec.Nz, rec.Ny, rec.Nx, dec.Nz, dec.Ny, dec.Nx)
-			}
-			for i, v := range dec.Data {
-				if math.Float64bits(float64(rec.Data[i])) != math.Float64bits(float64(v)) {
-					t.Fatalf("%s/%s: point %d: reconstruction %v, decode %v", c.Name(), name, i, rec.Data[i], v)
-				}
-			}
-		}
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"stz/internal/grid"
 	"stz/internal/huffman"
 	"stz/internal/sz3"
+	"stz/internal/zfp"
 )
 
 // decodeAllPaths runs every untrusted-input entry point on data and
@@ -249,11 +250,74 @@ func FuzzDecode(f *testing.F) {
 	for _, seed := range sz3LaneSeeds(f) {
 		f.Add(seed)
 	}
+	f.Add(zfpBaseSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No input may panic any decode path; success is only legitimate
 		// when the archive actually parses end to end.
 		decodeAllPaths(t, data)
 	})
+}
+
+// zfpBaseSeed is a FuzzDecode seed: a one-chunk stz archive whose payload
+// has a genuine zfp stream of the level-1 grid (the default hierarchy's g
+// at stride 4) as its section 1 and zfp's ID as its header's base byte. The
+// stz reader refuses any base but sz3.
+func zfpBaseSeed(tb testing.TB) []byte {
+	g := datasets.Nyx(16, 8, 8, 2)
+	enc, err := codec.Encode("stz", g, codec.Config{EB: 0.05, Chunks: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l1 := g.ExtractStride(grid.Offset3{}, 4)
+	zsec, err := zfp.Compress(l1, zfp.Options{Tolerance: 0.05})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload := section(tb, enc, 1)
+	hdr := append([]byte(nil), section(tb, payload, 0)...)
+	hdr[7] = codec.IDZFP
+	payload = withSections(tb, payload, map[int][]byte{0: hdr, 1: zsec})
+	seed := withSections(tb, enc, map[int][]byte{1: payload})
+	if _, err := codec.ParseHeader(seed); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := codec.Decode[float32](seed, 1); err == nil {
+		tb.Fatal("stz archive with a zfp base decoded")
+	}
+	return seed
+}
+
+// withSections re-frames the container enc with the sections repl names
+// replaced.
+func withSections(tb testing.TB, enc []byte, repl map[int][]byte) []byte {
+	arc, err := container.Open(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var b container.Builder
+	for i := 0; i < arc.Count(); i++ {
+		sec, ok := repl[i]
+		if !ok {
+			if sec, err = arc.Section(i); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		b.Add(sec)
+	}
+	return b.Bytes()
+}
+
+// section returns section i of the container enc.
+func section(tb testing.TB, enc []byte, i int) []byte {
+	arc, err := container.Open(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sec, err := arc.Section(i)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sec
 }
 
 // sz3LaneSeeds are FuzzDecode seeds that reach an sz3 v3 payload's lane

@@ -1,74 +1,95 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"stz/internal/codec"
 	"stz/internal/container"
 	"stz/internal/datasets"
+	"stz/internal/grid"
+	"stz/internal/zfp"
 )
 
-// TestBaseCodecRouting compresses with each registry codec as the level-1
-// substrate and checks the header records it and the bound still holds.
+// TestBaseCodecRouting: sz3 is the only level-1 base. A valid archive
+// stamped with any other base ID — zfp, sperr, mgard, stz itself, or one no
+// codec has — is refused with errBaseNotSZ3 by NewReader and, framed as a
+// registry archive, by codec.Decode and a codec.ReaderAt box; so is the one
+// whose section 1 is a genuine zfp stream of the level-1 grid. Stamped 0,
+// the pre-registry value, the archive reads as sz3, bit for bit.
 func TestBaseCodecRouting(t *testing.T) {
 	g := datasets.Nyx(16, 16, 16, 11)
-	const eb = 0.05
-	for _, name := range codec.Names() {
-		if name == "stz" {
-			continue // the hierarchy is not its own base level; see TestBaseCodecUnknownRejected
+	framed, err := codec.Encode("stz", g, codec.Config{EB: 0.05, Chunks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := section(t, framed, 1)
+	bad := map[string][]byte{"zfp stream": zfpBased(t, enc)}
+	for _, id := range []byte{codec.IDZFP, codec.IDSPERR, codec.IDMGARD, codec.IDSTZ, 9} {
+		bad[fmt.Sprintf("ID %d", id)] = patchHeader(t, enc, func(h []byte) { h[7] = id })
+	}
+	for name, enc := range bad {
+		if _, err := NewReader[float32](enc); !errors.Is(err, errBaseNotSZ3) {
+			t.Errorf("%s: NewReader: err %v, want %v", name, err, errBaseNotSZ3)
 		}
-		cfg := DefaultConfig(eb)
-		cfg.BaseCodec = name
-		enc, err := Compress(g, cfg)
+		arc := withSections(t, framed, map[int][]byte{1: enc})
+		if _, err := codec.Decode[float32](arc, 1); !errors.Is(err, errBaseNotSZ3) {
+			t.Errorf("%s: codec.Decode: err %v, want %v", name, err, errBaseNotSZ3)
+		}
+		ra, err := codec.OpenReaderAt[float32](arc)
 		if err != nil {
-			t.Fatalf("%s: compress: %v", name, err)
+			t.Fatalf("%s: codec.OpenReaderAt: %v", name, err)
 		}
-		r, err := NewReader[float32](enc)
-		if err != nil {
-			t.Fatalf("%s: reader: %v", name, err)
+		if _, err := ra.DecompressBox(grid.Box{Z1: 4, Y1: 4, X1: 4}); !errors.Is(err, errBaseNotSZ3) {
+			t.Errorf("%s: ReaderAt.DecompressBox: err %v, want %v", name, err, errBaseNotSZ3)
 		}
-		if got := r.Header().BaseCodec; got != name {
-			t.Errorf("header base codec %q, want %q", got, name)
-		}
-		dec, err := r.Decompress()
-		if err != nil {
-			t.Fatalf("%s: decompress: %v", name, err)
-		}
-		var worst float64
-		for i := range g.Data {
-			if e := math.Abs(float64(g.Data[i]) - float64(dec.Data[i])); e > worst {
-				worst = e
-			}
-		}
-		if worst > eb*(1+1e-12) {
-			t.Errorf("%s: max error %g exceeds bound %g", name, worst, eb)
+	}
+	want, err := Decompress[float32](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decompress[float32](patchHeader(t, enc, func(h []byte) { h[7] = 0 }))
+	if err != nil {
+		t.Fatalf("base ID 0: %v", err)
+	}
+	for i, v := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("base ID 0: point %d decodes to %v, want %v", i, got.Data[i], v)
 		}
 	}
 }
 
+// TestBaseCodecUnknownRejected: a header that names stz as its own base is
+// refused however deep the nesting goes, before any nested archive is
+// opened.
 func TestBaseCodecUnknownRejected(t *testing.T) {
-	g := datasets.Nyx(8, 8, 8, 1)
-	cfg := DefaultConfig(0.1)
-	cfg.BaseCodec = "gzip"
-	if _, err := Compress(g, cfg); err == nil {
-		t.Error("unknown base codec accepted")
-	}
-	// The codec's own name resolves in the registry, and must not: a base
-	// level that is itself a hierarchy has nothing to bottom out in.
-	cfg.BaseCodec = "stz"
-	if _, err := Compress(g, cfg); err == nil {
-		t.Error("stz accepted as its own base codec")
-	}
-	enc, err := Compress(g, DefaultConfig(0.1))
+	enc, err := Compress(datasets.Nyx(8, 8, 8, 1), DefaultConfig(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for depth, bad := range selfBased(t, enc) {
-		if _, err := NewReader[float32](bad); err == nil {
-			t.Errorf("header with base ID %d accepted at nesting depth %d", codec.IDSTZ, depth+1)
+		if _, err := NewReader[float32](bad); !errors.Is(err, errBaseNotSZ3) {
+			t.Errorf("nesting depth %d: err %v, want %v", depth+1, err, errBaseNotSZ3)
 		}
 	}
+}
+
+// zfpBased re-frames the float32 archive enc the way a writer with a zfp
+// base would have left it: section 1 a genuine zfp stream of the level-1
+// grid, the header's base byte zfp's ID.
+func zfpBased(tb testing.TB, enc []byte) []byte {
+	r, err := NewReader[float32](enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := r.chainDims()[r.hdr.Levels-1]
+	sec, err := zfp.Compress(testField[float32](d[0], d[1], d[2], 3), zfp.Options{Tolerance: r.hdr.EB})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return withSections(tb, patchHeader(tb, enc, func(h []byte) { h[7] = codec.IDZFP }), map[int][]byte{1: sec})
 }
 
 // selfBased re-frames a valid archive the way a reader without the base-ID

@@ -15,6 +15,7 @@ import (
 	"stz/internal/parallel"
 	"stz/internal/quant"
 	"stz/internal/scratch"
+	"stz/internal/sz3"
 )
 
 // headerVersion is the core stream format version. Version 2 added the
@@ -28,14 +29,14 @@ const headerVersion = 4
 // header is the section-0 payload. Bytes 2 and 5 are reserved and zero (an
 // ablation coder once set them), and so is the uint32 at 40 in version 4;
 // in versions 1–3 it is CodeChunk, the code count of a chunked stream's
-// chunks, 0 when unchunked.
+// chunks, 0 when unchunked. Byte 7 is the level-1 codec's registry ID,
+// always written as sz3's.
 type header struct {
 	Version    byte
 	DType      byte // 4 = float32, 8 = float64
 	Levels     int
 	Predictor  Predictor
 	AdaptiveEB bool
-	BaseID     uint8 // registry ID of the base-level codec
 	EBRatio    float64
 	EB         float64
 	Radius     int32
@@ -48,6 +49,12 @@ type header struct {
 // residual coder) in any version, or a chunk size in version 4.
 var errReservedHeader = errors.New("core: header sets a reserved field")
 
+// errBaseNotSZ3 refuses a header whose base-codec byte names anything but
+// sz3, the paper's level-1 substrate and the only base the writer stamps.
+// Among the refused IDs is stz's own: a reader that followed it would open
+// one nested archive per level of nesting.
+var errBaseNotSZ3 = errors.New("core: base codec: level 1 is not sz3")
+
 func (h header) marshal() []byte {
 	buf := make([]byte, 44)
 	buf[0] = h.Version
@@ -57,7 +64,7 @@ func (h header) marshal() []byte {
 	if h.AdaptiveEB {
 		buf[6] = 1
 	}
-	buf[7] = h.BaseID
+	buf[7] = codec.IDSZ3
 	binary.LittleEndian.PutUint32(buf[8:], uint32(h.Fz))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(h.Fy))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(h.Fx))
@@ -80,12 +87,9 @@ func unmarshalHeader(buf []byte) (header, error) {
 	h.Levels = int(buf[3])
 	h.Predictor = Predictor(buf[4])
 	h.AdaptiveEB = buf[6] != 0
-	h.BaseID = buf[7]
-	if h.Version == 1 || h.BaseID == 0 {
-		h.BaseID = codec.IDSZ3 // pre-registry streams are always SZ3-based
-	}
-	if h.BaseID == codec.IDSTZ {
-		return h, errBaseIsSTZ
+	// Pre-registry streams (version 1, or byte 7 still zero) are sz3-based.
+	if h.Version > 1 && buf[7] != 0 && buf[7] != codec.IDSZ3 {
+		return h, errBaseNotSZ3
 	}
 	h.Fz = int(binary.LittleEndian.Uint32(buf[8:]))
 	h.Fy = int(binary.LittleEndian.Uint32(buf[12:]))
@@ -155,7 +159,7 @@ func appendF64(buf []byte, v float64) []byte {
 // wall time.
 type EncodeStats struct {
 	Chain    time.Duration // coarse-chain cuts: level 1's input, then the rest beside level 1
-	L1Encode time.Duration // level 1 through the base codec, its reconstruction included
+	L1Encode time.Duration // level 1 through sz3, its reconstruction included
 	// Per predicted level (index 0 = paper level 2, up to level 4): the
 	// predict+quantise sweep, then the class section builds (Huffman).
 	Quantise [3]time.Duration
@@ -182,8 +186,8 @@ func Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
 // a pipeline of phases, each one parallel.For over tasks that depend only on
 // earlier phases:
 //
-//	phase 0:    level 1, cut from g and encoded by the base codec, which
-//	            hands back its reconstruction; beside it the rest of the
+//	phase 0:    level 1, cut from g and encoded by sz3, which hands
+//	            back its reconstruction; beside it the rest of the
 //	            chain, each grid cut from g directly
 //	phase k≥1:  level k+1's sweep, level k's plans, level k−1's lane writes
 //
@@ -203,7 +207,6 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	levels := cfg.Levels
 	e := &encoder[T]{
 		g: g, cfg: cfg, workers: max(cfg.Workers, 1), st: st,
-		base:  codec.MustLookup(cfg.baseCodec()),
 		chain: make([]*grid.Grid[T], levels),
 		encs:  make([]*levelEnc[T], levels-1),
 	}
@@ -224,7 +227,7 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	hdr := header{
 		Version: headerVersion, DType: dtypeOf[T](),
 		Levels: levels, Predictor: cfg.Predictor,
-		AdaptiveEB: cfg.AdaptiveEB, BaseID: e.base.ID(), EBRatio: cfg.ebRatio(),
+		AdaptiveEB: cfg.AdaptiveEB, EBRatio: cfg.ebRatio(),
 		EB: cfg.EB, Radius: cfg.radius(),
 		Fz: g.Nz, Fy: g.Ny, Fx: g.Nx,
 	}
@@ -237,10 +240,10 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 	}
 	e.runPhase()
 	if e.l1err != nil {
-		return nil, st, fmt.Errorf("core: level-1 %s: %w", e.base.Name(), e.l1err)
+		return nil, st, fmt.Errorf("core: level-1 sz3: %w", e.l1err)
 	}
-	// Nothing else holds the reconstruction, so its backing (a scratch lease
-	// for the sz3 base) goes back with the others, as in the reader.
+	// Nothing else holds the reconstruction, so its backing (a scratch
+	// lease) goes back with the others, as in the reader.
 	e.leased = append(e.leased, e.l1rec.Data)
 	b.Add(e.l1blob)
 
@@ -300,7 +303,6 @@ type encoder[T grid.Float] struct {
 	workers int
 	st      *EncodeStats
 	lanes   [3]time.Duration // the lane-write share of Entropy, per level
-	base    codec.Codec
 	chain   []*grid.Grid[T]
 	l1blob  []byte
 	l1rec   *grid.Grid[T]
@@ -318,7 +320,7 @@ type encoder[T grid.Float] struct {
 type taskKind uint8
 
 const (
-	taskL1    taskKind = iota // level 1 through the base codec
+	taskL1    taskKind = iota // level 1 through sz3
 	taskCut                   // cut chain grid p from g
 	taskSweep                 // z-block i of level p's sweep
 	taskPlan                  // level p's plan of class i+1
@@ -370,10 +372,10 @@ func (e *encoder[T]) runPhase() {
 func (e *encoder[T]) run(tk encTask) {
 	switch tk.kind {
 	case taskL1:
-		// One serial base-codec call, so that parallel and serial STZ
-		// produce identical streams.
-		l1cfg := codec.Config{EB: e.cfg.levelEB(1), Radius: e.cfg.radius()}
-		e.l1blob, e.l1rec, e.l1err = codec.CompressRecon(e.base, e.chain[len(e.chain)-1], l1cfg)
+		// One serial sz3 call, so that parallel and serial STZ produce
+		// identical streams.
+		l1 := sz3.Options{EB: e.cfg.levelEB(1), Radius: e.cfg.radius()}
+		e.l1blob, e.l1rec, e.l1err = sz3.CompressRecon(e.chain[len(e.chain)-1], l1)
 	case taskCut:
 		e.cut(tk.p)
 	case taskSweep:

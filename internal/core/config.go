@@ -22,11 +22,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"stz/internal/codec"
 	"stz/internal/quant"
 )
 
@@ -76,14 +74,10 @@ type Config struct {
 	// Radius is the quantizer radius, at most quant.DefaultRadius; 0
 	// selects quant.DefaultRadius.
 	Radius int32
-	// Workers enables parallel compression of the per-class streams
-	// (and the chunked-parallel SZ3 on level 1) when > 1.
+	// Workers enables parallel compression of the per-class streams when
+	// > 1. Level 1 is one serial sz3 call whatever Workers is, so the
+	// archive does not depend on it.
 	Workers int
-	// BaseCodec names the registry codec (internal/codec) that compresses
-	// the coarsest hierarchical level. Empty selects "sz3", the paper's
-	// substrate. The codec ID is recorded
-	// in the stream header so decompression resolves it automatically.
-	BaseCodec string
 }
 
 // DefaultConfig returns the paper's recommended configuration: 3 levels,
@@ -123,29 +117,9 @@ func (c Config) levelEB(lv int) float64 {
 	return c.EB / math.Pow(c.ebRatio(), float64(c.Levels-lv))
 }
 
-// baseCodec returns the registry name of the base-level codec.
-func (c Config) baseCodec() string {
-	if c.BaseCodec == "" {
-		return "sz3"
-	}
-	return c.BaseCodec
-}
-
-// errBaseIsSTZ rejects the hierarchy as its own base level: the base is
-// what the recursion bottoms out in, and a reader handed such a header
-// would open one nested archive per level of nesting.
-var errBaseIsSTZ = errors.New("core: base codec: stz cannot be its own base level")
-
 func (c Config) validate() error {
 	if !(c.EB > 0) || math.IsInf(c.EB, 0) {
 		return fmt.Errorf("core: invalid error bound %g", c.EB)
-	}
-	base, err := codec.Lookup(c.baseCodec())
-	if err != nil {
-		return fmt.Errorf("core: base codec: %w", err)
-	}
-	if base.ID() == codec.IDSTZ {
-		return errBaseIsSTZ
 	}
 	if c.Levels < 2 || c.Levels > 4 {
 		return fmt.Errorf("core: Levels must be 2, 3 or 4, got %d", c.Levels)

@@ -159,20 +159,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func parallelMatchesSerial[T grid.Float](t *testing.T) {
 	g := testField[T](41, 36, 44, 10)
-	// A base codec that cannot hand back its reconstruction is decoded
-	// instead: one more path through the write side's phases.
-	cfg := DefaultConfig(1e-3)
-	cfg.BaseCodec, cfg.Workers = "zfp", 1
-	serial, err := Compress(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5} {
-		cfg.Workers = workers
-		if par, err := Compress(g, cfg); err != nil || !bytes.Equal(serial, par) {
-			t.Fatalf("zfp-base: %d workers produced a different stream (err %v)", workers, err)
-		}
-	}
 	for _, levels := range []int{2, 3, 4} {
 		cfg := DefaultConfig(1e-3)
 		cfg.Levels, cfg.Workers = levels, 1

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"stz/internal/codec"
 	"stz/internal/container"
 	"stz/internal/grid"
 	"stz/internal/huffman"
@@ -14,6 +13,7 @@ import (
 	"stz/internal/quant"
 	"stz/internal/rawio"
 	"stz/internal/scratch"
+	"stz/internal/sz3"
 )
 
 // Header is the public view of an STZ stream's metadata.
@@ -26,9 +26,6 @@ type Header struct {
 	EBRatio    float64
 	EB         float64
 	Radius     int32
-	// BaseCodec is the registry name of the base-level codec ("sz3"
-	// unless Config.BaseCodec overrode it).
-	BaseCodec string
 }
 
 // Stats is the per-stage timing breakdown of a decompression, matching the
@@ -70,9 +67,8 @@ type Stats struct {
 type Reader[T grid.Float] struct {
 	Workers int
 
-	arc  *container.Archive
-	hdr  header
-	base codec.Codec
+	arc *container.Archive
+	hdr header
 }
 
 // openArchive parses the stream framing and validates the header.
@@ -104,11 +100,7 @@ func NewReader[T grid.Float](data []byte) (*Reader[T], error) {
 	if wantSecs := 2 + (hdr.Levels-1)*7; arc.Count() != wantSecs {
 		return nil, fmt.Errorf("core: want %d sections, have %d", wantSecs, arc.Count())
 	}
-	base, err := codec.LookupID(hdr.BaseID)
-	if err != nil {
-		return nil, fmt.Errorf("core: base codec: %w", err)
-	}
-	return &Reader[T]{Workers: 1, arc: arc, hdr: hdr, base: base}, nil
+	return &Reader[T]{Workers: 1, arc: arc, hdr: hdr}, nil
 }
 
 // Header returns the stream metadata.
@@ -117,7 +109,7 @@ func (r *Reader[T]) Header() Header {
 	return Header{
 		DType: h.DType, Fz: h.Fz, Fy: h.Fy, Fx: h.Fx, Levels: h.Levels,
 		Predictor: h.Predictor, AdaptiveEB: h.AdaptiveEB,
-		EBRatio: h.EBRatio, EB: h.EB, Radius: h.Radius, BaseCodec: r.base.Name(),
+		EBRatio: h.EBRatio, EB: h.EB, Radius: h.Radius,
 	}
 }
 
@@ -447,8 +439,8 @@ func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, r
 // view is one grid of a reconstruction: the region b of a level's grid,
 // stored in g, whose element (0,0,0) is the grid point o. Every view is sized
 // to its region: a requested region in a caller-owned grid, an intermediate
-// level's need[t] in a scratch lease, the level-1 base in what the base codec
-// returned — need-sized after a cone decode, the whole level otherwise.
+// level's need[t] in a scratch lease, the level-1 base in what sz3 returned
+// — need-sized after a cone decode, the whole level otherwise.
 type view[T grid.Float] struct {
 	g *grid.Grid[T]
 	o grid.Offset3
@@ -474,21 +466,15 @@ func (v view[T]) extract(b grid.Box) *grid.Grid[T] {
 var errL1Dims = errors.New("core: level-1 dims mismatch")
 
 // checkBaseDims refuses a level-1 payload whose own dims are not the
-// header's level-1 dims, read without decoding (every registered base is a
-// codec.DimsReader): before the decode phase sizes class streams and output
-// grids from the header's dims, and before a box decode, whose result has
-// the box's dims. decodeBase checks the decoded grid of a base that could
-// not say.
+// header's level-1 dims, read from sz3's header without decoding: before the
+// decode phase sizes class streams and output grids from the header's dims,
+// and before decodeBase, whose box result has the box's dims.
 func (r *Reader[T]) checkBaseDims() error {
-	bd, ok := r.base.(codec.DimsReader)
-	if !ok {
-		return nil
-	}
 	sec, err := r.arc.Section(1)
 	if err != nil {
 		return err
 	}
-	nz, ny, nx, err := bd.Dims(sec)
+	nz, ny, nx, err := sz3.Dims(sec)
 	if err != nil {
 		return fmt.Errorf("core: level 1: %w", err)
 	}
@@ -499,9 +485,8 @@ func (r *Reader[T]) checkBaseDims() error {
 }
 
 // decodeBase decodes the level-1 grid (paper level 1, section 1) for its
-// part need: through a base codec that decodes boxes natively, only need's
-// cone, into a grid of need's dims; otherwise, or when need is the whole
-// level, the whole grid.
+// part need: only need's cone, into a grid of need's dims, or when need is
+// the whole level, the whole grid. checkBaseDims has run first.
 func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 	sec, err := r.arc.Section(1)
 	if err != nil {
@@ -509,8 +494,8 @@ func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 	}
 	d := r.chainDims()[r.hdr.Levels-1]
 	whole := grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}
-	if bd, ok := r.base.(codec.BoxDecoder); ok && need != whole {
-		g, err := codec.DecompressBox[T](bd, sec, need, 1)
+	if need != whole {
+		g, err := sz3.DecompressBox[T](sec, need, 1)
 		if err != nil {
 			return view[T]{}, fmt.Errorf("core: level 1: %w", err)
 		}
@@ -518,13 +503,9 @@ func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 		v.g = g
 		return v, nil
 	}
-	g, err := codec.Decompress[T](r.base, sec, 1)
+	g, err := sz3.DecompressWorkers[T](sec, 1)
 	if err != nil {
 		return view[T]{}, fmt.Errorf("core: level 1: %w", err)
-	}
-	if [3]int{g.Nz, g.Ny, g.Nx} != d {
-		scratch.ReleaseFloat(g.Data)
-		return view[T]{}, errL1Dims
 	}
 	return view[T]{g: g, b: whole}, nil
 }

@@ -10,7 +10,7 @@ import (
 // for byte, so everything the registry layers on a codec — SZXC framing,
 // the streaming Writer/Reader, ReaderAt, stzd — serves STZ without knowing
 // it, and box and level decodes are the Reader's own. The registration
-// lives here because core imports codec for its base level.
+// lives here: core imports codec, so codec cannot import core.
 type stzCodec struct{}
 
 func init() { codec.Register(stzCodec{}) }
@@ -74,10 +74,6 @@ func (stzCodec) Decompress32(data []byte, workers int) (*grid.Grid[float32], err
 }
 func (stzCodec) Decompress64(data []byte, workers int) (*grid.Grid[float64], error) {
 	return stzDecompress[float64](data, workers)
-}
-func (stzCodec) Dims(data []byte) (nz, ny, nx int, err error) {
-	_, h, err := openArchive(data)
-	return h.Fz, h.Fy, h.Fx, err
 }
 func (stzCodec) DecompressBox32(data []byte, b grid.Box, workers int) (*grid.Grid[float32], error) {
 	return stzBox[float32](data, b, workers)

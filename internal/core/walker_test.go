@@ -14,13 +14,13 @@ import (
 	"testing"
 	"time"
 
-	"stz/internal/codec"
 	"stz/internal/container"
 	"stz/internal/datasets"
 	"stz/internal/grid"
 	"stz/internal/huffman"
 	"stz/internal/quant"
 	"stz/internal/rawio"
+	"stz/internal/sz3"
 )
 
 // walkerCase is one stream shape the single level walker must decode the
@@ -642,7 +642,7 @@ func badBaseDims(tb testing.TB) map[string][]byte {
 	d := r.chainDims()[wc.cfg.Levels-1]
 	out := map[string][]byte{}
 	for name, dz := range map[string]int{"z+1": 1, "z-1": -1} {
-		sec, err := codec.Compress(r.base, testField[float32](d[0]+dz, d[1], d[2], 3), codec.Config{EB: wc.cfg.EB})
+		sec, err := sz3.Compress(testField[float32](d[0]+dz, d[1], d[2], 3), sz3.DefaultOptions(wc.cfg.EB))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -679,32 +679,29 @@ func TestBaseDimsMismatchRejected(t *testing.T) {
 // base's payload is refused before the decode phase sizes class streams or
 // output grids from them — a 65313×18×21 f64 header (a 197 MB grid) over a
 // 33×18×21 stream, through the full, progressive and box paths alike,
-// allocates next to nothing — whatever the base: every registry codec
-// reads its payload's dims without decoding it.
+// allocates next to nothing: the reader reads the sz3 payload's dims without
+// decoding it.
 func TestHeaderDimsCheckedBeforeSizing(t *testing.T) {
-	for _, base := range []string{"sz3", "zfp", "sperr", "mgard"} {
-		wc := walkerCases()[0]
-		wc.cfg.BaseCodec = base
-		bad := patchHeader(t, wc.encode(t), func(h []byte) { binary.LittleEndian.PutUint32(h[8:], 33+256*255) })
-		r, err := NewReader[float64](bad)
-		if err != nil {
-			t.Fatal(err)
+	wc := walkerCases()[0]
+	bad := patchHeader(t, wc.encode(t), func(h []byte) { binary.LittleEndian.PutUint32(h[8:], 33+256*255) })
+	r, err := NewReader[float64](bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, decode := range map[string]func() error{
+		"Decompress":     func() error { _, err := r.Decompress(); return err },
+		"Progressive(2)": func() error { _, err := r.Progressive(2); return err },
+		"DecompressBox":  func() error { _, _, err := r.DecompressBox(interiorBox(r.Header())); return err },
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := decode()
+		runtime.ReadMemStats(&m1)
+		if !errors.Is(err, errL1Dims) {
+			t.Errorf("%s: err %v, want %v", name, err, errL1Dims)
 		}
-		for name, decode := range map[string]func() error{
-			"Decompress":     func() error { _, err := r.Decompress(); return err },
-			"Progressive(2)": func() error { _, err := r.Progressive(2); return err },
-			"DecompressBox":  func() error { _, _, err := r.DecompressBox(interiorBox(r.Header())); return err },
-		} {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			err := decode()
-			runtime.ReadMemStats(&m1)
-			if !errors.Is(err, errL1Dims) {
-				t.Errorf("%s base %s: err %v, want %v", name, base, err, errL1Dims)
-			}
-			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
-				t.Errorf("%s base %s allocated %d bytes before refusing the base", name, base, alloc)
-			}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s allocated %d bytes before refusing the base", name, alloc)
 		}
 	}
 }
@@ -725,6 +722,8 @@ func FuzzReader(f *testing.F) {
 	for _, bad := range selfBased(f, walkerCases()[1].encode(f)) {
 		f.Add(bad)
 	}
+	// A base a non-sz3 writer would have left: refused by its ID alone.
+	f.Add(zfpBased(f, walkerCases()[1].encode(f)))
 	for _, bad := range badBaseDims(f) {
 		f.Add(bad)
 	}

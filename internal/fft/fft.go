@@ -28,18 +28,6 @@ func NextPow2(n int) int {
 // two): X[k] = Σ x[n]·exp(−2πi·nk/N).
 func Forward(x []complex128) error { return transform(x, false) }
 
-// Inverse computes the in-place inverse DFT including the 1/N scaling.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
 func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if n == 0 {

@@ -83,7 +83,7 @@ func TestRoundTrip1D(t *testing.T) {
 		if err := Forward(x); err != nil {
 			t.Fatal(err)
 		}
-		if err := Inverse(x); err != nil {
+		if err := Inverse3D(x, 1, 1, n); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {

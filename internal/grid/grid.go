@@ -253,11 +253,6 @@ func (b Box) Contains(z, y, x int) bool {
 	return z >= b.Z0 && z < b.Z1 && y >= b.Y0 && y < b.Y1 && x >= b.X0 && x < b.X1
 }
 
-// Dilate grows the box by r points in every direction (unclipped).
-func (b Box) Dilate(r int) Box {
-	return Box{b.Z0 - r, b.Y0 - r, b.X0 - r, b.Z1 + r, b.Y1 + r, b.X1 + r}
-}
-
 // Union returns the smallest box containing both boxes. An empty box acts
 // as the identity.
 func (b Box) Union(o Box) Box {

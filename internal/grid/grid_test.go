@@ -160,7 +160,7 @@ func TestBoxBasics(t *testing.T) {
 	if (Box{0, 0, 0, 0, 1, 1}).Empty() != true {
 		t.Fatal("empty box not detected")
 	}
-	c := b.Dilate(2).Clip(4, 4, 4)
+	c := Box{-1, 0, 1, 6, 7, 8}.Clip(4, 4, 4)
 	if c.Z0 != 0 || c.Z1 != 4 {
 		t.Fatalf("clip wrong: %+v", c)
 	}

@@ -36,13 +36,6 @@ func Cubic[T grid.Float](p0, p1, p2, p3 T) T {
 	return -(p0+p3)/16 + (p1+p2)*9/16
 }
 
-// CubicCoeffInner and CubicCoeffOuter are the 1D cubic weights, exported
-// for the composed multi-dimensional stencils.
-const (
-	CubicCoeffInner = 9.0 / 16.0
-	CubicCoeffOuter = -1.0 / 16.0
-)
-
 // Bicubic combines two orthogonal diagonal cubic splines (Eq. 7):
 // 9/32 over the four inner corners minus 1/32 over the four outer corners.
 func Bicubic[T grid.Float](inner [4]T, outer [4]T) T {

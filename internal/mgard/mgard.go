@@ -320,21 +320,6 @@ type parsed struct {
 	sections [][]byte
 }
 
-// Dims returns the grid dims a stream declares, validated as the decoder
-// validates them, without decoding anything.
-func Dims(data []byte) (nz, ny, nx int, err error) {
-	if len(data) < 38 || binary.LittleEndian.Uint32(data) != Magic {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	nz = int(binary.LittleEndian.Uint32(data[6:]))
-	ny = int(binary.LittleEndian.Uint32(data[10:]))
-	nx = int(binary.LittleEndian.Uint32(data[14:]))
-	if int64(nz)*int64(ny)*int64(nx) > 1<<33 || nz < 0 || ny < 0 || nx < 0 {
-		return 0, 0, 0, fmt.Errorf("%w: implausible dims", ErrFormat)
-	}
-	return nz, ny, nx, nil
-}
-
 func parse[T grid.Float](data []byte) (*parsed, error) {
 	if len(data) < 38 || binary.LittleEndian.Uint32(data) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)

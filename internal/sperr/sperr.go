@@ -373,24 +373,6 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	return out, nil
 }
 
-// Dims returns the grid dims a stream of either version declares,
-// validated as the decoder validates them, without decoding anything.
-func Dims(data []byte) (nz, ny, nx int, err error) {
-	if len(data) < 47 {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if m := binary.LittleEndian.Uint32(data); m != Magic && m != MagicV2 {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	nz = int(binary.LittleEndian.Uint32(data[6:]))
-	ny = int(binary.LittleEndian.Uint32(data[10:]))
-	nx = int(binary.LittleEndian.Uint32(data[14:]))
-	if nz <= 0 || ny <= 0 || nx <= 0 || int64(nz)*int64(ny)*int64(nx) > 1<<33 {
-		return 0, 0, 0, fmt.Errorf("%w: bad header", ErrFormat)
-	}
-	return nz, ny, nx, nil
-}
-
 // Decompress reconstructs the full grid with up to workers goroutines for
 // the inverse transform (0 = serial).
 func DecompressWorkers[T grid.Float](data []byte, workers int) (*grid.Grid[T], error) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"stz/internal/datasets"
 	"stz/internal/grid"
 	"stz/internal/huffman"
 	"stz/internal/metrics"
@@ -533,6 +534,57 @@ func TestDeterministic(t *testing.T) {
 	b, _ := Compress(g, DefaultOptions(1e-3))
 	if !bytes.Equal(a, b) {
 		t.Fatal("serial compression not deterministic")
+	}
+}
+
+// TestCompressRecon: the grid CompressRecon hands back is, bit for bit, what
+// DecompressWorkers makes of the stream it returns, and the stream is
+// Compress's — serial and chunked. The field carries NaN, ±Inf and ±1e30,
+// and the radius is tight, so escapes take the verbatim path. STZ's level 1
+// skips its decode on this contract.
+func TestCompressRecon(t *testing.T) {
+	t.Run("f32", compressRecon[float32])
+	t.Run("f64", compressRecon[float64])
+}
+
+func compressRecon[T grid.Float](t *testing.T) {
+	g := grid.ToFloat64(datasets.Nyx(19, 22, 25, 3))
+	f := &grid.Grid[T]{Data: make([]T, g.Len()), Nz: g.Nz, Ny: g.Ny, Nx: g.Nx}
+	for i, v := range g.Data {
+		f.Data[i] = T(v)
+	}
+	mn, mx := f.Range()
+	eb := quant.AbsoluteBound(1e-3, float64(mn), float64(mx))
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e30, -1e30} {
+		f.Data[97*i+5] = T(v)
+	}
+	for name, o := range map[string]Options{
+		"serial":  {EB: eb, Radius: 8},
+		"chunked": {EB: eb, Radius: 8, Workers: 3},
+	} {
+		enc, rec, err := CompressRecon(f, o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := Compress(f, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Errorf("%s: stream differs from Compress's", name)
+		}
+		dec, err := DecompressWorkers[T](enc, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Nz != dec.Nz || rec.Ny != dec.Ny || rec.Nx != dec.Nx {
+			t.Fatalf("%s: dims %dx%dx%d, want %dx%dx%d", name, rec.Nz, rec.Ny, rec.Nx, dec.Nz, dec.Ny, dec.Nx)
+		}
+		for i, v := range dec.Data {
+			if math.Float64bits(float64(rec.Data[i])) != math.Float64bits(float64(v)) {
+				t.Fatalf("%s: point %d: reconstruction %v, decode %v", name, i, rec.Data[i], v)
+			}
+		}
 	}
 }
 

@@ -161,41 +161,3 @@ func robustBounds(vals []float64) (float64, float64) {
 func WritePNG(w io.Writer, img image.Image) error {
 	return png.Encode(w, img)
 }
-
-// SideBySide composes images horizontally with a separator column — the
-// layout of the paper's visual comparison figures.
-func SideBySide(imgs []*image.RGBA) (*image.RGBA, error) {
-	if len(imgs) == 0 {
-		return nil, fmt.Errorf("viz: no images")
-	}
-	const sep = 2
-	h, w := 0, 0
-	for _, im := range imgs {
-		b := im.Bounds()
-		if b.Dy() > h {
-			h = b.Dy()
-		}
-		w += b.Dx()
-	}
-	w += sep * (len(imgs) - 1)
-	out := image.NewRGBA(image.Rect(0, 0, w, h))
-	x := 0
-	for i, im := range imgs {
-		b := im.Bounds()
-		for yy := 0; yy < b.Dy(); yy++ {
-			for xx := 0; xx < b.Dx(); xx++ {
-				out.SetRGBA(x+xx, yy, im.RGBAAt(b.Min.X+xx, b.Min.Y+yy))
-			}
-		}
-		x += b.Dx()
-		if i < len(imgs)-1 {
-			for yy := 0; yy < h; yy++ {
-				for s := 0; s < sep; s++ {
-					out.SetRGBA(x+s, yy, color.RGBA{255, 255, 255, 255})
-				}
-			}
-			x += sep
-		}
-	}
-	return out, nil
-}

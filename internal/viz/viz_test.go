@@ -2,7 +2,6 @@ package viz
 
 import (
 	"bytes"
-	"image"
 	"image/png"
 	"math"
 	"testing"
@@ -141,21 +140,5 @@ func TestWritePNGRoundTrip(t *testing.T) {
 	}
 	if dec.Bounds().Dx() != 16 {
 		t.Fatal("decoded PNG dims wrong")
-	}
-}
-
-func TestSideBySide(t *testing.T) {
-	g := testSlice()
-	a, _ := SliceZ(g, 0, Options{})
-	b, _ := SliceZ(g, 1, Options{})
-	combo, err := SideBySide([]*image.RGBA{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combo.Bounds().Dx() != 16+2+16 {
-		t.Fatalf("combined width %d", combo.Bounds().Dx())
-	}
-	if _, err := SideBySide(nil); err == nil {
-		t.Fatal("empty input accepted")
 	}
 }

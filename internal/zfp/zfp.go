@@ -2,8 +2,9 @@
 // the same pipeline structure as ZFP's fixed-accuracy mode — 4³ block
 // decomposition, block-floating-point normalization, an exactly invertible
 // integer lifting transform, negabinary mapping, total-degree coefficient
-// ordering, and group-tested embedded bit-plane coding — plus per-block
-// random access through a byte-offset index.
+// ordering, and group-tested embedded bit-plane coding — plus a byte-offset
+// block index that makes every block addressable on its own (ZFP's random
+// access; Decompress decodes the whole grid).
 //
 // Substitution note (recorded in DESIGN.md): ZFP's proprietary lifting
 // kernel is replaced by a two-level S-transform (integer Haar with exact
@@ -582,19 +583,9 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	return out, nil
 }
 
-// Stream is a parsed mini-ZFP stream supporting whole-grid and per-block
-// decoding.
-type Stream[T grid.Float] struct {
-	data       []byte
-	Nz, Ny, Nx int
-	Tolerance  float64
-	offsets    []int // nBlocks+1 byte offsets into data
-	cz, cy, cx int
-}
-
-// Dims returns the grid dims a stream declares, validated as Open validates
-// them, without reading past the header.
-func Dims(data []byte) (nz, ny, nx int, err error) {
+// dims returns the grid dims a stream declares, validated, without reading
+// past the header.
+func dims(data []byte) (nz, ny, nx int, err error) {
 	if len(data) < 33 || binary.LittleEndian.Uint32(data) != Magic {
 		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
@@ -607,76 +598,47 @@ func Dims(data []byte) (nz, ny, nx int, err error) {
 	return nz, ny, nx, nil
 }
 
-// Open parses and validates the header and block index.
-func Open[T grid.Float](data []byte) (*Stream[T], error) {
-	nz, ny, nx, err := Dims(data)
+// Decompress validates the header and block index, then reconstructs the
+// full grid (serial, as ZFP decompression has no parallel mode in the
+// paper's evaluation).
+func Decompress[T grid.Float](data []byte) (*grid.Grid[T], error) {
+	nz, ny, nx, err := dims(data)
 	if err != nil {
 		return nil, err
 	}
 	if data[4] != dtypeOf[T]() {
 		return nil, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
-	s := &Stream[T]{data: data, Nz: nz, Ny: ny, Nx: nx}
-	s.Tolerance = math.Float64frombits(binary.LittleEndian.Uint64(data[17:]))
 	nBlocks := int(binary.LittleEndian.Uint32(data[25:]))
 	idxLen := int(binary.LittleEndian.Uint32(data[29:]))
-	s.cz, s.cy, s.cx = blockCounts(s.Nz, s.Ny, s.Nx)
-	if nBlocks != s.cz*s.cy*s.cx {
+	cz, cy, cx := blockCounts(nz, ny, nx)
+	if nBlocks != cz*cy*cx {
 		return nil, fmt.Errorf("%w: block count mismatch", ErrFormat)
 	}
 	if 33+idxLen > len(data) {
 		return nil, fmt.Errorf("%w: truncated index", ErrFormat)
 	}
 	ir := bitio.NewReader(data[33 : 33+idxLen])
-	s.offsets = make([]int, nBlocks+1)
-	s.offsets[0] = 33 + idxLen
+	offsets := make([]int, nBlocks+1) // byte offsets of the blocks in data
+	offsets[0] = 33 + idxLen
 	for b := 0; b < nBlocks; b++ {
 		l, err := ir.ReadGamma()
 		if err != nil {
 			return nil, fmt.Errorf("%w: index: %v", ErrFormat, err)
 		}
-		s.offsets[b+1] = s.offsets[b] + int(l)
+		offsets[b+1] = offsets[b] + int(l)
 	}
-	if s.offsets[nBlocks] > len(data) {
+	if offsets[nBlocks] > len(data) {
 		return nil, fmt.Errorf("%w: truncated payload", ErrFormat)
 	}
-	return s, nil
-}
-
-// DecodeBlock decodes the 4³ block at block coordinates (bz, by, bx) —
-// ZFP's random-access primitive. The returned slice has blockSize values in
-// block-local row-major order (padding included).
-func (s *Stream[T]) DecodeBlock(bz, by, bx int) ([blockSize]float64, error) {
-	var vals [blockSize]float64
-	if bz < 0 || bz >= s.cz || by < 0 || by >= s.cy || bx < 0 || bx >= s.cx {
-		return vals, fmt.Errorf("zfp: block (%d,%d,%d) out of range", bz, by, bx)
-	}
-	b := (bz*s.cy+by)*s.cx + bx
-	var br bitio.Reader
-	err := decodeBlock[T](&br, s.data[s.offsets[b]:s.offsets[b+1]], &vals)
-	return vals, err
-}
-
-// Decompress reconstructs the full grid (serial, as ZFP decompression has
-// no parallel mode in the paper's evaluation).
-func (s *Stream[T]) Decompress() (*grid.Grid[T], error) {
-	g := grid.New[T](s.Nz, s.Ny, s.Nx)
+	g := grid.New[T](nz, ny, nx)
 	var vals [blockSize]float64
 	var br bitio.Reader
-	for b := 0; b < s.cz*s.cy*s.cx; b++ {
-		if err := decodeBlock[T](&br, s.data[s.offsets[b]:s.offsets[b+1]], &vals); err != nil {
+	for b := 0; b < nBlocks; b++ {
+		if err := decodeBlock[T](&br, data[offsets[b]:offsets[b+1]], &vals); err != nil {
 			return nil, fmt.Errorf("zfp: block %d: %w", b, err)
 		}
-		scatterBlock(g, b/(s.cy*s.cx), b/s.cx%s.cy, b%s.cx, &vals)
+		scatterBlock(g, b/(cy*cx), b/cx%cy, b%cx, &vals)
 	}
 	return g, nil
-}
-
-// Decompress is the one-shot whole-grid decoder.
-func Decompress[T grid.Float](data []byte) (*grid.Grid[T], error) {
-	s, err := Open[T](data)
-	if err != nil {
-		return nil, err
-	}
-	return s.Decompress()
 }

@@ -203,48 +203,6 @@ func TestZeroBlocks(t *testing.T) {
 	}
 }
 
-func TestRandomAccessBlock(t *testing.T) {
-	g := smoothGrid(16, 16, 16, 7)
-	enc, err := Compress(g, Options{Tolerance: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open[float32](enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every block decoded independently must match the full reconstruction.
-	for bz := 0; bz < 4; bz++ {
-		for by := 0; by < 4; by++ {
-			for bx := 0; bx < 4; bx++ {
-				vals, err := s.DecodeBlock(bz, by, bx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for z := 0; z < 4; z++ {
-					for y := 0; y < 4; y++ {
-						for x := 0; x < 4; x++ {
-							want := float64(full.At(bz*4+z, by*4+y, bx*4+x))
-							got := vals[(z*4+y)*4+x]
-							if got != want {
-								t.Fatalf("block (%d,%d,%d) point (%d,%d,%d): %g vs %g",
-									bz, by, bx, z, y, x, got, want)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if _, err := s.DecodeBlock(4, 0, 0); err == nil {
-		t.Fatal("out-of-range block accepted")
-	}
-}
-
 func TestParallelMatchesSerial(t *testing.T) {
 	g := smoothGrid(20, 20, 20, 8)
 	a, err := Compress(g, Options{Tolerance: 1e-3})
