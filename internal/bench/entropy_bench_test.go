@@ -101,9 +101,7 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 // BenchmarkHuffmanDecodeSmall is the fixed per-stream cost of a decode: 64
 // symbols wanted out of a short stream whose table lists ~300 symbols of
 // the 65 536-symbol quantizer alphabet, so table parsing and building
-// dominate and the symbol loop is noise. "lanes" decodes the whole stream
-// (the only way to reach the 64 symbols before DecodeLanesRange existed);
-// "range64" decodes just them.
+// dominate and the symbol loop is noise. "lanes" decodes the whole stream.
 func BenchmarkHuffmanDecodeSmall(b *testing.B) {
 	const alphabet = 1 << 16
 	rng := rand.New(rand.NewSource(42))
@@ -118,14 +116,6 @@ func BenchmarkHuffmanDecodeSmall(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := huffman.DecodeLanesInto(dst[:0], blob, alphabet, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("range64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := huffman.DecodeLanesRange(dst[:0], blob, alphabet, 0, 64); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -200,32 +190,22 @@ const quantAlphabet = 1 << 16
 // BenchmarkHuffmanDecodeClass decodes quantizer-shaped class streams — the
 // distribution every read is bound by, which entropyCodes' N(512, 3) on a
 // 1024-symbol alphabet is not: "whole" is a full decode or a box that needs
-// the stream, "lane" one lane of four (a parallel worker's share), "range25"
-// the quarter of the stream around its middle that a region of interest asks
-// for (two lane prefixes). ns/sym is per symbol actually decoded, table
-// parse and build included.
+// the stream. ns/sym is per symbol decoded, table parse and build included.
 func BenchmarkHuffmanDecodeClass(b *testing.B) {
 	for _, rel := range []float64{1e-3, 1e-4} {
 		blob, codes := classStream(b, 64, rel, 1)
 		n := len(codes)
 		dst := make([]uint16, n)
-		run := func(name string, lo, hi int) {
-			b.Run(fmt.Sprintf("rel%.0e/%s", rel, name), func(b *testing.B) {
-				var decoded int
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if _, decoded, err = huffman.DecodeLanesRange(dst[:0], blob, quantAlphabet, lo, hi); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("rel%.0e/whole", rel), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := huffman.DecodeLanesInto(dst[:0], blob, quantAlphabet, 1); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(decoded), "ns/sym")
-				b.ReportMetric(8*float64(len(blob))/float64(n), "bits/sym")
-			})
-		}
-		run("whole", 0, n)
-		run("lane", 0, n/4)
-		run("range25", 3*n/8, 5*n/8)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sym")
+			b.ReportMetric(8*float64(len(blob))/float64(n), "bits/sym")
+		})
 	}
 }
 

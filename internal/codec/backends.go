@@ -54,8 +54,9 @@ func (b *backend) Decompress64(data []byte, workers int) (*grid.Grid[float64], e
 // addressing are registered through it.
 type boxBackend struct {
 	backend
-	b32 func([]byte, grid.Box, int) (*grid.Grid[float32], error)
-	b64 func([]byte, grid.Box, int) (*grid.Grid[float64], error)
+	b32  func([]byte, grid.Box, int) (*grid.Grid[float32], error)
+	b64  func([]byte, grid.Box, int) (*grid.Grid[float64], error)
+	dims func([]byte) (nz, ny, nx int, err error)
 }
 
 func (b *boxBackend) DecompressBox32(data []byte, bx grid.Box, workers int) (*grid.Grid[float32], error) {
@@ -64,6 +65,7 @@ func (b *boxBackend) DecompressBox32(data []byte, bx grid.Box, workers int) (*gr
 func (b *boxBackend) DecompressBox64(data []byte, bx grid.Box, workers int) (*grid.Grid[float64], error) {
 	return b.b64(data, bx, workers)
 }
+func (b *boxBackend) Dims(data []byte) (nz, ny, nx int, err error) { return b.dims(data) }
 
 func sz3Compress[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, error) {
 	return sz3.Compress(g, sz3.Options{EB: cfg.EB, Radius: cfg.radius(), Workers: cfg.Workers})
@@ -108,8 +110,9 @@ func init() {
 			c32: sz3Compress[float32], d32: sz3Decompress[float32],
 			c64: sz3Compress[float64], d64: sz3Decompress[float64],
 		},
-		b32: sz3.DecompressBox[float32],
-		b64: sz3.DecompressBox[float64],
+		b32:  sz3.DecompressBox[float32],
+		b64:  sz3.DecompressBox[float64],
+		dims: sz3.Dims,
 	})
 	Register(&backend{
 		name: "sperr", id: IDSPERR,
@@ -120,7 +123,7 @@ func init() {
 	})
 	Register(&backend{
 		name: "zfp", id: IDZFP,
-		caps: Caps{RandomAccess: true, ParallelCompress: true,
+		caps: Caps{ParallelCompress: true,
 			MaxDims: 3, Float32: true, Float64: true},
 		c32: zfpCompress[float32], d32: zfpDecompress[float32],
 		c64: zfpCompress[float64], d64: zfpDecompress[float64],

@@ -16,10 +16,13 @@ import (
 // coordinates and must already be validated by the caller; the result is
 // bit-identical to the same window of a full Decompress, and the caller's:
 // one that copies it out may hand its backing to the scratch arenas (sz3's
-// is a lease).
+// is a lease). A box result has the box's dims, whatever grid the payload
+// holds, so Dims reads the payload's own dims from its header, decoding
+// nothing, for the caller to check first.
 type BoxDecoder interface {
 	DecompressBox32(data []byte, b grid.Box, workers int) (*grid.Grid[float32], error)
 	DecompressBox64(data []byte, b grid.Box, workers int) (*grid.Grid[float64], error)
+	Dims(data []byte) (nz, ny, nx int, err error)
 }
 
 // DecompressBox dispatches a native sub-box decode to the matching element
@@ -82,7 +85,7 @@ func OpenReaderAt[T grid.Float](data []byte) (*ReaderAt[T], error) {
 		return nil, err
 	}
 	r := &ReaderAt[T]{Workers: 1, arc: arc, hdr: hdr, c: c, slabs: map[int]*slabEntry[T]{}}
-	if bd, ok := c.(BoxDecoder); ok && c.Caps().RandomAccess {
+	if bd, ok := c.(BoxDecoder); ok {
 		r.native = bd
 	}
 	// Opening charged the header section to the accounting; queries start
@@ -208,6 +211,13 @@ func (r *ReaderAt[T]) copyBox(out *grid.Grid[T], b grid.Box, i, workers int) err
 	sec, err := r.arc.Section(i + 1)
 	if err != nil {
 		return err
+	}
+	nz, ny, nx, err := r.native.Dims(sec)
+	if err != nil {
+		return fmt.Errorf("codec: chunk %d: %w", i, err)
+	}
+	if nz != hi-lo || ny != r.hdr.Ny || nx != r.hdr.Nx {
+		return fmt.Errorf("%w: chunk %d dims mismatch", ErrFormat, i)
 	}
 	// The box window in the slab's local coordinates.
 	sb := grid.Box{

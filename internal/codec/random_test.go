@@ -214,3 +214,57 @@ func TestRandomAccessReadsSubsetOfPayload(t *testing.T) {
 	}
 	sameWindow(t, "sz3-128", got, full.ExtractBox(b))
 }
+
+// TestRandomAccessCapsMatchBoxDecoder: a codec advertises random access
+// exactly when it decodes sub-boxes natively, so the capability matrix
+// (stz codecs, /v1/codecs) says what a ReaderAt box query will do.
+func TestRandomAccessCapsMatchBoxDecoder(t *testing.T) {
+	for _, c := range codec.All() {
+		_, native := c.(codec.BoxDecoder)
+		if c.Caps().RandomAccess != native {
+			t.Errorf("%s: Caps.RandomAccess %v, BoxDecoder %v", c.Name(), c.Caps().RandomAccess, native)
+		}
+	}
+}
+
+// TestBoxRefusesChunkOfOtherDims: a native box decode checks a chunk
+// payload's own dims against the chunk's header dims, as the full decode
+// does. Chunk 0 of a two-chunk 16×8×8 archive (planes 0–7) is swapped for a
+// valid 12×8×8 stream of the same codec: the full decode refuses the
+// archive, and every box, in chunk 0 alone or across both, must fail too
+// rather than be cut from the wrong grid.
+func TestBoxRefusesChunkOfOtherDims(t *testing.T) {
+	for _, name := range []string{"sz3", "stz"} {
+		t.Run(name, func(t *testing.T) {
+			enc, err := codec.Encode(name, randomField[float32](16, 8, 8, 3), codec.Config{EB: 1e-3, Chunks: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := codec.Encode(name, randomField[float32](12, 8, 8, 4), codec.Config{EB: 1e-3, Chunks: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := withSections(t, enc, map[int][]byte{1: section(t, other, 1)})
+			if _, err := codec.Decode[float32](bad, 1); !errors.Is(err, codec.ErrFormat) {
+				t.Fatalf("full decode: err = %v", err)
+			}
+			ra, err := codec.OpenReaderAt[float32](bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ra.NativeRandomAccess() {
+				t.Fatal("no native box decode")
+			}
+			for _, b := range []grid.Box{
+				{Z1: 1, Y1: 1, X1: 1},
+				{Z0: 2, Z1: 6, Y0: 1, Y1: 7, X0: 2, X1: 5},
+				{Z0: 4, Z1: 12, Y1: 8, X1: 8},
+				{Z1: 16, Y1: 8, X1: 8},
+			} {
+				if _, err := ra.DecompressBox(b); !errors.Is(err, codec.ErrFormat) {
+					t.Errorf("box %+v: err = %v", b, err)
+				}
+			}
+		})
+	}
+}

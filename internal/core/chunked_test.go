@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"stz/internal/container"
 	"stz/internal/grid"
 )
 
@@ -85,6 +88,8 @@ func chunkedMatchesUnchunked[T grid.Float](t *testing.T, wc walkerCase) {
 	}
 }
 
+// TestChunkedRandomAccessConsistency: random boxes and a mid-grid z-slice
+// of every fixture equal the same windows of its full decode.
 func TestChunkedRandomAccessConsistency(t *testing.T) {
 	forChunkFixtures(t, chunkedRandomAccess[float32], chunkedRandomAccess[float64])
 }
@@ -104,11 +109,19 @@ func chunkedRandomAccess[T grid.Float](t *testing.T, wc walkerCase) {
 			t.Fatalf("chunked box %+v differs from the full decode", b)
 		}
 	}
+	z := wc.nz / 2
+	sl, _, err := r.DecompressSliceZ(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGrid(sl, full.ExtractBox(grid.Box{Z0: z, Z1: z + 1, Y1: wc.ny, X1: wc.nx})) {
+		t.Fatalf("slice %d differs from the full decode", z)
+	}
 }
 
-// TestChunkedOutlierResync: heavy escapes and chunks of 512 codes — the
-// per-chunk outlier bases must resolve escape indices for boxes that start
-// deep inside the class streams, several chunks in.
+// TestChunkedOutlierResync: heavy escapes and chunks of 512 codes — boxes
+// that start deep inside the class streams, several chunks in, take their
+// escapes' outliers exactly as the full decode does.
 func TestChunkedOutlierResync(t *testing.T) {
 	wc := walkerCaseNamed(t, "L3-f64-chunk512-outliers")
 	r, full := fixtureFull[float64](t, wc)
@@ -116,41 +129,54 @@ func TestChunkedOutlierResync(t *testing.T) {
 		{Z0: 17, Y0: 9, X0: 5, Z1: 30, Y1: 17, X1: 20},
 		{Z0: 25, Y0: 2, X0: 11, Z1: 33, Y1: 18, X1: 21},
 	} {
-		got, st, err := r.DecompressBox(b)
+		got, _, err := r.DecompressBox(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameGrid(got, full.ExtractBox(b)) {
 			t.Fatalf("outlier resync failed for box %+v", b)
 		}
-		if st.SkippedChunks[1] == 0 {
-			t.Errorf("box %+v skipped no finest-level chunk: the resync is not exercised", b)
-		}
 	}
 }
 
-// TestChunkedSliceSkipsChunks: a thin slice entropy-decodes only a fraction
-// of each needed class stream — the chunks its rows lie in — in the
-// fixtures whose finest classes span several chunks.
-func TestChunkedSliceSkipsChunks(t *testing.T) {
-	forChunkFixtures(t, chunkedSliceSkips[float32], chunkedSliceSkips[float64])
-}
-
-func chunkedSliceSkips[T grid.Float](t *testing.T, wc walkerCase) {
-	r, full := fixtureFull[T](t, wc)
-	if bz, by, bx := classDims(grid.Offset3{Z: 1, Y: 1, X: 1}, wc.nz, wc.ny, wc.nx); bz*by*bx <= r.hdr.CodeChunk {
-		t.Skipf("finest classes of %d codes fit one chunk of %d", bz*by*bx, r.hdr.CodeChunk)
-	}
-	z := wc.nz / 2
-	sl, st, err := r.DecompressSliceZ(z)
+// TestChunkedOutlierBaseEdited: a chunk's stored outlier base must be the
+// count of the escapes before it. The fixture with chunks of 512 codes and
+// escapes in every class, with one byte of one such base edited (the
+// container's checksum covers only its directory), is refused by the full
+// decode, a box and a slice, since each decodes the class whole.
+func TestChunkedOutlierBaseEdited(t *testing.T) {
+	wc := walkerCaseNamed(t, "L3-f64-chunk512-outliers")
+	enc := encodeCase[float64](t, wc)
+	arc, err := container.Open(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SkippedChunks[1] == 0 || st.DecodedChunks[1] == 0 {
-		t.Fatalf("slice decoded %d and skipped %d finest-level chunks, want both > 0", st.DecodedChunks[1], st.SkippedChunks[1])
+	// The last class of the finest level: the escape count, the values,
+	// the chunk count, then per chunk its byte length and outlier base.
+	sec, err := arc.Section(arc.Count() - 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := full.ExtractBox(grid.Box{Z0: z, Z1: z + 1, Y1: wc.ny, X1: wc.nx})
-	if !sameGrid(sl, want) {
-		t.Fatalf("slice %d differs from the full decode", z)
+	nOut := int(binary.LittleEndian.Uint32(sec))
+	dir := sec[4+8*nOut+4:]
+	if binary.LittleEndian.Uint32(sec[4+8*nOut:]) < 2 || binary.LittleEndian.Uint32(dir[12:]) == 0 {
+		t.Fatal("fixture's last class has no second chunk with escapes before it")
 	}
+	dir[12]++ // chunk 1's base, lowest byte
+	r, err := NewReader[float64](enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "outlier base") {
+			t.Errorf("%s of an edited outlier base: err = %v", what, err)
+		}
+	}
+	_, err = r.Decompress()
+	refused("full decode", err)
+	_, _, err = r.DecompressBox(grid.Box{Z0: 25, Y0: 2, X0: 11, Z1: 33, Y1: 18, X1: 21})
+	refused("box", err)
+	_, _, err = r.DecompressSliceZ(1)
+	refused("slice", err)
 }

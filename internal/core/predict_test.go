@@ -265,11 +265,9 @@ func TestNeededCoarseCoversSliceThinly(t *testing.T) {
 // dequantise row to one quant.DequantizeT per point, with escapes taking the
 // class's outliers in class-index order, in both element types, on rows of
 // 1–70 points that start mid-class: escapes at the first point, the last, in
-// a run, at random and nowhere. Placement fills every escape of the row,
-// whether it counts an unchunked class from code 0 or places a chunked one (a
-// version-3 chunked stream's) chunk by chunk from each chunk's base, with the
-// chunks before the row left as garbage the way a box decode leaves them;
-// with the class's last outlier missing it must fail. With no escape values
+// a run, at random and nowhere. Placement, one pass over the whole class
+// from code 0, fills every escape of the row; with the class's last outlier
+// missing it must fail. With no escape values
 // at all (nil esc) the row must stop at its first escape with the error,
 // never panic, and write nothing from there on: every slot between the row's
 // points, the rest of the row and a canary after its last slot keep their
@@ -280,7 +278,7 @@ func TestDequantRowMatchesPoint(t *testing.T) {
 }
 
 func checkDequantRow[T grid.Float](t *testing.T) {
-	const cs = 16 // the chunked class's chunk size
+	const cs = 16 // a scale for the random prefix and suffix lengths
 	q := quant.Quantizer{EB: 1e-3, Radius: 512}
 	rng := rand.New(rand.NewSource(11))
 	bits := func(v T) uint64 { return math.Float64bits(float64(v)) }
@@ -298,90 +296,78 @@ func checkDequantRow[T grid.Float](t *testing.T) {
 	code := func() uint16 { return uint16(1 + rng.Intn(2*int(q.Radius)-1)) }
 	for n := 1; n <= 70; n++ {
 		for _, pat := range patterns {
-			for _, chunked := range []bool{false, true} {
-				for _, short := range []bool{false, true} {
-					what := fmt.Sprintf("n %d, escapes %s, chunked %v, short %v", n, pat.name, chunked, short)
-					// The class: a prefix with escapes, the row, and — unless
-					// the last outlier goes missing, which must be the row's —
-					// a suffix with escapes.
-					pre, suf := rng.Intn(3*cs), 0
-					if !short {
-						suf = rng.Intn(cs)
-					}
-					codes := make([]uint16, pre+n+suf)
-					for i := range codes {
-						inRow := i >= pre && i < pre+n
-						if inRow && !pat.esc(n, i-pre) || !inRow && rng.Intn(4) != 0 {
-							codes[i] = code()
-						}
-					}
-					var outliers []T
-					escBefore := make([]int, len(codes)) // escapes before class index i
-					for i, c := range codes {
-						escBefore[i] = len(outliers)
-						if c == 0 {
-							outliers = append(outliers, T(rng.NormFloat64()*1e6))
-						}
-					}
-					preds := make([]T, n)
-					want := make([]T, n)
-					first := n // the row's first escape
-					for t := range preds {
-						preds[t] = T(rng.NormFloat64())
-						if c := codes[pre+t]; c != 0 {
-							want[t] = quant.DequantizeT[T](q, c, float64(preds[t]))
-						} else {
-							want[t] = outliers[escBefore[pre+t]]
-							first = min(first, t)
-						}
-					}
-					if short {
-						if first == n {
-							continue // no escape in the row: nothing to run out of
-						}
-						outliers = outliers[:len(outliers)-1]
-					}
-					vals := make([]byte, len(outliers)*rawio.ElemSize[T]())
-					rawio.PutValues(vals, outliers)
-					dc := decodedClass[T]{codes: codes, esc: make([]T, len(codes))}
-					var err error
-					if chunked {
-						for i := 0; i < pre/cs*cs; i++ {
-							codes[i] = 0 // an unread chunk: all escapes if anyone counted it
-						}
-						for c := pre / cs; c*cs < len(codes) && err == nil; c++ {
-							err = dc.placeOutliers(c*cs, min((c+1)*cs, len(codes)), vals, escBefore[c*cs])
-						}
-					} else {
-						err = dc.placeOutliers(0, pre+n, vals, 0)
-					}
-					if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
-						t.Fatalf("%s: placement err %v", what, err)
-					}
-					dst := make([]T, 2*n) // dst[2n−1] is the canary
-					check := func(how string, esc []T, stop int) {
-						for i := range dst {
-							dst[i] = sentinel
-						}
-						err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, esc, pre)
-						if (stop < n) != (err != nil) || err != nil && !errors.Is(err, errOutliersExhausted) {
-							t.Fatalf("%s, %s: err %v", what, how, err)
-						}
-						for i, v := range dst {
-							if i%2 == 0 && i/2 < stop {
-								if bits(v) != bits(want[i/2]) {
-									t.Fatalf("%s, %s: point %d is %v, want %v", what, how, i/2, v, want[i/2])
-								}
-							} else if bits(v) != bits(sentinel) {
-								t.Fatalf("%s, %s: slot %d of %d written (%v)", what, how, i, len(dst), v)
-							}
-						}
-					}
-					if !short {
-						check("placed", dc.esc, n)
-					}
-					check("nil esc", nil, first)
+			for _, short := range []bool{false, true} {
+				what := fmt.Sprintf("n %d, escapes %s, short %v", n, pat.name, short)
+				// The class: a prefix with escapes, the row, and — unless
+				// the last outlier goes missing, which must be the row's —
+				// a suffix with escapes.
+				pre, suf := rng.Intn(3*cs), 0
+				if !short {
+					suf = rng.Intn(cs)
 				}
+				codes := make([]uint16, pre+n+suf)
+				for i := range codes {
+					inRow := i >= pre && i < pre+n
+					if inRow && !pat.esc(n, i-pre) || !inRow && rng.Intn(4) != 0 {
+						codes[i] = code()
+					}
+				}
+				var outliers []T
+				escBefore := make([]int, len(codes)) // escapes before class index i
+				for i, c := range codes {
+					escBefore[i] = len(outliers)
+					if c == 0 {
+						outliers = append(outliers, T(rng.NormFloat64()*1e6))
+					}
+				}
+				preds := make([]T, n)
+				want := make([]T, n)
+				first := n // the row's first escape
+				for t := range preds {
+					preds[t] = T(rng.NormFloat64())
+					if c := codes[pre+t]; c != 0 {
+						want[t] = quant.DequantizeT[T](q, c, float64(preds[t]))
+					} else {
+						want[t] = outliers[escBefore[pre+t]]
+						first = min(first, t)
+					}
+				}
+				if short {
+					if first == n {
+						continue // no escape in the row: nothing to run out of
+					}
+					outliers = outliers[:len(outliers)-1]
+				}
+				vals := make([]byte, len(outliers)*rawio.ElemSize[T]())
+				rawio.PutValues(vals, outliers)
+				dc := decodedClass[T]{codes: codes, esc: make([]T, len(codes))}
+				err := dc.placeOutliers(vals)
+				if short != (err != nil) || short && !errors.Is(err, errOutliersExhausted) {
+					t.Fatalf("%s: placement err %v", what, err)
+				}
+				dst := make([]T, 2*n) // dst[2n−1] is the canary
+				check := func(how string, esc []T, stop int) {
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					err := dequantRow(dst, codes[pre:pre+n], preds, 2*q.EB, q.Radius, esc, pre)
+					if (stop < n) != (err != nil) || err != nil && !errors.Is(err, errOutliersExhausted) {
+						t.Fatalf("%s, %s: err %v", what, how, err)
+					}
+					for i, v := range dst {
+						if i%2 == 0 && i/2 < stop {
+							if bits(v) != bits(want[i/2]) {
+								t.Fatalf("%s, %s: point %d is %v, want %v", what, how, i/2, v, want[i/2])
+							}
+						} else if bits(v) != bits(sentinel) {
+							t.Fatalf("%s, %s: slot %d of %d written (%v)", what, how, i, len(dst), v)
+						}
+					}
+				}
+				if !short {
+					check("placed", dc.esc, n)
+				}
+				check("nil esc", nil, first)
 			}
 		}
 	}

@@ -263,33 +263,18 @@ func (dc *decodedClass[T]) place(bb grid.Box, codes []uint16, vals []byte, n int
 	}
 }
 
-// decodeCodes entropy-decodes the codes [lo, hi) of one class code blob
-// according to the stream's format version and reports how many symbols it
-// decoded: v3 streams carry multi-lane Huffman payloads, whose lane
-// directory lets the decoder skip the lanes outside the range; the v1/v2
-// single-stream layout decodes whole. The lanes decode on the calling
-// goroutine — the seven parity classes already occupy the reader's worker
-// pool.
-func (r *Reader[T]) decodeCodes(dst []uint16, blob []byte, alphabet, lo, hi int) ([]uint16, int, error) {
-	if r.hdr.Version >= 3 {
-		return huffman.DecodeLanesRange(dst, blob, alphabet, lo, hi)
-	}
-	codes, err := huffman.DecodeInto(dst, blob, alphabet)
-	return codes, len(codes), err
-}
-
 // decodeClass entropy-decodes into dc the version-1–3 class section sec —
-// class c (1..7, for messages) of dims d — and gives each decoded escape its
-// outlier at its code's index in esc. Only codes within [ciLo, ciHi) are
-// guaranteed decoded: a multi-lane stream decodes the lane prefixes the
-// range touches (huffman.DecodeLanesRange), and a chunked stream (header
-// CodeChunk > 0) skips the chunks entirely outside the range. An unchunked
-// class with outliers decodes and places from its first code, since the
-// escapes before the range fix its outliers' indices; a chunked one places
-// each chunk it decodes from the outlier base its directory stores.
-func (r *Reader[T]) decodeClass(dc *decodedClass[T], sec []byte, c int, q quant.Quantizer, d [3]int, ciLo, ciHi int) error {
+// class c (1..7, for messages) of dims d — whole, and gives each escape its
+// outlier at its code's index in esc. Its codes are one Huffman stream,
+// single-lane (v1, v2) or four-lane (v3), or, with header CodeChunk > 0,
+// one per chunk of CodeChunk codes behind a directory of byte lengths and
+// outlier bases: each chunk decodes straight into its codes, and its base
+// must be the count of the escapes before it. The lanes and chunks decode
+// on the calling goroutine — the seven parity classes already occupy the
+// reader's worker pool.
+func (r *Reader[T]) decodeClass(dc *decodedClass[T], sec []byte, c int, q quant.Quantizer, d [3]int) error {
 	n := d[0] * d[1] * d[2]
-	*dc = decodedClass[T]{box: grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}}
+	*dc = decodedClass[T]{box: grid.Box{Z1: d[0], Y1: d[1], X1: d[2]}, decodedSymbols: n}
 	if len(sec) < 4 {
 		return fmt.Errorf("core: class %d section truncated", c)
 	}
@@ -307,108 +292,88 @@ func (r *Reader[T]) decodeClass(dc *decodedClass[T], sec []byte, c int, q quant.
 	if nOut > 0 {
 		dc.esc = scratch.LeaseFloat[T](n)
 	}
+	// decode entropy-decodes blob into the codes [lo, hi): in place, since
+	// the capacity stops at hi, or not at all.
+	decode := func(blob []byte, lo, hi int) error {
+		var got []uint16
+		var err error
+		if r.hdr.Version >= 3 {
+			got, err = huffman.DecodeLanesInto(dc.codes[lo:lo:hi], blob, q.Alphabet(), 1)
+		} else {
+			got, err = huffman.DecodeInto(dc.codes[lo:lo:hi], blob, q.Alphabet())
+		}
+		if err == nil && len(got) != hi-lo {
+			err = fmt.Errorf("code count %d, want %d", len(got), hi-lo)
+		}
+		return err
+	}
 
 	if r.hdr.CodeChunk <= 0 {
-		if nOut > 0 {
-			ciLo = 0
-		}
-		codes, decoded, err := r.decodeCodes(dc.codes[:0], rest, q.Alphabet(), ciLo, ciHi)
-		if err != nil {
+		if err := decode(rest, 0, n); err != nil {
 			return fail("core: class %d codes: %w", c, err)
 		}
-		if cap(codes) != cap(dc.codes) {
-			// The decoder outgrew the lease (corrupt count); hand the lease
-			// back and keep the allocated slice.
-			scratch.U16.Release(dc.codes)
+	} else {
+		cs := r.hdr.CodeChunk
+		if len(rest) < 4 {
+			return fail("core: class %d chunk directory truncated", c)
 		}
-		dc.codes, dc.decodedSymbols = codes, decoded
-		if len(codes) != n {
-			return fail("core: class %d code count %d, want %d", c, len(codes), n)
+		nChunks := int(binary.LittleEndian.Uint32(rest))
+		wantChunks := (n + cs - 1) / cs
+		if n == 0 {
+			wantChunks = 0
 		}
-		if err := dc.placeOutliers(ciLo, ciHi, vals, 0); err != nil {
-			return fail("core: class %d: %w", c, err)
+		if nChunks != wantChunks {
+			return fail("core: class %d chunk count %d, want %d", c, nChunks, wantChunks)
 		}
-		return nil
+		dir := rest[4:]
+		if len(dir) < 8*nChunks {
+			return fail("core: class %d chunk directory truncated", c)
+		}
+		payload := dir[8*nChunks:]
+		dc.decodedChunks, dc.totalChunks = nChunks, nChunks
+		off, escapes := 0, 0
+		for i := range nChunks {
+			l, base := int(binary.LittleEndian.Uint32(dir[8*i:])), int(binary.LittleEndian.Uint32(dir[8*i+4:]))
+			if l < 0 || l > len(payload)-off {
+				return fail("core: class %d chunk payload truncated", c)
+			}
+			if base != escapes {
+				return fail("core: class %d chunk %d outlier base %d, want %d", c, i, base, escapes)
+			}
+			lo, hi := i*cs, min((i+1)*cs, n)
+			if err := decode(payload[off:off+l], lo, hi); err != nil {
+				return fail("core: class %d chunk %d: %w", c, i, err)
+			}
+			off += l
+			for _, code := range dc.codes[lo:hi] {
+				if code == 0 {
+					escapes++
+				}
+			}
+		}
 	}
-
-	// Chunked codes: decode only the chunks intersecting [ciLo, ciHi).
-	cs := r.hdr.CodeChunk
-	if len(rest) < 4 {
-		return fail("core: class %d chunk directory truncated", c)
-	}
-	nChunks := int(binary.LittleEndian.Uint32(rest))
-	wantChunks := (n + cs - 1) / cs
-	if n == 0 {
-		wantChunks = 0
-	}
-	if nChunks != wantChunks {
-		return fail("core: class %d chunk count %d, want %d", c, nChunks, wantChunks)
-	}
-	dir := rest[4:]
-	if len(dir) < 8*nChunks {
-		return fail("core: class %d chunk directory truncated", c)
-	}
-	payload := dir[8*nChunks:]
-	offs := make([]int, nChunks+1)
-	for i := range nChunks {
-		l := int(binary.LittleEndian.Uint32(dir[8*i:]))
-		if l < 0 {
-			return fail("core: class %d bad chunk length", c)
-		}
-		offs[i+1] = offs[i] + l
-	}
-	if offs[nChunks] > len(payload) {
-		return fail("core: class %d chunk payload truncated", c)
-	}
-	// Skipped (out-of-range) chunks stay unwritten: reconstruction reads only
-	// codes inside [ciLo, ciHi), and each decoded chunk's escapes start at
-	// its stored outlier base instead of a count across the chunks before it.
-	dc.totalChunks = nChunks
-	// cs comes from the untrusted header; a chunk never holds more than n
-	// codes, so cap the staging lease to keep a crafted CodeChunk from
-	// forcing a huge allocation.
-	chunkBuf := scratch.U16.Lease(min(cs, n))
-	defer scratch.U16.Release(chunkBuf)
-	for i := range nChunks {
-		lo, hi := i*cs, min((i+1)*cs, n)
-		if hi <= ciLo || lo >= ciHi {
-			continue
-		}
-		part, _, err := r.decodeCodes(chunkBuf[:0], payload[offs[i]:offs[i+1]], q.Alphabet(), 0, hi-lo)
-		if err != nil {
-			return fail("core: class %d chunk %d: %w", c, i, err)
-		}
-		if len(part) != hi-lo {
-			return fail("core: class %d chunk %d size mismatch", c, i)
-		}
-		copy(dc.codes[lo:hi], part)
-		base := int(binary.LittleEndian.Uint32(dir[8*i+4:]))
-		if err := dc.placeOutliers(lo, hi, vals, base); err != nil {
-			return fail("core: class %d chunk %d: %w", c, i, err)
-		}
-		dc.decodedChunks++
-		dc.decodedSymbols += hi - lo
+	if err := dc.placeOutliers(vals); err != nil {
+		return fail("core: class %d: %w", c, err)
 	}
 	return nil
 }
 
 var errOutliersExhausted = errors.New("core: outlier stream exhausted")
 
-// placeOutliers gives each escape among the codes [lo, hi) its verbatim
-// outlier at its code's index in esc: in order, the little-endian values of
-// vals from index e on. It fails when vals runs out first, before writing
-// that escape's slot — so a class without outliers (nil esc) fails at its
-// first escape.
-func (dc *decodedClass[T]) placeOutliers(lo, hi int, vals []byte, e int) error {
-	elem := rawio.ElemSize[T]()
-	for i, code := range dc.codes[lo:hi] {
+// placeOutliers gives each escape among the codes its verbatim outlier at
+// its code's index in esc: in order, the little-endian values of vals. It
+// fails when vals runs out first, before writing that escape's slot — so a
+// class without outliers (nil esc) fails at its first escape.
+func (dc *decodedClass[T]) placeOutliers(vals []byte) error {
+	elem, e := rawio.ElemSize[T](), 0
+	for i, code := range dc.codes {
 		if code != 0 {
 			continue
 		}
 		if (e+1)*elem > len(vals) {
 			return errOutliersExhausted
 		}
-		rawio.GetValues(dc.esc[lo+i:][:1], vals[e*elem:])
+		rawio.GetValues(dc.esc[i:][:1], vals[e*elem:])
 		e++
 	}
 	return nil
@@ -512,19 +477,17 @@ func (r *Reader[T]) decodeBase(need grid.Box) (view[T], error) {
 
 // levelPlan is one predicted level of a reconstruction, fixed before
 // anything is decoded — the views it rebuilds, each view's share of every
-// class (sub[i][c], in class coordinates) and per class the span [lo, hi) of
-// row-major class indices the views touch, its index hull, and in a
-// version-4 stream the bricks they touch — and the class streams the
-// decode phase produces for it.
+// class (sub[i][c], in class coordinates), per class the union of those
+// shares and, in a version-4 stream, the bricks they touch — and the class
+// streams the decode phase produces for it.
 type levelPlan[T grid.Float] struct {
-	p      int // 0 = paper level 2
-	lv     *level[T]
-	q      quant.Quantizer
-	views  []view[T]
-	sub    [][8]grid.Box
-	lo, hi [8]int
-	// Version 4: per class, the union of the views' class boxes, the bricks
-	// they touch, in brick order, and the codes those bricks hold.
+	p     int // 0 = paper level 2
+	lv    *level[T]
+	q     quant.Quantizer
+	views []view[T]
+	sub   [][8]grid.Box
+	// Per class, the union of the views' class boxes; in version 4 the
+	// bricks they touch, in brick order, and the codes those bricks hold.
 	box    [8]grid.Box
 	bricks [8][]int32
 	want   [8]int
@@ -543,13 +506,8 @@ func (r *Reader[T]) planLevel(p int, fdims [3]int, views []view[T]) levelPlan[T]
 		pl.sub[i] = pl.lv.subBoxes(v.b)
 	}
 	for c := 1; c < 8; c++ {
-		d := pl.lv.dims[c]
-		pl.lo[c] = pl.lv.classLen(c)
 		for i := range views {
-			if sb := pl.sub[i][c]; !sb.Empty() {
-				pl.lo[c] = min(pl.lo[c], (sb.Z0*d[1]+sb.Y0)*d[2]+sb.X0)
-				pl.hi[c] = max(pl.hi[c], ((sb.Z1-1)*d[1]+sb.Y1-1)*d[2]+sb.X1)
-			}
+			pl.box[c] = pl.box[c].Union(pl.sub[i][c])
 		}
 		if r.hdr.Version >= 4 && pl.touched(c) {
 			pl.planBricks(c)
@@ -558,13 +516,11 @@ func (r *Reader[T]) planLevel(p int, fdims [3]int, views []view[T]) levelPlan[T]
 	return pl
 }
 
-// planBricks fixes the union of the views' boxes of class c and lists the
-// bricks they touch, in brick order.
+// planBricks lists the bricks of class c the views touch, in brick order.
 func (pl *levelPlan[T]) planBricks(c int) {
 	bs := newBricks(pl.lv.dims[c])
 	marked := make([]bool, bs.count())
 	for i := range pl.views {
-		pl.box[c] = pl.box[c].Union(pl.sub[i][c])
 		bs.mark(pl.sub[i][c], marked)
 	}
 	for b, m := range marked {
@@ -576,10 +532,11 @@ func (pl *levelPlan[T]) planBricks(c int) {
 }
 
 // touched reports whether some view has a point of class c.
-func (pl *levelPlan[T]) touched(c int) bool { return pl.lo[c] < pl.hi[c] }
+func (pl *levelPlan[T]) touched(c int) bool { return !pl.box[c].Empty() }
 
-// decode is the decode-phase task of class c: entropy-decode its hull and
-// check what came back against the plan.
+// decode is the decode-phase task of class c: entropy-decode what the views
+// need of it — a version-4 stream's touched bricks, an older one's whole
+// stream — and check what came back against the plan.
 func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
 	sec, err := r.arc.Section(r.classSection(pl.p, c-1))
 	if err != nil {
@@ -590,7 +547,7 @@ func (pl *levelPlan[T]) decode(r *Reader[T], c int) {
 	if pl.bricks[c] != nil {
 		pl.errs[c] = r.decodeBricks(dc, sec, c, pl.q, newBricks(d), pl.box[c], pl.bricks[c], pl.want[c])
 	} else {
-		pl.errs[c] = r.decodeClass(dc, sec, c, pl.q, d, pl.lo[c], pl.hi[c])
+		pl.errs[c] = r.decodeClass(dc, sec, c, pl.q, d)
 	}
 }
 

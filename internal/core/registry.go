@@ -81,6 +81,10 @@ func (stzCodec) DecompressBox32(data []byte, b grid.Box, workers int) (*grid.Gri
 func (stzCodec) DecompressBox64(data []byte, b grid.Box, workers int) (*grid.Grid[float64], error) {
 	return stzBox[float64](data, b, workers)
 }
+func (stzCodec) Dims(data []byte) (nz, ny, nx int, err error) {
+	_, hdr, err := openArchive(data)
+	return hdr.Fz, hdr.Fy, hdr.Fx, err
+}
 func (stzCodec) DecompressLevel32(data []byte, lv, workers int) (*grid.Grid[float32], error) {
 	return stzLevel[float32](data, lv, workers)
 }

@@ -9,7 +9,7 @@ func TestCorruptCountRejectedFast(t *testing.T) {
 	if _, err := DecodeLanesInto(nil, data, 76, 1); err == nil {
 		t.Fatal("implausible symbol count accepted")
 	}
-	if _, err := Decode(data, 76); err == nil {
+	if _, err := DecodeInto(nil, data, 76); err == nil {
 		t.Fatal("implausible symbol count accepted by v1 decoder")
 	}
 }
@@ -22,7 +22,7 @@ func TestCorruptDeltaOverflowRejected(t *testing.T) {
 	if _, err := DecodeLanesInto(nil, data, 127, 1); err == nil {
 		t.Fatal("overflowing table delta accepted by lanes decoder")
 	}
-	if _, err := Decode(data, 127); err == nil {
+	if _, err := DecodeInto(nil, data, 127); err == nil {
 		t.Fatal("overflowing table delta accepted by v1 decoder")
 	}
 }

@@ -85,7 +85,7 @@ func checkAgainstOracle(t testing.TB, what string, codes []uint16, alphabet int)
 	if !bytes.Equal(planned, v2) {
 		t.Fatalf("%s: lanes written in reverse differ from EncodeLanes (first difference at %d)", what, firstDiff(planned, v2))
 	}
-	if dec, err := Decode(v1, alphabet); err != nil || !slices.Equal(dec, codes) {
+	if dec, err := DecodeInto(nil, v1, alphabet); err != nil || !slices.Equal(dec, codes) {
 		t.Fatalf("%s: v1 round trip failed: %v", what, err)
 	}
 	if dec, err := DecodeLanesInto(nil, v2, alphabet, 1); err != nil || !slices.Equal(dec, codes) {

@@ -414,11 +414,6 @@ func laneBounds(n, k int) (lo, hi int) {
 	return k * n / numLanes, (k + 1) * n / numLanes
 }
 
-// Decode reverses Encode. alphabet must match the encoder's.
-func Decode(data []byte, alphabet int) ([]uint16, error) {
-	return DecodeInto(nil, data, alphabet)
-}
-
 // decodeHeader runs the shared decoder prologue: read the symbol count,
 // sanity-check it, lease a decoder and read + validate the code-length
 // table. On success the reader is positioned at the first payload bit and
@@ -587,44 +582,6 @@ func DecodeLanesInto(dst []uint16, data []byte, alphabet, workers int) ([]uint16
 		return nil, err
 	}
 	return out, nil
-}
-
-// DecodeLanesRange decodes the symbols [lo, hi) of an EncodeLanes stream,
-// using the lane directory as the random-access index it is: a lane starts
-// at a known byte and a known symbol, so lanes that end before lo or start
-// at or after hi are skipped, and the last touched lane stops at hi. The
-// result has the stream's full length, like DecodeLanesInto's (dst reused
-// when its capacity suffices), but only out[lo:hi] is guaranteed decoded;
-// the rest keeps whatever dst held, except that a touched lane decodes
-// from its start. decoded reports how many symbols were actually decoded.
-// [lo, hi) is clamped to the stream. The touched lanes decode on the
-// calling goroutine, as in DecodeLanesInto with one worker.
-func DecodeLanesRange(dst []uint16, data []byte, alphabet, lo, hi int) (out []uint16, decoded int, err error) {
-	out, d, lanes, err := decodeLanesHeader(dst, data, alphabet)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer releaseDecoder(d)
-	n := len(out)
-	lo, hi = max(lo, 0), min(hi, n)
-	if lo >= hi {
-		return out, 0, nil
-	}
-	var touched [numLanes]lane
-	t := 0
-	for _, ln := range lanes {
-		ln.stop = min(ln.stop, hi)
-		if ln.stop > lo && ln.at < ln.stop {
-			touched[t] = ln
-			t++
-			decoded += ln.stop - ln.at
-		}
-	}
-	d.build(decoded)
-	if err := d.decodeLanes(data, out, touched[:t]); err != nil {
-		return nil, 0, err
-	}
-	return out, decoded, nil
 }
 
 // decodeLanes decodes the given lanes of b into out on the calling

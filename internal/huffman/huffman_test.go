@@ -14,7 +14,7 @@ import (
 func roundTrip(t *testing.T, codes []uint16, alphabet int) []byte {
 	t.Helper()
 	enc := Encode(codes, alphabet)
-	dec, err := Decode(enc, alphabet)
+	dec, err := DecodeInto(nil, enc, alphabet)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			codes[i] = uint16(rng.Intn(span))
 		}
 		enc := Encode(codes, span)
-		dec, err := Decode(enc, span)
+		dec, err := DecodeInto(nil, enc, span)
 		if err != nil || len(dec) != n {
 			return false
 		}
@@ -153,7 +153,7 @@ func TestCorruptTableRejected(t *testing.T) {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0xff
 		// Must not panic; error or wrong data are both acceptable.
-		dec, err := Decode(mut, 8)
+		dec, err := DecodeInto(nil, mut, 8)
 		_ = dec
 		_ = err
 	}
@@ -167,7 +167,7 @@ func TestTruncatedStream(t *testing.T) {
 	}
 	enc := Encode(codes, 100)
 	for cut := 0; cut < len(enc); cut += 7 {
-		if _, err := Decode(enc[:cut], 100); err == nil && cut < len(enc)/2 {
+		if _, err := DecodeInto(nil, enc[:cut], 100); err == nil && cut < len(enc)/2 {
 			t.Fatalf("truncation at %d of %d not detected", cut, len(enc))
 		}
 	}
@@ -290,11 +290,10 @@ func craftStream(n uint64, entries [][2]uint64) []byte {
 // decodeAll runs data through every decode entry point; all must agree on
 // whether it is a stream.
 func decodeAll(data []byte, alphabet int) []error {
-	_, e1 := Decode(data, alphabet)
+	_, e1 := DecodeInto(nil, data, alphabet)
 	_, e2 := DecodeLanesInto(nil, data, alphabet, 1)
 	_, e3 := DecodeLanesInto(nil, data, alphabet, 4)
-	_, _, e4 := DecodeLanesRange(nil, data, alphabet, 1, 3)
-	return []error{e1, e2, e3, e4}
+	return []error{e1, e2, e3}
 }
 
 func TestCorruptTablesRejected(t *testing.T) {
@@ -414,7 +413,7 @@ func BenchmarkDecode50k(b *testing.B) {
 	b.SetBytes(int64(len(codes) * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc, 1024); err != nil {
+		if _, err := DecodeInto(nil, enc, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

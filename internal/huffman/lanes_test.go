@@ -3,7 +3,6 @@ package huffman
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -11,7 +10,7 @@ import (
 // must reproduce the input, on the interleaved and the parallel decoders.
 func laneRoundTrip(t *testing.T, codes []uint16, alphabet int) []byte {
 	t.Helper()
-	ref, err := Decode(Encode(codes, alphabet), alphabet)
+	ref, err := DecodeInto(nil, Encode(codes, alphabet), alphabet)
 	if err != nil {
 		t.Fatalf("v1 reference decode: %v", err)
 	}
@@ -153,7 +152,7 @@ func FuzzHuffmanLanes(f *testing.F) {
 		for i, b := range raw {
 			codes[i] = uint16(int(b) * alphabet / 256)
 		}
-		ref, err := Decode(Encode(codes, alphabet), alphabet)
+		ref, err := DecodeInto(nil, Encode(codes, alphabet), alphabet)
 		if err != nil {
 			t.Fatalf("v1 round trip: %v", err)
 		}
@@ -176,110 +175,6 @@ func FuzzHuffmanLanes(f *testing.F) {
 	})
 }
 
-// TestLanesRange decodes every lane-boundary-straddling range of a stream
-// into a dirty buffer: the range must match the full decode, and only lane
-// prefixes the range touches may have been decoded.
-func TestLanesRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 3, 4, 7, 8, 1000, 4099} {
-		codes := make([]uint16, n)
-		for i := range codes {
-			codes[i] = uint16(rng.Intn(300))
-		}
-		enc := EncodeLanes(codes, 512)
-		cuts := []int{0, 1, n / 4, n/4 + 1, n / 2, n/2 + 1, 3 * n / 4, 3*n/4 + 1, n - 1, n}
-		for _, lo := range cuts {
-			for _, hi := range cuts {
-				if lo < 0 || hi < lo {
-					continue
-				}
-				checkRange(t, enc, codes, 512, lo, hi)
-			}
-		}
-	}
-	// Out-of-stream bounds clamp.
-	codes := []uint16{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	checkRange(t, EncodeLanes(codes, 16), codes, 16, -5, 100)
-}
-
-// checkRange asserts DecodeLanesRange(lo, hi) on enc, the lane encoding of
-// codes, against the contract: full-length result, [lo, hi) decoded, and a
-// decoded count that is the touched lanes' prefixes — nothing from a lane
-// that ends at or before lo or starts at or after hi.
-func checkRange(t *testing.T, enc []byte, codes []uint16, alphabet, lo, hi int) {
-	t.Helper()
-	n := len(codes)
-	dst := make([]uint16, n)
-	for i := range dst {
-		dst[i] = 0xFFFF
-	}
-	out, decoded, err := DecodeLanesRange(dst[:0], enc, alphabet, lo, hi)
-	if err != nil {
-		t.Fatalf("n=%d [%d,%d): %v", n, lo, hi, err)
-	}
-	if len(out) != n {
-		t.Fatalf("n=%d [%d,%d): result length %d", n, lo, hi, len(out))
-	}
-	lo, hi = max(lo, 0), min(hi, n)
-	for i := lo; i < hi; i++ {
-		if out[i] != codes[i] {
-			t.Fatalf("n=%d [%d,%d): symbol %d: got %d want %d", n, lo, hi, i, out[i], codes[i])
-		}
-	}
-	want := 0
-	for k := 0; k < numLanes; k++ {
-		if s, e := laneBounds(n, k); lo < hi && s < hi && e > lo {
-			want += min(e, hi) - s
-		}
-	}
-	if decoded != want {
-		t.Fatalf("n=%d [%d,%d): decoded %d symbols, want %d", n, lo, hi, decoded, want)
-	}
-}
-
-// FuzzDecodeLanesRange: for fuzzed codes and (lo, hi), the range decode
-// equals the same window of the full decode; and a corrupted or truncated
-// copy of the stream is rejected or decoded without a panic and without
-// allocating past what its own length can justify.
-func FuzzDecodeLanesRange(f *testing.F) {
-	f.Add([]byte{}, uint16(4), uint16(0), uint16(0), uint16(0))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint16(9), uint16(2), uint16(5), uint16(3))
-	f.Add(bytes.Repeat([]byte{3, 200, 7}, 300), uint16(700), uint16(500), uint16(650), uint16(40))
-	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}, uint16(255), uint16(12), uint16(4), uint16(9))
-	f.Fuzz(func(t *testing.T, raw []byte, span, a, b, hit uint16) {
-		alphabet := int(span)%2048 + 1
-		codes := make([]uint16, len(raw))
-		for i, v := range raw {
-			codes[i] = uint16(int(v) * alphabet / 256)
-		}
-		enc := EncodeLanes(codes, alphabet)
-		lo, hi := int(a)%(len(codes)+1), int(b)%(len(codes)+1)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		checkRange(t, enc, codes, alphabet, lo, hi)
-
-		// One flipped byte, then a truncation at the same spot.
-		at := int(hit) % len(enc)
-		mut := append([]byte(nil), enc...)
-		mut[at] ^= 0xff
-		for _, bad := range [][]byte{mut, enc[:at]} {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			out, decoded, err := DecodeLanesRange(nil, bad, alphabet, lo, hi)
-			runtime.ReadMemStats(&m1)
-			if err == nil && (decoded > len(out) || len(out) > 8*len(bad)) {
-				t.Fatalf("corrupt stream accepted with %d of %d symbols decoded from %d bytes", decoded, len(out), len(bad))
-			}
-			// A stream of b bytes holds at most 8b symbols (2 bytes each); the
-			// pooled decoder state is at most a table and the 18 KiB lookup table.
-			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(16*len(bad))+1<<20 {
-				t.Fatalf("decoding %d corrupt bytes allocated %d", len(bad), alloc)
-			}
-		}
-	})
-}
-
 // FuzzDecodeLanes throws arbitrary bytes at the lane decoder: it must
 // error or succeed but never panic or read out of bounds.
 func FuzzDecodeLanes(f *testing.F) {
@@ -290,6 +185,5 @@ func FuzzDecodeLanes(f *testing.F) {
 		alphabet := int(span)%4096 + 1
 		_, _ = DecodeLanesInto(nil, data, alphabet, 1)
 		_, _ = DecodeLanesInto(nil, data, alphabet, 4)
-		_, _, _ = DecodeLanesRange(nil, data, alphabet, len(data)/3, len(data))
 	})
 }

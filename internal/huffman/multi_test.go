@@ -149,12 +149,8 @@ func TestMultiSymbolBuildDifferential(t *testing.T) {
 				t.Fatalf("%s: DecodeLanesInto(workers=%d): err %v", s.name, workers, err)
 			}
 		}
-		if got, err := Decode(Encode(s.codes, s.alphabet), s.alphabet); err != nil || !slices.Equal(got, s.codes) {
+		if got, err := DecodeInto(nil, Encode(s.codes, s.alphabet), s.alphabet); err != nil || !slices.Equal(got, s.codes) {
 			t.Fatalf("%s: v1 round trip: err %v", s.name, err)
-		}
-		n := len(s.codes)
-		for _, r := range [][2]int{{0, n}, {n / 3, n}, {0, 2 * n / 3}, {n / 4, n/4 + multiMin}, {n/2 - 1, n/2 + 1}} {
-			checkRange(t, blob, s.codes, s.alphabet, r[0], r[1])
 		}
 	}
 	if !sawDeep {
@@ -183,7 +179,7 @@ func checkCanary(t testing.TB, what string, buf []uint16, from int) {
 	}
 }
 
-// decodeEveryWay runs the whole-stream, parallel, range and v1 decodes of
+// decodeEveryWay runs the whole-stream, parallel and v1 decodes of
 // blob into the first n symbols of canaried buffers: each must fail or
 // succeed, never panic, and never write past the symbols it was asked for.
 func decodeEveryWay(t testing.TB, what string, blob []byte, alphabet, n int) {
@@ -206,10 +202,7 @@ func decodeEveryWay(t testing.TB, what string, blob []byte, alphabet, n int) {
 		check(fmt.Sprintf("workers=%d", workers), buf, out, err, n)
 	}
 	buf := canaried(n)
-	out, _, err := DecodeLanesRange(buf[:0:n], blob, alphabet, n/3, 5*n/6)
-	check("range", buf, out, err, 5*n/6)
-	buf = canaried(n)
-	out, err = DecodeInto(buf[:0:n], blob, alphabet)
+	out, err := DecodeInto(buf[:0:n], blob, alphabet)
 	check("v1", buf, out, err, n)
 }
 

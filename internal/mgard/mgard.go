@@ -383,7 +383,7 @@ func decodeSection[T grid.Float](sec []byte, alphabet int) ([]uint16, []T, error
 	if err != nil {
 		return nil, nil, err
 	}
-	codes, err := huffman.Decode(sec[4+nOut*eb:], alphabet)
+	codes, err := huffman.DecodeInto(nil, sec[4+nOut*eb:], alphabet)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mgard: %w", err)
 	}

@@ -6,9 +6,10 @@ import (
 	"stz/internal/grid"
 )
 
-// FuzzDecompressBox feeds mutated serial and chunked streams plus an
-// arbitrary box to the random-access decoder (its v3 seeds cut and corrupt
-// the lane directory at every entry, fuzzLaneSeeds): it must never panic, never
+// FuzzDecompressBox feeds mutated serial streams of every version, and
+// chunked ones, plus an arbitrary box to the random-access decoder (its v3
+// seeds cut and corrupt the lane directory at every entry, fuzzLaneSeeds;
+// its v1 and v2 seeds are reframed v3 streams): it must never panic, never
 // return a grid larger than checkElems' bound allows the stream to describe
 // (a bit per point), refuse every box checkBox refuses, and — whenever the
 // full decode of the same bytes succeeds — serve every valid box with
@@ -42,6 +43,13 @@ func FuzzDecompressBox(f *testing.F) {
 		f.Fatal(err)
 	}
 	fuzzLaneSeeds[float64](f, enc, seed)
+	// The v1 and v2 framings of the same codes, which earlier writers left.
+	for _, g := range []*grid.Grid[float32]{smooth, spiky} {
+		enc, err := Compress(g, Options{EB: 1e-3})
+		for _, version := range []int{1, 2} {
+			add(reframe[float32](f, enc, version), err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, z0, y0, x0, z1, y1, x1 int16) {
 		b := grid.Box{Z0: int(z0), Y0: int(y0), X0: int(x0), Z1: int(z1), Y1: int(y1), X1: int(x1)}
 		if len(data) > 4 && data[4] == 8 {

@@ -193,9 +193,9 @@ func snap(lo, hi, off, s int) (int, int) {
 	return first, max(first, last+1)
 }
 
-// laneDecode is the entropy-decode of a v3 stream for one box: the codes of
-// the lanes that hold a code of its cone, lane after lane, and where each
-// lane starts among them.
+// laneDecode is the entropy-decode of a stream for one box: the codes of
+// the lanes that hold a code of its cone (every lane, for a v1 or v2
+// stream), lane after lane, and where each lane starts among them.
 type laneDecode[T grid.Float] struct {
 	codes []uint16 // leased; the touched lanes' codes, lane after lane
 	// at[l] is the offset in codes of lane l's first code, for a touched
@@ -268,6 +268,69 @@ func (sd *serialDecode[T]) decodeLanes(sec []byte, laneWorkers int) error {
 	if err != nil {
 		ld.release()
 		return fmt.Errorf("%w: %w", ErrFormat, err)
+	}
+	return nil
+}
+
+// decodeLegacy decodes the v1 or v2 code section sec into sd.lanes whole:
+// one Huffman stream of every code in traversal order, single-lane (v1) or
+// four-lane (huffman.EncodeLanes, v2), whose escape values are the outlier
+// section's in the same order. The codes are dealt into the v3 lanes with
+// the writer's lane map, one cursor a lane, and each escape value goes to
+// its code's index there, so reconstruct reads every version alike.
+func (sd *serialDecode[T]) decodeLegacy(sec []byte, version, laneWorkers int) error {
+	tl, ld, elem := &sd.tl, &sd.lanes, elemBytes[T]()
+	ld.at = make([]int, tl.lanes)
+	for l, n := range tl.laneCodes() {
+		ld.at[l] = ld.decoded
+		ld.decoded += n
+	}
+	// The code count is the predicted-point count: with a lease of it the
+	// decoder skips its output allocation.
+	buf := scratch.U16.Lease(ld.decoded)
+	defer scratch.U16.Release(buf)
+	var codes []uint16
+	var err error
+	if version == 2 {
+		codes, err = huffman.DecodeLanesInto(buf[:0], sec, sd.q.Alphabet(), laneWorkers)
+	} else {
+		codes, err = huffman.DecodeInto(buf[:0], sec, sd.q.Alphabet())
+	}
+	if err != nil {
+		return fmt.Errorf("sz3: %w", err)
+	}
+	if len(codes) != ld.decoded {
+		return fmt.Errorf("%w: %d codes for %d predicted points", ErrFormat, len(codes), ld.decoded)
+	}
+	ld.codes = scratch.U16.Lease(ld.decoded)
+	cur := slices.Clone(ld.at)
+	var pos []int // each escape's index in ld.codes, in traversal order
+	ci := 0
+	forEachLine(sd.nz, sd.ny, sd.nx, nil, func(ln line) {
+		for l, t := tl.lane(ln.pass, ln.z, ln.y), 0; t < ln.n; l, t = l+1, t+brickCols {
+			lc := codes[ci+t:][:min(brickCols, ln.n-t)]
+			for k, code := range lc {
+				if code == 0 {
+					pos = append(pos, cur[l]+k)
+				}
+			}
+			cur[l] += copy(ld.codes[cur[l]:], lc)
+		}
+		ci += ln.n
+	})
+	if nOut := len(sd.outliers) / elem; len(pos) != nOut {
+		ld.release()
+		return fmt.Errorf("%w: %w: %d escapes for %d outliers", ErrFormat, huffman.ErrEscapeCount, len(pos), nOut)
+	}
+	// The escapes in lane order: escAt ascending, as escape searches it.
+	order := make([]int, len(pos))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return pos[a] - pos[b] })
+	ld.escAt, ld.escVal = make([]int, len(pos)), make([]T, len(pos))
+	for j, i := range order {
+		ld.escAt[j], ld.escVal[j] = pos[i], readValue[T](sd.outliers[i*elem:])
 	}
 	return nil
 }

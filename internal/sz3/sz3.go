@@ -590,28 +590,26 @@ func checkElems(nz, ny, nx, streamBytes int) error {
 
 // serialDecode is a serial stream opened for one box: its header, the
 // box's dependency cone — one need-box per pass (passNeeds) — and the codes
-// the cone reads, entropy-decoded. Opening is everything that can fail on
-// a bad stream but for the escapes' own checks, so the grid a decode
-// reconstructs into is sized only once the stream has been.
+// the cone reads, entropy-decoded into the v3 lane layout. Opening is
+// everything that can fail on a bad stream but for the escapes' own
+// checks, so the grid a decode reconstructs into is sized only once the
+// stream has been.
 type serialDecode[T grid.Float] struct {
-	nz, ny, nx, version int
-	q                   quant.Quantizer
-	anchors, outliers   []byte
-	needs               [maxPasses]grid.Box
-	// v1 and v2: every code in traversal order (leased), their escape
-	// values in outliers in the same order.
-	codes []uint16
-	// v3: the codes of the lanes that hold a code of the cone.
-	tl    tiling
-	lanes laneDecode[T]
+	nz, ny, nx        int
+	q                 quant.Quantizer
+	anchors, outliers []byte
+	needs             [maxPasses]grid.Box
+	tl                tiling
+	lanes             laneDecode[T]
 }
 
 // openSerial opens the serial stream data for the box b, which must be a
 // valid box of its grid (checkBox). A version-3 stream entropy-decodes only
-// the lanes that hold a code of the cone (tiling.mark); older ones decode
-// whole. laneWorkers bounds the lane-parallel entropy decode
-// (chunk-parallel callers pass 1: the chunks already occupy the pool). The
-// decode must be released.
+// the lanes that hold a code of the cone (tiling.mark); a v1 or v2 stream
+// decodes whole and is dealt into the same lanes (decodeLegacy).
+// laneWorkers bounds the lane-parallel entropy decode (chunk-parallel
+// callers pass 1: the chunks already occupy the pool). The decode must be
+// released.
 func openSerial[T grid.Float](data []byte, b grid.Box, laneWorkers int) (*serialDecode[T], error) {
 	nz, ny, nx, version, err := parseSerialDims[T](data)
 	if err != nil {
@@ -628,12 +626,11 @@ func openSerial[T grid.Float](data []byte, b grid.Box, laneWorkers int) (*serial
 	if radius <= 0 || radius > quant.DefaultRadius || !(eb > 0) {
 		return nil, ErrFormat
 	}
-	sd := &serialDecode[T]{nz: nz, ny: ny, nx: nx, version: version, q: quant.Quantizer{EB: eb, Radius: radius}}
+	sd := &serialDecode[T]{nz: nz, ny: ny, nx: nx, q: quant.Quantizer{EB: eb, Radius: radius}, tl: newTiling(nz, ny, nx)}
 
 	// The sections' sizes are known up front: the anchor lattice is exact.
 	elem := elemBytes[T]()
-	nAnchors := anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})
-	outliers := 40 + nAnchors*elem
+	outliers := 40 + anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*elem
 	hoff := outliers + nOutliers*elem
 	if hoff+hlen > len(data) {
 		return nil, ErrFormat
@@ -642,58 +639,29 @@ func openSerial[T grid.Float](data []byte, b grid.Box, laneWorkers int) (*serial
 	passNeeds(nz, ny, nx, b, &sd.needs)
 	sec := data[hoff : hoff+hlen]
 	if version == 3 {
-		sd.tl = newTiling(nz, ny, nx)
-		if err := sd.decodeLanes(sec, laneWorkers); err != nil {
-			return nil, err
-		}
-		return sd, nil
-	}
-	// The code count equals the predicted-point count (≤ the grid's), so a
-	// lease of the grid's length lets the decoder skip its output
-	// allocation.
-	buf := scratch.U16.Lease(nz * ny * nx)
-	if version == 2 {
-		sd.codes, err = huffman.DecodeLanesInto(buf[:0], sec, sd.q.Alphabet(), laneWorkers)
+		err = sd.decodeLanes(sec, laneWorkers)
 	} else {
-		sd.codes, err = huffman.DecodeInto(buf[:0], sec, sd.q.Alphabet())
+		err = sd.decodeLegacy(sec, version, laneWorkers)
 	}
 	if err != nil {
-		scratch.U16.Release(buf)
-		return nil, fmt.Errorf("sz3: %w", err)
-	}
-	// The traversal visits every non-anchor point exactly once.
-	if len(sd.codes) != nz*ny*nx-nAnchors {
-		scratch.U16.Release(buf)
-		return nil, fmt.Errorf("%w: %d codes for %d predicted points", ErrFormat, len(sd.codes), nz*ny*nx-nAnchors)
+		return nil, err
 	}
 	return sd, nil
 }
 
-func (sd *serialDecode[T]) release() {
-	scratch.U16.Release(sd.codes)
-	sd.codes = nil
-	sd.lanes.release()
-}
-
-// clip returns the points [lo, hi) of ln that lie in need, its pass's
-// need-box: those with need.X0 ≤ x < need.X1 when the line's (z, y) is
-// inside it, none otherwise.
-func (ln *line) clip(need *grid.Box) (lo, hi int) {
-	if ln.z >= need.Z0 && ln.z < need.Z1 && ln.y >= need.Y0 && ln.y < need.Y1 {
-		lo = min(grid.SubDim(need.X0, ln.x0, ln.stride), ln.n)
-		hi = min(grid.SubDim(need.X1, ln.x0, ln.stride), ln.n)
-	}
-	return lo, hi
-}
+func (sd *serialDecode[T]) release() { sd.lanes.release() }
 
 // reconstruct is the one decoder. It reconstructs into rec, whose dims
 // are the stream's, exactly the points the opened box depends on: its
 // cone. A full decode is the whole-grid box, whose cone is every point.
 // For any other box rec is dirty outside the cone — only the box's window
 // of it means anything afterwards — and since the decoder never reads a
-// point it has not written, rec may be a dirty lease. A corrupt stream can
-// therefore fail a box whose cone reaches the damage and still serve one
-// whose cone does not.
+// point it has not written, rec may be a dirty lease. It walks only the
+// cone's lines, and each reads its codes brick column by brick column,
+// each at its own position in its brick's lane, so the lines and bricks
+// outside the cone cost nothing. A corrupt v3 stream can therefore fail a
+// box whose cone reaches the damage and still serve one whose cone does
+// not.
 func (sd *serialDecode[T]) reconstruct(rec *grid.Grid[T]) error {
 	elem := elemBytes[T]()
 	pos := 0
@@ -703,62 +671,10 @@ func (sd *serialDecode[T]) reconstruct(rec *grid.Grid[T]) error {
 	})
 	row := scratch.LeaseFloat[T]((sd.nx + 1) / 2)
 	defer scratch.ReleaseFloat(row)
-	if sd.version == 3 {
-		return sd.reconstructLanes(rec.Data, row)
-	}
-	// quant.DequantizeT with its bin width hoisted out of the loop.
-	bin, radius := 2*sd.q.EB, sd.q.Radius
-	codes, outlierData, nOutliers := sd.codes, sd.outliers, len(sd.outliers)/elem
-	ci, oi := 0, 0
-	// skip passes over the next n codes, whose points lie outside the cone:
-	// when the stream has escapes, they are scanned for them so the
-	// outlier cursor stays exact.
-	skip := func(n int) {
-		if nOutliers > 0 {
-			for _, code := range codes[ci : ci+n] {
-				if code == 0 {
-					oi += elem
-				}
-			}
-		}
-		ci += n
-	}
-	out := rec.Data
-	var ferr error
-	forEachLine(sd.nz, sd.ny, sd.nx, nil, func(ln line) {
-		if ferr != nil {
-			return
-		}
-		lo, hi := ln.clip(&sd.needs[ln.pass])
-		skip(lo)
-		if hi > lo {
-			sub := ln.slice(lo, hi)
-			preds := row[:sub.n]
-			predictLine(out, &sub, preds)
-			i := sub.idx
-			for t, code := range codes[ci : ci+sub.n] {
-				if code != 0 {
-					out[i] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
-				} else if oi+elem <= len(outlierData) {
-					out[i] = readValue[T](outlierData[oi:])
-					oi += elem
-				} else {
-					ferr = fmt.Errorf("%w: outlier section exhausted", ErrFormat)
-					return
-				}
-				i += sub.stride
-			}
-			ci += sub.n
-		}
-		skip(ln.n - hi)
-	})
-	return ferr
+	return sd.reconstructLanes(rec.Data, row)
 }
 
-// reconstructLanes is reconstruct's loop for a v3 stream. It walks only
-// the cone's lines, and each reads its codes brick column by brick column,
-// each at its own position in its brick's lane, so the lines and bricks
-// outside the cone cost nothing.
+// reconstructLanes is reconstruct's loop over the cone's lines.
 func (sd *serialDecode[T]) reconstructLanes(out, row []T) error {
 	bin, radius := 2*sd.q.EB, sd.q.Radius
 	ld := &sd.lanes

@@ -186,7 +186,7 @@ func refCodes[T grid.Float](data []byte) (codes []uint16, outliers []byte, err e
 	outs, sec := data[pos:pos+nOutliers*elem], data[pos+nOutliers*elem:][:hlen]
 	switch version {
 	case 1:
-		codes, err = huffman.Decode(sec, alphabet)
+		codes, err = huffman.DecodeInto(nil, sec, alphabet)
 		return codes, outs, err
 	case 2:
 		codes, err = huffman.DecodeLanesInto(nil, sec, alphabet, 1)
@@ -267,7 +267,7 @@ func refDecompressSerial[T grid.Float](data []byte) (*grid.Grid[T], error) {
 // framing earlier writers emitted: the same header, anchors and codes, the
 // escape values in traversal order, and a single-lane (v1) or four-lane
 // (v2) Huffman payload.
-func reframe[T grid.Float](t *testing.T, enc []byte, version int) []byte {
+func reframe[T grid.Float](t testing.TB, enc []byte, version int) []byte {
 	t.Helper()
 	codes, outliers, err := refCodes[T](enc)
 	if err != nil {
