@@ -19,6 +19,7 @@ import (
 	"stz/internal/core"
 	"stz/internal/grid"
 	"stz/internal/metrics"
+	"stz/internal/rawio"
 )
 
 // Codec is one compressor under a uniform API. EB is always the absolute
@@ -119,15 +120,6 @@ type Result struct {
 	DecompressTime  time.Duration
 }
 
-// elemBytes returns the storage width of T.
-func elemBytes[T grid.Float]() int {
-	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
 // Run compresses and decompresses g at a value-range-relative bound,
 // validating the bound and collecting all metrics. withSSIM controls the
 // (expensive) SSIM computation.
@@ -161,9 +153,9 @@ func Run[T grid.Float](c Codec[T], g *grid.Grid[T], ebRel float64, workers int, 
 	if d.MaxErr > ebAbs*(1+1e-9) {
 		return res, fmt.Errorf("%s violated error bound: %g > %g", c.Name, d.MaxErr, ebAbs)
 	}
-	ratio := metrics.Ratio{OriginalBytes: g.Len() * elemBytes[T](), CompressedBytes: len(enc)}
+	ratio := metrics.Ratio{OriginalBytes: g.Len() * rawio.ElemSize[T](), CompressedBytes: len(enc)}
 	res.CR = ratio.CR()
-	res.BitRate = ratio.BitRate(elemBytes[T]())
+	res.BitRate = ratio.BitRate(rawio.ElemSize[T]())
 	res.PSNR = d.PSNR
 	res.MaxErr = d.MaxErr
 	if withSSIM {

@@ -177,15 +177,6 @@ func Decompress[T grid.Float](c Codec, data []byte, workers int) (*grid.Grid[T],
 	return any(g).(*grid.Grid[T]), nil
 }
 
-// dtypeOf returns the on-disk element-type tag (4 or 8) for T.
-func dtypeOf[T grid.Float]() byte {
-	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
 // maxGridElems bounds the element count accepted from untrusted dims.
 const maxGridElems = int64(1) << 33
 

@@ -117,17 +117,6 @@ func TestEncodeDecodeChunked(t *testing.T) {
 	})
 }
 
-func TestDecodeRejectsWrongType(t *testing.T) {
-	g := datasets.Nyx(8, 8, 8, 1)
-	enc, err := Encode("sz3", g, Config{EB: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode[float64](enc, 1); err == nil {
-		t.Error("Decode[float64] accepted a float32 stream")
-	}
-}
-
 func TestAutoChunkPlanning(t *testing.T) {
 	// 64 planes, 4 workers → 4 slabs of 16; shallow grids stay whole.
 	if got := len(planChunkBounds(MustLookup("sz3"), 64, Config{Workers: 4})) - 1; got != 4 {

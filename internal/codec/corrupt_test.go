@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"stz/internal/codec"
@@ -15,6 +16,55 @@ import (
 	"stz/internal/sz3"
 	"stz/internal/zfp"
 )
+
+// TestDecodeRejectsWrongType holds every registered codec to its element
+// type in both directions and at both checks: Decode refuses on the SZXC
+// header's tag before any payload is read, and Decompress of the raw
+// payload on the backend's own, while the matching type decodes the same
+// payload.
+func TestDecodeRejectsWrongType(t *testing.T) {
+	g32 := datasets.Nyx(8, 8, 8, 1)
+	g64 := grid.ToFloat64(g32)
+	refused := func(what string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", what, err, want)
+		}
+	}
+	const header = "codec: stream element type mismatch"
+	for _, tc := range []struct{ name, payload string }{
+		{"sz3", "sz3: malformed stream: element type mismatch"},
+		{"zfp", "zfp: malformed stream: element type mismatch"},
+		{"sperr", "sperr: malformed stream: element type mismatch"},
+		{"mgard", "mgard: malformed stream: element type mismatch"},
+		{"stz", "core: stream element type mismatch"},
+	} {
+		c := codec.MustLookup(tc.name)
+		enc32, err := codec.Encode(tc.name, g32, codec.Config{EB: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc64, err := codec.Encode(tc.name, g64, codec.Config{EB: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw32, raw64 := section(t, enc32, 1), section(t, enc64, 1)
+		if _, err := codec.Decompress[float32](c, raw32, 1); err != nil {
+			t.Errorf("%s: float32 payload: %v", tc.name, err)
+		}
+		if _, err := codec.Decompress[float64](c, raw64, 1); err != nil {
+			t.Errorf("%s: float64 payload: %v", tc.name, err)
+		}
+		_, err = codec.Decode[float64](enc32, 1)
+		refused(tc.name+": Decode[float64] of a float32 archive", err, header)
+		_, err = codec.Decode[float32](enc64, 1)
+		refused(tc.name+": Decode[float32] of a float64 archive", err, header)
+		_, err = codec.Decompress[float64](c, raw32, 1)
+		refused(tc.name+": Decompress[float64] of a float32 payload", err, tc.payload)
+		_, err = codec.Decompress[float32](c, raw64, 1)
+		refused(tc.name+": Decompress[float32] of a float64 payload", err, tc.payload)
+	}
+}
 
 // decodeAllPaths runs every untrusted-input entry point on data and
 // reports whether any of them succeeded. None may panic, and the full

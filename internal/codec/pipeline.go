@@ -9,6 +9,7 @@ import (
 	"stz/internal/container"
 	"stz/internal/grid"
 	"stz/internal/parallel"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -179,7 +180,7 @@ func newHeader[T grid.Float](name string, nz, ny, nx int, cfg Config) (Codec, He
 		return nil, Header{}, err
 	}
 	return c, Header{
-		CodecID: c.ID(), DType: dtypeOf[T](), Mode: cfg.Mode,
+		CodecID: c.ID(), DType: byte(rawio.ElemSize[T]()), Mode: cfg.Mode,
 		Nz: nz, Ny: ny, Nx: nx,
 		EBRequested: cfg.EB, EBAbs: cfg.EB, ChunkBounds: planChunkBounds(c, nz, cfg),
 	}, nil
@@ -310,7 +311,7 @@ func openFor[T grid.Float](data []byte) (*container.Archive, Header, Codec, erro
 	if err != nil {
 		return nil, Header{}, nil, err
 	}
-	if hdr.DType != dtypeOf[T]() {
+	if int(hdr.DType) != rawio.ElemSize[T]() {
 		return nil, Header{}, nil, fmt.Errorf("codec: stream element type mismatch")
 	}
 	c, err := LookupID(hdr.CodecID)

@@ -351,7 +351,7 @@ func NewStreamReader[T grid.Float](s *Stream) (*Reader[T], error) {
 	if s.claimed {
 		return nil, fmt.Errorf("codec: stream already claimed by a reader")
 	}
-	if s.hdr.DType != dtypeOf[T]() {
+	if int(s.hdr.DType) != rawio.ElemSize[T]() {
 		return nil, fmt.Errorf("codec: stream element type mismatch")
 	}
 	c, err := LookupID(s.hdr.CodecID)

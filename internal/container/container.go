@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync/atomic"
 )
 
@@ -51,32 +52,69 @@ func sectionLen(parts [][]byte) int {
 // Count returns the number of sections added so far.
 func (b *Builder) Count() int { return len(b.sections) }
 
-// Bytes serializes the container: magic, section count, per-section
-// lengths, CRC32 of the directory, then the concatenated payloads.
+// dirLen is the byte length of a directory of count sections: magic,
+// count, one length a section, CRC32.
+func dirLen(count int) int { return 8 + 8*count + 4 }
+
+// appendDir appends the directory to dst: magic, section count,
+// per-section lengths, then the CRC32 of those.
+func (b *Builder) appendDir(dst []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, Magic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.sections)))
+	for _, s := range b.sections {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sectionLen(s)))
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// Bytes serializes the container: the directory, then the concatenated
+// payloads.
 func (b *Builder) Bytes() []byte {
-	dirLen := 8 + 8*len(b.sections)
-	total := dirLen + 4
+	total := dirLen(len(b.sections))
 	for _, s := range b.sections {
 		total += sectionLen(s)
 	}
-	out := make([]byte, 0, total)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], Magic)
-	binary.LittleEndian.PutUint32(tmp[4:], uint32(len(b.sections)))
-	out = append(out, tmp[:]...)
-	for _, s := range b.sections {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(sectionLen(s)))
-		out = append(out, tmp[:]...)
-	}
-	crc := crc32.ChecksumIEEE(out)
-	binary.LittleEndian.PutUint32(tmp[:4], crc)
-	out = append(out, tmp[:4]...)
+	out := b.appendDir(make([]byte, 0, total))
 	for _, s := range b.sections {
 		for _, p := range s {
 			out = append(out, p...)
 		}
 	}
 	return out
+}
+
+// dirSize checks a directory's first 8 bytes — magic and section count —
+// and returns the whole directory's length.
+func dirSize(head []byte) (int, error) {
+	if binary.LittleEndian.Uint32(head) != Magic {
+		return 0, fmt.Errorf("%w: bad magic", ErrFormat)
+	}
+	count := int(binary.LittleEndian.Uint32(head[4:]))
+	if count < 0 || count > maxSections {
+		return 0, fmt.Errorf("%w: implausible section count %d", ErrFormat, count)
+	}
+	return dirLen(count), nil
+}
+
+// parseDir is the one directory parser. dir is a whole directory, as long
+// as dirSize says; parseDir checks it against its CRC and returns the
+// section offsets relative to the first payload byte: one a section plus
+// the payload's total length, which cannot overflow an int.
+func parseDir(dir []byte) ([]int, error) {
+	n := len(dir) - 4
+	if crc32.ChecksumIEEE(dir[:n]) != binary.LittleEndian.Uint32(dir[n:]) {
+		return nil, ErrChecksum
+	}
+	offsets := make([]int, (n-8)/8+1)
+	for i := range len(offsets) - 1 {
+		l := binary.LittleEndian.Uint64(dir[8+8*i:])
+		if l > uint64(math.MaxInt-offsets[i]) {
+			return nil, fmt.Errorf("%w: section %d length overflow", ErrFormat, i)
+		}
+		offsets[i+1] = offsets[i] + int(l)
+	}
+	return offsets, nil
 }
 
 // Archive is a parsed container over a byte slice (sections are views, not
@@ -93,36 +131,24 @@ type Archive struct {
 	read atomic.Int64
 }
 
-// Open parses and validates the directory.
+// Open parses and validates the directory, then checks that the payloads
+// it declares fit in buf.
 func Open(buf []byte) (*Archive, error) {
-	if len(buf) < 12 {
+	if len(buf) < 8 {
 		return nil, ErrFormat
 	}
-	if binary.LittleEndian.Uint32(buf) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
+	payload0, err := dirSize(buf)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(buf[4:]))
-	if count < 0 || count > maxSections {
-		return nil, fmt.Errorf("%w: implausible section count %d", ErrFormat, count)
-	}
-	dirLen := 8 + 8*count
-	if len(buf) < dirLen+4 {
+	if len(buf) < payload0 {
 		return nil, ErrFormat
 	}
-	wantCRC := binary.LittleEndian.Uint32(buf[dirLen:])
-	if crc32.ChecksumIEEE(buf[:dirLen]) != wantCRC {
-		return nil, ErrChecksum
+	offsets, err := parseDir(buf[:payload0])
+	if err != nil {
+		return nil, err
 	}
-	offsets := make([]int, count+1)
-	for i := 0; i < count; i++ {
-		l := binary.LittleEndian.Uint64(buf[8+8*i:])
-		if l > uint64(len(buf)) {
-			return nil, fmt.Errorf("%w: section %d length overflow", ErrFormat, i)
-		}
-		offsets[i+1] = offsets[i] + int(l)
-	}
-	payload0 := dirLen + 4
-	if payload0+offsets[count] > len(buf) {
+	if offsets[len(offsets)-1] > len(buf)-payload0 {
 		return nil, fmt.Errorf("%w: truncated payload", ErrFormat)
 	}
 	return &Archive{buf: buf, offsets: offsets, payload0: payload0}, nil
@@ -139,25 +165,6 @@ func (a *Archive) Section(i int) ([]byte, error) {
 	}
 	a.read.Add(int64(a.offsets[i+1] - a.offsets[i]))
 	return a.buf[a.payload0+a.offsets[i] : a.payload0+a.offsets[i+1]], nil
-}
-
-// SectionLen returns the length of section i without touching its payload
-// (and without charging the read accounting).
-func (a *Archive) SectionLen(i int) (int, error) {
-	if i < 0 || i >= a.Count() {
-		return 0, fmt.Errorf("%w: section %d of %d", ErrFormat, i, a.Count())
-	}
-	return a.offsets[i+1] - a.offsets[i], nil
-}
-
-// SectionOffset returns the absolute byte offset of section i within the
-// underlying buffer — the seek position a chunk-addressed reader would use
-// against a file or object store.
-func (a *Archive) SectionOffset(i int) (int, error) {
-	if i < 0 || i >= a.Count() {
-		return 0, fmt.Errorf("%w: section %d of %d", ErrFormat, i, a.Count())
-	}
-	return a.payload0 + a.offsets[i], nil
 }
 
 // PayloadLen returns the total payload size in bytes (all sections, not

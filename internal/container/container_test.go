@@ -39,10 +39,6 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("section %d mismatch", i)
 		}
-		l, err := a.SectionLen(i)
-		if err != nil || l != len(want) {
-			t.Fatalf("SectionLen(%d)=%d want %d", i, l, len(want))
-		}
 	}
 }
 
@@ -114,8 +110,7 @@ func TestTruncatedDirectory(t *testing.T) {
 
 // TestRandomAccessReadAccounting pins the chunk-read accounting that the
 // sub-box decode paths build on: Section charges exactly its payload
-// length (every time), SectionLen and SectionOffset charge nothing, and
-// ResetReadBytes restarts the counter.
+// length (every time) and ResetReadBytes restarts the counter.
 func TestRandomAccessReadAccounting(t *testing.T) {
 	var b Builder
 	secs := [][]byte{
@@ -138,12 +133,6 @@ func TestRandomAccessReadAccounting(t *testing.T) {
 	if a.ReadBytes() != 0 {
 		t.Fatalf("fresh archive ReadBytes=%d", a.ReadBytes())
 	}
-	if _, err := a.SectionLen(3); err != nil {
-		t.Fatal(err)
-	}
-	if a.ReadBytes() != 0 {
-		t.Fatal("SectionLen charged the read accounting")
-	}
 	if _, err := a.Section(1); err != nil {
 		t.Fatal(err)
 	}
@@ -162,26 +151,6 @@ func TestRandomAccessReadAccounting(t *testing.T) {
 		t.Fatal("ResetReadBytes did not zero the counter")
 	}
 
-	// Offsets: section i starts where the directory says it does, and the
-	// payload at that offset is the section's bytes.
-	dirLen := 8 + 8*len(secs) + 4
-	wantOff := dirLen
-	for i, s := range secs {
-		off, err := a.SectionOffset(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off != wantOff {
-			t.Fatalf("SectionOffset(%d)=%d want %d", i, off, wantOff)
-		}
-		if !bytes.Equal(buf[off:off+len(s)], s) {
-			t.Fatalf("payload at offset %d is not section %d", off, i)
-		}
-		wantOff += len(s)
-	}
-	if _, err := a.SectionOffset(len(secs)); err == nil {
-		t.Fatal("out-of-range SectionOffset accepted")
-	}
 }
 
 func TestManySections(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 	"stz/internal/sz3"
 )
@@ -122,35 +123,6 @@ func unmarshalHeader(buf []byte) (header, error) {
 	return h, nil
 }
 
-func dtypeOf[T grid.Float]() byte {
-	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
-// appendValue appends the little-endian storage form of v to buf. The
-// conversions sit in non-generic helpers, like rawio's: written inside a
-// shape-instantiated body they can cost a call per value.
-func appendValue[T grid.Float](buf []byte, v T) []byte {
-	switch x := any(v).(type) {
-	case float32:
-		return appendF32(buf, x)
-	case float64:
-		return appendF64(buf, x)
-	}
-	return buf
-}
-
-func appendF32(buf []byte, v float32) []byte {
-	return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-}
-
-func appendF64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
 // EncodeStats is the per-stage timing breakdown of a compression — the
 // write-side mirror of Stats. It is an output, not a knob. The write side
 // runs as a few parallel phases (see CompressStats), and a stage is timed
@@ -225,7 +197,7 @@ func CompressStats[T grid.Float](g *grid.Grid[T], cfg Config) ([]byte, *EncodeSt
 
 	var b container.Builder
 	hdr := header{
-		Version: headerVersion, DType: dtypeOf[T](),
+		Version: headerVersion, DType: byte(rawio.ElemSize[T]()),
 		Levels: levels, Predictor: cfg.Predictor,
 		AdaptiveEB: cfg.AdaptiveEB, EBRatio: cfg.ebRatio(),
 		EB: cfg.EB, Radius: cfg.radius(),
@@ -563,7 +535,7 @@ func (le *levelEnc[T]) appendEscapes(buf []byte, c int, b grid.Box) ([]byte, int
 			f0 := ((2*k+off.Z)*fine.Ny+2*j+off.Y)*fine.Nx + off.X
 			for x, code := range le.codes[c][(k*d[1]+j)*d[2]:][b.X0:b.X1] {
 				if code == 0 {
-					buf = appendValue(buf, fine.Data[f0+2*(b.X0+x)])
+					buf = rawio.AppendValues(buf, fine.Data[f0+2*(b.X0+x)])
 					n++
 				}
 			}

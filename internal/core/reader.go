@@ -94,7 +94,7 @@ func NewReader[T grid.Float](data []byte) (*Reader[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.DType != dtypeOf[T]() {
+	if int(hdr.DType) != rawio.ElemSize[T]() {
 		return nil, fmt.Errorf("core: stream element type mismatch")
 	}
 	if wantSecs := 2 + (hdr.Levels-1)*7; arc.Count() != wantSecs {

@@ -7,10 +7,8 @@
 //
 //	pred = -1/16·p0 + 9/16·p1 + 9/16·p2 − 1/16·p3.
 //
-// The multi-dimensional variants (Eq. 7, Eq. 8 of the paper) combine two or
-// four diagonal cubic splines with equal weight, which reduces to a 9/32 /
-// −1/32 (2D) or 9/64 / −1/64 (3D) stencil over the inner and outer corner
-// points.
+// The multi-dimensional variants (Eq. 4, 5, 7 and 8 of the paper) live in
+// the STZ core's row kernels, which evaluate them a row at a time.
 package interp
 
 import "stz/internal/grid"
@@ -20,39 +18,10 @@ func Linear[T grid.Float](a, b T) T {
 	return (a + b) / 2
 }
 
-// Bilinear returns the average of the four surrounding points (Eq. 4).
-func Bilinear[T grid.Float](a, b, c, d T) T {
-	return (a + b + c + d) / 4
-}
-
-// Trilinear returns the average of the eight surrounding points (Eq. 5).
-func Trilinear[T grid.Float](a, b, c, d, e, f, g, h T) T {
-	return (a + b + c + d + e + f + g + h) / 8
-}
-
 // Cubic returns the not-a-knot cubic midpoint interpolation between p1 and
 // p2 using outer neighbours p0, p3 (Eq. 6).
 func Cubic[T grid.Float](p0, p1, p2, p3 T) T {
 	return -(p0+p3)/16 + (p1+p2)*9/16
-}
-
-// Bicubic combines two orthogonal diagonal cubic splines (Eq. 7):
-// 9/32 over the four inner corners minus 1/32 over the four outer corners.
-func Bicubic[T grid.Float](inner [4]T, outer [4]T) T {
-	si := inner[0] + inner[1] + inner[2] + inner[3]
-	so := outer[0] + outer[1] + outer[2] + outer[3]
-	return si*9/32 - so/32
-}
-
-// Tricubic combines four diagonal cubic splines (Eq. 8): 9/64 over the
-// eight inner corners minus 1/64 over the eight outer corners.
-func Tricubic[T grid.Float](inner [8]T, outer [8]T) T {
-	var si, so T
-	for i := 0; i < 8; i++ {
-		si += inner[i]
-		so += outer[i]
-	}
-	return si*9/64 - so/64
 }
 
 // Quad1 predicts a point at position 1/2 given samples at −1/2, −3/2, −5/2

@@ -34,73 +34,6 @@ func TestCubicWeightsSumToOne(t *testing.T) {
 	}
 }
 
-func TestBilinearExactOnAffine2D(t *testing.T) {
-	f := func(y, x float64) float64 { return 2*y - 3*x + 1 }
-	// Corners (0,0),(0,2),(2,0),(2,2) predict center (1,1).
-	got := Bilinear(f(0, 0), f(0, 2), f(2, 0), f(2, 2))
-	if !almostEq(got, f(1, 1), 1e-12) {
-		t.Fatalf("got %g want %g", got, f(1, 1))
-	}
-}
-
-func TestTrilinearExactOnAffine3D(t *testing.T) {
-	f := func(z, y, x float64) float64 { return z - 2*y + 4*x + 0.5 }
-	got := Trilinear(
-		f(0, 0, 0), f(0, 0, 2), f(0, 2, 0), f(0, 2, 2),
-		f(2, 0, 0), f(2, 0, 2), f(2, 2, 0), f(2, 2, 2))
-	if !almostEq(got, f(1, 1, 1), 1e-12) {
-		t.Fatalf("got %g want %g", got, f(1, 1, 1))
-	}
-}
-
-func TestBicubicConstantPreserved(t *testing.T) {
-	var inner, outer [4]float64
-	for i := range inner {
-		inner[i], outer[i] = 9, 9
-	}
-	if got := Bicubic(inner, outer); !almostEq(got, 9, 1e-12) {
-		t.Fatalf("constant not preserved: %g", got)
-	}
-}
-
-// Bicubic (Eq. 7) is the half-sum of two diagonal cubics, so it must be
-// exact for functions that are cubic along both diagonals, e.g. affine.
-func TestBicubicExactOnAffine(t *testing.T) {
-	f := func(y, x float64) float64 { return 3*y + 2*x - 1 }
-	// Point (0,0); inner corners at (±1,±1), outer at (±3,±3).
-	inner := [4]float64{f(-1, -1), f(-1, 1), f(1, -1), f(1, 1)}
-	outer := [4]float64{f(-3, -3), f(-3, 3), f(3, -3), f(3, 3)}
-	got := Bicubic(inner, outer)
-	if !almostEq(got, f(0, 0), 1e-12) {
-		t.Fatalf("got %g want %g", got, f(0, 0))
-	}
-}
-
-func TestTricubicConstantAndAffine(t *testing.T) {
-	var inner, outer [8]float64
-	for i := range inner {
-		inner[i], outer[i] = 4, 4
-	}
-	if got := Tricubic(inner, outer); !almostEq(got, 4, 1e-12) {
-		t.Fatalf("constant not preserved: %g", got)
-	}
-	f := func(z, y, x float64) float64 { return z - y + 2*x + 7 }
-	k := 0
-	for dz := -1; dz <= 1; dz += 2 {
-		for dy := -1; dy <= 1; dy += 2 {
-			for dx := -1; dx <= 1; dx += 2 {
-				inner[k] = f(float64(dz), float64(dy), float64(dx))
-				outer[k] = f(float64(3*dz), float64(3*dy), float64(3*dx))
-				k++
-			}
-		}
-	}
-	got := Tricubic(inner, outer)
-	if !almostEq(got, f(0, 0, 0), 1e-12) {
-		t.Fatalf("affine: got %g want %g", got, f(0, 0, 0))
-	}
-}
-
 func TestQuadraticBoundaries(t *testing.T) {
 	f := func(x float64) float64 { return x*x - 2*x + 3 }
 	// QuadBegin: samples at x=0,2,4 predicting x=1.

@@ -26,6 +26,7 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 )
 
 // Magic identifies an MGARD-lite stream.
@@ -135,47 +136,6 @@ func predictNode[T grid.Float](c *grid.Grid[T], off grid.Offset3, k, j, i int) T
 	return pred
 }
 
-func dtypeOf[T grid.Float]() byte {
-	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
-func putValue[T grid.Float](buf *bytes.Buffer, v T) {
-	switch x := any(v).(type) {
-	case float32:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
-		buf.Write(b[:])
-	case float64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-		buf.Write(b[:])
-	}
-}
-
-func getValues[T grid.Float](data []byte, n int) ([]T, error) {
-	var v T
-	eb := 8
-	if _, ok := any(v).(float32); ok {
-		eb = 4
-	}
-	if len(data) < n*eb {
-		return nil, fmt.Errorf("%w: value data truncated", ErrFormat)
-	}
-	out := make([]T, n)
-	for i := 0; i < n; i++ {
-		if eb == 4 {
-			out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))
-		} else {
-			out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
-		}
-	}
-	return out, nil
-}
-
 // levelEB is the quantization bound for the classes refined at hierarchy
 // level l (l = 0 is the finest): coarser levels are tightened by 2× per
 // level, as MGARD's multilevel error theory requires.
@@ -190,14 +150,10 @@ func coarsestEB(eb float64, levels int) float64 {
 
 // classSection encodes one per-level parity-class payload:
 // u32 outlier count, outlier values, Huffman blob.
-func classSection[T grid.Float](codes []uint16, outliers *bytes.Buffer, nOut uint32, alphabet int) []byte {
-	sec := &bytes.Buffer{}
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], nOut)
-	sec.Write(cnt[:])
-	sec.Write(outliers.Bytes())
-	sec.Write(huffman.Encode(codes, alphabet))
-	return sec.Bytes()
+func classSection[T grid.Float](codes []uint16, outliers []byte, alphabet int) []byte {
+	sec := binary.LittleEndian.AppendUint32(nil, uint32(len(outliers)/rawio.ElemSize[T]()))
+	sec = append(sec, outliers...)
+	return append(sec, huffman.Encode(codes, alphabet)...)
 }
 
 // Compress encodes g under o.EB.
@@ -222,15 +178,13 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	coarsest := levelLattice(g, levels)
 	qc := quant.Quantizer{EB: coarsestEB(o.EB, levels), Radius: radius}
 	cCodes := make([]uint16, coarsest.Len())
-	cOut := &bytes.Buffer{}
-	var cN uint32
+	var cOut []byte
 	coarseRecon := grid.New[T](coarsest.Nz, coarsest.Ny, coarsest.Nx)
 	var prev T
 	for i, v := range coarsest.Data {
 		code, rec, ok := quant.QuantizeT(qc, v, float64(prev))
 		if !ok {
-			putValue(cOut, v)
-			cN++
+			cOut = rawio.AppendValues(cOut, v)
 			cCodes[i] = 0
 			coarseRecon.Data[i] = v
 			prev = v
@@ -241,7 +195,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 		prev = rec
 	}
 
-	sections := [][]byte{classSection[T](cCodes, cOut, cN, qc.Alphabet())}
+	sections := [][]byte{classSection[T](cCodes, cOut, qc.Alphabet())}
 
 	// Refine level by level, coarse to fine.
 	classes := grid.Stride2Offsets[1:]
@@ -258,8 +212,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 			by := grid.SubDim(lat.Ny, off.Y, 2)
 			bx := grid.SubDim(lat.Nx, off.X, 2)
 			codes := make([]uint16, bz*by*bx)
-			outl := &bytes.Buffer{}
-			var nOut uint32
+			var outl []byte
 			idx := 0
 			for k := 0; k < bz; k++ {
 				for j := 0; j < by; j++ {
@@ -269,8 +222,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 						pred := predictNode(coarseRecon, off, k, j, i)
 						code, rec, ok := quant.QuantizeT(q, v, float64(pred))
 						if !ok {
-							putValue(outl, v)
-							nOut++
+							outl = rawio.AppendValues(outl, v)
 							codes[idx] = 0
 							fineRecon.Set(zf, yf, xf, v)
 						} else {
@@ -281,7 +233,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 					}
 				}
 			}
-			secs[ci] = classSection[T](codes, outl, nOut, q.Alphabet())
+			secs[ci] = classSection[T](codes, outl, q.Alphabet())
 		})
 		sections = append(sections, secs...)
 		coarseRecon = fineRecon
@@ -290,7 +242,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	out := &bytes.Buffer{}
 	var hdr [38]byte
 	binary.LittleEndian.PutUint32(hdr[0:], Magic)
-	hdr[4] = dtypeOf[T]()
+	hdr[4] = byte(rawio.ElemSize[T]())
 	hdr[5] = byte(levels)
 	binary.LittleEndian.PutUint32(hdr[6:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(hdr[10:], uint32(g.Ny))
@@ -311,7 +263,6 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 }
 
 type parsed struct {
-	dtype    byte
 	levels   int
 	nz, ny   int
 	nx       int
@@ -325,8 +276,7 @@ func parse[T grid.Float](data []byte) (*parsed, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	p := &parsed{}
-	p.dtype = data[4]
-	if p.dtype != dtypeOf[T]() {
+	if int(data[4]) != rawio.ElemSize[T]() {
 		return nil, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
 	p.levels = int(data[5])
@@ -370,19 +320,12 @@ func decodeSection[T grid.Float](sec []byte, alphabet int) ([]uint16, []T, error
 	if len(sec) < 4 {
 		return nil, nil, fmt.Errorf("%w: section too short", ErrFormat)
 	}
-	nOut := int(binary.LittleEndian.Uint32(sec))
-	var v T
-	eb := 8
-	if _, ok := any(v).(float32); ok {
-		eb = 4
-	}
+	nOut, eb := int(binary.LittleEndian.Uint32(sec)), rawio.ElemSize[T]()
 	if 4+nOut*eb > len(sec) {
 		return nil, nil, fmt.Errorf("%w: outliers truncated", ErrFormat)
 	}
-	outliers, err := getValues[T](sec[4:], nOut)
-	if err != nil {
-		return nil, nil, err
-	}
+	outliers := make([]T, nOut)
+	rawio.GetValues(outliers, sec[4:])
 	codes, err := huffman.DecodeInto(nil, sec[4+nOut*eb:], alphabet)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mgard: %w", err)

@@ -1,8 +1,14 @@
-// Package rawio streams raw little-endian floating-point values between
-// byte streams and []T buffers. It is the I/O substrate shared by the stz
-// CLI and the stzd service: both move grids as flat LE value streams, and
-// both need to do so incrementally (plane-sized pieces) rather than
-// materializing whole files or request bodies.
+// Package rawio owns the byte form of a grid value: IEEE-754 bits,
+// little-endian, ElemSize bytes wide. Every format in the repository tags
+// its element type with that width (4 = float32, 8 = float64) and stores
+// whole grid values in that form, so the codecs' header tags, anchors,
+// outliers and escapes go through ElemSize, PutValues, GetValues and
+// AppendValues.
+//
+// It also streams such values between byte streams and []T buffers, the
+// I/O substrate shared by the stz CLI and the stzd service: both move grids
+// as flat value streams, and both need to do so incrementally (plane-sized
+// pieces) rather than materializing whole files or request bodies.
 package rawio
 
 import (
@@ -10,11 +16,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"stz/internal/grid"
 )
 
-// ElemSize returns the on-wire width of T in bytes (4 or 8).
+// ElemSize returns the on-wire width of T in bytes (4 or 8), which is also
+// the element-type tag every format's header stores.
 func ElemSize[T grid.Float]() int {
 	var v T
 	if _, ok := any(v).(float32); ok {
@@ -42,6 +50,14 @@ func GetValues[T grid.Float](dst []T, src []byte) {
 	case []float64:
 		getF64(d, src)
 	}
+}
+
+// AppendValues appends the byte form of vals to buf.
+func AppendValues[T grid.Float](buf []byte, vals ...T) []byte {
+	n, m := len(buf), len(vals)*ElemSize[T]()
+	buf = slices.Grow(buf, m)[:n+m]
+	PutValues(buf[n:], vals)
+	return buf
 }
 
 // The per-width loops live outside the generic bodies: inside a

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"stz/internal/grid"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -104,5 +106,27 @@ func TestBitExactRoundTrip(t *testing.T) {
 		if binary.LittleEndian.Uint64(raw[8*i:]) != b || math.Float64bits(back64[i]) != b {
 			t.Fatalf("float64 %#016x: wire %#016x, back %#016x", b, binary.LittleEndian.Uint64(raw[8*i:]), math.Float64bits(back64[i]))
 		}
+	}
+}
+
+// TestAppendValues: appending values one at a time or all at once leaves
+// the prefix alone and writes PutValues's bytes after it.
+func TestAppendValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	testAppendValues(t, []float32{1.5, float32(negZero), float32(math.Inf(1)), 3e-42})
+	testAppendValues(t, []float64{1.5, negZero, math.Inf(-1), 5e-320})
+}
+
+func testAppendValues[T grid.Float](t *testing.T, vals []T) {
+	prefix := []byte{0xde, 0xad}
+	want := append(bytes.Clone(prefix), make([]byte, len(vals)*ElemSize[T]())...)
+	PutValues(want[len(prefix):], vals)
+	whole := AppendValues(bytes.Clone(prefix), vals...)
+	one := bytes.Clone(prefix)
+	for _, v := range vals {
+		one = AppendValues(one, v)
+	}
+	if !bytes.Equal(whole, want) || !bytes.Equal(one, want) {
+		t.Fatalf("%T: whole %x, one at a time %x, want %x", vals, whole, one, want)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -268,14 +269,6 @@ func inverse3D(work []float64, nz, ny, nx, nlev, workers int) {
 	}
 }
 
-func dtypeOf[T grid.Float]() byte {
-	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
 // Compress encodes g under o.Tolerance.
 func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	if !(o.Tolerance > 0) || math.IsInf(o.Tolerance, 0) {
@@ -357,7 +350,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 
 	out := make([]byte, 47, 47+len(outliers)+len(hblob)+len(corrBlob))
 	binary.LittleEndian.PutUint32(out[0:], MagicV2)
-	out[4] = dtypeOf[T]()
+	out[4] = byte(rawio.ElemSize[T]())
 	out[5] = byte(nlev)
 	binary.LittleEndian.PutUint32(out[6:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[10:], uint32(g.Ny))
@@ -391,7 +384,7 @@ func DecompressWorkers[T grid.Float](data []byte, workers int) (*grid.Grid[T], e
 	default:
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	if data[4] != dtypeOf[T]() {
+	if int(data[4]) != rawio.ElemSize[T]() {
 		return nil, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
 	nlev := int(data[5])

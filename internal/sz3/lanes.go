@@ -8,6 +8,7 @@ import (
 
 	"stz/internal/grid"
 	"stz/internal/huffman"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -230,7 +231,7 @@ func (ld *laneDecode[T]) escape(i int) (v T, ok bool) {
 // lane into one buffer, their pairs handed to workers when laneWorkers > 1
 // and the decode is large enough to pay for the handoff.
 func (sd *serialDecode[T]) decodeLanes(sec []byte, laneWorkers int) error {
-	tl, elem := &sd.tl, elemBytes[T]()
+	tl, elem := &sd.tl, rawio.ElemSize[T]()
 	counts := tl.laneCodes()
 	ls, err := huffman.OpenSection(sec, sd.q.Alphabet(), counts, len(sd.outliers)/elem, 0)
 	if err != nil {
@@ -257,10 +258,11 @@ func (sd *serialDecode[T]) decodeLanes(sec []byte, laneWorkers int) error {
 		workers = 1
 	}
 	err = ls.Decode(touched, ld.codes, workers, func(lc huffman.LaneCodes) {
-		vals, at := sd.outliers[lc.Esc*elem:], ld.at[lc.Lane]
+		rawio.GetValues(ld.escVal[lc.Slot:][:lc.Escs], sd.outliers[lc.Esc*elem:])
+		at := ld.at[lc.Lane]
 		for i, e := 0, 0; e < lc.Escs; i++ {
 			if lc.Codes[i] == 0 {
-				ld.escAt[lc.Slot+e], ld.escVal[lc.Slot+e] = at+i, readValue[T](vals[e*elem:])
+				ld.escAt[lc.Slot+e] = at + i
 				e++
 			}
 		}
@@ -279,7 +281,7 @@ func (sd *serialDecode[T]) decodeLanes(sec []byte, laneWorkers int) error {
 // the writer's lane map, one cursor a lane, and each escape value goes to
 // its code's index there, so reconstruct reads every version alike.
 func (sd *serialDecode[T]) decodeLegacy(sec []byte, version, laneWorkers int) error {
-	tl, ld, elem := &sd.tl, &sd.lanes, elemBytes[T]()
+	tl, ld, elem := &sd.tl, &sd.lanes, rawio.ElemSize[T]()
 	ld.at = make([]int, tl.lanes)
 	for l, n := range tl.laneCodes() {
 		ld.at[l] = ld.decoded
@@ -330,7 +332,8 @@ func (sd *serialDecode[T]) decodeLegacy(sec []byte, version, laneWorkers int) er
 	slices.SortFunc(order, func(a, b int) int { return pos[a] - pos[b] })
 	ld.escAt, ld.escVal = make([]int, len(pos)), make([]T, len(pos))
 	for j, i := range order {
-		ld.escAt[j], ld.escVal[j] = pos[i], readValue[T](sd.outliers[i*elem:])
+		ld.escAt[j] = pos[i]
+		rawio.GetValues(ld.escVal[j:][:1], sd.outliers[i*elem:])
 	}
 	return nil
 }

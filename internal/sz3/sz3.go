@@ -27,6 +27,7 @@ import (
 	"stz/internal/interp"
 	"stz/internal/parallel"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -65,48 +66,6 @@ func (o Options) radius() int32 {
 		return quant.DefaultRadius
 	}
 	return o.Radius
-}
-
-// dtypeOf returns the element-type tag (4 or 8) for T.
-func dtypeOf[T grid.Float]() byte {
-	var v T
-	switch any(v).(type) {
-	case float32:
-		return 4
-	default:
-		return 8
-	}
-}
-
-// appendValue appends the little-endian storage form of v to buf.
-func appendValue[T grid.Float](buf []byte, v T) []byte {
-	switch x := any(v).(type) {
-	case float32:
-		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-	case float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
-
-// elemBytes returns the storage width of T.
-func elemBytes[T grid.Float]() int {
-	if dtypeOf[T]() == 4 {
-		return 4
-	}
-	return 8
-}
-
-// readValue reads the little-endian storage form of a T from the front of
-// data, which must hold at least elemBytes[T]() bytes.
-func readValue[T grid.Float](data []byte) T {
-	var v T
-	switch any(v).(type) {
-	case float32:
-		return T(math.Float32frombits(binary.LittleEndian.Uint32(data)))
-	default:
-		return T(math.Float64frombits(binary.LittleEndian.Uint64(data)))
-	}
 }
 
 // startStride returns the coarsest interpolation stride for a grid whose
@@ -385,14 +344,14 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 	defer scratch.ReleaseFloat(row)
 	// Sized for ~12% escapes so outlier-heavy bounds rarely outgrow the
 	// lease (append growth past the lease is correct, just unpooled).
-	outliers := scratch.Bytes.Lease(64 + g.Len()*elemBytes[T]()/8)[:0]
+	outliers := scratch.Bytes.Lease(64 + g.Len()*rawio.ElemSize[T]()/8)[:0]
 	defer func() { scratch.Bytes.Release(outliers) }()
 
 	// Anchors are stored verbatim; the anchor-lattice size is exact.
-	anchors := scratch.Bytes.Lease(anchorCount(g) * elemBytes[T]())[:0]
+	anchors := scratch.Bytes.Lease(anchorCount(g) * rawio.ElemSize[T]())[:0]
 	defer func() { scratch.Bytes.Release(anchors) }()
 	forEachAnchor(g, func(idx int) {
-		anchors = appendValue(anchors, g.Data[idx])
+		anchors = rawio.AppendValues(anchors, g.Data[idx])
 		rec[idx] = g.Data[idx]
 	})
 
@@ -423,7 +382,7 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 			// codes in a second pass over the rows that have any.
 			for k, code := range lc {
 				if code == 0 {
-					outliers = appendValue(outliers, g.Data[i+k*ln.stride])
+					outliers = rawio.AppendValues(outliers, g.Data[i+k*ln.stride])
 					escLanes = append(escLanes, int32(l))
 				}
 			}
@@ -433,10 +392,10 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 
 	code := huffman.NewCode(codes[:starts[tl.lanes]], q.Alphabet())
 	defer code.Release()
-	elem := elemBytes[T]()
+	elem := rawio.ElemSize[T]()
 	out := make([]byte, 40, 40+len(anchors)+len(outliers))
 	binary.LittleEndian.PutUint32(out[0:], MagicV3)
-	out[4] = dtypeOf[T]()
+	out[4] = byte(elem)
 	binary.LittleEndian.PutUint32(out[8:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[12:], uint32(g.Ny))
 	binary.LittleEndian.PutUint32(out[16:], uint32(g.Nx))
@@ -562,7 +521,7 @@ func parseSerialDims[T grid.Float](data []byte) (nz, ny, nx, version int, err er
 	default:
 		return 0, 0, 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	if data[4] != dtypeOf[T]() {
+	if int(data[4]) != rawio.ElemSize[T]() {
 		return 0, 0, 0, 0, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
 	nz = int(binary.LittleEndian.Uint32(data[8:]))
@@ -629,7 +588,7 @@ func openSerial[T grid.Float](data []byte, b grid.Box, laneWorkers int) (*serial
 	sd := &serialDecode[T]{nz: nz, ny: ny, nx: nx, q: quant.Quantizer{EB: eb, Radius: radius}, tl: newTiling(nz, ny, nx)}
 
 	// The sections' sizes are known up front: the anchor lattice is exact.
-	elem := elemBytes[T]()
+	elem := rawio.ElemSize[T]()
 	outliers := 40 + anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*elem
 	hoff := outliers + nOutliers*elem
 	if hoff+hlen > len(data) {
@@ -663,10 +622,10 @@ func (sd *serialDecode[T]) release() { sd.lanes.release() }
 // box whose cone reaches the damage and still serve one whose cone does
 // not.
 func (sd *serialDecode[T]) reconstruct(rec *grid.Grid[T]) error {
-	elem := elemBytes[T]()
+	elem := rawio.ElemSize[T]()
 	pos := 0
 	forEachAnchor(rec, func(idx int) {
-		rec.Data[idx] = readValue[T](sd.anchors[pos:])
+		rawio.GetValues(rec.Data[idx:][:1], sd.anchors[pos:])
 		pos += elem
 	})
 	row := scratch.LeaseFloat[T]((sd.nx + 1) / 2)
@@ -763,7 +722,7 @@ func compressChunked[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte,
 	}
 	out := make([]byte, 24, total)
 	binary.LittleEndian.PutUint32(out[0:], MagicChunked)
-	out[4] = dtypeOf[T]()
+	out[4] = byte(rawio.ElemSize[T]())
 	binary.LittleEndian.PutUint32(out[8:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[12:], uint32(g.Ny))
 	binary.LittleEndian.PutUint32(out[16:], uint32(g.Nx))
@@ -913,7 +872,7 @@ func parseChunkedDir[T grid.Float](data []byte) (nz, ny, nx int, offs, bounds []
 	if len(data) < 24 || binary.LittleEndian.Uint32(data) != MagicChunked {
 		return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad chunked magic", ErrFormat)
 	}
-	if data[4] != dtypeOf[T]() {
+	if int(data[4]) != rawio.ElemSize[T]() {
 		return 0, 0, 0, nil, nil, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
 	nz = int(binary.LittleEndian.Uint32(data[8:]))

@@ -13,6 +13,7 @@ import (
 	"stz/internal/huffman"
 	"stz/internal/metrics"
 	"stz/internal/quant"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -120,14 +121,14 @@ func refCompressSerial[T grid.Float](g *grid.Grid[T], o Options) []byte {
 	var anchors []byte
 	nOutliers := 0
 	forEachAnchor(g, func(idx int) {
-		anchors = appendValue(anchors, g.Data[idx])
+		anchors = rawio.AppendValues(anchors, g.Data[idx])
 		rec.Data[idx] = g.Data[idx]
 	})
 	forEachPredicted(rec, func(idx int, pred T) {
 		l := refLane(&tl, idx/(g.Ny*g.Nx), idx/g.Nx%g.Ny, idx%g.Nx)
 		code, r, ok := quant.QuantizeFastT(fq, g.Data[idx], float64(pred))
 		if !ok {
-			laneEscapes[l] = appendValue(laneEscapes[l], g.Data[idx])
+			laneEscapes[l] = rawio.AppendValues(laneEscapes[l], g.Data[idx])
 			nOutliers++
 			code, r = 0, g.Data[idx]
 		}
@@ -146,7 +147,7 @@ func refCompressSerial[T grid.Float](g *grid.Grid[T], o Options) []byte {
 		n := code.WriteLane(buf, lc)
 		lanes = append(lanes, buf[:n]...)
 		lens = binary.LittleEndian.AppendUint16(lens, uint16(n))
-		escs = binary.LittleEndian.AppendUint16(escs, uint16(len(laneEscapes[l])/elemBytes[T]()))
+		escs = binary.LittleEndian.AppendUint16(escs, uint16(len(laneEscapes[l])/rawio.ElemSize[T]()))
 	}
 	sec := append(append([]byte(nil), code.Header()...), lens...)
 	if nOutliers > 0 {
@@ -155,7 +156,7 @@ func refCompressSerial[T grid.Float](g *grid.Grid[T], o Options) []byte {
 	sec = append(sec, lanes...)
 	out := make([]byte, 40)
 	binary.LittleEndian.PutUint32(out[0:], MagicV3)
-	out[4] = dtypeOf[T]()
+	out[4] = byte(rawio.ElemSize[T]())
 	binary.LittleEndian.PutUint32(out[8:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[12:], uint32(g.Ny))
 	binary.LittleEndian.PutUint32(out[16:], uint32(g.Nx))
@@ -181,7 +182,7 @@ func refCodes[T grid.Float](data []byte) (codes []uint16, outliers []byte, err e
 	alphabet := 2 * int(binary.LittleEndian.Uint32(data[28:]))
 	nOutliers := int(binary.LittleEndian.Uint32(data[32:]))
 	hlen := int(binary.LittleEndian.Uint32(data[36:]))
-	elem := elemBytes[T]()
+	elem := rawio.ElemSize[T]()
 	pos := 40 + anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*elem
 	outs, sec := data[pos:pos+nOutliers*elem], data[pos+nOutliers*elem:][:hlen]
 	switch version {
@@ -240,10 +241,10 @@ func refDecompressSerial[T grid.Float](data []byte) (*grid.Grid[T], error) {
 		EB:     math.Float64frombits(binary.LittleEndian.Uint64(data[20:])),
 		Radius: int32(binary.LittleEndian.Uint32(data[28:])),
 	}
-	elem := elemBytes[T]()
+	elem := rawio.ElemSize[T]()
 	pos := 40
 	forEachAnchor(rec, func(idx int) {
-		rec.Data[idx] = readValue[T](data[pos:])
+		rawio.GetValues(rec.Data[idx:][:1], data[pos:])
 		pos += elem
 	})
 	ci, oi := 0, 0
@@ -251,7 +252,7 @@ func refDecompressSerial[T grid.Float](data []byte) (*grid.Grid[T], error) {
 		code := codes[ci]
 		ci++
 		if code == 0 {
-			rec.Data[idx] = readValue[T](outlierData[oi:])
+			rawio.GetValues(rec.Data[idx:][:1], outlierData[oi:])
 			oi += elem
 			return
 		}
@@ -275,7 +276,7 @@ func reframe[T grid.Float](t testing.TB, enc []byte, version int) []byte {
 	}
 	nz, ny, nx, _, _ := parseSerialDims[T](enc)
 	alphabet := 2 * int(binary.LittleEndian.Uint32(enc[28:]))
-	out := append([]byte(nil), enc[:40+anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*elemBytes[T]()]...)
+	out := append([]byte(nil), enc[:40+anchorCount(&grid.Grid[T]{Nz: nz, Ny: ny, Nx: nx})*rawio.ElemSize[T]()]...)
 	out = append(out, outliers...)
 	hblob, magic := huffman.EncodeLanes(codes, alphabet), MagicV2
 	if version == 1 {

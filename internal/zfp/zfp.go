@@ -24,6 +24,7 @@ import (
 	"stz/internal/bitio"
 	"stz/internal/grid"
 	"stz/internal/parallel"
+	"stz/internal/rawio"
 	"stz/internal/scratch"
 )
 
@@ -505,14 +506,6 @@ func blockCounts(nz, ny, nx int) (int, int, int) {
 	return c(nz), c(ny), c(nx)
 }
 
-func dtypeOf[T grid.Float]() byte {
-	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
 // Compress encodes g in fixed-accuracy mode under o.Tolerance.
 func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	if !(o.Tolerance > 0) || math.IsInf(o.Tolerance, 0) {
@@ -569,7 +562,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 	}
 	out := make([]byte, 33, 33+len(index)+payload)
 	binary.LittleEndian.PutUint32(out[0:], Magic)
-	out[4] = dtypeOf[T]()
+	out[4] = byte(rawio.ElemSize[T]())
 	binary.LittleEndian.PutUint32(out[5:], uint32(g.Nz))
 	binary.LittleEndian.PutUint32(out[9:], uint32(g.Ny))
 	binary.LittleEndian.PutUint32(out[13:], uint32(g.Nx))
@@ -606,7 +599,7 @@ func Decompress[T grid.Float](data []byte) (*grid.Grid[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	if data[4] != dtypeOf[T]() {
+	if int(data[4]) != rawio.ElemSize[T]() {
 		return nil, fmt.Errorf("%w: element type mismatch", ErrFormat)
 	}
 	nBlocks := int(binary.LittleEndian.Uint32(data[25:]))
