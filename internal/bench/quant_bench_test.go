@@ -64,3 +64,70 @@ func BenchmarkQuantizePoints(b *testing.B) {
 	b.Run("f32", func(b *testing.B) { benchQuantize(b, 4096, quantizePoints[float32]) })
 	b.Run("f64", func(b *testing.B) { benchQuantize(b, 4096, quantizePoints[float64]) })
 }
+
+// dequantRow is one fine row's worth of (code, prediction) pairs as a
+// decode's sweep sees them: codes a few bins either side of the radius, no
+// escapes, and a destination whose class points sit 2 apart.
+func dequantRow[T grid.Float](n int) (codes []uint16, preds, dst []T) {
+	rng := rand.New(rand.NewSource(9))
+	codes, preds, dst = make([]uint16, n), make([]T, n), make([]T, 2*n)
+	for t := range preds {
+		codes[t] = uint16(quant.DefaultRadius + rng.Intn(7) - 3)
+		preds[t] = T(rng.NormFloat64())
+	}
+	return codes, preds, dst
+}
+
+// benchDequantize times one pass over 4096 points dequantised in rows of
+// row points each, as ns/point.
+func benchDequantize[T grid.Float](b *testing.B, row int, pass func(dst []T, codes []uint16, preds []T, bin float64, radius int32)) {
+	const n, eb = 4096, 1e-3
+	codes, preds, dst := dequantRow[T](n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for t := 0; t < n; t += row {
+			pass(dst[2*t:], codes[t:t+row], preds[t:t+row], 2*eb, quant.DefaultRadius)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+}
+
+func dequantizeRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32) {
+	quant.DequantizeRow(dst, 2, codes, preds, bin, radius)
+}
+
+// dequantizeLoop is quant's reference loop, the one Go point at a time that
+// every row ran before the kernel and every non-amd64 row still runs.
+func dequantizeLoop[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32) {
+	for t, code := range codes {
+		dst[2*t] = T(float64(preds[t]) + float64(bin*float64(int32(code)-radius)))
+	}
+}
+
+// BenchmarkDequantizeRow is the decode's row dequantiser, core's sweep and
+// sz3's finest level, through quant.DequantizeRow (kernel: the AVX2 kernel
+// where the CPU has one) and through the Go reference loop (go), on the
+// same rows: 4096-point f32 and f64 rows, a 128³ core sweep's 64-point
+// rows and sz3's 16-point brick rows, where the per-call cost shows.
+func BenchmarkDequantizeRow(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		f32  bool
+		row  int
+	}{{"f32", true, 4096}, {"f64", false, 4096}, {"f32-row64", true, 64}, {"f32-row16", true, 16}} {
+		b.Run(c.name+"/kernel", func(b *testing.B) {
+			if c.f32 {
+				benchDequantize(b, c.row, dequantizeRow[float32])
+			} else {
+				benchDequantize(b, c.row, dequantizeRow[float64])
+			}
+		})
+		b.Run(c.name+"/go", func(b *testing.B) {
+			if c.f32 {
+				benchDequantize(b, c.row, dequantizeLoop[float32])
+			} else {
+				benchDequantize(b, c.row, dequantizeLoop[float64])
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"stz/internal/grid"
 )
@@ -20,6 +21,10 @@ import (
 //   - edgeRow (every fallback: linear beside a cubic stream's lattice edge,
 //     and the mean of the in-range inner corners where one is missing) adds
 //     in predictPoint's order, x fastest: (b, b+d2, b+d1, b+d1+d2).
+//
+// Every operation rounds to T on its own: nothing is fused (a product is
+// converted to T before it is subtracted), and the cubic AVX2 kernel adds
+// in cubicRowGo's order.
 //
 // The generator may read a window of the coarse grid: data holds the coarse
 // points from some origin on, with plane and row strides sz and sy, and
@@ -195,9 +200,86 @@ func (g *rowGen[T]) linearRow(b0 int, ds []int, out []T) {
 }
 
 // cubicRow is the cubic kernel (Eqs. 6–8) over a span whose inner and outer
-// corners all exist. When x is an offset axis (xOff: the last stride is 1)
-// the column sums are shared between consecutive points.
+// corners all exist. A float32 span of at least eight points goes eight
+// points at a time through the AVX2 kernel where the CPU has one
+// (cubicRow8); shorter spans, and every float64 span, run cubicRowGo.
 func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
+	if len(out) >= 8 && hasCubicKernel && unsafe.Sizeof(T(0)) == 4 {
+		g.cubicRow8(b0, ds, xOff, out)
+		return
+	}
+	g.cubicRowGo(b0, ds, xOff, out)
+}
+
+// cubicShape is one of cubicRow's interior stencils as the vector kernel
+// takes it. Per point t it sums, left to right, the first chain points of
+// the inner stencil rows in[i][t] — and, with cols 2, adds the same sum one
+// point on — then does the same for the outer rows out[i] with the second
+// column three points on, and writes inner·9·scale − outer·scale. Those are
+// cubicRowGo's operations in its order: its shared column sums are the
+// pairs of columns here, and its /16, /32 and /64 round exactly as a
+// multiplication by their reciprocal does.
+type cubicShape struct {
+	in, out     [4]*float32 // the stencil rows' first points
+	chain, cols int         // rows per column sum (2 or 4); columns (1 or 2)
+	scale       float32     // 1/16, 1/32 or 1/64
+}
+
+// cubicRow8 runs the cubic kernel over out, a float32 span of at least
+// eight points. Its groups of eight are those from the span's start and,
+// for the last n mod 8 points, one more that ends on its last point and
+// writes the up to seven points it shares with the group before again, with
+// the same bits. Every stencil row it reads is taken through g.span first,
+// covering exactly the points the kernel loads, so a row outside the window
+// panics here, never in the kernel.
+func (g *rowGen[T]) cubicRow8(b0 int, ds []int, xOff bool, out []T) {
+	n := len(out)
+	var s cubicShape
+	in, o := &s.in, &s.out
+	switch {
+	case len(ds) == 1 && xOff:
+		in[0], in[1] = g.span32(b0, n), g.span32(b0+1, n)
+		o[0], o[1] = g.span32(b0-1, n), g.span32(b0+2, n)
+		s.chain, s.cols, s.scale = 2, 1, 1.0/16
+	case len(ds) == 1:
+		d := ds[0]
+		in[0], in[1] = g.span32(b0, n), g.span32(b0+d, n)
+		o[0], o[1] = g.span32(b0-d, n), g.span32(b0+2*d, n)
+		s.chain, s.cols, s.scale = 2, 1, 1.0/16
+	case len(ds) == 2 && xOff:
+		d1 := ds[0]
+		in[0], in[1] = g.span32(b0, n+1), g.span32(b0+d1, n+1)
+		o[0], o[1] = g.span32(b0-d1-1, n+3), g.span32(b0+2*d1-1, n+3)
+		s.chain, s.cols, s.scale = 2, 2, 1.0/32
+	case len(ds) == 2:
+		d1, d2 := ds[0], ds[1]
+		in[0], in[1] = g.span32(b0, n), g.span32(b0+d1, n)
+		in[2], in[3] = g.span32(b0+d2, n), g.span32(b0+d1+d2, n)
+		o[0], o[1] = g.span32(b0-d1-d2, n), g.span32(b0-d1+2*d2, n)
+		o[2], o[3] = g.span32(b0+2*d1-d2, n), g.span32(b0+2*d1+2*d2, n)
+		s.chain, s.cols, s.scale = 4, 1, 1.0/32
+	default:
+		d1, d2 := ds[0], ds[1]
+		in[0], in[1] = g.span32(b0, n+1), g.span32(b0+d2, n+1)
+		in[2], in[3] = g.span32(b0+d1, n+1), g.span32(b0+d1+d2, n+1)
+		o[0], o[1] = g.span32(b0-d1-d2-1, n+3), g.span32(b0-d1+2*d2-1, n+3)
+		o[2], o[3] = g.span32(b0+2*d1-d2-1, n+3), g.span32(b0+2*d1+2*d2-1, n+3)
+		s.chain, s.cols, s.scale = 4, 2, 1.0/64
+	}
+	cubicRowAVX2(&s, (*float32)(unsafe.Pointer(&out[0])), n)
+}
+
+// span32 is the first point of the float32 span g.span(b, n).
+func (g *rowGen[T]) span32(b, n int) *float32 {
+	return (*float32)(unsafe.Pointer(&g.span(b, n)[0]))
+}
+
+// cubicRowGo is cubicRow in Go, one point at a time: the reference the
+// kernel is held to, and the loop for every span the kernel does not take.
+// When x is an offset axis (xOff: the last stride is 1) the column sums are
+// shared between consecutive points. Each product is rounded before the
+// subtraction (T(…)), so no back end fuses it.
+func (g *rowGen[T]) cubicRowGo(b0 int, ds []int, xOff bool, out []T) {
 	n, data := len(out), g.data
 	switch {
 	case len(ds) == 1 && xOff:
@@ -206,7 +288,7 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		next := g.span(b0+2, n)
 		for t := range out {
 			v3 := next[t]
-			out[t] = (v1+v2)*9/16 - (v0+v3)/16
+			out[t] = T((v1+v2)*9/16) - T((v0+v3)/16)
 			v0, v1, v2 = v1, v2, v3
 		}
 	case len(ds) == 1:
@@ -214,7 +296,7 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		a, b := g.span(b0, n), g.span(b0+d, n)
 		m, p := g.span(b0-d, n), g.span(b0+2*d, n)
 		for t := range out {
-			out[t] = (a[t]+b[t])*9/16 - (m[t]+p[t])/16
+			out[t] = T((a[t]+b[t])*9/16) - T((m[t]+p[t])/16)
 		}
 	case len(ds) == 2 && xOff:
 		// Columns shared between consecutive x: 4 loads per point.
@@ -230,7 +312,7 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		for t := range out {
 			cI1 := i0[t] + i1[t]
 			o3 := m[t] + p[t]
-			out[t] = (cI+cI1)*9/32 - (o0+o3)/32
+			out[t] = T((cI+cI1)*9/32) - T((o0+o3)/32)
 			cI = cI1
 			o0, o1, o2 = o1, o2, o3
 		}
@@ -243,7 +325,7 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		for t := range out {
 			in := a[t] + b[t] + c[t] + e[t]
 			outSum := m0[t] + m1[t] + m2[t] + m3[t]
-			out[t] = in*9/32 - outSum/32
+			out[t] = T(in*9/32) - T(outSum/32)
 		}
 	default:
 		// The (1,1,1) class: shared columns give 8 loads per point, not 16.
@@ -268,7 +350,7 @@ func (g *rowGen[T]) cubicRow(b0 int, ds []int, xOff bool, out []T) {
 		for t := range out {
 			cI1 := i00[t] + i01[t] + i10[t] + i11[t]
 			o3 := o00[t] + o01[t] + o10[t] + o11[t]
-			out[t] = (cI+cI1)*9/64 - (o0+o3)/64
+			out[t] = T((cI+cI1)*9/64) - T((o0+o3)/64)
 			cI = cI1
 			o0, o1, o2 = o1, o2, o3
 		}

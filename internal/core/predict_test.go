@@ -516,3 +516,63 @@ func checkRowGen[T grid.Float](t *testing.T, fzs, fys, fxs []int, spans func(bx 
 		}
 	}
 }
+
+// TestCubicRowKernel holds cubicRow, which sends float32 spans eight points
+// at a time through the AVX2 kernel where the CPU has one, to the Go loop
+// cubicRowGo bit for bit: every interior shape (one, two and three offset
+// axes, x among them or not), every span length from 0 to 40, with the
+// stencil touching neither, the first, the last or both ends of the window,
+// on data strewn with −0, subnormals and NaN. TestRowGenMatchesPredictPoint
+// compares with a tolerance and cannot see a rounding difference.
+func TestCubicRowKernel(t *testing.T) {
+	const sy, sz = 45, 45 * 7 // strides of a window 45 wide and 7 high
+	shapes := []struct {
+		name string
+		ds   []int
+		xOff bool
+	}{
+		{"x", []int{1}, true},
+		{"y", []int{sy}, false},
+		{"z", []int{sz}, false},
+		{"yx", []int{sy, 1}, true},
+		{"zx", []int{sz, 1}, true},
+		{"zy", []int{sz, sy}, false},
+		{"zyx", []int{sz, sy, 1}, true},
+	}
+	rng := rand.New(rand.NewSource(5))
+	special := []float32{float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+		-2 * math.SmallestNonzeroFloat32, 1e-40, float32(math.NaN())}
+	for _, sh := range shapes {
+		// The stencil of the point at b reads [b+lo, b+hi]; the 1 and 2
+		// points along x are the outer x corners of an x-offset shape.
+		lo, hi := 0, 0
+		for _, d := range sh.ds {
+			lo, hi = lo-d, hi+2*d
+		}
+		for n := 0; n <= 40; n++ {
+			for _, pad := range [][2]int{{0, 0}, {0, 3}, {5, 0}, {2, 9}} {
+				data := make([]float32, pad[0]+(hi-lo)+n+pad[1])
+				for i := range data {
+					data[i] = float32(rng.NormFloat64())
+					if rng.Intn(5) == 0 {
+						data[i] = special[rng.Intn(len(special))]
+					}
+				}
+				g := rowGen[float32]{data: data}
+				b0 := pad[0] - lo
+				got, want := make([]float32, n+1), make([]float32, n+1)
+				got[n], want[n] = -7.25, -7.25
+				if n > 0 {
+					g.cubicRow(b0, sh.ds, sh.xOff, got[:n])
+					g.cubicRowGo(b0, sh.ds, sh.xOff, want[:n])
+				}
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s, %d points, pads %v: point %d bits %#x, Go loop %#x",
+							sh.name, n, pad, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}

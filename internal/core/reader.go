@@ -382,23 +382,26 @@ func (dc *decodedClass[T]) placeOutliers(vals []byte) error {
 // dequantRow reconstructs one class row into its fine row: the class point
 // of code codes[t] — index at+t of the class's decoded codes — and
 // prediction preds[t] goes to dst[2t]. A non-zero code dequantises against
-// the prediction; an escape takes its value at the same index of esc, the
-// class's escape values. An escape in a class without any (nil esc) stops
-// the row with an error, leaving that point and the rest of the row
-// unwritten.
+// the prediction (quant.DequantizeRow, a run up to the next escape at a
+// time); an escape takes its value at the same index of esc, the class's
+// escape values. An escape in a class without any (nil esc) stops the row
+// with an error, leaving that point and the rest of the row unwritten.
 func dequantRow[T grid.Float](dst []T, codes []uint16, preds []T, bin float64, radius int32, esc []T, at int) error {
 	preds = preds[:len(codes)]
-	for t, code := range codes {
-		if code == 0 {
-			if esc == nil {
-				return errOutliersExhausted
-			}
-			dst[2*t] = esc[at+t]
-			continue
+	for {
+		t := quant.DequantizeRow(dst, 2, codes, preds, bin, radius)
+		if t == len(codes) {
+			return nil
 		}
-		dst[2*t] = T(float64(preds[t]) + bin*float64(int32(code)-radius))
+		if esc == nil {
+			return errOutliersExhausted
+		}
+		dst[2*t] = esc[at+t]
+		if t++; t == len(codes) {
+			return nil
+		}
+		dst, codes, preds, at = dst[2*t:], codes[t:], preds[t:], at+t
 	}
-	return nil
 }
 
 // view is one grid of a reconstruction: the region b of a level's grid,

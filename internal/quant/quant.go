@@ -8,6 +8,12 @@
 // bins whose reconstruction fails the bound check after rounding to the
 // storage type — are escaped as "unpredictable": code 0 is emitted and the
 // original value is stored verbatim in a side channel.
+//
+// Every product is rounded before it is added (float64(bin*k), never
+// bin*k + p): the Go spec lets a compiler fuse x*y + z into one FMA unless
+// an explicit conversion rounds the product, the arm64, ppc64le, s390x and
+// riscv64 back ends do fuse, and an encoder and a decoder must round alike.
+// The amd64 kernels follow the Go loops operation for operation, no FMA.
 package quant
 
 import (
@@ -48,7 +54,7 @@ func (q Quantizer) Quantize(value, pred float64) (code uint16, recon float64, ok
 		return 0, value, false
 	}
 	k := int32(r)
-	recon = pred + 2*q.EB*float64(k)
+	recon = pred + float64(2*q.EB*float64(k))
 	if math.Abs(recon-value) > q.EB {
 		return 0, value, false
 	}
@@ -57,7 +63,7 @@ func (q Quantizer) Quantize(value, pred float64) (code uint16, recon float64, ok
 
 // Dequantize reconstructs the value for a non-escape code.
 func (q Quantizer) Dequantize(code uint16, pred float64) float64 {
-	return pred + 2*q.EB*float64(int32(code)-q.Radius)
+	return pred + float64(2*q.EB*float64(int32(code)-q.Radius))
 }
 
 // QuantizeT quantizes in the storage type T's domain: the reconstruction is
@@ -106,7 +112,7 @@ func (f Fast) Quantize(value, pred float64) (code uint16, recon float64, ok bool
 		return 0, value, false
 	}
 	k := int32(r)
-	recon = pred + 2*f.EB*float64(k)
+	recon = pred + float64(2*f.EB*float64(k))
 	if d := recon - value; d > f.EB || d < -f.EB || d != d {
 		return 0, value, false
 	}
@@ -179,12 +185,12 @@ func quantizeRow[T grid.Float](f Fast, vals []T, stride int, preds []T, codes []
 	i := 0
 	for t, pt := range preds {
 		v, p := float64(vals[i]), float64(pt)
-		x := (v - p) * inv
+		x := float64((v - p) * inv)
 		// The bin is trunc(s); NaN fails both comparisons.
 		s := x + math.Copysign(halfBelow, x)
 		if s < lim && s > nlim {
 			k := int32(s)
-			rec := p + bin*float64(k)
+			rec := p + float64(bin*float64(k))
 			rt := T(rec)
 			if d, dt := rec-v, float64(rt)-v; d <= eb && d >= neb && dt <= eb && dt >= neb {
 				codes[t] = uint16(k + f.radius)
@@ -204,6 +210,50 @@ func quantizeRow[T grid.Float](f Fast, vals []T, stride int, preds []T, codes []
 	}
 	return escapes
 }
+
+// DequantizeRow is QuantizeRow's inverse up to the row's first escape: it
+// writes dst[t·stride] = T(float64(preds[t]) + bin·(int32(codes[t])−radius))
+// for every t before the first zero code and returns how many it wrote —
+// len(codes) when the row holds no escape. The caller places the escape's
+// value and calls again past it.
+//
+// Float32 rows of at least eight points at stride 2 go eight points at a
+// time through dequantizeRow2x32, an assembly kernel where the CPU has one
+// that computes bit for bit what dequantizeRow does and writes only the
+// row's own slots; the rest of such a row, and every other row, runs
+// dequantizeRow.
+func DequantizeRow[T grid.Float](dst []T, stride int, codes []uint16, preds []T, bin float64, radius int32) (n int) {
+	preds = preds[:len(codes)]
+	if stride == 2 && unsafe.Sizeof(T(0)) == 4 && len(codes) >= 8 {
+		n = dequantizeRow2x32(asFloat32(dst), codes, asFloat32(preds), bin, radius)
+		if n == len(codes) {
+			return n
+		}
+		dst, codes, preds = dst[2*n:], codes[n:], preds[n:]
+	}
+	return n + dequantizeRow(dst, stride, codes, preds, bin, radius)
+}
+
+// dequantizeRow is DequantizeRow in Go, one point at a time: the reference
+// the kernel is held to, and the loop for every row the kernel does not
+// take.
+func dequantizeRow[T grid.Float](dst []T, stride int, codes []uint16, preds []T, bin float64, radius int32) int {
+	preds = preds[:len(codes)]
+	i := 0
+	for t, code := range codes {
+		if code == 0 {
+			return t
+		}
+		dst[i] = T(float64(preds[t]) + float64(bin*float64(int32(code)-radius)))
+		i += stride
+	}
+	return len(codes)
+}
+
+// HasAVX2 reports whether this CPU and OS run the package's AVX2 kernels.
+// It is the one CPU probe of the repository: core's cubic row kernel asks
+// it too.
+func HasAVX2() bool { return hasRowKernel }
 
 // AbsoluteBound converts a value-range-relative bound to an absolute one:
 // eb_abs = rel · (max − min). A degenerate (constant) range falls back to

@@ -56,6 +56,31 @@ func quantizeRow2x32(f *Fast, vals, preds []float32, codes []uint16, recon []flo
 //go:noescape
 func quantRowAVX2(f *Fast, vals, preds *float32, codes *uint16, recon *float32, groups int) (escapes int)
 
+// dequantizeRow2x32 runs the AVX2 kernel over the longest prefix of a
+// stride-2 float32 row it can take whole: the groups of eight points before
+// the first group that holds an escape, whose last store lies inside dst.
+// It returns the points done (0 without the kernel).
+func dequantizeRow2x32(dst []float32, codes []uint16, preds []float32, bin float64, radius int32) int {
+	if !hasRowKernel {
+		return 0
+	}
+	g := min(len(codes)/8, (len(dst)+1)/16)
+	if g == 0 {
+		return 0
+	}
+	// Every operand is cut to exactly the span the kernel touches, so a
+	// wrong length panics here, never in the kernel.
+	n := 8 * g
+	return 8 * dequantRowAVX2(&dst[:16*g-1][0], &codes[:n][0], &preds[:n][0], bin, radius, g)
+}
+
+// dequantRowAVX2 dequantises up to groups·8 points — codes[0:8·groups]
+// against preds[0:8·groups] into dst[0], dst[2], … — and stops before the
+// first group that holds a zero code. It returns the groups done.
+//
+//go:noescape
+func dequantRowAVX2(dst *float32, codes *uint16, preds *float32, bin float64, radius int32, groups int) (done int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)

@@ -106,6 +106,90 @@ next:
 	MOVQ R9, escapes+48(FP)
 	RET
 
+// The dequantise kernel is dequantizeRow's loop body on eight points: the
+// codes widened and re-centred as int32, then on float64 lanes bin·k rounded
+// and added to the widened prediction, rounded once more to float32 — the Go
+// loop's operations in its order, no FMA. A group holding a zero code ends
+// the call before anything of it is written.
+
+// spread2 sends float k of a YMM's low half to floats 2k and 2k+1.
+DATA spread2<>+0(SB)/4, $0
+DATA spread2<>+4(SB)/4, $0
+DATA spread2<>+8(SB)/4, $1
+DATA spread2<>+12(SB)/4, $1
+DATA spread2<>+16(SB)/4, $2
+DATA spread2<>+20(SB)/4, $2
+DATA spread2<>+24(SB)/4, $3
+DATA spread2<>+28(SB)/4, $3
+GLOBL spread2<>(SB), RODATA|NOPTR, $32
+// evens selects the even floats of a YMM store: the odd slots of a fine row
+// belong to the other parity class.
+DATA evens<>+0(SB)/8, $0x00000000ffffffff
+DATA evens<>+8(SB)/8, $0x00000000ffffffff
+DATA evens<>+16(SB)/8, $0x00000000ffffffff
+DATA evens<>+24(SB)/8, $0x00000000ffffffff
+GLOBL evens<>(SB), RODATA|NOPTR, $32
+
+// func dequantRowAVX2(dst *float32, codes *uint16, preds *float32, bin float64, radius int32, groups int) (done int)
+TEXT ·dequantRowAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ codes+8(FP), SI
+	MOVQ preds+16(FP), DX
+	MOVQ groups+40(FP), CX
+	XORQ AX, AX
+
+	MOVQ bin+24(FP), R8
+	VMOVQ      R8, X15
+	VBROADCASTSD X15, Y15
+	MOVL radius+32(FP), R8
+	VMOVD      R8, X14
+	VPBROADCASTD X14, Y14
+	VMOVDQU    spread2<>(SB), Y13
+	VMOVDQU    evens<>(SB), Y12
+	VPXOR      X11, X11, X11
+
+loop:
+	// Eight codes; any zero among them ends the call.
+	VMOVDQU    (SI), X0
+	VPCMPEQW   X11, X0, X1
+	VPTEST     X1, X1
+	JNZ        done
+
+	// k = int32(code) − radius, as float64: Y1 points 0–3, Y2 points 4–7.
+	VPMOVZXWD  X0, Y0
+	VPSUBD     Y14, Y0, Y0
+	VCVTDQ2PD  X0, Y1
+	VEXTRACTI128 $1, Y0, X2
+	VCVTDQ2PD  X2, Y2
+
+	// float32(p + bin·k).
+	VMULPD     Y15, Y1, Y1
+	VMULPD     Y15, Y2, Y2
+	VCVTPS2PD  (DX), Y3
+	VCVTPS2PD  16(DX), Y4
+	VADDPD     Y1, Y3, Y3
+	VADDPD     Y2, Y4, Y4
+	VCVTPD2PSY Y3, X3
+	VCVTPD2PSY Y4, X4
+
+	// dst[0], [2], …, [14]: the odd slots stay as they are.
+	VPERMPS    Y3, Y13, Y3
+	VPERMPS    Y4, Y13, Y4
+	VMASKMOVPS Y3, Y12, (DI)
+	VMASKMOVPS Y4, Y12, 32(DI)
+
+	ADDQ $16, SI
+	ADDQ $32, DX
+	ADDQ $64, DI
+	INCQ AX
+	CMPQ AX, CX
+	JNE  loop
+
+done:
+	VZEROUPPER
+	MOVQ AX, done+48(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -305,3 +305,140 @@ func FuzzQuantizeRow(f *testing.F) {
 		checkRow(t, q, v32, p32, 2)
 	})
 }
+
+// dequantRowCase builds one row for DequantizeRow: n codes, about one in
+// zeroEvery of them an escape (none for 0), and predictions drawn from the
+// values that round or propagate oddly — NaN, ±Inf, −0, subnormals, the
+// float32 extremes — among ordinary ones.
+func dequantRowCase[T grid.Float](rng *rand.Rand, n, zeroEvery int) (codes []uint16, preds []T) {
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		float64(math.SmallestNonzeroFloat32), -3 * float64(math.SmallestNonzeroFloat32),
+		math.MaxFloat32, -math.MaxFloat32, 1.1754942e-38}
+	codes, preds = make([]uint16, n), make([]T, n)
+	for t := range codes {
+		codes[t] = uint16(1 + rng.Intn(65535))
+		if zeroEvery > 0 && rng.Intn(zeroEvery) == 0 {
+			codes[t] = 0
+		}
+		if rng.Intn(4) == 0 {
+			preds[t] = T(odd[rng.Intn(len(odd))])
+		} else {
+			preds[t] = T(rng.NormFloat64())
+		}
+	}
+	return codes, preds
+}
+
+// checkDequantRow requires DequantizeRow, which takes stride-2 float32 rows
+// through the kernel where the CPU has one, to match the reference loop
+// dequantizeRow bit for bit: the count it returns, and every slot of dst —
+// the row's own, the ones between them it must leave alone, and the ones
+// past the row. It runs once on a dst that ends on the row's last point and
+// once on one that runs on past it, as a sweep's fine row does.
+func checkDequantRow[T grid.Float](t *testing.T, stride int, codes []uint16, preds []T, bin float64, radius int32) {
+	t.Helper()
+	n := len(codes)
+	for _, slack := range []int{0, 17} {
+		size := slack
+		if n > 0 {
+			size += (n-1)*stride + 1
+		}
+		dst, ref := make([]T, size), make([]T, size)
+		for i := range dst {
+			dst[i], ref[i] = -7.25, -7.25
+		}
+		got := DequantizeRow(dst, stride, codes, preds, bin, radius)
+		want := dequantizeRow(ref, stride, codes, preds, bin, radius)
+		if got != want {
+			t.Fatalf("%d points, stride %d, dst %d: wrote %d points, reference %d", n, stride, size, got, want)
+		}
+		for i := range dst {
+			if rawBits(dst[i]) != rawBits(ref[i]) {
+				t.Fatalf("%d points, stride %d, dst %d: dst[%d] bits %#x, reference %#x", n, stride, size, i, rawBits(dst[i]), rawBits(ref[i]))
+			}
+		}
+	}
+}
+
+// TestDequantizeRowStopsAtEscape: the reference loop writes every point
+// before the first zero code with the formula, and nothing from it on.
+func TestDequantizeRowStopsAtEscape(t *testing.T) {
+	codes := []uint16{5, 1, 65535, 0, 7}
+	preds := []float32{1, -2, 0.5, 3, 4}
+	dst := make([]float32, 9)
+	for i := range dst {
+		dst[i] = -1
+	}
+	const bin, radius = 0.25, 4
+	if n := dequantizeRow(dst, 2, codes, preds, bin, radius); n != 3 {
+		t.Fatalf("wrote %d points, want 3", n)
+	}
+	want := []float32{1 + 0.25, -1, -2 - 0.75, -1, 0.5 + 0.25*65531, -1, -1, -1, -1}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("dst %v, want %v", dst, want)
+		}
+	}
+}
+
+// TestDequantRowKernelTakesRows: where the CPU runs the kernel, it takes a
+// whole 64-point row, a row whose dst ends on its last point, and the
+// groups before the first one holding an escape.
+func TestDequantRowKernelTakesRows(t *testing.T) {
+	if !hasRowKernel {
+		t.Skip("no row kernel on this CPU: DequantizeRow is the reference loop")
+	}
+	codes, preds, dst := make([]uint16, 64), make([]float32, 64), make([]float32, 128)
+	for i := range codes {
+		codes[i] = DefaultRadius
+	}
+	for _, c := range []struct {
+		dst        []float32
+		zero, want int
+	}{
+		{dst, -1, 64},
+		{dst[:127], -1, 64},
+		{dst[:126], -1, 56},
+		{dst, 0, 0},
+		{dst, 7, 0},
+		{dst, 8, 8},
+		{dst, 63, 56},
+	} {
+		if c.zero >= 0 {
+			codes[c.zero] = 0
+		}
+		if n := dequantizeRow2x32(c.dst, codes, preds, 2e-3, DefaultRadius); n != c.want {
+			t.Errorf("dst %d, zero code at %d: the kernel took %d points, want %d", len(c.dst), c.zero, n, c.want)
+		}
+		if c.zero >= 0 {
+			codes[c.zero] = DefaultRadius
+		}
+	}
+}
+
+// FuzzDequantizeRow: DequantizeRow, AVX2 kernel included, against the
+// reference loop bit for bit, on rows of every length from 0 to 70 at
+// strides 1 to 3, for both element types, with escapes at random points and
+// NaN, ±Inf, −0 and subnormal predictions.
+func FuzzDequantizeRow(f *testing.F) {
+	f.Add(int64(1), 2e-3, uint16(32768), uint8(0))
+	f.Add(int64(2), 0.5, uint16(4), uint8(9))
+	f.Add(int64(3), 1e-30, uint16(32768), uint8(3))
+	f.Add(int64(4), 3e38, uint16(1), uint8(40))
+	f.Add(int64(5), 1e-300, uint16(512), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, bin float64, radius uint16, zeroEvery uint8) {
+		if !(bin > 0) || math.IsInf(bin, 0) {
+			return
+		}
+		r := int32(radius%DefaultRadius) + 1
+		rng := rand.New(rand.NewSource(seed))
+		for n := 0; n <= 70; n++ {
+			for stride := 1; stride <= 3; stride++ {
+				c32, p32 := dequantRowCase[float32](rng, n, int(zeroEvery))
+				checkDequantRow(t, stride, c32, p32, bin, r)
+				c64, p64 := dequantRowCase[float64](rng, n, int(zeroEvery))
+				checkDequantRow(t, stride, c64, p64, bin, r)
+			}
+		}
+	})
+}

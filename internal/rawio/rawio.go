@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
+	"unsafe"
 
 	"stz/internal/grid"
 )
@@ -42,8 +42,21 @@ func PutValues[T grid.Float](dst []byte, src []T) {
 }
 
 // GetValues decodes len(dst) values from src, which must hold
-// ElemSize*len(dst) bytes.
+// ElemSize*len(dst) bytes. It inlines, so the escape placement's one-value
+// call costs what a hand-rolled binary.LittleEndian load does.
 func GetValues[T grid.Float](dst []T, src []byte) {
+	for i := range dst {
+		if unsafe.Sizeof(dst[i]) == 4 {
+			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+		} else {
+			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])))
+		}
+	}
+}
+
+// getValues is the bulk form Reader decodes its buffer with: the per-width
+// loops below.
+func getValues[T grid.Float](dst []T, src []byte) {
 	switch d := any(dst).(type) {
 	case []float32:
 		getF32(d, src)
@@ -52,18 +65,25 @@ func GetValues[T grid.Float](dst []T, src []byte) {
 	}
 }
 
-// AppendValues appends the byte form of vals to buf.
+// AppendValues appends the byte form of vals to buf. It inlines, so the
+// escape loops' one-value call costs what a hand-rolled binary.LittleEndian
+// append does.
 func AppendValues[T grid.Float](buf []byte, vals ...T) []byte {
-	n, m := len(buf), len(vals)*ElemSize[T]()
-	buf = slices.Grow(buf, m)[:n+m]
-	PutValues(buf[n:], vals)
+	for _, v := range vals {
+		if unsafe.Sizeof(v) == 4 {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
+		} else {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(v)))
+		}
+	}
 	return buf
 }
 
-// The per-width loops live outside the generic bodies: inside a
+// The bulk per-width loops live outside the generic bodies: inside a
 // shape-instantiated function the compiler calls math.Float32bits and
 // binary.LittleEndian.Uint32 per value instead of using the intrinsic and
-// the combined load.
+// the combined load. GetValues and AppendValues are small enough to inline
+// into their callers instead, which is what a one-value call needs.
 
 func putF32(dst []byte, src []float32) {
 	for i, v := range src {
@@ -120,7 +140,7 @@ func (r *Reader[T]) Read(dst []T) (int, error) {
 			return total, io.ErrUnexpectedEOF
 		}
 		k := n / elem
-		GetValues(dst[:k], r.buf[:k*elem])
+		getValues(dst[:k], r.buf[:k*elem])
 		dst = dst[k:]
 		total += k
 		if err == io.ErrUnexpectedEOF {

@@ -94,7 +94,7 @@ func predictAxis[T grid.Float](data []T, idx, step, c, h, n int) T {
 	}
 	if c-3*h >= 0 {
 		// Linear extrapolation from the two previous lattice points.
-		return data[idx-step]*3/2 - data[idx-3*step]/2
+		return T(data[idx-step]*3/2) - T(data[idx-3*step]/2)
 	}
 	return data[idx-step]
 }
@@ -660,17 +660,20 @@ func (sd *serialDecode[T]) reconstructLanes(out, row []T) error {
 			at := ld.at[lane+c] + off + t - c*brickCols
 			ps := preds[t-lo : t1-lo]
 			cs := ld.codes[at:][:len(ps)]
-			for k := range ps {
-				if code := cs[k]; code != 0 {
-					out[i] = T(float64(ps[k]) + bin*float64(int32(code)-radius))
-				} else if v, ok := ld.escape(at + k); ok {
-					out[i] = v
-				} else {
+			// The points up to the next escape dequantise in one call.
+			for k := 0; k < len(ps); k++ {
+				k += quant.DequantizeRow(out[i+k*ln.stride:], ln.stride, cs[k:], ps[k:], bin, radius)
+				if k == len(ps) {
+					break
+				}
+				v, ok := ld.escape(at + k)
+				if !ok {
 					ferr = fmt.Errorf("%w: %w: a zero code in a stream without escapes", ErrFormat, huffman.ErrEscapeCount)
 					return
 				}
-				i += ln.stride
+				out[i+k*ln.stride] = v
 			}
+			i += len(ps) * ln.stride
 			t = t1
 		}
 	})
