@@ -257,7 +257,7 @@ func (dc *decodedClass[T]) place(bb grid.Box, codes []uint16, vals []byte, n int
 			continue
 		}
 		if k, j, x := bb.Z0+t/(h*w), bb.Y0+t/w%h, bb.X0+t%w; in.Contains(k, j, x) {
-			rawio.GetValues(dc.esc[dc.at(k, j, x):][:1], vals[e*rawio.ElemSize[T]():])
+			dc.esc[dc.at(k, j, x)] = rawio.GetValue[T](vals[e*rawio.ElemSize[T]():])
 		}
 		e++
 	}
@@ -373,7 +373,7 @@ func (dc *decodedClass[T]) placeOutliers(vals []byte) error {
 		if (e+1)*elem > len(vals) {
 			return errOutliersExhausted
 		}
-		rawio.GetValues(dc.esc[i:][:1], vals[e*elem:])
+		dc.esc[i] = rawio.GetValue[T](vals[e*elem:])
 		e++
 	}
 	return nil

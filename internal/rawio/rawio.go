@@ -25,49 +25,25 @@ import (
 // the element-type tag every format's header stores.
 func ElemSize[T grid.Float]() int {
 	var v T
-	if _, ok := any(v).(float32); ok {
-		return 4
-	}
-	return 8
+	return int(unsafe.Sizeof(v))
 }
 
 // PutValues encodes src into dst, which must hold ElemSize*len(src) bytes.
 func PutValues[T grid.Float](dst []byte, src []T) {
-	switch s := any(src).(type) {
-	case []float32:
-		putF32(dst, s)
-	case []float64:
-		putF64(dst, s)
+	if len(dst) < len(src)*ElemSize[T]() {
+		panic("rawio: PutValues: dst too short")
 	}
+	AppendValues(dst[:0], src...)
 }
 
-// GetValues decodes len(dst) values from src, which must hold
-// ElemSize*len(dst) bytes. It inlines, so the escape placement's one-value
-// call costs what a hand-rolled binary.LittleEndian load does.
-func GetValues[T grid.Float](dst []T, src []byte) {
-	for i := range dst {
-		if unsafe.Sizeof(dst[i]) == 4 {
-			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-		} else {
-			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])))
-		}
-	}
-}
-
-// getValues is the bulk form Reader decodes its buffer with: the per-width
-// loops below.
-func getValues[T grid.Float](dst []T, src []byte) {
-	switch d := any(dst).(type) {
-	case []float32:
-		getF32(d, src)
-	case []float64:
-		getF64(d, src)
-	}
-}
-
-// AppendValues appends the byte form of vals to buf. It inlines, so the
-// escape loops' one-value call costs what a hand-rolled binary.LittleEndian
-// append does.
+// AppendValues appends the byte form of vals to buf.
+//
+// AppendValues and GetValue are the one encoder and the one decoder of a
+// grid value; PutValues and GetValues loop over them. All four inline, so an
+// escape loop's one-value call costs about what a hand-rolled
+// binary.LittleEndian append or load does, and a bulk call runs the same
+// code. The width test is a constant in every instantiation, so only one arm
+// is compiled.
 func AppendValues[T grid.Float](buf []byte, vals ...T) []byte {
 	for _, v := range vals {
 		if unsafe.Sizeof(v) == 4 {
@@ -79,33 +55,20 @@ func AppendValues[T grid.Float](buf []byte, vals ...T) []byte {
 	return buf
 }
 
-// The bulk per-width loops live outside the generic bodies: inside a
-// shape-instantiated function the compiler calls math.Float32bits and
-// binary.LittleEndian.Uint32 per value instead of using the intrinsic and
-// the combined load. GetValues and AppendValues are small enough to inline
-// into their callers instead, which is what a one-value call needs.
-
-func putF32(dst []byte, src []float32) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+// GetValue decodes the value at the front of src.
+func GetValue[T grid.Float](src []byte) T {
+	var v T
+	if unsafe.Sizeof(v) == 4 {
+		return T(math.Float32frombits(binary.LittleEndian.Uint32(src)))
 	}
+	return T(math.Float64frombits(binary.LittleEndian.Uint64(src)))
 }
 
-func putF64(dst []byte, src []float64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
-
-func getF32(dst []float32, src []byte) {
+// GetValues decodes len(dst) values from src, which must hold
+// ElemSize*len(dst) bytes.
+func GetValues[T grid.Float](dst []T, src []byte) {
 	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-}
-
-func getF64(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		dst[i] = GetValue[T](src[i*ElemSize[T]():])
 	}
 }
 
@@ -140,7 +103,7 @@ func (r *Reader[T]) Read(dst []T) (int, error) {
 			return total, io.ErrUnexpectedEOF
 		}
 		k := n / elem
-		getValues(dst[:k], r.buf[:k*elem])
+		GetValues(dst[:k], r.buf[:k*elem])
 		dst = dst[k:]
 		total += k
 		if err == io.ErrUnexpectedEOF {

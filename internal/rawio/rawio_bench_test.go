@@ -12,12 +12,10 @@ import (
 )
 
 // BenchmarkRawioPut/Get move one 32³ float32 box through the Writer and the
-// Reader, as a stzd box response and a raw compress request body do. Under
-// `go test` the compiler specialises the conversion loops for float32 even
-// when they sit in the generic bodies; in a linked binary whose callers are
-// generic over T (stzd, stz, the benchmark driver) it did not, and called
-// math.Float32bits per value — 2.4 ns/value against the 0.9 these report —
-// which is why the loops live in non-generic helpers.
+// Reader, as a stzd box response and a raw compress request body do. The
+// value loops are generic and inline into Writer.Write and Reader.Read; in a
+// linked binary (`go tool objdump -s 'rawio.*Reader.*Read$'` on stzd) each
+// value is one combined load or store with no call.
 func BenchmarkRawioPut(b *testing.B) {
 	vals := make([]float32, 32*32*32)
 	for i := range vals {
@@ -92,18 +90,19 @@ func BenchmarkRawioAppend(b *testing.B) {
 	appendSink = buf
 }
 
-// getEach decodes dst one GetValues call per value, from a caller generic
+// getEach decodes dst one GetValue call per value, from a caller generic
 // over T as the decoders' escape placement is.
 func getEach[T grid.Float](dst []T, src []byte) {
 	elem := rawio.ElemSize[T]()
 	for i := range dst {
-		rawio.GetValues(dst[i:][:1], src[i*elem:])
+		dst[i] = rawio.GetValue[T](src[i*elem:])
 	}
 }
 
-// BenchmarkRawioGetValues decodes 4 096 float32 values: one GetValues call
-// per value (one, the escape placement's form), one call for all of them
-// (all), and the hand-rolled binary.LittleEndian.Uint32 per value (hand).
+// BenchmarkRawioGetValues decodes 4 096 float32 values: one GetValue call
+// per value (one, the escape placement's form), one GetValues call for all
+// of them (all), and the hand-rolled binary.LittleEndian.Uint32 per value
+// (hand).
 func BenchmarkRawioGetValues(b *testing.B) {
 	vals := make([]float32, 4096)
 	raw := make([]byte, 4*len(vals))

@@ -73,7 +73,7 @@ func TestShortAndRaggedInput(t *testing.T) {
 	}
 }
 
-// TestBitExactRoundTrip: the per-width helpers move bit patterns, not
+// TestBitExactRoundTrip: PutValues and GetValues move bit patterns, not
 // values — NaN payloads, signed zeros and denormals survive unchanged.
 func TestBitExactRoundTrip(t *testing.T) {
 	bits32 := []uint32{0, 0x80000000, 1, 0x807fffff, 0x7f800000, 0xff800000,
@@ -83,9 +83,9 @@ func TestBitExactRoundTrip(t *testing.T) {
 		f32[i] = math.Float32frombits(b)
 	}
 	raw := make([]byte, 4*len(f32))
-	putF32(raw, f32)
+	PutValues(raw, f32)
 	back32 := make([]float32, len(f32))
-	getF32(back32, raw)
+	GetValues(back32, raw)
 	for i, b := range bits32 {
 		if binary.LittleEndian.Uint32(raw[4*i:]) != b || math.Float32bits(back32[i]) != b {
 			t.Fatalf("float32 %#08x: wire %#08x, back %#08x", b, binary.LittleEndian.Uint32(raw[4*i:]), math.Float32bits(back32[i]))
@@ -99,9 +99,9 @@ func TestBitExactRoundTrip(t *testing.T) {
 		f64[i] = math.Float64frombits(b)
 	}
 	raw = make([]byte, 8*len(f64))
-	putF64(raw, f64)
+	PutValues(raw, f64)
 	back64 := make([]float64, len(f64))
-	getF64(back64, raw)
+	GetValues(back64, raw)
 	for i, b := range bits64 {
 		if binary.LittleEndian.Uint64(raw[8*i:]) != b || math.Float64bits(back64[i]) != b {
 			t.Fatalf("float64 %#016x: wire %#016x, back %#016x", b, binary.LittleEndian.Uint64(raw[8*i:]), math.Float64bits(back64[i]))

@@ -333,7 +333,7 @@ func (sd *serialDecode[T]) decodeLegacy(sec []byte, version, laneWorkers int) er
 	ld.escAt, ld.escVal = make([]int, len(pos)), make([]T, len(pos))
 	for j, i := range order {
 		ld.escAt[j] = pos[i]
-		rawio.GetValues(ld.escVal[j:][:1], sd.outliers[i*elem:])
+		ld.escVal[j] = rawio.GetValue[T](sd.outliers[i*elem:])
 	}
 	return nil
 }

@@ -625,7 +625,7 @@ func (sd *serialDecode[T]) reconstruct(rec *grid.Grid[T]) error {
 	elem := rawio.ElemSize[T]()
 	pos := 0
 	forEachAnchor(rec, func(idx int) {
-		rawio.GetValues(rec.Data[idx:][:1], sd.anchors[pos:])
+		rec.Data[idx] = rawio.GetValue[T](sd.anchors[pos:])
 		pos += elem
 	})
 	row := scratch.LeaseFloat[T]((sd.nx + 1) / 2)
