@@ -2,8 +2,8 @@
 // little-endian, ElemSize bytes wide. Every format in the repository tags
 // its element type with that width (4 = float32, 8 = float64) and stores
 // whole grid values in that form, so the codecs' header tags, anchors,
-// outliers and escapes go through ElemSize, PutValues, GetValues and
-// AppendValues.
+// outliers and escapes go through ElemSize, AppendValues, PutValues,
+// GetValue and GetValues.
 //
 // It also streams such values between byte streams and []T buffers, the
 // I/O substrate shared by the stz CLI and the stzd service: both move grids
