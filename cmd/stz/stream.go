@@ -8,7 +8,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"math"
 	"os"
@@ -18,9 +17,6 @@ import (
 	"stz/internal/rawio"
 )
 
-// streamBufValues is the number of values scanRange reads per step.
-const streamBufValues = 64 * 1024
-
 // scanRange streams the file once and returns the finite value range with
 // grid.Range's exact semantics (NaNs skipped; all-NaN input gives (0, 0)).
 func scanRange[T grid.Float](path string, n int) (float64, float64, error) {
@@ -29,10 +25,11 @@ func scanRange[T grid.Float](path string, n int) (float64, float64, error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	vr := rawio.NewReader[T](bufio.NewReaderSize(f, 1<<20), streamBufValues)
+	// The file is read straight into buf, 1 MiB a step.
+	vr := rawio.NewReader[T](f)
 	var mn, mx T
 	first := true
-	buf := make([]T, streamBufValues)
+	buf := make([]T, min(n, (1<<20)/rawio.ElemSize[T]()))
 	remaining := n
 	for remaining > 0 {
 		want := len(buf)

@@ -52,7 +52,9 @@ func quantizePoints[T grid.Float](f quant.Fast, vals, preds []T, codes []uint16,
 // sz3's finest level; BenchmarkQuantizePoints is the loop of per-point
 // QuantizeFastT calls it replaced, on the same data. The f32 and f64 series
 // quantise 4096-point rows; f32-row64 a 128³ core sweep's 64-point rows and
-// f32-row16 sz3's 16-point brick rows, where the per-call cost shows.
+// f32-row16 16-point rows, where the per-call cost shows: sz3 quantises a
+// whole line a call, so only short lines (a level-1 base's, at most 8
+// points) pay it.
 func BenchmarkQuantizeRow(b *testing.B) {
 	b.Run("f32", func(b *testing.B) { benchQuantize(b, 4096, quantizeRow[float32]) })
 	b.Run("f64", func(b *testing.B) { benchQuantize(b, 4096, quantizeRow[float64]) })
@@ -108,7 +110,8 @@ func dequantizeLoop[T grid.Float](dst []T, codes []uint16, preds []T, bin float6
 // sz3's finest level, through quant.DequantizeRow (kernel: the AVX2 kernel
 // where the CPU has one) and through the Go reference loop (go), on the
 // same rows: 4096-point f32 and f64 rows, a 128³ core sweep's 64-point
-// rows and sz3's 16-point brick rows, where the per-call cost shows.
+// rows and 16-point rows, where the per-call cost shows (sz3 dequantises a
+// whole line's escape-free run a call, so only short lines pay it).
 func BenchmarkDequantizeRow(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -21,10 +21,6 @@ const maxStreamHeaderLen = 40 + 4*((1<<20)+1)
 // from an untrusted directory.
 const sectionSlack = 1 << 20
 
-// rawBufValues is the most values ReadFrom and WriteTo convert between
-// little-endian bytes and T at a time.
-const rawBufValues = 64 * 1024
-
 // maxSectionFactor is the largest plausible compressed-to-raw expansion of
 // any backend (verbatim fallbacks stay near 1x; 16x already means a badly
 // broken stream and protects streaming readers from directory-driven
@@ -130,7 +126,7 @@ func (sw *Writer[T]) ReadFrom(r io.Reader) (int64, error) {
 	if err := sw.check(); err != nil {
 		return 0, err
 	}
-	vr := rawio.NewReader[T](r, min(sw.hdr.Nz*sw.plane, rawBufValues))
+	vr := rawio.NewReader[T](r)
 	elem := int64(sw.hdr.DType)
 	var total int64
 	for sw.chunk < sw.hdr.Chunks() {
@@ -391,7 +387,7 @@ func (sr *Reader[T]) Read(dst []T) (int, error) {
 // (io.WriterTo). It returns the bytes written.
 func (sr *Reader[T]) WriteTo(w io.Writer) (int64, error) {
 	hdr := sr.s.hdr
-	vw := rawio.NewWriter[T](w, min(hdr.Nz*hdr.Ny*hdr.Nx, rawBufValues))
+	vw := rawio.NewWriter[T](w)
 	var total int64
 	for {
 		vals, err := sr.next()

@@ -131,7 +131,7 @@ func predictNode[T grid.Float](c *grid.Grid[T], off grid.Offset3, k, j, i int) T
 		ln++
 	}
 	if ln > 0 {
-		pred += T(laplacianKappa) * (lap/T(ln) - base)
+		pred += T(T(laplacianKappa) * (lap/T(ln) - base))
 	}
 	return pred
 }

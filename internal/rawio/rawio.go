@@ -8,7 +8,9 @@
 // It also streams such values between byte streams and []T buffers, the
 // I/O substrate shared by the stz CLI and the stzd service: both move grids
 // as flat value streams, and both need to do so incrementally (plane-sized
-// pieces) rather than materializing whole files or request bodies.
+// pieces) rather than materializing whole files or request bodies. Reader
+// and Writer move the bytes of the caller's slice itself, with no staging
+// buffer, wherever the host is little-endian.
 package rawio
 
 import (
@@ -72,92 +74,108 @@ func GetValues[T grid.Float](dst []T, src []byte) {
 	}
 }
 
-// Reader decodes values off a byte stream.
-type Reader[T grid.Float] struct {
-	r   io.Reader
-	buf []byte
+// hostBigEndian reports that this host stores a value's bytes most
+// significant first, so the wire form and a []T's memory differ.
+var hostBigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// asBytes views s's memory as bytes.
+func asBytes[T grid.Float](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*ElemSize[T]())
 }
 
-// NewReader wraps r. bufValues sizes the internal byte buffer (values per
-// read); 0 selects a 64Ki-value buffer.
-func NewReader[T grid.Float](r io.Reader, bufValues int) *Reader[T] {
-	if bufValues <= 0 {
-		bufValues = 64 * 1024
+// swapBytes reverses the byte order of each elem-byte value in b: the
+// in-place conversion between the little-endian wire form and a
+// big-endian host's values.
+func swapBytes(b []byte, elem int) {
+	if elem == 4 {
+		for i := 0; i+4 <= len(b); i += 4 {
+			binary.BigEndian.PutUint32(b[i:], binary.LittleEndian.Uint32(b[i:]))
+		}
+		return
 	}
-	return &Reader[T]{r: r, buf: make([]byte, bufValues*ElemSize[T]())}
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.BigEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:]))
+	}
+}
+
+// Reader decodes values off a byte stream. It reads straight into the
+// caller's slice: on a little-endian host the wire bytes are the values,
+// and a big-endian host swaps each value in place after the read.
+type Reader[T grid.Float] struct {
+	r    io.Reader
+	swap bool
+}
+
+// NewReader wraps r.
+func NewReader[T grid.Float](r io.Reader) *Reader[T] {
+	return &Reader[T]{r: r, swap: hostBigEndian}
 }
 
 // Read fills dst with as many values as the underlying stream yields,
 // returning io.EOF at a clean end and io.ErrUnexpectedEOF when the stream
-// ends inside a value.
+// ends inside a value. The count is of whole values; dst past it may hold
+// the bytes of a value the stream cut short.
 func (r *Reader[T]) Read(dst []T) (int, error) {
-	elem := ElemSize[T]()
-	total := 0
-	for len(dst) > 0 {
-		want := len(dst) * elem
-		if want > len(r.buf) {
-			want = len(r.buf)
-		}
-		n, err := io.ReadFull(r.r, r.buf[:want])
-		if n%elem != 0 && (err == io.ErrUnexpectedEOF || err == io.EOF) {
-			return total, io.ErrUnexpectedEOF
-		}
-		k := n / elem
-		GetValues(dst[:k], r.buf[:k*elem])
-		dst = dst[k:]
-		total += k
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF // a whole number of values arrived before the end
-		}
-		if err != nil {
-			if err == io.EOF && total > 0 {
-				return total, nil
-			}
-			return total, err
-		}
+	if len(dst) == 0 {
+		return 0, nil
 	}
-	return total, nil
+	elem := ElemSize[T]()
+	b := asBytes(dst)
+	n, err := io.ReadFull(r.r, b)
+	k := n / elem
+	if r.swap {
+		swapBytes(b[:k*elem], elem)
+	}
+	switch {
+	case err == io.ErrUnexpectedEOF && n%elem != 0:
+		return k, io.ErrUnexpectedEOF
+	case err == io.ErrUnexpectedEOF:
+		return k, nil // a whole number of values arrived before the end
+	}
+	return k, err
 }
 
 // ReadExactly fills dst completely or reports how the stream fell short.
 func (r *Reader[T]) ReadExactly(dst []T) error {
-	pos := 0
-	for pos < len(dst) {
-		n, err := r.Read(dst[pos:])
-		pos += n
-		if err == io.EOF {
-			return fmt.Errorf("rawio: short input: %d of %d values", pos, len(dst))
-		}
-		if err != nil {
-			return err
-		}
+	n, err := r.Read(dst)
+	if err == io.EOF || (err == nil && n < len(dst)) {
+		return fmt.Errorf("rawio: short input: %d of %d values", n, len(dst))
 	}
-	return nil
+	return err
 }
 
-// Writer encodes values onto a byte stream.
+// Writer encodes values onto a byte stream. On a little-endian host it
+// writes the caller's slice as it is; a big-endian host encodes through a
+// bounded buffer, since src is the caller's and io.Writer may not change it.
 type Writer[T grid.Float] struct {
-	w   io.Writer
-	buf []byte
+	w    io.Writer
+	swap bool
+	buf  []byte // the big-endian host's encoding buffer
 }
 
-// NewWriter wraps w. bufValues sizes the internal byte buffer; 0 selects a
-// 64Ki-value buffer.
-func NewWriter[T grid.Float](w io.Writer, bufValues int) *Writer[T] {
-	if bufValues <= 0 {
-		bufValues = 64 * 1024
-	}
-	return &Writer[T]{w: w, buf: make([]byte, bufValues*ElemSize[T]())}
+// NewWriter wraps w.
+func NewWriter[T grid.Float](w io.Writer) *Writer[T] {
+	return &Writer[T]{w: w, swap: hostBigEndian}
 }
+
+// swapBufBytes bounds a big-endian host's encoding buffer.
+const swapBufBytes = 64 << 10
 
 // Write encodes all of src.
 func (w *Writer[T]) Write(src []T) error {
+	if len(src) == 0 {
+		return nil
+	}
+	if !w.swap {
+		_, err := w.w.Write(asBytes(src))
+		return err
+	}
 	elem := ElemSize[T]()
+	if want := min(len(src)*elem, swapBufBytes); len(w.buf) < want {
+		w.buf = make([]byte, want)
+	}
 	for len(src) > 0 {
-		k := len(w.buf) / elem
-		if k > len(src) {
-			k = len(src)
-		}
+		k := min(len(src), len(w.buf)/elem)
 		PutValues(w.buf[:k*elem], src[:k])
 		if _, err := w.w.Write(w.buf[:k*elem]); err != nil {
 			return err

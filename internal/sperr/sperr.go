@@ -85,16 +85,16 @@ func fwdLine(line, scratch []float64, n int) {
 		return
 	}
 	for i := 1; i < n; i += 2 {
-		line[i] += lifA * (line[i-1] + line[sym(i+1, n)])
+		line[i] += float64(lifA * (line[i-1] + line[sym(i+1, n)]))
 	}
 	for i := 0; i < n; i += 2 {
-		line[i] += lifB * (line[sym(i-1, n)] + line[sym(i+1, n)])
+		line[i] += float64(lifB * (line[sym(i-1, n)] + line[sym(i+1, n)]))
 	}
 	for i := 1; i < n; i += 2 {
-		line[i] += lifG * (line[i-1] + line[sym(i+1, n)])
+		line[i] += float64(lifG * (line[i-1] + line[sym(i+1, n)]))
 	}
 	for i := 0; i < n; i += 2 {
-		line[i] += lifD * (line[sym(i-1, n)] + line[sym(i+1, n)])
+		line[i] += float64(lifD * (line[sym(i-1, n)] + line[sym(i+1, n)]))
 	}
 	nLow := (n + 1) / 2
 	for i := 0; i < n; i += 2 {
@@ -120,16 +120,16 @@ func invLine(line, scratch []float64, n int) {
 	}
 	copy(line[:n], scratch[:n])
 	for i := 0; i < n; i += 2 {
-		line[i] -= lifD * (line[sym(i-1, n)] + line[sym(i+1, n)])
+		line[i] -= float64(lifD * (line[sym(i-1, n)] + line[sym(i+1, n)]))
 	}
 	for i := 1; i < n; i += 2 {
-		line[i] -= lifG * (line[i-1] + line[sym(i+1, n)])
+		line[i] -= float64(lifG * (line[i-1] + line[sym(i+1, n)]))
 	}
 	for i := 0; i < n; i += 2 {
-		line[i] -= lifB * (line[sym(i-1, n)] + line[sym(i+1, n)])
+		line[i] -= float64(lifB * (line[sym(i-1, n)] + line[sym(i+1, n)]))
 	}
 	for i := 1; i < n; i += 2 {
-		line[i] -= lifA * (line[i-1] + line[sym(i+1, n)])
+		line[i] -= float64(lifA * (line[i-1] + line[sym(i+1, n)]))
 	}
 }
 
@@ -335,7 +335,7 @@ func Compress[T grid.Float](g *grid.Grid[T], o Options) ([]byte, error) {
 		cw.WriteGamma(uint64(i - prevIdx - 1))
 		prevIdx = i
 		k := math.Round(r / o.Tolerance)
-		corrected := float64(rec) + k*o.Tolerance
+		corrected := float64(rec) + float64(k*o.Tolerance)
 		if !math.IsNaN(r) && math.Abs(float64(T(corrected))-float64(g.Data[i])) <= o.Tolerance &&
 			math.Abs(k) < 1<<40 {
 			cw.WriteBit(0)
@@ -473,7 +473,7 @@ func DecompressWorkers[T grid.Float](data []byte, workers int) (*grid.Grid[T], e
 				return nil, fmt.Errorf("%w: corrections truncated", ErrFormat)
 			}
 			k := unzigzag(zk)
-			out.Data[idx] = T(float64(out.Data[idx]) + float64(k)*tol)
+			out.Data[idx] = T(float64(out.Data[idx]) + float64(float64(k)*tol))
 		} else {
 			v, err := readRawBits[T](cr)
 			if err != nil {

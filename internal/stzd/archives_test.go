@@ -54,7 +54,7 @@ func decode32(t *testing.T, raw []byte) []float32 {
 		t.Fatalf("%d response bytes is not a float32 array", len(raw))
 	}
 	out := make([]float32, len(raw)/4)
-	if err := rawio.NewReader[float32](bytes.NewReader(raw), 0).ReadExactly(out); err != nil {
+	if err := rawio.NewReader[float32](bytes.NewReader(raw)).ReadExactly(out); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -551,7 +551,7 @@ func compressRequest[T grid.Float](d *deferredResponse, body io.Reader, p compre
 		gbuf := scratch.LeaseFloat[T](n)
 		defer scratch.ReleaseFloat(gbuf)
 		g := &grid.Grid[T]{Data: gbuf, Nz: p.nz, Ny: p.ny, Nx: p.nx}
-		vr := rawio.NewReader[T](body, 0)
+		vr := rawio.NewReader[T](body)
 		if err := vr.ReadExactly(g.Data); err != nil {
 			return fmt.Errorf("reading grid: %w", err)
 		}

@@ -28,7 +28,7 @@ func testServer(t *testing.T, o Options) *httptest.Server {
 
 func rawBody[T grid.Float](g *grid.Grid[T]) *bytes.Buffer {
 	var buf bytes.Buffer
-	if err := rawio.NewWriter[T](&buf, 0).Write(g.Data); err != nil {
+	if err := rawio.NewWriter[T](&buf).Write(g.Data); err != nil {
 		panic(err)
 	}
 	return &buf
@@ -84,7 +84,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wantRaw bytes.Buffer
-		rawio.NewWriter[float32](&wantRaw, 0).Write(dec.Data)
+		rawio.NewWriter[float32](&wantRaw).Write(dec.Data)
 		if !bytes.Equal(raw, wantRaw.Bytes()) {
 			t.Fatalf("%s: served reconstruction differs from codec.Decode", name)
 		}

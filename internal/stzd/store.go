@@ -375,7 +375,7 @@ func (q *typedQuerier[T]) decodeBox(b grid.Box) (func(io.Writer) error, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(w io.Writer) error { return rawio.NewWriter[T](w, 0).Write(g.Data) }, nil
+	return func(w io.Writer) error { return rawio.NewWriter[T](w).Write(g.Data) }, nil
 }
 
 func (q *typedQuerier[T]) queryROI(p roiParams) (roiResult, error) {

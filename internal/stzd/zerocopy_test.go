@@ -128,7 +128,7 @@ func TestZeroCopySectionByteIdentity(t *testing.T) {
 						t.Fatalf("%s box %s: section %d planes header %q, want %s",
 							name, spec, k, planes[k], want)
 					}
-					if err := rawio.NewWriter[float32](&out, 0).Write(sg.Data); err != nil {
+					if err := rawio.NewWriter[float32](&out).Write(sg.Data); err != nil {
 						t.Fatal(err)
 					}
 				}

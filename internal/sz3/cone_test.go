@@ -159,14 +159,14 @@ func TestConeTraversal(t *testing.T) {
 			var needs [maxPasses]grid.Box
 			passNeeds(nz, ny, nx, b, &needs)
 			var want, got []point
-			forEachLine(nz, ny, nx, nil, func(ln line) {
+			forEachLine(nz, ny, nx, nil, func(ln *line) {
 				for t := 0; t < ln.n; t++ {
 					if needs[ln.pass].Contains(ln.z, ln.y, ln.x0+t*ln.stride) {
 						want = append(want, point{ln.pass, ln.idx + t*ln.stride, ln.c + t*ln.dc})
 					}
 				}
 			})
-			forEachLine(nz, ny, nx, &needs, func(ln line) {
+			forEachLine(nz, ny, nx, &needs, func(ln *line) {
 				if ln.n <= 0 || ln.idx != (ln.z*ny+ln.y)*nx+ln.x0 {
 					t.Fatalf("%v box %+v: line of %d points at %d is not (%d,%d,%d)", dims, b, ln.n, ln.idx, ln.z, ln.y, ln.x0)
 				}

@@ -50,6 +50,20 @@ func FuzzDecompressBox(f *testing.F) {
 			add(reframe[float32](f, enc, version), err)
 		}
 	}
+	// Finest lines of three brick pieces and more, with escapes on both
+	// sides of every seam between pieces (x ≡ 30…33 mod 32), and a box
+	// across two seams.
+	seam := smoothField[float32](6, 7, 101, 64)
+	for i := range seam.Data {
+		if x := i % seam.Nx; (x+2)%32 < 4 {
+			seam.Data[i] = 1e12
+		}
+	}
+	enc, err = Compress(seam, Options{EB: 1e-3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc, int16(1), int16(2), int16(25), int16(5), int16(6), int16(70))
 	f.Fuzz(func(t *testing.T, data []byte, z0, y0, x0, z1, y1, x1 int16) {
 		b := grid.Box{Z0: int(z0), Y0: int(y0), X0: int(x0), Z1: int(z1), Y1: int(y1), X1: int(x1)}
 		if len(data) > 4 && data[4] == 8 {

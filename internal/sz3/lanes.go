@@ -308,7 +308,7 @@ func (sd *serialDecode[T]) decodeLegacy(sec []byte, version, laneWorkers int) er
 	cur := slices.Clone(ld.at)
 	var pos []int // each escape's index in ld.codes, in traversal order
 	ci := 0
-	forEachLine(sd.nz, sd.ny, sd.nx, nil, func(ln line) {
+	forEachLine(sd.nz, sd.ny, sd.nx, nil, func(ln *line) {
 		for l, t := tl.lane(ln.pass, ln.z, ln.y), 0; t < ln.n; l, t = l+1, t+brickCols {
 			lc := codes[ci+t:][:min(brickCols, ln.n-t)]
 			for k, code := range lc {

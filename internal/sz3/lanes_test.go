@@ -17,7 +17,7 @@ import (
 func refLaneCounts(nz, ny, nx int) []int {
 	tl := newTiling(nz, ny, nx)
 	counts := make([]int, tl.lanes)
-	forEachLine(nz, ny, nx, nil, func(ln line) {
+	forEachLine(nz, ny, nx, nil, func(ln *line) {
 		for t := 0; t < ln.n; t++ {
 			counts[refLane(&tl, ln.z, ln.y, ln.x0+t*ln.stride)]++
 		}
@@ -53,7 +53,7 @@ func touchedCodes(nz, ny, nx int, b grid.Box) (touched, total int) {
 	passNeeds(nz, ny, nx, b, &needs)
 	tl := newTiling(nz, ny, nx)
 	hit := make([]bool, tl.lanes)
-	forEachLine(nz, ny, nx, nil, func(ln line) {
+	forEachLine(nz, ny, nx, nil, func(ln *line) {
 		for t := 0; t < ln.n; t++ {
 			if x := ln.x0 + t*ln.stride; needs[ln.pass].Contains(ln.z, ln.y, x) {
 				hit[refLane(&tl, ln.z, ln.y, x)] = true

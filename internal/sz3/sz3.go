@@ -114,73 +114,62 @@ type line struct {
 	z, y, x0       int // grid coordinates of the first point
 }
 
-// slice returns the sub-line of points [lo, hi).
-func (ln *line) slice(lo, hi int) line {
-	sub := *ln
-	sub.idx += lo * ln.stride
-	sub.c += lo * ln.dc
-	sub.x0 += lo * ln.stride
-	sub.n = hi - lo
-	return sub
-}
-
 // forEachLine enumerates every non-anchor point in SZ3's traversal order
 // (coarse→fine levels; per level, passes along z, then y, then x; row-major
 // within a pass), one call per x-line. The line is one value updated in
-// place and passed by copy, so the traversal allocates nothing. With needs
-// non-nil it enumerates a cone instead (passNeeds): only the lines with
-// points inside their pass's need-box, each cut to those points, so what
-// it costs is the cone's lines, not the grid's.
-func forEachLine(nz, ny, nx int, needs *[maxPasses]grid.Box, fn func(ln line)) {
+// place and passed by pointer, so no call copies it. With needs non-nil it
+// enumerates a cone instead (passNeeds): only the lines with points inside
+// their pass's need-box, each cut to those points, so what it costs is the
+// cone's lines, not the grid's.
+func forEachLine(nz, ny, nx int, needs *[maxPasses]grid.Box, fn func(ln *line)) {
 	maxDim := max(nz, ny, nx)
 	if maxDim <= 1 {
 		return
 	}
 	rowY, rowZ := nx, ny*nx
 	pass := 0
-	// need is pass p's box, cut along x to the line's points [lo, hi) for
-	// points at x ≡ off (mod s), n of them.
-	need := func(p, off, s, n int) (b grid.Box, lo, hi int) {
-		b = grid.Box{Z1: nz, Y1: ny, X1: nx}
+	var ln line
+	// cut returns pass p's box and cuts the pass's lines, whose points sit
+	// at x ≡ off (mod s), to the box along x: ln.n and ln.x0 are those of
+	// every line of the pass.
+	cut := func(p, off, s int) grid.Box {
+		b := grid.Box{Z1: nz, Y1: ny, X1: nx}
 		if needs != nil {
 			b = needs[p]
 		}
-		return b, min(grid.SubDim(b.X0, off, s), n), min(grid.SubDim(b.X1, off, s), n)
-	}
-	emit := func(ln *line, lo, hi int) {
-		if lo == 0 && hi == ln.n {
-			fn(*ln)
-		} else {
-			fn(ln.slice(lo, hi))
-		}
+		n := grid.SubDim(nx, off, s)
+		lo := min(grid.SubDim(b.X0, off, s), n)
+		ln.n, ln.x0 = min(grid.SubDim(b.X1, off, s), n)-lo, off+lo*s
+		return b
 	}
 	for s := startStride(maxDim); s >= 2; s >>= 1 {
 		h := s / 2
 		// Pass along z: z ≡ h (mod s), y ≡ 0 (mod s), x ≡ 0 (mod s).
-		ln := line{n: grid.SubDim(nx, 0, s), stride: s, step: h * rowZ, h: h, axisLen: nz, pass: pass}
-		b, lo, hi := need(pass, 0, s, ln.n)
-		for z := ceilTo(b.Z0, h, s); z < b.Z1 && lo < hi; z += s {
+		ln = line{stride: s, step: h * rowZ, h: h, axisLen: nz, pass: pass}
+		b := cut(pass, 0, s)
+		for z := ceilTo(b.Z0, h, s); z < b.Z1 && ln.n > 0; z += s {
 			for y := ceilTo(b.Y0, 0, s); y < b.Y1; y += s {
-				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY, z, z, y
-				emit(&ln, lo, hi)
+				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY+ln.x0, z, z, y
+				fn(&ln)
 			}
 		}
 		// Pass along y: z ≡ 0 (mod h), y ≡ h (mod s), x ≡ 0 (mod s).
-		ln.step, ln.axisLen, ln.pass = h*rowY, ny, pass+1
-		b, lo, hi = need(pass+1, 0, s, ln.n)
-		for z := ceilTo(b.Z0, 0, h); z < b.Z1 && lo < hi; z += h {
+		ln = line{stride: s, step: h * rowY, h: h, axisLen: ny, pass: pass + 1}
+		b = cut(pass+1, 0, s)
+		for z := ceilTo(b.Z0, 0, h); z < b.Z1 && ln.n > 0; z += h {
 			for y := ceilTo(b.Y0, h, s); y < b.Y1; y += s {
-				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY, y, z, y
-				emit(&ln, lo, hi)
+				ln.idx, ln.c, ln.z, ln.y = z*rowZ+y*rowY+ln.x0, y, z, y
+				fn(&ln)
 			}
 		}
 		// Pass along x: z ≡ 0 (mod h), y ≡ 0 (mod h), x ≡ h (mod s).
-		ln = line{n: grid.SubDim(nx, h, s), stride: s, step: h, c: h, dc: s, h: h, axisLen: nx, pass: pass + 2, x0: h}
-		b, lo, hi = need(pass+2, h, s, ln.n)
-		for z := ceilTo(b.Z0, 0, h); z < b.Z1 && lo < hi; z += h {
+		ln = line{stride: s, step: h, dc: s, h: h, axisLen: nx, pass: pass + 2}
+		b = cut(pass+2, h, s)
+		ln.c = ln.x0
+		for z := ceilTo(b.Z0, 0, h); z < b.Z1 && ln.n > 0; z += h {
 			for y := ceilTo(b.Y0, 0, h); y < b.Y1; y += h {
-				ln.idx, ln.z, ln.y = z*rowZ+y*rowY+h, z, y
-				emit(&ln, lo, hi)
+				ln.idx, ln.z, ln.y = z*rowZ+y*rowY+ln.x0, z, y
+				fn(&ln)
 			}
 		}
 		pass += 3
@@ -342,6 +331,8 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 	// The longest line is a finest-level one: every other point of an x-row.
 	row := scratch.LeaseFloat[T]((g.Nx + 1) / 2)
 	defer scratch.ReleaseFloat(row)
+	lineCodes := scratch.U16.Lease((g.Nx + 1) / 2)
+	defer scratch.U16.Release(lineCodes)
 	// Sized for ~12% escapes so outlier-heavy bounds rarely outgrow the
 	// lease (append growth past the lease is correct, just unpooled).
 	outliers := scratch.Bytes.Lease(64 + g.Len()*rawio.ElemSize[T]()/8)[:0]
@@ -368,21 +359,23 @@ func compressSerial[T grid.Float](g *grid.Grid[T], o Options, rec []T) ([]byte, 
 	defer scratch.U16.Release(codes)
 	// The lane of each escape, in traversal order: lane order within a lane.
 	var escLanes []int32
-	forEachLine(g.Nz, g.Ny, g.Nx, nil, func(ln line) {
-		preds := row[:ln.n]
-		predictLine(rec, &ln, preds)
-		// Each brick row of the line is quantised straight into its lane.
+	forEachLine(g.Nz, g.Ny, g.Nx, nil, func(ln *line) {
+		preds, lc := row[:ln.n], lineCodes[:ln.n]
+		predictLine(rec, ln, preds)
+		// The whole line is quantised in one call; its brick rows then go
+		// to their lanes.
+		escapes := quant.QuantizeRow(fq, g.Data[ln.idx:], ln.stride, preds, lc, rec[ln.idx:])
 		for l, t := tl.lane(ln.pass, ln.z, ln.y), 0; t < ln.n; l, t = l+1, t+brickCols {
-			i, lc := ln.idx+t*ln.stride, codes[cur[l]:][:min(brickCols, ln.n-t)]
-			cur[l] += len(lc)
-			if quant.QuantizeRow(fq, g.Data[i:], ln.stride, preds[t:t+len(lc)], lc, rec[i:]) == 0 {
+			bc := lc[t:min(t+brickCols, ln.n)]
+			cur[l] += copy(codes[cur[l]:], bc)
+			if escapes == 0 {
 				continue
 			}
 			// Escapes are rare: their values are gathered from the zero
-			// codes in a second pass over the rows that have any.
-			for k, code := range lc {
+			// codes in a second pass over the lines that have any.
+			for k, code := range bc {
 				if code == 0 {
-					outliers = rawio.AppendValues(outliers, g.Data[i+k*ln.stride])
+					outliers = rawio.AppendValues(outliers, g.Data[ln.idx+(t+k)*ln.stride])
 					escLanes = append(escLanes, int32(l))
 				}
 			}
@@ -630,51 +623,56 @@ func (sd *serialDecode[T]) reconstruct(rec *grid.Grid[T]) error {
 	})
 	row := scratch.LeaseFloat[T]((sd.nx + 1) / 2)
 	defer scratch.ReleaseFloat(row)
-	return sd.reconstructLanes(rec.Data, row)
+	lineCodes := scratch.U16.Lease((sd.nx + 1) / 2)
+	defer scratch.U16.Release(lineCodes)
+	return sd.reconstructLanes(rec.Data, row, lineCodes)
 }
 
-// reconstructLanes is reconstruct's loop over the cone's lines.
-func (sd *serialDecode[T]) reconstructLanes(out, row []T) error {
+// reconstructLanes is reconstruct's loop over the cone's lines. A line's
+// codes are gathered from its bricks' lanes into lineCodes, and the line
+// dequantises in one call per escape-free run.
+func (sd *serialDecode[T]) reconstructLanes(out, row []T, lineCodes []uint16) error {
 	bin, radius := 2*sd.q.EB, sd.q.Radius
 	ld := &sd.lanes
 	var ferr error
-	forEachLine(sd.nz, sd.ny, sd.nx, &sd.needs, func(ln line) {
+	forEachLine(sd.nz, sd.ny, sd.nx, &sd.needs, func(ln *line) {
 		if ferr != nil {
 			return
 		}
 		preds := row[:ln.n]
-		predictLine(out, &ln, preds)
-		lane, off, offLast := sd.tl.row(&ln)
+		predictLine(out, ln, preds)
+		lane, off, offLast := sd.tl.row(ln)
 		last := sd.tl.lv[ln.pass/3].n[2] - 1
 		// The points [lo, hi) of the whole line: x0 is lo steps of 2h past
-		// the line's first point, 0 or h.
+		// the line's first point, 0 or h. at is the index in ld.codes of
+		// the line's point t.
 		lo := ln.x0 / ln.stride
 		hi := lo + ln.n
-		i := ln.idx
-		for t := lo; t < hi; {
+		at := func(t int) int {
 			c := t / brickCols
 			if c == last {
-				off = offLast
+				return ld.at[lane+c] + offLast + t - c*brickCols
 			}
-			t1 := min(hi, (c+1)*brickCols)
-			at := ld.at[lane+c] + off + t - c*brickCols
-			ps := preds[t-lo : t1-lo]
-			cs := ld.codes[at:][:len(ps)]
-			// The points up to the next escape dequantise in one call.
-			for k := 0; k < len(ps); k++ {
-				k += quant.DequantizeRow(out[i+k*ln.stride:], ln.stride, cs[k:], ps[k:], bin, radius)
-				if k == len(ps) {
-					break
-				}
-				v, ok := ld.escape(at + k)
-				if !ok {
-					ferr = fmt.Errorf("%w: %w: a zero code in a stream without escapes", ErrFormat, huffman.ErrEscapeCount)
-					return
-				}
-				out[i+k*ln.stride] = v
-			}
-			i += len(ps) * ln.stride
+			return ld.at[lane+c] + off + t - c*brickCols
+		}
+		cs := lineCodes[:ln.n]
+		for t := lo; t < hi; {
+			t1 := min(hi, (t/brickCols+1)*brickCols)
+			copy(cs[t-lo:], ld.codes[at(t):][:t1-t])
 			t = t1
+		}
+		// The points up to the next escape dequantise in one call.
+		for k := 0; k < ln.n; k++ {
+			k += quant.DequantizeRow(out[ln.idx+k*ln.stride:], ln.stride, cs[k:], preds[k:], bin, radius)
+			if k == ln.n {
+				break
+			}
+			v, ok := ld.escape(at(lo + k))
+			if !ok {
+				ferr = fmt.Errorf("%w: %w: a zero code in a stream without escapes", ErrFormat, huffman.ErrEscapeCount)
+				return
+			}
+			out[ln.idx+k*ln.stride] = v
 		}
 	})
 	return ferr
