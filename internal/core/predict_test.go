@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -517,6 +518,62 @@ func checkRowGen[T grid.Float](t *testing.T, fzs, fys, fxs []int, spans func(bx 
 	}
 }
 
+// cubicShapes are cubicRow's interior stencils (one, two and three offset
+// axes, x among them or not) in a window 45 wide and 7 high.
+var cubicShapes = []struct {
+	name string
+	ds   []int
+	xOff bool
+}{
+	{"x", []int{1}, true},
+	{"y", []int{45}, false},
+	{"z", []int{45 * 7}, false},
+	{"yx", []int{45, 1}, true},
+	{"zx", []int{45 * 7, 1}, true},
+	{"zy", []int{45 * 7, 45}, false},
+	{"zyx", []int{45 * 7, 45, 1}, true},
+}
+
+// cubicReach is the span [b+lo, b+hi] a stencil with axis strides ds reads
+// around the point at b; the 1 and 2 points along x are the outer x corners of an
+// x-offset shape.
+func cubicReach(ds []int) (lo, hi int) {
+	for _, d := range ds {
+		lo, hi = lo-d, hi+2*d
+	}
+	return lo, hi
+}
+
+// checkCubicRow runs cubicRow and cubicRowGo over the n-point span of shape
+// s starting at data[b0] and fails on the first point whose bits differ, or
+// on a write past the span. Two NaNs pass whatever their payloads: an
+// operation on two NaNs returns one of them, x86 the first operand's, and
+// which operand Go's register allocator puts first is its own choice, which
+// the kernel cannot follow. A NaN prediction never reaches an archive or a
+// decode: it makes its point an escape, stored and restored verbatim.
+func checkCubicRow(t *testing.T, s int, data []float32, b0, n int) {
+	t.Helper()
+	sh := cubicShapes[s]
+	g := rowGen[float32]{data: data}
+	got, want := make([]float32, n+1), make([]float32, n+1)
+	got[n], want[n] = -7.25, -7.25
+	if n > 0 {
+		g.cubicRow(b0, sh.ds, sh.xOff, got[:n])
+		g.cubicRowGo(b0, sh.ds, sh.xOff, want[:n])
+	}
+	for i := range got {
+		if !sameFloat32(got[i], want[i]) {
+			t.Fatalf("%s, %d points from %d of %d: point %d bits %#x, Go loop %#x",
+				sh.name, n, b0, len(data), i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// sameFloat32 reports whether a and b have the same bits or are both NaN.
+func sameFloat32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+}
+
 // TestCubicRowKernel holds cubicRow, which sends float32 spans eight points
 // at a time through the AVX2 kernel where the CPU has one, to the Go loop
 // cubicRowGo bit for bit: every interior shape (one, two and three offset
@@ -525,30 +582,11 @@ func checkRowGen[T grid.Float](t *testing.T, fzs, fys, fxs []int, spans func(bx 
 // on data strewn with −0, subnormals and NaN. TestRowGenMatchesPredictPoint
 // compares with a tolerance and cannot see a rounding difference.
 func TestCubicRowKernel(t *testing.T) {
-	const sy, sz = 45, 45 * 7 // strides of a window 45 wide and 7 high
-	shapes := []struct {
-		name string
-		ds   []int
-		xOff bool
-	}{
-		{"x", []int{1}, true},
-		{"y", []int{sy}, false},
-		{"z", []int{sz}, false},
-		{"yx", []int{sy, 1}, true},
-		{"zx", []int{sz, 1}, true},
-		{"zy", []int{sz, sy}, false},
-		{"zyx", []int{sz, sy, 1}, true},
-	}
 	rng := rand.New(rand.NewSource(5))
 	special := []float32{float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
 		-2 * math.SmallestNonzeroFloat32, 1e-40, float32(math.NaN())}
-	for _, sh := range shapes {
-		// The stencil of the point at b reads [b+lo, b+hi]; the 1 and 2
-		// points along x are the outer x corners of an x-offset shape.
-		lo, hi := 0, 0
-		for _, d := range sh.ds {
-			lo, hi = lo-d, hi+2*d
-		}
+	for s, sh := range cubicShapes {
+		lo, hi := cubicReach(sh.ds)
 		for n := 0; n <= 40; n++ {
 			for _, pad := range [][2]int{{0, 0}, {0, 3}, {5, 0}, {2, 9}} {
 				data := make([]float32, pad[0]+(hi-lo)+n+pad[1])
@@ -558,21 +596,43 @@ func TestCubicRowKernel(t *testing.T) {
 						data[i] = special[rng.Intn(len(special))]
 					}
 				}
-				g := rowGen[float32]{data: data}
-				b0 := pad[0] - lo
-				got, want := make([]float32, n+1), make([]float32, n+1)
-				got[n], want[n] = -7.25, -7.25
-				if n > 0 {
-					g.cubicRow(b0, sh.ds, sh.xOff, got[:n])
-					g.cubicRowGo(b0, sh.ds, sh.xOff, want[:n])
-				}
-				for i := range got {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s, %d points, pads %v: point %d bits %#x, Go loop %#x",
-							sh.name, n, pad, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-					}
-				}
+				checkCubicRow(t, s, data, pad[0]-lo, n)
 			}
 		}
 	}
+}
+
+// FuzzCubicRowKernel is TestCubicRowKernel on operands of arbitrary bits:
+// the fuzzer's bytes are the window's floats, four little-endian bytes
+// each, shape picks the stencil, n caps the span (which otherwise takes
+// every point the window holds) and pad places it in the window.
+func FuzzCubicRowKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(6))
+	for _, words := range []int{2000, 3000} {
+		b := make([]byte, 4*words)
+		for i := 0; i < words; i++ {
+			v := float32(rng.NormFloat64())
+			if rng.Intn(6) == 0 {
+				v = math.Float32frombits(rng.Uint32())
+			}
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+		}
+		for s := range cubicShapes {
+			f.Add(b, uint8(s), uint8(23), uint8(0))
+			f.Add(b, uint8(s), uint8(255), uint8(5))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte, shape, n, pad uint8) {
+		s := int(shape) % len(cubicShapes)
+		data := make([]float32, len(b)/4)
+		for i := range data {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		lo, hi := cubicReach(cubicShapes[s].ds)
+		room := len(data) - int(pad) - (hi - lo)
+		if room < 0 {
+			return
+		}
+		checkCubicRow(t, s, data, int(pad)-lo, min(int(n), room))
+	})
 }

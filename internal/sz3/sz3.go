@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"stz/internal/fft"
 	"stz/internal/grid"
@@ -183,10 +184,11 @@ func ceilTo(lo, off, s int) int { return lo + (off-lo)&(s-1) }
 // predictLine fills preds[:ln.n] with the predictions of ln's points from
 // data's already-reconstructed entries. The cubic case needs c−3h ≥ 0 and
 // c+3h < axisLen: all of the line or none of it when the axis coordinate is
-// fixed, one interior run [t0, t1) when it advances with x. That run is a
-// strided loop over the four operand slices; its summation order is
-// interp.Cubic's, which is part of the format. Boundary points go through
-// predictAxis.
+// fixed, one interior run [t0, t1) when it advances with x. That run is
+// cubicRow over the four operand slices, whose summation order is
+// interp.Cubic's and part of the format; the finest level's runs, stride 2
+// and most of the points, go through its AVX2 kernel on float32 grids.
+// Boundary points go through predictAxis.
 func predictLine[T grid.Float](data []T, ln *line, preds []T) {
 	n, h, step, stride := ln.n, ln.h, ln.step, ln.stride
 	preds = preds[:n]
@@ -205,15 +207,45 @@ func predictLine[T grid.Float](data []T, ln *line, preds []T) {
 	if t1 > t0 {
 		i := ln.idx + t0*stride
 		p0, p1, p2, p3 := data[i-3*step:], data[i-step:], data[i+step:], data[i+3*step:]
-		j := 0
-		for t := t0; t < t1; t++ {
-			preds[t] = interp.Cubic(p0[j], p1[j], p2[j], p3[j])
-			j += stride
-		}
+		cubicRow(p0, p1, p2, p3, stride, preds[t0:t1])
 	}
 	for t := t1; t < n; t++ {
 		preds[t] = predictAxis(data, ln.idx+t*stride, step, ln.c+t*ln.dc, h, ln.axisLen)
 	}
+}
+
+// cubicRow writes out[t] = interp.Cubic(p0[j], p1[j], p2[j], p3[j]) for
+// j = t·stride: predictLine's cubic run. A float32 run of at least eight
+// points at stride 2 goes through the AVX2 kernel where the CPU has one
+// (cubicRow2x32); every other run, and the kernel's reference, is
+// cubicRowGo.
+func cubicRow[T grid.Float](p0, p1, p2, p3 []T, stride int, out []T) {
+	if stride == 2 && len(out) >= 8 && hasCubicKernel && unsafe.Sizeof(T(0)) == 4 {
+		cubicRow2x32(p0, p1, p2, p3, out)
+		return
+	}
+	cubicRowGo(p0, p1, p2, p3, stride, out)
+}
+
+// cubicRowGo is cubicRow in Go, one point at a time.
+func cubicRowGo[T grid.Float](p0, p1, p2, p3 []T, stride int, out []T) {
+	j := 0
+	for t := range out {
+		out[t] = interp.Cubic(p0[j], p1[j], p2[j], p3[j])
+		j += stride
+	}
+}
+
+// cubicRow2x32 runs the AVX2 kernel over out, a float32 run of at least
+// eight points at stride 2: eight points a step, and for the last n mod 8
+// points one more group that ends on the run's last point and writes the
+// points it shares with the group before again, with the same bits. Every
+// operand row is cut to exactly the 2n−1 floats the kernel reads, so a
+// short row panics here, never in the kernel.
+func cubicRow2x32[T grid.Float](p0, p1, p2, p3, out []T) {
+	n := len(out)
+	row := func(p []T) *float32 { return (*float32)(unsafe.Pointer(&p[:2*n-1][0])) }
+	cubicRow2AVX2(row(p0), row(p1), row(p2), row(p3), (*float32)(unsafe.Pointer(&out[0])), n)
 }
 
 // maxPasses bounds the pass count: three per level, one level per bit of a
