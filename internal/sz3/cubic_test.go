@@ -32,11 +32,8 @@ func cubicRows(rng *rand.Rand, data []float32) {
 // checkCubicRow runs cubicRow at stride 2 over the run of m points whose
 // operand rows start at data[0], data[2·step], data[4·step] and
 // data[6·step], as predictLine lays them out, and holds it to cubicRowGo
-// bit for bit; the point after the run must stay untouched. Two NaNs pass
-// whatever their payloads: an operation on two NaNs returns one of them,
-// x86 the first operand's, and which operand Go's register allocator puts
-// first is its own choice. A NaN prediction never reaches an archive or a
-// decode: its point is an escape, stored and restored verbatim.
+// bit for bit, NaN payloads included; the point after the run must stay
+// untouched.
 func checkCubicRow(t *testing.T, data []float32, step, m int) {
 	t.Helper()
 	p0, p1, p2, p3 := data, data[2*step:], data[4*step:], data[6*step:]
@@ -45,7 +42,7 @@ func checkCubicRow(t *testing.T, data []float32, step, m int) {
 	cubicRow(p0, p1, p2, p3, 2, got[:m])
 	cubicRowGo(p0, p1, p2, p3, 2, want[:m])
 	for i := range got {
-		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w && !(got[i] != got[i] && want[i] != want[i]) {
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
 			t.Fatalf("step %d, %d points: point %d bits %#x, Go loop %#x (operands %#x %#x %#x %#x)",
 				step, m, i, g, w,
 				math.Float32bits(p0[2*i]), math.Float32bits(p1[2*i]), math.Float32bits(p2[2*i]), math.Float32bits(p3[2*i]))
@@ -106,4 +103,28 @@ func FuzzCubicRow2(f *testing.F) {
 		}
 		checkCubicRow(t, data, s, min(int(m), (len(data)-6*s+1)/2))
 	})
+}
+
+// TestCubicRow2ShortRowPanics holds cubicRow to a panic when one operand
+// row is a float shorter than the run reads, even with capacity to spare
+// after it: the kernel must not read past a row's length where the Go loop
+// would have panicked.
+func TestCubicRow2ShortRowPanics(t *testing.T) {
+	for _, m := range []int{8, 13, 32} {
+		for r := 0; r < 4; r++ {
+			rows := [4][]float32{}
+			for k := range rows {
+				rows[k] = make([]float32, 2*m-1, 2*m+32)
+			}
+			rows[r] = rows[r][:2*m-2]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d points, row %d of length %d (capacity %d): no panic", m, r, len(rows[r]), cap(rows[r]))
+					}
+				}()
+				cubicRow(rows[0], rows[1], rows[2], rows[3], 2, make([]float32, m))
+			}()
+		}
+	}
 }

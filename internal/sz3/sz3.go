@@ -240,11 +240,15 @@ func cubicRowGo[T grid.Float](p0, p1, p2, p3 []T, stride int, out []T) {
 // eight points at stride 2: eight points a step, and for the last n mod 8
 // points one more group that ends on the run's last point and writes the
 // points it shares with the group before again, with the same bits. Every
-// operand row is cut to exactly the 2n−1 floats the kernel reads, so a
-// short row panics here, never in the kernel.
+// operand row is indexed at the last of the 2n−1 floats the kernel reads,
+// so a row shorter than that panics here, never in the kernel, whatever
+// its capacity.
 func cubicRow2x32[T grid.Float](p0, p1, p2, p3, out []T) {
 	n := len(out)
-	row := func(p []T) *float32 { return (*float32)(unsafe.Pointer(&p[:2*n-1][0])) }
+	row := func(p []T) *float32 {
+		_ = p[2*n-2]
+		return (*float32)(unsafe.Pointer(&p[0]))
+	}
 	cubicRow2AVX2(row(p0), row(p1), row(p2), row(p3), (*float32)(unsafe.Pointer(&out[0])), n)
 }
 
