@@ -118,10 +118,13 @@ func (g *rowGen[T]) row(k, j, lo, hi int, out []T) {
 // span is the n data points from b on: one stencil row of a kernel. Each
 // kernel takes every row its stencil reads as a span of its output's length,
 // so its per-point loop indexes them all with the loop counter and carries
-// no bounds check; the spans cover exactly the points the loop reads. An
-// empty output reads nothing, and its spans may start past the window, so
-// a kernel that can be handed one returns before slicing.
-func (g *rowGen[T]) span(b, n int) []T { return g.data[b:][:n] }
+// no bounds check; the spans cover exactly the points the loop reads. The
+// slice is bounded by the window's length, not its capacity (a two-index
+// g.data[b:b+n] would check the capacity), so a row past the window panics
+// however much capacity follows it. An empty output reads nothing, and its
+// spans may start past the window, so a kernel that can be handed one
+// returns before slicing.
+func (g *rowGen[T]) span(b, n int) []T { return g.data[b : b+n : len(g.data)] }
 
 // edgeRow is predictPoint's boundary ladder over a span: the mean of the
 // 2^len(ds) inner corners reached by the strides ds, summed in
@@ -230,8 +233,9 @@ type cubicShape struct {
 // for the last n mod 8 points, one more that ends on its last point and
 // writes the up to seven points it shares with the group before again, with
 // the same bits. Every stencil row it reads is taken through g.span first,
-// covering exactly the points the kernel loads, so a row outside the window
-// panics here, never in the kernel.
+// covering exactly the points the kernel loads, so a row outside the
+// window's length — whatever its capacity — panics here, never in the
+// kernel.
 func (g *rowGen[T]) cubicRow8(b0 int, ds []int, xOff bool, out []T) {
 	n := len(out)
 	var s cubicShape

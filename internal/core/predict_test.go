@@ -629,6 +629,31 @@ func TestCubicRowKernel(t *testing.T) {
 	}
 }
 
+// TestCubicRowSpanPastLengthPanics: a stencil row past the window's length
+// panics even where the window's capacity runs on — in the kernel path
+// (cubicRow, whose spans are cut before the kernel reads them) and in
+// cubicRowGo alike. The x stencil at 30 over 16 points reads floats 29 to
+// 47 of a 40-float window.
+func TestCubicRowSpanPastLengthPanics(t *testing.T) {
+	g := rowGen[float32]{data: make([]float32, 40, 200)}
+	for _, c := range []struct {
+		name string
+		run  func(out []float32)
+	}{
+		{"cubicRow", func(out []float32) { g.cubicRow(30, []int{1}, true, out) }},
+		{"cubicRowGo", func(out []float32) { g.cubicRowGo(30, []int{1}, true, out) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s read floats 29 to 47 of a 40-float window (capacity 200) without a panic", c.name)
+				}
+			}()
+			c.run(make([]float32, 16))
+		}()
+	}
+}
+
 // FuzzCubicRowKernel is TestCubicRowKernel on operands of arbitrary bits,
 // save that a point whose stencil holds NaNs of two payloads may return
 // either: the fuzzer's bytes are the window's floats, four little-endian

@@ -85,6 +85,7 @@ func checkAgainstOracle(t testing.TB, what string, codes []uint16, alphabet int)
 	if !bytes.Equal(planned, v2) {
 		t.Fatalf("%s: lanes written in reverse differ from EncodeLanes (first difference at %d)", what, firstDiff(planned, v2))
 	}
+	checkCodeLanes(t, what, codes, alphabet, v2)
 	if dec, err := DecodeInto(nil, v1, alphabet); err != nil || !slices.Equal(dec, codes) {
 		t.Fatalf("%s: v1 round trip failed: %v", what, err)
 	}
@@ -92,6 +93,35 @@ func checkAgainstOracle(t testing.TB, what string, codes []uint16, alphabet int)
 		t.Fatalf("%s: lanes round trip failed: %v", what, err)
 	}
 	return maxLenOf(t, v2, alphabet)
+}
+
+// checkCodeLanes writes the lanes of blob, EncodeLanes' blob of codes,
+// again through a Code's WriteLane, each into a buffer of exactly
+// LaneBound bytes whose old contents are garbage, and requires every lane's
+// length and bytes to be the blob's. A lane's last whole store ends where
+// the buffer does, so the writer's pos+8 ≤ len edge is crossed on every
+// lane that takes a store.
+func checkCodeLanes(t testing.TB, what string, codes []uint16, alphabet int, blob []byte) {
+	t.Helper()
+	c := NewCode(codes, alphabet)
+	defer c.Release()
+	dir := len(c.Header())
+	off := dir + 5*(numLanes-1)
+	for k := 0; k < numLanes; k++ {
+		lo, hi := laneBounds(len(codes), k)
+		buf := bytes.Repeat([]byte{0xa5}, c.LaneBound(hi-lo))
+		m := c.WriteLane(buf, codes[lo:hi])
+		want := len(blob) - off
+		if k < numLanes-1 {
+			e := blob[dir+5*k:]
+			want = int(uint64(e[0]) | uint64(e[1])<<8 | uint64(e[2])<<16 | uint64(e[3])<<24 | uint64(e[4])<<32)
+		}
+		if m != want || !bytes.Equal(buf[:m], blob[off:off+want]) {
+			t.Fatalf("%s: lane %d of %d symbols through WriteLane: %d bytes, blob %d (first difference at %d)",
+				what, k, hi-lo, m, want, firstDiff(buf[:m], blob[off:off+want]))
+		}
+		off += want
+	}
 }
 
 func firstDiff(a, b []byte) int {
@@ -135,6 +165,12 @@ var oracleStreams = []struct {
 		return normalCode(rng, a, 2)
 	}},
 	{"uniform", func(rng *rand.Rand, a int) uint16 { return uint16(rng.Intn(a)) }},
+	// Nine equally likely bands of 16·2^b symbols each: codes of about 7 to
+	// 15 bits, so four to eight of them overrun one 57-bit store.
+	{"bands7-15", func(rng *rand.Rand, a int) uint16 {
+		b := rng.Intn(9)
+		return uint16((16<<b - 16 + rng.Intn(16<<b)) % a)
+	}},
 	{"ends", func(rng *rand.Rand, a int) uint16 {
 		switch rng.Intn(8) {
 		case 0:
@@ -152,13 +188,18 @@ func normalCode(rng *rand.Rand, alphabet int, sigma float64) uint16 {
 
 // TestEncodeMatchesOracle runs the plan-then-write encoder against the
 // oracle over stream lengths around every loop boundary (fewer symbols than
-// lanes, lanes shorter than one 8-byte store, n mod 4 and n mod 3 of every
-// kind), and over tables whose codes always go three to a store and tables
-// with codes too long for that.
+// lanes, lanes of 0 to 17 symbols — shorter than one 8-byte store, and
+// every count modulo a group of eight), and over tables of short codes, of
+// 7- to 15-bit codes that a group of eight overruns, and of codes up to the
+// format's 31 bits.
 func TestEncodeMatchesOracle(t *testing.T) {
-	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4095, 4096, 4097, 32 << 10, 256<<10 + 3}
-	if testing.Short() {
-		sizes = sizes[:len(sizes)-1]
+	var sizes []int
+	for n := 0; n < 4*18; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 4095, 4096, 4097, 32<<10)
+	if !testing.Short() {
+		sizes = append(sizes, 256<<10+3)
 	}
 	for _, alphabet := range []int{2, 256, 1 << 16} {
 		for si, s := range oracleStreams {
@@ -169,7 +210,7 @@ func TestEncodeMatchesOracle(t *testing.T) {
 					codes[i] = s.gen(rng, alphabet)
 				}
 				if maxLen := checkAgainstOracle(t, fmt.Sprintf("%s/alphabet=%d/n=%d", s.name, alphabet, n), codes, alphabet); maxLen > 19 {
-					t.Fatalf("%s/alphabet=%d/n=%d: a %d-bit code: three codes no longer always fit a store", s.name, alphabet, n, maxLen)
+					t.Fatalf("%s/alphabet=%d/n=%d: a %d-bit code; the codes past 19 bits are the Fibonacci tables' below", s.name, alphabet, n, maxLen)
 				}
 			}
 		}
@@ -217,6 +258,21 @@ func FuzzEncodeLanes(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint16(9), uint8(3))
 	f.Add(bytes.Repeat([]byte{3, 200, 7}, 300), uint16(700), uint8(1))
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}, uint16(65535), uint8(40))
+	// 7- to 15-bit codes, so a group of four to eight codes overruns one
+	// 57-bit store: 256 equally likely symbols (8 bits each), and byte b
+	// taken 1 + (255−b)²/512 times (about 6 to 13 bits), repeated or not.
+	all := make([]byte, 256)
+	for b := range all {
+		all[b] = byte(b)
+	}
+	f.Add(bytes.Repeat(all, 3), uint16(65535), uint8(0))
+	var ramp []byte
+	for b := 0; b < 256; b++ {
+		ramp = append(ramp, bytes.Repeat([]byte{byte(b)}, 1+(255-b)*(255-b)/512)...)
+	}
+	f.Add(ramp, uint16(65535), uint8(0))
+	f.Add(ramp, uint16(40000), uint8(1))
+	f.Add(ramp[len(ramp)-300:], uint16(65535), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, span uint16, skew uint8) {
 		alphabet := int(span) + 1
 		var codes []uint16
@@ -228,6 +284,48 @@ func FuzzEncodeLanes(f *testing.F) {
 		}
 		checkAgainstOracle(t, "fuzz", codes, alphabet)
 	})
+}
+
+// TestWriteLaneShortBufferPanics: a buffer shorter than the lane's bytes
+// makes WriteLane panic, and the bytes past the buffer's length — inside its
+// capacity — stay as they were: the writer's word stores are bounded by the
+// length, not the capacity.
+func TestWriteLaneShortBufferPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, s := range []struct {
+		name string
+		gen  func() uint16
+	}{
+		{"short", func() uint16 { return normalCode(rng, 1024, 0.7) }},
+		{"long", func() uint16 { return uint16(rng.Intn(1 << 12)) }},
+	} {
+		for _, n := range []int{1, 9, 17, 100, 1000} {
+			codes := make([]uint16, n)
+			for i := range codes {
+				codes[i] = s.gen()
+			}
+			c := NewCode(codes, 1<<12)
+			full := make([]byte, c.LaneBound(n))
+			need := c.WriteLane(full, codes)
+			for short := 0; short < need; short++ {
+				backing := bytes.Repeat([]byte{0xa5}, need+16)
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					c.WriteLane(backing[:short], codes)
+					return false
+				}()
+				if !panicked {
+					t.Fatalf("%s/n=%d: a %d-byte buffer for a %d-byte lane did not panic", s.name, n, short, need)
+				}
+				for i, b := range backing[short:] {
+					if b != 0xa5 {
+						t.Fatalf("%s/n=%d: a %d-byte buffer: byte %d past its end was written", s.name, n, short, short+i)
+					}
+				}
+			}
+			c.Release()
+		}
+	}
 }
 
 // TestPinnedEncoderBlobs pins the encoder's bytes one layer below the
@@ -268,5 +366,31 @@ func TestPinnedEncoderBlobs(t *testing.T) {
 		if v1 != p.v1 || v2 != p.v2 {
 			t.Errorf("%s: Encode %#x, EncodeLanes %#x; pinned %#x, %#x", p.name, v1, v2, p.v1, p.v2)
 		}
+	}
+}
+
+// BenchmarkWriteLane times the lane writer alone — Code.WriteLane, the loop
+// under Encode, EncodeLanes and every codec's brick lanes — on one
+// 4 096-symbol lane of a quantiser class's shape: codes spread about the
+// radius as a rel-1e-3 finest class (≈ 2 bits a symbol) and a rel-1e-4 one
+// (≈ 4.5), with a few escapes and far bins. An op is one lane; ns/sym is the
+// writer's cost a symbol.
+func BenchmarkWriteLane(b *testing.B) {
+	for _, s := range []struct {
+		name   string
+		spread float64
+	}{{"rel1e-3", 0.9}, {"rel1e-4", 4}} {
+		codes := quantCodes(rand.New(rand.NewSource(5)), 4096, s.spread, true)
+		c := NewCode(codes, 1<<16)
+		buf := make([]byte, c.LaneBound(len(codes)))
+		m := c.WriteLane(buf, codes)
+		b.Run(s.name, func(b *testing.B) {
+			for b.Loop() {
+				c.WriteLane(buf, codes)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(codes)), "ns/sym")
+			b.ReportMetric(8*float64(m)/float64(len(codes)), "bits/sym")
+		})
+		c.Release()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"stz/internal/bitio"
 	"stz/internal/scratch"
@@ -199,7 +200,21 @@ func (p *plan) writeLanes(dst []byte, from, to int) {
 
 // writeLane codes the symbols of one lane into the bytes of lane from bit
 // on, and returns the byte the lane's bits end before. The slice must hold
-// them all; it may hold more.
+// them all; it may hold more. One that holds fewer panics, and nothing past
+// its length is written.
+//
+// Up to eight codes go to the lane a store: a group of eight is joined into
+// one word off the accumulator's dependency chain, which then runs once per
+// group, not per symbol. The 7 bits held back between stores leave a word
+// room for 57; a group longer than that — long codes are the rare symbols'
+// — goes one code a store, and the groups after it go eight a store again.
+// The group loop reads its codes through an [8]uint16 view and stores
+// through an [8]byte view of the lane, both taken unchecked from the
+// slices' first elements: the loop runs only while i+8 ≤ len(codes) and
+// pos+8 ≤ len(lane), so every view lies inside its slice, and the loop
+// body carries no bounds check. The lane's tail — once fewer than 8 of its
+// bytes are left — goes a byte at a time through checked indexing, which
+// is where a short lane panics.
 func writeLane(lane []byte, codes []uint16, bySym *[1 << 16]uint64, bit int) int {
 	// The bits held back from the lane: fewer than 8 between stores, at the
 	// start those of the byte a v1 lane shares with the header.
@@ -208,29 +223,35 @@ func writeLane(lane []byte, codes []uint16, bySym *[1 << 16]uint64, bit int) int
 	if nbits != 0 {
 		acc = uint64(lane[pos])
 	}
+	lp, cp := unsafe.Pointer(unsafe.SliceData(lane)), unsafe.Pointer(unsafe.SliceData(codes))
 	for i := 0; i < len(codes); {
-		// Three codes a store, while the lane has three to give and 8 bytes
-		// to take: the codes are joined off the accumulator's dependency
-		// chain, which then runs once per store, not per symbol. The 7 bits
-		// held back leave a store room for 57; three codes longer than that
-		// together — long codes are the rare symbols' — leave the loop.
-		for ; i < len(codes)-2 && pos+8 <= len(lane); i += 3 {
-			e0, e1, e2 := bySym[codes[i]], bySym[codes[i+1]], bySym[codes[i+2]]
-			l0, l1 := uint(e0&63), uint(e1&63)
-			total := l0 + l1 + uint(e2&63)
+		for ; i+8 <= len(codes) && pos+8 <= len(lane); i += 8 {
+			c := (*[8]uint16)(unsafe.Add(cp, 2*i))
+			// Pairs, then halves, then the group: each joined word is its
+			// codes in order, each length the sum of theirs. Masking a
+			// shift to the word keeps it one instruction; it changes a
+			// result only in a group over 57 bits, which goes the other
+			// way.
+			w01, l01 := pair(bySym, c[0], c[1])
+			w23, l23 := pair(bySym, c[2], c[3])
+			w03, l03 := w01|w23<<(l01&63), l01+l23
+			w45, l45 := pair(bySym, c[4], c[5])
+			w67, l67 := pair(bySym, c[6], c[7])
+			w47, l47 := w45|w67<<(l45&63), l45+l67
+			total := l03 + l47
 			if total > 57 {
 				break
 			}
-			acc |= (e0>>8 | e1>>8<<l0 | e2>>8<<((l0+l1)&63)) << (nbits & 63)
+			acc |= (w03 | w47<<(l03&63)) << (nbits & 63)
 			nbits += total
-			binary.LittleEndian.PutUint64(lane[pos:pos+8], acc)
+			binary.LittleEndian.PutUint64((*[8]byte)(unsafe.Add(lp, pos))[:], acc)
 			pos += int(nbits >> 3)
 			acc >>= nbits &^ 7 // all 64 when the store was full
 			nbits &= 7
 		}
-		// One code a store for the three that did not fit, or — a byte at a
-		// time once fewer than 8 bytes are left — for the lane's tail.
-		for stop := min(i+3, len(codes)); i < stop; i++ {
+		// One code a store for the group that did not fit, or — a byte at
+		// a time once fewer than 8 bytes are left — for the lane's tail.
+		for stop := min(i+8, len(codes)); i < stop; i++ {
 			e := bySym[codes[i]]
 			acc |= e >> 8 << (nbits & 63)
 			nbits += uint(e & 63)
@@ -253,6 +274,13 @@ func writeLane(lane []byte, codes []uint16, bySym *[1 << 16]uint64, bit int) int
 		pos++
 	}
 	return pos
+}
+
+// pair joins the codes of symbols a and b, a's first, and returns the
+// word and its length in bits.
+func pair(bySym *[1 << 16]uint64, a, b uint16) (uint64, uint) {
+	ea, eb := bySym[a], bySym[b]
+	return ea>>8 | eb>>8<<(ea&63), uint(ea&63 + eb&63)
 }
 
 // Encode compresses codes (all values must be < alphabet) into a

@@ -151,9 +151,10 @@ const halfBelow = 0.49999999999999994
 // zero codes.
 //
 // Float32 rows at stride 2 — every row of core's level sweep and of sz3's
-// finest interpolation level — go four points at a time through
+// finest interpolation level — go eight points at a time through
 // quantizeRow2x32, which is an assembly kernel where the CPU has one and
-// computes bit for bit what quantizeRow does; the rest of such a row, and
+// computes bit for bit what quantizeRow does; the rest of such a row (its
+// last 1 to 7 points, or 8 where its values end on its last point), and
 // every other row, runs quantizeRow.
 func QuantizeRow[T grid.Float](f Fast, vals []T, stride int, preds []T, codes []uint16, recon []T) (escapes int) {
 	codes = codes[:len(preds)]

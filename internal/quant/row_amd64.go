@@ -22,9 +22,9 @@ func detectRowKernel() bool {
 }
 
 // quantizeRow2x32 runs the AVX2 kernel over the longest prefix of a
-// stride-2 float32 row it can take whole: groups of four points whose
-// 8-float value load and, with a recon row, whose last store lie inside the
-// slices. It returns the points done (0 without the kernel) and their
+// stride-2 float32 row it can take whole: groups of eight points whose
+// 16-float value load and, with a recon row, whose last store lie inside
+// the slices. It returns the points done (0 without the kernel) and their
 // escapes.
 func quantizeRow2x32(f *Fast, vals, preds []float32, codes []uint16, recon []float32) (n, escapes int) {
 	// A radius past DefaultRadius would saturate in the kernel's code pack
@@ -32,25 +32,25 @@ func quantizeRow2x32(f *Fast, vals, preds []float32, codes []uint16, recon []flo
 	if !hasRowKernel || f.radius > DefaultRadius {
 		return 0, 0
 	}
-	g := min(len(preds)/4, len(vals)/8)
+	g := min(len(preds)/8, len(vals)/16)
 	if recon != nil {
-		g = min(g, (len(recon)+1)/8)
+		g = min(g, (len(recon)+1)/16)
 	}
 	if g == 0 {
 		return 0, 0
 	}
-	n = 4 * g
+	n = 8 * g
 	// Every operand is cut to exactly the span the kernel touches, so a
 	// wrong length panics here, never in the kernel.
 	var rp *float32
 	if recon != nil {
-		rp = &recon[:8*g-1][0]
+		rp = &recon[:16*g-1][0]
 	}
-	return n, quantRowAVX2(f, &vals[:8*g][0], &preds[:n][0], &codes[:n][0], rp, g)
+	return n, quantRowAVX2(f, &vals[:16*g][0], &preds[:n][0], &codes[:n][0], rp, g)
 }
 
-// quantRowAVX2 quantises groups·4 points: values vals[0], vals[2], …,
-// predictions preds[0:4·groups], codes[0:4·groups], and, when recon is not
+// quantRowAVX2 quantises groups·8 points: values vals[0], vals[2], …,
+// predictions preds[0:8·groups], codes[0:8·groups], and, when recon is not
 // nil, reconstructions recon[0], recon[2], …. It returns the escapes.
 //
 //go:noescape

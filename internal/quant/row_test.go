@@ -223,9 +223,9 @@ func TestQuantizeRowLengths(t *testing.T) {
 }
 
 // TestRowKernelTakesRows: where the CPU runs the kernel, it takes a whole
-// 64-point stride-2 float32 row (a 128³ sweep row), with or without a recon
-// row, and all but the last group of a row whose values end on its last
-// point.
+// 64-point stride-2 float32 row (a 128³ sweep row) as eight groups of eight
+// points, with or without a recon row, and all but the last group of a row
+// whose values end on its last point.
 func TestRowKernelTakesRows(t *testing.T) {
 	if !hasRowKernel {
 		t.Skip("no row kernel on this CPU: QuantizeRow is the reference loop")
@@ -240,12 +240,16 @@ func TestRowKernelTakesRows(t *testing.T) {
 		{vals, recon, 64},
 		{vals, nil, 64},
 		{vals, recon[:127], 64},
-		{vals[:127], recon, 60},
-		{vals[:127], recon[:127], 60},
+		{vals[:127], recon, 56},
+		{vals[:127], recon[:127], 56},
 	} {
 		if n, _ := quantizeRow2x32(&f, c.vals, preds, codes, c.recon); n != c.want {
 			t.Errorf("vals %d, recon %d: the kernel took %d points, want %d", len(c.vals), len(c.recon), n, c.want)
 		}
+	}
+	// A group is eight points: a 63-point row is seven groups and a tail.
+	if n, _ := quantizeRow2x32(&f, vals, preds[:63], codes, recon); n != 56 {
+		t.Errorf("63 points: the kernel took %d, want 56", n)
 	}
 }
 
@@ -293,10 +297,16 @@ func FuzzQuantizeRow(f *testing.F) {
 		}
 		q := Quantizer{EB: eb, Radius: int32(radius%DefaultRadius) + 1}
 		// Neighbours of the drawn pair ride along so a row has two kernel
-		// groups and a tail: ties, the radius edge and the pair swapped.
+		// groups and a tail: ties at half a bin and a bin and a half, the
+		// radius edge and half a bin inside it, one ulp past a tie, the pair
+		// swapped or negated, and no residual at all.
 		edge := 2 * eb * float64(q.Radius)
-		v64 := []float64{v, math.Nextafter(v, p), v + eb, v - eb, p, p + eb, p - eb, p + edge, p - edge}
-		p64 := []float64{p, p, p, math.Nextafter(p, v), v, p, p, p, p}
+		v64 := []float64{v, math.Nextafter(v, p), v + eb, v - eb, p, p + eb, p - eb, p + edge, p - edge,
+			p + 3*eb, p - 3*eb, p + edge - eb, p - edge + eb,
+			math.Nextafter(p+eb, math.Inf(1)), math.Nextafter(p-eb, math.Inf(-1)), -v, v}
+		p64 := []float64{p, p, p, math.Nextafter(p, v), v, p, p, p, p,
+			p, p, p, p,
+			p, p, -p, v}
 		checkRow(t, q, v64, p64, 2)
 		v32, p32 := make([]float32, len(v64)), make([]float32, len(v64))
 		for i := range v64 {
